@@ -21,6 +21,7 @@ holders keep victim search O(1) instead of O(cache).
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
 from typing import Iterator, List, Optional
 
 from repro.core.virtual_block import VirtualBlock
@@ -178,12 +179,7 @@ class ICashCache:
         the beginning of an LRU queue" — the hot end, where reference
         candidates live.
         """
-        out: List[VirtualBlock] = []
-        for vb in reversed(self._blocks.values()):
-            out.append(vb)
-            if len(out) >= count:
-                break
-        return out
+        return list(islice(reversed(self._blocks.values()), count))
 
     def references(self) -> List[VirtualBlock]:
         return [vb for vb in self._blocks.values() if vb.is_reference]

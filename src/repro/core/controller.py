@@ -145,6 +145,10 @@ class ICASHController(StorageSystem):
         # copy: the copy stays to serve dependents, and the reference's
         # own content lives in the ordinary data path (RAM + HDD region).
         self._shadowed_refs: Set[int] = set()
+        # References whose frozen SSD copy holds bytes the HDD data region
+        # never received (a refresh-in-place writes the SSD only): the
+        # copy must be written back before its slot is released.
+        self._ssd_ahead: Set[int] = set()
         self._io_count = 0
 
         # Host-side memo of delta reconstructions: lba -> (delta object,
@@ -792,7 +796,7 @@ class ICASHController(StorageSystem):
             self.cache.drop_data(vb)
             self._unmap_delta(vb.lba)
             self._dirty_delta_lbas.pop(vb.lba, None)
-            self._shadowed_refs.discard(vb.lba)
+            self._unshadow(vb.lba)
             return latency
         own_dependents = self._dependents_of(vb.lba)
         has_own_entry = vb.lba in self._delta_map
@@ -810,6 +814,7 @@ class ICASHController(StorageSystem):
                 self._unmap_delta(vb.lba)
                 self._dirty_delta_lbas.pop(vb.lba, None)
                 self._shadowed_refs.discard(vb.lba)
+                self._ssd_ahead.add(vb.lba)
                 vb.signatures = block_signatures(
                     content, self.config.signature_scheme)
                 self.scanner.note_reference(vb)
@@ -822,6 +827,7 @@ class ICASHController(StorageSystem):
             self._unmap_delta(vb.lba)
             self._dirty_delta_lbas.pop(vb.lba, None)
             self._shadowed_refs.add(vb.lba)
+            self._ssd_ahead.discard(vb.lba)  # the data path takes over
             if not self._maybe_cache_data(vb, content, dirty=True):
                 latency += self.hdd.write(vb.lba, 1)
                 self.backing.set(vb.lba, content)
@@ -835,9 +841,16 @@ class ICASHController(StorageSystem):
         vb.delta_dirty = True
         self._map_delta(vb.lba, vb.lba)
         self._mark_delta_dirty(vb.lba)
-        self._shadowed_refs.discard(vb.lba)
+        self._unshadow(vb.lba)
         self.stats.bump("reference_delta_writes")
         return latency
+
+    def _unshadow(self, lba: int) -> None:
+        """A write brought a shadowed reference back onto its frozen SSD
+        copy; the HDD region may still hold the shadowed bytes."""
+        if lba in self._shadowed_refs:
+            self._shadowed_refs.discard(lba)
+            self._ssd_ahead.add(lba)
 
     def _write_independent(self, vb: VirtualBlock, content: np.ndarray,
                            signatures: Tuple[int, ...]) -> float:
@@ -1169,6 +1182,11 @@ class ICASHController(StorageSystem):
                 continue
             if vb.has_delta:
                 continue  # carries its own unlogged changes; leave it
+            if vb.lba in self._ssd_ahead:
+                # The only current copy is the one about to be trimmed.
+                self._ssd_ahead.discard(vb.lba)
+                self.background_time += self.hdd.write(vb.lba, 1)
+                self.backing.set(vb.lba, self._ssd_data[vb.lba])
             self._release_ssd_slot(vb.lba)
             vb.kind = BlockKind.INDEPENDENT
             vb.ssd_slot = None

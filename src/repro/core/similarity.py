@@ -31,12 +31,13 @@ REF_CANDIDATE_FRACTION = 0.10
 class SignatureIndex:
     """Incrementally maintained ``(row, value) -> reference blocks`` map.
 
-    The direct implementation (:meth:`SimilarityScanner._index_by_signature`)
-    rebuilds this mapping from scratch on every scan — eight dict operations
-    per reference per scan.  This class keeps the mapping alive across
-    scans: the controller notifies it when references appear, change
-    content, or retire, and each scan merely *syncs* the window's
-    references (a no-op when nothing changed).
+    The direct implementation (``tests/reference/similarity.py``, the
+    golden the equivalence tests compare against) rebuilds this mapping
+    from scratch on every scan — eight dict operations per reference per
+    scan.  This class keeps the mapping alive across scans: the
+    controller notifies it when references appear, change content, or
+    retire, and each scan merely *syncs* the window's references (a
+    no-op when nothing changed).
 
     Correctness does not depend on the notifications being complete: the
     per-scan sync re-adds any window reference whose entry is missing or
@@ -87,57 +88,6 @@ class SignatureIndex:
                 and entry[1] == tuple(vb.signatures):
             return
         self.add(vb)
-
-    def match_batch(
-        self, cand_sigs: np.ndarray, rank_of: Dict[int, int],
-    ) -> List[Tuple[Optional[Tuple[int, int, int, VirtualBlock]], int]]:
-        """Best indexed reference per candidate row, in one vectorised pass.
-
-        ``cand_sigs`` is an ``(N, SUB_BLOCKS)`` integer matrix;
-        ``rank_of`` maps reference LBAs to their popularity rank (stale
-        index entries absent from it are ignored, exactly as the scalar
-        tally loop does).  Each result slot is ``(count, first_row,
-        rank, ref)`` for the reference minimising ``(-count, first_row,
-        rank)`` — the scalar tie-break — plus ``tallies``, the number of
-        references sharing at least one sub-signature (the scalar
-        comparison count).  Slots with no match are ``None``.
-
-        Returns a list of ``(best_or_none, tallies)`` pairs.
-        """
-        n = int(cand_sigs.shape[0]) if cand_sigs.ndim == 2 else 0
-        ordered = sorted(
-            (rank, lba) for lba, rank in rank_of.items()
-            if lba in self._entries)
-        if n == 0 or not ordered:
-            return [(None, 0)] * n
-        ranks = np.asarray([rank for rank, _ in ordered], dtype=np.int64)
-        ref_vbs = [self._entries[lba][0] for _, lba in ordered]
-        ref_sigs = np.asarray(
-            [self._entries[lba][1] for _, lba in ordered], dtype=np.int64)
-        eq = cand_sigs[:, None, :] == ref_sigs[None, :, :]
-        counts = eq.sum(axis=2)
-        matched = counts > 0
-        tallies = matched.sum(axis=1)
-        first_row = np.argmax(eq, axis=2)
-        sub = ref_sigs.shape[1]
-        # Composite minimisation key reproducing (-count, first_row,
-        # rank): lexicographic because each factor strictly dominates
-        # the next's range.
-        key = (((sub - counts) * sub + first_row)
-               * (int(ranks.max()) + 1) + ranks[None, :])
-        key[~matched] = np.iinfo(np.int64).max
-        best_j = np.argmin(key, axis=1)
-        out: List[Tuple[Optional[Tuple[int, int, int, VirtualBlock]], int]] \
-            = []
-        for i in range(n):
-            j = int(best_j[i])
-            if not matched[i, j]:
-                out.append((None, 0))
-            else:
-                out.append(((int(counts[i, j]), int(first_row[i, j]),
-                             int(ranks[j]), ref_vbs[j]),
-                            int(tallies[i])))
-        return out
 
     def candidates(self, row: int, value: int) -> Sequence[VirtualBlock]:
         """References carrying sub-signature ``value`` at ``row``.
@@ -204,22 +154,12 @@ class SimilarityScanner:
 
     def __init__(self, heatmap: Heatmap, min_signature_match: int,
                  delta_accept_bytes: int, scan_compare_s: float,
-                 compress_s: float,
-                 use_incremental_index: bool = True,
-                 use_batch_match: bool = True) -> None:
+                 compress_s: float) -> None:
         self.heatmap = heatmap
         self.min_signature_match = min_signature_match
         self.delta_accept_bytes = delta_accept_bytes
         self.scan_compare_s = scan_compare_s
         self.compress_s = compress_s
-        #: ``False`` falls back to rebuilding the signature index per scan
-        #: (the direct implementation) — golden-equivalence tests run both
-        #: paths and require identical results.
-        self.use_incremental_index = use_incremental_index
-        #: Vectorised candidate-vs-index matching (requires the
-        #: incremental index); ``False`` keeps the per-candidate tally
-        #: loop.  All three modes are golden-equivalence tested.
-        self.use_batch_match = use_batch_match
         self.signature_index = SignatureIndex()
 
     def note_reference(self, vb: VirtualBlock) -> None:
@@ -243,29 +183,35 @@ class SimilarityScanner:
 
         ``max_new_references`` lets the controller cap promotions at its
         free SSD slots.
+
+        The simulated cost covers the whole window (every signed block is
+        "examined"), but the host only ranks and matches the blocks that
+        can take part: the window's references (the match targets) and
+        the *eligible* blocks — neither a reference nor an associate
+        already holding a delta.  Both are flags the scan itself never
+        flips (the controller applies promotions and associations
+        afterwards), and a stable sort restricted to a subset keeps that
+        subset's relative order, so the outcome equals ranking everything
+        and skipping the rest one by one.
         """
         result = ScanResult()
-        candidates = [vb for vb in cache.mru_window(window) if vb.signatures]
-        result.blocks_examined = len(candidates)
-        if not candidates:
+        pool: List[VirtualBlock] = []
+        for vb in cache.mru_window(window):
+            if not vb.signatures:
+                continue
+            result.blocks_examined += 1
+            if not (vb.is_associate and vb.has_delta):
+                pool.append(vb)
+        examined = result.blocks_examined
+        result.cpu_time += examined * self.scan_compare_s
+        if not pool:
             return result
 
-        batched = self.use_batch_match and self.use_incremental_index
-        if batched:
-            # Batch tier: one popularity gather over the whole window,
-            # then a stable argsort identical to popularity_ranking's
-            # stable sort on (-popularity).
-            sig_matrix = np.asarray(
-                [vb.signatures for vb in candidates], dtype=np.int64)
-            pops = self.heatmap.popularity_batch(sig_matrix).tolist()
-            order = sorted(range(len(candidates)), key=lambda i: -pops[i])
-            ranked = [(candidates[i], pops[i]) for i in order]
-            ranked_sigs = sig_matrix[order]
-        else:
-            ranked = popularity_ranking(
-                [(vb, vb.signatures) for vb in candidates], self.heatmap)
-            ranked_sigs = None
-        result.cpu_time += len(ranked) * self.scan_compare_s
+        # Popularity order, ties by window position (stable), as
+        # popularity_ranking sorts.
+        pops = self.heatmap.popularity_batch(np.asarray(
+            [vb.signatures for vb in pool], dtype=np.int64))
+        ranked = [pool[i] for i in np.argsort(-pops, kind="stable").tolist()]
 
         # One pass in popularity order (Table 2's semantics): a block that
         # delta-compresses against an existing reference becomes its
@@ -273,48 +219,25 @@ class SimilarityScanner:
         # reference itself.  Promoting only the *unmatched* is what spreads
         # reference coverage across content clusters instead of piling
         # redundant references into the hottest one.
-        refs: List[VirtualBlock] = [vb for vb, _ in ranked if vb.is_reference]
-        incremental = self.use_incremental_index
-        if incremental:
-            # Heal the persistent index for this window (no-op per ref
-            # when notifications kept it current) and rank the window's
-            # references by popularity position: the rank reproduces the
-            # direct implementation's tie-break, where a cell lists
-            # window references in ranked order followed by references
-            # promoted mid-scan in promotion order.
-            for ref in refs:
-                self.signature_index.sync(ref)
-            rank_of: Dict[int, int] = {
-                ref.lba: pos for pos, ref in enumerate(refs)}
-            next_rank = len(refs)
-            index: Dict[Tuple[int, int], List[VirtualBlock]] = {}
-        else:
-            rank_of = {}
-            next_rank = 0
-            index = self._index_by_signature(refs)
-        if batched:
-            # One vectorised pass against the window's references; blocks
-            # promoted mid-scan are folded in per candidate below.
-            base_match = self.signature_index.match_batch(
-                ranked_sigs, rank_of)
-            promoted: List[Tuple[int, VirtualBlock]] = []
+        #
+        # Heal the persistent index for this window (no-op per reference
+        # when notifications kept it current).  ``rank_of`` is the
+        # matcher's tie-break: window references in popularity order,
+        # then references promoted mid-scan in promotion order.
+        rank_of: Dict[int, int] = {}
+        for vb in ranked:
+            if vb.is_reference:
+                self.signature_index.sync(vb)
+                rank_of[vb.lba] = len(rank_of)
         promotable = min(max_new_references,
-                         max(4, int(len(ranked) * REF_CANDIDATE_FRACTION)))
-        for pos, (vb, _pop) in enumerate(ranked):
+                         max(4, int(examined * REF_CANDIDATE_FRACTION)))
+        for vb in ranked:
             if vb.is_reference:
                 continue
-            if vb.is_associate and vb.has_delta:
-                continue  # already well paired; reorganised lazily
             content = content_fn(vb)
             if content is None:
                 continue
-            if batched:
-                best = self._best_reference_batched(
-                    vb, base_match[pos], promoted, result)
-            elif incremental:
-                best = self._best_reference_indexed(vb, rank_of, result)
-            else:
-                best = self._best_reference(vb, index, result)
+            best = self._best_reference(vb, rank_of, result)
             if best is not None and best.lba != vb.lba:
                 ref_content = content_fn(best)
                 if ref_content is not None:
@@ -326,87 +249,20 @@ class SimilarityScanner:
                         continue
             if len(result.new_references) < promotable:
                 result.new_references.append(vb)
-                if incremental:
-                    self.signature_index.add(vb)
-                    rank_of[vb.lba] = next_rank
-                    if batched:
-                        promoted.append((next_rank, vb))
-                    next_rank += 1
-                else:
-                    for row, value in enumerate(vb.signatures):
-                        index.setdefault((row, value), []).append(vb)
+                self.signature_index.add(vb)
+                rank_of[vb.lba] = len(rank_of)
         return result
 
-    def _best_reference_batched(
-            self, vb: VirtualBlock,
-            base: Tuple[Optional[Tuple[int, int, int, VirtualBlock]], int],
-            promoted: Sequence[Tuple[int, VirtualBlock]],
-            result: ScanResult) -> Optional[VirtualBlock]:
-        """Batched counterpart of :meth:`_best_reference_indexed`.
+    def _best_reference(self, vb: VirtualBlock, rank_of: Dict[int, int],
+                        result: ScanResult) -> Optional[VirtualBlock]:
+        """Reference with the highest signature overlap, if it clears the
+        minimum-match bar.
 
-        ``base`` is this candidate's precomputed slot from
-        :meth:`SignatureIndex.match_batch` (window references only);
-        references promoted mid-scan are tallied here, scalar-style, so
-        the combined selection minimises the same ``(-count, first_row,
-        rank)`` key over the same reference set.
-        """
-        best_entry, tally = base
-        if best_entry is not None:
-            count, first_row, rank, best = best_entry
-            best_key: Optional[Tuple[int, int, int]] = \
-                (-count, first_row, rank)
-        else:
-            best = None
-            best_key = None
-        for rank, ref in promoted:
-            count = 0
-            first_row = -1
-            for row, (a, b) in enumerate(zip(vb.signatures, ref.signatures)):
-                if a == b:
-                    count += 1
-                    if first_row < 0:
-                        first_row = row
-            if count:
-                tally += 1
-                key = (-count, first_row, rank)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = ref
-        result.comparisons += tally
-        result.cpu_time += tally * self.scan_compare_s
-        if best is None:
-            return None
-        if -best_key[0] < self.min_signature_match:
-            return None
-        if signature_overlap(vb.signatures, best.signatures) \
-                < self.min_signature_match:
-            return None
-        return best
-
-    @staticmethod
-    def _index_by_signature(refs: Sequence[VirtualBlock],
-                            ) -> Dict[Tuple[int, int], List[VirtualBlock]]:
-        """(row, value) -> reference blocks carrying that sub-signature."""
-        index: Dict[Tuple[int, int], List[VirtualBlock]] = {}
-        for ref in refs:
-            for row, value in enumerate(ref.signatures):
-                index.setdefault((row, value), []).append(ref)
-        return index
-
-    def _best_reference_indexed(self, vb: VirtualBlock,
-                                rank_of: Dict[int, int],
-                                result: ScanResult,
-                                ) -> Optional[VirtualBlock]:
-        """Indexed counterpart of :meth:`_best_reference`.
-
-        The direct implementation's ``max`` keeps the *first-inserted*
-        maximum, and insertion order there is lexicographic by (first
-        matching signature row, position in the cell's list) — which for
-        window references is their popularity rank and for mid-scan
-        promotions their promotion order.  Selecting the minimum of
-        ``(-count, first_row, rank)`` is therefore byte-identical, while
-        letting the persistent index hold references in any order and
-        ignore entries outside the current window.
+        A hash join of ``vb``'s eight ``(row, value)`` cells against the
+        persistent index; ties on overlap go to the reference matching at
+        the earliest row, then to the lower ``rank_of`` — the order in
+        which a per-scan rebuild of the index (the golden in
+        ``tests/reference/similarity.py``) would have met them.
         """
         # lba -> [tally, first matching row, rank, block]
         tallies: Dict[int, List] = {}
@@ -427,31 +283,6 @@ class SimilarityScanner:
         count, _row, _rank, best = min(
             tallies.values(), key=lambda e: (-e[0], e[1], e[2]))
         if count < self.min_signature_match:
-            return None
-        if signature_overlap(vb.signatures, best.signatures) \
-                < self.min_signature_match:
-            return None
-        return best
-
-    def _best_reference(self, vb: VirtualBlock,
-                        index: Dict[Tuple[int, int], List[VirtualBlock]],
-                        result: ScanResult) -> Optional[VirtualBlock]:
-        """Reference with the highest signature overlap, if it clears the
-        minimum-match bar."""
-        tallies: Dict[int, int] = {}
-        by_id: Dict[int, VirtualBlock] = {}
-        for row, value in enumerate(vb.signatures):
-            for ref in index.get((row, value), ()):
-                tallies[id(ref)] = tallies.get(id(ref), 0) + 1
-                by_id[id(ref)] = ref
-        result.comparisons += len(tallies)
-        result.cpu_time += len(tallies) * self.scan_compare_s
-        if not tallies:
-            return None
-        best_id = max(tallies, key=lambda k: tallies[k])
-        best = by_id[best_id]
-        # Exact tally beats re-deriving overlap, but guard the invariant.
-        if tallies[best_id] < self.min_signature_match:
             return None
         if signature_overlap(vb.signatures, best.signatures) \
                 < self.min_signature_match:

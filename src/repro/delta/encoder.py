@@ -150,12 +150,6 @@ def _diff_run_arrays(target: np.ndarray,
     return edges[0::2], edges[1::2]
 
 
-def _diff_runs(target: np.ndarray, reference: np.ndarray) -> List[Tuple[int, int]]:
-    """Maximal (start, end) runs where the two arrays differ."""
-    starts, ends = _diff_run_arrays(target, reference)
-    return list(zip(starts.tolist(), ends.tolist()))
-
-
 def encode_delta(target: np.ndarray, reference: np.ndarray) -> Delta:
     """Encode ``target`` as a delta against ``reference``.
 
@@ -168,34 +162,39 @@ def encode_delta(target: np.ndarray, reference: np.ndarray) -> Delta:
         raise ValueError(
             f"delta codec operates on {BLOCK_SIZE}-byte blocks, got "
             f"{target.nbytes} and {reference.nbytes}")
-    raw_runs = _diff_runs(target, reference)
-    if not raw_runs:
+    start_arr, end_arr = _diff_run_arrays(target, reference)
+    if not start_arr.size:
         return Delta(runs=())
-    # Merge runs separated by gaps too small to be worth a run header.
-    # (Kept as a plain loop: typical deltas carry a few dozen runs, and
-    # at that size python beats numpy's per-op overhead — the vectorised
-    # form lives in repro.core.batch.encode_delta_batch, where it is
-    # amortised over a whole block batch.)
-    merged: List[Tuple[int, int]] = [raw_runs[0]]
-    changed = raw_runs[0][1] - raw_runs[0][0]
-    for start, end in raw_runs[1:]:
-        prev_start, prev_end = merged[-1]
-        if start - prev_end <= MERGE_GAP:
-            merged[-1] = (prev_start, end)
-            changed += end - prev_end
-        else:
-            merged.append((start, end))
-            changed += end - start
+    starts = start_arr.tolist()
+    ends = end_arr.tolist()
+    # Merge runs separated by gaps too small to be worth a run header:
+    # ``heads`` are the raw runs that open a new merged run.  (Plain
+    # lists: typical deltas carry a few dozen runs, and at that size
+    # python beats numpy's per-op overhead — the vectorised form lives
+    # in repro.core.batch.encode_delta_batch, where it is amortised over
+    # a whole block batch.)
+    heads = [i for i in range(1, len(starts))
+             if starts[i] - ends[i - 1] > MERGE_GAP]
+    starts = starts[:1] + [starts[i] for i in heads]
+    ends = [ends[i - 1] for i in heads] + ends[-1:]
     # One bulk copy to bytes, then cheap slicing — faster than a
     # per-run ``ndarray.tobytes()`` and byte-identical to it.
     raw = target.tobytes()
-    runs = tuple((start, raw[start:end]) for start, end in merged)
-    delta = Delta(runs=runs)
-    # Preinstall the cached size: it is already known from the merged
-    # run bounds, and ``size_bytes`` is read for every encoded delta
-    # (the scanner's accept threshold), so skip the lazy genexpr.
+    payloads = [raw[start:end] for start, end in zip(starts, ends)]
+    n = len(payloads)
+    delta = Delta(runs=tuple(zip(starts, payloads)))
+    # Preinstall both cached views, as encode_delta_batch does: every
+    # encoded delta has its size read (spill and accept thresholds) and
+    # most reach the log packer, and from the run bounds both cost a
+    # fraction of the lazy per-run walks.
+    lengths = list(map(len, payloads))
+    header = [n] * (2 * n + 1)
+    header[1::2] = starts
+    header[2::2] = lengths
     delta.__dict__["size_bytes"] = (
-        DELTA_HEADER_BYTES + RUN_HEADER_BYTES * len(runs) + changed)
+        DELTA_HEADER_BYTES + RUN_HEADER_BYTES * n + sum(lengths))
+    delta.__dict__["_wire"] = (struct.pack(f"<{2 * n + 1}H", *header)
+                               + b"".join(payloads))
     return delta
 
 

@@ -2,10 +2,30 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.sim.request import BLOCK_SIZE
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _repo_root_stays_clean():
+    """Fail the run when the suite leaves (or removes) a file in the
+    repo root — outputs belong under ``tmp_path``.  Directories are not
+    compared: pytest's and hypothesis' own caches live there."""
+    def root_files():
+        return {p.name for p in REPO_ROOT.iterdir() if p.is_file()}
+
+    before = root_files()
+    yield
+    after = root_files()
+    assert after == before, (
+        f"test suite changed the repo root: added "
+        f"{sorted(after - before)}, removed {sorted(before - after)}")
 
 
 @pytest.fixture(autouse=True)

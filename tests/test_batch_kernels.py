@@ -3,8 +3,8 @@
 Three families of guarantees:
 
 * **golden equivalence** — every vectorised batch kernel in
-  :mod:`repro.core.batch` (and the batched scanner/heatmap entry
-  points) must be bit-identical to its scalar twin on random shapes,
+  :mod:`repro.core.batch` (and the batched heatmap entry points)
+  must be bit-identical to its scalar twin on random shapes,
   non-contiguous views, empty batches and single blocks;
 * **memoisation transparency** — the request-stream cache and the
   controller's delta-reconstruction memo must be invisible: identical
@@ -232,70 +232,6 @@ class TestHeatmapBatch:
             sig = tuple(int(v) for v in row)
             assert scalar.popularity(sig) == batch.popularity(sig)
             assert int(pops[i]) == scalar.popularity(sig)
-
-
-# ---------------------------------------------------------------------------
-# Batched similarity scan: three-way equivalence
-# ---------------------------------------------------------------------------
-
-
-class TestScannerBatchEquivalence:
-    @staticmethod
-    def _outcome(blocks, incremental, batched):
-        from repro.core.cache import ICashCache
-        from repro.core.similarity import SimilarityScanner
-        from repro.core.virtual_block import BlockKind, VirtualBlock
-        from repro.delta.segments import SegmentPool
-
-        cache = ICashCache(max_virtual_blocks=1024,
-                           data_ram_bytes=512 * BLOCK_SIZE,
-                           segment_pool=SegmentPool(1 << 20))
-        heatmap = Heatmap()
-        for lba, content in blocks:
-            vb = VirtualBlock(lba=lba, kind=BlockKind.INDEPENDENT)
-            vb.signatures = block_signatures(content)
-            cache.insert(vb)
-            cache.attach_data(vb, content)
-            heatmap.record(vb.signatures)
-        scanner = SimilarityScanner(heatmap, min_signature_match=4,
-                                    delta_accept_bytes=2048,
-                                    scan_compare_s=2e-6, compress_s=15e-6,
-                                    use_incremental_index=incremental,
-                                    use_batch_match=batched)
-        result = scanner.scan(cache, window=100, max_new_references=50,
-                              content_fn=lambda vb: vb.data)
-        return {
-            "new_references": [vb.lba for vb in result.new_references],
-            "associations": [(a.vb.lba, a.ref_lba, a.delta.runs)
-                             for a in result.associations],
-            "comparisons": result.comparisons,
-            "cpu_time": result.cpu_time,
-        }
-
-    def test_three_way_equivalence(self):
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            blocks = []
-            lba = 0
-            for family in range(2 + seed % 3):
-                base = rng.integers(0, 256, BLOCK_SIZE, dtype=np.uint8)
-                for member in range(3 + seed % 4):
-                    content = base.copy()
-                    content[member * 16:member * 16 + 24] = family
-                    blocks.append((lba, content))
-                    lba += 1
-            for _ in range(seed * 2):
-                blocks.append((lba, rng.integers(0, 256, BLOCK_SIZE,
-                                                 dtype=np.uint8)))
-                lba += 1
-            direct = self._outcome(blocks, incremental=False,
-                                   batched=False)
-            indexed = self._outcome(blocks, incremental=True,
-                                    batched=False)
-            batched = self._outcome(blocks, incremental=True,
-                                    batched=True)
-            assert direct == indexed == batched, \
-                f"scan paths diverged for seed {seed}"
 
 
 # ---------------------------------------------------------------------------

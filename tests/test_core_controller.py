@@ -183,6 +183,72 @@ class TestDeltaMachinery:
         assert not vb.has_delta
 
 
+class TestRetiredReferenceKeepsItsContent:
+    """A retired reference is served from the HDD region afterwards, so
+    whatever only its SSD copy held must be written back first."""
+
+    @staticmethod
+    def _reference_with_dependents(controller):
+        return next(lba for lba in sorted(controller.reference_lbas)
+                    if controller._dependents_of(lba) > 0)
+
+    @staticmethod
+    def _detach_dependents(controller, ref_lba, rng):
+        for lba, (mapped_ref, _slot) in \
+                controller.delta_map_snapshot().items():
+            if mapped_ref == ref_lba:
+                controller.write(lba, [rng.integers(
+                    0, 256, BLOCK_SIZE, dtype=np.uint8)])
+        assert controller._dependents_of(ref_lba) == 0
+
+    def test_refreshed_in_place_then_retired(self, rng):
+        controller = ICASHController(family_dataset(), small_config())
+        controller.ingest()
+        ref_lba = self._reference_with_dependents(controller)
+        self._detach_dependents(controller, ref_lba, rng)
+        fresh = rng.integers(0, 256, BLOCK_SIZE, dtype=np.uint8)
+        controller.write(ref_lba, [fresh])
+        assert controller.stats.count("reference_refreshes") == 1
+        hdd_writes = controller.hdd.write_ops
+        controller._retire_cold_references(controller.capacity_blocks)
+        assert ref_lba not in controller.reference_lbas
+        assert controller.hdd.write_ops == hdd_writes + 1
+        _, (out,) = controller.read(ref_lba)
+        assert np.array_equal(out, fresh)
+
+    def test_never_refreshed_retires_without_hdd_write(self, rng):
+        controller = ICASHController(family_dataset(), small_config())
+        controller.ingest()
+        ref_lba = self._reference_with_dependents(controller)
+        original = controller.ssd_block_content(ref_lba).copy()
+        self._detach_dependents(controller, ref_lba, rng)
+        hdd_writes = controller.hdd.write_ops
+        controller._retire_cold_references(controller.capacity_blocks)
+        assert ref_lba not in controller.reference_lbas
+        assert controller.hdd.write_ops == hdd_writes
+        _, (out,) = controller.read(ref_lba)
+        assert np.array_equal(out, original)
+
+    def test_shadowed_then_reverted_then_retired(self, rng):
+        """Shadowed content reaches the HDD on a flush; a write that
+        reverts to the frozen copy makes the SSD current again."""
+        controller = ICASHController(family_dataset(), small_config())
+        controller.ingest()
+        ref_lba = self._reference_with_dependents(controller)
+        frozen = controller.ssd_block_content(ref_lba).copy()
+        controller.write(ref_lba, [rng.integers(
+            0, 256, BLOCK_SIZE, dtype=np.uint8)])
+        assert ref_lba in controller.shadowed_reference_lbas
+        controller.flush()
+        controller.write(ref_lba, [frozen])
+        assert ref_lba not in controller.shadowed_reference_lbas
+        self._detach_dependents(controller, ref_lba, rng)
+        controller._retire_cold_references(controller.capacity_blocks)
+        assert ref_lba not in controller.reference_lbas
+        _, (out,) = controller.read(ref_lba)
+        assert np.array_equal(out, frozen)
+
+
 class TestFlushAndEviction:
     def test_flush_logs_dirty_deltas(self):
         dataset = family_dataset()

@@ -172,3 +172,82 @@ class TestScanner:
                               content_fn=lambda vb: vb.data)
         # Only one promotion allowed and the other block cannot pair.
         assert len(result.associations) == 0
+
+
+class TestScanOnMatureCache:
+    """The scan inside a live controller, several scans deep: the window
+    is then mostly references and associates that already hold a delta —
+    the blocks a scan skips — which no hand-built window above contains.
+    """
+
+    @pytest.fixture(scope="class")
+    def scans(self):
+        """One record per scan of a short SPEC-sfs run: the production
+        outcome, the direct reference's outcome on the same inputs, how
+        many window blocks were eligible and how often the matcher's
+        index was probed."""
+        from reference.similarity import direct_scan, outcome
+        from repro.experiments.runner import run_benchmark
+        from repro.experiments.systems import make_system
+        from repro.workloads import SpecSFSWorkload
+
+        workload = SpecSFSWorkload(scale=0.25, n_requests=400, seed=2011)
+        system = make_system("icash", workload)
+        scanner = system.scanner
+        production_scan = scanner.scan
+        index = scanner.signature_index
+        index_candidates = index.candidates
+        probes = []
+        records = []
+
+        def counting_candidates(row, value):
+            probes.append(row)
+            return index_candidates(row, value)
+
+        def scan_both_ways(cache, window, max_new_references, content_fn):
+            args = (cache, window, max_new_references, content_fn)
+            direct = outcome(direct_scan(scanner, *args))
+            kinds = {"reference": 0, "paired": 0, "eligible": 0}
+            for vb in cache.mru_window(window):
+                if not vb.signatures:
+                    continue
+                if vb.is_reference:
+                    kinds["reference"] += 1
+                elif vb.is_associate and vb.has_delta:
+                    kinds["paired"] += 1
+                elif content_fn(vb) is not None:
+                    kinds["eligible"] += 1
+            probes.clear()
+            result = production_scan(*args)
+            records.append({"production": outcome(result),
+                            "direct": direct, "probes": len(probes),
+                            **kinds})
+            return result
+
+        scanner.scan = scan_both_ways
+        index.candidates = counting_candidates
+        run_benchmark(workload, system, verify_reads=True, engine="event")
+        return records
+
+    def test_run_reaches_a_mature_window(self, scans):
+        assert len(scans) >= 5
+        last = scans[-1]
+        assert last["reference"] > 100 and last["paired"] > 100
+        assert last["reference"] + last["paired"] > 20 * last["eligible"]
+        assert any(s["production"]["new_references"] for s in scans[1:])
+        assert any(s["production"]["associations"] for s in scans[1:])
+
+    def test_production_matches_reference_at_every_scan(self, scans):
+        for number, scan in enumerate(scans):
+            assert scan["production"] == scan["direct"], \
+                f"scan {number} diverged from the direct scan"
+
+    def test_matcher_probed_once_per_eligible_block(self, scans):
+        """Host cost follows the blocks a scan can pair, not the window:
+        one index probe per sub-signature of each eligible block."""
+        from repro.core.signatures import SUB_BLOCKS
+
+        for number, scan in enumerate(scans):
+            assert scan["probes"] == SUB_BLOCKS * scan["eligible"], \
+                f"scan {number}: {scan['probes']} probes for " \
+                f"{scan['eligible']} eligible blocks"

@@ -106,6 +106,20 @@ class TestWireFormat:
         assert decoded == delta
         assert np.array_equal(apply_delta(decoded, ref), target)
 
+    def test_preinstalled_views_equal_lazy_ones(self, rng):
+        """encode_delta installs size and wire bytes from the run bounds;
+        a Delta built from the same runs derives them lazily."""
+        ref = rng.integers(0, 256, BLOCK_SIZE, dtype=np.uint8)
+        for n_edits in (1, 2, 7, 40, 300):
+            target = ref.copy()
+            for _ in range(n_edits):
+                start = int(rng.integers(0, BLOCK_SIZE))
+                target[start:start + int(rng.integers(1, 12))] ^= 0xFF
+            delta = encode_delta(target, ref)
+            lazy = Delta(runs=delta.runs)
+            assert delta.size_bytes == lazy.size_bytes
+            assert delta.serialize() == lazy.serialize()
+
     def test_identity_serializes_to_header_only(self):
         blob = Delta(runs=()).serialize()
         assert len(blob) == DELTA_HEADER_BYTES

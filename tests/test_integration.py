@@ -11,8 +11,8 @@ import pytest
 from repro.core.recovery import recover
 from repro.experiments.runner import run_benchmark, run_grid
 from repro.experiments.systems import SYSTEM_NAMES, make_system
-from repro.workloads import (MultiVMWorkload, SysBenchWorkload,
-                             TPCCWorkload)
+from repro.workloads import (MultiVMWorkload, SpecSFSWorkload,
+                             SysBenchWorkload, TPCCWorkload)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +71,36 @@ class TestQualitativeFindings:
         total = sum(counts.values())
         assert counts["reference"] / total < 0.25
         assert counts["associate"] / total > 0.5
+
+
+class TestReadsAfterReferenceRetirement:
+    """SPEC-sfs at the stock SSD budget (a tenth of the data set) keeps
+    refreshing references in place — new bytes to the SSD only — and
+    retiring cold ones to free slots for the scan.  A retired reference
+    must take its SSD bytes to the HDD first: without that write-back
+    12 of 520 reads (seed 2011) and 13 of 482 (seed 7) were stale."""
+
+    @pytest.mark.parametrize("seed", [2011, 7])
+    def test_every_read_matches_shadow(self, seed):
+        workload = SpecSFSWorkload(scale=0.25, n_requests=6000, seed=seed)
+        system = make_system("icash", workload)
+        system.ingest()
+        reads = wrong = 0
+        for request in workload.requests():
+            if not request.is_read:
+                system.process(request)
+                continue
+            _, contents = system.process_read(request)
+            reads += 1
+            wrong += any(
+                not np.array_equal(content,
+                                   workload.shadow[request.lba + offset])
+                for offset, content in enumerate(contents))
+        # The path under test actually ran.
+        assert system.stats.count("reference_refreshes") > 0
+        assert system.stats.count("references_retired") > 0
+        assert reads > 400
+        assert wrong == 0, f"{wrong} stale reads of {reads}"
 
 
 class TestMultiVMIntegration:

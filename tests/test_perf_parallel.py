@@ -33,6 +33,8 @@ from repro.delta.encoder import apply_delta, encode_delta
 from repro.delta.segments import SegmentPool
 from repro.sim.request import BLOCK_SIZE
 
+from reference.similarity import direct_scan, outcome
+
 
 # ---------------------------------------------------------------------------
 # Signature memoisation: golden equivalence with the direct computation
@@ -115,11 +117,14 @@ def _make_cache():
                       segment_pool=SegmentPool(1 << 20))
 
 
-def _make_scanner(heatmap, incremental):
+def _make_scanner(heatmap):
     return SimilarityScanner(heatmap, min_signature_match=4,
                              delta_accept_bytes=2048,
-                             scan_compare_s=2e-6, compress_s=15e-6,
-                             use_incremental_index=incremental)
+                             scan_compare_s=2e-6, compress_s=15e-6)
+
+
+_SCAN_ARGS = dict(window=100, max_new_references=50,
+                  content_fn=lambda vb: vb.data)
 
 
 def _populate(cache, heatmap, blocks):
@@ -150,28 +155,21 @@ def _mixed_population(rng, n_families=4, family_size=6, n_loners=8):
     return blocks
 
 
-def _scan_outcome(blocks, incremental):
+def _scan_outcomes(blocks):
+    """(production, direct reference) outcomes of one scan over
+    ``blocks``; the reference mutates nothing, so both see one cache."""
     cache = _make_cache()
     heatmap = Heatmap()
     _populate(cache, heatmap, blocks)
-    scanner = _make_scanner(heatmap, incremental)
-    result = scanner.scan(cache, window=100, max_new_references=50,
-                          content_fn=lambda vb: vb.data)
-    return {
-        "new_references": [vb.lba for vb in result.new_references],
-        "associations": [(a.vb.lba, a.ref_lba, a.delta.runs)
-                         for a in result.associations],
-        "blocks_examined": result.blocks_examined,
-        "comparisons": result.comparisons,
-        "cpu_time": result.cpu_time,
-    }
+    scanner = _make_scanner(heatmap)
+    direct = outcome(direct_scan(scanner, cache, **_SCAN_ARGS))
+    return outcome(scanner.scan(cache, **_SCAN_ARGS)), direct
 
 
 class TestIncrementalIndexEquivalence:
     def test_scan_identical_to_direct_index(self, rng):
-        blocks = _mixed_population(rng)
-        assert _scan_outcome(blocks, incremental=True) \
-            == _scan_outcome(blocks, incremental=False)
+        production, direct = _scan_outcomes(_mixed_population(rng))
+        assert production == direct
 
     def test_equivalence_over_many_seeds(self):
         for seed in range(6):
@@ -179,32 +177,22 @@ class TestIncrementalIndexEquivalence:
             blocks = _mixed_population(
                 rng, n_families=2 + seed % 3, family_size=3 + seed % 4,
                 n_loners=seed * 2)
-            assert _scan_outcome(blocks, incremental=True) \
-                == _scan_outcome(blocks, incremental=False), \
+            production, direct = _scan_outcomes(blocks)
+            assert production == direct, \
                 f"index paths diverged for seed {seed}"
 
     def test_repeat_scans_identical(self, rng):
-        """The persistent index self-heals via per-scan sync, so a
-        second scan over the same cache matches the direct path too."""
-        blocks = _mixed_population(rng)
-        cache_i, cache_d = _make_cache(), _make_cache()
-        heat_i, heat_d = Heatmap(), Heatmap()
-        _populate(cache_i, heat_i, blocks)
-        _populate(cache_d, heat_d, blocks)
-        scan_i = _make_scanner(heat_i, True)
-        scan_d = _make_scanner(heat_d, False)
+        """The persistent index keeps the blocks each scan promoted
+        (nobody applies the promotions here, so they go stale); the
+        per-scan sync and the window filter must hide them, so every
+        later scan still matches the direct path."""
+        cache = _make_cache()
+        heatmap = Heatmap()
+        _populate(cache, heatmap, _mixed_population(rng))
+        scanner = _make_scanner(heatmap)
         for _ in range(3):
-            result_i = scan_i.scan(cache_i, window=100,
-                                   max_new_references=50,
-                                   content_fn=lambda vb: vb.data)
-            result_d = scan_d.scan(cache_d, window=100,
-                                   max_new_references=50,
-                                   content_fn=lambda vb: vb.data)
-            assert [vb.lba for vb in result_i.new_references] \
-                == [vb.lba for vb in result_d.new_references]
-            assert [(a.vb.lba, a.ref_lba) for a in result_i.associations] \
-                == [(a.vb.lba, a.ref_lba) for a in result_d.associations]
-            assert result_i.comparisons == result_d.comparisons
+            direct = outcome(direct_scan(scanner, cache, **_SCAN_ARGS))
+            assert outcome(scanner.scan(cache, **_SCAN_ARGS)) == direct
 
     def test_retired_references_leave_index(self, rng):
         blocks = _mixed_population(rng, n_families=1, family_size=4,
@@ -212,9 +200,8 @@ class TestIncrementalIndexEquivalence:
         cache = _make_cache()
         heatmap = Heatmap()
         _populate(cache, heatmap, blocks)
-        scanner = _make_scanner(heatmap, True)
-        scanner.scan(cache, window=100, max_new_references=50,
-                     content_fn=lambda vb: vb.data)
+        scanner = _make_scanner(heatmap)
+        scanner.scan(cache, **_SCAN_ARGS)
         assert len(scanner.signature_index) > 0
         for lba, _ in blocks:
             scanner.note_retired(lba)

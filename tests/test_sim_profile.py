@@ -433,8 +433,11 @@ class TestCLI:
             record["metrics"]["read_mean_us"] *= 3.0
         worse_path = tmp_path / "WORSE.json"
         worse_path.write_text(json.dumps(worse))
+        # --out-dir: the gate writes one EXPLAIN_* report per regressed
+        # case, and the default directory is the working one.
         code = main(["bench", "--compare", str(baseline_path),
-                     "--against", str(worse_path)])
+                     "--against", str(worse_path),
+                     "--out-dir", str(tmp_path)])
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().out
 
