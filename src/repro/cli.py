@@ -429,10 +429,9 @@ def _cmd_figure(name: str, requests: Optional[int],
 
     def _n_requests(fig_name: str) -> Optional[int]:
         # Multi-VM figures take per-VM counts; leave their defaults.
-        if requests is not None and "figure1" not in fig_name[:8] \
-                and fig_name not in ("figure15", "figure16"):
-            return requests
-        return None
+        if fig_name in figures_module._FIGURE_MULTIVM:
+            return None
+        return requests
 
     if jobs > 1:
         # Fan the grid cells behind the requested figures out across
@@ -1047,9 +1046,9 @@ def _explain_bench_files(path_a: str, path_b: str,
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # Scope the persistent worker pool + shared-memory dataset arena to
-    # this invocation: whatever path we exit through (success, error,
-    # KeyboardInterrupt), no /dev/shm segment or worker outlives main().
+    # Scope the persistent worker pool to this invocation: whatever
+    # path we exit through (success, error, KeyboardInterrupt), no
+    # worker outlives main().
     from repro.experiments.parallel import parallel_session
 
     with parallel_session():

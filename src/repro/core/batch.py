@@ -1,22 +1,22 @@
-"""Vectorised batch kernels over stacked 4 KB blocks.
+"""Vectorised signature kernels over stacked 4 KB blocks.
 
-Every kernel here has a scalar twin in :mod:`repro.core.signatures` or
-:mod:`repro.delta.encoder`; the scalar implementations remain the
-semantic reference and the golden-equivalence tests
-(``tests/test_batch_kernels.py``) assert bit-identical results on
-random shapes, non-contiguous views, empty batches and single blocks.
+:func:`repro.core.signatures.block_signatures` is the semantic
+reference; ``tests/test_batch_kernels.py`` asserts bit-identical
+results on random shapes, non-contiguous views, empty batches and
+single blocks.
 
-The point of the batch tier is wall-clock only: callers that already
-hold ``N`` blocks in a contiguous ``(N, 4096)`` uint8 array (controller
-ingest, multi-block writes, the similarity scanner's candidate window)
+The point is wall-clock only: callers that already hold ``N`` blocks
+(controller ingest over the whole backing store, multi-block writes)
 pay one numpy pass instead of ``N`` python round trips.  Simulated
 metrics are unaffected by construction — the kernels compute the same
-values in the same order the scalar loops would.
+values the scalar calls would.  Delta encoding has no batch form: its
+one caller, a speculative chunked ingest sweep, did not earn its lines
+against :func:`repro.delta.encoder.encode_delta` (docs/TUNING.md,
+"Removed: batched ingest sweep").
 """
 
 from __future__ import annotations
 
-import struct
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,12 +29,6 @@ from repro.core.signatures import (
     _cache_get,
     _cache_put,
     _hash_from_bytes,
-)
-from repro.delta.encoder import (
-    DELTA_HEADER_BYTES,
-    MERGE_GAP,
-    RUN_HEADER_BYTES,
-    Delta,
 )
 from repro.sim.request import BLOCK_SIZE
 
@@ -123,133 +117,3 @@ def block_signatures_many(blocks: Sequence[np.ndarray],
         for i, key in miss_slots:
             results[i] = computed[miss_raw[key]]
     return results  # type: ignore[return-value]
-
-
-def encode_delta_batch(targets: np.ndarray,
-                       references: np.ndarray) -> List[Delta]:
-    """Delta-encode ``N`` target blocks against ``N`` reference blocks.
-
-    Golden-equivalent to ``[encode_delta(t, r) for t, r in zip(...)]``:
-    one vectorised diff + edge detection + gap merge over the whole
-    batch, then per-run payload slices.  Identical rows produce the
-    empty (identity) delta, exactly as the scalar encoder does.
-    """
-    tgt = _as_block_matrix(targets, "targets")
-    ref = _as_block_matrix(references, "references")
-    if tgt.shape != ref.shape:
-        raise ValueError(
-            f"targets and references must match in shape: "
-            f"{tgt.shape} vs {ref.shape}")
-    n = tgt.shape[0]
-    if n == 0:
-        return []
-    # Edge detection over every row at once: pad each row with a False
-    # column on both sides so run starts/ends appear as transitions.
-    padded = np.zeros((n, BLOCK_SIZE + 2), dtype=bool)
-    np.not_equal(tgt, ref, out=padded[:, 1:-1])
-    edges = padded[:, 1:] != padded[:, :-1]
-    rows, cols = np.nonzero(edges)
-    if rows.size == 0:
-        return [Delta(runs=()) for _ in range(n)]
-    # np.nonzero is row-major, so each row's edge columns alternate
-    # start, end, start, end ...; parity within the row splits them.
-    edge_counts = edges.sum(axis=1)
-    row_first = np.concatenate(([0], np.cumsum(edge_counts)[:-1]))
-    parity = (np.arange(rows.size) - row_first[rows]) % 2
-    starts = cols[parity == 0]
-    ends = cols[parity == 1]
-    run_rows = rows[parity == 0]
-    # Gap merge (scalar rule: gaps <= MERGE_GAP coalesce) across the
-    # whole batch; a row boundary always starts a new merged run.
-    keep = np.empty(starts.size, dtype=bool)
-    keep[0] = True
-    if starts.size > 1:
-        keep[1:] = ((starts[1:] - ends[:-1] > MERGE_GAP)
-                    | (run_rows[1:] != run_rows[:-1]))
-    keep_idx = np.flatnonzero(keep)
-    m_starts = starts[keep_idx]
-    m_ends = ends[np.concatenate((keep_idx[1:] - 1, [starts.size - 1]))]
-    m_rows = run_rows[keep_idx]
-    # Group merged runs back into one Delta per row.
-    boundaries = np.flatnonzero(np.diff(m_rows)) + 1
-    group_starts = np.concatenate(([0], boundaries))
-    group_ends = np.concatenate((boundaries, [m_rows.size]))
-    deltas = [Delta(runs=())] * n
-    starts_list = m_starts.tolist()
-    ends_list = m_ends.tolist()
-    # Vectorised wire headers: the scalar ``Delta._wire`` packs
-    # ``<H{2n}H`` little-endian uint16 pairs (offset, length); a ``<u2``
-    # row-major array produces the identical byte stream, so each
-    # delta's run-header section is one slice of this buffer.
-    header16 = np.empty((m_starts.size, 2), dtype="<u2")
-    header16[:, 0] = m_starts
-    header16[:, 1] = m_ends - m_starts
-    run_headers = header16.tobytes()
-    changed_per_group = np.add.reduceat(m_ends - m_starts,
-                                        group_starts).tolist()
-    for g0, g1, changed in zip(group_starts.tolist(), group_ends.tolist(),
-                               changed_per_group):
-        row = int(m_rows[g0])
-        # One bulk copy to bytes then cheap slicing, matching the scalar
-        # encoder's payload materialisation byte for byte.
-        raw = tgt[row].tobytes()
-        starts_g = starts_list[g0:g1]
-        payloads = [raw[s:e] for s, e in zip(starts_g, ends_list[g0:g1])]
-        delta = Delta(runs=tuple(zip(starts_g, payloads)))
-        # Preinstall both cached_property views: size follows from the
-        # merged run bounds, and the wire is the count prefix + this
-        # group's header slice + the payloads — sparing every consumer
-        # (the accept threshold, the log packer) the lazy recompute.
-        n_runs = g1 - g0
-        delta.__dict__["size_bytes"] = (DELTA_HEADER_BYTES
-                                        + RUN_HEADER_BYTES * n_runs
-                                        + changed)
-        delta.__dict__["_wire"] = (struct.pack("<H", n_runs)
-                                   + run_headers[4 * g0:4 * g1]
-                                   + b"".join(payloads))
-        deltas[row] = delta
-    return deltas
-
-
-def apply_delta_batch(deltas: Sequence[Delta],
-                      references: np.ndarray) -> np.ndarray:
-    """Reconstruct ``N`` blocks from deltas over ``N`` reference blocks.
-
-    Golden-equivalent to ``np.stack([apply_delta(d, r) ...])`` for valid
-    deltas (sorted, non-overlapping runs — the only kind the encoder
-    produces): all patch bytes across the batch are scattered with one
-    fancy assignment into a copy of the reference matrix.
-    """
-    ref = _as_block_matrix(references, "references")
-    if len(deltas) != ref.shape[0]:
-        raise ValueError(
-            f"got {len(deltas)} deltas for {ref.shape[0]} references")
-    out = ref.copy()
-    starts: List[int] = []
-    lengths: List[int] = []
-    payloads: List[bytes] = []
-    for i, delta in enumerate(deltas):
-        base = i * BLOCK_SIZE
-        for offset, payload in delta.runs:
-            end = offset + len(payload)
-            if offset < 0 or end > BLOCK_SIZE:
-                raise ValueError(
-                    f"delta run [{offset}, {end}) outside block "
-                    f"of {BLOCK_SIZE} bytes")
-            if payload:
-                starts.append(base + offset)
-                lengths.append(len(payload))
-                payloads.append(payload)
-    if not starts:
-        return out
-    starts_arr = np.asarray(starts, dtype=np.intp)
-    lengths_arr = np.asarray(lengths, dtype=np.intp)
-    # Same trick as Delta._patch_plan, batched: expand each run into its
-    # absolute byte indices with one repeat + cumulative ramp.
-    total = int(lengths_arr.sum())
-    ramp = np.arange(total, dtype=np.intp)
-    ramp -= np.repeat(np.cumsum(lengths_arr) - lengths_arr, lengths_arr)
-    indices = np.repeat(starts_arr, lengths_arr) + ramp
-    values = np.frombuffer(b"".join(payloads), dtype=np.uint8)
-    out.reshape(-1)[indices] = values
-    return out

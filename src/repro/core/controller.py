@@ -32,7 +32,7 @@ from repro.core.cache import ICashCache
 from repro.core.config import ICASHConfig
 from repro.core.heatmap import Heatmap
 from repro.core.batch import (block_signatures_batch, block_signatures_many,
-                              encode_delta_batch, signature_tuples)
+                              signature_tuples)
 from repro.core.signatures import block_signatures
 from repro.core.similarity import SimilarityScanner
 from repro.core.virtual_block import BlockKind, VirtualBlock
@@ -75,11 +75,6 @@ class _DeltaMapEntry:
 
 class ICASHController(StorageSystem):
     """One I-CASH storage element over a logical 4 KB block space."""
-
-    #: Chunked ingest sweep with speculative batch delta encoding; the
-    #: scalar sweep stays available (tests flip this per instance) as
-    #: the golden reference the batched path must match bit for bit.
-    use_batch_ingest = True
 
     def __init__(self, initial_content: np.ndarray,
                  config: Optional[ICASHConfig] = None,
@@ -298,12 +293,22 @@ class ICASHController(StorageSystem):
             self.backing.view_all(), config.signature_scheme)
         all_signatures = signature_tuples(sig_matrix)
         self.heatmap.record_batch(sig_matrix)
-        if self.use_batch_ingest:
-            total = self._ingest_sweep_batched(all_signatures, index,
-                                               pending)
-        else:
-            total = self._ingest_sweep_scalar(all_signatures, index,
-                                              pending)
+        total = 0.0
+        for lba in range(self.capacity_blocks):
+            total += self.hdd.read(lba, 1)  # sequential sweep
+            content = self.backing.view(lba)
+            signatures = all_signatures[lba]
+            best_lba = self._ingest_best_reference(signatures, index)
+            if best_lba is not None:
+                delta = encode_delta(content, self._ssd_data[best_lba])
+                self.cpu_time += config.compress_s
+                if delta.size_bytes <= config.delta_accept_bytes:
+                    pending.append(DeltaRecord(lba, best_lba, delta))
+                    self._map_delta(lba, best_lba)
+                    continue
+            promoted = self._ingest_promote(lba, content, signatures, index)
+            if promoted is not None:
+                total += promoted
         if pending:
             total += self._append_to_log(pending, relogging=False)
             self.stats.bump("ingest_deltas", len(pending))
@@ -358,136 +363,6 @@ class ICASHController(StorageSystem):
             index.setdefault((row, value), []).append(lba)
         self.stats.bump("ingest_references")
         return latency
-
-    def _ingest_sweep_scalar(self, all_signatures: List[Tuple[int, ...]],
-                             index: Dict[Tuple[int, int], List[int]],
-                             pending: List[DeltaRecord]) -> float:
-        """Reference scalar sweep: one best-reference lookup and one
-        ``encode_delta`` per block, in LBA order.  Kept as the golden
-        semantics that the batched sweep must reproduce exactly."""
-        config = self.config
-        total = 0.0
-        for lba in range(self.capacity_blocks):
-            total += self.hdd.read(lba, 1)  # sequential sweep
-            content = self.backing.view(lba)
-            signatures = all_signatures[lba]
-            best_lba = self._ingest_best_reference(signatures, index)
-            if best_lba is not None:
-                delta = encode_delta(content, self._ssd_data[best_lba])
-                self.cpu_time += config.compress_s
-                if delta.size_bytes <= config.delta_accept_bytes:
-                    pending.append(DeltaRecord(lba, best_lba, delta))
-                    self._map_delta(lba, best_lba)
-                    continue
-            promoted = self._ingest_promote(lba, content, signatures, index)
-            if promoted is not None:
-                total += promoted
-        return total
-
-    #: Blocks per speculation window of the batched ingest sweep.
-    INGEST_CHUNK = 256
-
-    def _ingest_sweep_batched(self, all_signatures: List[Tuple[int, ...]],
-                              index: Dict[Tuple[int, int], List[int]],
-                              pending: List[DeltaRecord]) -> float:
-        """Chunked sweep with speculative batch delta encoding.
-
-        Equivalence to ``_ingest_sweep_scalar`` rests on three facts:
-
-        * The scalar best pick (``max`` over an insertion-ordered tally
-          dict) equals ``min`` over ``(-count, first_matching_row,
-          ref_lba)``: ties on count resolve to the ref inserted first,
-          insertion order is (first matching row, position in that index
-          cell), and cell lists hold refs in ascending LBA because
-          promotion happens in sweep order.
-        * References are immutable once promoted, so the chunk-start
-          index yields the correct best for every block not beaten by an
-          intra-chunk promotion; those rare blocks fall back to the
-          scalar ``encode_delta`` path.
-        * Device calls (``hdd.read``/``ssd.write``) and the per-block
-          ``cpu_time`` additions run in the same order with the same
-          values, so stateful latency models and float accumulation are
-          bit-identical.
-        """
-        config = self.config
-        min_match = config.min_signature_match
-        view = self.backing.view_all()
-        total = 0.0
-        capacity = self.capacity_blocks
-        for lo in range(0, capacity, self.INGEST_CHUNK):
-            hi = min(lo + self.INGEST_CHUNK, capacity)
-            # Phase A: tallies against the references known at chunk
-            # start.  No device or cpu_time accounting happens here.
-            pre: List[Tuple[int, Optional[Tuple[int, int, int]]]] = []
-            for lba in range(lo, hi):
-                count_map: Dict[int, int] = {}
-                first_map: Dict[int, int] = {}
-                for row, value in enumerate(all_signatures[lba]):
-                    for ref_lba in index.get((row, value), ()):
-                        if ref_lba in count_map:
-                            count_map[ref_lba] += 1
-                        else:
-                            count_map[ref_lba] = 1
-                            first_map[ref_lba] = row
-                best_key = None
-                for ref_lba, count in count_map.items():
-                    key = (-count, first_map[ref_lba], ref_lba)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                pre.append((len(count_map), best_key))
-            # Speculative batch encode against each block's chunk-start
-            # best.  Wasted only for blocks an intra-chunk promotion
-            # later outranks.
-            spec_deltas: Dict[int, Delta] = {}
-            spec_rows = [i for i, (_n, key) in enumerate(pre)
-                         if key is not None and -key[0] >= min_match]
-            if spec_rows:
-                targets = view[lo:hi][spec_rows]
-                refs = np.stack([self._ssd_data[pre[i][1][2]]
-                                 for i in spec_rows])
-                for i, delta in zip(spec_rows,
-                                    encode_delta_batch(targets, refs)):
-                    spec_deltas[i] = delta
-            # Phase B: the sequential decision loop, in LBA order.
-            intra: List[Tuple[int, Tuple[int, ...]]] = []
-            for i, lba in enumerate(range(lo, hi)):
-                total += self.hdd.read(lba, 1)  # sequential sweep
-                content = self.backing.view(lba)
-                signatures = all_signatures[lba]
-                n_tallies, best_key = pre[i]
-                for ref_lba, ref_sigs in intra:
-                    count = 0
-                    first_row = 0
-                    for row in range(len(signatures)):
-                        if signatures[row] == ref_sigs[row]:
-                            if not count:
-                                first_row = row
-                            count += 1
-                    if count:
-                        n_tallies += 1
-                        key = (-count, first_row, ref_lba)
-                        if best_key is None or key < best_key:
-                            best_key = key
-                self.cpu_time += max(1, n_tallies) * config.scan_compare_s
-                best_lba = None
-                if best_key is not None and -best_key[0] >= min_match:
-                    best_lba = best_key[2]
-                if best_lba is not None:
-                    delta = spec_deltas.get(i)
-                    if delta is None or best_lba != pre[i][1][2]:
-                        delta = encode_delta(content,
-                                             self._ssd_data[best_lba])
-                    self.cpu_time += config.compress_s
-                    if delta.size_bytes <= config.delta_accept_bytes:
-                        pending.append(DeltaRecord(lba, best_lba, delta))
-                        self._map_delta(lba, best_lba)
-                        continue
-                promoted = self._ingest_promote(lba, content, signatures,
-                                                index)
-                if promoted is not None:
-                    total += promoted
-                    intra.append((lba, signatures))
-        return total
 
     # ------------------------------------------------------------------
     # Read path

@@ -170,9 +170,7 @@ def encode_delta(target: np.ndarray, reference: np.ndarray) -> Delta:
     # Merge runs separated by gaps too small to be worth a run header:
     # ``heads`` are the raw runs that open a new merged run.  (Plain
     # lists: typical deltas carry a few dozen runs, and at that size
-    # python beats numpy's per-op overhead — the vectorised form lives
-    # in repro.core.batch.encode_delta_batch, where it is amortised over
-    # a whole block batch.)
+    # python beats numpy's per-op overhead.)
     heads = [i for i in range(1, len(starts))
              if starts[i] - ends[i - 1] > MERGE_GAP]
     starts = starts[:1] + [starts[i] for i in heads]
@@ -183,10 +181,10 @@ def encode_delta(target: np.ndarray, reference: np.ndarray) -> Delta:
     payloads = [raw[start:end] for start, end in zip(starts, ends)]
     n = len(payloads)
     delta = Delta(runs=tuple(zip(starts, payloads)))
-    # Preinstall both cached views, as encode_delta_batch does: every
-    # encoded delta has its size read (spill and accept thresholds) and
-    # most reach the log packer, and from the run bounds both cost a
-    # fraction of the lazy per-run walks.
+    # Preinstall both cached views: every encoded delta has its size
+    # read (spill and accept thresholds) and most reach the log packer,
+    # and from the run bounds both cost a fraction of the lazy per-run
+    # walks.
     lengths = list(map(len, payloads))
     header = [n] * (2 * n + 1)
     header[1::2] = starts

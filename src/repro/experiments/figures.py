@@ -19,17 +19,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.experiments import paperdata
+from repro.experiments.parallel import RunSpec, run_spec, run_specs
 from repro.experiments.report import (comparison_table, normalize,
                                       render_shape_check, shape_score)
-from repro.experiments.runner import RunResult, run_grid
+from repro.experiments.runner import RunResult
 from repro.experiments.systems import SYSTEM_NAMES
-from repro.workloads import (HadoopWorkload, LoadSimWorkload,
-                             MultiVMWorkload, RUBiSWorkload,
-                             SpecSFSWorkload, SysBenchWorkload,
-                             TPCCWorkload)
 
 #: Default request count per benchmark run; benches may raise it.
 DEFAULT_REQUESTS = 10000
+#: Multi-VM figures size their runs per VM: this many requests in each
+#: of this many cloned images.
+MULTIVM_REQUESTS = 2500
+MULTIVM_VMS = 5
 #: Default seed (the paper's publication year, naturally).
 DEFAULT_SEED = 2011
 #: Warmup fraction excluded from measurement.
@@ -99,8 +100,8 @@ def record_figure(ledger, result: FigureResult,
 
 _GRID_CACHE: Dict[Tuple, Dict[str, RunResult]] = {}
 
-#: All figure grids run the legacy engine; part of the cache key so a
-#: future engine-parameterised figure cannot collide with these runs.
+#: The engine every grid cell runs on, serial or fanned out; part of
+#: the cache key because it changes the measured numbers.
 _GRID_ENGINE = "legacy"
 
 
@@ -115,16 +116,36 @@ def _grid_key(workload_name: str, n_requests: int, seed: int) -> Tuple:
     return (workload_name, n_requests, seed, _GRID_ENGINE, DEFAULT_WARMUP)
 
 
-def _grid(workload_name: str, factory: Callable, n_requests: int,
-          seed: int) -> Dict[str, RunResult]:
-    key = _grid_key(workload_name, n_requests, seed)
+def _cells(family: str, n_requests: int, seed: int,
+           n_vms: int = 0) -> Tuple[Tuple, Dict[str, RunSpec]]:
+    """One workload's grid: its cache key and the run behind each cell.
+
+    This is the only definition of a cell — :func:`_grid` runs these
+    specs in-process, :func:`prewarm` fans the same ones out.  With
+    ``n_vms`` the family runs as that many cloned images and
+    ``n_requests`` counts per VM.
+    """
+    if n_vms:
+        key = _grid_key(f"{family}-{n_vms}vms", n_requests * n_vms, seed)
+    else:
+        key = _grid_key(family, n_requests, seed)
+    return key, {
+        system: RunSpec(workload=family, system=system,
+                        engine=_GRID_ENGINE, n_requests=n_requests,
+                        seed=seed, n_vms=n_vms,
+                        warmup_fraction=DEFAULT_WARMUP)
+        for system in SYSTEM_NAMES}
+
+
+def _grid(family: str, n_requests: int, seed: int,
+          n_vms: int = 0) -> Dict[str, RunResult]:
+    key, specs = _cells(family, n_requests, seed, n_vms)
     cached = _GRID_CACHE.setdefault(key, {})
-    if any(name not in cached for name in SYSTEM_NAMES):
-        fresh = run_grid(factory, SYSTEM_NAMES,
-                         warmup_fraction=DEFAULT_WARMUP)
-        cached.update(fresh)
+    for system, spec in specs.items():
+        if system not in cached:
+            cached[system] = run_spec(spec)
     # Fixed iteration order regardless of how cells were filled in
-    # (serial run_grid vs. parallel prewarm).
+    # (here or by a parallel prewarm).
     return {name: cached[name] for name in SYSTEM_NAMES}
 
 
@@ -146,7 +167,7 @@ _FIGURE_FAMILY: Dict[str, str] = {
     "figure12": "loadsim", "figure13": "specsfs", "figure14": "rubis",
 }
 
-#: Multi-VM figures pin their own request counts (2500/VM × 5 VMs).
+#: Multi-VM figures pin their own request counts (``MULTIVM_*``).
 _FIGURE_MULTIVM: Dict[str, str] = {"figure15": "tpcc", "figure16": "rubis"}
 
 
@@ -155,36 +176,22 @@ def grid_requirements(names, n_requests: int = DEFAULT_REQUESTS,
     """The distinct grid cells the named figures will consult.
 
     Returns ``[(cache_key, system_name, RunSpec), ...]`` — one entry per
-    (grid, system) pair, deduplicated, in deterministic order.  The
-    specs reproduce :func:`run_grid`'s behaviour exactly (legacy engine,
-    default warmup, fresh workload per system), so a prewarmed cell is
-    bit-identical to one the figure would have computed itself.
+    (grid, system) pair, deduplicated, in deterministic order.
     """
-    from repro.experiments.parallel import RunSpec
-
     cells = []
     seen = set()
     for name in names:
         if name in _FIGURE_FAMILY:
-            family = _FIGURE_FAMILY[name]
-            key = _grid_key(family, n_requests, seed)
-            base = dict(workload=family, n_requests=n_requests, seed=seed)
+            key, specs = _cells(_FIGURE_FAMILY[name], n_requests, seed)
         elif name in _FIGURE_MULTIVM:
-            family = _FIGURE_MULTIVM[name]
-            per_vm, n_vms = 2500, 5
-            key = _grid_key(f"{family}-{n_vms}vms", per_vm * n_vms, seed)
-            base = dict(workload=family, n_vms=n_vms, n_requests=per_vm,
-                        seed=seed)
+            key, specs = _cells(_FIGURE_MULTIVM[name], MULTIVM_REQUESTS,
+                                seed, n_vms=MULTIVM_VMS)
         else:
             raise KeyError(f"unknown figure {name!r}")
-        for system in SYSTEM_NAMES:
-            cell = key + (system,)
-            if cell in seen:
-                continue
-            seen.add(cell)
-            cells.append((key, system,
-                          RunSpec(system=system, engine=_GRID_ENGINE,
-                                  warmup_fraction=DEFAULT_WARMUP, **base)))
+        if key not in seen:
+            seen.add(key)
+            cells.extend((key, system, spec)
+                         for system, spec in specs.items())
     return cells
 
 
@@ -197,8 +204,6 @@ def prewarm(names, n_requests: int = DEFAULT_REQUESTS,
     Figure functions called afterwards hit the cache and return
     instantly.  Returns the number of cells actually run.
     """
-    from repro.experiments.parallel import run_specs
-
     todo = [(key, system, spec)
             for key, system, spec in grid_requirements(names, n_requests,
                                                        seed)
@@ -212,42 +217,6 @@ def prewarm(names, n_requests: int = DEFAULT_REQUESTS,
     return len(todo)
 
 
-def _sysbench(n_requests: int, seed: int) -> Dict[str, RunResult]:
-    return _grid("sysbench",
-                 lambda: SysBenchWorkload(n_requests=n_requests, seed=seed),
-                 n_requests, seed)
-
-
-def _hadoop(n_requests: int, seed: int) -> Dict[str, RunResult]:
-    return _grid("hadoop",
-                 lambda: HadoopWorkload(n_requests=n_requests, seed=seed),
-                 n_requests, seed)
-
-
-def _tpcc(n_requests: int, seed: int) -> Dict[str, RunResult]:
-    return _grid("tpcc",
-                 lambda: TPCCWorkload(n_requests=n_requests, seed=seed),
-                 n_requests, seed)
-
-
-def _loadsim(n_requests: int, seed: int) -> Dict[str, RunResult]:
-    return _grid("loadsim",
-                 lambda: LoadSimWorkload(n_requests=n_requests, seed=seed),
-                 n_requests, seed)
-
-
-def _specsfs(n_requests: int, seed: int) -> Dict[str, RunResult]:
-    return _grid("specsfs",
-                 lambda: SpecSFSWorkload(n_requests=n_requests, seed=seed),
-                 n_requests, seed)
-
-
-def _rubis(n_requests: int, seed: int) -> Dict[str, RunResult]:
-    return _grid("rubis",
-                 lambda: RUBiSWorkload(n_requests=n_requests, seed=seed),
-                 n_requests, seed)
-
-
 def _metric(runs: Dict[str, RunResult],
             getter: Callable[[RunResult], float]) -> Dict[str, float]:
     return {name: getter(run) for name, run in runs.items()}
@@ -259,7 +228,7 @@ def _metric(runs: Dict[str, RunResult],
 
 def figure6a(n_requests: int = DEFAULT_REQUESTS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _sysbench(n_requests, seed)
+    runs = _grid("sysbench", n_requests, seed)
     return FigureResult(
         "Figure 6(a)", "SysBench transaction rate", "tx/s", "higher",
         _metric(runs, lambda r: r.transactions_per_s),
@@ -268,7 +237,7 @@ def figure6a(n_requests: int = DEFAULT_REQUESTS,
 
 def figure6b(n_requests: int = DEFAULT_REQUESTS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _sysbench(n_requests, seed)
+    runs = _grid("sysbench", n_requests, seed)
     return FigureResult(
         "Figure 6(b)", "SysBench CPU utilisation", "fraction", "lower",
         _metric(runs, lambda r: r.cpu_utilization),
@@ -277,7 +246,7 @@ def figure6b(n_requests: int = DEFAULT_REQUESTS,
 
 def figure7(n_requests: int = DEFAULT_REQUESTS,
             seed: int = DEFAULT_SEED) -> Tuple[FigureResult, FigureResult]:
-    runs = _sysbench(n_requests, seed)
+    runs = _grid("sysbench", n_requests, seed)
     read = FigureResult(
         "Figure 7 (read)", "SysBench read response time", "µs", "lower",
         _metric(runs, lambda r: r.read_mean_us),
@@ -295,7 +264,7 @@ def figure7(n_requests: int = DEFAULT_REQUESTS,
 
 def figure8a(n_requests: int = DEFAULT_REQUESTS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _hadoop(n_requests, seed)
+    runs = _grid("hadoop", n_requests, seed)
     return FigureResult(
         "Figure 8(a)", "Hadoop execution time", "s", "lower",
         _metric(runs, lambda r: r.wall_time_s),
@@ -304,7 +273,7 @@ def figure8a(n_requests: int = DEFAULT_REQUESTS,
 
 def figure8b(n_requests: int = DEFAULT_REQUESTS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _hadoop(n_requests, seed)
+    runs = _grid("hadoop", n_requests, seed)
     return FigureResult(
         "Figure 8(b)", "Hadoop CPU utilisation", "fraction", "lower",
         _metric(runs, lambda r: r.cpu_utilization),
@@ -313,7 +282,7 @@ def figure8b(n_requests: int = DEFAULT_REQUESTS,
 
 def figure9(n_requests: int = DEFAULT_REQUESTS,
             seed: int = DEFAULT_SEED) -> Tuple[FigureResult, FigureResult]:
-    runs = _hadoop(n_requests, seed)
+    runs = _grid("hadoop", n_requests, seed)
     read = FigureResult(
         "Figure 9 (read)", "Hadoop read response time", "µs", "lower",
         _metric(runs, lambda r: r.read_mean_us),
@@ -331,7 +300,7 @@ def figure9(n_requests: int = DEFAULT_REQUESTS,
 
 def figure10a(n_requests: int = DEFAULT_REQUESTS,
               seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _tpcc(n_requests, seed)
+    runs = _grid("tpcc", n_requests, seed)
     return FigureResult(
         "Figure 10(a)", "TPC-C transaction rate", "tx/s", "higher",
         _metric(runs, lambda r: r.transactions_per_s),
@@ -340,7 +309,7 @@ def figure10a(n_requests: int = DEFAULT_REQUESTS,
 
 def figure10b(n_requests: int = DEFAULT_REQUESTS,
               seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _tpcc(n_requests, seed)
+    runs = _grid("tpcc", n_requests, seed)
     return FigureResult(
         "Figure 10(b)", "TPC-C CPU utilisation", "fraction", "lower",
         _metric(runs, lambda r: r.cpu_utilization),
@@ -349,7 +318,7 @@ def figure10b(n_requests: int = DEFAULT_REQUESTS,
 
 def figure11(n_requests: int = DEFAULT_REQUESTS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _tpcc(n_requests, seed)
+    runs = _grid("tpcc", n_requests, seed)
     return FigureResult(
         "Figure 11", "TPC-C application response time", "ms", "lower",
         _metric(runs, lambda r: r.tx_response_ms),
@@ -362,7 +331,7 @@ def figure11(n_requests: int = DEFAULT_REQUESTS,
 
 def figure12(n_requests: int = DEFAULT_REQUESTS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _loadsim(n_requests, seed)
+    runs = _grid("loadsim", n_requests, seed)
     return FigureResult(
         "Figure 12", "LoadSim score (response-time based)", "score",
         "lower",
@@ -372,7 +341,7 @@ def figure12(n_requests: int = DEFAULT_REQUESTS,
 
 def figure13(n_requests: int = DEFAULT_REQUESTS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _specsfs(n_requests, seed)
+    runs = _grid("specsfs", n_requests, seed)
     return FigureResult(
         "Figure 13", "SPEC-sfs response time", "ms", "lower",
         _metric(runs, lambda r: r.io_response_ms),
@@ -381,7 +350,7 @@ def figure13(n_requests: int = DEFAULT_REQUESTS,
 
 def figure14(n_requests: int = DEFAULT_REQUESTS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _rubis(n_requests, seed)
+    runs = _grid("rubis", n_requests, seed)
     return FigureResult(
         "Figure 14", "RUBiS request rate", "req/s", "higher",
         _metric(runs, lambda r: r.requests_per_s),
@@ -392,19 +361,10 @@ def figure14(n_requests: int = DEFAULT_REQUESTS,
 # Multi-VM: Figures 15, 16
 # ----------------------------------------------------------------------
 
-def _multivm_grid(workload_cls, n_vms: int, per_vm_requests: int,
-                  seed: int) -> Dict[str, RunResult]:
-    name = f"{workload_cls.name}-{n_vms}vms"
-    return _grid(name,
-                 lambda: MultiVMWorkload(
-                     workload_cls, n_vms=n_vms, scale=0.25,
-                     n_requests_per_vm=per_vm_requests, seed=seed),
-                 per_vm_requests * n_vms, seed)
-
-
-def figure15(per_vm_requests: int = 2500, n_vms: int = 5,
+def figure15(per_vm_requests: int = MULTIVM_REQUESTS,
+             n_vms: int = MULTIVM_VMS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _multivm_grid(TPCCWorkload, n_vms, per_vm_requests, seed)
+    runs = _grid("tpcc", per_vm_requests, seed, n_vms=n_vms)
     measured = normalize(_metric(runs, lambda r: r.transactions_per_s))
     return FigureResult(
         "Figure 15", f"{n_vms} TPC-C VMs, normalised transaction rate",
@@ -412,9 +372,10 @@ def figure15(per_vm_requests: int = 2500, n_vms: int = 5,
         paperdata.FIG15_TPCC_5VMS_NORM, runs)
 
 
-def figure16(per_vm_requests: int = 2500, n_vms: int = 5,
+def figure16(per_vm_requests: int = MULTIVM_REQUESTS,
+             n_vms: int = MULTIVM_VMS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _multivm_grid(RUBiSWorkload, n_vms, per_vm_requests, seed)
+    runs = _grid("rubis", per_vm_requests, seed, n_vms=n_vms)
     measured = normalize(_metric(runs, lambda r: r.requests_per_s))
     return FigureResult(
         "Figure 16", f"{n_vms} RUBiS VMs, normalised request rate",
@@ -430,8 +391,8 @@ def table5(n_requests: int = DEFAULT_REQUESTS,
            seed: int = DEFAULT_SEED) -> Dict[str, FigureResult]:
     """Energy (Wh) for Hadoop and TPC-C, per architecture."""
     out: Dict[str, FigureResult] = {}
-    for bench, runs_fn in (("hadoop", _hadoop), ("tpcc", _tpcc)):
-        runs = runs_fn(n_requests, seed)
+    for bench in ("hadoop", "tpcc"):
+        runs = _grid(bench, n_requests, seed)
         out[bench] = FigureResult(
             "Table 5", f"Energy for {bench}", "Wh", "lower",
             _metric(runs, lambda r: r.energy.total_wh),
@@ -442,11 +403,9 @@ def table5(n_requests: int = DEFAULT_REQUESTS,
 def table6(n_requests: int = DEFAULT_REQUESTS,
            seed: int = DEFAULT_SEED) -> Dict[str, FigureResult]:
     """Runtime SSD write operations for the four write-heavy benchmarks."""
-    benches = (("sysbench", _sysbench), ("hadoop", _hadoop),
-               ("tpcc", _tpcc), ("specsfs", _specsfs))
     out: Dict[str, FigureResult] = {}
-    for bench, runs_fn in benches:
-        runs = runs_fn(n_requests, seed)
+    for bench in ("sysbench", "hadoop", "tpcc", "specsfs"):
+        runs = _grid(bench, n_requests, seed)
         measured = {name: float(run.ssd_write_ops)
                     for name, run in runs.items() if name != "raid0"}
         out[bench] = FigureResult(

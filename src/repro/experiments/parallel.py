@@ -25,7 +25,6 @@ process, a worker, or a retry after a worker crash.
 from __future__ import annotations
 
 import atexit
-import os
 import sys
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -34,16 +33,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.experiments.runner import RunResult, run_benchmark
-
-try:
-    from multiprocessing import shared_memory as _shared_memory
-    _SHM_AVAILABLE = True
-except ImportError:  # pragma: no cover - shm is stdlib on 3.8+
-    _shared_memory = None
-    _SHM_AVAILABLE = False
 
 #: Per-run wall-time ceiling before the pool is declared wedged and the
 #: remaining runs fall back to serial execution.  Generous: the largest
@@ -51,79 +41,8 @@ except ImportError:  # pragma: no cover - shm is stdlib on 3.8+
 DEFAULT_TIMEOUT_S = 900.0
 
 
-class DatasetArena:
-    """Named shared-memory segments holding finished workload datasets.
-
-    The parent process publishes each dataset matrix once; workers
-    attach **by name** (the task envelope carries ``{dataset_key:
-    (segment_name, shape)}``) instead of rebuilding — or unpickling —
-    the content.  Lifetime contract: the *publishing* process owns every
-    segment and is the only one that unlinks, via :meth:`release`
-    (called from :func:`shutdown_parallel`, the ``parallel_session``
-    context manager, and an ``atexit`` hook, so interrupted runs do not
-    leak ``/dev/shm`` entries).  Workers only ever open existing
-    segments read-only and unregister them from their own resource
-    tracker; a worker that dies — even ``SIGKILL`` — therefore cannot
-    take a segment down with it.
-    """
-
-    def __init__(self) -> None:
-        self._segments: Dict[object, Tuple[object, Tuple[int, ...]]] = {}
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._segments)
-
-    def publish(self, key, array: np.ndarray) -> Tuple[str, Tuple[int, ...]]:
-        """Copy ``array`` into a named segment (idempotent per key)."""
-        existing = self._segments.get(key)
-        if existing is not None:
-            shm, shape = existing
-            return shm.name, shape
-        name = f"repro-arena-{os.getpid()}-{self._seq}"
-        self._seq += 1
-        shm = _shared_memory.SharedMemory(
-            name=name, create=True, size=array.nbytes)
-        np.ndarray(array.shape, dtype=np.uint8, buffer=shm.buf)[:] = array
-        shape = tuple(array.shape)
-        self._segments[key] = (shm, shape)
-        return name, shape
-
-    def refs(self) -> Dict[object, Tuple[str, Tuple[int, ...]]]:
-        """Picklable ``key -> (segment_name, shape)`` attach directory."""
-        return {key: (shm.name, shape)
-                for key, (shm, shape) in self._segments.items()}
-
-    def release(self) -> None:
-        """Close and unlink every segment (idempotent)."""
-        for shm, _shape in self._segments.values():
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - views still alive
-                pass
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-        self._segments.clear()
-
-    def __enter__(self) -> "DatasetArena":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-
 _pool: Optional[ProcessPoolExecutor] = None
 _pool_workers = 0
-_arena: Optional[DatasetArena] = None
-
-
-def _get_arena() -> DatasetArena:
-    global _arena
-    if _arena is None:
-        _arena = DatasetArena()
-    return _arena
 
 
 def _ensure_pool(jobs: int) -> ProcessPoolExecutor:
@@ -131,8 +50,9 @@ def _ensure_pool(jobs: int) -> ProcessPoolExecutor:
 
     Reused across waves — ``figure``/``sweep``/``bench``/``loadtest``
     issue many :func:`run_specs` calls, and pool-per-call paid the full
-    worker spawn each time.  Forked workers also keep their per-process
-    memoisation (signature LRU, dataset cache) warm between waves.
+    worker spawn each time.  Workers build the datasets their specs
+    name themselves, and keep that per-process memoisation (signature
+    LRU, dataset cache) warm between waves.
     """
     global _pool, _pool_workers
     if _pool is not None and _pool_workers < jobs:
@@ -155,16 +75,12 @@ def _discard_pool(wait: bool = False) -> None:
 
 
 def shutdown_parallel() -> None:
-    """Tear down the persistent pool and unlink every arena segment.
+    """Tear down the persistent pool.
 
     Safe to call any number of times; registered with ``atexit`` so a
-    Ctrl-C'd or crashed driver still releases its ``/dev/shm`` space.
+    Ctrl-C'd or crashed driver does not leave workers behind.
     """
-    global _arena
     _discard_pool(wait=False)
-    if _arena is not None:
-        _arena.release()
-        _arena = None
 
 
 atexit.register(shutdown_parallel)
@@ -172,7 +88,7 @@ atexit.register(shutdown_parallel)
 
 @contextmanager
 def parallel_session():
-    """Scope the persistent pool + arena to a ``with`` block."""
+    """Scope the persistent pool to a ``with`` block."""
     try:
         yield
     finally:
@@ -298,21 +214,6 @@ def execute_spec(spec: RunSpec) -> Dict[str, object]:
             "host_wall_s": time.perf_counter() - start}
 
 
-def execute_spec_shared(task: Tuple[RunSpec, Dict]) -> Dict[str, object]:
-    """Worker entry point for the arena path: ``(spec, dataset_refs)``.
-
-    Registers the parent's shared-memory dataset directory before the
-    workload is built, so ``ContentModel.build_dataset`` attaches by
-    name instead of re-running the build loop.  Attach failures fall
-    back to a local rebuild — bit-identical by construction.
-    """
-    spec, refs = task
-    if refs:
-        from repro.workloads import content as content_model
-        content_model.register_shared_datasets(refs)
-    return execute_spec(spec)
-
-
 def _serial_outcome(spec: RunSpec) -> SpecOutcome:
     envelope = execute_spec(spec)
     return SpecOutcome(
@@ -320,42 +221,9 @@ def _serial_outcome(spec: RunSpec) -> SpecOutcome:
         host_wall_s=envelope["host_wall_s"], parallel=False)
 
 
-def _publish_for_specs(specs: Sequence[RunSpec]
-                       ) -> Dict[object, Tuple[str, Tuple[int, ...]]]:
-    """Build each unique workload once in the parent and publish its
-    dataset into the arena; returns the attach directory for workers.
-
-    Workload request streams are lazy, so a parent-side build costs one
-    dataset construction — exactly the work it saves *per worker* that
-    would otherwise rebuild the same content.  Any failure (exotic
-    spec, shm exhausted) degrades to publishing nothing.
-    """
-    if not _SHM_AVAILABLE:
-        return {}
-    from repro.workloads import content as content_model
-    try:
-        seen = set()
-        for spec in specs:
-            identity = (spec.workload, spec.n_vms, spec.vm_scale,
-                        spec.scale, spec.seed)
-            if identity in seen:
-                continue
-            seen.add(identity)
-            spec.build_workload()  # warms the parent's dataset cache
-        arena = _get_arena()
-        for key, dataset in content_model.cached_datasets().items():
-            arena.publish(key, dataset)
-        return arena.refs()
-    except Exception as err:  # pragma: no cover - degraded mode
-        print(f"parallel: dataset arena unavailable ({err!r}); "
-              f"workers will rebuild content locally", file=sys.stderr)
-        return {}
-
-
 def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
               timeout_s: float = DEFAULT_TIMEOUT_S,
               progress: Optional[Callable[[RunSpec], None]] = None,
-              use_arena: bool = True,
               ) -> List[SpecOutcome]:
     """Run every spec; return outcomes in input order.
 
@@ -364,9 +232,7 @@ def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
     output is byte-identical to serial execution regardless of which
     worker finishes first.  The pool is *persistent* — reused and grown
     across calls (see :func:`_ensure_pool`) until
-    :func:`shutdown_parallel` or process exit — and each task carries
-    the arena directory of parent-published datasets unless
-    ``use_arena=False``.
+    :func:`shutdown_parallel` or process exit.
 
     A crashed (``BrokenExecutor``/``OSError``) or wedged (per-run
     ``timeout_s``) pool is abandoned and the *missing* runs — and only
@@ -383,12 +249,10 @@ def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
             outcomes[index] = _serial_outcome(spec)
         return outcomes  # type: ignore[return-value]
 
-    refs = _publish_for_specs(specs) if use_arena else {}
     pool_failed = False
     try:
         pool = _ensure_pool(jobs)
-        futures = [pool.submit(execute_spec_shared, (spec, refs))
-                   for spec in specs]
+        futures = [pool.submit(execute_spec, spec) for spec in specs]
         for index, future in enumerate(futures):
             if progress is not None:
                 progress(specs[index])

@@ -249,6 +249,118 @@ class RunResult:
         return result
 
 
+class _Measurement:
+    """What the two clocks share of one run.
+
+    Construction is the run's preamble — the ingest pass, monitor
+    attach, the cpu and SSD-write baselines that keep load-phase work
+    out of the results, the warm-up cut-off — and :meth:`result`
+    assembles the :class:`RunResult` from the latencies recorded in
+    between plus the few quantities each clock derives its own way.
+    """
+
+    def __init__(self, workload: Workload, system: StorageSystem,
+                 warmup_fraction: float, preload: bool,
+                 monitor, profiler) -> None:
+        if preload:
+            system.ingest()
+        if monitor is not None:
+            monitor.attach(system, workload)
+        self.workload = workload
+        self.system = system
+        self.monitor = monitor
+        self.profiler = profiler
+        self.cpu_base = system.cpu_time
+        self.ssd_writes_base = system.ssd_write_ops
+        self.ssd_write_blocks_base = system.ssd_write_blocks
+        n_total = getattr(workload, "n_requests", None)
+        self.warmup_cutoff = \
+            int(n_total * warmup_fraction) if n_total else 0
+        self.cpu_at_warmup = 0.0
+        self.bg_at_warmup = 0.0
+        self.read_lat = LatencyStats()
+        self.write_lat = LatencyStats()
+        self.io_time_all = 0.0
+        self.io_time_meas = 0.0
+        self.n_measured = 0
+        self.verified = 0
+
+    def mark_warmup(self) -> None:
+        """The measurement window opens here."""
+        self.cpu_at_warmup = self.system.cpu_time
+        self.bg_at_warmup = self.system.background_time
+
+    def record(self, is_read: bool, latency: float,
+               measured: bool) -> None:
+        self.io_time_all += latency
+        if measured:
+            self.io_time_meas += latency
+            self.n_measured += 1
+            if is_read:
+                self.read_lat.record(latency)
+            else:
+                self.write_lat.record(latency)
+
+    def flush(self, flush_at_end: bool) -> float:
+        """Final foreground flush, charged to the measured window."""
+        if not flush_at_end:
+            return 0.0
+        latency = self.system.flush()
+        self.io_time_all += latency
+        self.io_time_meas += latency
+        return latency
+
+    def transactions(self, n_requests: int) -> int:
+        return max(1, n_requests // self.workload.ios_per_transaction)
+
+    def app_cpu(self, n_requests: int) -> float:
+        """Application compute of the transactions ``n_requests`` make."""
+        return self.transactions(n_requests) \
+            * self.workload.app_compute_per_tx
+
+    def result(self, *, wall: float, full_wall: float, n_requests: int,
+               io_concurrency: int, engine: str,
+               queueing: Optional[QueueingSummary] = None,
+               faults: Optional[object] = None) -> RunResult:
+        workload, system = self.workload, self.system
+        monitor, profiler = self.monitor, self.profiler
+        app_cpu = self.app_cpu(self.n_measured)
+        return RunResult(
+            workload=workload.name,
+            system=system.name,
+            n_requests=n_requests,
+            n_measured=self.n_measured,
+            n_transactions=self.transactions(self.n_measured),
+            wall_time_s=wall,
+            full_wall_time_s=full_wall,
+            io_time_s=self.io_time_meas,
+            app_cpu_s=app_cpu,
+            app_cpu_busy_s=app_cpu * workload.app_cpu_fraction,
+            storage_cpu_s=system.cpu_time - self.cpu_at_warmup,
+            background_s=system.background_time - self.bg_at_warmup,
+            io_concurrency=io_concurrency,
+            read_mean_us=self.read_lat.mean_us,
+            write_mean_us=self.write_lat.mean_us,
+            read_p99_us=self.read_lat.percentile(99) * 1e6,
+            write_p99_us=self.write_lat.percentile(99) * 1e6,
+            ssd_write_ops=system.ssd_write_ops - self.ssd_writes_base,
+            ssd_write_blocks=system.ssd_write_blocks
+            - self.ssd_write_blocks_base,
+            energy=measure_energy(
+                system, full_wall,
+                self.app_cpu(n_requests) * workload.app_cpu_fraction,
+                storage_cpu_s=system.cpu_time - self.cpu_base),
+            counters=system.stats.counters(),
+            verified_reads=self.verified,
+            series=monitor.store if monitor is not None else None,
+            slo_breaches=list(monitor.breaches) if monitor is not None
+            else [],
+            engine=engine,
+            queueing=queueing,
+            attribution=profiler.table if profiler is not None else None,
+            faults=faults)
+
+
 def run_benchmark(workload: Workload, system: StorageSystem,
                   verify_reads: bool = False,
                   warmup_fraction: float = 0.25,
@@ -330,8 +442,8 @@ def run_benchmark(workload: Workload, system: StorageSystem,
     if load is not None:
         raise ValueError("load generators need engine='event'; the "
                          "legacy model has no arrival timeline")
-    if preload:
-        system.ingest()
+    run = _Measurement(workload, system, warmup_fraction, preload,
+                       monitor, profiler)
     capture = None
     if profiler is not None and profiler.enabled:
         # Interpose the engine's capture tracer so each request's
@@ -341,26 +453,11 @@ def run_benchmark(workload: Workload, system: StorageSystem,
         system.set_tracer(capture)
     elif tracer is not None:
         system.set_tracer(tracer)
-    if monitor is not None:
-        monitor.attach(system, workload)
-    cpu_base = system.cpu_time
-    ssd_writes_base = system.ssd_write_ops
-    ssd_write_blocks_base = system.ssd_write_blocks
-    n_total = getattr(workload, "n_requests", None)
-    warmup_cutoff = int(n_total * warmup_fraction) if n_total else 0
-    read_lat = LatencyStats()
-    write_lat = LatencyStats()
-    io_time_all = 0.0
-    io_time_meas = 0.0
-    cpu_at_warmup = 0.0
-    bg_at_warmup = 0.0
+    warmup_cutoff = run.warmup_cutoff
     n_requests = 0
-    n_measured = 0
-    verified = 0
     for request in workload.requests():
         if n_requests == warmup_cutoff:
-            cpu_at_warmup = system.cpu_time
-            bg_at_warmup = system.background_time
+            run.mark_warmup()
         if verify_reads and request.is_read:
             latency, contents = system.process_read(request)
             shadow = workload.shadow
@@ -370,77 +467,35 @@ def run_benchmark(workload: Workload, system: StorageSystem,
                     raise AssertionError(
                         f"{system.name} returned wrong content for block "
                         f"{request.lba + offset} on request {n_requests}")
-                verified += 1
+                run.verified += 1
         else:
             latency = system.process(request)
+        measured = n_requests >= warmup_cutoff
         if capture is not None:
             creq, entries, _bg = capture.take_request()
-            if n_requests >= warmup_cutoff:
+            if measured:
                 profiler.record_request(creq[0],
                                         service_items(entries),
                                         latency)
             capture.replay(creq, entries, 0.0, latency)
-        io_time_all += latency
+        run.record(request.is_read, latency, measured)
         if monitor is not None:
-            monitor.on_request(request.is_read, latency, io_time_all)
+            monitor.on_request(request.is_read, latency, run.io_time_all)
         n_requests += 1
-        if n_requests > warmup_cutoff:
-            io_time_meas += latency
-            n_measured += 1
-            if request.is_read:
-                read_lat.record(latency)
-            else:
-                write_lat.record(latency)
-    if flush_at_end:
-        flush_latency = system.flush()
-        io_time_all += flush_latency
-        io_time_meas += flush_latency
+    run.flush(flush_at_end)
     if monitor is not None:
-        monitor.finish(io_time_all)
+        monitor.finish(run.io_time_all)
     concurrency = max(1, workload.io_concurrency)
-    bg_meas = system.background_time - bg_at_warmup
-    cpu_meas = system.cpu_time - cpu_at_warmup
-    n_transactions = max(1, n_measured // workload.ios_per_transaction)
-    app_cpu = n_transactions * workload.app_compute_per_tx
     # Background work (I-CASH's flushes and scans) runs on devices that
     # are otherwise idle on its critical path — that offload is the
     # architecture's point — so it shapes device busy time and energy but
     # not wall-clock.  Foreground I/O divides by client concurrency.
-    wall = io_time_meas / concurrency + app_cpu
-    full_tx = max(1, n_requests // workload.ios_per_transaction)
-    full_app_cpu = full_tx * workload.app_compute_per_tx
-    full_wall = io_time_all / concurrency + full_app_cpu \
+    wall = run.io_time_meas / concurrency + run.app_cpu(run.n_measured)
+    full_wall = run.io_time_all / concurrency + run.app_cpu(n_requests) \
         + system.background_time / concurrency
-    result = RunResult(
-        workload=workload.name,
-        system=system.name,
-        n_requests=n_requests,
-        n_measured=n_measured,
-        n_transactions=n_transactions,
-        wall_time_s=wall,
-        full_wall_time_s=full_wall,
-        io_time_s=io_time_meas,
-        app_cpu_s=app_cpu,
-        app_cpu_busy_s=app_cpu * workload.app_cpu_fraction,
-        storage_cpu_s=cpu_meas,
-        background_s=bg_meas,
-        io_concurrency=concurrency,
-        read_mean_us=read_lat.mean_us,
-        write_mean_us=write_lat.mean_us,
-        read_p99_us=read_lat.percentile(99) * 1e6,
-        write_p99_us=write_lat.percentile(99) * 1e6,
-        ssd_write_ops=system.ssd_write_ops - ssd_writes_base,
-        ssd_write_blocks=system.ssd_write_blocks - ssd_write_blocks_base,
-        energy=measure_energy(
-            system, full_wall,
-            full_app_cpu * workload.app_cpu_fraction,
-            storage_cpu_s=system.cpu_time - cpu_base),
-        counters=system.stats.counters(),
-        verified_reads=verified,
-        series=monitor.store if monitor is not None else None,
-        slo_breaches=list(monitor.breaches) if monitor is not None
-        else [],
-        attribution=profiler.table if profiler is not None else None)
+    result = run.result(wall=wall, full_wall=full_wall,
+                        n_requests=n_requests, io_concurrency=concurrency,
+                        engine="legacy")
     _ledger_record(ledger, result, workload, warmup_fraction)
     return result
 
@@ -481,10 +536,8 @@ def _run_event_benchmark(workload: Workload, system: StorageSystem,
     ``io_time_s`` is the sum of response times (wait + service), and
     warmup is cut by admission index exactly like the legacy path.
     """
-    if preload:
-        system.ingest()
-    if monitor is not None:
-        monitor.attach(system, workload)
+    run = _Measurement(workload, system, warmup_fraction, preload,
+                       monitor, profiler)
     if load is None:
         load = default_closed_loop(workload)
     sim = EventEngine(system, config=engine_config,
@@ -499,17 +552,11 @@ def _run_event_benchmark(workload: Workload, system: StorageSystem,
             fault_plan, system, sim,
             registry=monitor.registry if monitor is not None else None)
         sim.attach_faults(injector)
-    cpu_base = system.cpu_time
-    ssd_writes_base = system.ssd_write_ops
-    ssd_write_blocks_base = system.ssd_write_blocks
-    n_total = getattr(workload, "n_requests", None)
-    warmup_cutoff = int(n_total * warmup_fraction) if n_total else 0
-    warmup_state = {"cpu": 0.0, "bg": 0.0}
+    warmup_cutoff = run.warmup_cutoff
 
     def on_admit(index: int) -> None:
         if index == warmup_cutoff:
-            warmup_state["cpu"] = system.cpu_time
-            warmup_state["bg"] = system.background_time
+            run.mark_warmup()
 
     def on_complete(record) -> None:
         if monitor is not None:
@@ -520,34 +567,17 @@ def _run_event_benchmark(workload: Workload, system: StorageSystem,
                       on_admit=on_admit, on_complete=on_complete,
                       profile_from=warmup_cutoff)
     queueing = sim.summary()
+    for record in records:
+        run.verified += record.verified
+        run.record(record.is_read, record.latency_s,
+                   record.index >= warmup_cutoff)
     # Two clocks: ``t_full`` runs until the heap drains (deferred
     # background included); the throughput window closes at the last
     # request completion — trailing background is off the critical
     # path, exactly as the legacy model treats it.
-    t_full = sim.t_end
-    t_last = sim.last_completion_s
-    read_lat = LatencyStats()
-    write_lat = LatencyStats()
-    io_time_all = 0.0
-    io_time_meas = 0.0
-    n_measured = 0
-    verified = 0
-    for record in records:
-        io_time_all += record.latency_s
-        verified += record.verified
-        if record.index >= warmup_cutoff:
-            io_time_meas += record.latency_s
-            n_measured += 1
-            if record.is_read:
-                read_lat.record(record.latency_s)
-            else:
-                write_lat.record(record.latency_s)
-    if flush_at_end:
-        flush_latency = system.flush()
-        io_time_all += flush_latency
-        io_time_meas += flush_latency
-        t_full += flush_latency
-        t_last += flush_latency
+    flush_latency = run.flush(flush_at_end)
+    t_full = sim.t_end + flush_latency
+    t_last = sim.last_completion_s + flush_latency
     if monitor is not None:
         monitor.finish(t_full)
     # The measurement window opens when the first measured request
@@ -557,45 +587,10 @@ def _run_event_benchmark(workload: Workload, system: StorageSystem,
         t_meas_start = records[warmup_cutoff].arrival_s
     else:
         t_meas_start = t_last
-    wall = t_last - t_meas_start
-    bg_meas = system.background_time - warmup_state["bg"]
-    cpu_meas = system.cpu_time - warmup_state["cpu"]
-    n_transactions = max(1, n_measured // workload.ios_per_transaction)
-    app_cpu = n_transactions * workload.app_compute_per_tx
-    full_tx = max(1, len(records) // workload.ios_per_transaction)
-    full_app_cpu = full_tx * workload.app_compute_per_tx
-    return RunResult(
-        workload=workload.name,
-        system=system.name,
-        n_requests=len(records),
-        n_measured=n_measured,
-        n_transactions=n_transactions,
-        wall_time_s=wall,
-        full_wall_time_s=t_full,
-        io_time_s=io_time_meas,
-        app_cpu_s=app_cpu,
-        app_cpu_busy_s=app_cpu * workload.app_cpu_fraction,
-        storage_cpu_s=cpu_meas,
-        background_s=bg_meas,
-        io_concurrency=workload.io_concurrency,
-        read_mean_us=read_lat.mean_us,
-        write_mean_us=write_lat.mean_us,
-        read_p99_us=read_lat.percentile(99) * 1e6,
-        write_p99_us=write_lat.percentile(99) * 1e6,
-        ssd_write_ops=system.ssd_write_ops - ssd_writes_base,
-        ssd_write_blocks=system.ssd_write_blocks - ssd_write_blocks_base,
-        energy=measure_energy(
-            system, t_full,
-            full_app_cpu * workload.app_cpu_fraction,
-            storage_cpu_s=system.cpu_time - cpu_base),
-        counters=system.stats.counters(),
-        verified_reads=verified,
-        series=monitor.store if monitor is not None else None,
-        slo_breaches=list(monitor.breaches) if monitor is not None
-        else [],
-        engine="event",
-        queueing=queueing,
-        attribution=profiler.table if profiler is not None else None,
+    return run.result(
+        wall=t_last - t_meas_start, full_wall=t_full,
+        n_requests=len(records), io_concurrency=workload.io_concurrency,
+        engine="event", queueing=queueing,
         faults=injector.report() if injector is not None else None)
 
 

@@ -103,7 +103,7 @@ def validate(n_requests: int = None) -> ValidationSummary:
     summary = ValidationSummary()
     results: Dict[str, FigureResult] = {}
     for name, fn in figures_module.ALL_FIGURES.items():
-        if name in ("figure15", "figure16"):
+        if name in figures_module._FIGURE_MULTIVM:
             result = fn()
         else:
             result = fn(**kwargs)

@@ -335,8 +335,9 @@ class NullLedger:
     """The default ledger: recording is a no-op.
 
     Library callers pass ``ledger=None`` (or this object) and pay one
-    attribute load, mirroring NULL_TRACER / NULL_REGISTRY — measured
-    in ``scripts/bench_tracer_overhead.py`` (see docs/TUNING.md).
+    attribute load, mirroring NULL_TRACER / NULL_REGISTRY — the
+    enabled cost is perfbench's ``ledger.overhead_ms`` (see
+    perfbench/README.md).
     """
 
     __slots__ = ()

@@ -27,7 +27,7 @@ image sprawl scenario of Section 3.1.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -44,76 +44,20 @@ DATASET_CACHE_CAPACITY = 8
 DatasetKey = Tuple[int, int, float, int, int]
 
 _dataset_cache: "OrderedDict[DatasetKey, np.ndarray]" = OrderedDict()
-_dataset_counters = {"hits": 0, "misses": 0, "attached": 0}
-
-#: Shared-memory segments published by a parent process, by dataset key.
-#: Workers attach lazily on first use; a failed attach (segment already
-#: unlinked) silently falls back to rebuilding — the arena is a
-#: go-faster switch, never a correctness dependency.
-_shared_refs: Dict[DatasetKey, Tuple[str, Tuple[int, int]]] = {}
-#: Attached SharedMemory handles, kept alive for the process lifetime:
-#: cached arrays view their buffers, so closing early would invalidate
-#: them (and raise BufferError anyway while views exist).
-_shared_handles: List[object] = []
+_dataset_counters = {"hits": 0, "misses": 0}
 
 
 def clear_dataset_cache() -> None:
-    """Drop memoised datasets and shared-segment registrations."""
+    """Drop memoised datasets."""
     _dataset_cache.clear()
-    _shared_refs.clear()
     _dataset_counters["hits"] = 0
     _dataset_counters["misses"] = 0
-    _dataset_counters["attached"] = 0
 
 
 def dataset_cache_stats() -> Dict[str, int]:
     return {"hits": _dataset_counters["hits"],
             "misses": _dataset_counters["misses"],
-            "attached": _dataset_counters["attached"],
-            "size": len(_dataset_cache),
-            "shared_refs": len(_shared_refs)}
-
-
-def cached_datasets() -> Dict[DatasetKey, np.ndarray]:
-    """Read-only snapshot of the memoised datasets (arena publishing)."""
-    return dict(_dataset_cache)
-
-
-def register_shared_datasets(
-        refs: Dict[DatasetKey, Tuple[str, Tuple[int, int]]]) -> None:
-    """Note shared-memory segments holding finished datasets by name.
-
-    Called in workers (via the parallel fan-out's task envelope) before
-    any workload is built; :meth:`ContentModel.build_dataset` attaches
-    on demand.
-    """
-    _shared_refs.update(refs)
-
-
-def _attach_shared(key: DatasetKey) -> Optional[np.ndarray]:
-    ref = _shared_refs.get(key)
-    if ref is None:
-        return None
-    name, shape = ref
-    try:
-        from multiprocessing import shared_memory
-        shm = shared_memory.SharedMemory(name=name)
-    except (ImportError, FileNotFoundError, OSError):
-        del _shared_refs[key]
-        return None
-    try:
-        # Attaching registered the segment with this process's resource
-        # tracker, which would unlink it at exit behind the owner's
-        # back; the owning (publishing) process manages the lifetime.
-        from multiprocessing import resource_tracker
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-    _shared_handles.append(shm)
-    array = np.ndarray(shape, dtype=np.uint8, buffer=shm.buf)
-    array.flags.writeable = False
-    _dataset_counters["attached"] += 1
-    return array
+            "size": len(_dataset_cache)}
 
 
 def _dataset_cache_get(key: DatasetKey) -> Optional[np.ndarray]:
@@ -122,18 +66,12 @@ def _dataset_cache_get(key: DatasetKey) -> Optional[np.ndarray]:
         _dataset_cache.move_to_end(key)
         _dataset_counters["hits"] += 1
         return cached
-    attached = _attach_shared(key)
-    if attached is not None:
-        _dataset_cache_put(key, attached, copy=False)
-        _dataset_counters["hits"] += 1
-        return attached
     _dataset_counters["misses"] += 1
     return None
 
 
-def _dataset_cache_put(key: DatasetKey, dataset: np.ndarray,
-                       copy: bool = True) -> None:
-    kept = dataset.copy() if copy else dataset
+def _dataset_cache_put(key: DatasetKey, dataset: np.ndarray) -> None:
+    kept = dataset.copy()
     kept.flags.writeable = False
     _dataset_cache[key] = kept
     if len(_dataset_cache) > DATASET_CACHE_CAPACITY:
@@ -195,9 +133,8 @@ class ContentModel:
         family base (dedup-able); the rest carry a little private noise on
         top of the base (delta-able but not identical).
 
-        The finished matrix is memoised per process (and may be attached
-        from a parent's shared-memory arena); either way callers receive
-        a private copy bit-identical to a fresh build.
+        The finished matrix is memoised per process; either way callers
+        receive a private copy bit-identical to a fresh build.
         """
         key = self.dataset_key
         cached = _dataset_cache_get(key)

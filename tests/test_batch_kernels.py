@@ -1,55 +1,40 @@
-"""Batch kernels, memoised streams, and the shared-memory fan-out.
+"""Batch kernels, memoised streams, and the persistent worker pool.
 
 Three families of guarantees:
 
-* **golden equivalence** — every vectorised batch kernel in
+* **golden equivalence** — every vectorised signature kernel in
   :mod:`repro.core.batch` (and the batched heatmap entry points)
   must be bit-identical to its scalar twin on random shapes,
-  non-contiguous views, empty batches and single blocks;
+  non-contiguous views, empty batches and single blocks, and the
+  ingest sweep must reproduce the digest frozen while it still had a
+  batched twin;
 * **memoisation transparency** — the request-stream cache and the
   controller's delta-reconstruction memo must be invisible: identical
   requests, shadow state and read contents whether or not a cache was
   hit;
-* **arena lifetime** — shared-memory segments are owned by the
-  publishing process: workers (even SIGKILLed ones) can never unlink
-  them, and :func:`shutdown_parallel` always leaves ``/dev/shm`` clean.
+* **pool lifetime** — the worker pool is reused across waves, grown
+  never shrunk, and :func:`shutdown_parallel` always tears it down.
 """
-
-import json
-import multiprocessing
-import os
-import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import (apply_delta_batch, block_signatures_batch,
-                              block_signatures_many, encode_delta_batch,
+from repro.core.batch import (block_signatures_batch, block_signatures_many,
                               signature_tuples)
 from repro.core.heatmap import Heatmap
 from repro.core.signatures import (SignatureScheme, block_signatures,
                                    clear_signature_cache,
                                    signature_cache_stats)
-from repro.delta.encoder import Delta, apply_delta, encode_delta
+from repro.delta.encoder import Delta
 from repro.sim.request import BLOCK_SIZE
+
+from reference import ingest as ingest_reference
 
 
 def _random_batch(rng, n):
     return rng.integers(0, 256, size=(n, BLOCK_SIZE), dtype=np.uint8)
-
-
-def _edited_pairs(rng, n, max_edits=24):
-    """(targets, references) with clustered random edits per row."""
-    references = _random_batch(rng, n)
-    targets = references.copy()
-    for row in range(n):
-        for _ in range(int(rng.integers(0, max_edits + 1))):
-            start = int(rng.integers(0, BLOCK_SIZE))
-            length = int(rng.integers(1, 64))
-            targets[row, start:start + length] = rng.integers(0, 256)
-    return targets, references
 
 
 # ---------------------------------------------------------------------------
@@ -140,78 +125,6 @@ class TestBlockSignaturesMany:
 
 
 # ---------------------------------------------------------------------------
-# encode/apply batch vs the scalar codec
-# ---------------------------------------------------------------------------
-
-
-class TestDeltaBatchEquivalence:
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 16))
-    def test_encode_matches_scalar(self, seed, n):
-        rng = np.random.default_rng(seed)
-        targets, references = _edited_pairs(rng, n)
-        batch = encode_delta_batch(targets, references)
-        scalar = [encode_delta(targets[i], references[i])
-                  for i in range(n)]
-        assert len(batch) == n
-        for got, want in zip(batch, scalar):
-            assert got.runs == want.runs
-            assert got.size_bytes == want.size_bytes
-            assert got.serialize() == want.serialize()
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 16))
-    def test_apply_matches_scalar(self, seed, n):
-        rng = np.random.default_rng(seed)
-        targets, references = _edited_pairs(rng, n)
-        deltas = [encode_delta(targets[i], references[i])
-                  for i in range(n)]
-        batch = apply_delta_batch(deltas, references)
-        assert batch.shape == (n, BLOCK_SIZE)
-        assert np.array_equal(batch, targets)
-        for i in range(n):
-            assert np.array_equal(batch[i],
-                                  apply_delta(deltas[i], references[i]))
-
-    def test_identity_and_full_rewrite_rows(self, rng):
-        references = _random_batch(rng, 3)
-        targets = references.copy()
-        targets[1] += 1  # uint8 wrap: every byte differs
-        deltas = encode_delta_batch(targets, references)
-        assert deltas[0].is_identity and deltas[2].is_identity
-        assert deltas[1].runs == encode_delta(targets[1],
-                                              references[1]).runs
-        assert np.array_equal(apply_delta_batch(deltas, references),
-                              targets)
-
-    def test_non_contiguous_views(self, rng):
-        doubled_t, doubled_r = _edited_pairs(rng, 8)
-        t_view, r_view = doubled_t[::2], doubled_r[::2]
-        batch = encode_delta_batch(t_view, r_view)
-        for i in range(t_view.shape[0]):
-            assert batch[i].runs == encode_delta(t_view[i],
-                                                 r_view[i]).runs
-
-    def test_empty_batch(self):
-        empty = np.empty((0, BLOCK_SIZE), dtype=np.uint8)
-        assert encode_delta_batch(empty, empty) == []
-        assert apply_delta_batch([], empty).shape == (0, BLOCK_SIZE)
-
-    def test_apply_rejects_out_of_block_runs(self, rng):
-        references = _random_batch(rng, 1)
-        bad = Delta(runs=((BLOCK_SIZE - 2, b"toolong"),))
-        with pytest.raises(ValueError):
-            apply_delta_batch([bad], references)
-
-    def test_mismatched_shapes_rejected(self, rng):
-        with pytest.raises(ValueError):
-            encode_delta_batch(_random_batch(rng, 2),
-                               _random_batch(rng, 3))
-        with pytest.raises(ValueError):
-            apply_delta_batch([Delta(runs=())], _random_batch(rng, 2))
-
-
-# ---------------------------------------------------------------------------
 # Heatmap batch entry points
 # ---------------------------------------------------------------------------
 
@@ -235,46 +148,19 @@ class TestHeatmapBatch:
 
 
 # ---------------------------------------------------------------------------
-# Batched ingest sweep: speculative encode equals the scalar reference
+# Ingest sweep: bit-identical to what both sweeps of the parent produced
 # ---------------------------------------------------------------------------
 
 
 class TestIngestSweepEquivalence:
-    @staticmethod
-    def _ingested(workload_cls, batch, chunk):
-        from repro.core.controller import ICASHController
-
-        workload = workload_cls(scale=0.02, n_requests=1, seed=17)
-        controller = ICASHController(workload.build_dataset())
-        controller.use_batch_ingest = batch
-        controller.INGEST_CHUNK = chunk
-        setup_s = controller.ingest()
-        return controller, setup_s
-
-    @pytest.mark.parametrize("chunk", [4, 256])
     @pytest.mark.parametrize("workload_name", ["sysbench", "specsfs"])
-    def test_batched_sweep_matches_scalar(self, workload_name, chunk):
-        from repro.workloads.specsfs import SpecSFSWorkload
-        from repro.workloads.sysbench import SysBenchWorkload
-
-        cls = {"sysbench": SysBenchWorkload,
-               "specsfs": SpecSFSWorkload}[workload_name]
-        scalar, scalar_s = self._ingested(cls, batch=False, chunk=chunk)
-        batched, batched_s = self._ingested(cls, batch=True, chunk=chunk)
-        # chunk=4 forces intra-chunk promotions into nearly every window,
-        # exercising the speculation-miss fallback; chunk=256 is the
-        # production shape.
-        assert scalar_s == batched_s
-        assert scalar.cpu_time == batched.cpu_time
-        assert scalar.stats.counters() == batched.stats.counters()
-        assert set(scalar._ssd_data) == set(batched._ssd_data)
-        for lba in scalar._ssd_data:
-            assert np.array_equal(scalar._ssd_data[lba],
-                                  batched._ssd_data[lba])
-        assert ({lba: (e.ref_lba, e.log_slot)
-                 for lba, e in scalar._delta_map.items()}
-                == {lba: (e.ref_lba, e.log_slot)
-                    for lba, e in batched._delta_map.items()})
+    def test_ingest_reproduces_frozen_digest(self, workload_name):
+        """References, delta map, log bytes, ``cpu_time``, ingest
+        latency and counters, against ``tests/reference/
+        ingest_digest.json`` — written when the scalar and the batched
+        sweep (chunks of 4 and 256) still existed and agreed on it."""
+        assert ingest_reference.ingested_digest(workload_name) \
+            == ingest_reference.frozen()[workload_name]
 
 
 # ---------------------------------------------------------------------------
@@ -443,75 +329,8 @@ class TestReconstructionMemo:
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory arena: lifetime, cleanup, and the jobs-N fan-out
+# Persistent worker pool: reuse, growth, teardown
 # ---------------------------------------------------------------------------
-
-
-def _attach_and_die(name):  # pragma: no cover - runs in a child process
-    from multiprocessing import shared_memory, resource_tracker
-
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-class TestDatasetArena:
-    def test_publish_attach_release_roundtrip(self, rng):
-        from multiprocessing import shared_memory
-
-        from repro.experiments.parallel import DatasetArena
-
-        data = rng.integers(0, 256, size=(8, BLOCK_SIZE), dtype=np.uint8)
-        with DatasetArena() as arena:
-            name, shape = arena.publish(("k", 1), data)
-            assert arena.publish(("k", 1), data) == (name, shape)
-            assert len(arena) == 1
-            shm = shared_memory.SharedMemory(name=name)
-            seen = np.ndarray(shape, dtype=np.uint8,
-                              buffer=shm.buf).copy()
-            shm.close()
-            assert np.array_equal(seen, data)
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_killed_child_cannot_unlink_segments(self, rng):
-        from multiprocessing import shared_memory
-
-        from repro.experiments.parallel import DatasetArena
-
-        data = rng.integers(0, 256, size=(4, BLOCK_SIZE), dtype=np.uint8)
-        arena = DatasetArena()
-        try:
-            name, _shape = arena.publish("key", data)
-            ctx = multiprocessing.get_context("fork")
-            child = ctx.Process(target=_attach_and_die, args=(name,))
-            child.start()
-            child.join(timeout=30)
-            assert child.exitcode == -signal.SIGKILL
-            # The segment must have survived the child's death...
-            shm = shared_memory.SharedMemory(name=name)
-            shm.close()
-        finally:
-            arena.release()
-        # ... and the owner's release must still unlink it cleanly.
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-        arena.release()  # idempotent
-
-    def test_shutdown_parallel_is_idempotent_and_clean(self):
-        from repro.experiments import parallel
-
-        parallel.shutdown_parallel()
-        arena = parallel._get_arena()
-        arena.publish("key", np.zeros((1, BLOCK_SIZE), dtype=np.uint8))
-        names = [ref[0] for ref in arena.refs().values()]
-        parallel.shutdown_parallel()
-        parallel.shutdown_parallel()
-        for name in names:
-            assert not os.path.exists(os.path.join("/dev/shm", name))
 
 
 class TestPersistentPool:
@@ -540,22 +359,12 @@ class TestPersistentPool:
             parallel.shutdown_parallel()
         assert parallel._pool is None
 
-    def test_arena_path_byte_identical_to_local_rebuild(self):
+    def test_shutdown_parallel_is_idempotent_and_clean(self):
         from repro.experiments import parallel
-        from repro.experiments.parallel import RunSpec, run_specs
-        from repro.workloads import content as content_model
 
         parallel.shutdown_parallel()
-        content_model.clear_dataset_cache()
-        specs = [RunSpec(workload="sysbench", system=system,
-                         n_requests=150, scale=0.05)
-                 for system in ("icash", "lru")]
-        try:
-            shared = run_specs(specs, jobs=2, use_arena=True)
-            assert len(parallel._get_arena()) > 0
-            plain = run_specs(specs, jobs=2, use_arena=False)
-        finally:
-            parallel.shutdown_parallel()
-        for left, right in zip(shared, plain):
-            assert json.dumps(left.result.to_payload(), sort_keys=True) \
-                == json.dumps(right.result.to_payload(), sort_keys=True)
+        parallel._ensure_pool(2)
+        assert parallel._pool is not None
+        parallel.shutdown_parallel()
+        parallel.shutdown_parallel()
+        assert parallel._pool is None and parallel._pool_workers == 0

@@ -21,3 +21,20 @@ class TestRunCommand:
         assert code == 0
         assert "tx/s" in out
         assert "block population" not in out
+
+
+class TestFigureCommand:
+    def test_requests_reaches_two_digit_figures(self, capsys):
+        """``--requests`` once skipped every figure10–16 (a prefix test
+        on "figure1"); only the multi-VM pair sizes itself per VM."""
+        from repro.experiments import figures
+
+        figures.clear_cache()
+        try:
+            code = cli_main(["figure", "figure14", "--requests", "200"])
+            sized = {key[:2] for key in figures._GRID_CACHE}
+        finally:
+            figures.clear_cache()
+        assert code == 0
+        assert "Figure 14" in capsys.readouterr().out
+        assert sized == {("rubis", 200)}

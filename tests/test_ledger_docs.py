@@ -100,8 +100,10 @@ class TestCrossReferences:
         assert "tests/test_ledger.py" in doc_text
         assert (root / "tests" / "test_ledger.py").exists()
         assert "tests/test_ledger_docs.py" in doc_text
-        assert "scripts/bench_tracer_overhead.py" in doc_text
-        assert (root / "scripts" / "bench_tracer_overhead.py").exists()
+        assert "perfbench/README.md" in doc_text
+        assert "`ledger.overhead_ms`" in doc_text
+        assert "`ledger.overhead_ms`" \
+            in (root / "perfbench" / "README.md").read_text()
 
     def test_store_names_match_code(self, doc_text):
         assert f"`{ledger.DEFAULT_DIR}/`" in doc_text

@@ -391,12 +391,12 @@ class TestFigureGridCache:
         ran = figures.prewarm(["figure6a"], n_requests=300, jobs=1)
         assert ran == 5  # one cell per architecture
 
-        # The figure function must now be served from cache: a grid
+        # The figure function must now be served from cache: a cell
         # re-run would mean the prewarm keys missed.
         def _fail(*args, **kwargs):  # pragma: no cover - guard only
-            raise AssertionError("run_grid called despite prewarm")
+            raise AssertionError("cell re-run despite prewarm")
 
-        monkeypatch.setattr(figures, "run_grid", _fail)
+        monkeypatch.setattr(figures, "run_spec", _fail)
         result = figures.figure6a(n_requests=300)
         assert set(result.measured) == set(result.paper)
         assert figures.prewarm(["figure6a"], n_requests=300) == 0
@@ -411,7 +411,7 @@ class TestFigureGridCache:
         def _fail(*args, **kwargs):
             raise AssertionError("cache collision across n_requests")
 
-        monkeypatch.setattr(figures, "run_grid", _fail)
+        monkeypatch.setattr(figures, "run_spec", _fail)
         with pytest.raises(AssertionError):
             figures.figure6a(n_requests=301)
         figures.clear_cache()
