@@ -30,6 +30,11 @@ class DeviceSpec:
     name: str = "device"
 
 
+#: Counter names per operation kind, so the request path formats none.
+_COUNTER_KEYS = {kind: (f"{kind}_ops", f"{kind}_blocks")
+                 for kind in ("read", "write")}
+
+
 class Device(abc.ABC):
     """Abstract block device addressed in 4 KB logical blocks."""
 
@@ -81,9 +86,11 @@ class Device(abc.ABC):
         (``{trace_name}_{kind}``) carrying the span's block address,
         byte count and optional outcome tag.
         """
-        self.stats.bump(f"{kind}_ops")
-        self.stats.bump(f"{kind}_blocks", nblocks)
-        self.stats.record_latency(kind, latency)
+        ops_key, blocks_key = _COUNTER_KEYS[kind]
+        stats = self.stats
+        stats.bump(ops_key)
+        stats.bump(blocks_key, nblocks)
+        stats.record_latency(kind, latency)
         self.busy_time += latency
         tracer = self.tracer
         if tracer.enabled:

@@ -449,7 +449,7 @@ def run_benchmark(workload: Workload, system: StorageSystem,
         # Interpose the engine's capture tracer so each request's
         # service phases can be harvested for attribution; recorded
         # spans still reach the caller's tracer via replay.
-        capture = _CaptureTracer(tracer)
+        capture = _CaptureTracer(tracer, keep_spans=True)
         system.set_tracer(capture)
     elif tracer is not None:
         system.set_tracer(tracer)
@@ -472,7 +472,7 @@ def run_benchmark(workload: Workload, system: StorageSystem,
             latency = system.process(request)
         measured = n_requests >= warmup_cutoff
         if capture is not None:
-            creq, entries, _bg = capture.take_request()
+            creq, _phases, entries, _bg = capture.take_request()
             if measured:
                 profiler.record_request(creq[0],
                                         service_items(entries),
@@ -558,10 +558,10 @@ def _run_event_benchmark(workload: Workload, system: StorageSystem,
         if index == warmup_cutoff:
             run.mark_warmup()
 
-    def on_complete(record) -> None:
-        if monitor is not None:
-            monitor.on_request(record.is_read, record.latency_s,
-                               sim.now)
+    on_complete = None
+    if monitor is not None:
+        def on_complete(record) -> None:
+            monitor.on_request(record.is_read, record.latency_s, sim.now)
 
     records = sim.run(workload, load, verify_reads=verify_reads,
                       on_admit=on_admit, on_complete=on_complete,

@@ -532,24 +532,26 @@ class LedgerWriter:
     def get(self, ref: str) -> LedgerRow:
         """One row by ``seq`` number or (prefix of a) ``run_id``.
 
-        A prefix matching several *distinct* run ids is ambiguous and
-        raises; re-recordings of the identical run share a run id, and
-        the newest row wins.
+        An all-digit ``ref`` is a ``seq`` first and, when no row has
+        that ``seq``, a run-id prefix like any other (hex ids are often
+        all digits in their first characters).  A prefix matching
+        several *distinct* run ids is ambiguous and raises;
+        re-recordings of the identical run share a run id, and the
+        newest row wins.
         """
         with contextlib.closing(self._connect()) as conn:
             if str(ref).isdigit():
                 found = conn.execute(
                     "SELECT row_json FROM runs WHERE seq = ?",
                     (int(ref),)).fetchall()
-                if not found:
-                    raise KeyError(f"no ledger row with seq {ref}")
-                return LedgerRow.from_json(json.loads(found[0][0]))
+                if found:
+                    return LedgerRow.from_json(json.loads(found[0][0]))
             found = conn.execute(
                 "SELECT run_id, row_json FROM runs WHERE run_id "
                 "LIKE ? ORDER BY seq DESC",
                 (str(ref) + "%",)).fetchall()
         if not found:
-            raise KeyError(f"no ledger row with run id {ref!r}")
+            raise KeyError(f"no ledger row with seq or run id {ref!r}")
         distinct = {run_id for run_id, _ in found}
         if len(distinct) > 1:
             raise KeyError(

@@ -41,7 +41,7 @@ class BackingStore:
         return self._content.shape[0]
 
     def _check(self, lba: int) -> None:
-        if not 0 <= lba < self.capacity_blocks:
+        if not 0 <= lba < self._content.shape[0]:
             raise IndexError(
                 f"lba {lba} outside backing store of "
                 f"{self.capacity_blocks} blocks")

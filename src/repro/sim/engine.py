@@ -14,12 +14,15 @@ Three pieces:
 
 * **The capture tracer.**  Storage systems already emit one trace span
   per device operation (see :mod:`repro.sim.trace`).  The engine
-  attaches a :class:`_CaptureTracer` that records, for each request,
-  the ordered per-device spans of its service — the request's *phase
-  list* — plus any background work (flushes, scans) the request
-  triggered.  Requests are still processed in stream order, so block
-  contents, device counters and service latencies are identical to a
-  legacy run; the event simulation only re-times them.
+  attaches a :class:`_CaptureTracer` that folds each foreground device
+  span, as it is emitted, into the request's *phase list* — the
+  ordered per-device visits of its service — and collects any
+  background work (flushes, scans) the request triggered.  Span
+  objects are buffered only for a consumer that reads them back (a
+  downstream tracer, the profiler); a bare run builds none.  Requests
+  are still processed in stream order, so block contents, device
+  counters and service latencies are identical to a legacy run; the
+  event simulation only re-times them.
 * **Stations and the event heap.**  One :class:`DeviceStation` per
   device (keyed by trace name) with a configurable number of service
   slots (NCQ depth) and a FIFO queue.  A request's phases route
@@ -45,6 +48,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -115,24 +119,31 @@ class _CaptureTracer:
 
     Attached by the engine via ``system.set_tracer``; every device
     operation, codec span and background section the system emits lands
-    here.  Foreground (in-request) emissions are buffered and returned
-    by :meth:`take_request`; background device spans accumulate as
-    ``(device, seconds)`` backlog jobs; everything is optionally
-    forwarded to a ``downstream`` recording tracer so ``engine="event"``
-    runs still produce full traces (with an added ``queue`` span per
-    delayed request).
+    here.  Foreground (in-request) device spans fold into the request's
+    station phases as they arrive: zero-length spans are skipped and
+    consecutive spans on one device coalesce into one phase (one queue
+    entry per device visit, not per 4 KB block); CPU spans and instants
+    stay out — they become the non-contended residual tail.  The spans
+    themselves are buffered as :class:`_Span` objects only when
+    something reads them back — a ``downstream`` recording tracer, so
+    ``engine="event"`` runs still produce full traces (with an added
+    ``queue`` span per delayed request), or the profiler
+    (``keep_spans``).  Background device spans accumulate as
+    ``(device, seconds)`` backlog jobs.
     """
 
     enabled = True
 
-    def __init__(self, downstream=None) -> None:
+    def __init__(self, downstream=None, keep_spans: bool = False) -> None:
         self.downstream = downstream \
             if downstream is not None and downstream.enabled else None
+        self._keep_spans = keep_spans or self.downstream is not None
         self._name_scopes: List[str] = []
         self._bg_depth = 0
         self._in_request = False
         self._req: Optional[Tuple[str, int, int]] = None
-        self._entries: List[_Span] = []
+        self._phases: List[Tuple[str, float]] = []
+        self._entries: Optional[List[_Span]] = None
         self._bg_jobs: List[Tuple[str, float]] = []
 
     # -- request lifecycle ------------------------------------------------
@@ -142,21 +153,25 @@ class _CaptureTracer:
             raise RuntimeError("begin_request while a request is open")
         self._in_request = True
         self._req = (op, lba, nblocks)
-        self._entries = []
+        self._phases = []
+        self._entries = [] if self._keep_spans else None
 
     def end_request(self, latency_s: float) -> None:
         if not self._in_request:
             raise RuntimeError("end_request without begin_request")
         self._in_request = False
 
-    def take_request(self) -> Tuple[Tuple[str, int, int], List[_Span],
+    def take_request(self) -> Tuple[Tuple[str, int, int],
+                                    List[Tuple[str, float]],
+                                    Optional[List[_Span]],
                                     List[Tuple[str, float]]]:
-        """The last request's (op info, foreground spans, background
-        jobs); clears the buffers."""
-        req, entries = self._req, self._entries
-        bg, self._bg_jobs = self._bg_jobs, []
-        self._req, self._entries = None, []
-        return req, entries, bg
+        """The last request's (op info, station phases, foreground
+        spans — None unless spans are kept — and background jobs);
+        clears the buffers."""
+        taken = (self._req, self._phases, self._entries, self._bg_jobs)
+        self._req, self._phases, self._entries = None, [], None
+        self._bg_jobs = []
+        return taken
 
     # -- emission hooks ---------------------------------------------------
 
@@ -173,13 +188,20 @@ class _CaptureTracer:
                 self.downstream.device_span(device, kind, dur_s, lba=lba,
                                             nbytes=nbytes, outcome=outcome)
             return
-        name = self._resolved(device, kind)
         if self._in_request:
-            self._entries.append(_Span("device", name, device, dur_s,
-                                       lba, nbytes, outcome))
+            if dur_s > 0.0:
+                phases = self._phases
+                if phases and phases[-1][0] == device:
+                    phases[-1] = (device, phases[-1][1] + dur_s)
+                else:
+                    phases.append((device, dur_s))
+            if self._entries is not None:
+                self._entries.append(
+                    _Span("device", self._resolved(device, kind), device,
+                          dur_s, lba, nbytes, outcome))
         elif self.downstream is not None:  # run track (final flush)
-            self.downstream.span(name, dur_s, lba=lba, nbytes=nbytes,
-                                 outcome=outcome)
+            self.downstream.span(self._resolved(device, kind), dur_s,
+                                 lba=lba, nbytes=nbytes, outcome=outcome)
 
     def span(self, name: str, dur_s: float, lba=None, nbytes=None,
              outcome=None) -> None:
@@ -189,9 +211,10 @@ class _CaptureTracer:
                                      outcome=outcome)
             return
         if self._in_request:
-            kind = "instant" if dur_s == 0.0 else "span"
-            self._entries.append(_Span(kind, name, None, dur_s,
-                                       lba, nbytes, outcome))
+            if self._entries is not None:
+                kind = "instant" if dur_s == 0.0 else "span"
+                self._entries.append(_Span(kind, name, None, dur_s,
+                                           lba, nbytes, outcome))
         elif self.downstream is not None:
             self.downstream.span(name, dur_s, lba=lba, nbytes=nbytes,
                                  outcome=outcome)
@@ -203,8 +226,9 @@ class _CaptureTracer:
              outcome=None) -> None:
         # Device-internal time already inside another span's duration.
         if self._in_request and not self._bg_depth:
-            self._entries.append(_Span("mark", name, None, dur_s,
-                                       lba, nbytes, outcome))
+            if self._entries is not None:
+                self._entries.append(_Span("mark", name, None, dur_s,
+                                           lba, nbytes, outcome))
         elif self.downstream is not None:
             self.downstream.mark(name, dur_s, lba=lba, nbytes=nbytes,
                                  outcome=outcome)
@@ -302,16 +326,19 @@ class DeviceStation:
         quanta — they hold slots a foreground arrival must wait for)."""
         return len(self.waiting) + self.active + self.bg_active
 
-    @property
-    def free_slots(self) -> int:
-        return self.slots - self.active - self.bg_active
-
     def note_depth(self, now: float) -> None:
-        """Advance the time-weighted depth integral to ``now``."""
-        self._depth_integral += self.depth * (now - self._depth_since)
-        self._depth_since = now
-        if self.depth > self.max_depth:
-            self.max_depth = self.depth
+        """Advance the time-weighted depth integral to ``now``.
+
+        Called before every change to the station's depth, often
+        several times within one event; a zero-width step adds nothing
+        to the integral and is skipped.
+        """
+        depth = len(self.waiting) + self.active + self.bg_active
+        if now != self._depth_since:
+            self._depth_integral += depth * (now - self._depth_since)
+            self._depth_since = now
+        if depth > self.max_depth:
+            self.max_depth = depth
 
     def mean_depth(self, elapsed: float) -> float:
         return self._depth_integral / elapsed if elapsed > 0 else 0.0
@@ -393,44 +420,57 @@ class QueueingSummary:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class RequestRecord:
-    """What the engine measured for one completed request."""
+    """One request in the engine: what was measured for it (``index``
+    through ``verified``) and, while it is in flight, the station
+    phases it is routing through.
 
-    index: int
-    is_read: bool
-    arrival_s: float
-    service_s: float
-    wait_s: float = 0.0
-    completion_s: float = 0.0
-    verified: int = 0
+    The routing state is dropped at completion, so a finished run's
+    records hold the measurements only.
+    """
+
+    __slots__ = ("index", "is_read", "arrival_s", "service_s", "wait_s",
+                 "completion_s", "verified",
+                 "req", "phases", "phase_idx", "residual", "entries",
+                 "waits")
+
+    def __init__(self, index: int, is_read: bool, arrival_s: float,
+                 service_s: float, verified: int = 0,
+                 req: Optional[Tuple[str, int, int]] = None,
+                 phases: Optional[List[Tuple[str, float]]] = None,
+                 residual: float = 0.0,
+                 entries: Optional[List[_Span]] = None,
+                 waits: Optional[List[Tuple[str, float]]] = None) -> None:
+        self.index = index
+        self.is_read = is_read
+        self.arrival_s = arrival_s
+        self.service_s = service_s
+        self.wait_s = 0.0
+        self.completion_s = 0.0
+        self.verified = verified
+        self.req = req
+        self.phases = phases
+        self.phase_idx = 0
+        #: Service time outside every station (CPU spans): the
+        #: non-contended tail between the last phase and completion.
+        self.residual = residual
+        #: Buffered spans, when the capture tracer keeps them.
+        self.entries = entries
+        #: Per-station queue waits ``(device, seconds)`` — collected
+        #: only when a profiler is attached (None otherwise).
+        self.waits = waits
 
     @property
     def latency_s(self) -> float:
         """Response time: queue wait plus service."""
         return self.wait_s + self.service_s
 
-
-class _Job:
-    """One in-flight request routing through its station phases."""
-
-    __slots__ = ("record", "req", "phases", "phase_idx", "residual",
-                 "entries", "waits")
-
-    def __init__(self, record: RequestRecord,
-                 req: Tuple[str, int, int],
-                 phases: List[Tuple[str, float]], residual: float,
-                 entries: Optional[List[_Span]],
-                 waits: Optional[List[Tuple[str, float]]] = None) -> None:
-        self.record = record
-        self.req = req
-        self.phases = phases
-        self.phase_idx = 0
-        self.residual = residual
-        self.entries = entries
-        #: Per-station queue waits ``(device, seconds)`` — collected
-        #: only when a profiler is attached (None otherwise).
-        self.waits = waits
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (f"RequestRecord(index={self.index}, "
+                f"is_read={self.is_read}, arrival_s={self.arrival_s}, "
+                f"service_s={self.service_s}, wait_s={self.wait_s}, "
+                f"completion_s={self.completion_s}, "
+                f"verified={self.verified})")
 
 
 def service_items(entries: List[_Span]) -> List[Tuple[str, str, float]]:
@@ -449,10 +489,13 @@ def service_items(entries: List[_Span]) -> List[Tuple[str, str, float]]:
     return items
 
 
+# Action names in ``EventEngine.event_log``.
 _ARRIVAL = "arrival"
 _PHASE_DONE = "phase_done"
 _BG_DONE = "background_done"
 _COMPLETE = "complete"
+
+_phase_dur = itemgetter(1)
 
 
 class EventEngine:
@@ -473,12 +516,13 @@ class EventEngine:
                  profiler=None) -> None:
         self.system = system
         self.config = config if config is not None else EngineConfig()
-        self.capture = _CaptureTracer(downstream_tracer)
         #: Critical-path profiler (:mod:`repro.sim.profile`).  The null
         #: default keeps completion handling at one branch.
         self.profiler = profiler if profiler is not None \
             else NULL_PROFILER
         self._profile = self.profiler.enabled
+        self.capture = _CaptureTracer(downstream_tracer,
+                                      keep_spans=self._profile)
         self._profile_from = 0
         self.stations: Dict[str, DeviceStation] = {}
         self.now = 0.0
@@ -493,7 +537,9 @@ class EventEngine:
         #: determinism test diffs two runs' logs exactly.
         self.event_log: Optional[List[Tuple[float, str, str]]] = \
             [] if keep_event_log else None
-        self._heap: List[Tuple[float, int, str, object]] = []
+        #: (time, sequence number, handler, payload); the sequence
+        #: number is unique, so handlers are never compared.
+        self._heap: List[Tuple[float, int, object, object]] = []
         self._seq = 0
         self._registry = None
         self._wait_hist = None
@@ -555,11 +601,13 @@ class EventEngine:
 
     # -- event heap --------------------------------------------------------
 
-    def _push(self, time_s: float, action: str, payload) -> None:
+    def _push(self, time_s: float, handler, payload) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (time_s, self._seq, action, payload))
+        heapq.heappush(self._heap, (time_s, self._seq, handler, payload))
 
     def _log_event(self, action: str, label: str) -> None:
+        """Append to the event log.  The per-event handlers call this
+        only when a log is kept, so a bare run formats no label."""
         if self.event_log is not None:
             self.event_log.append((self.now, action, label))
 
@@ -588,21 +636,16 @@ class EventEngine:
         self._on_complete = on_complete
         load.reset()
         if load.open_loop:
-            self._push(load.next_arrival(0.0), _ARRIVAL, None)
+            self._push(load.next_arrival(0.0), self._handle_arrival, None)
         else:
             for _ in range(load.clients):
-                self._push(load.initial_think(), _ARRIVAL, None)
-        while self._heap:
-            time_s, _seq, action, payload = heapq.heappop(self._heap)
-            self.now = time_s
-            if action == _ARRIVAL:
-                self._handle_arrival()
-            elif action == _PHASE_DONE:
-                self._handle_phase_done(payload)
-            elif action == _BG_DONE:
-                self._handle_bg_done(payload)
-            else:
-                self._handle_complete(payload)
+                self._push(load.initial_think(), self._handle_arrival,
+                           None)
+        heap = self._heap
+        heappop = heapq.heappop
+        while heap:
+            self.now, _seq, handler, payload = heappop(heap)
+            handler(payload)
         if self.faults is not None:
             self.faults.finish(self.now)
         return self.records
@@ -633,13 +676,15 @@ class EventEngine:
 
     # -- event handlers ----------------------------------------------------
 
-    def _handle_arrival(self) -> None:
+    def _handle_arrival(self, _payload=None) -> None:
         request = next(self._stream, None)
         if request is None:
-            self._log_event(_ARRIVAL, "drained")
+            if self.event_log is not None:
+                self._log_event(_ARRIVAL, "drained")
             return
         index = len(self.records)
-        self._log_event(_ARRIVAL, f"req{index}")
+        if self.event_log is not None:
+            self._log_event(_ARRIVAL, f"req{index}")
         if self.faults is not None:
             self.faults.on_admit(index)
         if self._on_admit is not None:
@@ -657,72 +702,59 @@ class EventEngine:
                 verified += 1
         else:
             latency = self.system.process(request)
-        req, entries, bg_jobs = self.capture.take_request()
-        record = RequestRecord(index=index, is_read=request.is_read,
-                               arrival_s=self.now, service_s=latency,
-                               verified=verified)
-        self.records.append(record)
+        req, phases, entries, bg_jobs = self.capture.take_request()
+        # The built-in ``sum``: it is compensated on Python >= 3.12, so
+        # a hand-written loop would yield different bits there.
+        covered = sum(map(_phase_dur, phases))
+        job = RequestRecord(
+            index, request.is_read, self.now, latency, verified,
+            req, phases, max(0.0, latency - covered), entries,
+            [] if self._profile and index >= self._profile_from else None)
+        self.records.append(job)
         self.in_flight += 1
-        phases = self._phases_of(entries)
-        covered = sum(dur for _station, dur in phases)
-        residual = max(0.0, latency - covered)
-        profiled = self._profile and index >= self._profile_from
-        job = _Job(record, req, phases, residual,
-                   entries if (self.capture.downstream is not None
-                               or profiled) else None,
-                   waits=[] if profiled else None)
         # Background work the request triggered becomes deferrable
         # backlog on the stations it targets.
         for device, dur in bg_jobs:
-            station = self._station(device)
-            station.backlog_s += dur
-            self._kick(station)
+            self.add_backlog(device, dur)
         if self._load.open_loop:
-            self._push(self._load.next_arrival(self.now), _ARRIVAL, None)
+            self._push(self._load.next_arrival(self.now),
+                       self._handle_arrival, None)
         self._route(job)
 
-    @staticmethod
-    def _phases_of(entries: List[_Span]) -> List[Tuple[str, float]]:
-        """Merge the request's device spans into ordered station phases.
-
-        Consecutive spans on the same device coalesce into one phase
-        (one queue entry per device visit, not per 4 KB block); CPU
-        spans and instants stay out — they become the non-contended
-        residual tail.
-        """
-        phases: List[Tuple[str, float]] = []
-        for entry in entries:
-            if entry.kind != "device" or entry.dur <= 0.0:
-                continue
-            if phases and phases[-1][0] == entry.device:
-                phases[-1] = (entry.device, phases[-1][1] + entry.dur)
-            else:
-                phases.append((entry.device, entry.dur))
-        return phases
-
-    def _route(self, job: _Job) -> None:
-        if job.phase_idx < len(job.phases):
-            self._enter(self._station(job.phases[job.phase_idx][0]), job)
-        else:
-            self._push(self.now + job.residual, _COMPLETE, job)
-
-    def _enter(self, station: DeviceStation, job: _Job) -> None:
+    def add_backlog(self, device: str, seconds: float) -> None:
+        """Queue deferrable background work on ``device``'s station."""
+        station = self._station(device)
         station.note_depth(self.now)
-        if station.free_slots > 0 and not station.waiting:
-            self._start_service(station, job)
-        else:
-            station.waiting.append((job, self.now))
+        station.backlog_s += seconds
+        self._kick(station)
 
-    def _start_service(self, station: DeviceStation, job: _Job) -> None:
-        dur = job.phases[job.phase_idx][1]
+    def _route(self, job: RequestRecord) -> None:
+        """Send ``job`` to the station of its next phase — into service
+        when a slot is free and nobody waits, else to the back of the
+        FIFO — or, past its last phase, schedule its completion after
+        the residual."""
+        if job.phase_idx == len(job.phases):
+            self._push(self.now + job.residual, self._handle_complete, job)
+            return
+        device, dur = job.phases[job.phase_idx]
+        station = self._station(device)
+        station.note_depth(self.now)
+        if station.waiting or \
+                station.active + station.bg_active >= station.slots:
+            station.waiting.append((job, self.now))
+        else:
+            self._start_service(station, job, dur)
+
+    def _start_service(self, station: DeviceStation, job: RequestRecord,
+                       dur: float) -> None:
         station.active += 1
         station.busy_s += dur
-        self._push(self.now + dur, _PHASE_DONE, (station, job))
+        self._push(self.now + dur, self._handle_phase_done, (station, job))
 
     def _handle_phase_done(self, payload) -> None:
         station, job = payload
-        self._log_event(_PHASE_DONE,
-                        f"{station.name}:req{job.record.index}")
+        if self.event_log is not None:
+            self._log_event(_PHASE_DONE, f"{station.name}:req{job.index}")
         station.note_depth(self.now)
         station.active -= 1
         station.served += 1
@@ -732,17 +764,21 @@ class EventEngine:
 
     def _kick(self, station: DeviceStation) -> None:
         """Fill free slots: waiting foreground first, then one
-        background quantum per remaining idle slot."""
-        station.note_depth(self.now)
-        while station.free_slots > 0 and station.waiting:
-            job, enqueued = station.waiting.popleft()
+        background quantum per remaining idle slot.  The caller has
+        advanced the station's depth integral to ``now``."""
+        free = station.slots - station.active - station.bg_active
+        waiting = station.waiting
+        while free > 0 and waiting:
+            job, enqueued = waiting.popleft()
             wait = self.now - enqueued
-            job.record.wait_s += wait
+            job.wait_s += wait
             if job.waits is not None and wait > 0.0:
                 job.waits.append((station.name, wait))
-            self._start_service(station, job)
-        while station.free_slots > 0 and station.backlog_s > 0.0 \
-                and not station.waiting:
+            self._start_service(station, job,
+                                job.phases[job.phase_idx][1])
+            free -= 1
+        # A slot still free here means nobody is waiting.
+        while free > 0 and station.backlog_s > 0.0:
             chunk = min(self.config.background_quantum_s,
                         station.backlog_s)
             station.backlog_s -= chunk
@@ -750,39 +786,41 @@ class EventEngine:
             station.busy_s += chunk
             station.bg_busy_s += chunk
             station.bg_chunks += 1
-            self._push(self.now + chunk, _BG_DONE, station)
+            self._push(self.now + chunk, self._handle_bg_done, station)
+            free -= 1
 
     def _handle_bg_done(self, station: DeviceStation) -> None:
-        self._log_event(_BG_DONE, station.name)
+        if self.event_log is not None:
+            self._log_event(_BG_DONE, station.name)
         station.note_depth(self.now)
         station.bg_active -= 1
         self._kick(station)
         if self.faults is not None:
             self.faults.on_event(self.now)
 
-    def _handle_complete(self, job: _Job) -> None:
-        record = job.record
-        self._log_event(_COMPLETE, f"req{record.index}")
+    def _handle_complete(self, record: RequestRecord) -> None:
+        if self.event_log is not None:
+            self._log_event(_COMPLETE, f"req{record.index}")
         record.completion_s = self.now
         self.last_completion_s = self.now
         self.in_flight -= 1
         self.queue_waits.record(record.wait_s)
         if self._wait_hist is not None:
             self._wait_hist.observe(record.wait_s * 1e6)
-        if job.entries is not None and \
-                self.capture.downstream is not None:
-            self.capture.replay(job.req, job.entries, record.wait_s,
+        if record.entries is not None:
+            self.capture.replay(record.req, record.entries, record.wait_s,
                                 record.latency_s)
-        if job.waits is not None:
-            items = [(device, "queue_wait", dur)
-                     for device, dur in job.waits]
-            items.extend(service_items(job.entries))
-            self.profiler.record_request(job.req[0], items,
-                                         record.latency_s)
+            if record.waits is not None:
+                items = [(device, "queue_wait", dur)
+                         for device, dur in record.waits]
+                items.extend(service_items(record.entries))
+                self.profiler.record_request(record.req[0], items,
+                                             record.latency_s)
+        record.req = record.phases = record.entries = record.waits = None
         if self._on_complete is not None:
             self._on_complete(record)
         if self.faults is not None:
             self.faults.on_event(self.now)
         if not self._load.open_loop:
-            self._push(self.now + self._load.next_think(), _ARRIVAL,
-                       None)
+            self._push(self.now + self._load.next_think(),
+                       self._handle_arrival, None)

@@ -304,9 +304,7 @@ class FaultInjector:
         one quantum at a time instead of stalling it."""
         if seconds <= 0.0:
             return
-        station = self.engine._station(device)
-        station.backlog_s += seconds
-        self.engine._kick(station)
+        self.engine.add_backlog(device, seconds)
 
     def _device(self, *names: str):
         """First device of the system whose label matches ``names``."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
+from collections import defaultdict
 from typing import Dict, Iterable, List, Optional
 
 
@@ -181,14 +182,14 @@ class StatsCollector:
     """
 
     def __init__(self) -> None:
-        self._counters: Dict[str, int] = {}
+        self._counters: Dict[str, int] = defaultdict(int)
         self._latencies: Dict[str, LatencyStats] = {}
 
     # -- counters ---------------------------------------------------------
 
     def bump(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` by ``amount`` (creating it at 0)."""
-        self._counters[name] = self._counters.get(name, 0) + amount
+        self._counters[name] += amount
 
     def count(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never bumped)."""
@@ -202,11 +203,18 @@ class StatsCollector:
 
     def record_latency(self, klass: str, seconds: float) -> None:
         """Record one latency sample under class ``klass``."""
-        self._latencies.setdefault(klass, LatencyStats()).record(seconds)
+        try:
+            stats = self._latencies[klass]
+        except KeyError:
+            stats = self.latency(klass)
+        stats.record(seconds)
 
     def latency(self, klass: str) -> LatencyStats:
         """The stats object for ``klass`` (empty if nothing recorded)."""
-        return self._latencies.setdefault(klass, LatencyStats())
+        stats = self._latencies.get(klass)
+        if stats is None:
+            stats = self._latencies[klass] = LatencyStats()
+        return stats
 
     def latency_classes(self) -> Iterable[str]:
         return list(self._latencies)

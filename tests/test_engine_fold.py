@@ -1,0 +1,175 @@
+"""The capture tracer's fold-at-emission against the after-the-fact
+reference, and the host-cost properties of a bare event run.
+
+``tests/reference/engine.py`` derives a request's station phases from
+its buffered spans, the way the engine did before the tracer folded them
+on the way in.  With a recording tracer downstream the spans exist, so
+both derivations run on the same request and must agree exactly.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from reference.engine import _phases_of, residual_of
+from repro.experiments.parallel import RunSpec, run_spec
+from repro.experiments.runner import run_benchmark
+from repro.sim import engine as engine_module
+from repro.sim.engine import EventEngine
+from repro.sim.load import default_closed_loop
+from repro.sim.trace import RingBufferTracer
+
+SYSTEMS = ("icash", "fusion-io", "raid0", "lru", "dedup")
+WORKLOADS = (("sysbench", 0.25, 600), ("tpcc", 0.25, 600),
+             ("specsfs", 0.1, 500))
+
+
+@pytest.fixture
+def taken(monkeypatch):
+    """Every ``take_request`` result of the test's runs, in order."""
+    seen = []
+    original = engine_module._CaptureTracer.take_request
+
+    def spy(self):
+        result = original(self)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(engine_module._CaptureTracer, "take_request", spy)
+    return seen
+
+
+class TestFoldAtEmissionMatchesReference:
+    @pytest.mark.parametrize("system", SYSTEMS)
+    @pytest.mark.parametrize("workload,scale,n_requests", WORKLOADS)
+    def test_phases_and_residuals(self, taken, workload, scale,
+                                  n_requests, system):
+        spec = RunSpec(workload=workload, system=system, engine="event",
+                       n_requests=n_requests, scale=scale)
+        wl = spec.build_workload()
+        storage = spec.build_system(wl)
+        storage.ingest()
+        sim = EventEngine(storage,
+                          downstream_tracer=RingBufferTracer(None))
+        records = sim.run(wl, default_closed_loop(wl))
+        assert len(records) == len(taken) == n_requests
+        for record, (_req, phases, entries, _bg) in zip(records, taken):
+            assert entries is not None
+            # Tuples of (str, float): == is exact on both.
+            assert phases == _phases_of(entries)
+            assert record.residual == residual_of(entries,
+                                                  record.service_s)
+
+    def test_zero_length_and_non_device_emissions(self):
+        # No device model emits a zero-length span today, so the skip
+        # rule gets emissions made by hand: a skipped span must not
+        # split the phase around it, and spans, instants, marks and
+        # background work stay out of the phases.
+        capture = engine_module._CaptureTracer(keep_spans=True)
+        capture.begin_request("read", 0, 3)
+        capture.device_span("ssd", "read", 1e-5)
+        capture.device_span("hdd", "read", 0.0)
+        capture.device_span("ssd", "read", 2e-5)
+        capture.span("delta_decode", 3e-6)
+        capture.instant("ram_hit")
+        capture.mark("ssd_gc", 1e-6)
+        capture.begin_background("flush")
+        capture.device_span("hdd", "write", 4e-3)
+        capture.end_background()
+        capture.device_span("hdd", "read", 5e-3)
+        capture.device_span("hdd", "read", -1.0)
+        capture.end_request(5.033e-3)
+        _req, phases, entries, bg = capture.take_request()
+        assert phases == _phases_of(entries) \
+            == [("ssd", 1e-5 + 2e-5), ("hdd", 5e-3)]
+        assert len(entries) == 8
+        assert bg == [("hdd", 4e-3)]
+
+    def test_runs_cover_coalescing_multi_phase_and_background(self, taken):
+        # What the equality above is worth: the sampled runs include
+        # requests whose spans coalesce, requests visiting several
+        # stations, multi-block requests and background jobs.
+        for workload, scale, n_requests in WORKLOADS:
+            spec = RunSpec(workload=workload, system="icash",
+                           engine="event", n_requests=n_requests,
+                           scale=scale)
+            wl = spec.build_workload()
+            run_benchmark(wl, spec.build_system(wl), engine="event",
+                          tracer=RingBufferTracer(None))
+        device_spans = [[e for e in entries if e.kind == "device"]
+                        for _req, _phases, entries, _bg in taken]
+        assert any(len([e for e in spans if e.dur > 0.0]) > len(phases)
+                   for spans, (_r, phases, _e, _b)
+                   in zip(device_spans, taken))
+        assert any(len(phases) > 1 for _r, phases, _e, _b in taken)
+        assert any(nblocks > 1 for (_op, _lba, nblocks), _p, _e, _b
+                   in taken)
+        assert any(bg for _r, _p, _e, bg in taken)
+
+
+class TestBareRunBuildsNothingToThrowAway:
+    def test_no_spans_and_no_event_labels(self, monkeypatch, taken):
+        spans = []
+        labels = []
+
+        class CountingSpan(engine_module._Span):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                spans.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(engine_module, "_Span", CountingSpan)
+        monkeypatch.setattr(EventEngine, "_log_event",
+                            lambda self, action, label:
+                            labels.append(label))
+        spec = RunSpec(workload="sysbench", system="icash",
+                       engine="event", n_requests=400, scale=0.25)
+        assert run_spec(spec).n_requests == 400
+        assert spans == [] and labels == []
+        assert all(entries is None for _r, _p, entries, _b in taken)
+        # The same run with a consumer attached does buffer them.
+        wl = spec.build_workload()
+        run_benchmark(wl, spec.build_system(wl), engine="event",
+                      tracer=RingBufferTracer(None))
+        assert spans
+
+
+def _python_calls(fn) -> int:
+    """Python-level function calls made while ``fn`` runs."""
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestHostCostBudget:
+    #: Python function calls per request, tpcc / raid0 / event engine,
+    #: whole ``run_spec`` (set-up and ingest included, request stream
+    #: memoised).  The count does not depend on the host, so this pins
+    #: host cost where a wall-clock gate cannot.  10 % above the 62.7
+    #: measured on CPython 3.11 when the budget was set (90.9 before
+    #: the capture tracer folded phases at emission; 40.6 on the legacy
+    #: engine).
+    BUDGET_CALLS_PER_REQUEST = 69.0
+
+    def test_calls_per_request_within_budget(self):
+        n_requests = 2000
+        spec = RunSpec(workload="tpcc", system="raid0", engine="event",
+                       n_requests=n_requests, scale=0.5)
+        run_spec(spec)  # fill the dataset and request-stream memos
+        per_request = _python_calls(lambda: run_spec(spec)) / n_requests
+        assert per_request <= self.BUDGET_CALLS_PER_REQUEST, (
+            f"{per_request:.1f} python calls per request, budget "
+            f"{self.BUDGET_CALLS_PER_REQUEST}")

@@ -148,10 +148,33 @@ class TestRecord:
         common = os.path.commonprefix([run_a, run_b])
         with pytest.raises(KeyError, match="ambiguous"):
             store.get(common)
+        # A digit-only ref that is no seq is tried as a run-id prefix,
+        # so pick one that neither (commit-dependent) id starts with.
+        no_seq = next(ref for ref in ("97", "98", "99")
+                      if not run_a.startswith(ref)
+                      and not run_b.startswith(ref))
         with pytest.raises(KeyError, match="no ledger row"):
-            store.get("99")
+            store.get(no_seq)
         with pytest.raises(KeyError, match="no ledger row"):
             store.get("feedfacefeedface")
+
+    def test_get_all_digit_prefix_falls_through_to_run_id(
+            self, tmp_path, monkeypatch):
+        # Run ids are hex, so an 8-character prefix is all digits for
+        # about one commit in forty; it must not be mistaken for a seq.
+        monkeypatch.setattr(ledger_module, "run_id_for",
+                            lambda body: "2650563600000000")
+        store = _writer(tmp_path)
+        run_id = store.record(_small_result(), command="run",
+                              spec={"seed": 2011})
+        assert run_id == "2650563600000000"
+        assert store.get("26505636").run_id == run_id
+        # A seq hit still wins over a prefix reading of the same digits.
+        monkeypatch.setattr(ledger_module, "run_id_for",
+                            lambda body: "1000000000000000")
+        store.record(_small_result(seed=7), command="run",
+                     spec={"seed": 7})
+        assert store.get("1").run_id == run_id
 
     def test_parse_filters(self):
         assert parse_filters(["workload=tpcc", "seed=7"]) \

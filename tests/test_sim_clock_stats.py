@@ -132,6 +132,28 @@ class TestStatsCollector:
         assert stats.latency("write").mean == 3.0
         assert set(stats.latency_classes()) == {"read", "write"}
 
+    def test_existing_class_constructs_no_stats_object(self, monkeypatch):
+        # A LatencyStats is built once per class, on first use — not
+        # built and thrown away on every call.
+        built = []
+        original = LatencyStats.__init__
+
+        def counting_init(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(LatencyStats, "__init__", counting_init)
+        stats = StatsCollector()
+        stats.record_latency("read", 1.0)
+        assert len(built) == 1
+        for _ in range(5):
+            stats.record_latency("read", 2.0)
+            stats.latency("read")
+        assert len(built) == 1
+        assert stats.latency("read").count == 6
+        assert stats.latency("write") is stats.latency("write")
+        assert len(built) == 2
+
     def test_merge(self):
         a, b = StatsCollector(), StatsCollector()
         a.bump("ops", 2)
