@@ -9,13 +9,14 @@ and rare spills — must project the longest life per flash block.
 
 from repro.experiments.lifetime import (lifetime_projection,
                                         render_lifetime_table)
-from repro.workloads import SysBenchWorkload
+from repro.experiments.parallel import RunSpec
 
 
 def test_table6_lifetime_projection(benchmark):
     rows = benchmark.pedantic(
         lambda: lifetime_projection(
-            lambda: SysBenchWorkload(n_requests=10000)),
+            RunSpec(workload="sysbench", n_requests=10000,
+                    warmup_fraction=0.4)),
         rounds=1, iterations=1)
     print()
     print(render_lifetime_table(rows, "SSD lifetime after SysBench"))

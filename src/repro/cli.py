@@ -17,10 +17,10 @@ import sys
 from typing import List, Optional
 
 from repro.experiments import figures as figures_module
+from repro.experiments.parallel import RunSpec
+from repro.experiments.runner import record_run, run_benchmark
 from repro.experiments.sweeps import render_sweep, sweep_config
-from repro.workloads import ALL_WORKLOADS
-
-_WORKLOADS = {cls.name: cls for cls in ALL_WORKLOADS}
+from repro.workloads import WORKLOADS
 
 #: Which document explains each subcommand.  Every subcommand's help
 #: string names its entry here (the CLI help test audits the mapping),
@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser("profile",
                              help="measure a workload's Table 4 profile "
                                   f"(see {COMMAND_DOCS['profile']})")
-    profile.add_argument("workload", choices=sorted(_WORKLOADS))
+    profile.add_argument("workload", choices=sorted(WORKLOADS))
     profile.add_argument("--requests", type=int, default=4000)
 
     sweep = sub.add_parser("sweep",
@@ -110,14 +110,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "analyze", help="measure a workload's content locality "
                         "(the paper's Section 2.2 claims; see "
                         f"{COMMAND_DOCS['analyze']})")
-    analyze.add_argument("workload", choices=sorted(_WORKLOADS))
+    analyze.add_argument("workload", choices=sorted(WORKLOADS))
     analyze.add_argument("--requests", type=int, default=2000)
 
     run = sub.add_parser(
         "run", help="run one workload on one architecture and print the "
                     "full diagnosis (result, element status, path "
                     f"breakdowns) (see {COMMAND_DOCS['run']})")
-    run.add_argument("workload", choices=sorted(_WORKLOADS))
+    run.add_argument("workload", choices=sorted(WORKLOADS))
     run.add_argument("--system", default="icash",
                      choices=["fusion-io", "raid0", "dedup", "lru",
                               "icash"])
@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace", help="run one workload under the tracer and write a "
                       "per-request trace file (see docs/OBSERVABILITY.md)")
     trace.add_argument("--workload", default="sysbench",
-                       choices=sorted(_WORKLOADS))
+                       choices=sorted(WORKLOADS))
     trace.add_argument("--system", default="icash",
                        choices=["fusion-io", "raid0", "dedup", "lru",
                                 "icash"])
@@ -149,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "print a per-window report "
                         "(see docs/OBSERVABILITY.md)")
     monitor.add_argument("--workload", default="sysbench",
-                         choices=sorted(_WORKLOADS))
+                         choices=sorted(WORKLOADS))
     monitor.add_argument("--system", default="icash",
                          choices=["fusion-io", "raid0", "dedup", "lru",
                                   "icash"])
@@ -176,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "saturation knee (throughput/latency curve, "
                          f"CSV + ASCII) (see {COMMAND_DOCS['loadtest']})")
     loadtest.add_argument("--workload", default="sysbench",
-                          choices=sorted(_WORKLOADS))
+                          choices=sorted(WORKLOADS))
     loadtest.add_argument("--system", default="icash",
                           choices=["fusion-io", "raid0", "dedup", "lru",
                                    "icash"])
@@ -214,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "attribution table with a blame summary "
                          "(see docs/OBSERVABILITY.md)")
     critpath.add_argument("--workload", default="sysbench",
-                          choices=sorted(_WORKLOADS))
+                          choices=sorted(WORKLOADS))
     critpath.add_argument("--system", default="icash",
                           choices=["fusion-io", "raid0", "dedup", "lru",
                                    "icash"])
@@ -405,6 +405,16 @@ def _ledger_note(ledger) -> None:
               f"{ledger.root} (inspect with 'repro ledger list')")
 
 
+def _build_run(workload_name: str, system_name: str, requests: int,
+               **spec_fields):
+    """A single-run verb's spec and the live workload and system built
+    from it (the verbs attach observers no worker could be sent)."""
+    spec = RunSpec(workload=workload_name, system=system_name,
+                   n_requests=requests, **spec_fields)
+    workload = spec.build_workload()
+    return spec, workload, spec.build_system(workload)
+
+
 def _cmd_list() -> int:
     print("figures:")
     for name in figures_module.ALL_FIGURES:
@@ -412,7 +422,7 @@ def _cmd_list() -> int:
     print("also: figure7 / figure9 (read+write pairs), table5, table6 "
           "run via pytest benchmarks/")
     print("\nworkloads:")
-    for name in sorted(_WORKLOADS):
+    for name in sorted(WORKLOADS):
         print(f"  {name}")
     return 0
 
@@ -459,7 +469,7 @@ def _cmd_figure(name: str, requests: Optional[int],
 
 
 def _cmd_profile(workload_name: str, requests: int) -> int:
-    cls = _WORKLOADS[workload_name]
+    cls = WORKLOADS[workload_name]
     workload = cls(scale=0.25, n_requests=requests)
     measured = workload.measured_profile()
     print("measured:", measured.format_row())
@@ -469,16 +479,12 @@ def _cmd_profile(workload_name: str, requests: int) -> int:
 
 def _cmd_sweep(parameter: str, raw_values: List[str],
                requests: int, jobs: int = 1, ledger=None) -> int:
-    from repro.experiments.parallel import RunSpec
-    from repro.workloads import SysBenchWorkload
-
     values = [_parse_value(v) for v in raw_values]
     try:
         points = sweep_config(
-            lambda: SysBenchWorkload(n_requests=requests),
-            parameter, values, jobs=jobs,
-            base_spec=RunSpec(workload="sysbench", n_requests=requests),
-            ledger=ledger)
+            RunSpec(workload="sysbench", n_requests=requests,
+                    warmup_fraction=0.4),
+            parameter, values, jobs=jobs, ledger=ledger)
     except TypeError as error:
         print(f"bad parameter {parameter!r}: {error}", file=sys.stderr)
         return 2
@@ -498,7 +504,7 @@ def _cmd_validate(requests: Optional[int]) -> int:
 def _cmd_analyze(workload_name: str, requests: int) -> int:
     from repro.analysis import analyze_dataset, analyze_writes
 
-    cls = _WORKLOADS[workload_name]
+    cls = WORKLOADS[workload_name]
     workload = cls(scale=0.25, n_requests=requests)
     dataset = workload.build_dataset()
     locality = analyze_dataset(dataset, sample=min(2000,
@@ -513,15 +519,10 @@ def _cmd_analyze(workload_name: str, requests: int) -> int:
 
 def _cmd_run(workload_name: str, system_name: str, requests: int,
              verify: bool, ledger=None) -> int:
-    from repro.experiments.runner import run_benchmark
-    from repro.experiments.systems import make_system
-
-    workload = _WORKLOADS[workload_name](n_requests=requests)
-    system = make_system(system_name, workload)
+    spec, workload, system = _build_run(workload_name, system_name,
+                                        requests)
     result = run_benchmark(workload, system, verify_reads=verify)
-    if getattr(ledger, "enabled", False):
-        ledger.record(result, command="run",
-                      spec={"seed": getattr(workload, "seed", None)})
+    record_run(ledger, result, "run", spec)
     print(f"{workload_name} on {system_name}: "
           f"{result.transactions_per_s:.1f} tx/s, "
           f"read {result.read_mean_us:.1f} us "
@@ -549,13 +550,10 @@ def _cmd_run(workload_name: str, system_name: str, requests: int,
 
 def _cmd_trace(workload_name: str, system_name: str, requests: int,
                out: str, buffer_events: int) -> int:
-    from repro.experiments.runner import run_benchmark
-    from repro.experiments.systems import make_system
     from repro.sim.trace import (RingBufferTracer, export_chrome_trace,
                                  export_jsonl, phase_breakdown)
 
-    workload = _WORKLOADS[workload_name](n_requests=requests)
-    system = make_system(system_name, workload)
+    _, workload, system = _build_run(workload_name, system_name, requests)
     tracer = RingBufferTracer(capacity_events=buffer_events)
     run_benchmark(workload, system, tracer=tracer)
     if out.endswith(".jsonl"):
@@ -594,19 +592,15 @@ def _cmd_monitor(workload_name: str, system_name: str, requests: int,
     import json
     import os
 
-    from repro.experiments.runner import run_benchmark
-    from repro.experiments.systems import make_system
     from repro.sim.metrics import (Monitor, export_prometheus,
                                    export_series_csv, export_series_jsonl)
 
-    workload = _WORKLOADS[workload_name](n_requests=requests)
-    system = make_system(system_name, workload)
+    spec, workload, system = _build_run(workload_name, system_name,
+                                        requests)
     monitor = Monitor(interval_s=interval_s, max_windows=max_windows)
     result = run_benchmark(workload, system, monitor=monitor)
-    if getattr(ledger, "enabled", False):
-        ledger.record(result, command="monitor",
-                      spec={"seed": getattr(workload, "seed", None)},
-                      extra={"interval_s": interval_s})
+    record_run(ledger, result, "monitor", spec,
+               extra={"interval_s": interval_s})
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "series.csv")
@@ -678,20 +672,16 @@ def _cmd_loadtest(workload_name: str, system_name: str, requests: int,
                   seed: int, csv_path: Optional[str],
                   compare: bool, jobs: int = 1, ledger=None) -> int:
     from repro.experiments import loadtest
-    from repro.experiments.parallel import RunSpec
 
-    def workload_factory():
-        return _WORKLOADS[workload_name](n_requests=requests)
-
-    base_spec = RunSpec(workload=workload_name, n_requests=requests)
+    spec = RunSpec(workload=workload_name, system=system_name,
+                   n_requests=requests)
 
     if compare:
         print(f"comparing architectures at their saturation knees "
               f"({workload_name}, {requests} requests/run)...")
         reports = loadtest.compare_at_knee(
-            workload_factory, distribution=distribution, seed=seed,
-            progress=True, jobs=jobs, base_spec=base_spec,
-            ledger=ledger)
+            spec, distribution=distribution, seed=seed,
+            progress=True, jobs=jobs, ledger=ledger)
         print(loadtest.render_comparison(reports))
         _ledger_note(ledger)
         return 0
@@ -701,9 +691,7 @@ def _cmd_loadtest(workload_name: str, system_name: str, requests: int,
         print(f"{workload_name} on {system_name}: sweeping "
               f"{len(sweep)} explicit rates ({distribution} arrivals)")
     else:
-        capacity = loadtest.calibrate_capacity(workload_factory,
-                                               system_name,
-                                               ledger=ledger)
+        capacity = loadtest.calibrate_capacity(spec, ledger=ledger)
         span_t = tuple(span) if span is not None \
             else loadtest.DEFAULT_SPAN
         sweep = loadtest.auto_rates(capacity, points, span=span_t)
@@ -711,10 +699,8 @@ def _cmd_loadtest(workload_name: str, system_name: str, requests: int,
               f"{capacity:.0f} requests/s; sweeping {len(sweep)} rates "
               f"across {span_t[0]:.1f}-{span_t[1]:.1f}x "
               f"({distribution} arrivals)")
-    curve = loadtest.sweep_rates(workload_factory, system_name, sweep,
-                                 distribution=distribution, seed=seed,
-                                 jobs=jobs, base_spec=base_spec,
-                                 ledger=ledger)
+    curve = loadtest.sweep_rates(spec, sweep, distribution=distribution,
+                                 seed=seed, jobs=jobs, ledger=ledger)
     print()
     print(loadtest.render_curve(curve))
     if csv_path is not None:
@@ -730,18 +716,16 @@ def _cmd_critpath(workload_name: str, system_name: str, requests: int,
                   as_json: bool = False) -> int:
     import json
 
-    from repro.experiments.runner import run_benchmark
-    from repro.experiments.systems import make_system
-    from repro.sim.load import OpenLoopLoad
     from repro.sim.profile import Profiler, export_folded
     from repro.sim.trace import RingBufferTracer
 
-    workload = _WORKLOADS[workload_name](n_requests=requests)
-    system = make_system(system_name, workload)
+    spec, workload, system = _build_run(
+        workload_name, system_name, requests, engine=engine,
+        load=None if rate is None else ("open", rate, "poisson", seed))
     profiler = Profiler()
-    load = OpenLoopLoad(rate, seed=seed) if rate is not None else None
     tracer = RingBufferTracer() if folded is not None else None
-    result = run_benchmark(workload, system, engine=engine, load=load,
+    result = run_benchmark(workload, system, engine=engine,
+                           load=spec.build_load(),
                            profiler=profiler, tracer=tracer)
     table = profiler.table
     if not as_json:
@@ -839,7 +823,7 @@ def _cmd_bench(quick: bool, out_dir: str, compare_path: Optional[str],
         print(f"running {suite} suite{workers}...")
         current = bench.run_suite(
             quick=quick, jobs=jobs, ledger=ledger, seed=seed,
-            progress=lambda case: print(f"  {case.case}"))
+            progress=lambda spec: print(f"  {bench.case_name(spec)}"))
         path = bench.write_bench(current, out_dir)
         print(f"wrote {path} (schema v{current['schema_version']}, "
               f"{len(current['cases'])} cases)")

@@ -26,10 +26,9 @@ import os
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.experiments.runner import RunResult, run_benchmark
-from repro.experiments.systems import make_system
-from repro.sim.profile import Profiler
-from repro.workloads import ALL_WORKLOADS
+from repro.experiments.parallel import (RunSpec, record_outcomes,
+                                        run_specs)
+from repro.experiments.runner import RunResult
 
 #: Version of the ``BENCH_<n>.json`` layout (documented in
 #: docs/OBSERVABILITY.md, doc-parity tested).  Bump on any breaking
@@ -42,41 +41,32 @@ from repro.workloads import ALL_WORKLOADS
 #: ``host_wall_s`` it is provenance, never a compared metric.
 BENCH_SCHEMA_VERSION = 3
 
-_WORKLOADS = {cls.name: cls for cls in ALL_WORKLOADS}
-
-
-@dataclass(frozen=True)
-class BenchCase:
-    """One deterministic suite entry."""
-
-    case: str
-    workload: str
-    system: str
-    engine: str
-    seed: int
-    n_requests: int
-    scale: float = 1.0
-
 
 def _cases(workloads: Iterable[str], engines: Iterable[str],
            system: str, seed: int, n_requests: int,
-           scale: float) -> Tuple[BenchCase, ...]:
+           scale: float) -> Tuple[RunSpec, ...]:
+    """Suite entries: profiled runs, named by :func:`case_name`."""
     return tuple(
-        BenchCase(case=f"{wl}-{system}-{engine}", workload=wl,
-                  system=system, engine=engine, seed=seed,
-                  n_requests=n_requests, scale=scale)
+        RunSpec(workload=wl, system=system, engine=engine,
+                n_requests=n_requests, seed=seed, scale=scale,
+                profile=True)
         for wl in workloads for engine in engines)
+
+
+def case_name(spec: RunSpec) -> str:
+    """The name a suite entry goes by in BENCH documents."""
+    return f"{spec.workload}-{spec.system}-{spec.engine}"
 
 
 #: Smoke suite for every push: the paper's headline workload (SysBench,
 #: Figures 6-8) on I-CASH under both engines.
-QUICK_SUITE: Tuple[BenchCase, ...] = _cases(
+QUICK_SUITE: Tuple[RunSpec, ...] = _cases(
     ("sysbench",), ("legacy", "event"), system="icash", seed=2011,
     n_requests=600, scale=0.5)
 
 #: Full suite: one workload per benchmark family (Table 4) x both
 #: engines, all on I-CASH at the paper's seed.
-FULL_SUITE: Tuple[BenchCase, ...] = _cases(
+FULL_SUITE: Tuple[RunSpec, ...] = _cases(
     ("sysbench", "hadoop", "tpcc", "loadsim", "specsfs", "rubis"),
     ("legacy", "event"), system="icash", seed=2011, n_requests=1200,
     scale=0.5)
@@ -100,28 +90,7 @@ METRIC_POLICY: Dict[str, Tuple[str, float, Optional[str]]] = {
 NOISE_Z = 3.0
 
 
-def run_case(case: BenchCase) -> RunResult:
-    """Run one suite entry with the profiler attached."""
-    cls = _WORKLOADS[case.workload]
-    workload = cls(scale=case.scale, n_requests=case.n_requests,
-                   seed=case.seed)
-    system = make_system(case.system, workload)
-    return run_benchmark(workload, system, engine=case.engine,
-                         profiler=Profiler())
-
-
-def case_spec(case: BenchCase):
-    """The :class:`~repro.experiments.parallel.RunSpec` equivalent of
-    :func:`run_case` — same workload construction, engine, and attached
-    profiler, so the result is bit-identical wherever it executes."""
-    from repro.experiments.parallel import RunSpec
-
-    return RunSpec(workload=case.workload, system=case.system,
-                   engine=case.engine, n_requests=case.n_requests,
-                   seed=case.seed, scale=case.scale, profile=True)
-
-
-def case_record(case: BenchCase, result: RunResult,
+def case_record(spec: RunSpec, result: RunResult,
                 host_wall_s: Optional[float] = None,
                 ledger_run_id: Optional[str] = None
                 ) -> Dict[str, object]:
@@ -141,13 +110,13 @@ def case_record(case: BenchCase, result: RunResult,
             stats = table.latency(op)
             noise[op] = {"std_us": stats.std_us, "n": stats.count}
     return {
-        "case": case.case,
-        "workload": case.workload,
-        "system": case.system,
-        "engine": case.engine,
-        "seed": case.seed,
-        "n_requests": case.n_requests,
-        "scale": case.scale,
+        "case": case_name(spec),
+        "workload": spec.workload,
+        "system": spec.system,
+        "engine": spec.engine,
+        "seed": spec.seed,
+        "n_requests": spec.n_requests,
+        "scale": spec.scale,
         "n_measured": result.n_measured,
         "host_wall_s": host_wall_s,
         "ledger_run_id": ledger_run_id,
@@ -164,7 +133,8 @@ def run_suite(quick: bool = False, progress=None,
 
     ``jobs > 1`` fans the (independent, deterministic) cases out across
     worker processes; every field except the machine-dependent
-    ``host_wall_s`` is byte-identical to a serial run.
+    ``host_wall_s`` is byte-identical to a serial run.  ``progress`` is
+    called with each case's spec as its result is awaited.
 
     ``ledger`` (a :class:`repro.ledger.LedgerWriter`) records every
     case into the persistent run store — always in suite order, in
@@ -175,33 +145,19 @@ def run_suite(quick: bool = False, progress=None,
     probes feeding ``repro ledger diff``, *not* for ``--compare``
     (a non-default seed moves every metric off the committed baseline).
     """
-    from repro.experiments.parallel import run_specs
-
     suite = QUICK_SUITE if quick else FULL_SUITE
     if seed is not None:
-        suite = tuple(replace(case, seed=seed) for case in suite)
-    if progress is not None:
-        case_iter = iter(suite)
-
-        def spec_progress(_spec):
-            progress(next(case_iter))
-    else:
-        spec_progress = None
-    outcomes = run_specs([case_spec(case) for case in suite], jobs=jobs,
-                         progress=spec_progress)
-    recording = ledger is not None and getattr(ledger, "enabled", False)
+        suite = tuple(replace(spec, seed=seed) for spec in suite)
     suite_name = "quick" if quick else "full"
-    cases = []
-    for case, outcome in zip(suite, outcomes):
-        run_id = None
-        if recording:
-            run_id = ledger.record(
-                outcome.result, command="bench", spec=case_spec(case),
-                extra={"case": case.case, "suite": suite_name},
-                host_wall_s=outcome.host_wall_s)
-        cases.append(case_record(case, outcome.result,
-                                 host_wall_s=outcome.host_wall_s,
-                                 ledger_run_id=run_id))
+    outcomes = run_specs(suite, jobs=jobs, progress=progress)
+    run_ids = record_outcomes(
+        ledger, "bench", suite, outcomes,
+        [{"case": case_name(spec), "suite": suite_name}
+         for spec in suite])
+    cases = [case_record(spec, outcome.result,
+                         host_wall_s=outcome.host_wall_s,
+                         ledger_run_id=run_id)
+             for spec, outcome, run_id in zip(suite, outcomes, run_ids)]
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
         "suite": suite_name,

@@ -25,17 +25,15 @@ CI gate, not a dice roll.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.loadtest import calibrate_capacity
-from repro.experiments.runner import run_benchmark
-from repro.experiments.systems import make_system
+from repro.experiments.parallel import RunSpec
+from repro.experiments.runner import record_run, run_benchmark
 from repro.sim.faults import FAULT_KINDS, FaultPlan
-from repro.sim.load import OpenLoopLoad
 from repro.sim.metrics import Monitor, SLORule
-from repro.workloads import ALL_WORKLOADS
 
 __all__ = [
     "ChaosScenario",
@@ -213,13 +211,11 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _workload_factory(name: str, n_requests: int):
-    classes = {cls.name: cls for cls in ALL_WORKLOADS}
-    if name not in classes:
-        raise ValueError(f"unknown chaos workload {name!r}; pick one "
-                         f"of {sorted(classes)}")
-    cls = classes[name]
-    return lambda: cls(n_requests=n_requests)
+def _scenario_spec(scenario: ChaosScenario, n_requests: int) -> RunSpec:
+    """The scenario's workload on the I-CASH element, before a load
+    is chosen."""
+    return RunSpec(workload=scenario.workload, n_requests=n_requests,
+                   engine="event")
 
 
 def run_scenario(scenario: ChaosScenario, seed: int = 1234,
@@ -236,18 +232,21 @@ def run_scenario(scenario: ChaosScenario, seed: int = 1234,
     scenario's run — provenance, metric snapshot, fault outcomes —
     plus the verdict under ``command="chaos"``.
     """
-    factory = _workload_factory(scenario.workload, n_requests)
+    spec = _scenario_spec(scenario, n_requests)
     if capacity_rps is None:
-        capacity_rps = calibrate_capacity(factory, "icash")
-    workload = factory()
-    system = make_system("icash", workload)
-    plan = FaultPlan.single(scenario.fault_kind,
-                            at_request=n_requests // 2, seed=seed)
-    monitor = Monitor(interval_s=0.02, rules=scenario_rules())
+        capacity_rps = calibrate_capacity(spec)
+    spec = replace(spec, load=("open", LOAD_FRACTION * capacity_rps,
+                               "poisson", seed))
+    # A monitor and a fault plan are live objects no worker can be
+    # sent, so this run stays in-process, built from its spec.
+    workload = spec.build_workload()
     result = run_benchmark(
-        workload, system, engine="event",
-        load=OpenLoopLoad(LOAD_FRACTION * capacity_rps, seed=seed),
-        monitor=monitor, fault_plan=plan)
+        workload, spec.build_system(workload), engine=spec.engine,
+        load=spec.build_load(),
+        monitor=Monitor(interval_s=0.02, rules=scenario_rules()),
+        fault_plan=FaultPlan.single(scenario.fault_kind,
+                                    at_request=n_requests // 2,
+                                    seed=seed))
     report = result.faults
     outcome = report.outcomes[0]
 
@@ -289,15 +288,12 @@ def run_scenario(scenario: ChaosScenario, seed: int = 1234,
         loss_window_blocks=outcome.data_loss_window_blocks,
         detected=outcome.detected,
         notes="; ".join(notes))
-    if ledger is not None and getattr(ledger, "enabled", False):
-        ledger.record(
-            result, command="chaos",
-            spec={"seed": seed},
-            extra={"scenario": scenario.scenario_id,
-                   "fault_kind": scenario.fault_kind,
-                   "passed": verdict.passed,
-                   "breaches": verdict.breaches,
-                   "recovery_s": round(verdict.recovery_s, 9)})
+    record_run(ledger, result, "chaos", spec,
+               extra={"scenario": scenario.scenario_id,
+                      "fault_kind": scenario.fault_kind,
+                      "passed": verdict.passed,
+                      "breaches": verdict.breaches,
+                      "recovery_s": round(verdict.recovery_s, 9)})
     return verdict
 
 
@@ -309,9 +305,8 @@ def run_matrix(scenarios: Sequence[ChaosScenario] = SCENARIOS,
     verdicts: List[ChaosVerdict] = []
     for scenario in scenarios:
         if scenario.workload not in capacity_cache:
-            factory = _workload_factory(scenario.workload, n_requests)
             capacity_cache[scenario.workload] = calibrate_capacity(
-                factory, "icash")
+                _scenario_spec(scenario, n_requests))
         if progress is not None:
             progress(f"chaos: {scenario.scenario_id} ...")
         verdicts.append(run_scenario(

@@ -22,7 +22,7 @@ from repro.experiments import paperdata
 from repro.experiments.parallel import RunSpec, run_spec, run_specs
 from repro.experiments.report import (comparison_table, normalize,
                                       render_shape_check, shape_score)
-from repro.experiments.runner import RunResult
+from repro.experiments.runner import RunResult, record_run
 from repro.experiments.systems import SYSTEM_NAMES
 
 #: Default request count per benchmark run; benches may raise it.
@@ -48,6 +48,8 @@ class FigureResult:
     measured: Dict[str, float]
     paper: Dict[str, float]
     runs: Dict[str, RunResult] = field(default_factory=dict)
+    #: The executed recipe behind each entry of ``runs``.
+    specs: Dict[str, RunSpec] = field(default_factory=dict)
 
     def shape_score(self) -> float:
         """Fraction of the paper's pairwise orderings preserved."""
@@ -70,27 +72,19 @@ class FigureResult:
         return f"{header}\n{bars}"
 
 
-def record_figure(ledger, result: FigureResult,
-                  seed: int = DEFAULT_SEED) -> int:
+def record_figure(ledger, result: FigureResult) -> int:
     """Append a figure's per-system runs to the run ledger.
 
-    One row per architecture under ``command="figure"`` with the
-    figure name in ``extra`` — so trends can filter one system out of
-    one figure's history.  Duck-typed; the None / NULL_LEDGER default
-    records nothing.  Returns the number of rows appended.
+    One row per architecture under ``command="figure"``, recipe = the
+    grid cell's spec, with the figure name in ``extra`` — so trends can
+    filter one system out of one figure's history.  Returns the number
+    of rows appended.
     """
-    if ledger is None or not getattr(ledger, "enabled", False):
-        return 0
-    recorded = 0
-    for system, run in sorted(result.runs.items()):
-        ledger.record(run, command="figure",
-                      spec={"seed": seed,
-                            "warmup_fraction": DEFAULT_WARMUP},
-                      extra={"figure": result.figure,
-                             "system": system,
-                             "metric": result.metric})
-        recorded += 1
-    return recorded
+    return sum(
+        record_run(ledger, run, "figure", result.specs[system],
+                   extra={"figure": result.figure, "system": system,
+                          "metric": result.metric}) is not None
+        for system, run in sorted(result.runs.items()))
 
 
 # ----------------------------------------------------------------------
@@ -137,8 +131,9 @@ def _cells(family: str, n_requests: int, seed: int,
         for system in SYSTEM_NAMES}
 
 
-def _grid(family: str, n_requests: int, seed: int,
-          n_vms: int = 0) -> Dict[str, RunResult]:
+def _grid(family: str, n_requests: int, seed: int, n_vms: int = 0
+          ) -> Tuple[Dict[str, RunResult], Dict[str, RunSpec]]:
+    """One workload's runs and the specs that produced them."""
     key, specs = _cells(family, n_requests, seed, n_vms)
     cached = _GRID_CACHE.setdefault(key, {})
     for system, spec in specs.items():
@@ -146,7 +141,7 @@ def _grid(family: str, n_requests: int, seed: int,
             cached[system] = run_spec(spec)
     # Fixed iteration order regardless of how cells were filled in
     # (here or by a parallel prewarm).
-    return {name: cached[name] for name in SYSTEM_NAMES}
+    return {name: cached[name] for name in SYSTEM_NAMES}, specs
 
 
 def clear_cache() -> None:
@@ -228,33 +223,33 @@ def _metric(runs: Dict[str, RunResult],
 
 def figure6a(n_requests: int = DEFAULT_REQUESTS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _grid("sysbench", n_requests, seed)
+    runs, specs = _grid("sysbench", n_requests, seed)
     return FigureResult(
         "Figure 6(a)", "SysBench transaction rate", "tx/s", "higher",
         _metric(runs, lambda r: r.transactions_per_s),
-        paperdata.FIG6A_SYSBENCH_TPS, runs)
+        paperdata.FIG6A_SYSBENCH_TPS, runs, specs)
 
 
 def figure6b(n_requests: int = DEFAULT_REQUESTS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _grid("sysbench", n_requests, seed)
+    runs, specs = _grid("sysbench", n_requests, seed)
     return FigureResult(
         "Figure 6(b)", "SysBench CPU utilisation", "fraction", "lower",
         _metric(runs, lambda r: r.cpu_utilization),
-        paperdata.FIG6B_SYSBENCH_CPU, runs)
+        paperdata.FIG6B_SYSBENCH_CPU, runs, specs)
 
 
 def figure7(n_requests: int = DEFAULT_REQUESTS,
             seed: int = DEFAULT_SEED) -> Tuple[FigureResult, FigureResult]:
-    runs = _grid("sysbench", n_requests, seed)
+    runs, specs = _grid("sysbench", n_requests, seed)
     read = FigureResult(
         "Figure 7 (read)", "SysBench read response time", "µs", "lower",
         _metric(runs, lambda r: r.read_mean_us),
-        paperdata.FIG7_SYSBENCH_READ_US, runs)
+        paperdata.FIG7_SYSBENCH_READ_US, runs, specs)
     write = FigureResult(
         "Figure 7 (write)", "SysBench write response time", "µs", "lower",
         _metric(runs, lambda r: r.write_mean_us),
-        paperdata.FIG7_SYSBENCH_WRITE_US, runs)
+        paperdata.FIG7_SYSBENCH_WRITE_US, runs, specs)
     return read, write
 
 
@@ -264,33 +259,33 @@ def figure7(n_requests: int = DEFAULT_REQUESTS,
 
 def figure8a(n_requests: int = DEFAULT_REQUESTS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _grid("hadoop", n_requests, seed)
+    runs, specs = _grid("hadoop", n_requests, seed)
     return FigureResult(
         "Figure 8(a)", "Hadoop execution time", "s", "lower",
         _metric(runs, lambda r: r.wall_time_s),
-        paperdata.FIG8A_HADOOP_TIME_S, runs)
+        paperdata.FIG8A_HADOOP_TIME_S, runs, specs)
 
 
 def figure8b(n_requests: int = DEFAULT_REQUESTS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _grid("hadoop", n_requests, seed)
+    runs, specs = _grid("hadoop", n_requests, seed)
     return FigureResult(
         "Figure 8(b)", "Hadoop CPU utilisation", "fraction", "lower",
         _metric(runs, lambda r: r.cpu_utilization),
-        paperdata.FIG8B_HADOOP_CPU, runs)
+        paperdata.FIG8B_HADOOP_CPU, runs, specs)
 
 
 def figure9(n_requests: int = DEFAULT_REQUESTS,
             seed: int = DEFAULT_SEED) -> Tuple[FigureResult, FigureResult]:
-    runs = _grid("hadoop", n_requests, seed)
+    runs, specs = _grid("hadoop", n_requests, seed)
     read = FigureResult(
         "Figure 9 (read)", "Hadoop read response time", "µs", "lower",
         _metric(runs, lambda r: r.read_mean_us),
-        paperdata.FIG9_HADOOP_READ_US, runs)
+        paperdata.FIG9_HADOOP_READ_US, runs, specs)
     write = FigureResult(
         "Figure 9 (write)", "Hadoop write response time", "µs", "lower",
         _metric(runs, lambda r: r.write_mean_us),
-        paperdata.FIG9_HADOOP_WRITE_US, runs)
+        paperdata.FIG9_HADOOP_WRITE_US, runs, specs)
     return read, write
 
 
@@ -300,29 +295,29 @@ def figure9(n_requests: int = DEFAULT_REQUESTS,
 
 def figure10a(n_requests: int = DEFAULT_REQUESTS,
               seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _grid("tpcc", n_requests, seed)
+    runs, specs = _grid("tpcc", n_requests, seed)
     return FigureResult(
         "Figure 10(a)", "TPC-C transaction rate", "tx/s", "higher",
         _metric(runs, lambda r: r.transactions_per_s),
-        paperdata.FIG10A_TPCC_TPS, runs)
+        paperdata.FIG10A_TPCC_TPS, runs, specs)
 
 
 def figure10b(n_requests: int = DEFAULT_REQUESTS,
               seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _grid("tpcc", n_requests, seed)
+    runs, specs = _grid("tpcc", n_requests, seed)
     return FigureResult(
         "Figure 10(b)", "TPC-C CPU utilisation", "fraction", "lower",
         _metric(runs, lambda r: r.cpu_utilization),
-        paperdata.FIG10B_TPCC_CPU, runs)
+        paperdata.FIG10B_TPCC_CPU, runs, specs)
 
 
 def figure11(n_requests: int = DEFAULT_REQUESTS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _grid("tpcc", n_requests, seed)
+    runs, specs = _grid("tpcc", n_requests, seed)
     return FigureResult(
         "Figure 11", "TPC-C application response time", "ms", "lower",
         _metric(runs, lambda r: r.tx_response_ms),
-        paperdata.FIG11_TPCC_RSP_MS, runs)
+        paperdata.FIG11_TPCC_RSP_MS, runs, specs)
 
 
 # ----------------------------------------------------------------------
@@ -331,30 +326,30 @@ def figure11(n_requests: int = DEFAULT_REQUESTS,
 
 def figure12(n_requests: int = DEFAULT_REQUESTS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _grid("loadsim", n_requests, seed)
+    runs, specs = _grid("loadsim", n_requests, seed)
     return FigureResult(
         "Figure 12", "LoadSim score (response-time based)", "score",
         "lower",
         _metric(runs, lambda r: r.loadsim_score),
-        paperdata.FIG12_LOADSIM_SCORE, runs)
+        paperdata.FIG12_LOADSIM_SCORE, runs, specs)
 
 
 def figure13(n_requests: int = DEFAULT_REQUESTS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _grid("specsfs", n_requests, seed)
+    runs, specs = _grid("specsfs", n_requests, seed)
     return FigureResult(
         "Figure 13", "SPEC-sfs response time", "ms", "lower",
         _metric(runs, lambda r: r.io_response_ms),
-        paperdata.FIG13_SPECSFS_RSP_MS, runs)
+        paperdata.FIG13_SPECSFS_RSP_MS, runs, specs)
 
 
 def figure14(n_requests: int = DEFAULT_REQUESTS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _grid("rubis", n_requests, seed)
+    runs, specs = _grid("rubis", n_requests, seed)
     return FigureResult(
         "Figure 14", "RUBiS request rate", "req/s", "higher",
         _metric(runs, lambda r: r.requests_per_s),
-        paperdata.FIG14_RUBIS_RPS, runs)
+        paperdata.FIG14_RUBIS_RPS, runs, specs)
 
 
 # ----------------------------------------------------------------------
@@ -364,23 +359,23 @@ def figure14(n_requests: int = DEFAULT_REQUESTS,
 def figure15(per_vm_requests: int = MULTIVM_REQUESTS,
              n_vms: int = MULTIVM_VMS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _grid("tpcc", per_vm_requests, seed, n_vms=n_vms)
+    runs, specs = _grid("tpcc", per_vm_requests, seed, n_vms=n_vms)
     measured = normalize(_metric(runs, lambda r: r.transactions_per_s))
     return FigureResult(
         "Figure 15", f"{n_vms} TPC-C VMs, normalised transaction rate",
         "x fusion-io", "higher", measured,
-        paperdata.FIG15_TPCC_5VMS_NORM, runs)
+        paperdata.FIG15_TPCC_5VMS_NORM, runs, specs)
 
 
 def figure16(per_vm_requests: int = MULTIVM_REQUESTS,
              n_vms: int = MULTIVM_VMS,
              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs = _grid("rubis", per_vm_requests, seed, n_vms=n_vms)
+    runs, specs = _grid("rubis", per_vm_requests, seed, n_vms=n_vms)
     measured = normalize(_metric(runs, lambda r: r.requests_per_s))
     return FigureResult(
         "Figure 16", f"{n_vms} RUBiS VMs, normalised request rate",
         "x fusion-io", "higher", measured,
-        paperdata.FIG16_RUBIS_5VMS_NORM, runs)
+        paperdata.FIG16_RUBIS_5VMS_NORM, runs, specs)
 
 
 # ----------------------------------------------------------------------
@@ -392,11 +387,11 @@ def table5(n_requests: int = DEFAULT_REQUESTS,
     """Energy (Wh) for Hadoop and TPC-C, per architecture."""
     out: Dict[str, FigureResult] = {}
     for bench in ("hadoop", "tpcc"):
-        runs = _grid(bench, n_requests, seed)
+        runs, specs = _grid(bench, n_requests, seed)
         out[bench] = FigureResult(
             "Table 5", f"Energy for {bench}", "Wh", "lower",
             _metric(runs, lambda r: r.energy.total_wh),
-            paperdata.TABLE5_ENERGY_WH[bench], runs)
+            paperdata.TABLE5_ENERGY_WH[bench], runs, specs)
     return out
 
 
@@ -405,12 +400,12 @@ def table6(n_requests: int = DEFAULT_REQUESTS,
     """Runtime SSD write operations for the four write-heavy benchmarks."""
     out: Dict[str, FigureResult] = {}
     for bench in ("sysbench", "hadoop", "tpcc", "specsfs"):
-        runs = _grid(bench, n_requests, seed)
+        runs, specs = _grid(bench, n_requests, seed)
         measured = {name: float(run.ssd_write_ops)
                     for name, run in runs.items() if name != "raid0"}
         out[bench] = FigureResult(
             "Table 6", f"SSD write requests, {bench}", "writes", "lower",
-            measured, paperdata.TABLE6_SSD_WRITES[bench], runs)
+            measured, paperdata.TABLE6_SSD_WRITES[bench], runs, specs)
     return out
 
 

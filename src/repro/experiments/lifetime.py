@@ -15,14 +15,13 @@ device's absolute write count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, Optional
 
 from repro.devices.ssd import FlashSSD
+from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import run_benchmark
-from repro.experiments.systems import make_system
 from repro.metrics.wear import WearReport, wear_report
-from repro.workloads.base import Workload
 
 #: Architectures that carry an SSD (RAID0 has none to wear out).
 SSD_SYSTEMS = ("fusion-io", "dedup", "lru", "icash")
@@ -57,17 +56,17 @@ def _find_ssd(system) -> Optional[FlashSSD]:
     return None
 
 
-def lifetime_projection(workload_factory: Callable[[], Workload],
-                        warmup_fraction: float = 0.4,
-                        ) -> Dict[str, LifetimeRow]:
-    """Run one workload on every SSD-bearing architecture and project
-    each SSD's lifetime from its wear state."""
+def lifetime_projection(spec: RunSpec) -> Dict[str, LifetimeRow]:
+    """Run ``spec``'s workload on every SSD-bearing architecture and
+    project each SSD's lifetime from its wear state (read off the live
+    system, so the runs stay in this process)."""
     rows: Dict[str, LifetimeRow] = {}
     for name in SSD_SYSTEMS:
-        workload = workload_factory()
-        system = make_system(name, workload)
+        cell = replace(spec, system=name)
+        workload = cell.build_workload()
+        system = cell.build_system(workload)
         result = run_benchmark(workload, system,
-                               warmup_fraction=warmup_fraction)
+                               warmup_fraction=cell.warmup_fraction)
         ssd = _find_ssd(system)
         if ssd is None:  # pragma: no cover - all four carry SSDs
             continue

@@ -25,12 +25,14 @@ I-CASH and every baseline side by side at their own saturation points.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
-from repro.experiments.runner import RunResult, run_benchmark
-from repro.experiments.systems import SYSTEM_NAMES, make_system
-from repro.sim.load import ClosedLoopLoad, OpenLoopLoad
+from repro.experiments.parallel import (RunSpec, record_outcomes,
+                                        run_specs)
+from repro.experiments.runner import RunResult
+from repro.experiments.systems import SYSTEM_NAMES
+from repro.workloads import WORKLOADS
 
 #: Default sweep span as fractions of the calibrated capacity: from
 #: comfortably under the knee to well past it.
@@ -72,38 +74,50 @@ def _pooled_p99_ms(result: RunResult) -> float:
     return max(result.read_p99_us, result.write_p99_us) / 1e3
 
 
-def run_rate_point(workload_factory, system_name: str, rate_rps: float,
+def _calibration_spec(spec: RunSpec) -> RunSpec:
+    """``spec`` as a capacity calibration: a closed loop with enough
+    zero-think clients (four per stream the family drives) to keep the
+    bottleneck device permanently busy."""
+    clients = max(4 * WORKLOADS[spec.workload].io_concurrency, 16)
+    return replace(spec, engine="event", warmup_fraction=0.0,
+                   flush_at_end=False, load=("closed", clients, 0.0))
+
+
+def _rate_spec(spec: RunSpec, rate_rps: float, distribution: str,
+               seed: int) -> RunSpec:
+    """``spec`` as an open-loop probe of one offered rate.
+
+    No warmup cut (the transient is part of what a rate probe measures)
+    and no end-of-run flush: the flush is constant bookkeeping that
+    would dilute low-rate efficiency and blur the knee.
+    """
+    return replace(spec, engine="event", warmup_fraction=0.0,
+                   flush_at_end=False,
+                   load=("open", rate_rps, distribution, seed))
+
+
+def _run_wave(specs: Sequence[RunSpec], jobs: int,
+              ledger) -> List[RunResult]:
+    """Run calibration / probe specs and record them, in order, under
+    ``command="loadtest"``."""
+    outcomes = run_specs(specs, jobs=jobs)
+    record_outcomes(
+        ledger, "loadtest", specs, outcomes,
+        [{"role": "probe", "offered_rps": spec.load[1]}
+         if spec.load[0] == "open"
+         else {"role": "calibrate", "offered_rps": None}
+         for spec in specs])
+    return [outcome.result for outcome in outcomes]
+
+
+def run_rate_point(spec: RunSpec, rate_rps: float,
                    distribution: str = "poisson",
                    seed: int = 1234,
                    ledger=None) -> Tuple[RatePoint, RunResult]:
     """Measure one open-loop arrival rate against a fresh system."""
-    workload = workload_factory()
-    system = make_system(system_name, workload)
-    load = OpenLoopLoad(rate_rps, distribution=distribution, seed=seed)
-    # No warmup cut (the transient is part of what a rate probe
-    # measures) and no end-of-run flush: the flush is constant
-    # bookkeeping that would dilute low-rate efficiency and blur the
-    # knee.
-    result = run_benchmark(workload, system, engine="event", load=load,
-                           warmup_fraction=0.0, flush_at_end=False)
-    _record_probe(ledger, result, seed, rate_rps, distribution,
-                  role="probe")
+    (result,) = _run_wave(
+        [_rate_spec(spec, rate_rps, distribution, seed)], 1, ledger)
     return _point_from_result(rate_rps, result), result
-
-
-def _record_probe(ledger, result: RunResult, seed: int,
-                  rate_rps: Optional[float], distribution: str,
-                  role: str) -> None:
-    """Append one loadtest run to the run ledger (duck-typed; the
-    None / NULL_LEDGER default records nothing)."""
-    if ledger is None or not getattr(ledger, "enabled", False):
-        return
-    load = None if rate_rps is None \
-        else ["open", rate_rps, distribution, seed]
-    ledger.record(result, command="loadtest",
-                  spec={"seed": seed, "warmup_fraction": 0.0,
-                        "load": load},
-                  extra={"role": role, "offered_rps": rate_rps})
 
 
 def _point_from_result(rate_rps: float, result: RunResult) -> RatePoint:
@@ -126,37 +140,14 @@ def _point_from_result(rate_rps: float, result: RunResult) -> RatePoint:
                        for name, s in queueing.stations.items()})
 
 
-def _rate_spec(base_spec, system_name: str, rate_rps: float,
-               distribution: str, seed: int):
-    """A RunSpec reproducing :func:`run_rate_point` exactly."""
-    from dataclasses import replace
-
-    return replace(base_spec, system=system_name, engine="event",
-                   warmup_fraction=0.0, preload=True, flush_at_end=False,
-                   load=("open", rate_rps, distribution, seed))
-
-
-def calibrate_capacity(workload_factory, system_name: str,
-                       ledger=None) -> float:
+def calibrate_capacity(spec: RunSpec, ledger=None) -> float:
     """The system's saturation throughput (requests/s).
 
-    One closed-loop run with enough zero-think clients to keep the
-    bottleneck device permanently busy; its achieved rate is the
-    ceiling every open-loop sweep point is measured against.
+    One closed-loop run that keeps the bottleneck device permanently
+    busy; its achieved rate is the ceiling every open-loop sweep point
+    is measured against.
     """
-    workload = workload_factory()
-    system = make_system(system_name, workload)
-    clients = max(4 * workload.io_concurrency, 16)
-    load = ClosedLoopLoad(clients=clients, think_s=0.0)
-    result = run_benchmark(workload, system, engine="event", load=load,
-                           warmup_fraction=0.0, flush_at_end=False)
-    if ledger is not None and getattr(ledger, "enabled", False):
-        ledger.record(result, command="loadtest",
-                      spec={"seed": getattr(workload, "seed", None),
-                            "warmup_fraction": 0.0,
-                            "load": ["closed", clients, 0.0]},
-                      extra={"role": "calibrate",
-                             "offered_rps": None})
+    (result,) = _run_wave([_calibration_spec(spec)], 1, ledger)
     return result.requests_per_s
 
 
@@ -174,39 +165,21 @@ def auto_rates(capacity_rps: float, points: int,
     return [capacity_rps * (lo + i * step) for i in range(points)]
 
 
-def sweep_rates(workload_factory, system_name: str,
-                rates: Sequence[float],
+def sweep_rates(spec: RunSpec, rates: Sequence[float],
                 distribution: str = "poisson",
                 seed: int = 1234, jobs: int = 1,
-                base_spec=None, ledger=None) -> List[RatePoint]:
+                ledger=None) -> List[RatePoint]:
     """Measure each offered rate (ascending) on a fresh system.
 
-    Rate points are independent runs, so with ``jobs > 1`` *and* a
-    ``base_spec`` (a :class:`~repro.experiments.parallel.RunSpec`
-    describing the workload declaratively — factories don't pickle)
-    they fan out across worker processes; results are identical to the
-    serial path either way.
-
-    ``ledger`` records every probe under ``command="loadtest"`` —
-    always in ascending-rate order, in this process, so the store is
-    identical at any job count.
+    Rate points are independent runs, fanned out over ``jobs`` worker
+    processes.  ``ledger`` records every probe under
+    ``command="loadtest"``, in ascending-rate order.
     """
     rates = sorted(rates)
-    if jobs > 1 and base_spec is not None:
-        from repro.experiments.parallel import run_specs
-
-        specs = [_rate_spec(base_spec, system_name, rate, distribution,
-                            seed) for rate in rates]
-        outcomes = run_specs(specs, jobs=jobs)
-        for rate, outcome in zip(rates, outcomes):
-            _record_probe(ledger, outcome.result, seed, rate,
-                          distribution, role="probe")
-        return [_point_from_result(rate, outcome.result)
-                for rate, outcome in zip(rates, outcomes)]
-    return [run_rate_point(workload_factory, system_name, rate,
-                           distribution=distribution, seed=seed,
-                           ledger=ledger)[0]
-            for rate in rates]
+    results = _run_wave([_rate_spec(spec, rate, distribution, seed)
+                         for rate in rates], jobs, ledger)
+    return [_point_from_result(rate, result)
+            for rate, result in zip(rates, results)]
 
 
 def find_knee(points: Sequence[RatePoint],
@@ -317,96 +290,39 @@ class SystemKnee:
     post_knee: RatePoint
 
 
-def compare_at_knee(workload_factory,
+def compare_at_knee(spec: RunSpec,
                     system_names: Sequence[str] = SYSTEM_NAMES,
                     distribution: str = "poisson",
                     seed: int = 1234,
                     progress: bool = False,
                     jobs: int = 1,
-                    base_spec=None,
                     ledger=None) -> List[SystemKnee]:
     """Calibrate each architecture's capacity and probe both sides of
     its knee — the event-engine counterpart of the paper's Figure 6/10
     throughput comparisons.
 
-    With ``jobs > 1`` and a declarative ``base_spec`` the work runs in
-    two parallel waves: all capacity calibrations first (the probe
-    rates depend on them), then every system's pre/post-knee probe.
+    Two waves over ``jobs`` worker processes: all capacity calibrations
+    first (the probe rates depend on them), then every system's
+    pre/post-knee probe.
     """
-    if jobs > 1 and base_spec is not None:
-        return _compare_at_knee_parallel(base_spec, system_names,
-                                         distribution, seed, progress,
-                                         jobs, ledger=ledger)
-    reports = []
-    for name in system_names:
-        if progress:
-            print(f"  calibrating {name}...", file=sys.stderr)
-        capacity = calibrate_capacity(workload_factory, name,
-                                      ledger=ledger)
-        pre, _ = run_rate_point(workload_factory, name,
-                                capacity * DEFAULT_SPAN[0],
-                                distribution=distribution, seed=seed,
-                                ledger=ledger)
-        post, _ = run_rate_point(workload_factory, name,
-                                 capacity * DEFAULT_SPAN[1],
-                                 distribution=distribution, seed=seed,
-                                 ledger=ledger)
-        reports.append(SystemKnee(system=name, capacity_rps=capacity,
-                                  pre_knee=pre, post_knee=post))
-    return reports
-
-
-def _compare_at_knee_parallel(base_spec, system_names: Sequence[str],
-                              distribution: str, seed: int,
-                              progress: bool,
-                              jobs: int, ledger=None) -> List[SystemKnee]:
-    """Parallel :func:`compare_at_knee`: calibrations, then probes."""
-    from dataclasses import replace
-
-    from repro.experiments.parallel import run_specs
-
-    # Same client count calibrate_capacity derives (4x concurrency,
-    # min 16); one throwaway workload build reads the concurrency.
-    workload = base_spec.build_workload()
-    clients = max(4 * workload.io_concurrency, 16)
-    calibrations = [replace(base_spec, system=name, engine="event",
-                            warmup_fraction=0.0, preload=True,
-                            flush_at_end=False,
-                            load=("closed", clients, 0.0))
-                    for name in system_names]
     if progress:
         print(f"  calibrating {len(system_names)} systems "
               f"({jobs} jobs)...", file=sys.stderr)
-    calibration_outcomes = run_specs(calibrations, jobs=jobs)
-    recording = ledger is not None and getattr(ledger, "enabled", False)
-    if recording:
-        for outcome in calibration_outcomes:
-            ledger.record(outcome.result, command="loadtest",
-                          spec={"seed": base_spec.seed,
-                                "warmup_fraction": 0.0,
-                                "load": ["closed", clients, 0.0]},
-                          extra={"role": "calibrate",
-                                 "offered_rps": None},
-                          host_wall_s=outcome.host_wall_s)
-    capacities = [outcome.result.requests_per_s
-                  for outcome in calibration_outcomes]
-    probe_specs, probe_rates = [], []
-    for name, capacity in zip(system_names, capacities):
-        for fraction in DEFAULT_SPAN:
-            rate = capacity * fraction
-            probe_specs.append(_rate_spec(base_spec, name, rate,
-                                          distribution, seed))
-            probe_rates.append(rate)
+    calibration = _calibration_spec(spec)
+    capacities = [
+        result.requests_per_s for result in _run_wave(
+            [replace(calibration, system=name) for name in system_names],
+            jobs, ledger)]
+    probes = [_rate_spec(replace(spec, system=name), capacity * fraction,
+                         distribution, seed)
+              for name, capacity in zip(system_names, capacities)
+              for fraction in DEFAULT_SPAN]
     if progress:
-        print(f"  probing {len(probe_specs)} knee points "
+        print(f"  probing {len(probes)} knee points "
               f"({jobs} jobs)...", file=sys.stderr)
-    probe_outcomes = run_specs(probe_specs, jobs=jobs)
-    if recording:
-        for rate, outcome in zip(probe_rates, probe_outcomes):
-            _record_probe(ledger, outcome.result, seed, rate,
-                          distribution, role="probe")
-    points = [_point_from_result(rate, outcome.result)
-              for rate, outcome in zip(probe_rates, probe_outcomes)]
+    points = [_point_from_result(probe.load[1], result)
+              for probe, result
+              in zip(probes, _run_wave(probes, jobs, ledger))]
     return [SystemKnee(system=name, capacity_rps=capacity,
                        pre_knee=points[2 * i], post_knee=points[2 * i + 1])
             for i, (name, capacity)

@@ -33,7 +33,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.runner import RunResult, run_benchmark
+from repro.experiments.runner import (RunResult, record_run,
+                                      run_benchmark)
 
 #: Per-run wall-time ceiling before the pool is declared wedged and the
 #: remaining runs fall back to serial execution.  Generous: the largest
@@ -128,10 +129,9 @@ class RunSpec:
     load: Optional[Tuple] = None
 
     def build_workload(self):
-        from repro.workloads import ALL_WORKLOADS, MultiVMWorkload
+        from repro.workloads import WORKLOADS, MultiVMWorkload
 
-        registry = {cls.name: cls for cls in ALL_WORKLOADS}
-        cls = registry[self.workload]
+        cls = WORKLOADS[self.workload]
         if self.n_vms > 0:
             return MultiVMWorkload(cls, n_vms=self.n_vms,
                                    scale=self.vm_scale,
@@ -281,3 +281,18 @@ def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
             if outcomes[index] is None:
                 outcomes[index] = _serial_outcome(spec)
     return outcomes  # type: ignore[return-value]
+
+
+def record_outcomes(ledger, command: str, specs: Sequence[RunSpec],
+                    outcomes: Sequence[SpecOutcome],
+                    extras: Sequence[Dict[str, object]],
+                    ) -> List[Optional[str]]:
+    """Write one wave to the run ledger; returns the rows' run ids.
+
+    Rows go in in submission order, from this process, with the
+    executed spec as the recipe — so the store is the same at any job
+    count (docs/LEDGER.md).
+    """
+    return [record_run(ledger, outcome.result, command, spec, extra,
+                       outcome.host_wall_s)
+            for spec, outcome, extra in zip(specs, outcomes, extras)]

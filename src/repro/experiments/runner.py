@@ -500,19 +500,29 @@ def run_benchmark(workload: Workload, system: StorageSystem,
     return result
 
 
+def record_run(ledger, result: RunResult, command: str, spec=None,
+               extra=None, host_wall_s: Optional[float] = None
+               ) -> Optional[str]:
+    """The one place experiment code writes to the run ledger.
+
+    ``ledger`` is a :class:`repro.ledger.LedgerWriter`, or None /
+    :data:`repro.ledger.NULL_LEDGER` to record nothing (duck-typed: no
+    :mod:`repro.ledger` import here).  ``spec`` is the executed
+    :class:`~repro.experiments.parallel.RunSpec` wherever one exists.
+    Returns the row's run id, None when nothing was recorded.
+    """
+    if ledger is None:
+        return None
+    return ledger.record(result, command=command, spec=spec, extra=extra,
+                         host_wall_s=host_wall_s)
+
+
 def _ledger_record(ledger, result: RunResult, workload,
                    warmup_fraction: float) -> None:
-    """Append a direct ``run_benchmark`` call to the run ledger.
-
-    Duck-typed (no :mod:`repro.ledger` import): anything with an
-    ``enabled`` flag and a ``record`` method works, and the None /
-    NULL_LEDGER default short-circuits to nothing.
-    """
-    if ledger is None or not getattr(ledger, "enabled", False):
-        return
-    ledger.record(result, command="run_benchmark",
-                  spec={"seed": getattr(workload, "seed", None),
-                        "warmup_fraction": warmup_fraction})
+    """Append a direct ``run_benchmark`` call to the run ledger."""
+    record_run(ledger, result, "run_benchmark",
+               {"seed": getattr(workload, "seed", None),
+                "warmup_fraction": warmup_fraction})
 
 
 def _run_event_benchmark(workload: Workload, system: StorageSystem,
@@ -592,24 +602,3 @@ def _run_event_benchmark(workload: Workload, system: StorageSystem,
         n_requests=len(records), io_concurrency=workload.io_concurrency,
         engine="event", queueing=queueing,
         faults=injector.report() if injector is not None else None)
-
-
-def run_grid(workload_factory, system_names,
-             verify_reads: bool = False,
-             warmup_fraction: float = 0.25) -> Dict[str, RunResult]:
-    """Run one workload across several architectures.
-
-    ``workload_factory`` must build a *fresh* workload per call (streams
-    are restartable, but a fresh instance keeps shadow state per system
-    when verification is on).  Returns ``{system name: RunResult}``.
-    """
-    from repro.experiments.systems import make_system
-
-    results: Dict[str, RunResult] = {}
-    for name in system_names:
-        workload = workload_factory()
-        system = make_system(name, workload)
-        results[name] = run_benchmark(workload, system,
-                                      verify_reads=verify_reads,
-                                      warmup_fraction=warmup_fraction)
-    return results

@@ -2,16 +2,16 @@
 
 The ablation benches each sweep one knob by hand; this module offers the
 same capability as a reusable API, so downstream users can explore the
-configuration space (`sweep_config`) or workload space (`sweep_workload`)
-without writing runner plumbing.
+configuration space (`sweep_config`) without writing runner plumbing.
 
 Example::
 
+    from repro.experiments.parallel import RunSpec
     from repro.experiments.sweeps import sweep_config
-    from repro.workloads import SysBenchWorkload
 
     points = sweep_config(
-        lambda: SysBenchWorkload(n_requests=6000),
+        RunSpec(workload="sysbench", n_requests=6000,
+                warmup_fraction=0.4),
         "scan_interval", [250, 500, 1000, 2000])
     for point in points:
         print(point.value, point.result.transactions_per_s)
@@ -20,12 +20,11 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, List, Sequence
+from typing import List, Sequence
 
-from repro.core import ICASHController
-from repro.experiments.runner import RunResult, run_benchmark
-from repro.experiments.systems import make_icash_config, make_system
-from repro.workloads.base import Workload
+from repro.experiments.parallel import (RunSpec, record_outcomes,
+                                        run_specs)
+from repro.experiments.runner import RunResult
 
 
 @dataclass
@@ -41,90 +40,29 @@ class SweepPoint:
                 f"tx/s={self.result.transactions_per_s:.1f})")
 
 
-def sweep_config(workload_factory: Callable[[], Workload],
-                 parameter: str, values: Sequence[object],
-                 warmup_fraction: float = 0.4,
-                 preload: bool = True,
-                 jobs: int = 1,
-                 base_spec=None,
+def sweep_config(spec: RunSpec, parameter: str,
+                 values: Sequence[object], jobs: int = 1,
                  ledger=None) -> List[SweepPoint]:
-    """Run I-CASH once per value of one :class:`ICASHConfig` field.
+    """Run ``spec`` once per value of one :class:`ICASHConfig` field.
 
-    Each point gets a fresh workload (same seed → same trace) and a fresh
-    controller built from the workload's standard configuration with
-    ``parameter`` overridden.
-
-    Points are independent runs, so with ``jobs > 1`` *and* a
-    ``base_spec`` (a :class:`~repro.experiments.parallel.RunSpec`
-    describing the workload declaratively — factories don't pickle)
-    they fan out across worker processes, with results identical to the
-    serial path.
+    Each point is ``spec`` with ``(parameter, value)`` appended to its
+    ``config_overrides``: a fresh workload (same seed, same trace) and a
+    fresh controller built from the workload's standard configuration
+    with that field replaced.  Points are independent runs, fanned out
+    over ``jobs`` worker processes.
 
     ``ledger`` (a :class:`repro.ledger.LedgerWriter`) records every
-    point under ``command="sweep"`` — always in value order, in this
-    process, so the store is identical at any job count.
+    point under ``command="sweep"``, in value order.
     """
-    if jobs > 1 and base_spec is not None:
-        from repro.experiments.parallel import run_specs
-
-        specs = [replace(base_spec, system="icash",
-                         warmup_fraction=warmup_fraction,
-                         preload=preload,
-                         config_overrides=((parameter, value),))
-                 for value in values]
-        outcomes = run_specs(specs, jobs=jobs)
-        points = [SweepPoint(parameter, value, outcome.result)
-                  for value, outcome in zip(values, outcomes)]
-        for spec, outcome in zip(specs, outcomes):
-            _record_point(ledger, outcome.result, spec, parameter,
-                          host_wall_s=outcome.host_wall_s)
-        return points
-    points: List[SweepPoint] = []
-    for value in values:
-        workload = workload_factory()
-        config = replace(make_icash_config(workload),
-                         **{parameter: value})
-        system = ICASHController(workload.build_dataset(), config)
-        result = run_benchmark(workload, system,
-                               warmup_fraction=warmup_fraction,
-                               preload=preload)
-        points.append(SweepPoint(parameter, value, result))
-        _record_point(ledger, result, None, parameter,
-                      overrides=((parameter, value),),
-                      seed=getattr(workload, "seed", None),
-                      warmup_fraction=warmup_fraction)
-    return points
-
-
-def _record_point(ledger, result: RunResult, spec, parameter: str,
-                  overrides=None, seed=None,
-                  warmup_fraction=None, host_wall_s=None) -> None:
-    """Append one sweep point to the run ledger (duck-typed; the
-    None / NULL_LEDGER default records nothing)."""
-    if ledger is None or not getattr(ledger, "enabled", False):
-        return
-    if spec is None:
-        spec = {"seed": seed, "warmup_fraction": warmup_fraction,
-                "config_overrides": list(overrides or ())}
-    value = dict(spec["config_overrides"]
-                 if isinstance(spec, dict)
-                 else spec.config_overrides)[parameter]
-    ledger.record(result, command="sweep", spec=spec,
-                  extra={"parameter": parameter, "value": value},
-                  host_wall_s=host_wall_s)
-
-
-def sweep_workload(workload_factories: Iterable[Callable[[], Workload]],
-                   system_name: str = "icash",
-                   warmup_fraction: float = 0.4) -> List[RunResult]:
-    """Run one architecture across several workloads."""
-    results: List[RunResult] = []
-    for factory in workload_factories:
-        workload = factory()
-        system = make_system(system_name, workload)
-        results.append(run_benchmark(workload, system,
-                                     warmup_fraction=warmup_fraction))
-    return results
+    specs = [replace(spec, config_overrides=spec.config_overrides
+                     + ((parameter, value),))
+             for value in values]
+    outcomes = run_specs(specs, jobs=jobs)
+    record_outcomes(ledger, "sweep", specs, outcomes,
+                    [{"parameter": parameter, "value": value}
+                     for value in values])
+    return [SweepPoint(parameter, value, outcome.result)
+            for value, outcome in zip(values, outcomes)]
 
 
 def render_sweep(points: Sequence[SweepPoint],

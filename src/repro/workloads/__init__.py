@@ -39,8 +39,13 @@ ALL_WORKLOADS = (
     RUBiSWorkload,
 )
 
+#: Workload family name -> class: the one lookup behind every
+#: ``--workload`` choice and :class:`~repro.experiments.parallel.RunSpec`.
+WORKLOADS = {cls.name: cls for cls in ALL_WORKLOADS}
+
 __all__ = [
     "ALL_WORKLOADS",
+    "WORKLOADS",
     "HadoopWorkload",
     "LoadSimWorkload",
     "MultiVMWorkload",

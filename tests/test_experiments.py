@@ -8,7 +8,7 @@ from repro.experiments import paperdata
 from repro.experiments.report import (comparison_table, normalize,
                                       render_shape_check, shape_check,
                                       shape_score, speedup_summary)
-from repro.experiments.runner import run_benchmark, run_grid
+from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import SYSTEM_NAMES, make_system
 from repro.workloads import SysBenchWorkload, TPCCWorkload
 
@@ -83,10 +83,6 @@ class TestRunner:
                           make_system("fusion-io", tiny_workload()),
                           warmup_fraction=1.0)
 
-    def test_run_grid_covers_all_systems(self):
-        results = run_grid(lambda: tiny_workload(), SYSTEM_NAMES)
-        assert set(results) == set(SYSTEM_NAMES)
-
     def test_tx_response_and_scores_positive(self):
         workload = tiny_workload()
         system = make_system("raid0", workload)
@@ -94,6 +90,49 @@ class TestRunner:
         assert result.tx_response_ms > 0
         assert result.loadsim_score == pytest.approx(
             result.tx_response_ms * 1e3)
+
+
+class TestOneDescriptionOfARun:
+    """A run is a RunSpec: no driver also takes a workload factory,
+    and one name -> class mapping serves every consumer."""
+
+    def test_no_public_callable_takes_a_factory_or_a_base_spec(self):
+        import importlib
+        import inspect
+        import pkgutil
+
+        import repro.experiments as package
+
+        offenders = []
+        for info in pkgutil.iter_modules(package.__path__):
+            module = importlib.import_module(
+                f"{package.__name__}.{info.name}")
+            for name, fn in inspect.getmembers(module,
+                                               inspect.isfunction):
+                if name.startswith("_") \
+                        or fn.__module__ != module.__name__:
+                    continue
+                taken = {"workload_factory", "base_spec"} \
+                    & set(inspect.signature(fn).parameters)
+                if taken:
+                    offenders.append((fn.__module__, name,
+                                      sorted(taken)))
+        assert offenders == []
+
+    def test_one_workload_mapping(self):
+        import pathlib
+
+        import repro
+        from repro import cli, workloads
+
+        assert workloads.WORKLOADS \
+            == {cls.name: cls for cls in workloads.ALL_WORKLOADS}
+        assert cli.WORKLOADS is workloads.WORKLOADS
+        rebuilt = [path for path
+                   in pathlib.Path(repro.__file__).parent.rglob("*.py")
+                   if "for cls in ALL_WORKLOADS}" in path.read_text()]
+        assert [path.name for path in rebuilt] == ["__init__.py"]
+        assert rebuilt[0].parent.name == "workloads"
 
 
 class TestReporting:

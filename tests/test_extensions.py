@@ -8,11 +8,11 @@ from repro.baselines import PureSSD, RAID0Storage
 from repro.cli import main as cli_main
 from repro.core import ICASHConfig, ICASHController
 from repro.devices.nvram import NVRAM, NVRAMSpec
+from repro.experiments.parallel import RunSpec
 from repro.experiments.sweeps import (SweepPoint, render_sweep,
-                                      sweep_config, sweep_workload)
+                                      sweep_config)
 from repro.sim.pagecache import HostCachedSystem
 from repro.sim.request import BLOCK_SIZE
-from repro.workloads import SysBenchWorkload
 
 from conftest import make_block, make_dataset
 from test_core_controller import family_dataset, small_config
@@ -164,26 +164,21 @@ class TestHostPageCache:
             self.make(cache_blocks=0)
 
 
+def _sweep_spec(n_requests):
+    return RunSpec(workload="sysbench", scale=0.05,
+                   n_requests=n_requests, warmup_fraction=0.4)
+
+
 class TestSweeps:
     def test_sweep_config_runs_each_value(self):
-        points = sweep_config(
-            lambda: SysBenchWorkload(scale=0.05, n_requests=400),
-            "scan_interval", [200, 400])
+        points = sweep_config(_sweep_spec(400), "scan_interval",
+                              [200, 400])
         assert [p.value for p in points] == [200, 400]
         assert all(isinstance(p, SweepPoint) for p in points)
         assert all(p.result.transactions_per_s > 0 for p in points)
 
-    def test_sweep_workload(self):
-        results = sweep_workload([
-            lambda: SysBenchWorkload(scale=0.05, n_requests=300, seed=1),
-            lambda: SysBenchWorkload(scale=0.05, n_requests=300, seed=2),
-        ])
-        assert len(results) == 2
-
     def test_render_sweep(self):
-        points = sweep_config(
-            lambda: SysBenchWorkload(scale=0.05, n_requests=300),
-            "scan_interval", [250])
+        points = sweep_config(_sweep_spec(300), "scan_interval", [250])
         text = render_sweep(points)
         assert "scan_interval" in text
         assert "250" in text
@@ -193,9 +188,7 @@ class TestSweeps:
 
     def test_bad_parameter_raises(self):
         with pytest.raises(TypeError):
-            sweep_config(
-                lambda: SysBenchWorkload(scale=0.05, n_requests=300),
-                "not_a_field", [1])
+            sweep_config(_sweep_spec(300), "not_a_field", [1])
 
 
 class TestCLI:

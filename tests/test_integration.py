@@ -5,22 +5,37 @@ architectures, the experiment runner — with content verification on, and
 assert the qualitative findings the reproduction is built around.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.recovery import recover
-from repro.experiments.runner import run_benchmark, run_grid
+from repro.experiments.parallel import RunSpec
+from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import SYSTEM_NAMES, make_system
-from repro.workloads import (MultiVMWorkload, SpecSFSWorkload,
-                             SysBenchWorkload, TPCCWorkload)
+from repro.workloads import SpecSFSWorkload, SysBenchWorkload
+
+
+def verified_grid(spec, system_names):
+    """``spec`` on each architecture with every read checked against
+    the shadow copy: ``{system name: RunResult}``."""
+    results = {}
+    for name in system_names:
+        cell = replace(spec, system=name)
+        workload = cell.build_workload()
+        results[name] = run_benchmark(
+            workload, cell.build_system(workload), verify_reads=True,
+            warmup_fraction=cell.warmup_fraction)
+    return results
 
 
 @pytest.fixture(scope="module")
 def sysbench_grid():
     """One verified grid shared by this module's assertions."""
-    return run_grid(
-        lambda: SysBenchWorkload(scale=0.25, n_requests=3000),
-        SYSTEM_NAMES, verify_reads=True, warmup_fraction=0.4)
+    return verified_grid(
+        RunSpec(workload="sysbench", scale=0.25, n_requests=3000,
+                warmup_fraction=0.4), SYSTEM_NAMES)
 
 
 class TestAllSystemsServeCorrectContent:
@@ -105,10 +120,9 @@ class TestReadsAfterReferenceRetirement:
 
 class TestMultiVMIntegration:
     def test_five_vm_grid_verifies_and_icash_wins(self):
-        factory = lambda: MultiVMWorkload(  # noqa: E731
-            TPCCWorkload, n_vms=3, scale=0.1, n_requests_per_vm=600)
-        results = run_grid(factory, ("fusion-io", "icash"),
-                           verify_reads=True)
+        results = verified_grid(
+            RunSpec(workload="tpcc", n_vms=3, vm_scale=0.1,
+                    n_requests=600), ("fusion-io", "icash"))
         assert results["icash"].verified_reads > 0
         # Cross-VM image similarity makes I-CASH at least competitive.
         assert results["icash"].transactions_per_s \

@@ -29,6 +29,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import ledger as ledger_module
+from repro.experiments.parallel import RunSpec
 from repro.ledger import (ANOMALY_Z, DEFAULT_WINDOW, FILTER_KEYS,
                           LEDGER_SCHEMA_VERSION, MIN_HISTORY, NULL_LEDGER,
                           PROVENANCE_FIELDS, SPEC_FIELDS, Anomaly,
@@ -58,6 +59,16 @@ def _small_result(seed: int = 2011, delta_accept: int = 0,
     else:
         system = make_system("icash", workload)
     return run_benchmark(workload, system, engine=engine)
+
+
+#: The declarative twin of ``_small_result()``'s default run.
+_SMALL_SPEC = RunSpec(workload="sysbench", scale=0.05, n_requests=300)
+
+
+def _recipe(row):
+    """The spec fields a result alone cannot supply."""
+    return {key: row.spec[key] for key in (
+        "seed", "scale", "n_vms", "warmup_fraction", "load")}
 
 
 def _writer(tmp_path, name="led", **kwargs) -> LedgerWriter:
@@ -286,7 +297,7 @@ class TestEntryPoints:
                                          host_wall_s=0.0)
                     for _ in specs]
 
-        monkeypatch.setattr(parallel, "run_specs", fake_run_specs)
+        monkeypatch.setattr(bench, "run_specs", fake_run_specs)
         store = _writer(tmp_path)
         document = bench.run_suite(quick=True, ledger=store, seed=777)
         assert [spec.seed for spec in captured["specs"]] == [777, 777]
@@ -295,30 +306,48 @@ class TestEntryPoints:
 
     def test_sweep_records_each_point(self, tmp_path):
         from repro.experiments.sweeps import sweep_config
-        from repro.workloads import SysBenchWorkload
 
         store = _writer(tmp_path)
-        sweep_config(lambda: SysBenchWorkload(scale=0.05, n_requests=300),
-                     "scan_interval", [200, 800], ledger=store)
+        sweep_config(_SMALL_SPEC, "scan_interval", [200, 800],
+                     ledger=store)
         rows = store.rows()
         assert [row.extra["value"] for row in rows] == [200, 800]
         assert all(row.command == "sweep" for row in rows)
         assert rows[0].spec["config_overrides"] \
             == [["scan_interval", 200]]
+        assert all(_recipe(row) == {"seed": 2011, "scale": 0.05,
+                                    "n_vms": 0, "warmup_fraction": 0.25,
+                                    "load": None} for row in rows)
 
     def test_loadtest_records_probe(self, tmp_path):
         from repro.experiments import loadtest
-        from repro.workloads import SysBenchWorkload
 
         store = _writer(tmp_path)
-        loadtest.run_rate_point(
-            lambda: SysBenchWorkload(scale=0.05, n_requests=300),
-            "icash", 500.0, seed=99, ledger=store)
+        loadtest.run_rate_point(_SMALL_SPEC, 500.0, seed=99,
+                                ledger=store)
         (row,) = store.rows()
         assert row.command == "loadtest"
         assert row.extra == {"role": "probe", "offered_rps": 500.0}
-        assert row.spec["load"] == ["open", 500.0, "poisson", 99]
-        assert row.spec["seed"] == 99
+        # The arrival seed lives in the load; ``seed`` is the workload's.
+        assert _recipe(row) == {
+            "seed": 2011, "scale": 0.05, "n_vms": 0,
+            "warmup_fraction": 0.0,
+            "load": ["open", 500.0, "poisson", 99]}
+
+    def test_loadtest_calibration_and_probe_rows_agree_on_seed(
+            self, tmp_path):
+        from repro.experiments import loadtest
+
+        store = _writer(tmp_path)
+        capacity = loadtest.calibrate_capacity(_SMALL_SPEC, ledger=store)
+        loadtest.sweep_rates(_SMALL_SPEC, [capacity / 2], seed=99,
+                             ledger=store)
+        calibrate, probe = store.rows()
+        assert (calibrate.extra["role"], probe.extra["role"]) \
+            == ("calibrate", "probe")
+        assert calibrate.spec["load"][0] == "closed"
+        assert calibrate.spec["seed"] == probe.spec["seed"] == 2011
+        assert probe.spec["load"][3] == 99
 
     def test_chaos_records_verdict_context(self, tmp_path):
         from repro.experiments import chaos
@@ -333,6 +362,13 @@ class TestEntryPoints:
         assert row.extra["fault_kind"] == scenario.fault_kind
         assert row.extra["passed"] == verdict.passed
         assert row.metrics["faults"], "fault outcomes missing"
+        # Fault and arrival seed (1234) ride in the load, not in ``seed``.
+        assert row.spec["seed"] == 2011
+        assert row.spec["load"][0] == "open"
+        assert row.spec["load"][2:] == ["poisson", 1234]
+        assert (row.spec["engine"], row.spec["n_requests"],
+                row.spec["n_vms"], row.spec["warmup_fraction"]) \
+            == ("event", 300, 0, 0.25)
 
     def test_record_figure_walks_every_system(self, tmp_path):
         from repro.experiments.figures import record_figure
@@ -340,12 +376,16 @@ class TestEntryPoints:
         store = _writer(tmp_path)
         fake = SimpleNamespace(
             figure="figure6a", metric="tx/s",
-            runs={"icash": _small_result(), "lru": _small_result(seed=7)})
+            runs={"icash": _small_result(), "lru": _small_result(seed=7)},
+            specs={"icash": _SMALL_SPEC,
+                   "lru": replace(_SMALL_SPEC, system="lru", seed=7)})
         assert record_figure(store, fake) == 2
         rows = store.rows()
         assert [row.extra["system"] for row in rows] == ["icash", "lru"]
         assert all(row.command == "figure" and
                    row.extra["figure"] == "figure6a" for row in rows)
+        assert [row.spec["seed"] for row in rows] == [2011, 7]
+        assert all(row.spec["scale"] == 0.05 for row in rows)
         assert record_figure(NULL_LEDGER, fake) == 0
         assert record_figure(None, fake) == 0
 
@@ -533,22 +573,63 @@ def _record_worker(args):
     return store.recorded
 
 
-class TestDeterminism:
-    def test_canonical_export_byte_identical_across_jobs(self, tmp_path):
-        from repro.experiments import bench
+def _drive_sweep(jobs, store):
+    from repro.experiments.sweeps import sweep_config
 
+    sweep_config(_SMALL_SPEC, "scan_interval", [200, 800], jobs=jobs,
+                 ledger=store)
+
+
+def _drive_loadtest(jobs, store):
+    from repro.experiments import loadtest
+
+    capacity = loadtest.calibrate_capacity(_SMALL_SPEC, ledger=store)
+    loadtest.sweep_rates(_SMALL_SPEC,
+                         loadtest.auto_rates(capacity, 2), jobs=jobs,
+                         ledger=store)
+
+
+def _drive_compare(jobs, store):
+    from repro.experiments import loadtest
+
+    loadtest.compare_at_knee(_SMALL_SPEC, ("fusion-io", "icash"),
+                             jobs=jobs, ledger=store)
+
+
+class TestDeterminism:
+    @staticmethod
+    def _canonical_exports(tmp_path, drive):
+        """Canonical export bytes after ``drive(jobs, store)`` at one
+        and at two jobs."""
         exports = {}
         for jobs in (1, 2):
             store = _writer(tmp_path, f"jobs{jobs}",
                             clock=lambda: 1.5)
-            bench.run_suite(quick=True, jobs=jobs, ledger=store)
+            drive(jobs, store)
             path = tmp_path / f"canon{jobs}.jsonl"
             store.export(str(path), canonical=True)
             exports[jobs] = path.read_bytes()
+        return exports
+
+    def test_canonical_export_byte_identical_across_jobs(self, tmp_path):
+        from repro.experiments import bench
+
+        exports = self._canonical_exports(
+            tmp_path, lambda jobs, store: bench.run_suite(
+                quick=True, jobs=jobs, ledger=store))
         assert exports[1] == exports[2]
         assert exports[1], "canonical export came out empty"
         for line in exports[1].decode().splitlines():
             assert "volatile" not in json.loads(line)
+
+    @pytest.mark.parametrize("drive, n_rows", [
+        (_drive_sweep, 2), (_drive_loadtest, 3), (_drive_compare, 6)],
+        ids=["sweep", "loadtest", "compare"])
+    def test_every_driver_records_the_same_rows_at_any_jobs(
+            self, tmp_path, drive, n_rows):
+        exports = self._canonical_exports(tmp_path, drive)
+        assert len(exports[1].splitlines()) == n_rows
+        assert exports[1] == exports[2]
 
     def test_concurrent_recorders_cannot_corrupt(self, tmp_path):
         root = str(tmp_path / "shared")

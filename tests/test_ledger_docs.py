@@ -51,6 +51,17 @@ class TestFieldTableParity:
         for field in ledger.SPEC_FIELDS:
             assert f"`{field}`" in section, f"spec field {field!r} undocumented"
 
+    def test_recipe_table_has_a_row_per_recording_command(self, doc_text):
+        layout = re.search(r"^\| `command` \| .*\((.*)\) \|$", doc_text,
+                           re.MULTILINE)
+        commands = set(re.findall(r"`(\w+)`", layout.group(1)))
+        section = doc_text.split("### Spec fields", 1)[1]
+        section = section.split("### ", 1)[0]
+        documented = set(re.findall(r"^\| `(\w+)`", section,
+                                    re.MULTILINE))
+        assert documented == commands
+        assert len(commands) == 8
+
     def test_filter_keys_all_named(self, doc_text):
         section = doc_text.split("## Subcommands", 1)[1]
         section = section.split("\n## ", 1)[0]

@@ -194,9 +194,10 @@ class TestLifetimeProjection:
     def test_rows_and_rendering(self):
         from repro.experiments.lifetime import (lifetime_projection,
                                                 render_lifetime_table)
-        from repro.workloads import SysBenchWorkload
+        from repro.experiments.parallel import RunSpec
         rows = lifetime_projection(
-            lambda: SysBenchWorkload(scale=0.1, n_requests=1500))
+            RunSpec(workload="sysbench", scale=0.1, n_requests=1500,
+                    warmup_fraction=0.4))
         assert set(rows) == {"fusion-io", "dedup", "lru", "icash"}
         table = render_lifetime_table(rows)
         assert "icash" in table and "WA" in table

@@ -285,13 +285,12 @@ class TestRunResultPayload:
     @pytest.mark.parametrize("engine", ["legacy", "event"])
     def test_case_record_identical_after_roundtrip(self, engine):
         from repro.experiments import bench
+        from repro.experiments.parallel import RunSpec, run_spec
         from repro.experiments.runner import RunResult
 
-        case = bench.BenchCase(case=f"sysbench-icash-{engine}",
-                               workload="sysbench", system="icash",
-                               engine=engine, seed=2011, n_requests=300,
-                               scale=0.05)
-        original = bench.run_case(case)
+        case = RunSpec(workload="sysbench", engine=engine,
+                       n_requests=300, scale=0.05, profile=True)
+        original = run_spec(case)
         payload = pickle.loads(pickle.dumps(original.to_payload()))
         rebuilt = RunResult.from_payload(payload)
         assert json.dumps(bench.case_record(case, original),
@@ -301,9 +300,9 @@ class TestRunResultPayload:
 
     def test_payload_is_plain_data(self):
         from repro.experiments import bench
+        from repro.experiments.parallel import run_spec
 
-        case = bench.QUICK_SUITE[0]
-        payload = bench.run_case(case).to_payload()
+        payload = run_spec(bench.QUICK_SUITE[0]).to_payload()
         json.dumps(payload)  # no live simulator objects inside
 
 
@@ -360,13 +359,11 @@ class TestParallelDeterminism:
     def test_sweep_points_identical_with_jobs(self):
         from repro.experiments.parallel import RunSpec
         from repro.experiments.sweeps import sweep_config
-        from repro.workloads import SysBenchWorkload
 
-        factory = lambda: SysBenchWorkload(n_requests=400)  # noqa: E731
-        base = RunSpec(workload="sysbench", n_requests=400)
-        serial = sweep_config(factory, "scan_interval", [200, 800])
-        fanned = sweep_config(factory, "scan_interval", [200, 800],
-                              jobs=2, base_spec=base)
+        base = RunSpec(workload="sysbench", n_requests=400,
+                       warmup_fraction=0.4)
+        serial = sweep_config(base, "scan_interval", [200, 800])
+        fanned = sweep_config(base, "scan_interval", [200, 800], jobs=2)
         for left, right in zip(serial, fanned):
             assert left.value == right.value
             assert left.result.transactions_per_s \

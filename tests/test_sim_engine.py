@@ -25,6 +25,7 @@ from repro.delta.encoder import Delta
 from repro.delta.packer import DeltaLog, DeltaRecord
 from repro.devices.hdd import HardDiskDrive
 from repro.experiments import loadtest
+from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import make_system
 from repro.sim.engine import (DeviceStation, EngineConfig, EventEngine,
@@ -317,12 +318,10 @@ class TestLoadtestSweep:
 
     @pytest.fixture(scope="class")
     def sweep(self):
-        def factory():
-            return SysBenchWorkload(scale=0.05, n_requests=500)
-
-        capacity = loadtest.calibrate_capacity(factory, "icash")
+        spec = RunSpec(workload="sysbench", scale=0.05, n_requests=500)
+        capacity = loadtest.calibrate_capacity(spec)
         rates = loadtest.auto_rates(capacity, 5, span=(0.3, 1.6))
-        return loadtest.sweep_rates(factory, "icash", rates, seed=7)
+        return loadtest.sweep_rates(spec, rates, seed=7)
 
     def test_throughput_monotone_and_flattens(self, sweep):
         achieved = [p.achieved_rps for p in sweep]
@@ -491,11 +490,9 @@ class TestCurveCsvStationColumns:
         assert lines[2].endswith("0.000000,0.000000")
 
     def test_real_sweep_populates_station_columns(self):
-        def factory():
-            return SysBenchWorkload(scale=0.05, n_requests=300)
-
-        point, result = loadtest.run_rate_point(factory, "icash",
-                                                50_000.0)
+        point, result = loadtest.run_rate_point(
+            RunSpec(workload="sysbench", scale=0.05, n_requests=300),
+            50_000.0)
         assert set(point.station_util) == \
             set(result.queueing.stations)
         for name, summary in result.queueing.stations.items():

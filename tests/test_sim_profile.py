@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.experiments import bench
+from repro.experiments.parallel import RunSpec, run_spec
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import make_system
 from repro.sim.load import ClosedLoopLoad, OpenLoopLoad
@@ -292,14 +293,12 @@ class TestFoldedStacks:
 
 class TestBenchHarness:
     def small_document(self, seed=2011):
-        case = bench.BenchCase(case="sysbench-icash-legacy",
-                               workload="sysbench", system="icash",
-                               engine="legacy", seed=seed,
-                               n_requests=300, scale=0.05)
+        case = RunSpec(workload="sysbench", seed=seed, n_requests=300,
+                       scale=0.05, profile=True)
         return {
             "schema_version": bench.BENCH_SCHEMA_VERSION,
             "suite": "quick",
-            "cases": [bench.case_record(case, bench.run_case(case))],
+            "cases": [bench.case_record(case, run_spec(case))],
         }
 
     def test_case_record_shape(self):
