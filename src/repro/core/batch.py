@@ -9,10 +9,12 @@ The point is wall-clock only: callers that already hold ``N`` blocks
 (controller ingest over the whole backing store, multi-block writes)
 pay one numpy pass instead of ``N`` python round trips.  Simulated
 metrics are unaffected by construction — the kernels compute the same
-values the scalar calls would.  Delta encoding has no batch form: its
-one caller, a speculative chunked ingest sweep, did not earn its lines
-against :func:`repro.delta.encoder.encode_delta` (docs/TUNING.md,
-"Removed: batched ingest sweep").
+values the scalar calls would.  Delta encoding has no batch form:
+:func:`repro.delta.encoder.encode_delta` is already one numpy pass from
+the differing offsets to the wire bytes (docs/TUNING.md, "A delta is
+its wire bytes"), and a speculative chunked ingest sweep, the batch
+form's one caller, did not earn its lines against it ("Removed:
+batched ingest sweep").
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from collections import OrderedDict
 from itertools import islice
 from typing import Iterator, List, Optional
 
-from repro.core.virtual_block import VirtualBlock
+from repro.core.virtual_block import BlockKind, VirtualBlock
 from repro.delta.segments import SegmentPool
 from repro.sim.request import BLOCK_SIZE
 
@@ -76,7 +76,7 @@ class ICashCache:
         if len(self._blocks) >= self.max_virtual_blocks:
             raise MemoryError("virtual block capacity exhausted")
         self._blocks[vb.lba] = vb
-        if vb.has_data:
+        if vb.data is not None:
             if len(self._data_order) >= self.max_data_blocks:
                 raise MemoryError("data block capacity exhausted")
             self._data_order[vb.lba] = vb
@@ -97,7 +97,7 @@ class ICashCache:
 
     def attach_data(self, vb: VirtualBlock, data) -> None:
         """Give ``vb`` a RAM data block.  Capacity must be ensured first."""
-        if not vb.has_data:
+        if vb.data is None:
             if len(self._data_order) >= self.max_data_blocks:
                 raise MemoryError("data block capacity exhausted")
             self._data_order[vb.lba] = vb
@@ -105,7 +105,7 @@ class ICashCache:
         vb.data = data
 
     def drop_data(self, vb: VirtualBlock) -> None:
-        if vb.has_data:
+        if vb.data is not None:
             vb.data = None
             vb.data_dirty = False
             self._data_order.pop(vb.lba, None)
@@ -135,7 +135,7 @@ class ICashCache:
     def find_virtual_victim(self) -> Optional[VirtualBlock]:
         """Policy 1: first non-reference block from the LRU tail."""
         for vb in self._blocks.values():
-            if not vb.is_reference:
+            if vb.kind is not BlockKind.REFERENCE:
                 return vb
         return None
 
@@ -148,7 +148,7 @@ class ICashCache:
     def find_delta_victim(self) -> Optional[VirtualBlock]:
         """Policy 3: first non-reference, delta-holding block from tail."""
         for vb in self._delta_order.values():
-            if not vb.is_reference:
+            if vb.kind is not BlockKind.REFERENCE:
                 return vb
         return None
 

@@ -376,13 +376,14 @@ class ICASHController(StorageSystem):
                            outcome="miss" if vb is None else vb.kind.value)
         if vb is None:
             latency, content, vb = self._read_miss(lba)
-        elif vb.is_associate or (vb.is_reference and vb.has_delta):
+        elif vb.kind is BlockKind.ASSOCIATE or (
+                vb.kind is BlockKind.REFERENCE and vb.delta is not None):
             latency, content = self._read_via_delta(vb)
-        elif vb.has_data:
+        elif vb.data is not None:
             self.stats.bump("ram_data_hits")
             latency = self.dram.access()
             content = _readonly_view(vb.data)
-        elif vb.is_reference:
+        elif vb.kind is BlockKind.REFERENCE:
             if vb.lba in self._shadowed_refs:
                 # The frozen SSD copy only serves dependents; the block's
                 # own content lives on the HDD data region.
@@ -455,17 +456,17 @@ class ICASHController(StorageSystem):
 
     def _read_via_delta(self, vb: VirtualBlock) -> Tuple[float, np.ndarray]:
         """Associate (or written reference): reference content + delta."""
-        ref_lba = vb.ref_lba if vb.is_associate else vb.lba
+        ref_lba = vb.ref_lba if vb.kind is BlockKind.ASSOCIATE else vb.lba
         latency = 0.0
         ref_vb = self.cache.get(ref_lba) if ref_lba != vb.lba else vb
-        if ref_vb is not None and ref_vb.has_data:
+        if ref_vb is not None and ref_vb.data is not None:
             latency += self.dram.access()
             self.stats.bump("ram_ref_hits")
         else:
             latency += self._ssd_read_latency(ref_lba)
             self.stats.bump("ssd_ref_reads")
-        if vb.has_delta:
-            delta = vb.delta
+        delta = vb.delta
+        if delta is not None:
             latency += self.dram.access(vb.delta_segments_bytes)
             self.stats.bump("ram_delta_hits")
         else:
@@ -586,9 +587,9 @@ class ICASHController(StorageSystem):
                            outcome="miss" if vb is None else vb.kind.value)
         if vb is None:
             vb = self._revive_for_write(lba)
-        if vb.is_associate:
+        if vb.kind is BlockKind.ASSOCIATE:
             latency = self._write_associate(vb, content, signatures)
-        elif vb.is_reference:
+        elif vb.kind is BlockKind.REFERENCE:
             latency = self._write_reference(vb, content)
         else:
             latency = self._write_independent(vb, content, signatures)
@@ -619,7 +620,7 @@ class ICASHController(StorageSystem):
         ref_lba = vb.ref_lba
         ref_vb = self.cache.get(ref_lba)
         tracer = self.tracer
-        if ref_vb is None or not ref_vb.has_data:
+        if ref_vb is None or ref_vb.data is None:
             # The reference read overlaps request processing (§5.1):
             # charged to background time, traced off the critical path.
             if tracer.enabled:

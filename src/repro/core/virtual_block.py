@@ -9,7 +9,7 @@ types: reference block, associate block, or independent block."
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -29,7 +29,7 @@ class BlockKind(enum.Enum):
     ASSOCIATE = "associate"
 
 
-@dataclass
+@dataclass(slots=True)
 class VirtualBlock:
     """Metadata for one logical block under I-CASH management."""
 

@@ -6,30 +6,24 @@ data redundancy" of Section 4.2: the paper reports that typical writes
 change only 5–20 % of a block's bits, so a run-based encoding shrinks a
 4 KB block to a few hundred bytes.
 
-Encoding walks the XOR mask between target and reference (vectorised with
-numpy), extracts maximal runs of differing bytes, and merges runs whose
-gap is smaller than the per-run header overhead — merging is never worse
-and usually better.
-
 Wire format (used by the HDD log packer and by crash recovery)::
 
     u16 run_count | run_count x (u16 offset, u16 length) | run payloads
 
 All offsets/lengths fit in u16 because blocks are 4 096 bytes.
 
-This module is the hottest host-time code in the repository (the
-``repro critpath``/cProfile attribution puts the codec at roughly a
-third of a benchmark run), so :class:`Delta` caches its derived views —
-encoded size, wire bytes, and the numpy "patch plan" that
-:func:`apply_delta` uses — computed once per immutable instance.
+A :class:`Delta` *is* those bytes: one slotted object around one
+``bytes`` buffer.  Its size is the buffer's length, serialising returns
+the buffer, and encoding, decoding and patching read the run bounds as a
+``<u2`` numpy view of the header — no per-run python object exists
+unless a caller asks for ``.runs``.  Bytes from outside (the log, the
+``Delta(runs=...)`` constructor) are bounds-checked once, on the way in;
+:func:`encode_delta` output is in range by construction and skips that.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
-from functools import cached_property
-from typing import List, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -43,74 +37,118 @@ DELTA_HEADER_BYTES = 2
 #: bytes verbatim costs less than a fresh run header.
 MERGE_GAP = RUN_HEADER_BYTES
 
-#: Below this run count :func:`apply_delta` patches with a plain loop;
-#: building (and caching) the vectorised patch plan only pays off once a
-#: delta carries enough runs to amortise the numpy setup.
-_PATCH_PLAN_MIN_RUNS = 3
+_U2 = np.dtype("<u2")
+_OFFSETS = np.arange(BLOCK_SIZE)
+_OFFSETS.flags.writeable = False
 
 
-@dataclass(frozen=True)
+def _covered(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Every block offset the runs cover, in payload order."""
+    # Each run's start minus its position in the payload, spread over
+    # the run's bytes; adding 0, 1, 2, ... turns that into offsets.
+    cover = (starts - lengths.cumsum() + lengths).repeat(lengths)
+    cover += _OFFSETS[:cover.size]
+    return cover
+
+
+def _run_bounds(wire: bytes, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(starts, lengths)`` of the ``n`` runs the wire header declares."""
+    bounds = np.frombuffer(wire, _U2, 2 * n,
+                           DELTA_HEADER_BYTES).astype(np.intp)
+    return bounds[0::2], bounds[1::2]
+
+
 class Delta:
-    """An immutable delta: byte runs that replace reference content.
+    """A delta: byte runs that replace reference content.  Immutable by
+    convention — the controller shares one instance between the cache,
+    the log's record lists and its reconstruction memo.
 
     Attributes:
-        runs: ``(offset, payload)`` pairs, sorted by offset and
-            non-overlapping; ``payload`` is a ``bytes`` object.
-
-    Derived views (``size_bytes``, the serialized wire bytes, the apply
-    plan) are cached on first use — safe because instances are frozen.
+        size_bytes: Encoded size — what the delta costs in RAM segments
+            or log space; the length of the wire bytes.
     """
 
-    runs: Tuple[Tuple[int, bytes], ...]
+    __slots__ = ("_wire", "size_bytes")
 
-    @cached_property
-    def size_bytes(self) -> int:
-        """Encoded size: what the delta costs in RAM segments or log space."""
-        return DELTA_HEADER_BYTES + sum(
-            RUN_HEADER_BYTES + len(payload) for _, payload in self.runs)
+    def __init__(self, runs: Iterable[Tuple[int, bytes]]) -> None:
+        """Build from ``(offset, payload)`` pairs, which must be sorted,
+        non-overlapping and inside the block (``ValueError`` if not)."""
+        runs = tuple(runs)
+        header = [len(runs)]
+        for offset, payload in runs:
+            header += (offset, len(payload))
+        if not all(0 <= field <= BLOCK_SIZE for field in header):
+            raise ValueError("delta run bound exceeds block size")
+        self._wire = self._checked(np.array(header, dtype=_U2).tobytes()
+                                   + b"".join(payload for _, payload in runs))
+        self.size_bytes = len(self._wire)
+
+    @staticmethod
+    def _checked(wire: bytes) -> bytes:
+        """``wire`` itself, once its framing and run bounds are proven."""
+        if len(wire) < DELTA_HEADER_BYTES:
+            raise ValueError("delta blob shorter than its header")
+        n = wire[0] | wire[1] << 8
+        payload_at = DELTA_HEADER_BYTES + n * RUN_HEADER_BYTES
+        if payload_at > len(wire):
+            raise ValueError("truncated delta run header")
+        starts, lengths = _run_bounds(wire, n)
+        if payload_at + int(lengths.sum()) != len(wire):
+            raise ValueError(
+                f"delta run payload is {len(wire) - payload_at} B, its "
+                f"run headers promise {int(lengths.sum())} B")
+        ends = starts + lengths
+        if (ends > BLOCK_SIZE).any():
+            worst = int(ends.argmax())
+            raise ValueError(f"delta run [{int(starts[worst])}, "
+                             f"{int(ends[worst])}) exceeds block size")
+        if (starts[1:] < ends[:-1]).any():
+            raise ValueError("delta runs overlap or are out of order")
+        return wire
+
+    @classmethod
+    def _trusted(cls, wire: bytes) -> "Delta":
+        delta = cls.__new__(cls)
+        delta._wire = wire
+        delta.size_bytes = len(wire)
+        return delta
+
+    @property
+    def run_count(self) -> int:
+        return self._wire[0] | self._wire[1] << 8
 
     @property
     def is_identity(self) -> bool:
         """True when target and reference were byte-identical."""
-        return not self.runs
+        return self.size_bytes == DELTA_HEADER_BYTES
 
     @property
     def changed_bytes(self) -> int:
-        return sum(len(payload) for _, payload in self.runs)
+        return (self.size_bytes - DELTA_HEADER_BYTES
+                - self.run_count * RUN_HEADER_BYTES)
 
-    @cached_property
-    def _wire(self) -> bytes:
-        n = len(self.runs)
-        header = struct.pack(
-            f"<H{2 * n}H", n,
-            *(v for offset, payload in self.runs
-              for v in (offset, len(payload))))
-        return header + b"".join(payload for _, payload in self.runs)
+    @property
+    def runs(self) -> Tuple[Tuple[int, bytes], ...]:
+        """``(offset, payload)`` pairs, materialised from the wire bytes."""
+        n = self.run_count
+        starts, lengths = _run_bounds(self._wire, n)
+        runs = []
+        pos = DELTA_HEADER_BYTES + n * RUN_HEADER_BYTES
+        for offset, length in zip(starts.tolist(), lengths.tolist()):
+            runs.append((offset, self._wire[pos:pos + length]))
+            pos += length
+        return tuple(runs)
 
-    @cached_property
-    def _patch_plan(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat ``(indices, values)`` arrays patching a reference in one
-        fancy assignment; bounds are validated here, once per delta."""
-        n = len(self.runs)
-        starts = np.fromiter(
-            (offset for offset, _ in self.runs), dtype=np.intp, count=n)
-        lengths = np.fromiter(
-            (len(payload) for _, payload in self.runs),
-            dtype=np.intp, count=n)
-        ends = starts + lengths
-        if n and int(ends.max()) > BLOCK_SIZE:
-            worst = int(np.argmax(ends))
-            raise ValueError(
-                f"delta run [{int(starts[worst])}, {int(ends[worst])}) "
-                f"exceeds block size")
-        total = int(lengths.sum())
-        run_base = np.concatenate(
-            (np.zeros(1, dtype=np.intp), np.cumsum(lengths)[:-1]))
-        indices = (np.repeat(starts - run_base, lengths)
-                   + np.arange(total, dtype=np.intp))
-        values = np.frombuffer(
-            b"".join(payload for _, payload in self.runs), dtype=np.uint8)
-        return indices, values
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Delta):
+            return NotImplemented
+        return self._wire == other._wire
+
+    def __hash__(self) -> int:
+        return hash(self._wire)
+
+    def __repr__(self) -> str:
+        return f"Delta({self.run_count} runs, {self.size_bytes} B)"
 
     def serialize(self) -> bytes:
         """Encode to the wire format used in HDD delta blocks."""
@@ -118,82 +156,46 @@ class Delta:
 
     @classmethod
     def deserialize(cls, blob: bytes) -> "Delta":
-        """Decode from the wire format; raises ``ValueError`` on corruption."""
-        if len(blob) < DELTA_HEADER_BYTES:
-            raise ValueError("delta blob shorter than its header")
-        (run_count,) = struct.unpack_from("<H", blob, 0)
-        pos = DELTA_HEADER_BYTES + run_count * RUN_HEADER_BYTES
-        if pos > len(blob):
-            raise ValueError("truncated delta run header")
-        fields = struct.unpack_from(f"<{2 * run_count}H", blob,
-                                    DELTA_HEADER_BYTES)
-        runs: List[Tuple[int, bytes]] = []
-        for i in range(run_count):
-            length = fields[2 * i + 1]
-            end = pos + length
-            if end > len(blob):
-                raise ValueError("truncated delta run payload")
-            runs.append((fields[2 * i], blob[pos:end]))
-            pos = end
-        return cls(runs=tuple(runs))
-
-
-def _diff_run_arrays(target: np.ndarray,
-                     reference: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Maximal differing runs as parallel ``(starts, ends)`` arrays."""
-    mask = target != reference
-    # Transitions of the padded mask give run boundaries.
-    padded = np.empty(mask.size + 2, dtype=bool)
-    padded[0] = padded[-1] = False
-    padded[1:-1] = mask
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    return edges[0::2], edges[1::2]
+        """Decode from the wire format; raises ``ValueError`` on corruption
+        — truncation, or runs that overlap or leave the block."""
+        return cls._trusted(cls._checked(bytes(blob)))
 
 
 def encode_delta(target: np.ndarray, reference: np.ndarray) -> Delta:
     """Encode ``target`` as a delta against ``reference``.
 
     Both arguments must be ``uint8`` arrays of :data:`BLOCK_SIZE` bytes.
-    The run payloads are materialised as ``bytes`` (copied out of
-    ``target``), so the returned delta never aliases the caller's array
-    — mutating ``target`` afterwards cannot corrupt the delta.
+    The run payloads are copied out of ``target``, so the returned delta
+    never aliases the caller's array — mutating ``target`` afterwards
+    cannot corrupt the delta.
     """
     if target.nbytes != BLOCK_SIZE or reference.nbytes != BLOCK_SIZE:
         raise ValueError(
             f"delta codec operates on {BLOCK_SIZE}-byte blocks, got "
             f"{target.nbytes} and {reference.nbytes}")
-    start_arr, end_arr = _diff_run_arrays(target, reference)
-    if not start_arr.size:
-        return Delta(runs=())
-    starts = start_arr.tolist()
-    ends = end_arr.tolist()
-    # Merge runs separated by gaps too small to be worth a run header:
-    # ``heads`` are the raw runs that open a new merged run.  (Plain
-    # lists: typical deltas carry a few dozen runs, and at that size
-    # python beats numpy's per-op overhead.)
-    heads = [i for i in range(1, len(starts))
-             if starts[i] - ends[i - 1] > MERGE_GAP]
-    starts = starts[:1] + [starts[i] for i in heads]
-    ends = [ends[i - 1] for i in heads] + ends[-1:]
-    # One bulk copy to bytes, then cheap slicing — faster than a
-    # per-run ``ndarray.tobytes()`` and byte-identical to it.
-    raw = target.tobytes()
-    payloads = [raw[start:end] for start, end in zip(starts, ends)]
-    n = len(payloads)
-    delta = Delta(runs=tuple(zip(starts, payloads)))
-    # Preinstall both cached views: every encoded delta has its size
-    # read (spill and accept thresholds) and most reach the log packer,
-    # and from the run bounds both cost a fraction of the lazy per-run
-    # walks.
-    lengths = list(map(len, payloads))
-    header = [n] * (2 * n + 1)
+    changed = (target != reference).nonzero()[0]
+    if not changed.size:
+        return Delta._trusted(bytes(DELTA_HEADER_BYTES))
+    # A run ends wherever the next differing byte is more than MERGE_GAP
+    # identical bytes away; closer ones share a run, since carrying the
+    # gap verbatim costs less than a fresh run header.
+    after = changed[1:]
+    breaks = (after - changed[:-1] > MERGE_GAP + 1).nonzero()[0]
+    n = breaks.size + 1
+    starts = np.empty(n, dtype=np.intp)
+    starts[0] = changed[0]
+    starts[1:] = after[breaks]
+    lengths = np.empty(n, dtype=np.intp)
+    lengths[:-1] = changed[breaks]
+    lengths[-1] = changed[-1]
+    lengths -= starts
+    lengths += 1
+    header = np.empty(2 * n + 1, dtype=_U2)
+    header[0] = n
     header[1::2] = starts
     header[2::2] = lengths
-    delta.__dict__["size_bytes"] = (
-        DELTA_HEADER_BYTES + RUN_HEADER_BYTES * n + sum(lengths))
-    delta.__dict__["_wire"] = (struct.pack(f"<{2 * n + 1}H", *header)
-                               + b"".join(payloads))
-    return delta
+    return Delta._trusted(
+        header.tobytes() + target[_covered(starts, lengths)].tobytes())
 
 
 def apply_delta(delta: Delta, reference: np.ndarray) -> np.ndarray:
@@ -208,17 +210,9 @@ def apply_delta(delta: Delta, reference: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"reference must be {BLOCK_SIZE} bytes, got {reference.nbytes}")
     target = reference.copy()
-    runs = delta.runs
-    if not runs:
-        return target
-    if len(runs) < _PATCH_PLAN_MIN_RUNS:
-        for offset, payload in runs:
-            end = offset + len(payload)
-            if end > BLOCK_SIZE:
-                raise ValueError(
-                    f"delta run [{offset}, {end}) exceeds block size")
-            target[offset:end] = np.frombuffer(payload, dtype=np.uint8)
-        return target
-    indices, values = delta._patch_plan
-    target[indices] = values
+    n = delta.run_count
+    if n:
+        target[_covered(*_run_bounds(delta._wire, n))] = np.frombuffer(
+            delta._wire, np.uint8, -1,
+            DELTA_HEADER_BYTES + n * RUN_HEADER_BYTES)
     return target

@@ -44,7 +44,7 @@ class DeltaRecord:
 
     @property
     def wire_size(self) -> int:
-        return _RECORD_HEADER.size + len(self.delta.serialize())
+        return _RECORD_HEADER.size + self.delta.size_bytes
 
 
 class DeltaBlockPacker:
@@ -70,37 +70,33 @@ class DeltaBlockPacker:
         holds — the log caches these so a ``peek_block`` right after an
         append never re-unpacks bytes it just sealed."""
         blocks: List[Tuple[bytes, List[DeltaRecord]]] = []
-        current: List[Tuple[DeltaRecord, bytes]] = []
+        current: List[DeltaRecord] = []
         used = 0
         for record in records:
-            blob = record.delta.serialize()
-            need = _RECORD_HEADER.size + len(blob)
+            need = _RECORD_HEADER.size + record.delta.size_bytes
             if need > self.payload_capacity:
                 raise ValueError(
                     f"delta for lba {record.lba} ({need} B) cannot fit in "
                     f"one delta block; spill it to the SSD instead")
             if used + need > self.payload_capacity:
-                blocks.append((self._seal(current,
-                                          start_sequence + len(blocks)),
-                               [entry for entry, _ in current]))
+                blocks.append((self._seal(
+                    current, start_sequence + len(blocks)), current))
                 current = []
                 used = 0
-            current.append((record, blob))
+            current.append(record)
             used += need
         if current:
-            blocks.append((self._seal(current,
-                                      start_sequence + len(blocks)),
-                           [entry for entry, _ in current]))
+            blocks.append((self._seal(
+                current, start_sequence + len(blocks)), current))
         return blocks
 
     @staticmethod
-    def _seal(entries: List[Tuple[DeltaRecord, bytes]],
-              sequence: int) -> bytes:
-        parts = [_BLOCK_HEADER.pack(MAGIC, sequence, len(entries))]
+    def _seal(records: List[DeltaRecord], sequence: int) -> bytes:
+        parts = [_BLOCK_HEADER.pack(MAGIC, sequence, len(records))]
         parts.extend(_RECORD_HEADER.pack(record.lba, record.ref_lba,
-                                         len(blob))
-                     for record, blob in entries)
-        parts.extend(blob for _, blob in entries)
+                                         record.delta.size_bytes)
+                     for record in records)
+        parts.extend(record.delta.serialize() for record in records)
         packed = b"".join(parts)
         return packed + b"\x00" * (BLOCK_SIZE - len(packed))
 

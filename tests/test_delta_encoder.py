@@ -1,5 +1,7 @@
 """Unit and property tests for the byte-range delta codec."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from repro.delta.encoder import (DELTA_HEADER_BYTES, MERGE_GAP,
 from repro.sim.request import BLOCK_SIZE
 
 from conftest import make_block
+from reference import delta_codec as reference_codec
 
 
 class TestEncodeBasics:
@@ -83,11 +86,6 @@ class TestApply:
         apply_delta(delta, ref)
         assert (ref == 1).all()
 
-    def test_apply_rejects_overflowing_run(self):
-        delta = Delta(runs=((BLOCK_SIZE - 1, b"ab"),))
-        with pytest.raises(ValueError, match="exceeds"):
-            apply_delta(delta, make_block())
-
     def test_apply_rejects_wrong_reference_size(self):
         with pytest.raises(ValueError):
             apply_delta(Delta(runs=()), np.zeros(8, dtype=np.uint8))
@@ -106,19 +104,20 @@ class TestWireFormat:
         assert decoded == delta
         assert np.array_equal(apply_delta(decoded, ref), target)
 
-    def test_preinstalled_views_equal_lazy_ones(self, rng):
-        """encode_delta installs size and wire bytes from the run bounds;
-        a Delta built from the same runs derives them lazily."""
-        ref = rng.integers(0, 256, BLOCK_SIZE, dtype=np.uint8)
-        for n_edits in (1, 2, 7, 40, 300):
-            target = ref.copy()
-            for _ in range(n_edits):
-                start = int(rng.integers(0, BLOCK_SIZE))
-                target[start:start + int(rng.integers(1, 12))] ^= 0xFF
+    def test_golden_wire_digest(self):
+        """Byte for byte what the tuple-of-runs codec wrote at 39665f9."""
+        golden = json.loads(reference_codec.DIGEST_PATH.read_text())
+        assert reference_codec.wire_digest(encode_delta) == golden
+
+    def test_runs_view_matches_reference_codec(self):
+        for target, ref in reference_codec.wire_corpus().values():
             delta = encode_delta(target, ref)
-            lazy = Delta(runs=delta.runs)
-            assert delta.size_bytes == lazy.size_bytes
-            assert delta.serialize() == lazy.serialize()
+            frozen = reference_codec.encode_delta(target, ref)
+            assert delta.runs == frozen.runs
+            assert delta.size_bytes == frozen.size_bytes
+            assert delta.changed_bytes == frozen.changed_bytes
+            assert Delta(runs=delta.runs) == delta
+            assert hash(Delta(runs=delta.runs)) == hash(delta)
 
     def test_identity_serializes_to_header_only(self):
         blob = Delta(runs=()).serialize()
@@ -137,6 +136,32 @@ class TestWireFormat:
         good = Delta(runs=((0, b"hello"),)).serialize()
         with pytest.raises(ValueError, match="payload"):
             Delta.deserialize(good[:-1])
+        with pytest.raises(ValueError, match="payload"):
+            Delta.deserialize(good + b"!")
+
+    def test_overflowing_run_rejected_on_the_way_in(self):
+        """Out-of-block runs never reach apply_delta: the constructor
+        and deserialize both refuse them."""
+        with pytest.raises(ValueError, match="exceeds"):
+            Delta(runs=((BLOCK_SIZE - 1, b"ab"),))
+        with pytest.raises(ValueError, match="exceeds"):
+            Delta(runs=((70000, b"a"),))
+        wire = bytearray(Delta(runs=((BLOCK_SIZE - 2, b"ab"),)).serialize())
+        wire[2:4] = (BLOCK_SIZE - 1).to_bytes(2, "little")
+        with pytest.raises(ValueError, match="exceeds"):
+            Delta.deserialize(bytes(wire))
+
+    def test_unsorted_or_overlapping_runs_rejected(self):
+        with pytest.raises(ValueError, match="overlap"):
+            Delta(runs=((10, b"abcd"), (12, b"x")))
+        with pytest.raises(ValueError, match="out of order"):
+            Delta(runs=((500, b"a"), (20, b"b")))
+        swapped = (Delta(runs=((20, b"b"),)).serialize()[2:6],
+                   Delta(runs=((500, b"a"),)).serialize()[2:6])
+        with pytest.raises(ValueError, match="out of order"):
+            Delta.deserialize(b"\x02\x00" + swapped[1] + swapped[0] + b"ab")
+        # Touching runs are legal: the check is overlap, not a gap rule.
+        assert Delta(runs=((0, b"ab"), (2, b"c"))).changed_bytes == 3
 
 
 class TestProperties:
@@ -154,9 +179,12 @@ class TestProperties:
             target[idx] = gen.integers(0, 256, n_changes)
         delta = encode_delta(target, ref)
         assert np.array_equal(apply_delta(delta, ref), target)
-        # Wire roundtrip preserves semantics too.
+        # Wire roundtrip preserves semantics too, and the bytes are the
+        # frozen tuple-of-runs codec's.
         decoded = Delta.deserialize(delta.serialize())
         assert np.array_equal(apply_delta(decoded, ref), target)
+        assert delta.serialize() == reference_codec.encode_delta(
+            target, ref).serialize()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 64),

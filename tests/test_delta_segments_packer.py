@@ -111,6 +111,26 @@ class TestPacker:
         with pytest.raises(ValueError, match="magic"):
             packer.unpack(b"\x00" * BLOCK_SIZE)
 
+    def test_out_of_block_run_is_corruption_at_unpack(self):
+        """A record whose lengths all add up but whose run leaves the
+        block fails at unpack — where DeltaLog counts it — not later
+        inside a foreground read's apply_delta."""
+        packer = DeltaBlockPacker()
+        good = DeltaRecord(1, 0, Delta(runs=((BLOCK_SIZE - 2, b"ab"),)))
+        (block,) = packer.pack([good, DeltaRecord(2, 0, delta_of_size(9))])
+        offset_at = block.index((BLOCK_SIZE - 2).to_bytes(2, "little"))
+        crafted = (block[:offset_at] + (BLOCK_SIZE - 1).to_bytes(2, "little")
+                   + block[offset_at + 2:])
+        with pytest.raises(ValueError, match="exceeds"):
+            packer.unpack(crafted)
+        log = DeltaLog(HardDiskDrive(100_000), base_lba=50_000,
+                       size_blocks=8)
+        _, (slot,), _ = log.append([good])
+        log._contents[slot] = crafted
+        log._unpacked.pop(slot)
+        assert list(log.replay()) == []
+        assert log.corrupt_blocks_skipped == 1
+
     def test_wrong_block_size_rejected(self):
         with pytest.raises(ValueError):
             DeltaBlockPacker.unpack(b"\x00" * 100)
