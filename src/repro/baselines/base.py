@@ -15,25 +15,19 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.sim.metrics import NULL_REGISTRY
 from repro.sim.request import IORequest, OpType
 from repro.sim.stats import StatsCollector
-from repro.sim.trace import NULL_TRACER
 
 
 class StorageSystem(abc.ABC):
     """Abstract storage architecture over a logical 4 KB block space."""
 
     #: Per-request trace sink (see :mod:`repro.sim.trace` and
-    #: ``docs/OBSERVABILITY.md``).  The null default costs one branch
-    #: per instrumentation site; :meth:`set_tracer` attaches a recording
-    #: tracer to the system and every device model under it.
-    tracer = NULL_TRACER
-
-    #: Windowed metrics sink (see :mod:`repro.sim.metrics`).  The shared
-    #: null registry makes registration a no-op; :meth:`set_metrics`
-    #: attaches a real registry for monitoring runs.
-    metrics = NULL_REGISTRY
+    #: ``docs/OBSERVABILITY.md``), or None when nothing observes the
+    #: run — every instrumentation site tests ``is not None``.
+    #: :meth:`set_tracer` attaches a tracer to the system and every
+    #: device model under it.
+    tracer = None
 
     def __init__(self, name: str, capacity_blocks: int) -> None:
         self.name = name
@@ -41,7 +35,8 @@ class StorageSystem(abc.ABC):
         self.stats = StatsCollector()
         #: Time (s) spent on work off the request critical path
         #: (background scans, flushes, destaging).  The experiment runner
-        #: folds this into wall-clock time.
+        #: folds this into wall-clock time.  Device work reaches it
+        #: through :meth:`_in_background` only.
         self.background_time = 0.0
         #: CPU seconds consumed by the architecture's own computation
         #: (delta codec, hashing, scans) — input to the CPU-utilisation
@@ -87,13 +82,32 @@ class StorageSystem(abc.ABC):
     def set_tracer(self, tracer) -> None:
         """Attach a tracer to this system and every device beneath it.
 
-        Pass :data:`repro.sim.trace.NULL_TRACER` to detach.  Devices
-        shared with nothing else (the normal case) simply start emitting
-        spans into ``tracer``'s buffer.
+        Pass None to detach.  Devices shared with nothing else (the
+        normal case) simply start emitting spans into ``tracer``'s
+        buffer.
         """
         self.tracer = tracer
         for device in self.devices():
             device.tracer = tracer
+
+    def _in_background(self, op, *args, section=None, outcome=None) -> None:
+        """Run ``op(*args)`` — a device operation, or a section of
+        them, returning its latency — off the request critical path.
+
+        The one way model code declares background work: the latency
+        lands on :attr:`background_time` and, when a tracer is attached,
+        every span ``op`` emits sits inside a background scope (named
+        ``section`` when given), which is what tells the ring tracer's
+        background track, the event engine's backlog and the profiler
+        that no request waited for it.  Scopes nest.
+        """
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.begin_background(section, outcome=outcome)
+        latency = op(*args)
+        if tracer is not None:
+            tracer.end_background()
+        self.background_time += latency
 
     def set_metrics(self, registry) -> None:
         """Register the whole stack's instruments with ``registry``.
@@ -104,9 +118,6 @@ class StorageSystem(abc.ABC):
         pairs) get ``name``, ``name-2``, ``name-3``... as their
         ``device`` label so their series stay distinguishable.
         """
-        self.metrics = registry
-        if not registry.enabled:
-            return
         self.register_metrics(registry)
         seen = {}
         for device in self.devices():
@@ -136,22 +147,22 @@ class StorageSystem(abc.ABC):
                      ) -> Tuple[float, List[np.ndarray]]:
         """Service one read request with stats and trace bookkeeping."""
         tracer = self.tracer
-        if tracer.enabled:
+        if tracer is not None:
             tracer.begin_request("read", request.lba, request.nblocks)
         latency, contents = self.read(request.lba, request.nblocks)
         self.stats.record_latency("read", latency)
-        if tracer.enabled:
+        if tracer is not None:
             tracer.end_request(latency)
         return latency, contents
 
     def process_write(self, request: IORequest) -> float:
         """Service one write request with stats and trace bookkeeping."""
         tracer = self.tracer
-        if tracer.enabled:
+        if tracer is not None:
             tracer.begin_request("write", request.lba, request.nblocks)
         latency = self.write(request.lba, request.payload)
         self.stats.record_latency("write", latency)
-        if tracer.enabled:
+        if tracer is not None:
             tracer.end_request(latency)
         return latency
 

@@ -101,7 +101,7 @@ class DedupCacheStorage(StorageSystem):
         lba = next(iter(self._lba_hash))
         if lba in self._dirty:
             self._dirty.discard(lba)
-            self.background_time += self.hdd.write(lba, 1)
+            self._in_background(self.hdd.write, lba, 1)
             self.stats.bump("destages")
         self._release(lba)
         self.stats.bump("evictions")

@@ -59,7 +59,7 @@ class LRUCacheStorage(StorageSystem):
         lba, slot = self._map.popitem(last=False)
         if lba in self._dirty:
             self._dirty.discard(lba)
-            self.background_time += self.hdd.write(lba, 1)
+            self._in_background(self.hdd.write, lba, 1)
             self.stats.bump("destages")
         self.ssd.trim(slot, 1)
         self._free.append(slot)

@@ -175,8 +175,6 @@ class ICASHController(StorageSystem):
         paper's time-series quantities — delta-hit ratio, RAM fill,
         reference churn, log occupancy.
         """
-        if not registry.enabled:
-            return
         stats, cache, segments, log = \
             self.stats, self.cache, self.segments, self.log
         registry.counter("delta_hits_total") \
@@ -371,7 +369,7 @@ class ICASHController(StorageSystem):
     def _read_one(self, lba: int) -> Tuple[float, np.ndarray]:
         vb = self.cache.get(lba)
         tracer = self.tracer
-        if tracer.enabled:
+        if tracer is not None:
             tracer.instant("cache_lookup", lba=lba,
                            outcome="miss" if vb is None else vb.kind.value)
         if vb is None:
@@ -582,7 +580,7 @@ class ICASHController(StorageSystem):
         self.heatmap.record(signatures)
         vb = self.cache.get(lba)
         tracer = self.tracer
-        if tracer.enabled:
+        if tracer is not None:
             tracer.instant("cache_lookup", lba=lba,
                            outcome="miss" if vb is None else vb.kind.value)
         if vb is None:
@@ -621,20 +619,15 @@ class ICASHController(StorageSystem):
         ref_vb = self.cache.get(ref_lba)
         tracer = self.tracer
         if ref_vb is None or ref_vb.data is None:
-            # The reference read overlaps request processing (§5.1):
-            # charged to background time, traced off the critical path.
-            if tracer.enabled:
-                tracer.begin_background()
-            self.background_time += self._ssd_read_latency(ref_lba)
-            if tracer.enabled:
-                tracer.end_background()
+            # The reference read overlaps request processing (§5.1).
+            self._in_background(self._ssd_read_latency, ref_lba)
             self.stats.bump("ssd_ref_reads_background")
         delta = encode_delta(content, self._ssd_data[ref_lba])
         cpu = self.config.compress_s
         self.cpu_time += cpu
         exposed = cpu * self.config.compress_exposed_fraction
         latency = self.dram.access() + exposed
-        if tracer.enabled:
+        if tracer is not None:
             tracer.span("delta_encode", exposed, lba=vb.lba,
                         nbytes=delta.size_bytes)
         if delta.size_bytes > self.config.delta_spill_bytes:
@@ -663,7 +656,7 @@ class ICASHController(StorageSystem):
         exposed = cpu * self.config.compress_exposed_fraction
         latency = self.dram.access() + exposed
         tracer = self.tracer
-        if tracer.enabled:
+        if tracer is not None:
             tracer.span("delta_encode", exposed, lba=vb.lba,
                         nbytes=delta.size_bytes)
         if delta.is_identity:
@@ -680,11 +673,7 @@ class ICASHController(StorageSystem):
         if delta.size_bytes > self.config.delta_spill_bytes:
             if external_dependents == 0:
                 # Nothing depends on the frozen copy: refresh it in place.
-                if tracer.enabled:
-                    tracer.begin_background()
-                self.background_time += self._ssd_write(vb.lba, content)
-                if tracer.enabled:
-                    tracer.end_background()
+                self._in_background(self._ssd_write, vb.lba, content)
                 self.cache.drop_delta(vb)
                 self.cache.drop_data(vb)
                 self._unmap_delta(vb.lba)
@@ -797,22 +786,18 @@ class ICASHController(StorageSystem):
         self._dirty_delta_lbas.clear()
         if not records:
             return 0.0
-        tracer = self.tracer
-        scoped = background and tracer.enabled
-        if scoped:
-            tracer.begin_background("flush", outcome="deltas")
-        latency = self._append_to_log(records, relogging=False)
-        if scoped:
-            tracer.end_background()
+        latency = 0.0
+        if background:
+            self._in_background(self._append_to_log, records,
+                                section="flush", outcome="deltas")
+        else:
+            latency = self._append_to_log(records)
         for record in records:
             vb = self.cache.get(record.lba, touch=False)
             if vb is not None:
                 vb.delta_dirty = False
         self.stats.bump("delta_flushes")
         self.stats.bump("delta_records_flushed", len(records))
-        if background:
-            self.background_time += latency
-            return 0.0
         return latency
 
     def _append_to_log(self, records: List[DeltaRecord],
@@ -910,22 +895,23 @@ class ICASHController(StorageSystem):
                  if vb.data_dirty and vb.has_data]
         if not dirty:
             return 0.0
-        tracer = self.tracer
-        scoped = background and tracer.enabled
-        if scoped:
-            tracer.begin_background("flush", outcome="data")
+        latency = 0.0
+        if background:
+            self._in_background(self._write_back, dirty,
+                                section="flush", outcome="data")
+        else:
+            latency = self._write_back(dirty)
+        self.stats.bump("data_writebacks", len(dirty))
+        return latency
+
+    def _write_back(self, dirty: List[VirtualBlock]) -> float:
+        """Write ``dirty`` data blocks to the HDD region; returns seconds."""
         latency = 0.0
         # Sort by lba so the write-back sweeps the disk in one direction.
         for vb in sorted(dirty, key=lambda b: b.lba):
             latency += self.hdd.write(vb.lba, 1)
             self.backing.set(vb.lba, vb.data)
             vb.data_dirty = False
-        if scoped:
-            tracer.end_background()
-        self.stats.bump("data_writebacks", len(dirty))
-        if background:
-            self.background_time += latency
-            return 0.0
         return latency
 
     # ------------------------------------------------------------------
@@ -962,7 +948,7 @@ class ICASHController(StorageSystem):
     def _run_scan(self) -> None:
         config = self.config
         tracer = self.tracer
-        if tracer.enabled:
+        if tracer is not None:
             tracer.begin_background("scan")
         needed = max(1, int(config.scan_window * 0.05))
         if len(self._free_slots) < needed:
@@ -977,7 +963,7 @@ class ICASHController(StorageSystem):
             self._promote_reference(vb)
         for assoc in result.associations:
             self._apply_association(assoc.vb, assoc.ref_lba, assoc.delta)
-        if tracer.enabled:
+        if tracer is not None:
             # The scan's own CPU comparisons have no individual spans;
             # fold them into the enclosing scan span's duration.
             tracer.end_background(extra_s=result.cpu_time)
@@ -1004,11 +990,11 @@ class ICASHController(StorageSystem):
                 return
             self._ssd_data[vb.lba] = content
             self._note_ssd_content_changed(vb.lba)
-            self.background_time += self._ssd_write(vb.lba, content)
+            self._in_background(self._ssd_write, vb.lba, content)
         if vb.data_dirty or was_spilled:
             # Keep the HDD region consistent with the promoted copy so a
             # later demotion (or recovery) never resurrects stale bytes.
-            self.background_time += self.hdd.write(vb.lba, 1)
+            self._in_background(self.hdd.write, vb.lba, 1)
             self.backing.set(vb.lba, content)
             vb.data_dirty = False
         vb.kind = BlockKind.REFERENCE
@@ -1061,7 +1047,7 @@ class ICASHController(StorageSystem):
             if vb.lba in self._ssd_ahead:
                 # The only current copy is the one about to be trimmed.
                 self._ssd_ahead.discard(vb.lba)
-                self.background_time += self.hdd.write(vb.lba, 1)
+                self._in_background(self.hdd.write, vb.lba, 1)
                 self.backing.set(vb.lba, self._ssd_data[vb.lba])
             self._release_ssd_slot(vb.lba)
             vb.kind = BlockKind.INDEPENDENT
@@ -1100,12 +1086,7 @@ class ICASHController(StorageSystem):
         if victim.delta_dirty:
             self._flush_deltas(background=True)
         if victim.data_dirty and victim.has_data:
-            tracer = self.tracer
-            if tracer.enabled:
-                tracer.begin_background()
-            self.background_time += self.hdd.write(victim.lba, 1)
-            if tracer.enabled:
-                tracer.end_background()
+            self._in_background(self.hdd.write, victim.lba, 1)
             self.backing.set(victim.lba, victim.data)
             victim.data_dirty = False
         if victim.is_associate:
@@ -1126,12 +1107,7 @@ class ICASHController(StorageSystem):
                 if victim is None or victim is vb:
                     return False
                 if victim.data_dirty:
-                    tracer = self.tracer
-                    if tracer.enabled:
-                        tracer.begin_background()
-                    self.background_time += self.hdd.write(victim.lba, 1)
-                    if tracer.enabled:
-                        tracer.end_background()
+                    self._in_background(self.hdd.write, victim.lba, 1)
                     self.backing.set(victim.lba, victim.data)
                 self.cache.drop_data(victim)
                 self.stats.bump("data_evictions")
@@ -1238,7 +1214,7 @@ class ICASHController(StorageSystem):
     def _decompress_cost(self) -> float:
         self.cpu_time += self.config.decompress_s
         tracer = self.tracer
-        if tracer.enabled:
+        if tracer is not None:
             tracer.span("delta_decode", self.config.decompress_s)
         return self.config.decompress_s
 

@@ -27,7 +27,6 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.delta.encoder import Delta
 from repro.sim.request import BLOCK_SIZE
-from repro.sim.trace import NULL_TRACER
 
 MAGIC = 0x1CA5_00DD
 _BLOCK_HEADER = struct.Struct("<IIH")
@@ -267,8 +266,8 @@ class DeltaLog:
         # Log appends are semantically distinct from ordinary data-region
         # I/O; re-label the raw device spans for the trace (the event's
         # outcome still carries the device's own access classification).
-        tracer = getattr(self.hdd, "tracer", NULL_TRACER)
-        if tracer.enabled:
+        tracer = getattr(self.hdd, "tracer", None)
+        if tracer is not None:
             tracer.push_name_scope("hdd_log_append")
         try:
             latency = 0.0
@@ -284,20 +283,20 @@ class DeltaLog:
             latency += self.hdd.write(self.base_lba + run_start, run_len)
             return latency
         finally:
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.pop_name_scope()
 
     def read_block(self, slot: int) -> Tuple[float, List[DeltaRecord]]:
         """Fetch one delta block; returns (latency, all packed records)."""
         if slot not in self._contents:
             raise KeyError(f"log slot {slot} holds no delta block")
-        tracer = getattr(self.hdd, "tracer", NULL_TRACER)
-        if tracer.enabled:
+        tracer = getattr(self.hdd, "tracer", None)
+        if tracer is not None:
             tracer.push_name_scope("hdd_log_read")
         try:
             latency = self.hdd.read(self.base_lba + slot, 1)
         finally:
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.pop_name_scope()
         return latency, self._cached_unpack(slot)
 

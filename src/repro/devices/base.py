@@ -12,10 +12,8 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from repro.sim.metrics import NULL_REGISTRY
 from repro.sim.request import BLOCK_SIZE
 from repro.sim.stats import StatsCollector
-from repro.sim.trace import NULL_TRACER
 
 
 @dataclass(frozen=True)
@@ -38,11 +36,11 @@ _COUNTER_KEYS = {kind: (f"{kind}_ops", f"{kind}_blocks")
 class Device(abc.ABC):
     """Abstract block device addressed in 4 KB logical blocks."""
 
-    #: Per-request trace sink (see :mod:`repro.sim.trace`).  The shared
-    #: null tracer makes every emission site a no-op by default;
-    #: :meth:`repro.baselines.base.StorageSystem.set_tracer` swaps in a
-    #: recording tracer for observability runs.
-    tracer = NULL_TRACER
+    #: Per-request trace sink (see :mod:`repro.sim.trace`), or None —
+    #: the default — when nothing records;
+    #: :meth:`repro.baselines.base.StorageSystem.set_tracer` attaches
+    #: one for observability runs.
+    tracer = None
 
     def __init__(self, capacity_blocks: int, name: str) -> None:
         if capacity_blocks <= 0:
@@ -82,7 +80,7 @@ class Device(abc.ABC):
                  lba: int = None, outcome: str = None) -> float:
         """Record an operation's counters and busy time; return latency.
 
-        When a recording tracer is attached, also emits one trace span
+        When a tracer is attached, also emits one trace span
         (``{trace_name}_{kind}``) carrying the span's block address,
         byte count and optional outcome tag.
         """
@@ -93,7 +91,7 @@ class Device(abc.ABC):
         stats.record_latency(kind, latency)
         self.busy_time += latency
         tracer = self.tracer
-        if tracer.enabled:
+        if tracer is not None:
             tracer.device_span(self.trace_name, kind, latency, lba=lba,
                                nbytes=nblocks * BLOCK_SIZE,
                                outcome=outcome)
@@ -101,8 +99,7 @@ class Device(abc.ABC):
 
     # -- metrics -----------------------------------------------------------
 
-    def register_metrics(self, registry=NULL_REGISTRY,
-                         label: str = None) -> None:
+    def register_metrics(self, registry, label: str = None) -> None:
         """Register this device's instruments with ``registry``.
 
         Counters are callback-backed: they read the existing
@@ -113,8 +110,6 @@ class Device(abc.ABC):
         to the device name; :meth:`StorageSystem.set_metrics` dedups
         collisions).
         """
-        if not registry.enabled:
-            return
         label = label if label is not None else self.name
         stats = self.stats
         registry.counter("device_read_ops_total", ("device",)) \

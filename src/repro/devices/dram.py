@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from repro.sim.request import BLOCK_SIZE
 from repro.sim.stats import StatsCollector
-from repro.sim.trace import NULL_TRACER
 
 
 class DRAMBuffer:
@@ -23,10 +22,10 @@ class DRAMBuffer:
     #: Time to move one 4 KB block through DRAM (copy + bookkeeping).
     BLOCK_COPY_S = 1e-6
 
-    #: Trace sink; emits ``dram_access`` spans when a recording tracer
-    #: is attached (instances may carry descriptive names like
+    #: Trace sink; emits ``dram_access`` spans when a tracer is
+    #: attached (instances may carry descriptive names like
     #: ``icash-ram``, so the event prefix is pinned here).
-    tracer = NULL_TRACER
+    tracer = None
     trace_name = "dram"
 
     def __init__(self, capacity_bytes: int, name: str = "dram") -> None:
@@ -79,8 +78,6 @@ class DRAMBuffer:
     def register_metrics(self, registry, label: str = None) -> None:
         """DRAM exposes only busy time; space accounting is reported by
         the controller's fill gauges (which know the budget split)."""
-        if not registry.enabled:
-            return
         label = label if label is not None else self.name
         registry.counter("device_busy_seconds", ("device",)) \
             .labels(device=label) \
@@ -94,7 +91,7 @@ class DRAMBuffer:
         self.stats.bump("accesses")
         self.busy_time += latency
         tracer = self.tracer
-        if tracer.enabled:
+        if tracer is not None:
             tracer.device_span(self.trace_name, "access", latency,
                                nbytes=nbytes)
         return latency

@@ -119,8 +119,6 @@ class HardDiskDrive(Device):
         rode an existing sequential stream — the quantity I-CASH's log
         layout exists to minimise."""
         super().register_metrics(registry, label=label)
-        if not registry.enabled:
-            return
         label = label if label is not None else self.name
         stats = self.stats
 

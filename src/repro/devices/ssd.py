@@ -277,7 +277,7 @@ class FlashSSD(Device):
         self._free.append(victim_idx)
         self.stats.bump("gc_erases")
         tracer = self.tracer
-        if tracer.enabled:
+        if tracer is not None:
             # The stall is already inside the triggering write's span, so
             # this is a device-internal mark, not a timeline-advancing
             # span — breakdowns must not double-count it.
@@ -292,8 +292,6 @@ class FlashSSD(Device):
         programs/erases/GC (the endurance story behind Table 6), wear
         spread and write amplification."""
         super().register_metrics(registry, label=label)
-        if not registry.enabled:
-            return
         label = label if label is not None else self.name
         stats = self.stats
         registry.counter("ssd_program_total", ("device",)) \

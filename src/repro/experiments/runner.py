@@ -417,8 +417,8 @@ def run_benchmark(workload: Workload, system: StorageSystem,
     ``ledger`` (a :class:`repro.ledger.LedgerWriter`) appends the
     result — provenance plus a curated metric snapshot — to the
     persistent run store under ``command="run_benchmark"``.  The
-    default (None, like :data:`repro.ledger.NULL_LEDGER`) records
-    nothing and costs nothing (see docs/LEDGER.md).
+    default, None, records nothing and costs nothing (see
+    docs/LEDGER.md).
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; pick one of "
@@ -445,7 +445,7 @@ def run_benchmark(workload: Workload, system: StorageSystem,
     run = _Measurement(workload, system, warmup_fraction, preload,
                        monitor, profiler)
     capture = None
-    if profiler is not None and profiler.enabled:
+    if profiler is not None:
         # Interpose the engine's capture tracer so each request's
         # service phases can be harvested for attribution; recorded
         # spans still reach the caller's tracer via replay.
@@ -505,10 +505,10 @@ def record_run(ledger, result: RunResult, command: str, spec=None,
                ) -> Optional[str]:
     """The one place experiment code writes to the run ledger.
 
-    ``ledger`` is a :class:`repro.ledger.LedgerWriter`, or None /
-    :data:`repro.ledger.NULL_LEDGER` to record nothing (duck-typed: no
-    :mod:`repro.ledger` import here).  ``spec`` is the executed
-    :class:`~repro.experiments.parallel.RunSpec` wherever one exists.
+    ``ledger`` is a :class:`repro.ledger.LedgerWriter`, or None to
+    record nothing (duck-typed: no :mod:`repro.ledger` import here).
+    ``spec`` is the executed :class:`~repro.experiments.parallel.RunSpec`
+    wherever one exists.
     Returns the row's run id, None when nothing was recorded.
     """
     if ledger is None:

@@ -34,8 +34,8 @@ for any N (results are recorded in submission order by the parent
 process; workers never write).
 
 Recording is opt-out (``--no-ledger`` / ``REPRO_LEDGER=0``) and
-library use defaults to :data:`NULL_LEDGER`, mirroring the
-NULL_TRACER/NULL_REGISTRY zero-overhead convention.  Schema, field
+library use defaults to no ledger (``None``, like the tracer, the
+monitor and the profiler).  Schema, field
 tables, anomaly math and retention are documented in docs/LEDGER.md
 (doc-parity tested by tests/test_ledger_docs.py).
 """
@@ -326,34 +326,6 @@ def noise_sem(row: LedgerRow, metric: str) -> Optional[float]:
     return float(entry.get("std_us", 0.0)) / math.sqrt(n)
 
 
-# ---------------------------------------------------------------------------
-# Null object — the library default
-# ---------------------------------------------------------------------------
-
-
-class NullLedger:
-    """The default ledger: recording is a no-op.
-
-    Library callers pass ``ledger=None`` (or this object) and pay one
-    attribute load, mirroring NULL_TRACER / NULL_REGISTRY — the
-    enabled cost is perfbench's ``ledger.overhead_ms`` (see
-    perfbench/README.md).
-    """
-
-    __slots__ = ()
-
-    enabled = False
-    recorded = 0
-    root = None
-
-    def record(self, result, command: str, spec=None, extra=None,
-               host_wall_s: Optional[float] = None) -> None:
-        return None
-
-
-NULL_LEDGER = NullLedger()
-
-
 def ledger_enabled() -> bool:
     """False when :data:`ENV_TOGGLE` disables recording."""
     flag = os.environ.get(ENV_TOGGLE, "1").strip().lower()
@@ -366,10 +338,10 @@ def default_root() -> str:
 
 def default_ledger(no_ledger: bool = False,
                    root: Optional[str] = None):
-    """The CLI's ledger: a writer on the default store, or
-    :data:`NULL_LEDGER` when opted out by flag or environment."""
+    """The CLI's ledger: a writer on the default store, or None when
+    opted out by flag or environment."""
     if no_ledger or not ledger_enabled():
-        return NULL_LEDGER
+        return None
     return LedgerWriter(root or default_root())
 
 
@@ -411,8 +383,6 @@ class LedgerWriter:
     ``clock`` injects the wall clock (tests pin it); it feeds only the
     ``volatile`` sub-object, never the run id.
     """
-
-    enabled = True
 
     def __init__(self, root: str = DEFAULT_DIR,
                  clock: Callable[[], float] = time.time) -> None:

@@ -31,8 +31,7 @@ from repro.sim.engine import (DEFAULT_DEVICE_SLOTS, DeviceStation,
 from repro.sim.load import ClosedLoopLoad, OpenLoopLoad, \
     default_closed_loop
 from repro.sim.metrics import (HealthMonitor, MetricsRegistry, Monitor,
-                               NULL_REGISTRY, PeriodicSampler, SeriesStore,
-                               SLORule)
+                               PeriodicSampler, SeriesStore, SLORule)
 from repro.sim.request import IORequest, OpType
 from repro.sim.stats import LatencyStats, StatsCollector
 
@@ -48,7 +47,6 @@ __all__ = [
     "LatencyStats",
     "MetricsRegistry",
     "Monitor",
-    "NULL_REGISTRY",
     "OpenLoopLoad",
     "OpType",
     "PeriodicSampler",

@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sim.profile import NULL_PROFILER, classify_phase
+from repro.sim.profile import classify_phase
 from repro.sim.stats import LatencyStats
 
 #: Default service-slot counts (NCQ depth) per device trace name.
@@ -132,12 +132,9 @@ class _CaptureTracer:
     ``(device, seconds)`` backlog jobs.
     """
 
-    enabled = True
-
     def __init__(self, downstream=None, keep_spans: bool = False) -> None:
-        self.downstream = downstream \
-            if downstream is not None and downstream.enabled else None
-        self._keep_spans = keep_spans or self.downstream is not None
+        self.downstream = downstream
+        self._keep_spans = keep_spans or downstream is not None
         self._name_scopes: List[str] = []
         self._bg_depth = 0
         self._in_request = False
@@ -516,11 +513,9 @@ class EventEngine:
                  profiler=None) -> None:
         self.system = system
         self.config = config if config is not None else EngineConfig()
-        #: Critical-path profiler (:mod:`repro.sim.profile`).  The null
-        #: default keeps completion handling at one branch.
-        self.profiler = profiler if profiler is not None \
-            else NULL_PROFILER
-        self._profile = self.profiler.enabled
+        #: Critical-path profiler (:mod:`repro.sim.profile`), or None.
+        self.profiler = profiler
+        self._profile = profiler is not None
         self.capture = _CaptureTracer(downstream_tracer,
                                       keep_spans=self._profile)
         self._profile_from = 0
@@ -580,7 +575,7 @@ class EventEngine:
         reports the closed-loop stream count, which an open-loop run
         makes meaningless.
         """
-        if registry is None or not registry.enabled:
+        if registry is None:
             return
         self._registry = registry
         self._wait_hist = registry.histogram("queue_wait_us")

@@ -230,7 +230,7 @@ class FaultInjector:
         self._fault_counter = None
         self._rebuild_counter = None
         self._degraded_counter = None
-        if registry is not None and registry.enabled:
+        if registry is not None:
             self._fault_counter = registry.counter(
                 "faults_injected_total", ("kind",))
             self._rebuild_counter = registry.counter("rebuild_io_total")

@@ -21,8 +21,8 @@ Four pieces:
   gauges may be *callback-backed* (``set_fn``), reading cumulative
   values straight out of the existing :class:`~repro.sim.stats`
   counters at sample time — so instrumenting a subsystem costs nothing
-  on the hot path.  The default is :data:`NULL_REGISTRY`, a no-op whose
-  overhead is one attribute load per guarded site.
+  on the hot path.  Without a monitor there is no registry at all:
+  nothing registers, and the few sites that record test ``is not None``.
 * **The sampler.**  :class:`PeriodicSampler` snapshots every registered
   instrument at a fixed *sim-time* interval into a bounded
   :class:`SeriesStore`.  On overflow the store merges adjacent windows
@@ -432,65 +432,8 @@ def _format_bound(bound: float) -> str:
     return str(int(bound)) if float(bound).is_integer() else repr(bound)
 
 
-class _NullInstrument:
-    """Every method a no-op; ``labels`` returns itself."""
-
-    __slots__ = ()
-
-    def labels(self, **labelvalues):
-        return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def set_fn(self, fn) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """The default registry: registration and recording are no-ops.
-
-    Instrumentation sites guard with ``if registry.enabled:``, so the
-    disabled metrics layer costs one attribute load and a predictable
-    branch — measured within ~1 % of the uninstrumented path (see
-    ``docs/TUNING.md``).
-    """
-
-    __slots__ = ()
-
-    enabled = False
-
-    def counter(self, name: str, labelnames: Tuple[str, ...] = ()):
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, labelnames: Tuple[str, ...] = ()):
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, labelnames: Tuple[str, ...] = (),
-                  buckets: Optional[Sequence[float]] = None):
-        return _NULL_INSTRUMENT
-
-    def collect(self) -> Tuple[Dict[str, float], Dict[str, str]]:
-        return {}, {}
-
-
-#: Shared no-op registry; the default everywhere.
-NULL_REGISTRY = NullRegistry()
-
-
 class MetricsRegistry:
     """Named instruments for one run; catalogue-checked like the tracer."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._instruments: Dict[str, Instrument] = {}

@@ -51,6 +51,12 @@ class HostCachedSystem(StorageSystem):
     def ingest(self) -> float:
         return self.inner.ingest()
 
+    def set_tracer(self, tracer) -> None:
+        # The inner system declares its own background work (and the
+        # write-backs below) to the tracer, so it must hold it too.
+        self.tracer = tracer
+        self.inner.set_tracer(tracer)
+
     @property
     def background_time(self) -> float:  # type: ignore[override]
         return self.inner.background_time
@@ -82,8 +88,7 @@ class HostCachedSystem(StorageSystem):
             lba, content = self._pages.popitem(last=False)
             if lba in self._dirty:
                 self._dirty.discard(lba)
-                self.inner.background_time += self.inner.write(
-                    lba, [content])
+                self.inner._in_background(self.inner.write, lba, [content])
                 self.stats.bump("writebacks")
             self.stats.bump("evictions")
         return latency

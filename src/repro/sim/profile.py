@@ -14,8 +14,8 @@ read latency is HDD queue wait at the saturation knee.
 
 Three pieces:
 
-* **Profilers.**  :data:`NULL_PROFILER` (the default) makes recording
-  a no-op behind one ``enabled`` check, so the hot path stays at zero
+* **Profilers.**  No profiler is ``None`` (the default): the engines
+  test ``is not None`` once per run, so the hot path stays at zero
   overhead; :class:`Profiler` aggregates per-request phase items into
   an :class:`AttributionTable`.  ``run_benchmark(..., profiler=...)``
   threads it through both engines: the event engine feeds exact
@@ -341,34 +341,8 @@ class AttributionTable:
 # ---------------------------------------------------------------------------
 
 
-class NullProfiler:
-    """The default profiler: recording is a no-op.
-
-    The engines guard every profiling step with ``if
-    profiler.enabled:``, so the disabled layer costs one attribute
-    load and a predictable branch per completed request — measured
-    within run-to-run noise (see ``docs/TUNING.md``).
-    """
-
-    __slots__ = ()
-
-    enabled = False
-    table = None
-
-    def record_request(self, op: str,
-                       items: Sequence[Tuple[str, str, float]],
-                       latency_s: float) -> None:
-        pass
-
-
-#: Shared no-op profiler instance; the default everywhere.
-NULL_PROFILER = NullProfiler()
-
-
 class Profiler:
     """Aggregates per-request phase items into an attribution table."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self.table = AttributionTable()

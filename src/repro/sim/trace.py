@@ -9,10 +9,11 @@ addresses, byte counts and outcome tags.
 
 Three pieces:
 
-* **Tracers.**  :data:`NULL_TRACER` (the default) makes every hook a
-  no-op and costs one attribute load plus a branch per instrumentation
-  site; :class:`RingBufferTracer` records events into a bounded ring so
-  memory stays fixed no matter how long the run is.
+* **Tracers.**  No tracer is ``None`` (the default): every
+  instrumentation site tests ``if tracer is not None:``, so an untraced
+  run pays one identity test per site; :class:`RingBufferTracer`
+  records events into a bounded ring so memory stays fixed no matter
+  how long the run is.
 * **Exporters.**  :func:`export_jsonl` writes one JSON object per line
   (greppable, streamable); :func:`export_chrome_trace` writes the Chrome
   ``trace_event`` format, which opens directly in ``chrome://tracing``
@@ -146,62 +147,6 @@ class TraceEvent:
                 f"dur={self.dur * 1e6:.1f}us, track={self.track!r})")
 
 
-class NullTracer:
-    """The default tracer: every hook is a no-op.
-
-    Instrumentation sites guard emission with ``if tracer.enabled:``, so
-    with this tracer the whole observability layer costs one attribute
-    load and a predictable branch per site — measured under 2 % of
-    benchmark wall-clock (see ``docs/TUNING.md``).
-    """
-
-    __slots__ = ()
-
-    enabled = False
-
-    def begin_request(self, op: str, lba: int, nblocks: int) -> None:
-        pass
-
-    def end_request(self, latency_s: float) -> None:
-        pass
-
-    def span(self, name: str, dur_s: float, lba: Optional[int] = None,
-             nbytes: Optional[int] = None,
-             outcome: Optional[str] = None) -> None:
-        pass
-
-    def instant(self, name: str, lba: Optional[int] = None,
-                outcome: Optional[str] = None) -> None:
-        pass
-
-    def mark(self, name: str, dur_s: float, lba: Optional[int] = None,
-             nbytes: Optional[int] = None,
-             outcome: Optional[str] = None) -> None:
-        pass
-
-    def device_span(self, device: str, kind: str, dur_s: float,
-                    lba: Optional[int] = None, nbytes: Optional[int] = None,
-                    outcome: Optional[str] = None) -> None:
-        pass
-
-    def begin_background(self, name: Optional[str] = None,
-                         outcome: Optional[str] = None) -> None:
-        pass
-
-    def end_background(self, extra_s: float = 0.0) -> None:
-        pass
-
-    def push_name_scope(self, name: str) -> None:
-        pass
-
-    def pop_name_scope(self) -> None:
-        pass
-
-
-#: Shared no-op tracer instance; the default everywhere.
-NULL_TRACER = NullTracer()
-
-
 class RingBufferTracer:
     """Records :class:`TraceEvent`\\ s into a bounded ring buffer.
 
@@ -211,8 +156,6 @@ class RingBufferTracer:
     passed in) and advances it by each foreground span's duration, so
     request spans tile the busy-time timeline deterministically.
     """
-
-    enabled = True
 
     def __init__(self, capacity_events: Optional[int] = 1 << 20,
                  clock: Optional[VirtualClock] = None) -> None:

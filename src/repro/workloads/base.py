@@ -157,8 +157,6 @@ class Workload(abc.ABC):
         future open-loop generator can report a varying depth without
         the schema changing.
         """
-        if not registry.enabled:
-            return
         registry.gauge("offered_load_streams") \
             .set_fn(lambda: self.io_concurrency)
         registry.gauge("outstanding_requests") \

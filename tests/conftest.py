@@ -40,6 +40,25 @@ def _no_ambient_ledger(monkeypatch) -> None:
 
 
 @pytest.fixture
+def taken(monkeypatch):
+    """Every ``take_request`` result of the test's event-engine runs —
+    ``(request, station phases, spans or None, background jobs)`` — in
+    admission order."""
+    from repro.sim import engine as engine_module
+
+    seen = []
+    original = engine_module._CaptureTracer.take_request
+
+    def spy(self):
+        result = original(self)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(engine_module._CaptureTracer, "take_request", spy)
+    return seen
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0xC0FFEE)
 

@@ -27,21 +27,6 @@ WORKLOADS = (("sysbench", 0.25, 600), ("tpcc", 0.25, 600),
              ("specsfs", 0.1, 500))
 
 
-@pytest.fixture
-def taken(monkeypatch):
-    """Every ``take_request`` result of the test's runs, in order."""
-    seen = []
-    original = engine_module._CaptureTracer.take_request
-
-    def spy(self):
-        result = original(self)
-        seen.append(result)
-        return result
-
-    monkeypatch.setattr(engine_module._CaptureTracer, "take_request", spy)
-    return seen
-
-
 class TestFoldAtEmissionMatchesReference:
     @pytest.mark.parametrize("system", SYSTEMS)
     @pytest.mark.parametrize("workload,scale,n_requests", WORKLOADS)

@@ -135,6 +135,71 @@ class TestOneDescriptionOfARun:
         assert rebuilt[0].parent.name == "workloads"
 
 
+class TestOneObserverConvention:
+    """An absent observer is ``None`` and background work is declared
+    through one helper — checked on the source, so neither a second
+    convention nor a hand-paired clock can grow back unnoticed."""
+
+    @staticmethod
+    def _sites(pattern, *roots):
+        """``(path relative to src/repro, enclosing function)`` of every
+        line under ``roots`` matching ``pattern``."""
+        import ast
+        import pathlib
+        import re
+
+        import repro
+
+        package = pathlib.Path(repro.__file__).parent
+        found = []
+        for root in roots:
+            top = package / root
+            for path in sorted([top] if top.is_file()
+                               else top.rglob("*.py")):
+                source = path.read_text()
+                if not re.search(pattern, source):
+                    continue
+                functions = [node for node in ast.walk(ast.parse(source))
+                             if isinstance(node, ast.FunctionDef)]
+                for number, line in enumerate(source.splitlines(), 1):
+                    if not re.search(pattern, line):
+                        continue
+                    inside = [f for f in functions
+                              if f.lineno <= number <= f.end_lineno]
+                    owner = max(inside, key=lambda f: f.lineno).name \
+                        if inside else None
+                    found.append((path.relative_to(package).as_posix(),
+                                  owner))
+        return found
+
+    def test_no_null_object_is_exported(self):
+        import importlib
+        import re
+
+        leftovers = [
+            (name, attr)
+            for name in ("repro.sim", "repro.sim.trace",
+                         "repro.sim.metrics", "repro.sim.profile",
+                         "repro.ledger")
+            for attr in dir(importlib.import_module(name))
+            if re.search(r"NULL_[A-Z]+|Null[A-Z]\w+", attr)]
+        assert leftovers == []
+
+    def test_nothing_reads_an_enabled_flag(self):
+        assert self._sites(r"\.enabled\b|\benabled = ", "") == []
+
+    def test_background_time_grows_in_the_helper_only(self):
+        assert self._sites(r"background_time \+=", "") == [
+            ("baselines/base.py", "_in_background"),
+            ("core/controller.py", "_run_scan")]  # the scan's CPU time
+
+    def test_model_code_opens_background_scopes_in_the_helper_only(self):
+        assert self._sites(r"begin_background\(", "baselines", "core",
+                           "sim/pagecache.py") == [
+            ("baselines/base.py", "_in_background"),
+            ("core/controller.py", "_run_scan")]
+
+
 class TestReporting:
     MEASURED = {"fusion-io": 10.0, "raid0": 2.0, "icash": 12.0}
     PAPER = {"fusion-io": 180.0, "raid0": 85.0, "icash": 190.0}

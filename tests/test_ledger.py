@@ -31,7 +31,7 @@ import pytest
 from repro import ledger as ledger_module
 from repro.experiments.parallel import RunSpec
 from repro.ledger import (ANOMALY_Z, DEFAULT_WINDOW, FILTER_KEYS,
-                          LEDGER_SCHEMA_VERSION, MIN_HISTORY, NULL_LEDGER,
+                          LEDGER_SCHEMA_VERSION, MIN_HISTORY,
                           PROVENANCE_FIELDS, SPEC_FIELDS, Anomaly,
                           LedgerWriter, default_ledger, detect_anomalies,
                           diff_rows, flatten_metrics, parse_filters,
@@ -199,43 +199,45 @@ class TestRecord:
 
 
 # ---------------------------------------------------------------------------
-# Opt-out: NULL_LEDGER, environment, flag
+# Opt-out: no ledger is None — library default, environment, flag
 # ---------------------------------------------------------------------------
 
 
 class TestOptOut:
-    def test_null_ledger_is_inert(self):
-        assert NULL_LEDGER.enabled is False
-        assert NULL_LEDGER.record(object(), command="run") is None
-        assert NULL_LEDGER.recorded == 0
-        assert NULL_LEDGER.root is None
+    def test_null_ledger_is_inert(self, capsys):
+        from repro.cli import _ledger_note
+        from repro.experiments.runner import record_run
+
+        assert record_run(None, _small_result(), "run") is None
+        _ledger_note(None)
+        assert capsys.readouterr().out == ""
 
     def test_env_toggle_disables(self, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER", "0")
-        assert default_ledger() is NULL_LEDGER
+        assert default_ledger() is None
         for off in ("false", "no", "OFF"):
             monkeypatch.setenv("REPRO_LEDGER", off)
-            assert default_ledger() is NULL_LEDGER
+            assert default_ledger() is None
 
     def test_flag_beats_enabled_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_LEDGER", "1")
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "led"))
-        assert default_ledger(no_ledger=True) is NULL_LEDGER
+        assert default_ledger(no_ledger=True) is None
         store = default_ledger()
         assert isinstance(store, LedgerWriter)
         assert store.root == str(tmp_path / "led")
 
-    def test_library_default_records_nothing(self, tmp_path):
+    def test_library_default_records_nothing(self, monkeypatch, tmp_path):
         from repro.experiments.runner import run_benchmark
         from repro.experiments.systems import make_system
         from repro.workloads import SysBenchWorkload
 
+        monkeypatch.chdir(tmp_path)  # where a default store would land
         workload = SysBenchWorkload(scale=0.05, n_requests=300)
         result = run_benchmark(workload,
                                make_system("icash", workload),
-                               ledger=NULL_LEDGER)
+                               ledger=None)
         assert result.n_requests == 300
-        assert NULL_LEDGER.recorded == 0
         assert not (tmp_path / ".repro-ledger").exists()
 
 
@@ -386,7 +388,6 @@ class TestEntryPoints:
                    row.extra["figure"] == "figure6a" for row in rows)
         assert [row.spec["seed"] for row in rows] == [2011, 7]
         assert all(row.spec["scale"] == 0.05 for row in rows)
-        assert record_figure(NULL_LEDGER, fake) == 0
         assert record_figure(None, fake) == 0
 
 

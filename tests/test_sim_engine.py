@@ -27,14 +27,14 @@ from repro.devices.hdd import HardDiskDrive
 from repro.experiments import loadtest
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import run_benchmark
-from repro.experiments.systems import make_system
+from repro.experiments.systems import SYSTEM_NAMES, make_system
 from repro.sim.engine import (DeviceStation, EngineConfig, EventEngine,
                               QueueingSummary)
 from repro.sim.load import (ClosedLoopLoad, OpenLoopLoad,
                             default_closed_loop)
 from repro.sim.metrics import Monitor, SeriesStore, export_prometheus
 from repro.sim.trace import RingBufferTracer
-from repro.workloads import SysBenchWorkload
+from repro.workloads import SysBenchWorkload, TPCCWorkload
 
 
 def _serial_load() -> ClosedLoopLoad:
@@ -110,20 +110,69 @@ class TestDeterminism:
         assert EventEngine(system).event_log is None
 
 
+def _tpcc_with_destages(system_name: str):
+    """TPC-C at a size where the cache baselines evict dirty blocks."""
+    wl = TPCCWorkload(scale=0.1, n_requests=1000)
+    system = make_system(system_name, wl)
+    system.ingest()
+    return wl, system
+
+
 class TestEngineBehaviour:
-    def test_latency_is_wait_plus_service(self):
-        wl = SysBenchWorkload(scale=0.05, n_requests=400)
-        system = make_system("icash", wl)
-        system.ingest()
-        engine = EventEngine(system)
-        # Drive well past capacity so queues actually form.
-        records = engine.run(wl, OpenLoopLoad(5_000_000.0, seed=1))
-        assert any(r.wait_s > 0 for r in records)
-        for r in records:
-            assert r.latency_s == r.wait_s + r.service_s
-            assert r.completion_s >= r.arrival_s
-            assert r.completion_s == pytest.approx(
-                r.arrival_s + r.latency_s)
+    def test_latency_is_wait_plus_service(self, taken):
+        # On every architecture: what a system does off the critical
+        # path (I-CASH's flushes and scans, the cache baselines'
+        # destages) reaches the engine as backlog, never as a station
+        # phase of the request that triggered it.
+        for name in SYSTEM_NAMES:
+            wl, system = _tpcc_with_destages(name)
+            engine = EventEngine(system)
+            del taken[:]
+            # Drive well past capacity so queues actually form.
+            records = engine.run(wl, OpenLoopLoad(5_000_000.0, seed=1))
+            if name in ("lru", "dedup"):
+                assert system.stats.count("destages") > 0
+            assert any(r.wait_s > 0 for r in records), name
+            assert len(taken) == len(records)
+            for r, (_req, phases, _spans, _bg) in zip(records, taken):
+                assert r.latency_s == r.wait_s + r.service_s
+                assert r.completion_s >= r.arrival_s
+                assert r.completion_s == pytest.approx(
+                    r.arrival_s + r.latency_s), name
+                assert sum(dur for _device, dur in phases) \
+                    <= r.service_s + 1e-12, name
+
+    @pytest.mark.parametrize("system_name", SYSTEM_NAMES)
+    def test_backlog_is_the_background_clock(self, monkeypatch,
+                                             system_name):
+        # The two clocks agree on what is background: the seconds the
+        # engine receives as deferrable backlog are the device share of
+        # ``background_time`` (all of it but the scans' CPU time).
+        wl, system = _tpcc_with_destages(system_name)
+        bg_before = system.background_time
+        backlog, scan_cpu = [], []
+        add_backlog = EventEngine.add_backlog
+
+        def spy_backlog(self, device, seconds):
+            backlog.append(seconds)
+            add_backlog(self, device, seconds)
+
+        monkeypatch.setattr(EventEngine, "add_backlog", spy_backlog)
+        if system_name == "icash":
+            scan = system.scanner.scan
+
+            def spy_scan(*args, **kwargs):
+                result = scan(*args, **kwargs)
+                scan_cpu.append(result.cpu_time)
+                return result
+
+            monkeypatch.setattr(system.scanner, "scan", spy_scan)
+        EventEngine(system).run(wl, default_closed_loop(wl))
+        background = system.background_time - bg_before
+        if system_name in ("icash", "lru", "dedup"):
+            assert background > 0.0
+        assert sum(backlog) == pytest.approx(
+            background - sum(scan_cpu), abs=1e-9)
 
     def test_stations_respect_slot_capacity(self):
         wl = SysBenchWorkload(scale=0.05, n_requests=400)

@@ -20,9 +20,9 @@ import pytest
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import make_system
 from repro.sim.metrics import (DEFAULT_LATENCY_BUCKETS_US,
-                               INSTRUMENT_CATALOGUE, NULL_REGISTRY,
+                               INSTRUMENT_CATALOGUE,
                                HealthMonitor, MetricsRegistry, Monitor,
-                               NullRegistry, PeriodicSampler, SeriesStore,
+                               PeriodicSampler, SeriesStore,
                                SLORule, WindowSnapshot, default_slo_rules,
                                export_prometheus, export_series_csv,
                                export_series_jsonl, series_key)
@@ -42,24 +42,14 @@ def monitored_benchmark(n_requests: int = 800, interval_s: float = 0.01,
 
 
 class TestNullRegistry:
-    def test_disabled_and_noop(self):
-        registry = NullRegistry()
-        assert registry.enabled is False
-        counter = registry.counter("anything_goes")
-        counter.inc()
-        counter.labels(device="x").inc(5)
-        registry.gauge("whatever").set(3.0)
-        registry.histogram("also_unchecked").observe(1.0)
-        registry.counter("x").set_fn(lambda: 42)
-        assert registry.collect() == ({}, {})
-
-    def test_shared_singleton_is_null(self):
-        assert NULL_REGISTRY.enabled is False
+    """No monitor, no registry: nothing registers and nothing samples."""
 
     def test_default_system_registry_is_null(self):
         workload = SysBenchWorkload(n_requests=10)
         system = make_system("icash", workload)
-        assert system.metrics.enabled is False
+        result = run_benchmark(workload, system)
+        assert result.series is None
+        assert result.slo_breaches == []
 
 
 class TestInstruments:

@@ -19,8 +19,7 @@ from repro.experiments.parallel import RunSpec, run_spec
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import make_system
 from repro.sim.load import ClosedLoopLoad, OpenLoopLoad
-from repro.sim.profile import (NULL_PROFILER, AttributionTable,
-                               NullProfiler, Profiler, classify_phase,
+from repro.sim.profile import (AttributionTable, Profiler, classify_phase,
                                export_folded, fold_stacks, profile_trace)
 from repro.sim.trace import RingBufferTracer
 from repro.workloads import SysBenchWorkload
@@ -120,16 +119,15 @@ class TestAttributionTable:
 
 
 class TestNullProfiler:
-    def test_disabled_and_noop(self):
-        assert NULL_PROFILER.enabled is False
-        assert NULL_PROFILER.table is None
-        NULL_PROFILER.record_request("read", [("ssd", "read", 1.0)], 1.0)
-        assert isinstance(NULL_PROFILER, NullProfiler)
+    """No profiler is ``None``, on either engine."""
 
     def test_default_run_has_no_attribution(self):
-        workload = SysBenchWorkload(scale=0.05, n_requests=200)
-        result = run_benchmark(workload, make_system("icash", workload))
-        assert result.attribution is None
+        for engine in ("legacy", "event"):
+            workload = SysBenchWorkload(scale=0.05, n_requests=200)
+            result = run_benchmark(workload,
+                                   make_system("icash", workload),
+                                   engine=engine)
+            assert result.attribution is None
 
 
 class TestEngineReconciliation:
@@ -388,6 +386,26 @@ class TestCLI:
                      "--requests", "300", "--engine", "legacy"])
         assert code == 0
         assert "legacy engine" in capsys.readouterr().out
+
+    def test_critpath_flags_rows_no_latency_contains(self, monkeypatch,
+                                                     capsys):
+        # A system that leaks off-critical-path work into its requests'
+        # phases over-covers them: the rows no longer add up to the run
+        # mean, and the consistency check has to say so.
+        from repro.cli import main
+
+        record_request = Profiler.record_request
+
+        def over_cover(self, op, items, latency_s):
+            record_request(self, op,
+                           [*items, ("hdd", "write", 1e-3)], latency_s)
+
+        monkeypatch.setattr(Profiler, "record_request", over_cover)
+        code = main(["critpath", "--workload", "sysbench",
+                     "--requests", "300", "--engine", "event"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.count("[MISMATCH]") == 2 and "[ok]" not in out
 
     def test_critpath_json_output(self, capsys):
         import json

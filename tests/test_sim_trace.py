@@ -20,11 +20,11 @@ from repro.core import BlockKind, ICASHConfig, ICASHController
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import make_system
 from repro.sim.request import BLOCK_SIZE, IORequest, OpType
-from repro.sim.trace import (EVENT_TYPES, NULL_TRACER, TRACK_BACKGROUND,
-                             TRACK_REQUEST, NullTracer, RingBufferTracer,
-                             TraceEvent, export_chrome_trace, export_jsonl,
+from repro.sim.trace import (EVENT_TYPES, TRACK_BACKGROUND, TRACK_REQUEST,
+                             TRACK_RUN, RingBufferTracer, TraceEvent,
+                             export_chrome_trace, export_jsonl,
                              load_chrome_trace, phase_breakdown, read_jsonl)
-from repro.workloads import SysBenchWorkload
+from repro.workloads import SysBenchWorkload, TPCCWorkload
 
 from conftest import make_dataset
 
@@ -67,28 +67,34 @@ def traced_benchmark(n_requests: int = 600):
 
 
 class TestNullTracer:
-    def test_disabled_and_noop(self):
-        tracer = NullTracer()
-        assert tracer.enabled is False
-        tracer.begin_request("read", 0, 1)
-        tracer.span("ssd_read", 1e-4)
-        tracer.instant("cache_lookup")
-        tracer.mark("gc", 1e-3)
-        tracer.device_span("ssd", "read", 1e-4)
-        tracer.begin_background("flush")
-        tracer.end_background()
-        tracer.push_name_scope("hdd_log_append")
-        tracer.pop_name_scope()
-        tracer.end_request(1e-4)
+    """No tracer is ``None``: nothing to emit into, nothing emitted."""
 
     def test_default_emits_nothing(self):
         controller = ICASHController(make_dataset(64), small_config())
-        assert controller.tracer is NULL_TRACER
+        assert controller.tracer is None
+        assert all(device.tracer is None for device in controller.devices())
         controller.write(3, [np.full(BLOCK_SIZE, 0xAB, dtype=np.uint8)])
         controller.read(3)
-        # No recording tracer anywhere: the shared null sink has no
-        # buffer at all, so there is nothing to have been written to.
-        assert not hasattr(NULL_TRACER, "events")
+
+    def test_set_tracer_none_detaches_mid_run(self):
+        controller = ICASHController(family_dataset(), small_config())
+        controller.ingest()
+        tracer = RingBufferTracer()
+        controller.set_tracer(tracer)
+        controller.process_read(IORequest(op=OpType.READ, lba=5))
+        recorded = len(tracer.events)
+        assert recorded > 0
+        controller.set_tracer(None)
+        assert controller.tracer is None
+        assert all(device.tracer is None for device in controller.devices())
+        # Far enough to cross scan and flush intervals: the background
+        # helper runs untraced too.
+        block = np.full(BLOCK_SIZE, 0x5A, dtype=np.uint8)
+        for lba in range(200):
+            controller.process_write(
+                IORequest(op=OpType.WRITE, lba=lba, payload=[block]))
+        assert controller.background_time > 0.0
+        assert len(tracer.events) == recorded
 
 
 class TestRingBuffer:
@@ -197,6 +203,30 @@ class TestExactness:
             assert phase_sum == pytest.approx(breakdown.total_s, rel=1e-9)
             assert breakdown.other_s == pytest.approx(0.0, abs=1e-12)
             assert op in breakdown.render()
+
+
+class TestCacheBaselineDestages:
+    """The write-back caches destage off the critical path, on the trace
+    as on the legacy clock: the request breakdown still partitions."""
+
+    @pytest.mark.parametrize("system_name", ["lru", "dedup"])
+    def test_breakdown_partitions_and_destages_are_background(
+            self, system_name):
+        workload = TPCCWorkload(scale=0.1, n_requests=1000)
+        system = make_system(system_name, workload)
+        tracer = RingBufferTracer()
+        run_benchmark(workload, system, tracer=tracer)
+        destages = system.stats.count("destages")
+        assert destages > 0 and tracer.dropped == 0
+        for op in ("read", "write"):
+            breakdown = phase_breakdown(tracer.events, op=op)
+            assert breakdown.n_requests > 0
+            phase_sum = sum(breakdown.phases.values()) + breakdown.other_s
+            assert phase_sum == pytest.approx(breakdown.total_s, rel=1e-9)
+        # The only HDD writes outside the final flush are the destages.
+        tracks = [e.track for e in tracer.events
+                  if e.name == "hdd_write" and e.track != TRACK_RUN]
+        assert tracks == [TRACK_BACKGROUND] * destages
 
 
 class TestControllerIntegration:
