@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core.signatures import block_signatures
 from repro.delta.encoder import encode_delta
+from repro.sim.backing import BackingStore
 from repro.sim.request import BLOCK_SIZE, IORequest
 
 
@@ -166,7 +167,7 @@ def analyze_writes(initial: np.ndarray,
     Maintains its own shadow, so any request iterable works — a live
     generator or a loaded trace.
     """
-    shadow = initial.copy()
+    shadow = BackingStore(initial)
     fractions: List[float] = []
     for request in requests:
         if not request.is_write:

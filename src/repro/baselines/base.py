@@ -20,7 +20,11 @@ from repro.sim.stats import StatsCollector
 
 
 class StorageSystem(abc.ABC):
-    """Abstract storage architecture over a logical 4 KB block space."""
+    """Abstract storage architecture over a logical 4 KB block space.
+
+    Concrete systems keep ``initial_content`` in a ``BackingStore``, which
+    shares a frozen image (what workloads hand out) and copies any other.
+    """
 
     #: Per-request trace sink (see :mod:`repro.sim.trace` and
     #: ``docs/OBSERVABILITY.md``), or None when nothing observes the

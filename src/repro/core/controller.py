@@ -336,7 +336,7 @@ class ICASHController(StorageSystem):
         self.cpu_time += max(1, len(tallies)) * self.config.scan_compare_s
         if not tallies:
             return None
-        best = max(tallies, key=lambda k: tallies[k])
+        best = max(tallies, key=tallies.get)
         if tallies[best] < self.config.min_signature_match:
             return None
         return best

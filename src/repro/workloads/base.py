@@ -2,9 +2,11 @@
 
 A :class:`Workload` owns a block space with initial content, and yields a
 deterministic stream of content-bearing :class:`IORequest`s.  It also
-keeps a *shadow copy* of what every block should contain after the writes
+keeps a *shadow* of what every block should contain after the writes
 it has issued — the ground truth the test suite and the experiment runner
-check storage systems against.
+check storage systems against.  The initial image is frozen and shared
+with the data-set memo and every system built on it; the shadow is a
+:class:`~repro.sim.backing.BackingStore`: it plus the blocks written since.
 
 :class:`SyntheticWorkload` provides the shared machinery: hot/cold and
 sequential address patterns, geometric request sizes, and family-based
@@ -26,6 +28,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.sim.backing import BackingStore
 from repro.sim.request import BLOCK_SIZE, IORequest, OpType
 from repro.workloads.content import ContentModel
 
@@ -120,7 +123,8 @@ class Workload(abc.ABC):
 
     @abc.abstractmethod
     def build_dataset(self) -> np.ndarray:
-        """The initial (pre-request) content of the whole block space."""
+        """The initial (pre-request) content of the whole block space:
+        read-only and shared between callers, so copy it to mutate it."""
 
     @abc.abstractmethod
     def requests(self) -> Iterator[IORequest]:
@@ -133,8 +137,10 @@ class Workload(abc.ABC):
 
     @property
     @abc.abstractmethod
-    def shadow(self) -> np.ndarray:
-        """Ground-truth content after the requests issued so far."""
+    def shadow(self) -> BackingStore:
+        """Ground-truth content after the requests issued so far:
+        ``shadow[lba]`` is one read-only block, ``np.asarray(shadow)``
+        materialises the whole space."""
 
     @property
     def data_size_bytes(self) -> int:
@@ -235,18 +241,20 @@ class SyntheticWorkload(Workload):
             content_seed=self.content_seed)
         self._initial = self.content.build_dataset()
         if image_divergence > 0.0:
+            self._initial = self._initial.copy()
             diverge_rng = np.random.default_rng(seed + 0x5EED)
             count = int(n_blocks * image_divergence)
             for lba in diverge_rng.choice(n_blocks, size=count,
                                           replace=False):
                 self._initial[lba] = self.content.mutate(
                     self._initial[lba], diverge_rng)
+            self._initial.flags.writeable = False
         self._reset()
 
     def _reset(self) -> None:
         """Restore pristine generator state (same stream on every pass)."""
         self._rng = np.random.default_rng(self.seed)
-        self._shadow = self._initial.copy()
+        self._shadow = BackingStore(self._initial)
         hot_count = max(1, int(self._n_blocks * self.hot_fraction))
         self._hot_set = self._rng.permutation(self._n_blocks)[:hot_count]
         if self.zipf_theta is not None:
@@ -266,11 +274,12 @@ class SyntheticWorkload(Workload):
         return self._n_blocks
 
     @property
-    def shadow(self) -> np.ndarray:
+    def shadow(self) -> BackingStore:
         return self._shadow
 
     def build_dataset(self) -> np.ndarray:
-        return self._initial.copy()
+        # A view: unlike the owning array, it cannot be made writeable.
+        return self._initial.view()
 
     @property
     def _stream_key(self) -> Tuple:
@@ -364,10 +373,10 @@ class SyntheticWorkload(Workload):
         payload = [self._new_content(lba)
                    for lba in range(start, start + length)]
         for offset, block in enumerate(payload):
-            self._shadow[start + offset] = block
-            # Frozen so a memoised stream cannot be corrupted by a
-            # consumer patching payload arrays in place.
+            # Frozen: no consumer can corrupt a memoised stream by patching
+            # a payload in place, and the shadow keeps the block itself.
             block.flags.writeable = False
+            self._shadow[start + offset] = block
         return IORequest(OpType.WRITE, start, length, payload=payload,
                          vm_id=self.vm_id)
 

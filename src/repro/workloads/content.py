@@ -34,10 +34,10 @@ import numpy as np
 from repro.sim.request import BLOCK_SIZE
 
 #: Bound on the per-process memoised-dataset LRU (entries).  Datasets
-#: are deterministic in their parameters, so a cache hit returns a copy
-#: that is bit-identical to rebuilding — the win is skipping the
-#: per-block noise loop, whose RNG draw order is deliberately *not*
-#: vectorised (the byte stream is part of the reproduction contract).
+#: are deterministic in their parameters, so a cache hit returns the one
+#: frozen matrix every caller shares, bit-identical to rebuilding — the
+#: win is skipping the per-block noise loop, whose RNG draw order is
+#: deliberately *not* vectorised (the byte stream is part of the contract).
 DATASET_CACHE_CAPACITY = 8
 
 #: Dataset parameters -> the finished initial-content matrix.
@@ -71,9 +71,7 @@ def _dataset_cache_get(key: DatasetKey) -> Optional[np.ndarray]:
 
 
 def _dataset_cache_put(key: DatasetKey, dataset: np.ndarray) -> None:
-    kept = dataset.copy()
-    kept.flags.writeable = False
-    _dataset_cache[key] = kept
+    _dataset_cache[key] = dataset
     if len(_dataset_cache) > DATASET_CACHE_CAPACITY:
         _dataset_cache.popitem(last=False)
 
@@ -133,18 +131,19 @@ class ContentModel:
         family base (dedup-able); the rest carry a little private noise on
         top of the base (delta-able but not identical).
 
-        The finished matrix is memoised per process; either way callers
-        receive a private copy bit-identical to a fresh build.
+        The finished matrix is frozen and memoised per process: every
+        caller receives that same read-only array, bit-identical to a
+        fresh build.  Copy it to mutate it.
         """
         key = self.dataset_key
-        cached = _dataset_cache_get(key)
-        if cached is not None:
-            return cached.copy()
-        dataset = self._bases[self.family_of].copy()
-        rng = np.random.default_rng(self.content_seed + 2)
-        for lba in np.flatnonzero(self._unique_mask):
-            self._sprinkle_noise(dataset[lba], rng)
-        _dataset_cache_put(key, dataset)
+        dataset = _dataset_cache_get(key)
+        if dataset is None:
+            dataset = self._bases[self.family_of]
+            rng = np.random.default_rng(self.content_seed + 2)
+            for lba in np.flatnonzero(self._unique_mask):
+                self._sprinkle_noise(dataset[lba], rng)
+            dataset.flags.writeable = False
+            _dataset_cache_put(key, dataset)
         return dataset
 
     def _sprinkle_noise(self, block: np.ndarray,

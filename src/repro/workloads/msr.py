@@ -28,6 +28,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.sim.backing import BackingStore
 from repro.sim.request import BLOCK_SIZE, IORequest, OpType
 from repro.workloads.content import ContentModel
 
@@ -124,7 +125,7 @@ class MSRTraceWorkload:
             duplicate_fraction=duplicate_fraction,
             content_seed=content_seed)
         self._initial = self.content.build_dataset()
-        self._shadow = self._initial.copy()
+        self._shadow = BackingStore(self._initial)
         self.n_requests = len(self._ops)
         self._content_seed = content_seed
 
@@ -143,14 +144,14 @@ class MSRTraceWorkload:
         return max(64, self._n_blocks // 10)
 
     @property
-    def shadow(self) -> np.ndarray:
+    def shadow(self) -> BackingStore:
         return self._shadow
 
     def build_dataset(self) -> np.ndarray:
-        return self._initial.copy()
+        return self._initial.view()
 
     def requests(self) -> Iterator[IORequest]:
-        self._shadow = self._initial.copy()
+        self._shadow = BackingStore(self._initial)
         rng = np.random.default_rng(self._content_seed + 7)
         for op, lba, nblocks, ts in self._ops:
             end = min(lba + nblocks, self._n_blocks)

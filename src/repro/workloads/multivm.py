@@ -27,6 +27,25 @@ from repro.sim.request import IORequest
 from repro.workloads.base import SyntheticWorkload, Workload
 
 
+class _VMShadows:
+    """The VMs' own shadows, indexed as one block space."""
+
+    def __init__(self, vms: List[SyntheticWorkload]) -> None:
+        self._vms = vms
+        self._vm_blocks = vms[0].n_blocks
+
+    def __len__(self) -> int:
+        return len(self._vms) * self._vm_blocks
+
+    def __getitem__(self, lba: int) -> np.ndarray:
+        vm, local = divmod(lba, self._vm_blocks)
+        return self._vms[vm].shadow[local]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.concatenate([np.asarray(vm.shadow, dtype=dtype)
+                               for vm in self._vms])
+
+
 class MultiVMWorkload(Workload):
     """N cloned VMs running the same benchmark over one storage element."""
 
@@ -58,6 +77,9 @@ class MultiVMWorkload(Workload):
         self.app_cpu_fraction = getattr(self.vms[0], "app_cpu_fraction",
                                         0.55)
         self.io_concurrency = getattr(self.vms[0], "io_concurrency", 8)
+        self._initial = np.concatenate([vm.build_dataset()
+                                        for vm in self.vms])
+        self._initial.flags.writeable = False
 
     # -- Workload interface -------------------------------------------------
 
@@ -66,12 +88,11 @@ class MultiVMWorkload(Workload):
         return self.n_vms * self.vm_blocks
 
     @property
-    def shadow(self) -> np.ndarray:
-        return np.concatenate([vm.shadow for vm in self.vms], axis=0)
+    def shadow(self) -> _VMShadows:
+        return _VMShadows(self.vms)
 
     def build_dataset(self) -> np.ndarray:
-        return np.concatenate([vm.build_dataset() for vm in self.vms],
-                              axis=0)
+        return self._initial.view()
 
     def _translate(self, vm_index: int, request: IORequest) -> IORequest:
         base = vm_index * self.vm_blocks

@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, List, Union
 
 import numpy as np
 
+from repro.sim.backing import BackingStore
 from repro.sim.request import BLOCK_SIZE, IORequest, OpType
 
 
@@ -105,8 +106,9 @@ class TraceWorkload:
         self.path = Path(path)
         if not self.path.exists():
             raise FileNotFoundError(f"no trace at {self.path}")
-        self._initial = initial.copy()
-        self._shadow = initial.copy()
+        # The store's own rule: share a frozen image, copy a writeable one.
+        self._initial = BackingStore(initial).view_all()
+        self._shadow = BackingStore(self._initial)
         self.name = name
         self.ios_per_transaction = ios_per_transaction
         self.app_compute_per_tx = app_compute_per_tx
@@ -144,14 +146,14 @@ class TraceWorkload:
         return max(64, self.n_blocks // 10)
 
     @property
-    def shadow(self) -> np.ndarray:
+    def shadow(self) -> BackingStore:
         return self._shadow
 
     def build_dataset(self) -> np.ndarray:
-        return self._initial.copy()
+        return self._initial.view()
 
     def requests(self) -> Iterator[IORequest]:
-        self._shadow = self._initial.copy()
+        self._shadow = BackingStore(self._initial)
         for request in load_trace(self.path):
             if request.is_write:
                 for offset, block in enumerate(request.payload):

@@ -204,7 +204,7 @@ def _stream_fingerprint(workload):
         if request.is_write:
             entry += (b"".join(b.tobytes() for b in request.payload),)
         records.append(entry)
-    return records, workload.shadow.copy()
+    return records, np.array(workload.shadow)
 
 
 class TestStreamCache:

@@ -5,6 +5,7 @@ architectures, the experiment runner — with content verification on, and
 assert the qualitative findings the reproduction is built around.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,8 @@ from repro.core.recovery import recover
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import SYSTEM_NAMES, make_system
-from repro.workloads import SpecSFSWorkload, SysBenchWorkload
+from repro.workloads import (MultiVMWorkload, SpecSFSWorkload,
+                             SysBenchWorkload, TPCCWorkload)
 
 
 def verified_grid(spec, system_names):
@@ -127,6 +129,43 @@ class TestMultiVMIntegration:
         # Cross-VM image similarity makes I-CASH at least competitive.
         assert results["icash"].transactions_per_s \
             > 0.9 * results["fusion-io"].transactions_per_s
+
+
+    @pytest.mark.parametrize("engine", ["legacy", "event"])
+    @pytest.mark.parametrize("system", SYSTEM_NAMES)
+    def test_every_system_verifies_on_both_engines(self, system, engine):
+        workload = MultiVMWorkload(TPCCWorkload, n_vms=3, scale=0.25,
+                                   n_requests_per_vm=300)
+        result = run_benchmark(workload, make_system(system, workload),
+                               verify_reads=True, engine=engine)
+        assert result.n_requests == 900
+        assert result.verified_reads > 300
+
+    def test_shadow_indexes_into_each_vms_own_shadow(self):
+        workload = MultiVMWorkload(TPCCWorkload, n_vms=3, scale=0.25,
+                                   n_requests_per_vm=300)
+        written = {request.lba + offset
+                   for request in workload.requests() if request.is_write
+                   for offset in range(request.nblocks)}
+        whole = np.asarray(workload.shadow)
+        assert len(written) > 300
+        assert not np.array_equal(whole, workload.build_dataset())
+        for lba in range(workload.n_blocks):
+            vm, local = divmod(lba, workload.vm_blocks)
+            block = workload.shadow[lba]
+            assert np.array_equal(block, workload.vms[vm].shadow[local])
+            assert np.array_equal(block, whole[lba])
+        # One access must not rebuild the whole space (3 images, 24 MiB).
+        lba = max(written)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            workload.shadow[lba]
+            allocated = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert allocated < 64 * 1024
 
 
 class TestRecoveryAfterRealWorkload:

@@ -1,17 +1,28 @@
 """Tests for the six benchmark generators, content model and multi-VM
 composition."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.signatures import block_signatures, signature_overlap
 from repro.delta.encoder import encode_delta
+from repro.experiments.parallel import RunSpec, run_spec
+from repro.experiments.systems import SYSTEM_NAMES
 from repro.sim.request import BLOCK_SIZE, OpType
 from repro.workloads import (ALL_WORKLOADS, HadoopWorkload,
                              LoadSimWorkload, MultiVMWorkload,
                              RUBiSWorkload, SpecSFSWorkload,
                              SysBenchWorkload, TPCCWorkload)
 from repro.workloads.content import ContentModel
+from repro.workloads.msr import MSRTraceWorkload
+from repro.workloads.trace_io import TraceWorkload
+
+
+def _sha256(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array)).hexdigest()
 
 
 class TestContentModel:
@@ -123,6 +134,74 @@ class TestGeneratorContract:
         assert sa != sb
 
 
+class TestOneFrozenImage:
+    """A data set is built once: the memoised matrix is what every
+    workload, shadow and system sits on, and nothing can write to it."""
+
+    def workloads(self, tmp_path):
+        source = TPCCWorkload(scale=0.05, n_requests=60)
+        msr = tmp_path / "msr.csv"
+        msr.write_text("".join(
+            f"{i},host,0,{'Write' if i % 3 == 0 else 'Read'},"
+            f"{(i * 37 % 64) * BLOCK_SIZE},{BLOCK_SIZE},100\n"
+            for i in range(60)))
+        return [cls(scale=0.05, n_requests=60) for cls in ALL_WORKLOADS] \
+            + [MultiVMWorkload(TPCCWorkload, n_vms=3, scale=0.05,
+                               n_requests_per_vm=20),
+               MSRTraceWorkload(msr),
+               TraceWorkload.capture(tmp_path / "t.npz", source),
+               TraceWorkload(tmp_path / "t.npz",
+                             source.build_dataset().copy())]
+
+    def test_whatever_a_workload_hands_out_is_read_only(self, tmp_path):
+        for workload in self.workloads(tmp_path):
+            for _ in workload.requests():
+                pass
+            dataset = workload.build_dataset()
+            whole = np.asarray(workload.shadow)
+            assert whole.shape == dataset.shape, workload.name
+            assert len(workload.shadow) == workload.n_blocks
+            for array in (dataset, workload.shadow[0]):
+                assert not array.flags.writeable, workload.name
+            # A materialised shadow is read-only or a fresh private array.
+            assert not whole.flags.writeable \
+                or not np.shares_memory(whole, dataset), workload.name
+            with pytest.raises(ValueError):
+                dataset[0, 0] = 1
+            with pytest.raises(ValueError):
+                dataset.flags.writeable = True
+
+    def test_instances_with_one_dataset_key_share_the_image(self):
+        first = SysBenchWorkload(scale=0.05, n_requests=50, seed=3)
+        second = SysBenchWorkload(scale=0.05, n_requests=80, seed=3)
+        assert first.content.dataset_key == second.content.dataset_key
+        memo = first.content.build_dataset()
+        assert not memo.flags.writeable
+        for workload in (first, second):
+            assert np.shares_memory(workload.build_dataset(), memo)
+        other = SysBenchWorkload(scale=0.05, n_requests=50, seed=4)
+        assert not np.shares_memory(other.build_dataset(), memo)
+
+    def test_a_trace_copies_only_a_writeable_image(self, tmp_path):
+        source = TPCCWorkload(scale=0.05, n_requests=30)
+        frozen = source.build_dataset()
+        shared = TraceWorkload.capture(tmp_path / "t.npz", source)
+        assert np.shares_memory(shared.build_dataset(), frozen)
+        mine = frozen.copy()
+        private = TraceWorkload(tmp_path / "t.npz", mine)
+        mine[:] = 0
+        assert np.array_equal(private.build_dataset(), frozen)
+
+    def test_runs_leave_the_memoised_image_untouched(self):
+        spec = RunSpec(workload="specsfs", scale=0.25, n_requests=400)
+        memo = spec.build_workload().content.build_dataset()
+        digest = _sha256(memo)
+        for system in SYSTEM_NAMES:
+            run_spec(replace(spec, system=system))
+            assert spec.build_workload().content.build_dataset() is memo
+            assert _sha256(memo) == digest, system
+
+
 class TestTable4Profiles:
     """Measured streams must match the paper's Table 4 characteristics:
     read/write mix and request sizes (within sampling tolerance)."""
@@ -230,7 +309,23 @@ class TestMultiVM:
     def test_shadow_concatenates_vm_spaces(self):
         multivm = MultiVMWorkload(TPCCWorkload, n_vms=2, scale=0.1,
                                   n_requests_per_vm=10)
-        assert multivm.shadow.shape[0] == multivm.n_blocks
+        assert len(multivm.shadow) == multivm.n_blocks
+
+    def test_divergence_is_private_to_each_vm(self):
+        golden = TPCCWorkload(scale=0.1, n_requests=10, seed=2011)
+        digest = _sha256(golden.build_dataset())
+        multivm = MultiVMWorkload(TPCCWorkload, n_vms=5, scale=0.1,
+                                  n_requests_per_vm=10)
+        image = multivm.vms[0].build_dataset()
+        assert np.shares_memory(image, golden.build_dataset())
+        for vm in multivm.vms[1:]:
+            assert not np.shares_memory(vm.build_dataset(), image)
+            assert not vm.build_dataset().flags.writeable
+            assert _sha256(vm.build_dataset()) != digest
+        assert _sha256(image) == digest
+        whole = multivm.build_dataset()
+        assert not whole.flags.writeable
+        assert np.array_equal(whole[:multivm.vm_blocks], image)
 
     def test_compute_overlap_scales_app_time(self):
         single = TPCCWorkload(scale=0.1, n_requests=10)
