@@ -98,6 +98,13 @@ class ICASHArray(StorageSystem):
         for element in self.elements:
             yield from element.devices()
 
+    def set_tracer(self, tracer) -> None:
+        # Each element declares its own background work (flushes, scan
+        # writes, destaging) to the tracer, so it must hold it too.
+        self.tracer = tracer
+        for element in self.elements:
+            element.set_tracer(tracer)
+
     def ingest(self) -> float:
         """Offline organisation runs on all elements (concurrently in a
         real array; the returned setup time is the slowest element's)."""

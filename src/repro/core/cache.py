@@ -182,4 +182,5 @@ class ICashCache:
         return list(islice(reversed(self._blocks.values()), count))
 
     def references(self) -> List[VirtualBlock]:
-        return [vb for vb in self._blocks.values() if vb.is_reference]
+        return [vb for vb in self._blocks.values()
+                if vb.kind is BlockKind.REFERENCE]

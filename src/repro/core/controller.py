@@ -23,6 +23,7 @@ byte-for-byte against a shadow copy.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -73,6 +74,35 @@ class _DeltaMapEntry:
         self.log_slot = log_slot
 
 
+#: The three values of :attr:`_SSDCopy.own`, compared by identity.
+_IN_STEP, _AHEAD, _SHADOWED = "in-step", "ahead", "shadowed"
+
+
+@dataclass(slots=True, eq=False)
+class _SSDCopy:
+    """Everything the SSD holds for one lba — a reference's frozen copy or
+    a spilled block.
+
+    Created only by :meth:`ICASHController._acquire_ssd_slot`, filled by
+    ``_ssd_write`` (``data`` is replaced wholesale, never patched) and
+    destroyed only by ``_release_ssd_slot``.  This is the RAM-side mirror
+    the real prototype's metadata makes addressable; device latencies are
+    still charged through ``controller.ssd``.
+    """
+
+    slot: int
+    spilled: bool
+    data: Optional[np.ndarray]
+    #: Where a reference's *own* content stands against this frozen copy.
+    #: In step: the HDD data region holds the same bytes.  Ahead: the copy
+    #: holds bytes the HDD never received (a refresh-in-place writes the
+    #: SSD only) and must be written back before its slot is released.
+    #: Shadowed: the content diverged beyond the spill threshold while
+    #: other blocks still depend on the copy, which stays to serve them
+    #: while the reference's own content takes the ordinary data path.
+    own: str = _IN_STEP
+
+
 class ICASHController(StorageSystem):
     """One I-CASH storage element over a logical 4 KB block space."""
 
@@ -115,15 +145,11 @@ class ICASHController(StorageSystem):
             scan_compare_s=config.scan_compare_s,
             compress_s=config.compress_s)
 
-        # SSD bookkeeping: slot free list, and the RAM-side mirror of SSD
-        # content (references and spilled blocks) keyed by lba.  The
-        # mirror is what the real prototype's metadata makes addressable;
-        # device latencies are still charged through self.ssd.
+        # SSD bookkeeping: the slot free list and one record per
+        # SSD-resident lba (references and spilled blocks).
         self._free_slots: List[int] = list(
             range(config.ssd_capacity_blocks - 1, -1, -1))
-        self._ssd_data: Dict[int, np.ndarray] = {}
-        self._slot_of: Dict[int, int] = {}
-        self._spilled: Set[int] = set()
+        self._ssd_copies: Dict[int, _SSDCopy] = {}
 
         # Durable delta metadata (lba -> reference + last logged slot).
         self._delta_map: Dict[int, _DeltaMapEntry] = {}
@@ -135,27 +161,20 @@ class ICASHController(StorageSystem):
         # Dirty deltas awaiting a flush, in *arrival order* — the order
         # they pack into delta blocks under flush_order="arrival".
         self._dirty_delta_lbas: "OrderedDict[int, None]" = OrderedDict()
-        # References whose *current* content diverged beyond the spill
-        # threshold while other blocks still depend on their frozen SSD
-        # copy: the copy stays to serve dependents, and the reference's
-        # own content lives in the ordinary data path (RAM + HDD region).
-        self._shadowed_refs: Set[int] = set()
-        # References whose frozen SSD copy holds bytes the HDD data region
-        # never received (a refresh-in-place writes the SSD only): the
-        # copy must be written back before its slot is released.
-        self._ssd_ahead: Set[int] = set()
         self._io_count = 0
+        # SSD reads issued so far by the host request being served.
+        self._request_ssd_reads = 0
 
         # Host-side memo of delta reconstructions: lba -> (delta object,
-        # ref lba, ref content version, read-only content).  Purely a
-        # host-CPU saving — :meth:`_read_via_delta` still charges the
-        # same device latencies and decompress cost on a hit.  A hit
-        # requires the *same* delta object (a rewritten associate gets a
-        # new Delta, so identity is the staleness check) against the
-        # *same* version of the reference bytes; every `_ssd_data`
-        # mutation bumps the version through _note_ssd_content_changed.
-        self._recon_cache: "OrderedDict[int, Tuple[Delta, int, int, np.ndarray]]" = OrderedDict()
-        self._ssd_versions: Dict[int, int] = {}
+        # reference bytes, read-only content).  Purely a host-CPU saving
+        # — :meth:`_read_via_delta` still charges the same device
+        # latencies and decompress cost on a hit.  A hit requires the
+        # *same* delta object against the *same* reference array: a
+        # rewritten associate gets a new Delta and an SSD copy is
+        # replaced wholesale, never patched, so identity is the staleness
+        # check for both (the entry keeps its array alive, so an id is
+        # never reused under it).
+        self._recon_cache: "OrderedDict[int, Tuple[Delta, np.ndarray, np.ndarray]]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # StorageSystem interface
@@ -281,7 +300,7 @@ class ICASHController(StorageSystem):
         measured benchmark window.
         """
         config = self.config
-        index: Dict[Tuple[int, int], List[int]] = {}
+        index = self.scanner.signature_index
         pending: List[DeltaRecord] = []
         # Batch tier: one vectorised signature pass + one heatmap scatter
         # over the whole backing store.  Equivalent to the per-block
@@ -296,19 +315,30 @@ class ICASHController(StorageSystem):
             total += self.hdd.read(lba, 1)  # sequential sweep
             content = self.backing.view(lba)
             signatures = all_signatures[lba]
-            best_lba = self._ingest_best_reference(signatures, index)
-            if best_lba is not None:
-                delta = encode_delta(content, self._ssd_data[best_lba])
+            # The promoted reference sharing most sub-signatures; ties go
+            # to the first one met, as the index keeps insertion order.
+            tallies = index.shared_by_lba(signatures)
+            self.cpu_time += max(1, len(tallies)) * config.scan_compare_s
+            best_lba = max(tallies, key=tallies.get, default=None)
+            if best_lba is not None \
+                    and tallies[best_lba] >= config.min_signature_match:
+                delta = encode_delta(content,
+                                     self._ssd_copies[best_lba].data)
                 self.cpu_time += config.compress_s
                 if delta.size_bytes <= config.delta_accept_bytes:
                     pending.append(DeltaRecord(lba, best_lba, delta))
                     self._map_delta(lba, best_lba)
                     continue
-            promoted = self._ingest_promote(lba, content, signatures, index)
-            if promoted is not None:
-                total += promoted
+            # No similar reference: promote the block itself — unless the
+            # SSD is full, when it stays independent on the HDD region.
+            if self._acquire_ssd_slot(lba) is not None:
+                total += self._ssd_write(lba, content)
+                vb = self._install_virtual_block(lba, BlockKind.REFERENCE)
+                vb.signatures = signatures
+                self.scanner.note_reference(vb)
+                self.stats.bump("ingest_references")
         if pending:
-            total += self._append_to_log(pending, relogging=False)
+            total += self._append_to_log(pending)
             self.stats.bump("ingest_deltas", len(pending))
             # Leave the delta buffer warm: the prototype "is able to cache
             # all delta blocks within 32 MB RAM" (Section 5.1).  Whatever
@@ -323,44 +353,7 @@ class ICASHController(StorageSystem):
                     ref_lba=record.ref_lba)
                 self.cache.attach_delta(vb, record.delta)
                 vb.delta_dirty = False
-                self._bump_associate_count(record.ref_lba, +1)
         return total
-
-    def _ingest_best_reference(self, signatures: Tuple[int, ...],
-                               index: Dict[Tuple[int, int], List[int]]
-                               ) -> Optional[int]:
-        tallies: Dict[int, int] = {}
-        for row, value in enumerate(signatures):
-            for ref_lba in index.get((row, value), ()):
-                tallies[ref_lba] = tallies.get(ref_lba, 0) + 1
-        self.cpu_time += max(1, len(tallies)) * self.config.scan_compare_s
-        if not tallies:
-            return None
-        best = max(tallies, key=tallies.get)
-        if tallies[best] < self.config.min_signature_match:
-            return None
-        return best
-
-    def _ingest_promote(self, lba: int, content: np.ndarray,
-                        signatures: Tuple[int, ...],
-                        index: Dict[Tuple[int, int], List[int]]
-                        ) -> Optional[float]:
-        """Promote ``lba`` to an SSD reference; None when no slot is free
-        (the block then stays independent on the HDD data region)."""
-        if not self._free_slots:
-            return None
-        slot = self._acquire_ssd_slot(lba)
-        self._ssd_data[lba] = content.copy()
-        self._note_ssd_content_changed(lba)
-        latency = self.ssd.write(slot, 1)
-        vb = self._install_virtual_block(lba, BlockKind.REFERENCE,
-                                         ssd_slot=slot)
-        vb.signatures = signatures
-        self.scanner.note_reference(vb)
-        for row, value in enumerate(signatures):
-            index.setdefault((row, value), []).append(lba)
-        self.stats.bump("ingest_references")
-        return latency
 
     # ------------------------------------------------------------------
     # Read path
@@ -381,29 +374,25 @@ class ICASHController(StorageSystem):
             self.stats.bump("ram_data_hits")
             latency = self.dram.access()
             content = _readonly_view(vb.data)
-        elif vb.kind is BlockKind.REFERENCE:
-            if vb.lba in self._shadowed_refs:
-                # The frozen SSD copy only serves dependents; the block's
-                # own content lives on the HDD data region.
-                latency = self.hdd.read(vb.lba, 1)
-                content = self.backing.view(vb.lba)
-                self._maybe_cache_data(vb, content, dirty=False)
-                self.stats.bump("shadowed_ref_reads")
-            else:
-                latency = self._ssd_read_latency(vb.lba)
-                content = _readonly_view(self._ssd_data[vb.lba])
-                self.stats.bump("ssd_ref_reads")
-                self.stats.bump("ssd_ref_direct_reads")
-        elif lba in self._spilled:
-            latency = self._ssd_read_latency(lba)
-            content = _readonly_view(self._ssd_data[lba])
-            self.stats.bump("ssd_spill_reads")
         else:
-            # Independent block whose data block was evicted: back to HDD.
-            latency = self.hdd.read(lba, 1)
-            content = self.backing.view(lba)
-            self._maybe_cache_data(vb, content, dirty=False)
-            self.stats.bump("hdd_data_reads")
+            copy = self._ssd_copies.get(lba)
+            if copy is None or copy.own is _SHADOWED:
+                # An independent block whose data block was evicted, or a
+                # shadowed reference (its frozen SSD copy only serves
+                # dependents): the content lives on the HDD data region.
+                latency = self.hdd.read(lba, 1)
+                content = self.backing.view(lba)
+                self._maybe_cache_data(vb, content, dirty=False)
+                self.stats.bump("hdd_data_reads" if copy is None
+                                else "shadowed_ref_reads")
+            else:
+                latency = self._ssd_read_latency(lba)
+                content = _readonly_view(copy.data)
+                if copy.spilled:
+                    self.stats.bump("ssd_spill_reads")
+                else:
+                    self.stats.bump("ssd_ref_reads")
+                    self.stats.bump("ssd_ref_direct_reads")
         if not vb.signatures:
             vb.signatures = block_signatures(content,
                                              self.config.signature_scheme)
@@ -416,11 +405,11 @@ class ICASHController(StorageSystem):
         entry = self._delta_map.get(lba)
         if entry is not None:
             return self._read_miss_delta_mapped(lba, entry)
-        if lba in self._spilled:
+        copy = self._ssd_copies.get(lba)
+        if copy is not None and copy.spilled:
             latency = self._ssd_read_latency(lba)
-            content = _readonly_view(self._ssd_data[lba])
-            vb = self._install_virtual_block(
-                lba, BlockKind.INDEPENDENT, ssd_slot=self._slot_of[lba])
+            content = _readonly_view(copy.data)
+            vb = self._install_virtual_block(lba, BlockKind.INDEPENDENT)
             self.stats.bump("ssd_spill_reads")
             return latency, content, vb
         latency = self.hdd.read(lba, 1)
@@ -444,11 +433,10 @@ class ICASHController(StorageSystem):
         self._reserve_for_log_fetch(vb)
         latency, delta = self._fetch_delta_from_log(lba, entry)
         latency += self._ssd_read_latency(entry.ref_lba)
-        content = apply_delta(delta, self._ssd_data[entry.ref_lba])
+        content = apply_delta(delta, self._ssd_copies[entry.ref_lba].data)
         latency += self._decompress_cost()
         if self._ensure_segment_capacity(vb, delta.size_bytes):
             self.cache.attach_delta(vb, delta)
-        self._bump_associate_count(entry.ref_lba, +1)
         self.stats.bump("log_delta_fetches")
         return latency, content, vb
 
@@ -490,25 +478,21 @@ class ICASHController(StorageSystem):
         Re-reading an unchanged associate is the common case on a
         skewed read stream; the memo returns the prior reconstruction
         (read-only, like every other read path's view) as long as both
-        the delta object and the reference bytes are unchanged.
+        the delta object and the reference array are the same objects.
         """
-        version = self._ssd_versions.get(ref_lba, 0)
+        reference = self._ssd_copies[ref_lba].data
         entry = self._recon_cache.get(lba)
         if entry is not None and entry[0] is delta \
-                and entry[1] == ref_lba and entry[2] == version:
+                and entry[1] is reference:
             self._recon_cache.move_to_end(lba)
             self.stats.bump("recon_cache_hits")
-            return entry[3]
-        content = apply_delta(delta, self._ssd_data[ref_lba])
+            return entry[2]
+        content = apply_delta(delta, reference)
         content.flags.writeable = False
-        self._recon_cache[lba] = (delta, ref_lba, version, content)
+        self._recon_cache[lba] = (delta, reference, content)
         if len(self._recon_cache) > self.RECON_CACHE_CAPACITY:
             self._recon_cache.popitem(last=False)
         return content
-
-    def _note_ssd_content_changed(self, lba: int) -> None:
-        """Invalidate memoised reconstructions built on ``lba``'s bytes."""
-        self._ssd_versions[lba] = self._ssd_versions.get(lba, 0) + 1
 
     #: Segment-pool headroom a log fetch evicts for, as a multiple of a
     #: typical delta block's worth of records — the mechanical read is
@@ -516,12 +500,10 @@ class ICASHController(StorageSystem):
     LOG_FETCH_HEADROOM_BYTES = 8 * 1024
 
     def _reserve_for_log_fetch(self, vb: VirtualBlock) -> None:
-        """Best-effort eviction so an imminent log fetch can hydrate."""
-        if not self._ensure_segment_capacity(
-                vb, self.LOG_FETCH_HEADROOM_BYTES):
-            # Pool too small for headroom; the exact-size path in the
-            # caller still gets its chance.
-            return
+        """Best-effort eviction so an imminent log fetch can hydrate;
+        when the pool is too small for the headroom, the exact-size path
+        in the caller still gets its chance."""
+        self._ensure_segment_capacity(vb, self.LOG_FETCH_HEADROOM_BYTES)
 
     def _fetch_delta_from_log(self, lba: int, entry: _DeltaMapEntry
                               ) -> Tuple[float, Delta]:
@@ -558,7 +540,6 @@ class ICASHController(StorageSystem):
                                        kind=BlockKind.ASSOCIATE,
                                        ref_lba=record.ref_lba)
                 self.cache.insert(sibling)
-                self._bump_associate_count(record.ref_lba, +1)
             self.cache.attach_delta(sibling, record.delta)
             sibling.delta_dirty = False
             self.stats.bump("delta_hydrations")
@@ -597,13 +578,8 @@ class ICASHController(StorageSystem):
         """Recreate the virtual block for a write miss."""
         entry = self._delta_map.get(lba)
         if entry is not None:
-            vb = self._install_virtual_block(lba, BlockKind.ASSOCIATE,
-                                             ref_lba=entry.ref_lba)
-            self._bump_associate_count(entry.ref_lba, +1)
-            return vb
-        if lba in self._spilled:
-            return self._install_virtual_block(
-                lba, BlockKind.INDEPENDENT, ssd_slot=self._slot_of[lba])
+            return self._install_virtual_block(lba, BlockKind.ASSOCIATE,
+                                               ref_lba=entry.ref_lba)
         return self._install_virtual_block(lba, BlockKind.INDEPENDENT)
 
     def _write_associate(self, vb: VirtualBlock, content: np.ndarray,
@@ -622,7 +598,7 @@ class ICASHController(StorageSystem):
             # The reference read overlaps request processing (§5.1).
             self._in_background(self._ssd_read_latency, ref_lba)
             self.stats.bump("ssd_ref_reads_background")
-        delta = encode_delta(content, self._ssd_data[ref_lba])
+        delta = encode_delta(content, self._ssd_copies[ref_lba].data)
         cpu = self.config.compress_s
         self.cpu_time += cpu
         exposed = cpu * self.config.compress_exposed_fraction
@@ -650,7 +626,12 @@ class ICASHController(StorageSystem):
                          content: np.ndarray) -> float:
         """Writes to a reference update its own delta; its SSD copy and
         signature stay frozen while associates depend on it."""
-        delta = encode_delta(content, self._ssd_data[vb.lba])
+        copy = self._ssd_copies[vb.lba]
+        if copy.own is _SHADOWED:
+            # Whatever this write turns out to be, the HDD region still
+            # holds the shadowed bytes, not the frozen copy's.
+            copy.own = _AHEAD
+        delta = encode_delta(content, copy.data)
         cpu = self.config.compress_s
         self.cpu_time += cpu
         exposed = cpu * self.config.compress_exposed_fraction
@@ -665,7 +646,6 @@ class ICASHController(StorageSystem):
             self.cache.drop_data(vb)
             self._unmap_delta(vb.lba)
             self._dirty_delta_lbas.pop(vb.lba, None)
-            self._unshadow(vb.lba)
             return latency
         own_dependents = self._dependents_of(vb.lba)
         has_own_entry = vb.lba in self._delta_map
@@ -678,8 +658,7 @@ class ICASHController(StorageSystem):
                 self.cache.drop_data(vb)
                 self._unmap_delta(vb.lba)
                 self._dirty_delta_lbas.pop(vb.lba, None)
-                self._shadowed_refs.discard(vb.lba)
-                self._ssd_ahead.add(vb.lba)
+                copy.own = _AHEAD
                 vb.signatures = block_signatures(
                     content, self.config.signature_scheme)
                 self.scanner.note_reference(vb)
@@ -691,11 +670,9 @@ class ICASHController(StorageSystem):
             self.cache.drop_delta(vb)
             self._unmap_delta(vb.lba)
             self._dirty_delta_lbas.pop(vb.lba, None)
-            self._shadowed_refs.add(vb.lba)
-            self._ssd_ahead.discard(vb.lba)  # the data path takes over
+            copy.own = _SHADOWED  # the data path takes over
             if not self._maybe_cache_data(vb, content, dirty=True):
-                latency += self.hdd.write(vb.lba, 1)
-                self.backing.set(vb.lba, content)
+                latency += self._hdd_write(vb.lba, content)
             self.stats.bump("reference_shadowed")
             return latency
         if not self._ensure_segment_capacity(vb, delta.size_bytes):
@@ -706,20 +683,13 @@ class ICASHController(StorageSystem):
         vb.delta_dirty = True
         self._map_delta(vb.lba, vb.lba)
         self._mark_delta_dirty(vb.lba)
-        self._unshadow(vb.lba)
         self.stats.bump("reference_delta_writes")
         return latency
 
-    def _unshadow(self, lba: int) -> None:
-        """A write brought a shadowed reference back onto its frozen SSD
-        copy; the HDD region may still hold the shadowed bytes."""
-        if lba in self._shadowed_refs:
-            self._shadowed_refs.discard(lba)
-            self._ssd_ahead.add(lba)
-
     def _write_independent(self, vb: VirtualBlock, content: np.ndarray,
                            signatures: Tuple[int, ...]) -> float:
-        if vb.lba in self._spilled:
+        copy = self._ssd_copies.get(vb.lba)
+        if copy is not None and copy.spilled:
             # Spilled blocks stay SSD-resident: the prototype keeps
             # writing their new data "directly to the SSD to release
             # delta buffer" (Section 5.3) — these are exactly the random
@@ -730,8 +700,7 @@ class ICASHController(StorageSystem):
         latency = self.dram.access()
         if not self._maybe_cache_data(vb, content, dirty=True):
             # RAM data budget is irreducibly full: write through to HDD.
-            latency += self.hdd.write(vb.lba, 1)
-            self.backing.set(vb.lba, content)
+            latency += self._hdd_write(vb.lba, content)
             self.stats.bump("hdd_write_through")
         vb.signatures = signatures
         self.stats.bump("independent_writes")
@@ -740,28 +709,19 @@ class ICASHController(StorageSystem):
     def _spill_to_ssd(self, vb: VirtualBlock, content: np.ndarray) -> float:
         """Delta exceeded the threshold: store the whole block in the SSD
         (the prototype's escape hatch, Section 5.3) and dissociate."""
-        if vb.is_associate:
-            self._bump_associate_count(vb.ref_lba, -1)
         self.cache.drop_delta(vb)
         self.cache.drop_data(vb)
         self._unmap_delta(vb.lba)
         self._dirty_delta_lbas.pop(vb.lba, None)
         vb.kind = BlockKind.INDEPENDENT
         vb.ref_lba = None
-        slot = self._acquire_ssd_slot(vb.lba)
-        if slot is None:
+        if self._acquire_ssd_slot(vb.lba, spilled=True) is None:
             # SSD has no free slot: fall back to the independent path.
-            vb.ssd_slot = None
             self.stats.bump("spill_fallbacks")
             latency = self.dram.access()
             if not self._maybe_cache_data(vb, content, dirty=True):
-                latency += self.hdd.write(vb.lba, 1)
-                self.backing.set(vb.lba, content)
+                latency += self._hdd_write(vb.lba, content)
             return latency
-        vb.ssd_slot = slot
-        self._spilled.add(vb.lba)
-        self._ssd_data[vb.lba] = content.copy()
-        self._note_ssd_content_changed(vb.lba)
         self.stats.bump("delta_spills")
         return self._ssd_write(vb.lba, content)
 
@@ -800,8 +760,7 @@ class ICASHController(StorageSystem):
         self.stats.bump("delta_records_flushed", len(records))
         return latency
 
-    def _append_to_log(self, records: List[DeltaRecord],
-                       relogging: bool = False) -> float:
+    def _append_to_log(self, records: List[DeltaRecord]) -> float:
         """Append records, rescuing any current deltas the wrapping log
         overwrites.
 
@@ -909,8 +868,7 @@ class ICASHController(StorageSystem):
         latency = 0.0
         # Sort by lba so the write-back sweeps the disk in one direction.
         for vb in sorted(dirty, key=lambda b: b.lba):
-            latency += self.hdd.write(vb.lba, 1)
-            self.backing.set(vb.lba, vb.data)
+            latency += self._hdd_write(vb.lba, vb.data)
             vb.data_dirty = False
         return latency
 
@@ -935,15 +893,15 @@ class ICASHController(StorageSystem):
 
     def _scan_content(self, vb: VirtualBlock) -> Optional[np.ndarray]:
         """Cheap (no device I/O) content resolution for the scanner."""
-        if vb.is_reference:
-            if vb.has_delta or vb.lba in self._shadowed_refs:
+        if vb.kind is BlockKind.REFERENCE:
+            copy = self._ssd_copies[vb.lba]
+            if vb.delta is not None or copy.own is _SHADOWED:
                 return None  # current content diverged; unstable anchor
-            return self._ssd_data.get(vb.lba)
-        if vb.has_data:
+            return copy.data
+        if vb.data is not None:
             return vb.data
-        if vb.lba in self._spilled:
-            return self._ssd_data.get(vb.lba)
-        return None
+        copy = self._ssd_copies.get(vb.lba)
+        return copy.data if copy is not None and copy.spilled else None
 
     def _run_scan(self) -> None:
         config = self.config
@@ -975,32 +933,25 @@ class ICASHController(StorageSystem):
         if content is None:  # pragma: no cover - scanner filtered already
             self.scanner.note_retired(vb.lba)
             return
-        content = content.copy()
-        was_spilled = vb.lba in self._spilled
+        copy = self._ssd_copies.get(vb.lba)
+        was_spilled = copy is not None  # not yet a reference: a spill
         if was_spilled:
             # The SSD already holds exactly this content: reuse the slot.
-            slot = self._slot_of[vb.lba]
-            self._spilled.discard(vb.lba)
+            copy.spilled = False
+        elif self._acquire_ssd_slot(vb.lba) is None:
+            # Promotion fell through: undo the scan's optimistic
+            # signature-index insertion.
+            self.scanner.note_retired(vb.lba)
+            return
         else:
-            slot = self._acquire_ssd_slot(vb.lba)
-            if slot is None:
-                # Promotion fell through: undo the scan's optimistic
-                # signature-index insertion.
-                self.scanner.note_retired(vb.lba)
-                return
-            self._ssd_data[vb.lba] = content
-            self._note_ssd_content_changed(vb.lba)
             self._in_background(self._ssd_write, vb.lba, content)
         if vb.data_dirty or was_spilled:
             # Keep the HDD region consistent with the promoted copy so a
             # later demotion (or recovery) never resurrects stale bytes.
-            self._in_background(self.hdd.write, vb.lba, 1)
-            self.backing.set(vb.lba, content)
+            self._in_background(self._hdd_write, vb.lba, content)
             vb.data_dirty = False
         vb.kind = BlockKind.REFERENCE
-        vb.ssd_slot = slot
         vb.ref_lba = None
-        vb.associate_count = 0
         self.cache.drop_data(vb)  # SSD now serves it; free the RAM block
         self.scanner.note_reference(vb)
         self.stats.bump("references_created")
@@ -1014,9 +965,8 @@ class ICASHController(StorageSystem):
             return  # the reference was retired between scan and apply
         if not self._ensure_segment_capacity(vb, delta.size_bytes):
             return
-        if vb.lba in self._spilled:
-            self._release_ssd_slot(vb.lba)
-            vb.ssd_slot = None
+        # Not a reference, so any SSD copy it holds is a spill.
+        self._release_ssd_slot(vb.lba)
         was_dirty = vb.data_dirty
         self.cache.attach_delta(vb, delta)
         if vb.has_data:
@@ -1031,7 +981,6 @@ class ICASHController(StorageSystem):
         self._mark_delta_dirty(vb.lba)
         if was_dirty:
             self.stats.bump("associations_absorbed_dirty_data")
-        self._bump_associate_count(ref_lba, +1)
         self.stats.bump("associates_created")
 
     def _retire_cold_references(self, count: int) -> None:
@@ -1040,21 +989,19 @@ class ICASHController(StorageSystem):
         for vb in self.cache.lru_order():
             if retired >= count:
                 break
-            if not vb.is_reference or self._dependents_of(vb.lba) > 0:
+            if vb.kind is not BlockKind.REFERENCE \
+                    or self._dependents_of(vb.lba) > 0:
                 continue
-            if vb.has_delta:
+            if vb.delta is not None:
                 continue  # carries its own unlogged changes; leave it
-            if vb.lba in self._ssd_ahead:
+            copy = self._ssd_copies[vb.lba]
+            if copy.own is _AHEAD:
                 # The only current copy is the one about to be trimmed.
-                self._ssd_ahead.discard(vb.lba)
-                self._in_background(self.hdd.write, vb.lba, 1)
-                self.backing.set(vb.lba, self._ssd_data[vb.lba])
-            self._release_ssd_slot(vb.lba)
-            vb.kind = BlockKind.INDEPENDENT
-            vb.ssd_slot = None
+                self._in_background(self._hdd_write, vb.lba, copy.data)
             # A shadowed reference demotes to a plain independent block:
             # its content already lives on the ordinary data path.
-            self._shadowed_refs.discard(vb.lba)
+            self._release_ssd_slot(vb.lba)
+            vb.kind = BlockKind.INDEPENDENT
             self.scanner.note_retired(vb.lba)
             retired += 1
             self.stats.bump("references_retired")
@@ -1064,12 +1011,10 @@ class ICASHController(StorageSystem):
     # ------------------------------------------------------------------
 
     def _install_virtual_block(self, lba: int, kind: BlockKind,
-                               ref_lba: Optional[int] = None,
-                               ssd_slot: Optional[int] = None
+                               ref_lba: Optional[int] = None
                                ) -> VirtualBlock:
         self._ensure_virtual_capacity()
-        vb = VirtualBlock(lba=lba, kind=kind, ref_lba=ref_lba,
-                          ssd_slot=ssd_slot)
+        vb = VirtualBlock(lba=lba, kind=kind, ref_lba=ref_lba)
         self.cache.insert(vb)
         return vb
 
@@ -1086,11 +1031,8 @@ class ICASHController(StorageSystem):
         if victim.delta_dirty:
             self._flush_deltas(background=True)
         if victim.data_dirty and victim.has_data:
-            self._in_background(self.hdd.write, victim.lba, 1)
-            self.backing.set(victim.lba, victim.data)
+            self._in_background(self._hdd_write, victim.lba, victim.data)
             victim.data_dirty = False
-        if victim.is_associate:
-            self._bump_associate_count(victim.ref_lba, -1)
         self.cache.remove(victim.lba)
         self.stats.bump("virtual_evictions")
 
@@ -1107,8 +1049,8 @@ class ICASHController(StorageSystem):
                 if victim is None or victim is vb:
                     return False
                 if victim.data_dirty:
-                    self._in_background(self.hdd.write, victim.lba, 1)
-                    self.backing.set(victim.lba, victim.data)
+                    self._in_background(self._hdd_write, victim.lba,
+                                        victim.data)
                 self.cache.drop_data(victim)
                 self.stats.bump("data_evictions")
         self.cache.attach_data(vb, content.copy())
@@ -1142,42 +1084,47 @@ class ICASHController(StorageSystem):
         return True
 
     # ------------------------------------------------------------------
-    # SSD slot management
+    # The two media: SSD residency and the HDD data region
     # ------------------------------------------------------------------
 
-    def _acquire_ssd_slot(self, lba: int) -> Optional[int]:
+    def _acquire_ssd_slot(self, lba: int, spilled: bool = False,
+                          survivor: Optional[np.ndarray] = None
+                          ) -> Optional[_SSDCopy]:
+        """Give ``lba`` an SSD slot (None when the SSD is full) for
+        :meth:`_ssd_write` to fill — or holding ``survivor``, the bytes
+        the SSD kept across a crash, which cost no device write."""
         if not self._free_slots:
             return None
-        slot = self._free_slots.pop()
-        self._slot_of[lba] = slot
-        return slot
+        copy = self._ssd_copies[lba] = _SSDCopy(
+            self._free_slots.pop(), spilled, survivor)
+        return copy
 
     def _release_ssd_slot(self, lba: int) -> None:
-        slot = self._slot_of.pop(lba, None)
-        if slot is None:
-            return
-        self.ssd.trim(slot, 1)
-        self._free_slots.append(slot)
-        if self._ssd_data.pop(lba, None) is not None:
-            self._note_ssd_content_changed(lba)
-        self._spilled.discard(lba)
+        copy = self._ssd_copies.pop(lba, None)
+        if copy is not None:
+            self.ssd.trim(copy.slot, 1)
+            self._free_slots.append(copy.slot)
 
     def _ssd_read_latency(self, lba: int) -> float:
-        count = getattr(self, "_request_ssd_reads", 0)
+        count = self._request_ssd_reads
         self._request_ssd_reads = count + 1
         if count:
-            return self.ssd.read_followup(self._slot_of[lba])
-        return self.ssd.read(self._slot_of[lba], 1)
+            return self.ssd.read_followup(self._ssd_copies[lba].slot)
+        return self.ssd.read(self._ssd_copies[lba].slot, 1)
 
     def _ssd_write(self, lba: int, content: np.ndarray) -> float:
-        self._ssd_data[lba] = content.copy()
-        self._note_ssd_content_changed(lba)
-        return self.ssd.write(self._slot_of[lba], 1)
+        """The one way bytes reach the SSD: one private copy per store."""
+        copy = self._ssd_copies[lba]
+        copy.data = content.copy()
+        return self.ssd.write(copy.slot, 1)
 
-    def _bump_associate_count(self, ref_lba: int, amount: int) -> None:
-        ref_vb = self.cache.get(ref_lba, touch=False)
-        if ref_vb is not None:
-            ref_vb.associate_count = max(0, ref_vb.associate_count + amount)
+    def _hdd_write(self, lba: int, content: np.ndarray) -> float:
+        """The one way bytes reach the HDD data region: the device write
+        and the region's content together (callers off the critical path
+        go through :meth:`_in_background`)."""
+        latency = self.hdd.write(lba, 1)
+        self.backing.set(lba, content)
+        return latency
 
     # ------------------------------------------------------------------
     # Delta-map maintenance (with reference dependent counting)
@@ -1237,7 +1184,8 @@ class ICASHController(StorageSystem):
 
     def ssd_content_snapshot(self) -> Dict[int, np.ndarray]:
         """Copy of the SSD's durable content keyed by lba (recovery)."""
-        return {lba: data.copy() for lba, data in self._ssd_data.items()}
+        return {lba: copy.data.copy()
+                for lba, copy in self._ssd_copies.items()}
 
     def ssd_block_content(self, lba: int) -> Optional[np.ndarray]:
         """The SSD-resident copy (reference or spill) of ``lba``, or
@@ -1248,7 +1196,8 @@ class ICASHController(StorageSystem):
         (:func:`repro.sim.faults.scrub_references`) must observe that
         damage.
         """
-        return self._ssd_data.get(lba)
+        copy = self._ssd_copies.get(lba)
+        return copy.data if copy is not None else None
 
     @property
     def dirty_delta_count(self) -> int:
@@ -1271,12 +1220,14 @@ class ICASHController(StorageSystem):
 
     @property
     def spilled_lbas(self) -> Set[int]:
-        return set(self._spilled)
+        return {lba for lba, copy in self._ssd_copies.items()
+                if copy.spilled}
 
     @property
     def shadowed_reference_lbas(self) -> Set[int]:
         """References whose own content bypasses their frozen SSD copy."""
-        return set(self._shadowed_refs)
+        return {lba for lba, copy in self._ssd_copies.items()
+                if copy.own is _SHADOWED}
 
     def describe(self) -> str:
         """A human-readable status report of this storage element.
@@ -1309,8 +1260,8 @@ class ICASHController(StorageSystem):
             f"  slots used    "
             f"{self.config.ssd_capacity_blocks - len(self._free_slots):>7}"
             f" / {self.config.ssd_capacity_blocks}"
-            f" ({len(self._spilled)} spilled, "
-            f"{len(self._shadowed_refs)} shadowed refs)",
+            f" ({len(self.spilled_lbas)} spilled, "
+            f"{len(self.shadowed_reference_lbas)} shadowed refs)",
             f"  host writes   {self.ssd.stats.count('write_blocks'):>7} "
             f"pages, write amplification "
             f"{self.ssd.write_amplification:.2f}",

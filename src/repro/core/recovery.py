@@ -34,12 +34,11 @@ class RecoveredImage:
 
     def __init__(self, controller: ICASHController) -> None:
         self._backing = controller.backing
+        # Every SSD copy is a spilled block or a reference's frozen one.
         self._ssd = controller.ssd_content_snapshot()
-        self._spilled = set(controller.spilled_lbas)
-        self._references = set(controller.reference_lbas)
         # Shadowed references serve dependents from their frozen copy but
         # recover their *own* content from the HDD data region.
-        self._shadowed = set(controller.shadowed_reference_lbas)
+        self._shadowed = controller.shadowed_reference_lbas
         # Unroll the log: the last record per block wins, and only records
         # the durable delta map still vouches for count — a block that was
         # later spilled or reverted leaves stale records behind.
@@ -58,9 +57,7 @@ class RecoveredImage:
         record = self._winning.get(lba)
         if record is not None and record.ref_lba in self._ssd:
             return apply_delta(record.delta, self._ssd[record.ref_lba])
-        if lba in self._shadowed:
-            return self._backing.get(lba)
-        if lba in self._spilled or lba in self._references:
+        if lba in self._ssd and lba not in self._shadowed:
             return self._ssd[lba].copy()
         return self._backing.get(lba)
 
@@ -114,22 +111,18 @@ def rebuild_controller(crashed: ICASHController) -> ICASHController:
     from repro.core.signatures import block_signatures
     from repro.core.virtual_block import BlockKind
     for lba in sorted(crashed.reference_lbas):
-        slot = fresh._acquire_ssd_slot(lba)
-        if slot is None:  # pragma: no cover - same capacity as before
+        copy = fresh._acquire_ssd_slot(lba, survivor=rebuilt[lba].copy())
+        if copy is None:  # pragma: no cover - same capacity as before
             break
-        fresh._ssd_data[lba] = rebuilt[lba].copy()
-        vb = fresh._install_virtual_block(lba, BlockKind.REFERENCE,
-                                          ssd_slot=slot)
+        vb = fresh._install_virtual_block(lba, BlockKind.REFERENCE)
         vb.signatures = block_signatures(rebuilt[lba],
                                          crashed.config.signature_scheme)
         fresh.scanner.note_reference(vb)
     for lba in sorted(crashed.spilled_lbas):
-        slot = fresh._acquire_ssd_slot(lba)
-        if slot is None:  # pragma: no cover
+        copy = fresh._acquire_ssd_slot(lba, spilled=True,
+                                       survivor=rebuilt[lba].copy())
+        if copy is None:  # pragma: no cover
             break
-        fresh._ssd_data[lba] = rebuilt[lba].copy()
-        fresh._spilled.add(lba)
-        fresh._slot_of[lba] = slot
     fresh.stats.bump("rebuilt_references", len(crashed.reference_lbas))
     fresh.stats.bump("rebuilt_spills", len(crashed.spilled_lbas))
     return fresh

@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.cache import ICashCache
 from repro.core.heatmap import Heatmap
 from repro.core.signatures import signature_overlap
-from repro.core.virtual_block import VirtualBlock
+from repro.core.virtual_block import BlockKind, VirtualBlock
 from repro.delta.encoder import Delta, encode_delta
 
 #: Fraction of the scan window (by popularity rank) eligible to become
@@ -97,6 +97,15 @@ class SignatureIndex:
         """
         cell = self._cells.get((row, value))
         return cell.values() if cell else ()
+
+    def shared_by_lba(self, signatures: Sequence[int]) -> Dict[int, int]:
+        """How many of ``signatures`` each indexed reference carries at
+        the same row, keyed by address, first-met (oldest entry) first."""
+        tallies: Dict[int, int] = {}
+        for row, value in enumerate(signatures):
+            for lba in self._cells.get((row, value), ()):
+                tallies[lba] = tallies.get(lba, 0) + 1
+        return tallies
 
     def clear(self) -> None:
         self._cells.clear()
@@ -200,7 +209,8 @@ class SimilarityScanner:
             if not vb.signatures:
                 continue
             result.blocks_examined += 1
-            if not (vb.is_associate and vb.has_delta):
+            if not (vb.kind is BlockKind.ASSOCIATE
+                    and vb.delta is not None):
                 pool.append(vb)
         examined = result.blocks_examined
         result.cpu_time += examined * self.scan_compare_s
@@ -226,13 +236,13 @@ class SimilarityScanner:
         # then references promoted mid-scan in promotion order.
         rank_of: Dict[int, int] = {}
         for vb in ranked:
-            if vb.is_reference:
+            if vb.kind is BlockKind.REFERENCE:
                 self.signature_index.sync(vb)
                 rank_of[vb.lba] = len(rank_of)
         promotable = min(max_new_references,
                          max(4, int(examined * REF_CANDIDATE_FRACTION)))
         for vb in ranked:
-            if vb.is_reference:
+            if vb.kind is BlockKind.REFERENCE:
                 continue
             content = content_fn(vb)
             if content is None:

@@ -54,10 +54,6 @@ class VirtualBlock:
     delta_dirty: bool = False
     #: Data block modified since the last write-back to the HDD.
     data_dirty: bool = False
-    #: For reference blocks and spilled blocks: slot in the SSD store.
-    ssd_slot: Optional[int] = None
-    #: Number of live associate blocks anchored to this reference.
-    associate_count: int = 0
 
     @property
     def is_reference(self) -> bool:

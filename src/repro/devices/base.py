@@ -88,7 +88,6 @@ class Device(abc.ABC):
         stats = self.stats
         stats.bump(ops_key)
         stats.bump(blocks_key, nblocks)
-        stats.record_latency(kind, latency)
         self.busy_time += latency
         tracer = self.tracer
         if tracer is not None:

@@ -33,7 +33,7 @@ def _sha(parts) -> str:
 def ingest_digest(controller: ICASHController,
                   setup_s: float) -> Dict[str, object]:
     """Everything the sweep decides, as exact strings and hashes."""
-    references = sorted(controller._ssd_data.items())
+    references = sorted(controller.ssd_content_snapshot().items())
     delta_map = sorted((lba, entry.ref_lba, entry.log_slot)
                        for lba, entry in controller._delta_map.items())
     log_blocks = sorted(controller.log._contents.items())

@@ -303,29 +303,30 @@ class TestReconstructionMemo:
     def test_reference_version_bump_invalidates(self):
         from repro.core.controller import ICASHController
 
-        controller = ICASHController.__new__(ICASHController)
-        from collections import OrderedDict
-        controller._recon_cache = OrderedDict()
-        controller._ssd_versions = {}
-
-        class _Stats:
-            def bump(self, *a, **k):
-                pass
-
-        controller.stats = _Stats()
-        reference = np.zeros(BLOCK_SIZE, dtype=np.uint8)
-        controller._ssd_data = {9: reference}
+        controller = ICASHController(
+            np.zeros((16, BLOCK_SIZE), dtype=np.uint8))
+        assert controller._acquire_ssd_slot(9) is not None
+        controller._ssd_write(9, np.zeros(BLOCK_SIZE, dtype=np.uint8))
         delta = Delta(runs=((0, b"\x07\x07"),))
         first = controller._reconstruct(1, delta, 9)
         assert first[0] == 7
         assert controller._reconstruct(1, delta, 9) is first  # memo hit
-        # Same delta object, changed reference bytes: the version bump
-        # must force a re-apply.
-        controller._ssd_data[9] = np.full(BLOCK_SIZE, 5, dtype=np.uint8)
-        controller._note_ssd_content_changed(9)
+        assert controller.stats.count("recon_cache_hits") == 1
+        # Same delta object, replaced reference bytes: re-apply.
+        controller._ssd_write(9, np.full(BLOCK_SIZE, 5, dtype=np.uint8))
         second = controller._reconstruct(1, delta, 9)
         assert second is not first
         assert second[2] == 5 and second[0] == 7
+        # The copy released and the same lba re-acquired — where a
+        # per-lba version counter that restarted would see "unchanged".
+        controller._release_ssd_slot(9)
+        assert controller.ssd_block_content(9) is None
+        assert controller._acquire_ssd_slot(9) is not None
+        controller._ssd_write(9, np.full(BLOCK_SIZE, 6, dtype=np.uint8))
+        third = controller._reconstruct(1, delta, 9)
+        assert third is not second
+        assert third[2] == 6 and third[0] == 7
+        assert controller.stats.count("recon_cache_hits") == 1
 
 
 # ---------------------------------------------------------------------------

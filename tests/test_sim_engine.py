@@ -27,7 +27,9 @@ from repro.devices.hdd import HardDiskDrive
 from repro.experiments import loadtest
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import run_benchmark
-from repro.experiments.systems import SYSTEM_NAMES, make_system
+from repro.core.array import ICASHArray
+from repro.experiments.systems import (SYSTEM_NAMES, make_icash_config,
+                                       make_system)
 from repro.sim.engine import (DeviceStation, EngineConfig, EventEngine,
                               QueueingSummary)
 from repro.sim.load import (ClosedLoopLoad, OpenLoopLoad,
@@ -113,7 +115,11 @@ class TestDeterminism:
 def _tpcc_with_destages(system_name: str):
     """TPC-C at a size where the cache baselines evict dirty blocks."""
     wl = TPCCWorkload(scale=0.1, n_requests=1000)
-    system = make_system(system_name, wl)
+    if system_name == "icash-array":
+        system = ICASHArray(wl.build_dataset(), n_elements=2,
+                            config=make_icash_config(wl))
+    else:
+        system = make_system(system_name, wl)
     system.ingest()
     return wl, system
 
@@ -142,12 +148,14 @@ class TestEngineBehaviour:
                 assert sum(dur for _device, dur in phases) \
                     <= r.service_s + 1e-12, name
 
-    @pytest.mark.parametrize("system_name", SYSTEM_NAMES)
+    @pytest.mark.parametrize("system_name",
+                             tuple(SYSTEM_NAMES) + ("icash-array",))
     def test_backlog_is_the_background_clock(self, monkeypatch,
                                              system_name):
         # The two clocks agree on what is background: the seconds the
         # engine receives as deferrable backlog are the device share of
-        # ``background_time`` (all of it but the scans' CPU time).
+        # ``background_time`` (all of it but the scans' CPU time) — on
+        # an array too, whose elements each declare their own.
         wl, system = _tpcc_with_destages(system_name)
         bg_before = system.background_time
         backlog, scan_cpu = [], []
@@ -158,18 +166,19 @@ class TestEngineBehaviour:
             add_backlog(self, device, seconds)
 
         monkeypatch.setattr(EventEngine, "add_backlog", spy_backlog)
-        if system_name == "icash":
-            scan = system.scanner.scan
+        for element in getattr(system, "elements", [system]):
+            if not hasattr(element, "scanner"):
+                continue  # only I-CASH elements scan
 
-            def spy_scan(*args, **kwargs):
+            def spy_scan(*args, scan=element.scanner.scan, **kwargs):
                 result = scan(*args, **kwargs)
                 scan_cpu.append(result.cpu_time)
                 return result
 
-            monkeypatch.setattr(system.scanner, "scan", spy_scan)
+            monkeypatch.setattr(element.scanner, "scan", spy_scan)
         EventEngine(system).run(wl, default_closed_loop(wl))
         background = system.background_time - bg_before
-        if system_name in ("icash", "lru", "dedup"):
+        if system_name in ("icash", "icash-array", "lru", "dedup"):
             assert background > 0.0
         assert sum(backlog) == pytest.approx(
             background - sum(scan_cpu), abs=1e-9)
