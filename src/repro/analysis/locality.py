@@ -86,7 +86,7 @@ def _best_anchor(block_id: int, signatures: List[Tuple[int, ...]],
                 tallies[candidate] = tallies.get(candidate, 0) + 1
     if not tallies:
         return None
-    best = max(tallies, key=lambda k: tallies[k])
+    best = max(tallies, key=tallies.get)
     return best if tallies[best] >= min_match else None
 
 

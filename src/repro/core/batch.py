@@ -9,12 +9,11 @@ The point is wall-clock only: callers that already hold ``N`` blocks
 (controller ingest over the whole backing store, multi-block writes)
 pay one numpy pass instead of ``N`` python round trips.  Simulated
 metrics are unaffected by construction — the kernels compute the same
-values the scalar calls would.  Delta encoding has no batch form:
-:func:`repro.delta.encoder.encode_delta` is already one numpy pass from
-the differing offsets to the wire bytes (docs/TUNING.md, "A delta is
-its wire bytes"), and a speculative chunked ingest sweep, the batch
-form's one caller, did not earn its lines against it ("Removed:
-batched ingest sweep").
+values the scalar calls would.  The batch form of delta encoding is
+:func:`repro.delta.encoder.encode_deltas`, beside the scalar codec it
+shares its run arithmetic with; its one caller is the ingest planner
+(:mod:`repro.core.ingest`), while the write path keeps the scalar
+``encode_delta``, which a batch of one cannot beat.
 """
 
 from __future__ import annotations

@@ -32,8 +32,8 @@ from repro.baselines.base import StorageSystem
 from repro.core.cache import ICashCache
 from repro.core.config import ICASHConfig
 from repro.core.heatmap import Heatmap
-from repro.core.batch import (block_signatures_batch, block_signatures_many,
-                              signature_tuples)
+from repro.core.batch import block_signatures_batch, block_signatures_many
+from repro.core.ingest import plan_ingest
 from repro.core.signatures import block_signatures
 from repro.core.similarity import SimilarityScanner
 from repro.core.virtual_block import BlockKind, VirtualBlock
@@ -297,44 +297,39 @@ class ICASHController(StorageSystem):
 
         Returns the setup time (sequential sweep + SSD reference writes +
         log append); callers treat it as load-phase cost, outside the
-        measured benchmark window.
+        measured benchmark window.  Runs once, on a fresh controller.
+
+        Every decision is made up front by :func:`plan_ingest` from one
+        vectorised signature pass; this loop replays them in LBA order
+        with the sweep's side effects — device calls, ``cpu_time`` and
+        latency sums, SSD copies, delta map — in the order a block-by-
+        block sweep makes them (``tests/reference/ingest.py``).
         """
         config = self.config
-        index = self.scanner.signature_index
-        pending: List[DeltaRecord] = []
-        # Batch tier: one vectorised signature pass + one heatmap scatter
-        # over the whole backing store.  Equivalent to the per-block
-        # scalar calls — nothing below reads the heatmap mid-sweep, and
-        # counter increments commute — but ~N python round trips cheaper.
-        sig_matrix = block_signatures_batch(
-            self.backing.view_all(), config.signature_scheme)
-        all_signatures = signature_tuples(sig_matrix)
+        blocks = self.backing.view_all()
+        sig_matrix = block_signatures_batch(blocks, config.signature_scheme)
         self.heatmap.record_batch(sig_matrix)
+        plan = plan_ingest(blocks, sig_matrix, config.min_signature_match,
+                           config.delta_accept_bytes, len(self._free_slots))
+        pending: List[DeltaRecord] = []
         total = 0.0
-        for lba in range(self.capacity_blocks):
-            total += self.hdd.read(lba, 1)  # sequential sweep
-            content = self.backing.view(lba)
-            signatures = all_signatures[lba]
-            # The promoted reference sharing most sub-signatures; ties go
-            # to the first one met, as the index keeps insertion order.
-            tallies = index.shared_by_lba(signatures)
-            self.cpu_time += max(1, len(tallies)) * config.scan_compare_s
-            best_lba = max(tallies, key=tallies.get, default=None)
-            if best_lba is not None \
-                    and tallies[best_lba] >= config.min_signature_match:
-                delta = encode_delta(content,
-                                     self._ssd_copies[best_lba].data)
-                self.cpu_time += config.compress_s
+        hdd_read = self.hdd.read
+        compare_s, compress_s = config.scan_compare_s, config.compress_s
+        for lba, (candidates, ref_lba, delta) in enumerate(zip(*plan)):
+            total += hdd_read(lba, 1)  # sequential sweep
+            self.cpu_time += max(1, candidates) * compare_s
+            if delta is not None:
+                self.cpu_time += compress_s
                 if delta.size_bytes <= config.delta_accept_bytes:
-                    pending.append(DeltaRecord(lba, best_lba, delta))
-                    self._map_delta(lba, best_lba)
+                    pending.append(DeltaRecord(lba, ref_lba, delta))
+                    self._map_delta(lba, ref_lba)
                     continue
             # No similar reference: promote the block itself — unless the
             # SSD is full, when it stays independent on the HDD region.
             if self._acquire_ssd_slot(lba) is not None:
-                total += self._ssd_write(lba, content)
+                total += self._ssd_write(lba, blocks[lba])
                 vb = self._install_virtual_block(lba, BlockKind.REFERENCE)
-                vb.signatures = signatures
+                vb.signatures = tuple(sig_matrix[lba].tolist())
                 self.scanner.note_reference(vb)
                 self.stats.bump("ingest_references")
         if pending:
@@ -430,7 +425,7 @@ class ICASHController(StorageSystem):
                                          ref_lba=entry.ref_lba)
         # Make room with headroom *before* unpacking the log block, so
         # the siblings the mechanical read drags in can hydrate too.
-        self._reserve_for_log_fetch(vb)
+        self._ensure_segment_capacity(vb, self.LOG_FETCH_HEADROOM_BYTES)
         latency, delta = self._fetch_delta_from_log(lba, entry)
         latency += self._ssd_read_latency(entry.ref_lba)
         content = apply_delta(delta, self._ssd_copies[entry.ref_lba].data)
@@ -457,7 +452,8 @@ class ICASHController(StorageSystem):
             self.stats.bump("ram_delta_hits")
         else:
             entry = self._delta_map[vb.lba]
-            self._reserve_for_log_fetch(vb)
+            self._ensure_segment_capacity(vb,
+                                          self.LOG_FETCH_HEADROOM_BYTES)
             log_latency, delta = self._fetch_delta_from_log(vb.lba, entry)
             latency += log_latency
             if self._ensure_segment_capacity(vb, delta.size_bytes):
@@ -497,13 +493,9 @@ class ICASHController(StorageSystem):
     #: Segment-pool headroom a log fetch evicts for, as a multiple of a
     #: typical delta block's worth of records — the mechanical read is
     #: only amortised if its co-packed siblings have somewhere to live.
+    #: Best effort: when the pool is too small for it, the exact-size
+    #: reservation after the fetch still gets its chance.
     LOG_FETCH_HEADROOM_BYTES = 8 * 1024
-
-    def _reserve_for_log_fetch(self, vb: VirtualBlock) -> None:
-        """Best-effort eviction so an imminent log fetch can hydrate;
-        when the pool is too small for the headroom, the exact-size path
-        in the caller still gets its chance."""
-        self._ensure_segment_capacity(vb, self.LOG_FETCH_HEADROOM_BYTES)
 
     def _fetch_delta_from_log(self, lba: int, entry: _DeltaMapEntry
                               ) -> Tuple[float, Delta]:

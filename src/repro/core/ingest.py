@@ -1,0 +1,143 @@
+"""The §3.1 load-phase plan, decided from the signature columns.
+
+"At the time when virtual machines are created, I-CASH compares each
+data block ... derives deltas ... and packs the deltas into delta
+blocks."  :meth:`ICASHController.ingest` sweeps the data set in LBA
+order: a block joins the promoted reference sharing most sub-signature
+rows with it when that delta fits, and is promoted itself otherwise.
+Every one of those decisions is a pure function of the data set, so
+this module makes them all in array passes and the controller replays
+the outcome block by block, charging devices and CPU in sweep order.
+
+The planner keeps, for every block not yet swept, the best reference
+promoted so far — most shared rows, then the earliest first shared row,
+then the earliest promotion, which is the order a per-block tally over
+``(row, value)`` cells meets them in — and folds each promotion in with
+one pass over that reference's eight inverted lists.  It walks windows
+of :data:`ENCODE_BATCH` blocks: when a block it is about to pass lacks
+the delta against its best reference, every such block of the window is
+encoded in one :func:`~repro.delta.encoder.encode_deltas` call (a later
+promotion re-encodes only the blocks whose best reference it replaces),
+and the walk stops at the first block that must promote: one with no
+reference sharing at least ``min_match`` rows, or whose delta exceeds
+``accept_bytes``.  Only blocks after a promotion can see it, so each
+block's entries are final once the walk passes it and the plan is exact
+by construction.
+"""
+
+from __future__ import annotations
+
+from typing import List, NamedTuple, Optional
+
+import numpy as np
+
+from repro.core.signatures import SIGNATURE_VALUES
+from repro.delta.encoder import Delta, encode_deltas
+
+#: Most rows per :func:`encode_deltas` call, and the planner's window.
+#: The kernel's temporaries grow with the batch: at 1 024 rows a warm
+#: ``TestHostCostBudget`` sysbench / icash run allocates 1.83 × its data
+#: set, at 64 rows 0.60 ×.
+ENCODE_BATCH = 64
+
+
+class IngestPlan(NamedTuple):
+    """Per-block outcome of the sweep, indexed by lba."""
+
+    #: Promoted references sharing at least one row at the block's turn.
+    candidates: List[int]
+    #: The best of them (meaningful where ``deltas`` has an entry).
+    references: List[int]
+    #: The block encoded against that reference, or None when no
+    #: reference shared ``min_match`` rows and nothing was encoded.
+    deltas: List[Optional[Delta]]
+
+
+def plan_ingest(blocks: np.ndarray, signatures: np.ndarray,
+                min_match: int, accept_bytes: int,
+                free_slots: int) -> IngestPlan:
+    """Plan the sweep over ``blocks`` (``(N, 4096)`` uint8) with their
+    ``(N, rows)`` sub-signatures, promoting at most ``free_slots``
+    blocks.  The controller must start with no references."""
+    n, rows = signatures.shape
+    # Inverted lists, one per cell c = row * 256 + value: entries
+    # [end_of[c - 1], end_of[c]) of ``entries`` are the blocks carrying
+    # that value at that row, ascending, each as block * rows + row —
+    # its index in ``cells`` — and that one sits at entry place[index].
+    row_base = SIGNATURE_VALUES * np.arange(rows, dtype=np.int16)
+    cells = (signatures + row_base).ravel()  # int16: a radix sort
+    entries = np.argsort(cells, kind="stable")
+    place = np.empty_like(entries)
+    place[entries] = np.arange(entries.size)
+    end_of = np.searchsorted(cells[entries],
+                             np.arange(1, SIGNATURE_VALUES * rows + 1))
+
+    candidates = np.zeros(n, dtype=np.intp)
+    tally = np.zeros(n, dtype=np.intp)        # best reference's rows
+    first_row = np.zeros(n, dtype=np.intp)    # its first shared row
+    best = np.full(n, -1, dtype=np.intp)
+    encoded_for = np.full(n, -1, dtype=np.intp)
+    sizes = np.zeros(n, dtype=np.intp)
+    deltas: List[Optional[Delta]] = [None] * n
+    threshold = max(min_match, 1)  # no candidate never qualifies
+
+    def promote(ref: int) -> None:
+        # The entries after ``ref`` in each of its lists, sorted: one
+        # group per block, rows ascending.
+        lo = place[ref * rows:(ref + 1) * rows] + 1
+        span = end_of[signatures[ref] + row_base] - lo
+        taken = (lo - span.cumsum() + span).repeat(span)
+        taken += np.arange(taken.size)
+        hit, row = np.divmod(np.sort(entries[taken]), rows)
+        opens = np.empty(hit.size + 1, dtype=bool)
+        opens[0] = opens[-1] = True
+        np.not_equal(hit[1:], hit[:-1], out=opens[1:-1])
+        at = np.flatnonzero(opens)
+        head = at[:-1]
+        hit, row, count = hit[head], row[head], np.diff(at)
+        candidates[hit] += 1
+        held = tally[hit]
+        # Earlier promotions win ties on (rows, first row).
+        wins = (count > held) | ((count == held) & (row < first_row[hit]))
+        hit = hit[wins]
+        tally[hit] = count[wins]
+        first_row[hit] = row[wins]
+        best[hit] = ref
+
+    def encode(stale: np.ndarray) -> None:
+        for at in range(0, stale.size, ENCODE_BATCH):
+            chunk = stale[at:at + ENCODE_BATCH]
+            refs = best[chunk]
+            encoded = encode_deltas(blocks[chunk], blocks[refs])
+            for lba, delta in zip(chunk.tolist(), encoded):
+                deltas[lba] = delta
+            sizes[chunk] = [delta.size_bytes for delta in encoded]
+            encoded_for[chunk] = refs
+
+    def stale_in(lo: int, hi: int) -> np.ndarray:
+        """Qualifying blocks in [lo, hi) not encoded against their best."""
+        return lo + np.flatnonzero((tally[lo:hi] >= threshold)
+                                   & (encoded_for[lo:hi] != best[lo:hi]))
+
+    cursor = 0
+    while cursor < n and free_slots:
+        end = min(n, cursor + ENCODE_BATCH)
+        weak = np.flatnonzero(tally[cursor:end] < threshold)
+        stop = cursor + int(weak[0]) if weak.size else end
+        if (encoded_for[cursor:stop] != best[cursor:stop]).any():
+            # Encode the whole window ahead: a later promotion only
+            # re-encodes the blocks whose best reference it replaces.
+            encode(stale_in(cursor, end))
+        rejected = np.flatnonzero(sizes[cursor:stop] > accept_bytes)
+        if rejected.size:
+            stop = cursor + int(rejected[0])
+        if stop == end:
+            cursor = end
+            continue
+        promote(stop)
+        free_slots -= 1
+        cursor = stop + 1
+    # The SSD is full (or the sweep done): every later block's best
+    # reference is final.
+    encode(stale_in(cursor, n))
+    return IngestPlan(candidates.tolist(), best.tolist(), deltas)

@@ -98,15 +98,6 @@ class SignatureIndex:
         cell = self._cells.get((row, value))
         return cell.values() if cell else ()
 
-    def shared_by_lba(self, signatures: Sequence[int]) -> Dict[int, int]:
-        """How many of ``signatures`` each indexed reference carries at
-        the same row, keyed by address, first-met (oldest entry) first."""
-        tallies: Dict[int, int] = {}
-        for row, value in enumerate(signatures):
-            for lba in self._cells.get((row, value), ()):
-                tallies[lba] = tallies.get(lba, 0) + 1
-        return tallies
-
     def clear(self) -> None:
         self._cells.clear()
         self._entries.clear()

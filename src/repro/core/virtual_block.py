@@ -64,10 +64,6 @@ class VirtualBlock:
         return self.kind is BlockKind.ASSOCIATE
 
     @property
-    def is_independent(self) -> bool:
-        return self.kind is BlockKind.INDEPENDENT
-
-    @property
     def has_data(self) -> bool:
         return self.data is not None
 

@@ -23,7 +23,7 @@ unless a caller asks for ``.runs``.  Bytes from outside (the log, the
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -43,11 +43,12 @@ _OFFSETS.flags.writeable = False
 
 
 def _covered(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Every block offset the runs cover, in payload order."""
+    """Every offset the runs cover, in payload order."""
     # Each run's start minus its position in the payload, spread over
     # the run's bytes; adding 0, 1, 2, ... turns that into offsets.
     cover = (starts - lengths.cumsum() + lengths).repeat(lengths)
-    cover += _OFFSETS[:cover.size]
+    cover += (_OFFSETS[:cover.size] if cover.size <= BLOCK_SIZE
+              else np.arange(cover.size))
     return cover
 
 
@@ -161,6 +162,31 @@ class Delta:
         return cls._trusted(cls._checked(bytes(blob)))
 
 
+_IDENTITY = bytes(DELTA_HEADER_BYTES)
+
+
+def _split_runs(changed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(starts, lengths)`` of the runs over the ascending, non-empty
+    differing offsets ``changed``.
+
+    A run ends wherever the next differing byte is more than MERGE_GAP
+    identical bytes away; closer ones share a run, since carrying the
+    gap verbatim costs less than a fresh run header.
+    """
+    after = changed[1:]
+    breaks = (after - changed[:-1] > MERGE_GAP + 1).nonzero()[0]
+    n = breaks.size + 1
+    starts = np.empty(n, dtype=np.intp)
+    starts[0] = changed[0]
+    starts[1:] = after[breaks]
+    lengths = np.empty(n, dtype=np.intp)
+    lengths[:-1] = changed[breaks]
+    lengths[-1] = changed[-1]
+    lengths -= starts
+    lengths += 1
+    return starts, lengths
+
+
 def encode_delta(target: np.ndarray, reference: np.ndarray) -> Delta:
     """Encode ``target`` as a delta against ``reference``.
 
@@ -175,27 +201,72 @@ def encode_delta(target: np.ndarray, reference: np.ndarray) -> Delta:
             f"{target.nbytes} and {reference.nbytes}")
     changed = (target != reference).nonzero()[0]
     if not changed.size:
-        return Delta._trusted(bytes(DELTA_HEADER_BYTES))
-    # A run ends wherever the next differing byte is more than MERGE_GAP
-    # identical bytes away; closer ones share a run, since carrying the
-    # gap verbatim costs less than a fresh run header.
-    after = changed[1:]
-    breaks = (after - changed[:-1] > MERGE_GAP + 1).nonzero()[0]
-    n = breaks.size + 1
-    starts = np.empty(n, dtype=np.intp)
-    starts[0] = changed[0]
-    starts[1:] = after[breaks]
-    lengths = np.empty(n, dtype=np.intp)
-    lengths[:-1] = changed[breaks]
-    lengths[-1] = changed[-1]
-    lengths -= starts
-    lengths += 1
-    header = np.empty(2 * n + 1, dtype=_U2)
-    header[0] = n
+        return Delta._trusted(_IDENTITY)
+    starts, lengths = _split_runs(changed)
+    header = np.empty(2 * starts.size + 1, dtype=_U2)
+    header[0] = starts.size
     header[1::2] = starts
     header[2::2] = lengths
     return Delta._trusted(
         header.tobytes() + target[_covered(starts, lengths)].tobytes())
+
+
+#: Row pitch of the batch kernel's difference mask: every row is
+#: followed by MERGE_GAP + 1 never-differing bytes, so no run can bridge
+#: the last byte of one row and the first of the next.
+_PITCH = BLOCK_SIZE + MERGE_GAP + 1
+
+
+def encode_deltas(targets: np.ndarray,
+                  references: np.ndarray) -> List[Delta]:
+    """``[encode_delta(t, r) for t, r in zip(targets, references)]`` in
+    one numpy pass over two ``(N, BLOCK_SIZE)`` uint8 arrays.
+
+    The runs are split by the same arithmetic as :func:`encode_delta`,
+    over a difference mask whose rows are padded apart; only the
+    per-row slicing of the shared header and payload buffers is a
+    Python loop.  Temporaries are a few times ``N`` blocks, so callers
+    keep ``N`` bounded (the ingest planner passes at most 64 rows).
+    """
+    targets = np.asarray(targets)
+    references = np.asarray(references)
+    if targets.shape != references.shape or targets.ndim != 2 \
+            or targets.shape[1] != BLOCK_SIZE \
+            or targets.dtype != np.uint8 or references.dtype != np.uint8:
+        raise ValueError(
+            f"delta codec operates on (N, {BLOCK_SIZE}) uint8 batches, "
+            f"got {targets.shape} {targets.dtype} and {references.shape} "
+            f"{references.dtype}")
+    rows = targets.shape[0]
+    differs = np.zeros((rows, _PITCH), dtype=bool)
+    np.not_equal(targets, references, out=differs[:, :BLOCK_SIZE])
+    changed = differs.ravel().nonzero()[0]
+    if not changed.size:
+        return [Delta._trusted(_IDENTITY) for _ in range(rows)]
+    starts, lengths = _split_runs(changed)
+    run_row, starts = np.divmod(starts, _PITCH)
+    counts = np.bincount(run_row, minlength=rows)
+    runs_before = counts.cumsum() - counts
+    # One ``<u2`` buffer holding every row's header back to back: row r
+    # opens at word r + 2 * (runs of earlier rows), its runs follow.
+    words = np.empty(rows + 2 * starts.size, dtype=_U2)
+    head_at = np.arange(rows) + 2 * runs_before
+    words[head_at] = counts
+    run_at = run_row + 2 * np.arange(1, starts.size + 1) - 1
+    words[run_at] = starts
+    words[run_at + 1] = lengths
+    header = words.tobytes()
+    payload = targets.reshape(-1)[
+        _covered(run_row * BLOCK_SIZE + starts, lengths)].tobytes()
+    payload_at = np.zeros(starts.size + 1, dtype=np.intp)
+    lengths.cumsum(out=payload_at[1:])
+    head_from = 2 * head_at
+    head_to = head_from + 2 + 4 * counts
+    pay_from = payload_at[runs_before]
+    pay_to = payload_at[runs_before + counts]
+    return [Delta._trusted(header[h0:h1] + payload[p0:p1])
+            for h0, h1, p0, p1 in zip(head_from.tolist(), head_to.tolist(),
+                                      pay_from.tolist(), pay_to.tolist())]
 
 
 def apply_delta(delta: Delta, reference: np.ndarray) -> np.ndarray:

@@ -298,7 +298,7 @@ class SyntheticWorkload(Workload):
                 self.max_request_blocks, self.vm_id, self.seed,
                 self.content_seed, self.image_divergence,
                 content.n_families, content.mutation_fraction,
-                content.duplicate_fraction, content.family_noise_bytes)
+                content.duplicate_fraction)
 
     def requests(self) -> Iterator[IORequest]:
         key = self._stream_key

@@ -35,13 +35,15 @@ from repro.sim.request import BLOCK_SIZE
 
 #: Bound on the per-process memoised-dataset LRU (entries).  Datasets
 #: are deterministic in their parameters, so a cache hit returns the one
-#: frozen matrix every caller shares, bit-identical to rebuilding — the
-#: win is skipping the per-block noise loop, whose RNG draw order is
-#: deliberately *not* vectorised (the byte stream is part of the contract).
+#: frozen matrix every caller shares, bit-identical to rebuilding.
 DATASET_CACHE_CAPACITY = 8
 
+#: Private noise bytes on top of the family base, per non-duplicate
+#: block (and per :meth:`ContentModel.rewrite`).
+FAMILY_NOISE_BYTES = 24
+
 #: Dataset parameters -> the finished initial-content matrix.
-DatasetKey = Tuple[int, int, float, int, int]
+DatasetKey = Tuple[int, int, float, int]
 
 _dataset_cache: "OrderedDict[DatasetKey, np.ndarray]" = OrderedDict()
 _dataset_counters = {"hits": 0, "misses": 0}
@@ -76,13 +78,41 @@ def _dataset_cache_put(key: DatasetKey, dataset: np.ndarray) -> None:
         _dataset_cache.popitem(last=False)
 
 
+#: 32-bit draws per noisy block: one per position, a quarter of one
+#: per byte value.
+_NOISE_DRAWS = FAMILY_NOISE_BYTES + FAMILY_NOISE_BYTES // 4
+
+
+def sprinkle_family_noise(dataset: np.ndarray, rows: np.ndarray,
+                          rng: np.random.Generator) -> None:
+    """Overwrite :data:`FAMILY_NOISE_BYTES` random bytes of each of
+    ``rows`` of ``dataset``, in one draw from ``rng``.
+
+    Bit for bit the per-row pair ``rng.integers(0, 4096, 24)`` /
+    ``rng.integers(0, 256, 24, dtype=np.uint8)``, row after row, and it
+    leaves ``rng`` in the same state: both consume the generator's
+    32-bit stream, a position being ``u32 >> 20`` (Lemire's method never
+    rejects for a power-of-two range) and four byte values being the
+    bytes of one ``u32``, lowest first.  A position drawn twice in one
+    row keeps its later value, as the per-row assignment does.
+    """
+    draws = rng.integers(0, 1 << 32, size=(len(rows), _NOISE_DRAWS),
+                         dtype=np.uint32)
+    positions = draws[:, :FAMILY_NOISE_BYTES] >> 20
+    values = np.ascontiguousarray(
+        draws[:, FAMILY_NOISE_BYTES:], dtype="<u4").view(np.uint8)
+    dataset[np.asarray(rows)[:, None], positions] = values
+
+
+_ONE_ROW = np.zeros(1, dtype=np.intp)
+
+
 class ContentModel:
     """Family-structured content for one workload's block space."""
 
     def __init__(self, n_blocks: int, n_families: int,
                  mutation_fraction: float, duplicate_fraction: float,
-                 content_seed: int,
-                 family_noise_bytes: int = 24) -> None:
+                 content_seed: int) -> None:
         if n_blocks < 1:
             raise ValueError(f"need at least one block, got {n_blocks}")
         if not 1 <= n_families <= n_blocks:
@@ -100,7 +130,6 @@ class ContentModel:
         self.n_families = n_families
         self.mutation_fraction = mutation_fraction
         self.duplicate_fraction = duplicate_fraction
-        self.family_noise_bytes = family_noise_bytes
         self.content_seed = content_seed
         build_rng = np.random.default_rng(content_seed)
         self._bases = build_rng.integers(
@@ -122,7 +151,7 @@ class ContentModel:
     def dataset_key(self) -> DatasetKey:
         """Parameters that fully determine :meth:`build_dataset`'s bytes."""
         return (self.n_blocks, self.n_families, self.duplicate_fraction,
-                self.family_noise_bytes, self.content_seed)
+                self.content_seed)
 
     def build_dataset(self) -> np.ndarray:
         """The initial content of every block (deterministic in the seed).
@@ -139,20 +168,12 @@ class ContentModel:
         dataset = _dataset_cache_get(key)
         if dataset is None:
             dataset = self._bases[self.family_of]
-            rng = np.random.default_rng(self.content_seed + 2)
-            for lba in np.flatnonzero(self._unique_mask):
-                self._sprinkle_noise(dataset[lba], rng)
+            sprinkle_family_noise(
+                dataset, np.flatnonzero(self._unique_mask),
+                np.random.default_rng(self.content_seed + 2))
             dataset.flags.writeable = False
             _dataset_cache_put(key, dataset)
         return dataset
-
-    def _sprinkle_noise(self, block: np.ndarray,
-                        rng: np.random.Generator) -> None:
-        count = self.family_noise_bytes
-        if count == 0:
-            return
-        positions = rng.integers(0, BLOCK_SIZE, size=count)
-        block[positions] = rng.integers(0, 256, size=count, dtype=np.uint8)
 
     # -- overwrites ---------------------------------------------------------------
 
@@ -219,5 +240,5 @@ class ContentModel:
         a rewritten file, a reprovisioned VM block.
         """
         block = self._bases[self.family_of[lba]].copy()
-        self._sprinkle_noise(block, rng)
+        sprinkle_family_noise(block[None], _ONE_ROW, rng)
         return block

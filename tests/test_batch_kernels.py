@@ -152,15 +152,98 @@ class TestHeatmapBatch:
 # ---------------------------------------------------------------------------
 
 
+def _controller_state(controller):
+    """What ingest leaves behind beyond the digest: the cached virtual
+    blocks in LRU order and the signature index."""
+    blocks = [(vb.lba, vb.kind, vb.ref_lba, vb.signatures, vb.delta,
+               vb.delta_dirty) for vb in controller.cache.lru_order()]
+    index = controller.scanner.signature_index
+    return blocks, sorted((lba, sigs) for lba, (_vb, sigs)
+                          in index._entries.items())
+
+
 class TestIngestSweepEquivalence:
-    @pytest.mark.parametrize("workload_name", ["sysbench", "specsfs"])
-    def test_ingest_reproduces_frozen_digest(self, workload_name):
+    @pytest.mark.parametrize("case", sorted(ingest_reference.CASES))
+    def test_ingest_reproduces_frozen_digest(self, case):
         """References, delta map, log bytes, ``cpu_time``, ingest
         latency and counters, against ``tests/reference/
-        ingest_digest.json`` — written when the scalar and the batched
-        sweep (chunks of 4 and 256) still existed and agreed on it."""
-        assert ingest_reference.ingested_digest(workload_name) \
-            == ingest_reference.frozen()[workload_name]
+        ingest_digest.json``."""
+        assert ingest_reference.ingested_digest(case) \
+            == ingest_reference.frozen()[case]
+
+    @pytest.mark.parametrize("case", sorted(ingest_reference.CASES))
+    def test_scalar_oracle_reproduces_frozen_digest(self, case):
+        """The block-by-block sweep the planner is held to reproduces
+        the same digests."""
+        assert ingest_reference.ingested_digest(
+            case, ingest_reference.scalar_ingest) \
+            == ingest_reference.frozen()[case]
+
+    def test_ties_go_to_the_first_shared_row_then_the_first_promoted(self):
+        """The order a per-block tally over ``(row, value)`` cells meets
+        the references in: most rows, then the earliest first shared
+        row, then the earlier promotion."""
+        from repro.core.ingest import plan_ingest
+
+        signatures = np.array([
+            [1, 2, 3, 4, 5, 6, 7, 8],          # promoted: no candidate
+            [1, 20, 21, 22, 23, 24, 25, 26],   # 1 row with 0: promoted
+            [1, 2, 3, 4, 23, 24, 25, 99],      # 4 rows each, from row 0
+            [77, 20, 21, 22, 5, 6, 7, 99],     # 3 each, 1 from row 1
+        ], dtype=np.uint8)
+        blocks = np.zeros((4, BLOCK_SIZE), dtype=np.uint8)
+        plan = plan_ingest(blocks, signatures, min_match=3,
+                           accept_bytes=2048, free_slots=4)
+        assert plan.candidates == [0, 1, 2, 2]
+        assert plan.references[2:] == [0, 1]
+        assert [d is None for d in plan.deltas] == [True, True, False,
+                                                    False]
+
+    def test_ssd_fills_mid_sweep(self):
+        frozen = ingest_reference.frozen()["specsfs_ssd_full"]
+        controller = ingest_reference.controller_for("specsfs_ssd_full")
+        independents = (controller.capacity_blocks - frozen["references"]
+                        - frozen["delta_map"])
+        assert frozen["references"] \
+            == controller.config.ssd_capacity_blocks
+        assert independents > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_blocks=st.integers(1, 96), families=st.integers(1, 24),
+           duplicates=st.sampled_from([0.0, 1.0]),
+           content_seed=st.integers(0, 2**16),
+           min_match=st.integers(0, 8),
+           ssd=st.sampled_from(["none", "partial", "ample"]),
+           scheme=st.sampled_from(list(SignatureScheme)))
+    def test_planner_matches_scalar_sweep(self, n_blocks, families,
+                                          duplicates, content_seed,
+                                          min_match, ssd, scheme):
+        """Every decision and side effect of the planned sweep equals
+        the block-by-block oracle's: identity deltas and ties
+        (``duplicate_fraction`` 1), "no candidate" against "tally below
+        threshold" (``min_signature_match`` 0 and up), and an SSD with
+        no slot, one that fills mid-sweep and one that never does."""
+        from repro.core.config import ICASHConfig
+        from repro.core.controller import ICASHController
+        from repro.workloads.content import ContentModel
+
+        families = min(families, n_blocks)
+        data = ContentModel(n_blocks, families, 0.1, duplicates,
+                            content_seed).build_dataset()
+        slots = {"none": 0, "partial": max(1, families // 2),
+                 "ample": n_blocks}[ssd]
+        config = ICASHConfig(ssd_capacity_blocks=max(1, slots),
+                             min_signature_match=min_match,
+                             signature_scheme=scheme)
+        oracle, planned = (ICASHController(data, config) for _ in range(2))
+        if not slots:
+            for controller in (oracle, planned):
+                controller._free_slots.clear()
+        expected = ingest_reference.ingest_digest(
+            oracle, ingest_reference.scalar_ingest(oracle))
+        assert ingest_reference.ingest_digest(planned, planned.ingest()) \
+            == expected
+        assert _controller_state(planned) == _controller_state(oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,12 @@ from repro.workloads import (ALL_WORKLOADS, HadoopWorkload,
                              LoadSimWorkload, MultiVMWorkload,
                              RUBiSWorkload, SpecSFSWorkload,
                              SysBenchWorkload, TPCCWorkload)
-from repro.workloads.content import ContentModel
+from repro.workloads.content import (ContentModel, clear_dataset_cache,
+                                     sprinkle_family_noise)
 from repro.workloads.msr import MSRTraceWorkload
 from repro.workloads.trace_io import TraceWorkload
+
+from reference import dataset as reference_dataset
 
 
 def _sha256(array) -> str:
@@ -86,6 +89,41 @@ class TestContentModel:
         fresh = model.rewrite(5, rng)
         base = model.duplicate_of(5)
         assert encode_delta(fresh, base).size_bytes < BLOCK_SIZE // 8
+
+    @pytest.mark.parametrize("n_blocks, n_families",
+                             [(1, 1), (64, 4), (300, 17), (257, 257)])
+    @pytest.mark.parametrize("duplicates", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("content_seed", [0, 2011])
+    def test_noise_is_the_per_block_loop(self, n_blocks, n_families,
+                                         duplicates, content_seed):
+        """One draw for every block's noise: the bytes and the final
+        generator state of the frozen per-block loop."""
+        clear_dataset_cache()
+        model = self.make(n_blocks=n_blocks, n_families=n_families,
+                          duplicate_fraction=duplicates,
+                          content_seed=content_seed)
+        expected, loop_state = reference_dataset.loop_dataset(model)
+        assert np.array_equal(model.build_dataset(), expected)
+        noisy = model._bases[model.family_of]
+        rng = np.random.default_rng(content_seed + 2)
+        sprinkle_family_noise(noisy, np.flatnonzero(model._unique_mask),
+                              rng)
+        assert np.array_equal(noisy, expected)
+        assert rng.bit_generator.state == loop_state
+
+    def test_rewrite_draws_what_the_loop_draws(self):
+        """From any generator state — one with a buffered 32-bit half
+        included — a rewrite consumes the loop's draws."""
+        model = self.make()
+        for skew in range(3):
+            ours, loops = (np.random.default_rng(9) for _ in range(2))
+            for rng in (ours, loops):
+                rng.integers(0, 10, size=skew)
+            expected = model.duplicate_of(5)
+            reference_dataset.sprinkle_noise_loop(
+                expected[None], np.zeros(1, dtype=int), loops)
+            assert np.array_equal(model.rewrite(5, ours), expected)
+            assert ours.bit_generator.state == loops.bit_generator.state
 
     def test_validation(self):
         with pytest.raises(ValueError):
