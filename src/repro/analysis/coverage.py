@@ -76,7 +76,7 @@ def reference_coverage(controller: ICASHController) -> CoverageReport:
     fanout: Dict[int, int] = {}
     delta_bytes = 0
     n_associates = 0
-    image = _content_reader(controller)
+    image = _content_reader(controller, delta_map, ssd)
     for lba, (ref_lba, _slot) in delta_map.items():
         if ref_lba == lba or ref_lba not in ssd:
             continue
@@ -95,7 +95,7 @@ def reference_coverage(controller: ICASHController) -> CoverageReport:
         fanout=fanout)
 
 
-def _content_reader(controller: ICASHController):
+def _content_reader(controller: ICASHController, delta_map, ssd):
     """Current-content accessor that bypasses the data path entirely, so
     the analysis charges no device latency and moves no LRU state."""
     from repro.core.recovery import recover
@@ -103,7 +103,6 @@ def _content_reader(controller: ICASHController):
     # A recovery image already resolves every durable representation;
     # overlay the not-yet-flushed RAM state on top of it.
     image = recover(controller)
-    ssd = controller.ssd_content_snapshot()
 
     def read(lba: int) -> np.ndarray:
         vb = controller.cache.get(lba, touch=False)
@@ -111,8 +110,6 @@ def _content_reader(controller: ICASHController):
             return vb.data.copy()
         if vb is not None and vb.has_delta:
             from repro.delta.encoder import apply_delta
-            ref_lba = vb.ref_lba if vb.ref_lba is not None else vb.lba
-            if ref_lba in ssd:
-                return apply_delta(vb.delta, ssd[ref_lba])
+            return apply_delta(vb.delta, ssd[delta_map[lba][0]])
         return image.read(lba)
     return read

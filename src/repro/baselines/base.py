@@ -77,6 +77,13 @@ class StorageSystem(abc.ABC):
         """
         return 0.0
 
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` when internal state is inconsistent.
+
+        Verified runs call it after their final flush; architectures
+        without cross-referencing state inherit this no-op.
+        """
+
     @abc.abstractmethod
     def devices(self) -> Iterable:
         """The device models underlying this system (energy accounting)."""

@@ -144,6 +144,10 @@ class ICASHArray(StorageSystem):
         """Elements flush concurrently; the array waits for the slowest."""
         return max(element.flush() for element in self.elements)
 
+    def check_invariants(self) -> None:
+        for element in self.elements:
+            element.check_invariants()
+
     # -- aggregated accounting -----------------------------------------------------
 
     @property

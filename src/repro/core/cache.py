@@ -127,7 +127,6 @@ class ICashCache:
             self.segments.free(vb.delta_segments_bytes)
             vb.delta_segments_bytes = 0
         vb.delta = None
-        vb.delta_dirty = False
         self._delta_order.pop(vb.lba, None)
 
     # -- victim search (the three policies) ------------------------------------------

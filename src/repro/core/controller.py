@@ -61,10 +61,15 @@ def _readonly_view(arr: np.ndarray) -> np.ndarray:
 
 
 class _DeltaMapEntry:
-    """Durable metadata for one delta-mapped block.
+    """The one record of a delta-mapped block (Section 4.3's "pointer to
+    the reference block" plus where its delta was last logged).
 
-    Survives virtual-block eviction: a block whose delta lives only in the
-    HDD log is still reconstructible via this entry.
+    ``ref_lba`` is the reference the delta is derived against — the lba
+    itself for a reference's own delta.  ``log_slot`` is None exactly
+    while the delta waits in the flush queue.  Created or rebound only
+    by :meth:`ICASHController._map_delta`, dropped only by
+    ``_unmap_delta``.  Survives virtual-block eviction: a block whose
+    delta lives only in the HDD log is still reconstructible through it.
     """
 
     __slots__ = ("ref_lba", "log_slot")
@@ -151,15 +156,16 @@ class ICASHController(StorageSystem):
             range(config.ssd_capacity_blocks - 1, -1, -1))
         self._ssd_copies: Dict[int, _SSDCopy] = {}
 
-        # Durable delta metadata (lba -> reference + last logged slot).
+        # Durable delta metadata: one record per delta-mapped lba.
         self._delta_map: Dict[int, _DeltaMapEntry] = {}
-        # How many delta-map entries depend on each reference lba.  A
+        # How many *other* lbas' records name each reference.  A
         # reference can only be retired (its SSD copy released) when this
         # count is zero: an evicted associate's logged delta is useless
         # without the exact reference content it was derived against.
         self._ref_dependents: Dict[int, int] = {}
-        # Dirty deltas awaiting a flush, in *arrival order* — the order
-        # they pack into delta blocks under flush_order="arrival".
+        # The flush queue — a delta is dirty exactly while its lba is in
+        # here — in *arrival order*, the order the deltas pack into delta
+        # blocks under flush_order="arrival".
         self._dirty_delta_lbas: "OrderedDict[int, None]" = OrderedDict()
         self._io_count = 0
         # SSD reads issued so far by the host request being served.
@@ -322,7 +328,7 @@ class ICASHController(StorageSystem):
                 self.cpu_time += compress_s
                 if delta.size_bytes <= config.delta_accept_bytes:
                     pending.append(DeltaRecord(lba, ref_lba, delta))
-                    self._map_delta(lba, ref_lba)
+                    self._map_delta(lba, ref_lba, dirty=False)
                     continue
             # No similar reference: promote the block itself — unless the
             # SSD is full, when it stays independent on the HDD region.
@@ -343,11 +349,9 @@ class ICASHController(StorageSystem):
                     break
                 if record.lba in self.cache:
                     continue
-                vb = self._install_virtual_block(
-                    record.lba, BlockKind.ASSOCIATE,
-                    ref_lba=record.ref_lba)
+                vb = self._install_virtual_block(record.lba,
+                                                 BlockKind.ASSOCIATE)
                 self.cache.attach_delta(vb, record.delta)
-                vb.delta_dirty = False
         return total
 
     # ------------------------------------------------------------------
@@ -421,8 +425,7 @@ class ICASHController(StorageSystem):
             raise RuntimeError(
                 f"block {lba} delta-mapped but never flushed and not "
                 f"cached — eviction must flush first")
-        vb = self._install_virtual_block(lba, BlockKind.ASSOCIATE,
-                                         ref_lba=entry.ref_lba)
+        vb = self._install_virtual_block(lba, BlockKind.ASSOCIATE)
         # Make room with headroom *before* unpacking the log block, so
         # the siblings the mechanical read drags in can hydrate too.
         self._ensure_segment_capacity(vb, self.LOG_FETCH_HEADROOM_BYTES)
@@ -437,7 +440,8 @@ class ICASHController(StorageSystem):
 
     def _read_via_delta(self, vb: VirtualBlock) -> Tuple[float, np.ndarray]:
         """Associate (or written reference): reference content + delta."""
-        ref_lba = vb.ref_lba if vb.kind is BlockKind.ASSOCIATE else vb.lba
+        entry = self._delta_map[vb.lba]
+        ref_lba = entry.ref_lba
         latency = 0.0
         ref_vb = self.cache.get(ref_lba) if ref_lba != vb.lba else vb
         if ref_vb is not None and ref_vb.data is not None:
@@ -451,7 +455,6 @@ class ICASHController(StorageSystem):
             latency += self.dram.access(vb.delta_segments_bytes)
             self.stats.bump("ram_delta_hits")
         else:
-            entry = self._delta_map[vb.lba]
             self._ensure_segment_capacity(vb,
                                           self.LOG_FETCH_HEADROOM_BYTES)
             log_latency, delta = self._fetch_delta_from_log(vb.lba, entry)
@@ -505,17 +508,14 @@ class ICASHController(StorageSystem):
         read that fetches one delta brings its whole delta block into RAM,
         so immediately-following requests to the co-packed blocks hit RAM.
         """
-        latency, records = self.log.read_block(entry.log_slot)
+        slot = entry.log_slot
+        latency, records = self.log.read_block(slot)
         wanted: Optional[Delta] = None
         for record in records:
-            current = self._delta_map.get(record.lba)
-            is_current = (current is not None
-                          and current.log_slot == entry.log_slot
-                          and current.ref_lba == record.ref_lba)
-            if record.lba == lba and is_current:
-                wanted = record.delta
+            if not self._is_current(record, slot):
                 continue
-            if not is_current:
+            if record.lba == lba:
+                wanted = record.delta
                 continue
             sibling = self.cache.get(record.lba, touch=False)
             if sibling is not None and sibling.has_delta:
@@ -529,17 +529,23 @@ class ICASHController(StorageSystem):
                 if self.cache.virtual_blocks_free < 1:
                     continue
                 sibling = VirtualBlock(lba=record.lba,
-                                       kind=BlockKind.ASSOCIATE,
-                                       ref_lba=record.ref_lba)
+                                       kind=BlockKind.ASSOCIATE)
                 self.cache.insert(sibling)
             self.cache.attach_delta(sibling, record.delta)
-            sibling.delta_dirty = False
             self.stats.bump("delta_hydrations")
         if wanted is None:
             raise RuntimeError(
-                f"log slot {entry.log_slot} does not hold the current "
-                f"delta for block {lba}")
+                f"log slot {slot} does not hold the current delta for "
+                f"block {lba}")
         return latency, wanted
+
+    def _is_current(self, record: DeltaRecord, slot: int) -> bool:
+        """Whether ``record``, read from log ``slot``, is its block's
+        current delta: the block's record names that slot and the same
+        reference."""
+        entry = self._delta_map.get(record.lba)
+        return (entry is not None and entry.log_slot == slot
+                and entry.ref_lba == record.ref_lba)
 
     # ------------------------------------------------------------------
     # Write path
@@ -568,11 +574,9 @@ class ICASHController(StorageSystem):
 
     def _revive_for_write(self, lba: int) -> VirtualBlock:
         """Recreate the virtual block for a write miss."""
-        entry = self._delta_map.get(lba)
-        if entry is not None:
-            return self._install_virtual_block(lba, BlockKind.ASSOCIATE,
-                                               ref_lba=entry.ref_lba)
-        return self._install_virtual_block(lba, BlockKind.INDEPENDENT)
+        return self._install_virtual_block(
+            lba, BlockKind.ASSOCIATE if lba in self._delta_map
+            else BlockKind.INDEPENDENT)
 
     def _write_associate(self, vb: VirtualBlock, content: np.ndarray,
                          signatures: Tuple[int, ...]) -> float:
@@ -583,7 +587,7 @@ class ICASHController(StorageSystem):
         buffering plus the exposed slice of the compression time; the SSD
         read still occupies the device (background time).
         """
-        ref_lba = vb.ref_lba
+        ref_lba = self._delta_map[vb.lba].ref_lba
         ref_vb = self.cache.get(ref_lba)
         tracer = self.tracer
         if ref_vb is None or ref_vb.data is None:
@@ -606,11 +610,9 @@ class ICASHController(StorageSystem):
             latency += self._spill_to_ssd(vb, content)
             return latency
         self.cache.attach_delta(vb, delta)
-        vb.delta_dirty = True
         vb.signatures = signatures
         self.cache.drop_data(vb)  # content is now represented by the delta
         self._map_delta(vb.lba, ref_lba)
-        self._mark_delta_dirty(vb.lba)
         self.stats.bump("delta_writes")
         return latency
 
@@ -637,19 +639,14 @@ class ICASHController(StorageSystem):
             self.cache.drop_delta(vb)
             self.cache.drop_data(vb)
             self._unmap_delta(vb.lba)
-            self._dirty_delta_lbas.pop(vb.lba, None)
             return latency
-        own_dependents = self._dependents_of(vb.lba)
-        has_own_entry = vb.lba in self._delta_map
-        external_dependents = own_dependents - (1 if has_own_entry else 0)
         if delta.size_bytes > self.config.delta_spill_bytes:
-            if external_dependents == 0:
+            if self._dependents_of(vb.lba) == 0:
                 # Nothing depends on the frozen copy: refresh it in place.
                 self._in_background(self._ssd_write, vb.lba, content)
                 self.cache.drop_delta(vb)
                 self.cache.drop_data(vb)
                 self._unmap_delta(vb.lba)
-                self._dirty_delta_lbas.pop(vb.lba, None)
                 copy.own = _AHEAD
                 vb.signatures = block_signatures(
                     content, self.config.signature_scheme)
@@ -661,7 +658,6 @@ class ICASHController(StorageSystem):
             # takes the ordinary data path while the SSD copy lives on.
             self.cache.drop_delta(vb)
             self._unmap_delta(vb.lba)
-            self._dirty_delta_lbas.pop(vb.lba, None)
             copy.own = _SHADOWED  # the data path takes over
             if not self._maybe_cache_data(vb, content, dirty=True):
                 latency += self._hdd_write(vb.lba, content)
@@ -672,9 +668,7 @@ class ICASHController(StorageSystem):
                 "segment pool cannot hold a reference block's own delta")
         self.cache.attach_delta(vb, delta)
         self.cache.drop_data(vb)
-        vb.delta_dirty = True
         self._map_delta(vb.lba, vb.lba)
-        self._mark_delta_dirty(vb.lba)
         self.stats.bump("reference_delta_writes")
         return latency
 
@@ -704,9 +698,7 @@ class ICASHController(StorageSystem):
         self.cache.drop_delta(vb)
         self.cache.drop_data(vb)
         self._unmap_delta(vb.lba)
-        self._dirty_delta_lbas.pop(vb.lba, None)
         vb.kind = BlockKind.INDEPENDENT
-        vb.ref_lba = None
         if self._acquire_ssd_slot(vb.lba, spilled=True) is None:
             # SSD has no free slot: fall back to the independent path.
             self.stats.bump("spill_fallbacks")
@@ -722,32 +714,22 @@ class ICASHController(StorageSystem):
     # ------------------------------------------------------------------
 
     def _flush_deltas(self, background: bool) -> float:
-        if not self._dirty_delta_lbas:
+        queue = self._dirty_delta_lbas
+        if not queue:
             return 0.0
-        if self.config.flush_order == "lba":
-            dirty_order = sorted(self._dirty_delta_lbas)
-        else:
-            dirty_order = list(self._dirty_delta_lbas)
-        records: List[DeltaRecord] = []
-        for lba in dirty_order:
-            vb = self.cache.get(lba, touch=False)
-            if vb is None or not vb.has_delta:
-                continue
-            ref_lba = vb.ref_lba if vb.is_associate else vb.lba
-            records.append(DeltaRecord(lba, ref_lba, vb.delta))
-        self._dirty_delta_lbas.clear()
-        if not records:
-            return 0.0
+        order = sorted(queue) if self.config.flush_order == "lba" else queue
+        # Every queued delta is cached in RAM (check_invariants' (c)).
+        get, delta_map = self.cache.get, self._delta_map
+        records = [DeltaRecord(lba, delta_map[lba].ref_lba,
+                               get(lba, touch=False).delta)
+                   for lba in order]
+        queue.clear()
         latency = 0.0
         if background:
             self._in_background(self._append_to_log, records,
                                 section="flush", outcome="deltas")
         else:
             latency = self._append_to_log(records)
-        for record in records:
-            vb = self.cache.get(record.lba, touch=False)
-            if vb is not None:
-                vb.delta_dirty = False
         self.stats.bump("delta_flushes")
         self.stats.bump("delta_records_flushed", len(records))
         return latency
@@ -778,7 +760,7 @@ class ICASHController(StorageSystem):
             latency, slots, displaced = self.log.append(pending)
             total_latency += latency
             self._update_log_slots(slots)
-            pending = self._current_displaced(displaced)
+            pending = self._current_displaced(displaced, pending)
             if pending:
                 self.stats.bump("log_rescued_records", len(pending))
         return total_latency
@@ -791,17 +773,18 @@ class ICASHController(StorageSystem):
                 if entry is not None and entry.ref_lba == record.ref_lba:
                     entry.log_slot = slot
 
-    def _current_displaced(self, displaced) -> List[DeltaRecord]:
-        """Filter a wrap's displaced records down to the still-current."""
+    def _current_displaced(self, displaced, appended: List[DeltaRecord]
+                           ) -> List[DeltaRecord]:
+        """Filter a wrap's displaced records down to the still-current —
+        never a block the append itself wrote: its new record may sit in
+        the slot the old one left, which the map now names."""
         rescue: List[DeltaRecord] = []
-        rescued_lbas: Set[int] = set()
+        settled = {record.lba for record in appended}
         for old_slot, record in displaced:
-            entry = self._delta_map.get(record.lba)
-            if (entry is not None and entry.log_slot == old_slot
-                    and entry.ref_lba == record.ref_lba
-                    and record.lba not in rescued_lbas):
+            if record.lba not in settled \
+                    and self._is_current(record, old_slot):
                 rescue.append(record)
-                rescued_lbas.add(record.lba)
+                settled.add(record.lba)
         return rescue
 
     def _compact_log(self, pending: List[DeltaRecord]) -> float:
@@ -820,7 +803,8 @@ class ICASHController(StorageSystem):
             if entry.log_slot is None or lba in pending_lbas:
                 continue
             for record in self.log.peek_block(entry.log_slot):
-                if record.lba == lba and record.ref_lba == entry.ref_lba:
+                if record.lba == lba \
+                        and self._is_current(record, entry.log_slot):
                     live[lba] = record
                     break
             else:  # pragma: no cover - rescue keeps slots consistent
@@ -943,7 +927,6 @@ class ICASHController(StorageSystem):
             self._in_background(self._hdd_write, vb.lba, content)
             vb.data_dirty = False
         vb.kind = BlockKind.REFERENCE
-        vb.ref_lba = None
         self.cache.drop_data(vb)  # SSD now serves it; free the RAM block
         self.scanner.note_reference(vb)
         self.stats.bump("references_created")
@@ -965,12 +948,9 @@ class ICASHController(StorageSystem):
             vb.data_dirty = False
             self.cache.drop_data(vb)
         vb.kind = BlockKind.ASSOCIATE
-        vb.ref_lba = ref_lba
-        self._map_delta(vb.lba, ref_lba)
         # A dirty data block's content now lives only in the delta: it must
         # reach the log before the virtual block can ever be evicted.
-        vb.delta_dirty = True
-        self._mark_delta_dirty(vb.lba)
+        self._map_delta(vb.lba, ref_lba)
         if was_dirty:
             self.stats.bump("associations_absorbed_dirty_data")
         self.stats.bump("associates_created")
@@ -985,7 +965,7 @@ class ICASHController(StorageSystem):
                     or self._dependents_of(vb.lba) > 0:
                 continue
             if vb.delta is not None:
-                continue  # carries its own unlogged changes; leave it
+                continue  # its own delta is derived against the copy
             copy = self._ssd_copies[vb.lba]
             if copy.own is _AHEAD:
                 # The only current copy is the one about to be trimmed.
@@ -1002,11 +982,10 @@ class ICASHController(StorageSystem):
     # Capacity management
     # ------------------------------------------------------------------
 
-    def _install_virtual_block(self, lba: int, kind: BlockKind,
-                               ref_lba: Optional[int] = None
-                               ) -> VirtualBlock:
+    def _install_virtual_block(self, lba: int,
+                               kind: BlockKind) -> VirtualBlock:
         self._ensure_virtual_capacity()
-        vb = VirtualBlock(lba=lba, kind=kind, ref_lba=ref_lba)
+        vb = VirtualBlock(lba=lba, kind=kind)
         self.cache.insert(vb)
         return vb
 
@@ -1020,7 +999,7 @@ class ICASHController(StorageSystem):
             self._evict_virtual_block(victim)
 
     def _evict_virtual_block(self, victim: VirtualBlock) -> None:
-        if victim.delta_dirty:
+        if victim.lba in self._dirty_delta_lbas:
             self._flush_deltas(background=True)
         if victim.data_dirty and victim.has_data:
             self._in_background(self._hdd_write, victim.lba, victim.data)
@@ -1069,8 +1048,6 @@ class ICASHController(StorageSystem):
             victim = self.cache.find_delta_victim()
             if victim is None or victim is vb:
                 return False
-            if victim.delta_dirty:
-                self._flush_deltas(background=True)
             self._evict_virtual_block(victim)
             self.stats.bump("delta_evictions")
         return True
@@ -1119,36 +1096,38 @@ class ICASHController(StorageSystem):
         return latency
 
     # ------------------------------------------------------------------
-    # Delta-map maintenance (with reference dependent counting)
+    # Delta-map maintenance: the only writers of a record, its place in
+    # the flush queue and its reference's dependants count
     # ------------------------------------------------------------------
 
-    def _map_delta(self, lba: int, ref_lba: int) -> _DeltaMapEntry:
-        """Record that ``lba``'s content is a delta against ``ref_lba``."""
+    def _map_delta(self, lba: int, ref_lba: int, dirty: bool = True) -> None:
+        """Record that ``lba``'s content is a new delta against
+        ``ref_lba``, queued at the tail of the flush queue — so arrival
+        order tracks the *latest* write burst — unless the caller logs it
+        itself (``dirty=False``)."""
         self._unmap_delta(lba)
-        entry = _DeltaMapEntry(ref_lba, None)
-        self._delta_map[lba] = entry
-        self._ref_dependents[ref_lba] = \
-            self._ref_dependents.get(ref_lba, 0) + 1
-        return entry
+        self._delta_map[lba] = _DeltaMapEntry(ref_lba, None)
+        if ref_lba != lba:
+            self._ref_dependents[ref_lba] = \
+                self._ref_dependents.get(ref_lba, 0) + 1
+        if dirty:
+            self._dirty_delta_lbas[lba] = None
 
     def _unmap_delta(self, lba: int) -> None:
         old = self._delta_map.pop(lba, None)
         if old is None:
             return
-        remaining = self._ref_dependents.get(old.ref_lba, 0) - 1
-        if remaining > 0:
-            self._ref_dependents[old.ref_lba] = remaining
-        else:
-            self._ref_dependents.pop(old.ref_lba, None)
+        self._dirty_delta_lbas.pop(lba, None)
+        ref_lba = old.ref_lba
+        if ref_lba != lba:
+            remaining = self._ref_dependents[ref_lba] - 1
+            if remaining:
+                self._ref_dependents[ref_lba] = remaining
+            else:
+                del self._ref_dependents[ref_lba]
 
     def _dependents_of(self, ref_lba: int) -> int:
         return self._ref_dependents.get(ref_lba, 0)
-
-    def _mark_delta_dirty(self, lba: int) -> None:
-        """Queue a delta for the next flush; re-dirtying moves the block
-        to the tail so arrival order tracks the *latest* write burst."""
-        self._dirty_delta_lbas[lba] = None
-        self._dirty_delta_lbas.move_to_end(lba)
 
     def _decompress_cost(self) -> float:
         self.cpu_time += self.config.decompress_s
@@ -1190,6 +1169,71 @@ class ICASHController(StorageSystem):
         """
         copy = self._ssd_copies.get(lba)
         return copy.data if copy is not None else None
+
+    def check_invariants(self) -> None:
+        """Assert what the records cannot make structural — (a)–(f) in
+        ``docs/ARCHITECTURE.md``, true between any two requests — raising
+        ``AssertionError`` that names the first block found breaking one."""
+        cache, copies, queue = self.cache, self._ssd_copies, \
+            self._dirty_delta_lbas
+        records, dependents = self._delta_map, self._ref_dependents
+        REFERENCE, ASSOCIATE = BlockKind.REFERENCE, BlockKind.ASSOCIATE
+
+        def check(ok: bool, lba: int, what: str) -> None:
+            if not ok:
+                raise AssertionError(f"block {lba}: {what}")
+
+        census: Dict[int, int] = {}
+        for lba, entry in records.items():
+            ref, slot = entry.ref_lba, entry.log_slot
+            vb, copy = cache.get(lba, touch=False), copies.get(ref)
+            ref_vb = cache.get(ref, touch=False)
+            check(copy is not None and not copy.spilled and ref_vb is not None
+                  and ref_vb.kind is REFERENCE, lba,
+                  "(a) its reference holds no frozen SSD copy")
+            if ref != lba:
+                census[ref] = census.get(ref, 0) + 1
+            check(ref != lba if vb is None else
+                  vb.kind is (REFERENCE if ref == lba else ASSOCIATE), lba,
+                  "(d) its record's reference does not fit its kind")
+            check((slot is None) == (lba in queue), lba,
+                  "(c) the flush queue disagrees with its log slot")
+            if slot is None:
+                check(vb is not None and vb.delta is not None, lba,
+                      "(c) its queued delta is not in RAM")
+                continue
+            try:
+                logged = [r for r in self.log.peek_block(slot) if r.lba == lba]
+            except (KeyError, ValueError):  # an empty or torn slot
+                logged = []
+            check(0 <= slot < self.log.size_blocks and len(logged) == 1
+                  and logged[0].ref_lba == ref, lba,
+                  "(f) its log slot holds no single record of it")
+            check(vb is None or vb.delta is None
+                  or vb.delta == logged[0].delta, lba,
+                  "(f) its clean RAM delta differs from the logged one")
+        for ref in census.keys() | dependents.keys():
+            check(census.get(ref) == dependents.get(ref), ref,
+                  "(b) its dependants count differs from its records")
+        for lba in queue:
+            check(lba in records, lba, "(c) queued without a record")
+        for vb in cache.lru_order():
+            check(vb.lba in records or (vb.delta is None
+                                        and vb.kind is not ASSOCIATE),
+                  vb.lba, "(d) a RAM delta or an associate without a record")
+        free, owners = set(self._free_slots), {}
+        for lba, copy in copies.items():
+            check(copy.slot not in free
+                  and owners.setdefault(copy.slot, lba) == lba, lba,
+                  "(e) its SSD slot is not its own")
+            vb = cache.get(lba, touch=False)
+            check(lba not in records if copy.spilled
+                  else vb is not None and vb.kind is REFERENCE, lba,
+                  "(e) a spill with a record, or a copy of no reference")
+        if len(free) != len(self._free_slots) or len(free) + len(copies) \
+                != self.config.ssd_capacity_blocks:
+            raise AssertionError("(e) free SSD slots and copies do not "
+                                 "add up to the SSD's capacity")
 
     @property
     def dirty_delta_count(self) -> int:

@@ -4,6 +4,10 @@ Section 4.3: "Each virtual block contains the LBA address, the signature,
 the pointer to the reference block, the pointer to data block, and the
 pointer to delta blocks.  A virtual block can be one of three different
 types: reference block, associate block, or independent block."
+
+The pointer to the reference block, and whether the delta still awaits a
+flush, live in the controller's delta-map record and flush queue instead:
+both outlive the virtual block when it is evicted.
 """
 
 from __future__ import annotations
@@ -40,18 +44,12 @@ class VirtualBlock:
     #: signature of the block does not change since its data is being
     #: referred").
     signatures: Tuple[int, ...] = ()
-    #: LBA of the reference this block compresses against (associates, and
-    #: reference blocks written since selection — they delta against their
-    #: own frozen SSD copy).
-    ref_lba: Optional[int] = None
     #: Cached full content, when a RAM data block is allocated to it.
     data: Optional[np.ndarray] = None
     #: In-RAM delta, when one is held in the segment pool.
     delta: Optional[Delta] = None
     #: Segment-pool bytes currently accounted to this block's delta.
     delta_segments_bytes: int = 0
-    #: Delta modified since the last flush to the HDD log.
-    delta_dirty: bool = False
     #: Data block modified since the last write-back to the HDD.
     data_dirty: bool = False
 
@@ -75,7 +73,6 @@ class VirtualBlock:
         flags = "".join((
             "D" if self.has_data else "-",
             "d" if self.has_delta else "-",
-            "*" if self.delta_dirty or self.data_dirty else " ",
+            "*" if self.data_dirty else " ",
         ))
-        return (f"VirtualBlock(lba={self.lba}, {self.kind.value}, "
-                f"ref={self.ref_lba}, {flags})")
+        return f"VirtualBlock(lba={self.lba}, {self.kind.value}, {flags})"

@@ -301,13 +301,14 @@ class _Measurement:
             else:
                 self.write_lat.record(latency)
 
-    def flush(self, flush_at_end: bool) -> float:
-        """Final foreground flush, charged to the measured window."""
-        if not flush_at_end:
-            return 0.0
-        latency = self.system.flush()
+    def flush(self, flush_at_end: bool, verify: bool) -> float:
+        """Final foreground flush, charged to the measured window; a
+        verified run then checks the system's own invariants."""
+        latency = self.system.flush() if flush_at_end else 0.0
         self.io_time_all += latency
         self.io_time_meas += latency
+        if verify:
+            self.system.check_invariants()
         return latency
 
     def transactions(self, n_requests: int) -> int:
@@ -376,6 +377,9 @@ def run_benchmark(workload: Workload, system: StorageSystem,
                   ledger=None
                   ) -> RunResult:
     """Replay ``workload`` into ``system`` and measure the run.
+
+    ``verify_reads`` compares every read with the workload's shadow and,
+    after the final flush, calls :meth:`StorageSystem.check_invariants`.
 
     ``preload`` runs the architecture's data-set organisation pass
     (:meth:`StorageSystem.ingest`) before the stream — the load phase
@@ -482,7 +486,7 @@ def run_benchmark(workload: Workload, system: StorageSystem,
         if monitor is not None:
             monitor.on_request(request.is_read, latency, run.io_time_all)
         n_requests += 1
-    run.flush(flush_at_end)
+    run.flush(flush_at_end, verify_reads)
     if monitor is not None:
         monitor.finish(run.io_time_all)
     concurrency = max(1, workload.io_concurrency)
@@ -585,7 +589,7 @@ def _run_event_benchmark(workload: Workload, system: StorageSystem,
     # background included); the throughput window closes at the last
     # request completion — trailing background is off the critical
     # path, exactly as the legacy model treats it.
-    flush_latency = run.flush(flush_at_end)
+    flush_latency = run.flush(flush_at_end, verify_reads)
     t_full = sim.t_end + flush_latency
     t_last = sim.last_completion_s + flush_latency
     if monitor is not None:

@@ -51,6 +51,9 @@ class HostCachedSystem(StorageSystem):
     def ingest(self) -> float:
         return self.inner.ingest()
 
+    def check_invariants(self) -> None:
+        self.inner.check_invariants()
+
     def set_tracer(self, tracer) -> None:
         # The inner system declares its own background work (and the
         # write-backs below) to the tracer, so it must hold it too.

@@ -72,7 +72,7 @@ def scalar_ingest(controller: ICASHController) -> float:
             self.cpu_time += config.compress_s
             if delta.size_bytes <= config.delta_accept_bytes:
                 pending.append(DeltaRecord(lba, best_lba, delta))
-                self._map_delta(lba, best_lba)
+                self._map_delta(lba, best_lba, dirty=False)
                 continue
         # No similar reference: promote the block itself — unless the
         # SSD is full, when it stays independent on the HDD region.
@@ -93,10 +93,8 @@ def scalar_ingest(controller: ICASHController) -> float:
                 break
             if record.lba in self.cache:
                 continue
-            vb = self._install_virtual_block(
-                record.lba, BlockKind.ASSOCIATE, ref_lba=record.ref_lba)
+            vb = self._install_virtual_block(record.lba, BlockKind.ASSOCIATE)
             self.cache.attach_delta(vb, record.delta)
-            vb.delta_dirty = False
     return total
 
 

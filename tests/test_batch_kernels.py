@@ -154,9 +154,13 @@ class TestHeatmapBatch:
 
 def _controller_state(controller):
     """What ingest leaves behind beyond the digest: the cached virtual
-    blocks in LRU order and the signature index."""
-    blocks = [(vb.lba, vb.kind, vb.ref_lba, vb.signatures, vb.delta,
-               vb.delta_dirty) for vb in controller.cache.lru_order()]
+    blocks in LRU order with each one's reference and dirtiness, and the
+    signature index."""
+    records, queue = controller._delta_map, controller._dirty_delta_lbas
+    blocks = [(vb.lba, vb.kind,
+               records[vb.lba].ref_lba if vb.lba in records else None,
+               vb.signatures, vb.delta, vb.lba in queue)
+              for vb in controller.cache.lru_order()]
     index = controller.scanner.signature_index
     return blocks, sorted((lba, sigs) for lba, (_vb, sigs)
                           in index._entries.items())

@@ -1,0 +1,157 @@
+"""``ICASHController.check_invariants()`` is not vacuous.
+
+Each of its six facts, (a)–(f) in docs/ARCHITECTURE.md, holds on a
+freshly ingested controller; breaking one by hand makes the check raise
+an ``AssertionError`` that names the invariant and the block.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import BlockKind, ICASHController
+from repro.delta.encoder import Delta
+from repro.sim.request import BLOCK_SIZE
+
+from test_core_controller import family_dataset, small_config
+
+
+@pytest.fixture
+def controller() -> ICASHController:
+    # A delta pool too small for every ingested delta leaves some
+    # associates reachable through the log only.
+    controller = ICASHController(
+        family_dataset(), small_config(delta_ram_bytes=8 * 1024))
+    controller.ingest()
+    controller.check_invariants()
+    return controller
+
+
+def breaks(invariant: str, block: int = None):
+    where = rf"block {block}: " if block is not None else ""
+    return pytest.raises(AssertionError,
+                         match=rf"{where}\({invariant}\)")
+
+
+def associate(controller, cached: bool = True) -> int:
+    return next(lba for lba, (ref, _slot)
+                in controller.delta_map_snapshot().items()
+                if ref != lba and (lba in controller.cache) == cached)
+
+
+def dirty_associate(controller) -> int:
+    """An associate whose fresh delta waits in the flush queue."""
+    lba = associate(controller)
+    content = controller.backing.get(lba)
+    content[:40] = 0
+    controller.write(lba, [content])
+    assert lba in controller._dirty_delta_lbas
+    controller.check_invariants()
+    return lba
+
+
+def reference(controller) -> int:
+    """A reference with no delta of its own, as ingest leaves them."""
+    lba = min(controller.reference_lbas)
+    assert lba not in controller._delta_map
+    return lba
+
+
+def spilled(controller) -> int:
+    """An associate rewritten beyond the spill threshold."""
+    lba = associate(controller)
+    controller.write(lba, [np.random.default_rng(0).integers(
+        0, 256, BLOCK_SIZE, dtype=np.uint8)])
+    assert lba in controller.spilled_lbas
+    controller.check_invariants()
+    return lba
+
+
+class TestEachInvariantBreaks:
+    def test_a_reference_loses_its_frozen_copy(self, controller):
+        lba = associate(controller)
+        ref = controller._delta_map[lba].ref_lba
+        controller._ssd_copies[ref].spilled = True
+        with breaks("a"):
+            controller.check_invariants()
+
+    def test_b_dependants_count_bumped(self, controller):
+        ref = controller._delta_map[associate(controller)].ref_lba
+        controller._ref_dependents[ref] += 1
+        with breaks("b", ref):
+            controller.check_invariants()
+
+    def test_b_zero_count_kept(self, controller):
+        lba = associate(controller)
+        controller._ref_dependents[lba] = 0
+        with breaks("b", lba):
+            controller.check_invariants()
+
+    def test_c_queue_entry_dropped(self, controller):
+        lba = dirty_associate(controller)
+        controller._dirty_delta_lbas.pop(lba)
+        with breaks("c", lba):
+            controller.check_invariants()
+
+    def test_c_queued_without_a_record(self, controller):
+        lba = reference(controller)
+        controller._dirty_delta_lbas[lba] = None
+        with breaks("c", lba):
+            controller.check_invariants()
+
+    def test_c_queued_delta_not_in_ram(self, controller):
+        lba = dirty_associate(controller)
+        controller.cache.drop_delta(controller.cache.get(lba, touch=False))
+        with breaks("c", lba):
+            controller.check_invariants()
+
+    def test_d_associate_turned_independent(self, controller):
+        lba = associate(controller)
+        controller.cache.get(lba, touch=False).kind = BlockKind.INDEPENDENT
+        with breaks("d", lba):
+            controller.check_invariants()
+
+    def test_d_ram_delta_without_a_record(self, controller):
+        lba = reference(controller)
+        controller.cache.attach_delta(controller.cache.get(lba, touch=False),
+                                      Delta(runs=((0, b"x"),)))
+        with breaks("d", lba):
+            controller.check_invariants()
+
+    def test_e_slot_both_free_and_held(self, controller):
+        lba = reference(controller)
+        controller._free_slots.append(controller._ssd_copies[lba].slot)
+        with breaks("e", lba):
+            controller.check_invariants()
+
+    def test_e_slot_lost(self, controller):
+        controller._free_slots.pop()
+        with breaks("e"):
+            controller.check_invariants()
+
+    def test_e_spill_taken_for_a_reference_copy(self, controller):
+        lba = spilled(controller)
+        controller._ssd_copies[lba].spilled = False
+        with breaks("e", lba):
+            controller.check_invariants()
+
+    def test_f_record_pointed_at_another_slot(self, controller):
+        lba = associate(controller, cached=False)
+        entry = controller._delta_map[lba]
+        entry.log_slot = next(
+            other.log_slot for other in controller._delta_map.values()
+            if other.log_slot not in (None, entry.log_slot))
+        with breaks("f", lba):
+            controller.check_invariants()
+
+    def test_f_slot_outside_the_log(self, controller):
+        lba = associate(controller, cached=False)
+        controller._delta_map[lba].log_slot = controller.log.size_blocks
+        with breaks("f", lba):
+            controller.check_invariants()
+
+    def test_f_clean_delta_differs_from_the_log(self, controller):
+        lba = associate(controller)
+        controller.cache.get(lba, touch=False).delta = \
+            Delta(runs=((0, b"x"),))
+        with breaks("f", lba):
+            controller.check_invariants()

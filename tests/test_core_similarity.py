@@ -151,7 +151,6 @@ class TestScanner:
         populate(cache, heatmap, [(0, base), (1, base.copy())])
         vb = cache.get(1)
         vb.kind = BlockKind.ASSOCIATE
-        vb.ref_lba = 0
         from repro.delta.encoder import Delta
         cache.attach_delta(vb, Delta(runs=()))
         scanner = make_scanner(heatmap)

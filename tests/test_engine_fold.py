@@ -165,12 +165,14 @@ class TestHostCostBudget:
     #: * tpcc / raid0 — 56.2 (60.5 while every device operation also
     #:   kept a latency sample nobody read; 90.9 before the capture
     #:   tracer folded phases at emission; 40.6 on the legacy engine);
-    #: * sysbench / icash — 145.1, of which 6.1 in the codec (147.7 and
-    #:   7.6 while ingest tallied and encoded block by block);
-    #: * specsfs / icash — 401.2, of which 25.3 in the codec (401.9 and
-    #:   26.2 block by block; 175.6 and 487.3 while the scan, retirement
-    #:   and reference loops read ``is_*`` / ``has_*`` properties per
-    #:   window block).
+    #: * sysbench / icash — 144.0, of which 6.1 in the codec (145.1
+    #:   while a virtual block kept its own copy of its reference and
+    #:   dirtiness; 147.7 and 7.6 while ingest tallied and encoded block
+    #:   by block);
+    #: * specsfs / icash — 390.3, of which 25.3 in the codec (401.2 with
+    #:   those copies; 401.9 and 26.2 block by block; 487.3, and 175.6 on
+    #:   sysbench, while the scan, retirement and reference loops read
+    #:   ``is_*`` / ``has_*`` properties per window block).
     #:
     #: The icash pair is perfbench's ``oltp_read`` and ``nfs_write`` at
     #: a size tier-1 can afford; they read 257.1 (62.9) and 604.3 (55.8)
@@ -188,11 +190,11 @@ class TestHostCostBudget:
         (RunSpec(workload="tpcc", system="raid0", engine="event",
                  n_requests=2000, scale=0.5), 61.8, 0.0, 0.085),
         (RunSpec(workload="sysbench", system="icash", engine="event",
-                 n_requests=2000, scale=0.25), 159.6, 6.7, 0.72),
+                 n_requests=2000, scale=0.25), 158.4, 6.7, 0.72),
         (RunSpec(workload="specsfs", system="icash", engine="event",
                  n_requests=1500, scale=0.25,
                  config_overrides=(("ssd_capacity_blocks", 2048),)),
-         441.3, 27.8, 2.5),
+         429.3, 27.8, 2.5),
     )
 
     def test_calls_per_request_within_budget(self):

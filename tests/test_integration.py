@@ -135,6 +135,7 @@ class TestReadsAfterReferenceRetirement:
             assert system.stats.count(counter) > 100, counter
         assert system.shadowed_reference_lbas
         for element in (system, rebuild_controller(system)):
+            element.check_invariants()
             references = element.reference_lbas
             spilled = element.spilled_lbas
             assert references and spilled

@@ -45,6 +45,31 @@ class TestLogWrapRescue:
         # The log must actually have wrapped for this test to mean much.
         assert controller.log.blocks_written > controller.log.size_blocks
 
+    def test_wrap_never_rescues_a_record_its_append_superseded(self):
+        """A wrapping append can put a block's new record in the very slot
+        its old record is displaced from.  The map then names that slot,
+        and the old record must not be re-appended as if it were current:
+        it used to be, and the next log fetch of the block (op 2835, lba
+        85) served the stale bytes."""
+        controller = wrapping_controller(log_blocks=512)
+        controller.ingest()
+        rng = np.random.default_rng(5)
+        shadow = {lba: controller.backing.get(lba) for lba in range(256)}
+        for i in range(3000):
+            lba = int(rng.integers(0, 256))
+            if rng.random() < 0.5:
+                changed = 40 * int(rng.integers(1, 4)) ** 3
+                content = shadow[lba].copy()
+                content[:changed] = rng.integers(0, 256, changed)
+                shadow[lba] = content
+                controller.write(lba, [content])
+            else:
+                _, (out,) = controller.read(lba)
+                assert np.array_equal(out, shadow[lba]), \
+                    f"lba {lba} stale after a wrap (op {i})"
+        assert controller.log.wrap_count > 0
+        controller.check_invariants()
+
     def test_rescued_records_counted(self, rng):
         controller = wrapping_controller(log_blocks=40)
         controller.ingest()

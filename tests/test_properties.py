@@ -81,7 +81,8 @@ def _tiny_controller(dataset: np.ndarray) -> ICASHController:
                 min_size=10, max_size=250))
 def test_controller_model_equivalence(seed, ops):
     """The controller behaves exactly like a plain array of blocks, no
-    matter how its internal representations shuffle."""
+    matter how its internal representations shuffle, and its records
+    stay consistent after every operation."""
     gen = np.random.default_rng(seed)
     dataset = gen.integers(0, 256, (64, BLOCK_SIZE), dtype=np.uint8)
     # Inject family structure so delta paths actually trigger.
@@ -105,10 +106,12 @@ def test_controller_model_equivalence(seed, ops):
         else:
             _, (out,) = controller.read(lba)
             assert np.array_equal(out, shadow[lba])
+        controller.check_invariants()
     # Final sweep: every block still reads back correctly.
     for lba in range(64):
         _, (out,) = controller.read(lba)
         assert np.array_equal(out, shadow[lba])
+    controller.check_invariants()
 
 
 @settings(max_examples=10, deadline=None,

@@ -65,6 +65,7 @@ def test_multiblock_requests_match_shadow(seed, ops):
             _, contents = controller.read(lba, span)
             for offset, content in enumerate(contents):
                 assert np.array_equal(content, shadow[lba + offset])
+        controller.check_invariants()
 
 
 @settings(max_examples=8, deadline=None,

@@ -1,0 +1,70 @@
+"""Facts the controller keeps once stay kept once.
+
+Each row is a pattern over ``src/repro`` for a parallel copy of some fact
+that was folded into one record, and where that fact lives now.  A match
+means the copy came back.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: (test id, pattern, where the fact lives now)
+REMOVED = (
+    # What the SSD holds for an lba: one _SSDCopy record.
+    ("_ssd_data", r"_ssd_data", "_SSDCopy.data"),
+    ("_slot_of", r"_slot_of", "_SSDCopy.slot"),
+    ("_ssd_versions", r"_ssd_versions",
+     "the identity of _SSDCopy.data, which is replaced wholesale"),
+    ("_ssd_ahead", r"_ssd_ahead", "_SSDCopy.own"),
+    ("_shadowed_refs", r"_shadowed_refs", "_SSDCopy.own"),
+    ("associate_count", r"associate_count",
+     "ICASHController._ref_dependents"),
+    ("ssd_slot", r"\bssd_slot\b", "_SSDCopy.slot"),
+    # What the controller knows of a delta-mapped lba: one
+    # _DeltaMapEntry, plus its place in the flush queue.
+    ("delta_dirty", r"delta_dirty",
+     "membership in ICASHController._dirty_delta_lbas"),
+    ("has_own_entry", r"has_own_entry|external_dependents",
+     "_ref_dependents, which counts only other blocks"),
+    ("vb.ref_lba", r"\b(?:vb|sibling|victim)\.ref_lba\b",
+     "_DeltaMapEntry.ref_lba"),
+    ("VirtualBlock(ref_lba=)",
+     r"\b(?:VirtualBlock|_install_virtual_block)\([^)]*\bref_lba\b",
+     "_DeltaMapEntry.ref_lba"),
+)
+
+
+@pytest.fixture(scope="module")
+def sources():
+    files = {path.relative_to(SRC.parent).as_posix(): path.read_text()
+             for path in sorted(SRC.rglob("*.py"))}
+    assert len(files) > 50, "the scan found no source tree"
+    return files
+
+
+@pytest.mark.parametrize("pattern,replaced_by",
+                         [row[1:] for row in REMOVED],
+                         ids=[row[0] for row in REMOVED])
+def test_name_stays_removed(sources, pattern, replaced_by):
+    regex = re.compile(pattern)
+    hits = [f"{name}:{text.count(chr(10), 0, match.start()) + 1}"
+            for name, text in sources.items()
+            for match in regex.finditer(text)]
+    assert not hits, f"{pattern} is back (use {replaced_by}): {hits}"
+
+
+def test_patterns_spare_the_records_own_field():
+    """The reference pointer itself is legitimate wherever a record
+    holds it — the log's DeltaRecord, the delta map's entry, a scan's
+    Association — and so is a local variable of that name."""
+    allowed = ("DeltaRecord(lba, ref_lba, delta)", "record.ref_lba",
+               "entry.ref_lba", "self.ref_lba = ref_lba",
+               "self._delta_map[vb.lba].ref_lba", "assoc.ref_lba",
+               "Association(vb=vb, ref_lba=best.lba, delta=delta)")
+    for text in allowed:
+        for _name, pattern, _replaced_by in REMOVED:
+            assert not re.search(pattern, text), (pattern, text)
