@@ -80,9 +80,14 @@ class StorageSystem(abc.ABC):
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` when internal state is inconsistent.
 
-        Verified runs call it after their final flush; architectures
-        without cross-referencing state inherit this no-op.
+        Verified runs call it after their final flush.  The base checks
+        every device that states its own invariants (the SSD's FTL);
+        architectures with cross-referencing state extend it.
         """
+        for device in self.devices():
+            check = getattr(device, "check_invariants", None)
+            if check is not None:
+                check()
 
     @abc.abstractmethod
     def devices(self) -> Iterable:
@@ -182,12 +187,12 @@ class StorageSystem(abc.ABC):
     @property
     def ssd_write_ops(self) -> int:
         """Write operations issued to SSD devices (Table 6's metric)."""
-        return sum(d.stats.count("write_ops") for d in self.devices()
+        return sum(d.write_ops for d in self.devices()
                    if getattr(d, "name", "") == "ssd")
 
     @property
     def ssd_write_blocks(self) -> int:
-        return sum(d.stats.count("write_blocks") for d in self.devices()
+        return sum(d.write_blocks for d in self.devices()
                    if getattr(d, "name", "") == "ssd")
 
     def _check_span(self, lba: int, nblocks: int) -> None:

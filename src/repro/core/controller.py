@@ -1173,7 +1173,9 @@ class ICASHController(StorageSystem):
     def check_invariants(self) -> None:
         """Assert what the records cannot make structural — (a)–(f) in
         ``docs/ARCHITECTURE.md``, true between any two requests — raising
-        ``AssertionError`` that names the first block found breaking one."""
+        ``AssertionError`` that names the first block found breaking one.
+        The SSD's own FTL invariants are checked first."""
+        super().check_invariants()
         cache, copies, queue = self.cache, self._ssd_copies, \
             self._dirty_delta_lbas
         records, dependents = self._delta_map, self._ref_dependents
@@ -1298,7 +1300,7 @@ class ICASHController(StorageSystem):
             f" / {self.config.ssd_capacity_blocks}"
             f" ({len(self.spilled_lbas)} spilled, "
             f"{len(self.shadowed_reference_lbas)} shadowed refs)",
-            f"  host writes   {self.ssd.stats.count('write_blocks'):>7} "
+            f"  host writes   {self.ssd.write_blocks:>7} "
             f"pages, write amplification "
             f"{self.ssd.write_amplification:.2f}",
             f"  erases        {self.ssd.total_erases:>7}",

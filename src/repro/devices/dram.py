@@ -12,12 +12,14 @@ policies must operate within.
 
 from __future__ import annotations
 
+from repro.devices.base import CountedDevice
 from repro.sim.request import BLOCK_SIZE
-from repro.sim.stats import StatsCollector
 
 
-class DRAMBuffer:
+class DRAMBuffer(CountedDevice):
     """A byte-budgeted RAM pool with explicit reserve/release accounting."""
+
+    COUNTERS = ("reservations", "releases", "accesses")
 
     #: Time to move one 4 KB block through DRAM (copy + bookkeeping).
     BLOCK_COPY_S = 1e-6
@@ -35,7 +37,7 @@ class DRAMBuffer:
         self.capacity_bytes = capacity_bytes
         self.name = name
         self.used_bytes = 0
-        self.stats = StatsCollector()
+        self.reservations = self.releases = self.accesses = 0
         self.busy_time = 0.0
 
     # -- space accounting ---------------------------------------------------
@@ -60,7 +62,7 @@ class DRAMBuffer:
                 f"{self.name}: reserve of {nbytes} B exceeds free "
                 f"{self.free_bytes} B")
         self.used_bytes += nbytes
-        self.stats.bump("reservations")
+        self.reservations += 1
 
     def release(self, nbytes: int) -> None:
         """Return ``nbytes`` to the pool."""
@@ -71,7 +73,7 @@ class DRAMBuffer:
                 f"{self.name}: releasing {nbytes} B but only "
                 f"{self.used_bytes} B are in use")
         self.used_bytes -= nbytes
-        self.stats.bump("releases")
+        self.releases += 1
 
     # -- metrics --------------------------------------------------------------
 
@@ -88,12 +90,11 @@ class DRAMBuffer:
     def access(self, nbytes: int = BLOCK_SIZE) -> float:
         """Latency of touching ``nbytes`` of buffered data."""
         latency = self.BLOCK_COPY_S * max(1, -(-nbytes // BLOCK_SIZE))
-        self.stats.bump("accesses")
+        self.accesses += 1
         self.busy_time += latency
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.device_span(self.trace_name, "access", latency,
-                               nbytes=nbytes)
+        if self.tracer is not None:
+            self.tracer.device_span(self.trace_name, "access", latency,
+                                    nbytes=nbytes)
         return latency
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

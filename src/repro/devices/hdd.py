@@ -63,6 +63,9 @@ class HDDSpec(DeviceSpec):
 class HardDiskDrive(Device):
     """One mechanical disk with head-position tracking."""
 
+    COUNTERS = Device.COUNTERS + (
+        "sequential_accesses", "near_accesses", "random_accesses")
+
     def __init__(self, capacity_blocks: int,
                  spec: Optional[HDDSpec] = None) -> None:
         spec = spec if spec is not None else HDDSpec()
@@ -71,40 +74,48 @@ class HardDiskDrive(Device):
         #: Block address one past the end of the previous request, i.e.
         #: where the head currently sits.  Starts parked at block 0.
         self._head = 0
+        self.sequential_accesses = self.near_accesses = 0
+        self.random_accesses = 0
+        # Spec terms, which _access combines as the HDDSpec methods do.
+        self._rotation = spec.avg_rotation_s
+        self._min_seek = spec.min_seek_s
+        self._seek_span = spec.max_seek_s - spec.min_seek_s
+        self._near_cost = spec.min_seek_s + self._rotation
+        self._near_span = spec.near_span_blocks
+        self._rate = spec.transfer_bytes_per_s
 
     # -- latency model ----------------------------------------------------
 
-    def _positioning_time(self, lba: int) -> "tuple[float, str]":
-        """Seek + rotation cost of moving the head to ``lba``, plus the
-        access-pattern classification (``sequential``/``near``/``random``)."""
+    def _access(self, lba: int, nblocks: int, write: bool) -> float:
+        if nblocks < 1 or not 0 <= lba <= self.capacity_blocks - nblocks:
+            self._check_span(lba, nblocks)
         distance = abs(lba - self._head)
         if distance == 0:
-            # Perfectly sequential: the head is already there and the next
-            # sector is about to pass under it.
-            return 0.0, "sequential"
-        if distance <= self.spec.near_span_blocks:
-            # Short hop: track-to-track seek, still pay average rotation.
-            self.stats.bump("near_accesses")
-            return self.spec.min_seek_s + self.spec.avg_rotation_s, "near"
-        self.stats.bump("random_accesses")
-        seek = self.spec.seek_time(distance, self.capacity_blocks)
-        return seek + self.spec.avg_rotation_s, "random"
-
-    def _service(self, kind: str, lba: int, nblocks: int) -> float:
-        self._check_span(lba, nblocks)
-        positioning, pattern = self._positioning_time(lba)
-        if positioning == 0.0:
-            self.stats.bump("sequential_accesses")
-        latency = positioning + self.spec.transfer_time(nblocks)
+            self.sequential_accesses += 1
+            latency = nblocks * BLOCK_SIZE / self._rate
+        elif distance <= self._near_span:
+            self.near_accesses += 1
+            latency = self._near_cost + nblocks * BLOCK_SIZE / self._rate
+        else:
+            self.random_accesses += 1
+            latency = (self._min_seek + self._seek_span * math.sqrt(
+                min(1.0, distance / self.capacity_blocks))
+                + self._rotation + nblocks * BLOCK_SIZE / self._rate)
         self._head = lba + nblocks
-        return self._account(kind, nblocks, latency, lba=lba,
-                             outcome=pattern)
-
-    def read(self, lba: int, nblocks: int = 1) -> float:
-        return self._service("read", lba, nblocks)
-
-    def write(self, lba: int, nblocks: int = 1) -> float:
-        return self._service("write", lba, nblocks)
+        if write:
+            self.write_ops += 1
+            self.write_blocks += nblocks
+        else:
+            self.read_ops += 1
+            self.read_blocks += nblocks
+        self.busy_time += latency
+        if self.tracer is not None:
+            self.tracer.device_span(
+                self.trace_name, "write" if write else "read", latency,
+                lba=lba, nbytes=nblocks * BLOCK_SIZE,
+                outcome="sequential" if distance == 0 else
+                "near" if distance <= self._near_span else "random")
+        return latency
 
     @property
     def head_position(self) -> int:
@@ -120,20 +131,18 @@ class HardDiskDrive(Device):
         layout exists to minimise."""
         super().register_metrics(registry, label=label)
         label = label if label is not None else self.name
-        stats = self.stats
 
         def seeks() -> int:
-            return (stats.count("near_accesses")
-                    + stats.count("random_accesses"))
+            return self.near_accesses + self.random_accesses
 
         def seek_ratio() -> float:
-            total = seeks() + stats.count("sequential_accesses")
+            total = seeks() + self.sequential_accesses
             return seeks() / total if total else 0.0
 
         registry.counter("hdd_seek_total", ("device",)) \
             .labels(device=label).set_fn(seeks)
         registry.counter("hdd_sequential_total", ("device",)) \
             .labels(device=label) \
-            .set_fn(lambda: stats.count("sequential_accesses"))
+            .set_fn(lambda: self.sequential_accesses)
         registry.gauge("hdd_seek_ratio", ("device",)) \
             .labels(device=label).set_fn(seek_ratio)

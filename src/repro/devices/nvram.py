@@ -45,17 +45,23 @@ class NVRAM(Device):
         super().__init__(capacity_blocks, spec.name)
         self.spec = spec
 
-    def read(self, lba: int, nblocks: int = 1) -> float:
-        self._check_span(lba, nblocks)
-        latency = (self.spec.read_s
+    def _access(self, lba: int, nblocks: int, write: bool) -> float:
+        if nblocks < 1 or not 0 <= lba <= self.capacity_blocks - nblocks:
+            self._check_span(lba, nblocks)
+        latency = ((self.spec.write_s if write else self.spec.read_s)
                    + (nblocks - 1) * self.spec.streaming_block_s)
-        return self._account("read", nblocks, latency, lba=lba)
-
-    def write(self, lba: int, nblocks: int = 1) -> float:
-        self._check_span(lba, nblocks)
-        latency = (self.spec.write_s
-                   + (nblocks - 1) * self.spec.streaming_block_s)
-        return self._account("write", nblocks, latency, lba=lba)
+        if write:
+            self.write_ops += 1
+            self.write_blocks += nblocks
+        else:
+            self.read_ops += 1
+            self.read_blocks += nblocks
+        self.busy_time += latency
+        if self.tracer is not None:
+            self.tracer.device_span(
+                self.trace_name, "write" if write else "read", latency,
+                lba=lba, nbytes=nblocks * BLOCK_SIZE)
+        return latency
 
     @property
     def capacity_bytes(self) -> int:

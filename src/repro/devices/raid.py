@@ -14,14 +14,19 @@ from typing import Dict, List, Optional
 
 from repro.devices.base import Device
 from repro.devices.hdd import HardDiskDrive, HDDSpec
+from repro.sim.request import BLOCK_SIZE
 
 
 class RAID0Array(Device):
     """Stripe a logical block space across N identical HDDs.
 
     Addressing: chunk ``c`` (of ``chunk_blocks`` logical blocks) lives on
-    disk ``c % ndisks`` at chunk offset ``c // ndisks``.
+    disk ``c % ndisks`` at chunk offset ``c // ndisks``.  A request inside
+    one chunk goes straight to its member's access; only a request that
+    crosses chunks is split into per-disk extents.
     """
+
+    COUNTERS = Device.COUNTERS + ("parallel_requests",)
 
     def __init__(self, capacity_blocks: int, ndisks: int = 4,
                  chunk_blocks: int = 16,
@@ -39,49 +44,55 @@ class RAID0Array(Device):
         spec = hdd_spec if hdd_spec is not None else HDDSpec()
         self.disks: List[HardDiskDrive] = [
             HardDiskDrive(per_disk, spec) for _ in range(ndisks)]
+        self.parallel_requests = 0
 
     def _split(self, lba: int, nblocks: int) -> Dict[int, List[tuple]]:
         """Map a logical span to per-disk (physical lba, nblocks) extents."""
         per_disk: Dict[int, List[tuple]] = {}
-        block = lba
-        remaining = nblocks
-        while remaining > 0:
-            chunk = block // self.chunk_blocks
-            offset_in_chunk = block % self.chunk_blocks
-            disk = chunk % self.ndisks
-            disk_chunk = chunk // self.ndisks
-            take = min(remaining, self.chunk_blocks - offset_in_chunk)
-            phys = disk_chunk * self.chunk_blocks + offset_in_chunk
-            per_disk.setdefault(disk, []).append((phys, take))
-            block += take
-            remaining -= take
+        end = lba + nblocks
+        while lba < end:
+            chunk, offset = divmod(lba, self.chunk_blocks)
+            take = min(end - lba, self.chunk_blocks - offset)
+            per_disk.setdefault(chunk % self.ndisks, []).append(
+                (chunk // self.ndisks * self.chunk_blocks + offset, take))
+            lba += take
         return per_disk
 
-    def _service(self, kind: str, lba: int, nblocks: int) -> float:
-        self._check_span(lba, nblocks)
-        per_disk = self._split(lba, nblocks)
-        # Member disks work in parallel; the request completes when the
-        # slowest member finishes its extents (serviced in order per disk).
-        slowest = 0.0
-        for disk_idx, extents in per_disk.items():
-            disk = self.disks[disk_idx]
-            disk_time = 0.0
-            for phys, take in extents:
-                if kind == "read":
-                    disk_time += disk.read(phys, take)
-                else:
-                    disk_time += disk.write(phys, take)
-            slowest = max(slowest, disk_time)
-        if len(per_disk) > 1:
-            self.stats.bump("parallel_requests")
-        return self._account(kind, nblocks, slowest, lba=lba,
-                             outcome=f"disks={len(per_disk)}")
-
-    def read(self, lba: int, nblocks: int = 1) -> float:
-        return self._service("read", lba, nblocks)
-
-    def write(self, lba: int, nblocks: int = 1) -> float:
-        return self._service("write", lba, nblocks)
+    def _access(self, lba: int, nblocks: int, write: bool) -> float:
+        if nblocks < 1 or not 0 <= lba <= self.capacity_blocks - nblocks:
+            self._check_span(lba, nblocks)
+        chunk_blocks = self.chunk_blocks
+        offset = lba % chunk_blocks
+        if offset + nblocks <= chunk_blocks:
+            chunk = lba // chunk_blocks
+            latency = self.disks[chunk % self.ndisks]._access(
+                chunk // self.ndisks * chunk_blocks + offset, nblocks, write)
+            used = 1
+        else:
+            # Members work in parallel, each through its extents in order;
+            # the request completes when the slowest finishes.
+            per_disk = self._split(lba, nblocks)
+            latency = 0.0
+            for disk, extents in per_disk.items():
+                disk_time = 0.0
+                for phys, take in extents:
+                    disk_time += self.disks[disk]._access(phys, take, write)
+                latency = max(latency, disk_time)
+            used = len(per_disk)
+            if used > 1:
+                self.parallel_requests += 1
+        if write:
+            self.write_ops += 1
+            self.write_blocks += nblocks
+        else:
+            self.read_ops += 1
+            self.read_blocks += nblocks
+        self.busy_time += latency
+        if self.tracer is not None:
+            self.tracer.device_span(
+                self.trace_name, "write" if write else "read", latency,
+                lba=lba, nbytes=nblocks * BLOCK_SIZE, outcome=f"disks={used}")
+        return latency
 
     @property
     def member_busy_time(self) -> float:

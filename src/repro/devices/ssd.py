@@ -30,9 +30,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, List, Optional
 
 from repro.devices.base import Device, DeviceSpec
+from repro.sim.request import BLOCK_SIZE
 
 
 @dataclass(frozen=True)
@@ -78,212 +79,243 @@ class SSDSpec(DeviceSpec):
     endurance_cycles: int = 100_000
 
 
-class _FlashBlock:
-    """One physical erase block: page → lba mapping plus wear state."""
-
-    __slots__ = ("pages", "valid_count", "write_ptr", "erase_count")
-
-    def __init__(self, pages_per_block: int) -> None:
-        # pages[i] is the lba stored in page i, or None when invalid/free.
-        self.pages: List[Optional[int]] = [None] * pages_per_block
-        self.valid_count = 0
-        self.write_ptr = 0
-        self.erase_count = 0
-
-    @property
-    def is_full(self) -> bool:
-        return self.write_ptr >= len(self.pages)
-
-    def erase(self) -> None:
-        self.pages = [None] * len(self.pages)
-        self.valid_count = 0
-        self.write_ptr = 0
-        self.erase_count += 1
-
-
 class FlashSSD(Device):
-    """Page-mapped NAND SSD with greedy, wear-aware garbage collection."""
+    """Page-mapped NAND SSD with greedy, wear-aware garbage collection;
+    the FTL is flat lists (``docs/ARCHITECTURE.md``, "Device models")."""
+
+    COUNTERS = Device.COUNTERS + (
+        "trim_ops", "gc_erases", "gc_page_moves", "wear_level_picks")
 
     def __init__(self, capacity_blocks: int,
                  spec: Optional[SSDSpec] = None) -> None:
         spec = spec if spec is not None else SSDSpec()
         super().__init__(capacity_blocks, spec.name)
         self.spec = spec
-        n_logical_flash_blocks = math.ceil(
-            capacity_blocks / spec.pages_per_block)
+        ppb = self._ppb = spec.pages_per_block
         n_physical = math.ceil(
-            n_logical_flash_blocks * (1.0 + spec.overprovision)) + 2
-        self._blocks = [_FlashBlock(spec.pages_per_block)
-                        for _ in range(n_physical)]
+            math.ceil(capacity_blocks / ppb) * (1.0 + spec.overprovision)) + 2
+        self._l2p = [-1] * capacity_blocks
+        self._owner = [-1] * (n_physical * ppb)
+        self._valid = [0] * n_physical
+        self._erases = [0] * n_physical
         self._free: Deque[int] = deque(range(1, n_physical))
-        self._active = 0
-        # lba -> (physical block index, page index)
-        self._map: Dict[int, Tuple[int, int]] = {}
+        self._is_free = [False] + [True] * (n_physical - 1)
+        self._active = self._wp = 0
         # Distinct logical blocks ever touched: drives the footprint penalty.
         self._footprint: set = set()
         self._gc_low_water = max(2, int(spec.gc_threshold * n_physical))
-
-    # -- footprint penalty --------------------------------------------------
-
-    def _read_latency(self) -> float:
-        frac = min(1.0, len(self._footprint) / self.spec.footprint_knee_blocks)
-        return self.spec.read_base_s + frac * self.spec.read_footprint_penalty_s
+        self.trim_ops = self.gc_erases = self.gc_page_moves = 0
+        self.wear_level_picks = 0
 
     # -- reads ---------------------------------------------------------------
 
     def read(self, lba: int, nblocks: int = 1) -> float:
-        self._check_span(lba, nblocks)
-        for block in range(lba, lba + nblocks):
-            self._footprint.add(block)
+        if nblocks < 1 or not 0 <= lba <= self.capacity_blocks - nblocks:
+            self._check_span(lba, nblocks)
+        footprint = self._footprint
+        if nblocks == 1:
+            footprint.add(lba)
+        else:
+            footprint.update(range(lba, lba + nblocks))
+        spec = self.spec
         # First page pays the full latency, pipelined pages the reduced one.
-        latency = (self._read_latency()
-                   + (nblocks - 1) * self.spec.pipelined_page_s)
-        return self._account("read", nblocks, latency, lba=lba)
+        latency = (spec.read_base_s
+                   + min(1.0, len(footprint) / spec.footprint_knee_blocks)
+                   * spec.read_footprint_penalty_s
+                   + (nblocks - 1) * spec.pipelined_page_s)
+        self.read_ops += 1
+        self.read_blocks += nblocks
+        self.busy_time += latency
+        if self.tracer is not None:
+            self.tracer.device_span(self.trace_name, "read", latency,
+                                    lba=lba, nbytes=nblocks * BLOCK_SIZE)
+        return latency
+
+    def read_followup(self, lba: int) -> float:
+        """A read back-to-back with another of the same host request pays
+        the pipelined page rate only: I-CASH reading several references
+        for one request gets the overlap a multi-page :meth:`read` has."""
+        if not 0 <= lba < self.capacity_blocks:
+            self._check_span(lba, 1)
+        self._footprint.add(lba)
+        latency = self.spec.pipelined_page_s
+        self.read_ops += 1
+        self.read_blocks += 1
+        self.busy_time += latency
+        if self.tracer is not None:
+            self.tracer.device_span(self.trace_name, "read", latency, lba=lba,
+                                    nbytes=BLOCK_SIZE, outcome="pipelined")
+        return latency
 
     # -- writes ---------------------------------------------------------------
 
     def write(self, lba: int, nblocks: int = 1) -> float:
-        self._check_span(lba, nblocks)
+        if nblocks < 1 or not 0 <= lba <= self.capacity_blocks - nblocks:
+            self._check_span(lba, nblocks)
+        spec, ppb = self.spec, self._ppb
+        l2p, owner, valid = self._l2p, self._owner, self._valid
+        footprint = self._footprint
+        program_s = spec.program_s
         latency = 0.0
         for block in range(lba, lba + nblocks):
-            self._footprint.add(block)
-            latency += self._program_page(block)
+            footprint.add(block)
+            old = l2p[block]
+            if old >= 0:  # out of place: the old page goes stale
+                owner[old] = -1
+                valid[old // ppb] -= 1
+            latency += (program_s + self._advance_active_block()
+                        if self._wp == ppb else program_s)
+            active = self._active
+            ppn = active * ppb + self._wp
+            owner[ppn] = block
+            l2p[block] = ppn
+            valid[active] += 1
+            self._wp += 1
         # Pipelining: charge one full program, the rest at the (program-
         # bandwidth-limited) streaming rate.
         if nblocks > 1:
-            latency = (latency - (nblocks - 1) * self.spec.program_s
-                       + (nblocks - 1) * self.spec.pipelined_program_s)
-        return self._account("write", nblocks, latency, lba=lba)
-
-    def read_followup(self, lba: int) -> float:
-        """A read issued back-to-back with a preceding read of the same
-        host request: pays the pipelined per-page rate only.
-
-        Lets a host-side controller (I-CASH reading several reference
-        blocks for one multi-block request) get the same channel overlap
-        a native multi-page :meth:`read` enjoys.
-        """
-        self._check_span(lba, 1)
-        self._footprint.add(lba)
-        return self._account("read", 1, self.spec.pipelined_page_s,
-                             lba=lba, outcome="pipelined")
+            latency = (latency - (nblocks - 1) * program_s
+                       + (nblocks - 1) * spec.pipelined_program_s)
+        self.write_ops += 1
+        self.write_blocks += nblocks
+        self.busy_time += latency
+        if self.tracer is not None:
+            self.tracer.device_span(self.trace_name, "write", latency,
+                                    lba=lba, nbytes=nblocks * BLOCK_SIZE)
+        return latency
 
     def trim(self, lba: int, nblocks: int = 1) -> None:
         """Invalidate logical blocks without writing (cache evictions)."""
-        self._check_span(lba, nblocks)
+        if nblocks < 1 or not 0 <= lba <= self.capacity_blocks - nblocks:
+            self._check_span(lba, nblocks)
+        l2p = self._l2p
         for block in range(lba, lba + nblocks):
-            self._invalidate(block)
+            old = l2p[block]
+            if old >= 0:
+                l2p[block] = self._owner[old] = -1
+                self._valid[old // self._ppb] -= 1
             self._footprint.discard(block)
-        self.stats.bump("trim_ops")
+        self.trim_ops += 1
 
-    # -- FTL internals ---------------------------------------------------------
-
-    def _invalidate(self, lba: int) -> None:
-        loc = self._map.pop(lba, None)
-        if loc is None:
-            return
-        block_idx, page_idx = loc
-        block = self._blocks[block_idx]
-        block.pages[page_idx] = None
-        block.valid_count -= 1
-
-    def _place_page(self, lba: int) -> None:
-        """Write ``lba``'s mapping into the active block's next free page.
-
-        The caller guarantees the active block has room.
-        """
-        active = self._blocks[self._active]
-        page_idx = active.write_ptr
-        active.pages[page_idx] = lba
-        active.write_ptr += 1
-        active.valid_count += 1
-        self._map[lba] = (self._active, page_idx)
-
-    def _program_page(self, lba: int) -> float:
-        """Program ``lba`` into the active block; returns latency incl. GC."""
-        self._invalidate(lba)
-        gc_latency = 0.0
-        if self._blocks[self._active].is_full:
-            gc_latency = self._advance_active_block()
-        self._place_page(lba)
-        return self.spec.program_s + gc_latency
+    # -- garbage collection -------------------------------------------------
 
     def _advance_active_block(self) -> float:
-        """Open a fresh active block, garbage collecting if necessary.
-
-        GC runs *iteratively* here — never from inside a relocation — so a
-        collection can never erase a victim another collection is still
-        walking.
-        """
+        """Open a fresh active block, collecting first while free blocks
+        are at the low-water mark; returns the stall.  GC runs
+        *iteratively* here — never from inside a relocation — so it never
+        erases a victim another collection is still walking."""
         gc_latency = 0.0
         while len(self._free) <= self._gc_low_water:
             gained = self._garbage_collect()
             gc_latency += gained
             if gained == 0.0:  # pragma: no cover - defensive
                 break
-        if not self._free:  # pragma: no cover - GC always frees >= 1 block
-            raise RuntimeError("SSD out of free blocks despite GC")
-        self._active = self._free.popleft()
+        self._open_free_block()
         return gc_latency
+
+    def _open_free_block(self) -> None:
+        if not self._free:  # pragma: no cover - needs 0 OP space
+            raise RuntimeError("SSD out of free blocks despite GC")
+        self._active = block = self._free.popleft()
+        self._is_free[block] = False
+        self._wp = 0
 
     def _pick_victim(self) -> int:
         """Greedy victim choice with a wear-leveling override.
 
-        Normally the block with the fewest valid pages is cheapest to
-        reclaim.  When wear spread across blocks exceeds ``wear_delta``,
-        prefer the least-worn candidate among the emptiest quartile so cold
-        blocks get recycled too (static wear leveling).
+        Of the blocks neither free nor active that are not wholly valid
+        (all of them if none is), the one with the fewest valid pages is
+        cheapest to reclaim.  When their erase counts spread beyond
+        ``wear_delta`` the least worn goes instead (static wear leveling),
+        then the emptiest; remaining ties go to the lowest index.
         """
-        candidates = [i for i, b in enumerate(self._blocks)
-                      if i != self._active and i not in self._free
-                      and b.valid_count < len(b.pages)]
-        if not candidates:
-            candidates = [i for i in range(len(self._blocks))
-                          if i != self._active and i not in self._free]
-        erases = [self._blocks[i].erase_count for i in candidates]
-        if max(erases) - min(erases) > self.spec.wear_delta:
-            candidates.sort(key=lambda i: (self._blocks[i].erase_count,
-                                           self._blocks[i].valid_count))
-            self.stats.bump("wear_level_picks")
-            return candidates[0]
-        return min(candidates, key=lambda i: self._blocks[i].valid_count)
+        valid, erases, ppb, active = self._valid, self._erases, self._ppb, \
+            self._active
+        candidates = ([i for i, free in enumerate(self._is_free)
+                       if not free and valid[i] < ppb and i != active]
+                      or [i for i, free in enumerate(self._is_free)
+                          if not free and i != active])
+        wear = list(map(erases.__getitem__, candidates))
+        if max(wear) - min(wear) > self.spec.wear_delta:
+            self.wear_level_picks += 1
+            return min(candidates, key=lambda i: (erases[i], valid[i]))
+        return min(candidates, key=valid.__getitem__)
 
     def _garbage_collect(self) -> float:
         """Reclaim one block; returns the time the triggering write stalls.
-
-        Valid pages relocate into the active block, pulling fresh blocks
-        straight off the free list when it fills — relocation never
-        triggers a nested collection.
-        """
-        victim_idx = self._pick_victim()
-        victim = self._blocks[victim_idx]
+        Valid pages relocate into the active block, opening free blocks as
+        it fills — relocation never triggers a nested collection."""
+        spec, ppb = self.spec, self._ppb
+        l2p, owner, valid = self._l2p, self._owner, self._valid
+        victim = self._pick_victim()
+        first = victim * ppb
+        relocated = [lba for lba in owner[first:first + ppb] if lba >= 0]
+        owner[first:first + ppb] = [-1] * ppb
+        valid[victim] = 0
         latency = 0.0
-        relocated = [lba for lba in victim.pages if lba is not None]
-        victim.pages = [None] * len(victim.pages)
-        victim.valid_count = 0
         for lba in relocated:
             # Relocation: read the valid page and program it elsewhere.
-            latency += self.spec.read_base_s
-            if self._blocks[self._active].is_full:
-                if not self._free:  # pragma: no cover - needs 0 OP space
-                    raise RuntimeError(
-                        "SSD wedged: no free block to relocate into")
-                self._active = self._free.popleft()
-            self._place_page(lba)
-            latency += self.spec.program_s
-            self.stats.bump("gc_page_moves")
-        victim.erase()
-        latency += self.spec.erase_s
-        self._free.append(victim_idx)
-        self.stats.bump("gc_erases")
-        tracer = self.tracer
-        if tracer is not None:
-            # The stall is already inside the triggering write's span, so
-            # this is a device-internal mark, not a timeline-advancing
-            # span — breakdowns must not double-count it.
-            tracer.mark("gc", latency,
-                        outcome=f"moved={len(relocated)}")
+            latency += spec.read_base_s
+            if self._wp == ppb:
+                self._open_free_block()
+            active = self._active
+            ppn = active * ppb + self._wp
+            owner[ppn] = lba
+            l2p[lba] = ppn
+            valid[active] += 1
+            self._wp += 1
+            latency += spec.program_s
+        self.gc_page_moves += len(relocated)
+        self._erases[victim] += 1
+        latency += spec.erase_s
+        self._free.append(victim)
+        self._is_free[victim] = True
+        self.gc_erases += 1
+        if self.tracer is not None:
+            # A device-internal mark, not a span: the stall is already
+            # inside the triggering write's span and must not count twice.
+            self.tracer.mark("gc", latency,
+                             outcome=f"moved={len(relocated)}")
         return latency
+
+    def check_invariants(self) -> None:
+        """Assert that the FTL columns agree, raising ``AssertionError``
+        that names the first broken invariant:
+
+        (a) ``_l2p`` and ``_owner`` are inverses on valid pages;
+        (b) ``_valid[b]`` is the census of ``_owner`` within block ``b``;
+        (c) the free deque holds exactly the ``_is_free`` blocks, and no
+            free block holds a valid page;
+        (d) free, active and in-use blocks partition the physical blocks;
+        (e) no page past the active block's write pointer has an owner.
+        """
+        ppb, l2p, owner, valid = self._ppb, self._l2p, self._owner, \
+            self._valid
+        free, is_free, active, wp = self._free, self._is_free, \
+            self._active, self._wp
+
+        def check(ok: bool, what: str) -> None:
+            if not ok:
+                raise AssertionError(f"{self.name} FTL: {what}")
+
+        check(all(0 <= ppn < len(owner) and owner[ppn] == lba
+                  for lba, ppn in enumerate(l2p) if ppn >= 0)
+              and all(lba < len(l2p) and l2p[lba] == ppn
+                      for ppn, lba in enumerate(owner) if lba >= 0),
+              "(a) l2p and owner are not inverses on valid pages")
+        check(valid == [ppb - owner[b * ppb:(b + 1) * ppb].count(-1)
+                        for b in range(len(valid))],
+              "(b) a valid count differs from its block's owners")
+        check(sorted(free) == [b for b, f in enumerate(is_free) if f],
+              "(c) the free deque differs from the free mask")
+        check(not any(valid[b] for b in free),
+              "(c) a free block holds a valid page")
+        check(0 <= active < len(valid) and not is_free[active],
+              "(d) the active block is free or out of range")
+        check(0 <= wp <= ppb and owner[active * ppb + wp:
+                                       (active + 1) * ppb].count(-1)
+              == ppb - wp,
+              "(e) a page past the write pointer has an owner")
 
     # -- metrics ------------------------------------------------------------
 
@@ -293,21 +325,18 @@ class FlashSSD(Device):
         spread and write amplification."""
         super().register_metrics(registry, label=label)
         label = label if label is not None else self.name
-        stats = self.stats
         registry.counter("ssd_program_total", ("device",)) \
             .labels(device=label) \
-            .set_fn(lambda: stats.count("write_blocks")
-                    + stats.count("gc_page_moves"))
+            .set_fn(lambda: self.write_blocks + self.gc_page_moves)
         registry.counter("ssd_erase_total", ("device",)) \
             .labels(device=label) \
             .set_fn(lambda: self.total_erases)
         registry.counter("ssd_gc_total", ("device",)) \
             .labels(device=label) \
-            .set_fn(lambda: stats.count("gc_erases"))
+            .set_fn(lambda: self.gc_erases)
         registry.gauge("ssd_wear_spread", ("device",)) \
             .labels(device=label) \
-            .set_fn(lambda: max(b.erase_count for b in self._blocks)
-                    - min(b.erase_count for b in self._blocks))
+            .set_fn(lambda: max(self._erases) - min(self._erases))
         registry.gauge("ssd_write_amplification", ("device",)) \
             .labels(device=label) \
             .set_fn(lambda: self.write_amplification)
@@ -316,20 +345,23 @@ class FlashSSD(Device):
 
     def erase_counts(self) -> List[int]:
         """Per-physical-block erase counts (for wear/endurance analysis)."""
-        return [b.erase_count for b in self._blocks]
+        return list(self._erases)
 
     @property
     def total_erases(self) -> int:
-        return sum(b.erase_count for b in self._blocks)
+        return sum(self._erases)
 
     @property
     def write_amplification(self) -> float:
         """(host + GC page programs) / host page programs."""
-        host = self.stats.count("write_blocks")
-        moves = self.stats.count("gc_page_moves")
+        host = self.write_blocks
         if host == 0:
             return 1.0
-        return (host + moves) / host
+        return (host + self.gc_page_moves) / host
+
+    def mapped_lbas(self) -> List[int]:
+        """The logical blocks the FTL maps to a valid page, ascending."""
+        return [lba for lba, ppn in enumerate(self._l2p) if ppn >= 0]
 
     @property
     def footprint_blocks(self) -> int:
@@ -347,19 +379,16 @@ class FlashSSD(Device):
         report / `ssd_erase_spread` gauge make the damage observable.
         Returns how many blocks were newly driven to the limit.
         """
-        limit = self.spec.endurance_cycles
+        limit, erases = self.spec.endurance_cycles, self._erases
         worn = 0
         for index in block_indices:
-            block = self._blocks[index]
-            if block.erase_count < limit:
-                block.erase_count = limit
+            if erases[index] < limit:
+                erases[index] = limit
                 worn += 1
-        if worn:
-            self.stats.bump("worn_blocks", worn)
         return worn
 
     @property
     def worn_blocks(self) -> int:
         """Physical blocks at or beyond the endurance limit."""
         limit = self.spec.endurance_cycles
-        return sum(1 for b in self._blocks if b.erase_count >= limit)
+        return sum(1 for count in self._erases if count >= limit)

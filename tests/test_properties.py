@@ -37,8 +37,10 @@ def test_ftl_mapping_matches_live_set(ops):
         else:
             ssd.trim(lba, 1)
             live.discard(lba)
-    assert set(ssd._map) == live
-    assert sum(b.valid_count for b in ssd._blocks) == len(live)
+    # The valid counts are the census of the page owners, which invert
+    # l2p, so they sum to the mapped lbas — exactly the live ones.
+    ssd.check_invariants()
+    assert ssd.mapped_lbas() == sorted(live)
 
 
 @settings(max_examples=20, deadline=None)
@@ -49,11 +51,10 @@ def test_ftl_survives_write_storms(seed, n_ops):
     ssd = FlashSSD(64, SSDSpec(pages_per_block=8, overprovision=0.2))
     for _ in range(n_ops):
         ssd.write(int(gen.integers(0, 64)), 1)
-    assert len(ssd._map) <= 64
+    assert len(ssd.mapped_lbas()) <= 64
     assert ssd.write_amplification >= 1.0
-    # Every mapped page location is unique.
-    locations = list(ssd._map.values())
-    assert len(locations) == len(set(locations))
+    # Every mapped page location is unique: l2p and owner are inverses.
+    ssd.check_invariants()
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Facts the controller keeps once stay kept once.
+"""Facts the model keeps once stay kept once.
 
-Each row is a pattern over ``src/repro`` for a parallel copy of some fact
-that was folded into one record, and where that fact lives now.  A match
-means the copy came back.
+Each row is a pattern over ``src/repro`` (or the part of it a fourth
+field names) for a parallel copy of some fact that was folded into one
+record, or for a per-operation layer that was folded into one frame, and
+where that fact lives now.  A match means the copy came back.
 """
 
 import re
@@ -12,7 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-#: (test id, pattern, where the fact lives now)
+#: (test id, pattern, where the fact lives now[, path prefix])
 REMOVED = (
     # What the SSD holds for an lba: one _SSDCopy record.
     ("_ssd_data", r"_ssd_data", "_SSDCopy.data"),
@@ -35,6 +36,16 @@ REMOVED = (
     ("VirtualBlock(ref_lba=)",
      r"\b(?:VirtualBlock|_install_virtual_block)\([^)]*\bref_lba\b",
      "_DeltaMapEntry.ref_lba"),
+    # The FTL is flat columns and a device operation one frame.
+    ("_FlashBlock", r"_FlashBlock",
+     "FlashSSD's _l2p / _owner / _valid / _erases lists"),
+    ("_program_page", r"_program_page", "FlashSSD.write"),
+    ("_place_page", r"_place_page",
+     "FlashSSD.write and FlashSSD._garbage_collect"),
+    ("_positioning_time", r"_positioning_time", "HardDiskDrive._access"),
+    ("stats.bump in devices", r"stats\.bump\(",
+     "an int counter attribute, snapshotted by CountedDevice.stats",
+     "repro/devices/"),
 )
 
 
@@ -46,13 +57,13 @@ def sources():
     return files
 
 
-@pytest.mark.parametrize("pattern,replaced_by",
-                         [row[1:] for row in REMOVED],
-                         ids=[row[0] for row in REMOVED])
-def test_name_stays_removed(sources, pattern, replaced_by):
+@pytest.mark.parametrize("row", REMOVED, ids=[row[0] for row in REMOVED])
+def test_name_stays_removed(sources, row):
+    _id, pattern, replaced_by, *under = row
     regex = re.compile(pattern)
     hits = [f"{name}:{text.count(chr(10), 0, match.start()) + 1}"
             for name, text in sources.items()
+            if name.startswith(under[0] if under else "repro/")
             for match in regex.finditer(text)]
     assert not hits, f"{pattern} is back (use {replaced_by}): {hits}"
 
@@ -66,5 +77,5 @@ def test_patterns_spare_the_records_own_field():
                "self._delta_map[vb.lba].ref_lba", "assoc.ref_lba",
                "Association(vb=vb, ref_lba=best.lba, delta=delta)")
     for text in allowed:
-        for _name, pattern, _replaced_by in REMOVED:
-            assert not re.search(pattern, text), (pattern, text)
+        for row in REMOVED:
+            assert not re.search(row[1], text), (row[1], text)
