@@ -33,8 +33,8 @@ def run_with_interval(interval: int):
     shadow = workload.shadow
     lost = sum(1 for lba in range(workload.n_blocks)
                if not np.array_equal(image.read(lba), shadow[lba]))
-    flushes = system.stats.count("delta_flushes")
-    records = system.stats.count("delta_records_flushed")
+    flushes = system.delta_flushes
+    records = system.delta_records_flushed
     log_blocks = system.log.blocks_written
     return lost, flushes, records, log_blocks
 

@@ -34,8 +34,8 @@ def run(name: str, cache_fraction: float, sync_every: int = 0):
         if sync_every and (index + 1) % sync_every == 0:
             sync_total += system.flush()
             syncs += 1
-    reads = system.stats.latency("read")
-    writes = system.stats.latency("write")
+    reads = system.read_latency
+    writes = system.write_latency
     return reads.mean_us, writes.mean_us, \
         (sync_total / syncs * 1e6 if syncs else 0.0)
 

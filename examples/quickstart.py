@@ -57,7 +57,7 @@ def main() -> None:
     content[128:192] = rng.integers(0, 256, 64)   # small partial update
     latency = icash.write(target, [content])
     print(f"write to block {target}: {latency * 1e6:.1f} µs "
-          f"(SSD untouched: {icash.stats.count('delta_writes')} delta "
+          f"(SSD untouched: {icash.delta_writes} delta "
           f"write(s) buffered in RAM)")
 
     print("\n=== a read reconstructs reference + delta ===")
@@ -78,7 +78,9 @@ def main() -> None:
             icash.read(lba)
     icash.flush()
 
-    print(icash.stats.format_table("controller statistics"))
+    print("\ncontroller counters")
+    for name, value in sorted(icash.counters().items()):
+        print(f"  {name:<32} {value:>8}")
     print(f"\nSSD write ops (whole run): {icash.ssd.write_ops} — the "
           f"reason Table 6 projects a longer SSD life")
     print(f"HDD ops: {icash.hdd.read_ops} reads / "

@@ -35,8 +35,8 @@ def main() -> None:
             for request in load_trace(path):
                 total_latency += system.process(request)
                 replayed += 1
-            reads = system.stats.latency("read")
-            writes = system.stats.latency("write")
+            reads = system.read_latency
+            writes = system.write_latency
             print(f"\nreplayed {replayed} archived requests into {name}:")
             print(f"  mean read : {reads.mean_us:9.1f} µs "
                   f"(n={reads.count})")

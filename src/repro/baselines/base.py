@@ -11,19 +11,21 @@ reference-plus-delta reconstruction path rather than trusting it.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.devices.base import Counted
 from repro.sim.request import IORequest, OpType
-from repro.sim.stats import StatsCollector
+from repro.sim.stats import LatencyStats
 
 
-class StorageSystem(abc.ABC):
+class StorageSystem(Counted, abc.ABC):
     """Abstract storage architecture over a logical 4 KB block space.
 
     Concrete systems keep ``initial_content`` in a ``BackingStore``, which
-    shares a frozen image (what workloads hand out) and copies any other.
+    shares a frozen image (what workloads hand out) and copies any other,
+    and count in ``int`` attributes the way devices do (:class:`Counted`).
     """
 
     #: Per-request trace sink (see :mod:`repro.sim.trace` and
@@ -36,7 +38,10 @@ class StorageSystem(abc.ABC):
     def __init__(self, name: str, capacity_blocks: int) -> None:
         self.name = name
         self.capacity_blocks = capacity_blocks
-        self.stats = StatsCollector()
+        #: Latencies of the requests :meth:`process_read` and
+        #: :meth:`process_write` served.
+        self.read_latency = LatencyStats()
+        self.write_latency = LatencyStats()
         #: Time (s) spent on work off the request critical path
         #: (background scans, flushes, destaging).  The experiment runner
         #: folds this into wall-clock time.  Device work reaches it
@@ -93,18 +98,35 @@ class StorageSystem(abc.ABC):
     def devices(self) -> Iterable:
         """The device models underlying this system (energy accounting)."""
 
+    def inner_systems(self) -> Iterable["StorageSystem"]:
+        """The storage systems this one wraps; a plain system wraps none."""
+        return ()
+
     # -- observability -----------------------------------------------------
 
+    def counters(self) -> Dict[str, int]:
+        """This system's counters plus, name by name, the sum of those of
+        every system it wraps."""
+        snapshot = super().counters()
+        for inner in self.inner_systems():
+            for name, value in inner.counters().items():
+                snapshot[name] = snapshot.get(name, 0) + value
+        return snapshot
+
     def set_tracer(self, tracer) -> None:
-        """Attach a tracer to this system and every device beneath it.
+        """Attach a tracer to this system, every system it wraps and
+        every device beneath it.
 
         Pass None to detach.  Devices shared with nothing else (the
         normal case) simply start emitting spans into ``tracer``'s
-        buffer.
+        buffer.  A wrapped system declares its own background work to
+        the tracer, so it must hold it too.
         """
         self.tracer = tracer
         for device in self.devices():
             device.tracer = tracer
+        for inner in self.inner_systems():
+            inner.set_tracer(tracer)
 
     def _in_background(self, op, *args, section=None, outcome=None) -> None:
         """Run ``op(*args)`` — a device operation, or a section of
@@ -166,7 +188,7 @@ class StorageSystem(abc.ABC):
         if tracer is not None:
             tracer.begin_request("read", request.lba, request.nblocks)
         latency, contents = self.read(request.lba, request.nblocks)
-        self.stats.record_latency("read", latency)
+        self.read_latency.record(latency)
         if tracer is not None:
             tracer.end_request(latency)
         return latency, contents
@@ -177,7 +199,7 @@ class StorageSystem(abc.ABC):
         if tracer is not None:
             tracer.begin_request("write", request.lba, request.nblocks)
         latency = self.write(request.lba, request.payload)
-        self.stats.record_latency("write", latency)
+        self.write_latency.record(latency)
         if tracer is not None:
             tracer.end_request(latency)
         return latency

@@ -48,6 +48,10 @@ class _ChunkEntry:
 class DedupCacheStorage(StorageSystem):
     """Write-back, content-addressed SSD cache over a single HDD."""
 
+    COUNTERS = ("cache_hits", "cache_misses", "writes", "unique_inserts",
+                "dedup_hits", "shared_block_cow", "evictions", "destages",
+                "flush_destages")
+
     def __init__(self, initial_content: np.ndarray, cache_blocks: int,
                  ssd_spec: Optional[SSDSpec] = None,
                  hdd_spec: Optional[HDDSpec] = None) -> None:
@@ -102,9 +106,9 @@ class DedupCacheStorage(StorageSystem):
         if lba in self._dirty:
             self._dirty.discard(lba)
             self._in_background(self.hdd.write, lba, 1)
-            self.stats.bump("destages")
+            self.destages += 1
         self._release(lba)
-        self.stats.bump("evictions")
+        self.evictions += 1
         return 0.0
 
     def _insert(self, lba: int, content: np.ndarray, dirty: bool) -> float:
@@ -128,9 +132,9 @@ class DedupCacheStorage(StorageSystem):
             entry = _ChunkEntry(self._free.pop())
             self._chunks[digest] = entry
             latency += self.ssd.write(entry.slot, 1)
-            self.stats.bump("unique_inserts")
+            self.unique_inserts += 1
         else:
-            self.stats.bump("dedup_hits")
+            self.dedup_hits += 1
         entry.refcount += 1
         self._lba_hash[lba] = digest
         self._lba_hash.move_to_end(lba)
@@ -151,11 +155,11 @@ class DedupCacheStorage(StorageSystem):
             if digest is not None:
                 self._lba_hash.move_to_end(block)
                 latency += self.ssd.read(self._chunks[digest].slot, 1)
-                self.stats.bump("cache_hits")
+                self.cache_hits += 1
             else:
                 latency += self.hdd.read(block, 1)
                 latency += self._insert(block, content, dirty=False)
-                self.stats.bump("cache_misses")
+                self.cache_misses += 1
             contents.append(content)
         return latency, contents
 
@@ -169,17 +173,17 @@ class DedupCacheStorage(StorageSystem):
                     and self._chunks[old_digest].refcount > 1):
                 # Writing a shared block forces a private copy — the
                 # copy-on-write penalty the paper attributes to dedup.
-                self.stats.bump("shared_block_cow")
+                self.shared_block_cow += 1
             self.backing.set(block, content)
             latency += self._insert(block, content, dirty=True)
-            self.stats.bump("writes")
+            self.writes += 1
         return latency
 
     def flush(self) -> float:
         latency = 0.0
         for block in sorted(self._dirty):
             latency += self.hdd.write(block, 1)
-        self.stats.bump("flush_destages", len(self._dirty))
+        self.flush_destages += len(self._dirty)
         self._dirty.clear()
         return latency
 

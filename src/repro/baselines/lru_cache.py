@@ -24,6 +24,9 @@ from repro.sim.backing import BackingStore
 class LRUCacheStorage(StorageSystem):
     """Write-back LRU SSD cache in front of a single HDD."""
 
+    COUNTERS = ("cache_hits", "cache_misses", "write_hits", "write_misses",
+                "evictions", "destages", "flush_destages")
+
     def __init__(self, initial_content: np.ndarray, cache_blocks: int,
                  ssd_spec: Optional[SSDSpec] = None,
                  hdd_spec: Optional[HDDSpec] = None) -> None:
@@ -60,10 +63,10 @@ class LRUCacheStorage(StorageSystem):
         if lba in self._dirty:
             self._dirty.discard(lba)
             self._in_background(self.hdd.write, lba, 1)
-            self.stats.bump("destages")
+            self.destages += 1
         self.ssd.trim(slot, 1)
         self._free.append(slot)
-        self.stats.bump("evictions")
+        self.evictions += 1
         return 0.0
 
     def _insert(self, lba: int, dirty: bool) -> float:
@@ -90,11 +93,11 @@ class LRUCacheStorage(StorageSystem):
             if slot is not None:
                 self._map.move_to_end(block)
                 latency += self.ssd.read(slot, 1)
-                self.stats.bump("cache_hits")
+                self.cache_hits += 1
             else:
                 latency += self.hdd.read(block, 1)
                 latency += self._insert(block, dirty=False)
-                self.stats.bump("cache_misses")
+                self.cache_misses += 1
             contents.append(self.backing.view(block))
         return latency, contents
 
@@ -109,10 +112,10 @@ class LRUCacheStorage(StorageSystem):
                 self._map.move_to_end(block)
                 self._dirty.add(block)
                 latency += self.ssd.write(slot, 1)
-                self.stats.bump("write_hits")
+                self.write_hits += 1
             else:
                 latency += self._insert(block, dirty=True)
-                self.stats.bump("write_misses")
+                self.write_misses += 1
         return latency
 
     def flush(self) -> float:
@@ -120,13 +123,12 @@ class LRUCacheStorage(StorageSystem):
         latency = 0.0
         for block in sorted(self._dirty):
             latency += self.hdd.write(block, 1)
-        self.stats.bump("flush_destages", len(self._dirty))
+        self.flush_destages += len(self._dirty)
         self._dirty.clear()
         return latency
 
     @property
     def hit_ratio(self) -> float:
-        hits = self.stats.count("cache_hits") + self.stats.count("write_hits")
-        total = hits + self.stats.count("cache_misses") \
-            + self.stats.count("write_misses")
+        hits = self.cache_hits + self.write_hits
+        total = hits + self.cache_misses + self.write_misses
         return hits / total if total else 0.0

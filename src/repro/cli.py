@@ -577,8 +577,8 @@ def _cmd_trace(workload_name: str, system_name: str, requests: int,
         print()
         print(breakdown.render())
     # Cross-check the trace against the independent latency statistics:
-    # the read breakdown's mean must reproduce StatsCollector's mean.
-    stats_mean = system.stats.latency("read").mean_us
+    # the read breakdown's mean must reproduce the system's own mean.
+    stats_mean = system.read_latency.mean_us
     trace_mean = phase_breakdown(tracer.events, op="read").mean_us
     print(f"\nconsistency: trace read mean {trace_mean:.2f} us vs "
           f"stats read mean {stats_mean:.2f} us")
@@ -612,10 +612,10 @@ def _cmd_monitor(workload_name: str, system_name: str, requests: int,
 
     # Cross-check the windowed series against the independent run-end
     # statistics: summed window deltas must reproduce the request counts
-    # StatsCollector saw (the tracer's consistency check, for metrics).
+    # the system saw (the tracer's consistency check, for metrics).
     store = monitor.store
-    stats_reads = system.stats.latency("read").count
-    stats_writes = system.stats.latency("write").count
+    stats_reads = system.read_latency.count
+    stats_writes = system.write_latency.count
     series_reads = store.counter_total("requests_read_total")
     series_writes = store.counter_total("requests_write_total")
     consistent = (series_reads, series_writes) == (stats_reads,

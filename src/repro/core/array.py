@@ -31,6 +31,8 @@ from repro.devices.ssd import SSDSpec
 class ICASHArray(StorageSystem):
     """Stripe a logical block space over N independent I-CASH elements."""
 
+    COUNTERS = ("reads", "writes")
+
     def __init__(self, initial_content: np.ndarray, n_elements: int = 2,
                  chunk_blocks: int = 64,
                  config: Optional[ICASHConfig] = None,
@@ -98,12 +100,8 @@ class ICASHArray(StorageSystem):
         for element in self.elements:
             yield from element.devices()
 
-    def set_tracer(self, tracer) -> None:
-        # Each element declares its own background work (flushes, scan
-        # writes, destaging) to the tracer, so it must hold it too.
-        self.tracer = tracer
-        for element in self.elements:
-            element.set_tracer(tracer)
+    def inner_systems(self) -> Iterable[StorageSystem]:
+        return self.elements
 
     def ingest(self) -> float:
         """Offline organisation runs on all elements (concurrently in a
@@ -124,7 +122,7 @@ class ICASHArray(StorageSystem):
                 for i, block in enumerate(blocks):
                     contents[offset + i] = block
             slowest = max(slowest, element_time)
-        self.stats.bump("reads")
+        self.reads += 1
         return slowest, contents  # type: ignore[return-value]
 
     def write(self, lba: int, blocks: Sequence[np.ndarray]) -> float:
@@ -137,7 +135,7 @@ class ICASHArray(StorageSystem):
                 element_time += element.write(
                     local, blocks[offset:offset + take])
             slowest = max(slowest, element_time)
-        self.stats.bump("writes")
+        self.writes += 1
         return slowest
 
     def flush(self) -> float:

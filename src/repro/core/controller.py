@@ -111,6 +111,31 @@ class _SSDCopy:
 class ICASHController(StorageSystem):
     """One I-CASH storage element over a logical 4 KB block space."""
 
+    #: What the element counts; ``experiments/breakdown.py`` classifies
+    #: the read and write paths by these names.
+    COUNTERS = (
+        # read path
+        "ram_data_hits", "ram_ref_hits", "ram_delta_hits", "ssd_ref_reads",
+        "ssd_ref_direct_reads", "ssd_ref_reads_background",
+        "ssd_spill_reads", "shadowed_ref_reads", "hdd_data_reads",
+        "log_delta_fetches", "delta_reconstructions", "recon_cache_hits",
+        "delta_hydrations",
+        # write path
+        "delta_writes", "reference_delta_writes", "reference_refreshes",
+        "reference_shadowed", "independent_writes", "spilled_write_through",
+        "hdd_write_through", "delta_spills", "spill_fallbacks",
+        # flushes and the log
+        "delta_flushes", "delta_records_flushed", "log_rescued_records",
+        "log_compactions", "log_compacted_records", "data_writebacks",
+        # the scan, references and eviction
+        "scans", "scan_comparisons", "references_created",
+        "references_retired", "associates_created",
+        "associations_absorbed_dirty_data", "virtual_evictions",
+        "data_evictions", "delta_evictions",
+        # ingest, and core/recovery.rebuild_controller
+        "ingest_references", "ingest_deltas", "rebuilt_references",
+        "rebuilt_spills")
+
     def __init__(self, initial_content: np.ndarray,
                  config: Optional[ICASHConfig] = None,
                  hdd_spec: Optional[HDDSpec] = None,
@@ -200,21 +225,19 @@ class ICASHController(StorageSystem):
         paper's time-series quantities — delta-hit ratio, RAM fill,
         reference churn, log occupancy.
         """
-        stats, cache, segments, log = \
-            self.stats, self.cache, self.segments, self.log
+        cache, segments, log = self.cache, self.segments, self.log
         registry.counter("delta_hits_total") \
-            .set_fn(lambda: stats.count("ram_delta_hits"))
+            .set_fn(lambda: self.ram_delta_hits)
         registry.counter("delta_log_fetches_total") \
-            .set_fn(lambda: stats.count("log_delta_fetches"))
+            .set_fn(lambda: self.log_delta_fetches)
 
         def hit_ratio() -> float:
-            hits = stats.count("ram_delta_hits")
-            total = hits + stats.count("log_delta_fetches")
-            return hits / total if total else 0.0
+            total = self.ram_delta_hits + self.log_delta_fetches
+            return self.ram_delta_hits / total if total else 0.0
 
         registry.gauge("delta_hit_ratio").set_fn(hit_ratio)
         registry.counter("delta_writes_total") \
-            .set_fn(lambda: stats.count("delta_writes"))
+            .set_fn(lambda: self.delta_writes)
         registry.gauge("ram_data_fill") \
             .set_fn(lambda: cache.data_blocks_used
                     / max(1, cache.max_data_blocks))
@@ -224,8 +247,8 @@ class ICASHController(StorageSystem):
         registry.gauge("references_active") \
             .set_fn(lambda: len(cache.references()))
         registry.counter("reference_churn_total") \
-            .set_fn(lambda: stats.count("references_created")
-                    + stats.count("references_retired"))
+            .set_fn(lambda: self.references_created
+                    + self.references_retired)
         registry.gauge("dirty_deltas") \
             .set_fn(lambda: len(self._dirty_delta_lbas))
         registry.gauge("delta_log_occupancy") \
@@ -337,10 +360,10 @@ class ICASHController(StorageSystem):
                 vb = self._install_virtual_block(lba, BlockKind.REFERENCE)
                 vb.signatures = tuple(sig_matrix[lba].tolist())
                 self.scanner.note_reference(vb)
-                self.stats.bump("ingest_references")
+                self.ingest_references += 1
         if pending:
             total += self._append_to_log(pending)
-            self.stats.bump("ingest_deltas", len(pending))
+            self.ingest_deltas += len(pending)
             # Leave the delta buffer warm: the prototype "is able to cache
             # all delta blocks within 32 MB RAM" (Section 5.1).  Whatever
             # exceeds the pool stays reachable through the log.
@@ -370,7 +393,7 @@ class ICASHController(StorageSystem):
                 vb.kind is BlockKind.REFERENCE and vb.delta is not None):
             latency, content = self._read_via_delta(vb)
         elif vb.data is not None:
-            self.stats.bump("ram_data_hits")
+            self.ram_data_hits += 1
             latency = self.dram.access()
             content = _readonly_view(vb.data)
         else:
@@ -382,16 +405,18 @@ class ICASHController(StorageSystem):
                 latency = self.hdd.read(lba, 1)
                 content = self.backing.view(lba)
                 self._maybe_cache_data(vb, content, dirty=False)
-                self.stats.bump("hdd_data_reads" if copy is None
-                                else "shadowed_ref_reads")
+                if copy is None:
+                    self.hdd_data_reads += 1
+                else:
+                    self.shadowed_ref_reads += 1
             else:
                 latency = self._ssd_read_latency(lba)
                 content = _readonly_view(copy.data)
                 if copy.spilled:
-                    self.stats.bump("ssd_spill_reads")
+                    self.ssd_spill_reads += 1
                 else:
-                    self.stats.bump("ssd_ref_reads")
-                    self.stats.bump("ssd_ref_direct_reads")
+                    self.ssd_ref_reads += 1
+                    self.ssd_ref_direct_reads += 1
         if not vb.signatures:
             vb.signatures = block_signatures(content,
                                              self.config.signature_scheme)
@@ -409,13 +434,13 @@ class ICASHController(StorageSystem):
             latency = self._ssd_read_latency(lba)
             content = _readonly_view(copy.data)
             vb = self._install_virtual_block(lba, BlockKind.INDEPENDENT)
-            self.stats.bump("ssd_spill_reads")
+            self.ssd_spill_reads += 1
             return latency, content, vb
         latency = self.hdd.read(lba, 1)
         content = self.backing.view(lba)
         vb = self._install_virtual_block(lba, BlockKind.INDEPENDENT)
         self._maybe_cache_data(vb, content, dirty=False)
-        self.stats.bump("hdd_data_reads")
+        self.hdd_data_reads += 1
         return latency, content, vb
 
     def _read_miss_delta_mapped(self, lba: int, entry: _DeltaMapEntry
@@ -435,7 +460,7 @@ class ICASHController(StorageSystem):
         latency += self._decompress_cost()
         if self._ensure_segment_capacity(vb, delta.size_bytes):
             self.cache.attach_delta(vb, delta)
-        self.stats.bump("log_delta_fetches")
+        self.log_delta_fetches += 1
         return latency, content, vb
 
     def _read_via_delta(self, vb: VirtualBlock) -> Tuple[float, np.ndarray]:
@@ -446,14 +471,14 @@ class ICASHController(StorageSystem):
         ref_vb = self.cache.get(ref_lba) if ref_lba != vb.lba else vb
         if ref_vb is not None and ref_vb.data is not None:
             latency += self.dram.access()
-            self.stats.bump("ram_ref_hits")
+            self.ram_ref_hits += 1
         else:
             latency += self._ssd_read_latency(ref_lba)
-            self.stats.bump("ssd_ref_reads")
+            self.ssd_ref_reads += 1
         delta = vb.delta
         if delta is not None:
             latency += self.dram.access(vb.delta_segments_bytes)
-            self.stats.bump("ram_delta_hits")
+            self.ram_delta_hits += 1
         else:
             self._ensure_segment_capacity(vb,
                                           self.LOG_FETCH_HEADROOM_BYTES)
@@ -461,10 +486,10 @@ class ICASHController(StorageSystem):
             latency += log_latency
             if self._ensure_segment_capacity(vb, delta.size_bytes):
                 self.cache.attach_delta(vb, delta)
-            self.stats.bump("log_delta_fetches")
+            self.log_delta_fetches += 1
         content = self._reconstruct(vb.lba, delta, ref_lba)
         latency += self._decompress_cost()
-        self.stats.bump("delta_reconstructions")
+        self.delta_reconstructions += 1
         return latency, content
 
     #: Bound on memoised reconstructions (one 4 KB block each).
@@ -484,7 +509,7 @@ class ICASHController(StorageSystem):
         if entry is not None and entry[0] is delta \
                 and entry[1] is reference:
             self._recon_cache.move_to_end(lba)
-            self.stats.bump("recon_cache_hits")
+            self.recon_cache_hits += 1
             return entry[2]
         content = apply_delta(delta, reference)
         content.flags.writeable = False
@@ -532,7 +557,7 @@ class ICASHController(StorageSystem):
                                        kind=BlockKind.ASSOCIATE)
                 self.cache.insert(sibling)
             self.cache.attach_delta(sibling, record.delta)
-            self.stats.bump("delta_hydrations")
+            self.delta_hydrations += 1
         if wanted is None:
             raise RuntimeError(
                 f"log slot {slot} does not hold the current delta for "
@@ -593,7 +618,7 @@ class ICASHController(StorageSystem):
         if ref_vb is None or ref_vb.data is None:
             # The reference read overlaps request processing (§5.1).
             self._in_background(self._ssd_read_latency, ref_lba)
-            self.stats.bump("ssd_ref_reads_background")
+            self.ssd_ref_reads_background += 1
         delta = encode_delta(content, self._ssd_copies[ref_lba].data)
         cpu = self.config.compress_s
         self.cpu_time += cpu
@@ -613,7 +638,7 @@ class ICASHController(StorageSystem):
         vb.signatures = signatures
         self.cache.drop_data(vb)  # content is now represented by the delta
         self._map_delta(vb.lba, ref_lba)
-        self.stats.bump("delta_writes")
+        self.delta_writes += 1
         return latency
 
     def _write_reference(self, vb: VirtualBlock,
@@ -651,7 +676,7 @@ class ICASHController(StorageSystem):
                 vb.signatures = block_signatures(
                     content, self.config.signature_scheme)
                 self.scanner.note_reference(vb)
-                self.stats.bump("reference_refreshes")
+                self.reference_refreshes += 1
                 return latency
             # Dependents pin the frozen copy, and the delta is too big to
             # keep or log: *shadow* the reference — its current content
@@ -661,7 +686,7 @@ class ICASHController(StorageSystem):
             copy.own = _SHADOWED  # the data path takes over
             if not self._maybe_cache_data(vb, content, dirty=True):
                 latency += self._hdd_write(vb.lba, content)
-            self.stats.bump("reference_shadowed")
+            self.reference_shadowed += 1
             return latency
         if not self._ensure_segment_capacity(vb, delta.size_bytes):
             raise MemoryError(
@@ -669,7 +694,7 @@ class ICASHController(StorageSystem):
         self.cache.attach_delta(vb, delta)
         self.cache.drop_data(vb)
         self._map_delta(vb.lba, vb.lba)
-        self.stats.bump("reference_delta_writes")
+        self.reference_delta_writes += 1
         return latency
 
     def _write_independent(self, vb: VirtualBlock, content: np.ndarray,
@@ -681,15 +706,15 @@ class ICASHController(StorageSystem):
             # delta buffer" (Section 5.3) — these are exactly the random
             # SSD writes Table 6 still counts against I-CASH.
             vb.signatures = signatures
-            self.stats.bump("spilled_write_through")
+            self.spilled_write_through += 1
             return self._ssd_write(vb.lba, content)
         latency = self.dram.access()
         if not self._maybe_cache_data(vb, content, dirty=True):
             # RAM data budget is irreducibly full: write through to HDD.
             latency += self._hdd_write(vb.lba, content)
-            self.stats.bump("hdd_write_through")
+            self.hdd_write_through += 1
         vb.signatures = signatures
-        self.stats.bump("independent_writes")
+        self.independent_writes += 1
         return latency
 
     def _spill_to_ssd(self, vb: VirtualBlock, content: np.ndarray) -> float:
@@ -701,12 +726,12 @@ class ICASHController(StorageSystem):
         vb.kind = BlockKind.INDEPENDENT
         if self._acquire_ssd_slot(vb.lba, spilled=True) is None:
             # SSD has no free slot: fall back to the independent path.
-            self.stats.bump("spill_fallbacks")
+            self.spill_fallbacks += 1
             latency = self.dram.access()
             if not self._maybe_cache_data(vb, content, dirty=True):
                 latency += self._hdd_write(vb.lba, content)
             return latency
-        self.stats.bump("delta_spills")
+        self.delta_spills += 1
         return self._ssd_write(vb.lba, content)
 
     # ------------------------------------------------------------------
@@ -730,8 +755,8 @@ class ICASHController(StorageSystem):
                                 section="flush", outcome="deltas")
         else:
             latency = self._append_to_log(records)
-        self.stats.bump("delta_flushes")
-        self.stats.bump("delta_records_flushed", len(records))
+        self.delta_flushes += 1
+        self.delta_records_flushed += len(records)
         return latency
 
     def _append_to_log(self, records: List[DeltaRecord]) -> float:
@@ -762,7 +787,7 @@ class ICASHController(StorageSystem):
             self._update_log_slots(slots)
             pending = self._current_displaced(displaced, pending)
             if pending:
-                self.stats.bump("log_rescued_records", len(pending))
+                self.log_rescued_records += len(pending)
         return total_latency
 
     def _update_log_slots(self, slots: List[int]) -> None:
@@ -821,8 +846,8 @@ class ICASHController(StorageSystem):
                 "the log region even fully compacted; raise "
                 "config.log_blocks")
         self._update_log_slots(slots)
-        self.stats.bump("log_compactions")
-        self.stats.bump("log_compacted_records", len(records))
+        self.log_compactions += 1
+        self.log_compacted_records += len(records)
         return latency
 
     def _flush_dirty_data(self, background: bool) -> float:
@@ -836,7 +861,7 @@ class ICASHController(StorageSystem):
                                 section="flush", outcome="data")
         else:
             latency = self._write_back(dirty)
-        self.stats.bump("data_writebacks", len(dirty))
+        self.data_writebacks += len(dirty)
         return latency
 
     def _write_back(self, dirty: List[VirtualBlock]) -> float:
@@ -901,8 +926,8 @@ class ICASHController(StorageSystem):
             # The scan's own CPU comparisons have no individual spans;
             # fold them into the enclosing scan span's duration.
             tracer.end_background(extra_s=result.cpu_time)
-        self.stats.bump("scans")
-        self.stats.bump("scan_comparisons", result.comparisons)
+        self.scans += 1
+        self.scan_comparisons += result.comparisons
 
     def _promote_reference(self, vb: VirtualBlock) -> None:
         content = self._scan_content(vb)
@@ -929,7 +954,7 @@ class ICASHController(StorageSystem):
         vb.kind = BlockKind.REFERENCE
         self.cache.drop_data(vb)  # SSD now serves it; free the RAM block
         self.scanner.note_reference(vb)
-        self.stats.bump("references_created")
+        self.references_created += 1
 
     def _apply_association(self, vb: VirtualBlock, ref_lba: int,
                            delta: Delta) -> None:
@@ -952,8 +977,8 @@ class ICASHController(StorageSystem):
         # reach the log before the virtual block can ever be evicted.
         self._map_delta(vb.lba, ref_lba)
         if was_dirty:
-            self.stats.bump("associations_absorbed_dirty_data")
-        self.stats.bump("associates_created")
+            self.associations_absorbed_dirty_data += 1
+        self.associates_created += 1
 
     def _retire_cold_references(self, count: int) -> None:
         """Demote references with no live associates, coldest first."""
@@ -976,7 +1001,7 @@ class ICASHController(StorageSystem):
             vb.kind = BlockKind.INDEPENDENT
             self.scanner.note_retired(vb.lba)
             retired += 1
-            self.stats.bump("references_retired")
+            self.references_retired += 1
 
     # ------------------------------------------------------------------
     # Capacity management
@@ -1005,7 +1030,7 @@ class ICASHController(StorageSystem):
             self._in_background(self._hdd_write, victim.lba, victim.data)
             victim.data_dirty = False
         self.cache.remove(victim.lba)
-        self.stats.bump("virtual_evictions")
+        self.virtual_evictions += 1
 
     def _maybe_cache_data(self, vb: VirtualBlock, content: np.ndarray,
                           dirty: bool) -> bool:
@@ -1023,7 +1048,7 @@ class ICASHController(StorageSystem):
                     self._in_background(self._hdd_write, victim.lba,
                                         victim.data)
                 self.cache.drop_data(victim)
-                self.stats.bump("data_evictions")
+                self.data_evictions += 1
         self.cache.attach_data(vb, content.copy())
         vb.data_dirty = dirty
         return True
@@ -1049,7 +1074,7 @@ class ICASHController(StorageSystem):
             if victim is None or victim is vb:
                 return False
             self._evict_virtual_block(victim)
-            self.stats.bump("delta_evictions")
+            self.delta_evictions += 1
         return True
 
     # ------------------------------------------------------------------

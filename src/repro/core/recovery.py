@@ -123,8 +123,8 @@ def rebuild_controller(crashed: ICASHController) -> ICASHController:
                                        survivor=rebuilt[lba].copy())
         if copy is None:  # pragma: no cover
             break
-    fresh.stats.bump("rebuilt_references", len(crashed.reference_lbas))
-    fresh.stats.bump("rebuilt_spills", len(crashed.spilled_lbas))
+    fresh.rebuilt_references += len(crashed.reference_lbas)
+    fresh.rebuilt_spills += len(crashed.spilled_lbas)
     return fresh
 
 

@@ -4,15 +4,14 @@ Every device model exposes two operations — ``read`` and ``write`` over a
 span of 4 KB blocks — that return the *service latency in seconds* for the
 operation.  Devices also keep their own operation counters and accumulated
 busy time, which the energy model (:mod:`repro.metrics.energy`) integrates
-over (``docs/ARCHITECTURE.md``, "Device models").
+over (``docs/ARCHITECTURE.md``, "Device models").  Storage systems count
+the same way: both derive from :class:`Counted`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
-
-from repro.sim.stats import StatsCollector
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -27,24 +26,35 @@ class DeviceSpec:
     name: str = "device"
 
 
-class CountedDevice:
-    """A device whose per-operation counters are the ``int`` attributes
-    named in ``COUNTERS``."""
+class Counted:
+    """Something that counts in ``int`` attributes — a device or a
+    storage system.
+
+    Each name in ``COUNTERS`` (a subclass's tuple extends its base's) is
+    0 on the class and incremented in place, ``self.name += n``: the
+    first increment makes it the instance's own attribute.
+    """
 
     COUNTERS: Tuple[str, ...] = ()
 
-    @property
-    def stats(self) -> StatsCollector:
-        """A read-only snapshot of the non-zero counters."""
-        snapshot = StatsCollector()
-        for name in self.COUNTERS:
-            value = getattr(self, name)
-            if value:
-                snapshot.bump(name, value)
-        return snapshot
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for name in cls.COUNTERS:
+            if not isinstance(getattr(cls, name, 0), int):
+                raise TypeError(f"counter {cls.__name__}.{name} shadows "
+                                f"another attribute")
+            setattr(cls, name, 0)
+
+    def counters(self) -> Dict[str, int]:
+        """Every counter this instance has incremented, in order of first
+        increment — one incremented by zero too, one never incremented
+        not at all."""
+        declared = self.COUNTERS
+        return {name: value for name, value in vars(self).items()
+                if name in declared}
 
 
-class Device(CountedDevice):
+class Device(Counted):
     """Abstract block device addressed in 4 KB logical blocks."""
 
     #: Per-request trace sink (see :mod:`repro.sim.trace`), or None —
@@ -64,8 +74,6 @@ class Device(CountedDevice):
         #: Event-name prefix for emitted trace spans (``{trace_name}_read``
         #: and so on); devices with instance-specific names override it.
         self.trace_name = name
-        self.read_ops = self.read_blocks = 0
-        self.write_ops = self.write_blocks = 0
         #: Total time (s) the device spent servicing operations.
         self.busy_time = 0.0
 

@@ -12,11 +12,11 @@ policies must operate within.
 
 from __future__ import annotations
 
-from repro.devices.base import CountedDevice
+from repro.devices.base import Counted
 from repro.sim.request import BLOCK_SIZE
 
 
-class DRAMBuffer(CountedDevice):
+class DRAMBuffer(Counted):
     """A byte-budgeted RAM pool with explicit reserve/release accounting."""
 
     COUNTERS = ("reservations", "releases", "accesses")
@@ -37,7 +37,6 @@ class DRAMBuffer(CountedDevice):
         self.capacity_bytes = capacity_bytes
         self.name = name
         self.used_bytes = 0
-        self.reservations = self.releases = self.accesses = 0
         self.busy_time = 0.0
 
     # -- space accounting ---------------------------------------------------

@@ -74,8 +74,6 @@ class HardDiskDrive(Device):
         #: Block address one past the end of the previous request, i.e.
         #: where the head currently sits.  Starts parked at block 0.
         self._head = 0
-        self.sequential_accesses = self.near_accesses = 0
-        self.random_accesses = 0
         # Spec terms, which _access combines as the HDDSpec methods do.
         self._rotation = spec.avg_rotation_s
         self._min_seek = spec.min_seek_s

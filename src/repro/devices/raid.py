@@ -44,7 +44,6 @@ class RAID0Array(Device):
         spec = hdd_spec if hdd_spec is not None else HDDSpec()
         self.disks: List[HardDiskDrive] = [
             HardDiskDrive(per_disk, spec) for _ in range(ndisks)]
-        self.parallel_requests = 0
 
     def _split(self, lba: int, nblocks: int) -> Dict[int, List[tuple]]:
         """Map a logical span to per-disk (physical lba, nblocks) extents."""

@@ -104,8 +104,6 @@ class FlashSSD(Device):
         # Distinct logical blocks ever touched: drives the footprint penalty.
         self._footprint: set = set()
         self._gc_low_water = max(2, int(spec.gc_threshold * n_physical))
-        self.trim_ops = self.gc_erases = self.gc_page_moves = 0
-        self.wear_level_picks = 0
 
     # -- reads ---------------------------------------------------------------
 
@@ -265,7 +263,8 @@ class FlashSSD(Device):
             valid[active] += 1
             self._wp += 1
             latency += spec.program_s
-        self.gc_page_moves += len(relocated)
+        if relocated:  # a snapshot lists only counters that moved
+            self.gc_page_moves += len(relocated)
         self._erases[victim] += 1
         latency += spec.erase_s
         self._free.append(victim)

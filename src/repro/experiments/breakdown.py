@@ -71,14 +71,14 @@ class PathBreakdown:
 
 def read_breakdown(controller: ICASHController) -> PathBreakdown:
     """Where this element's reads were actually served from."""
-    shares = {label: controller.stats.count(counter)
+    shares = {label: getattr(controller, counter)
               for counter, label in READ_SOURCES}
     return PathBreakdown("read path breakdown", shares)
 
 
 def write_breakdown(controller: ICASHController) -> PathBreakdown:
     """Which path this element's writes took."""
-    shares = {label: controller.stats.count(counter)
+    shares = {label: getattr(controller, counter)
               for counter, label in WRITE_SOURCES}
     return PathBreakdown("write path breakdown", shares)
 

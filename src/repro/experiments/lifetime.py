@@ -73,7 +73,7 @@ def lifetime_projection(spec: RunSpec) -> Dict[str, LifetimeRow]:
         report = wear_report(ssd, max(result.full_wall_time_s, 1e-9))
         rows[name] = LifetimeRow(
             system=name,
-            host_write_pages=ssd.stats.count("write_blocks"),
+            host_write_pages=ssd.write_blocks,
             total_erases=ssd.total_erases,
             write_amplification=ssd.write_amplification,
             wear=report,

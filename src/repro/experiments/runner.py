@@ -351,7 +351,7 @@ class _Measurement:
                 system, full_wall,
                 self.app_cpu(n_requests) * workload.app_cpu_fraction,
                 storage_cpu_s=system.cpu_time - self.cpu_base),
-            counters=system.stats.counters(),
+            counters=system.counters(),
             verified_reads=self.verified,
             series=monitor.store if monitor is not None else None,
             slo_breaches=list(monitor.breaches) if monitor is not None

@@ -98,12 +98,11 @@ def measure_energy(system: StorageSystem, wall_time_s: float,
     for device in system.devices():
         name = getattr(device, "name", "")
         if name == "ssd":
-            stats = device.stats
-            ssd_j += stats.count("read_blocks") * spec.ssd_read_j
-            ssd_j += stats.count("write_blocks") * spec.ssd_write_j
-            ssd_j += stats.count("gc_page_moves") * (
+            ssd_j += device.read_blocks * spec.ssd_read_j
+            ssd_j += device.write_blocks * spec.ssd_write_j
+            ssd_j += device.gc_page_moves * (
                 spec.ssd_read_j + spec.ssd_write_j)
-            ssd_j += stats.count("gc_erases") * spec.ssd_erase_j
+            ssd_j += device.gc_erases * spec.ssd_erase_j
         elif name == "hdd":
             has_hdd = True
             hdd_j += spec.hdd_spin_w * wall_time_s

@@ -66,8 +66,8 @@ def wear_report(ssd: FlashSSD, wall_time_s: float) -> WearReport:
         remaining = ssd.spec.endurance_cycles - max_count
         lifetime = max(0.0, remaining / worst_rate) / _YEAR_S
     return WearReport(
-        host_write_pages=ssd.stats.count("write_blocks"),
-        gc_moved_pages=ssd.stats.count("gc_page_moves"),
+        host_write_pages=ssd.write_blocks,
+        gc_moved_pages=ssd.gc_page_moves,
         total_erases=total,
         max_erase_count=max_count,
         mean_erase_count=mean,

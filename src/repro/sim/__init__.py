@@ -2,8 +2,9 @@
 
 This package provides the pieces every storage model in the repository is
 built on: typed I/O requests that carry content (:mod:`repro.sim.request`),
-a virtual clock (:mod:`repro.sim.clock`), and latency/counter statistics
-collection (:mod:`repro.sim.stats`).
+a virtual clock (:mod:`repro.sim.clock`), and latency statistics
+(:mod:`repro.sim.stats`).  Counters are ``int`` attributes of the devices
+and storage systems that keep them (:class:`repro.devices.base.Counted`).
 
 The default replay is *closed loop*: a workload issues one request, the
 storage system returns its service latency, and the clock advances by
@@ -33,7 +34,7 @@ from repro.sim.load import ClosedLoopLoad, OpenLoopLoad, \
 from repro.sim.metrics import (HealthMonitor, MetricsRegistry, Monitor,
                                PeriodicSampler, SeriesStore, SLORule)
 from repro.sim.request import IORequest, OpType
-from repro.sim.stats import LatencyStats, StatsCollector
+from repro.sim.stats import LatencyStats
 
 __all__ = [
     "BackingStore",
@@ -55,7 +56,6 @@ __all__ = [
     "SLORule",
     "SeriesStore",
     "StationSummary",
-    "StatsCollector",
     "VirtualClock",
     "default_closed_loop",
 ]

@@ -1,7 +1,8 @@
 """Windowed time-series metrics, periodic sampling and SLO monitoring.
 
-:mod:`repro.sim.trace` answers *where one request's time went*;
-:mod:`repro.sim.stats` answers *how fast on average over a whole run*.
+:mod:`repro.sim.trace` answers *where one request's time went*; a
+system's :class:`~repro.sim.stats.LatencyStats` and ``int`` counters
+answer *how fast and how often over a whole run*.
 This module answers the question every paper figure actually plots:
 **how did each quantity evolve over simulated time?**  Throughput over
 time, SSD write counts for the lifetime argument (Table 6), delta-log
@@ -18,10 +19,10 @@ Four pieces:
   in :data:`INSTRUMENT_CATALOGUE`, and a test keeps that catalogue in
   lockstep with the table in ``docs/OBSERVABILITY.md`` — exactly the
   discipline ``EVENT_TYPES`` imposes on trace events.  Counters and
-  gauges may be *callback-backed* (``set_fn``), reading cumulative
-  values straight out of the existing :class:`~repro.sim.stats`
-  counters at sample time — so instrumenting a subsystem costs nothing
-  on the hot path.  Without a monitor there is no registry at all:
+  gauges may be *callback-backed* (``set_fn``), reading the ``int``
+  counter attributes of a device or system
+  (:class:`~repro.devices.base.Counted`) at sample time — so
+  instrumenting a subsystem costs nothing on the hot path.  Without a monitor there is no registry at all:
   nothing registers, and the few sites that record test ``is not None``.
 * **The sampler.**  :class:`PeriodicSampler` snapshots every registered
   instrument at a fixed *sim-time* interval into a bounded

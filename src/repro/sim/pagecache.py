@@ -30,7 +30,14 @@ PAGE_HIT_S = 0.5e-6
 
 
 class HostCachedSystem(StorageSystem):
-    """A write-back LRU host page cache in front of any storage system."""
+    """A write-back LRU host page cache in front of any storage system.
+
+    Its own counters carry a ``page_`` prefix, so none merges with a
+    counter of the wrapped system (an LRU cache's ``evictions``, say).
+    """
+
+    COUNTERS = ("page_hits", "page_misses", "page_writes", "page_evictions",
+                "page_writebacks")
 
     def __init__(self, inner: StorageSystem, cache_blocks: int) -> None:
         if cache_blocks < 1:
@@ -48,17 +55,14 @@ class HostCachedSystem(StorageSystem):
     def devices(self) -> Iterable:
         return self.inner.devices()
 
+    def inner_systems(self) -> Iterable[StorageSystem]:
+        return (self.inner,)
+
     def ingest(self) -> float:
         return self.inner.ingest()
 
     def check_invariants(self) -> None:
         self.inner.check_invariants()
-
-    def set_tracer(self, tracer) -> None:
-        # The inner system declares its own background work (and the
-        # write-backs below) to the tracer, so it must hold it too.
-        self.tracer = tracer
-        self.inner.set_tracer(tracer)
 
     @property
     def background_time(self) -> float:  # type: ignore[override]
@@ -92,8 +96,8 @@ class HostCachedSystem(StorageSystem):
             if lba in self._dirty:
                 self._dirty.discard(lba)
                 self.inner._in_background(self.inner.write, lba, [content])
-                self.stats.bump("writebacks")
-            self.stats.bump("evictions")
+                self.page_writebacks += 1
+            self.page_evictions += 1
         return latency
 
     def _install(self, lba: int, content: np.ndarray, dirty: bool) -> None:
@@ -121,7 +125,7 @@ class HostCachedSystem(StorageSystem):
                 self._pages.move_to_end(block)
                 latency += PAGE_HIT_S
                 contents.append(cached.copy())
-                self.stats.bump("page_hits")
+                self.page_hits += 1
                 block += 1
                 continue
             miss_start = block
@@ -133,7 +137,7 @@ class HostCachedSystem(StorageSystem):
             for offset, content in enumerate(blocks):
                 self._install(miss_start + offset, content, dirty=False)
                 contents.append(content)
-            self.stats.bump("page_misses", span)
+            self.page_misses += span
         return latency, contents
 
     def write(self, lba: int, blocks: Sequence[np.ndarray]) -> float:
@@ -142,7 +146,7 @@ class HostCachedSystem(StorageSystem):
         for offset, content in enumerate(blocks):
             self._install(lba + offset, content, dirty=True)
             latency += PAGE_HIT_S
-            self.stats.bump("page_writes")
+            self.page_writes += 1
         return latency
 
     def flush(self) -> float:
@@ -157,6 +161,5 @@ class HostCachedSystem(StorageSystem):
 
     @property
     def hit_ratio(self) -> float:
-        hits = self.stats.count("page_hits")
-        total = hits + self.stats.count("page_misses")
-        return hits / total if total else 0.0
+        total = self.page_hits + self.page_misses
+        return self.page_hits / total if total else 0.0

@@ -1,17 +1,17 @@
-"""Latency and counter statistics for simulation runs.
+"""Latency statistics for simulation runs.
 
 The paper reports mean read/write response times (Figures 7, 9, 11, 13),
 throughput (Figures 6, 10, 14) and operation counts (Table 6).  This module
-collects exactly those quantities: per-class latency samples with summary
-statistics, and named integer counters.
+holds the latency samples, one :class:`LatencyStats` per class, with their
+summary statistics.  Operation counts are ``int`` attributes of the devices
+and storage systems that keep them (:class:`repro.devices.base.Counted`).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
-from collections import defaultdict
-from typing import Dict, Iterable, List, Optional
+from typing import List, Optional
 
 
 class LatencyStats:
@@ -170,84 +170,3 @@ class LatencyStats:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"LatencyStats(count={self.count}, "
                 f"mean_us={self.mean_us:.1f})")
-
-
-class StatsCollector:
-    """Named counters plus named latency classes for one simulation run.
-
-    Counters use plain string keys (``"ssd_writes"``, ``"hdd_reads"``,
-    ``"delta_hits"``…) so each subsystem can record what matters to it
-    without a central registry.  Latency classes work the same way
-    (``"read"``, ``"write"``, or finer-grained keys).
-    """
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, int] = defaultdict(int)
-        self._latencies: Dict[str, LatencyStats] = {}
-
-    # -- counters ---------------------------------------------------------
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        """Increment counter ``name`` by ``amount`` (creating it at 0)."""
-        self._counters[name] += amount
-
-    def count(self, name: str) -> int:
-        """Current value of counter ``name`` (0 if never bumped)."""
-        return self._counters.get(name, 0)
-
-    def counters(self) -> Dict[str, int]:
-        """A copy of all counters."""
-        return dict(self._counters)
-
-    # -- latencies --------------------------------------------------------
-
-    def record_latency(self, klass: str, seconds: float) -> None:
-        """Record one latency sample under class ``klass``."""
-        try:
-            stats = self._latencies[klass]
-        except KeyError:
-            stats = self.latency(klass)
-        stats.record(seconds)
-
-    def latency(self, klass: str) -> LatencyStats:
-        """The stats object for ``klass`` (empty if nothing recorded)."""
-        stats = self._latencies.get(klass)
-        if stats is None:
-            stats = self._latencies[klass] = LatencyStats()
-        return stats
-
-    def latency_classes(self) -> Iterable[str]:
-        return list(self._latencies)
-
-    # -- aggregation ------------------------------------------------------
-
-    def merge(self, other: "StatsCollector") -> None:
-        """Fold another collector into this one (counters add, samples pool)."""
-        for name, value in other._counters.items():
-            self.bump(name, value)
-        for klass, stats in other._latencies.items():
-            self.latency(klass).merge(stats)
-
-    def summary(self) -> Dict[str, float]:
-        """Flat dictionary view useful for report tables and tests."""
-        out: Dict[str, float] = {k: float(v) for k, v in self._counters.items()}
-        for klass, stats in self._latencies.items():
-            out[f"{klass}_mean_us"] = stats.mean_us
-            out[f"{klass}_count"] = float(stats.count)
-        return out
-
-    def format_table(self, title: Optional[str] = None) -> str:
-        """Human-readable rendering of the collected statistics."""
-        lines: List[str] = []
-        if title:
-            lines.append(title)
-            lines.append("-" * len(title))
-        lines.extend(f"{name:<32} {self._counters[name]:>12}"
-                     for name in sorted(self._counters))
-        for klass in sorted(self._latencies):
-            stats = self._latencies[klass]
-            lines.append(
-                f"{klass + ' latency':<32} mean={stats.mean_us:>10.1f}us "
-                f"p99={stats.percentile(99) * 1e6:>10.1f}us n={stats.count}"
-            )
-        return "\n".join(lines)

@@ -1,6 +1,7 @@
 """Per-request structured tracing for simulation runs.
 
-:class:`~repro.sim.stats.StatsCollector` answers *how fast on average*;
+A system's ``read_latency`` / ``write_latency``
+(:class:`~repro.sim.stats.LatencyStats`) answer *how fast on average*;
 this module answers *where each request's time went*.  Every request
 flowing through a :class:`~repro.baselines.base.StorageSystem` can emit
 typed span events — device operations, delta codec time, cache lookups,

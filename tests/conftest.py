@@ -10,22 +10,36 @@ import pytest
 from repro.sim.request import BLOCK_SIZE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+SHM = Path("/dev/shm")
+#: The /dev/shm names the ``--jobs`` pools (multiprocessing semaphores
+#: and shared memory) or this repo could create; other processes' entries
+#: are never compared, so they cannot make the guard flaky.
+SHM_PREFIXES = ("sem.", "psm_", "wnsm_", "repro")
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _repo_root_stays_clean():
     """Fail the run when the suite leaves (or removes) a file in the
-    repo root — outputs belong under ``tmp_path``.  Directories are not
-    compared: pytest's and hypothesis' own caches live there."""
+    repo root — outputs belong under ``tmp_path`` — or leaves a new
+    entry in /dev/shm.  Root directories are not compared: pytest's and
+    hypothesis' own caches live there."""
     def root_files():
         return {p.name for p in REPO_ROOT.iterdir() if p.is_file()}
 
-    before = root_files()
+    def shm_entries():
+        if not SHM.is_dir():
+            return set()
+        return {p.name for p in SHM.iterdir()
+                if p.name.startswith(SHM_PREFIXES)}
+
+    before, shm_before = root_files(), shm_entries()
     yield
     after = root_files()
     assert after == before, (
         f"test suite changed the repo root: added "
         f"{sorted(after - before)}, removed {sorted(before - after)}")
+    leaked = shm_entries() - shm_before
+    assert not leaked, f"test suite left entries in /dev/shm: {sorted(leaked)}"
 
 
 @pytest.fixture(autouse=True)

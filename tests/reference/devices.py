@@ -52,12 +52,11 @@ def _sha(text: str) -> str:
 
 def ssd_wear(ssd) -> Dict[str, object]:
     """What garbage collection did to ``ssd``, as exact values."""
-    stats = ssd.stats
     return {
         "erases": ssd.total_erases,
         "erase_counts_sha256": _sha(json.dumps(ssd.erase_counts())),
-        "gc_page_moves": stats.count("gc_page_moves"),
-        "wear_level_picks": stats.count("wear_level_picks"),
+        "gc_page_moves": ssd.gc_page_moves,
+        "wear_level_picks": ssd.wear_level_picks,
         "write_amplification": float(ssd.write_amplification).hex(),
     }
 
@@ -193,7 +192,7 @@ def latency_pin(name: str, traced: bool = False) -> Dict[str, object]:
         "floats": len(floats),
         "sha256": _sha("\n".join(float(x).hex() for x in floats)),
         "busy_time": float(device.busy_time).hex(),
-        "counters": dict(sorted(device.stats.counters().items())),
+        "counters": dict(sorted(device.counters().items())),
     }
     if traced:
         pin["spans"] = len(recorder.events)

@@ -83,10 +83,10 @@ def scalar_ingest(controller: ICASHController) -> float:
             self.scanner.note_reference(vb)
             for row, value in enumerate(signatures):
                 cells.setdefault((row, value), []).append(lba)
-            self.stats.bump("ingest_references")
+            self.ingest_references += 1
     if pending:
         total += self._append_to_log(pending)
-        self.stats.bump("ingest_deltas", len(pending))
+        self.ingest_deltas += len(pending)
         # Leave the delta buffer warm (Section 5.1).
         for record in pending:
             if not self.segments.can_fit(record.delta.size_bytes):
@@ -115,7 +115,7 @@ def ingest_digest(controller: ICASHController,
     return {
         "setup_s": float(setup_s).hex(),
         "cpu_time": float(controller.cpu_time).hex(),
-        "counters": dict(sorted(controller.stats.counters().items())),
+        "counters": dict(sorted(controller.counters().items())),
         "references": len(references),
         "references_sha256": _sha(
             part for lba, content in references

@@ -74,8 +74,8 @@ class TestLRUCacheStorage:
         miss, _ = system.read(3)
         hit, _ = system.read(3)
         assert hit < miss
-        assert system.stats.count("cache_hits") == 1
-        assert system.stats.count("cache_misses") == 1
+        assert system.cache_hits == 1
+        assert system.cache_misses == 1
 
     def test_miss_fill_writes_ssd(self):
         """Every miss populates the cache — the SSD-write churn of
@@ -90,15 +90,15 @@ class TestLRUCacheStorage:
         system.read(1)
         system.read(0)   # 1 is now LRU
         system.read(2)   # evicts 1
-        assert system.stats.count("evictions") == 1
+        assert system.evictions == 1
         system.read(0)   # still cached
-        assert system.stats.count("cache_hits") == 2
+        assert system.cache_hits == 2
 
     def test_dirty_eviction_destages_in_background(self):
         system = self.make(cache_blocks=1)
         system.write(0, [make_block(1)])
         system.read(1)  # evicts dirty block 0
-        assert system.stats.count("destages") == 1
+        assert system.destages == 1
         assert system.background_time > 0
         assert system.hdd.write_ops == 1
 
@@ -108,7 +108,7 @@ class TestLRUCacheStorage:
         system.write(1, [make_block(2)])
         latency = system.flush()
         assert latency > 0
-        assert system.stats.count("flush_destages") == 2
+        assert system.flush_destages == 2
 
     def test_hit_ratio(self):
         system = self.make()
@@ -135,10 +135,10 @@ class TestDedupCacheStorage:
         system.write(0, [same])
         system.write(1, [same.copy()])
         system.write(2, [same.copy()])
-        assert system.stats.count("dedup_hits") == 2
+        assert system.dedup_hits == 2
         assert system.dedup_ratio == pytest.approx(3.0)
         # Three logical blocks, one physical SSD copy.
-        assert system.stats.count("unique_inserts") == 1
+        assert system.unique_inserts == 1
 
     def test_dedup_extends_effective_capacity(self):
         """More logical blocks stay cached than the SSD has slots."""
@@ -146,10 +146,10 @@ class TestDedupCacheStorage:
         same = make_block(7)
         for lba in range(8):
             system.write(lba, [same.copy()])
-        hits = system.stats.count("cache_hits")
+        hits = system.cache_hits
         for lba in range(8):
             system.read(lba)
-        assert system.stats.count("cache_hits") - hits == 8
+        assert system.cache_hits - hits == 8
 
     def test_cow_counted_on_shared_block_write(self):
         system = self.make()
@@ -157,7 +157,7 @@ class TestDedupCacheStorage:
         system.write(0, [same])
         system.write(1, [same.copy()])
         system.write(1, [make_block(10)])  # breaks sharing
-        assert system.stats.count("shared_block_cow") == 1
+        assert system.shared_block_cow == 1
 
     def test_refcount_drops_free_slots(self):
         system = self.make(cache_blocks=4)
@@ -179,7 +179,7 @@ class TestDedupCacheStorage:
         system = self.make(cache_blocks=1)
         system.write(0, [make_block(1)])
         system.write(1, [make_block(2)])
-        assert system.stats.count("destages") == 1
+        assert system.destages == 1
         assert system.background_time > 0
 
 
@@ -195,8 +195,8 @@ class TestCommonInterface:
         system = factory(make_dataset(32))
         system.process(make_read(0))
         system.process(make_write(1, [make_block()]))
-        assert system.stats.latency("read").count == 1
-        assert system.stats.latency("write").count == 1
+        assert system.read_latency.count == 1
+        assert system.write_latency.count == 1
 
     @pytest.mark.parametrize("factory", [
         lambda ds: PureSSD(ds),

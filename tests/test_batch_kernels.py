@@ -383,9 +383,9 @@ class TestReconstructionMemo:
         assert result.verified_reads > 0
         # The skewed stream re-reads associates, so the memo must both
         # hit and stay invisible to verification.
-        assert system.stats.count("recon_cache_hits") > 0
-        assert system.stats.count("delta_reconstructions") \
-            >= system.stats.count("recon_cache_hits")
+        assert system.recon_cache_hits > 0
+        assert system.delta_reconstructions \
+            >= system.recon_cache_hits
 
     def test_reference_version_bump_invalidates(self):
         from repro.core.controller import ICASHController
@@ -398,7 +398,7 @@ class TestReconstructionMemo:
         first = controller._reconstruct(1, delta, 9)
         assert first[0] == 7
         assert controller._reconstruct(1, delta, 9) is first  # memo hit
-        assert controller.stats.count("recon_cache_hits") == 1
+        assert controller.recon_cache_hits == 1
         # Same delta object, replaced reference bytes: re-apply.
         controller._ssd_write(9, np.full(BLOCK_SIZE, 5, dtype=np.uint8))
         second = controller._reconstruct(1, delta, 9)
@@ -413,7 +413,7 @@ class TestReconstructionMemo:
         third = controller._reconstruct(1, delta, 9)
         assert third is not second
         assert third[2] == 6 and third[0] == 7
-        assert controller.stats.count("recon_cache_hits") == 1
+        assert controller.recon_cache_hits == 1
 
 
 # ---------------------------------------------------------------------------

@@ -52,14 +52,14 @@ class TestReadPath:
         latency, (content,) = controller.read(10)
         assert np.array_equal(content, dataset.get(10))
         assert latency > 0
-        assert controller.stats.count("hdd_data_reads") == 1
+        assert controller.hdd_data_reads == 1
 
     def test_second_read_hits_ram(self, controller):
         controller.read(10)
         before = controller.hdd.read_ops
         controller.read(10)
         assert controller.hdd.read_ops == before
-        assert controller.stats.count("ram_data_hits") == 1
+        assert controller.ram_data_hits == 1
 
     def test_multiblock_read(self, controller):
         latency, contents = controller.read(4, 3)
@@ -100,7 +100,7 @@ class TestDeltaMachinery:
         counts = controller.block_kind_counts()
         assert counts["reference"] >= 8
         assert counts["associate"] > counts["reference"]
-        assert controller.stats.count("ingest_deltas") > 0
+        assert controller.ingest_deltas > 0
 
     def test_ingest_preserves_all_content(self):
         dataset = family_dataset()
@@ -120,7 +120,7 @@ class TestDeltaMachinery:
         content = dataset[lba].copy()
         content[0:40] = 0
         controller.write(lba, [content])
-        assert controller.stats.count("delta_writes") == 1
+        assert controller.delta_writes == 1
         assert controller.ssd.write_ops == ssd_writes
         _, (out,) = controller.read(lba)
         assert np.array_equal(out, content)
@@ -133,7 +133,7 @@ class TestDeltaMachinery:
         # Rewrite the block entirely: delta exceeds the 2048 B threshold.
         content = rng.integers(0, 256, BLOCK_SIZE, dtype=np.uint8)
         controller.write(lba, [content])
-        assert controller.stats.count("delta_spills") == 1
+        assert controller.delta_spills == 1
         assert lba in controller.spilled_lbas
         _, (out,) = controller.read(lba)
         assert np.array_equal(out, content)
@@ -149,7 +149,7 @@ class TestDeltaMachinery:
         newer = rng.integers(0, 256, BLOCK_SIZE, dtype=np.uint8)
         controller.write(lba, [newer])
         assert controller.ssd.write_ops == ssd_writes + 1
-        assert controller.stats.count("spilled_write_through") == 1
+        assert controller.spilled_write_through == 1
         _, (out,) = controller.read(lba)
         assert np.array_equal(out, newer)
 
@@ -162,7 +162,7 @@ class TestDeltaMachinery:
         content = dataset[ref_lba].copy()
         content[100:140] = 0
         controller.write(ref_lba, [content])
-        assert controller.stats.count("reference_delta_writes") == 1
+        assert controller.reference_delta_writes == 1
         # The SSD copy is untouched; reads combine it with the delta.
         assert np.array_equal(controller.ssd_content_snapshot()[ref_lba],
                               frozen)
@@ -208,7 +208,7 @@ class TestRetiredReferenceKeepsItsContent:
         self._detach_dependents(controller, ref_lba, rng)
         fresh = rng.integers(0, 256, BLOCK_SIZE, dtype=np.uint8)
         controller.write(ref_lba, [fresh])
-        assert controller.stats.count("reference_refreshes") == 1
+        assert controller.reference_refreshes == 1
         hdd_writes = controller.hdd.write_ops
         controller._retire_cold_references(controller.capacity_blocks)
         assert ref_lba not in controller.reference_lbas
@@ -297,7 +297,7 @@ class TestFlushAndEviction:
         if not mapped:
             pytest.skip("ingest cached every delta in RAM")
         controller.read(mapped[0])
-        assert controller.stats.count("log_delta_fetches") >= 1
+        assert controller.log_delta_fetches >= 1
 
 
 class TestScanIntegration:
@@ -309,7 +309,7 @@ class TestScanIntegration:
         for _i in range(600):
             controller.read(int(rng.integers(0, 256)))
         counts = controller.block_kind_counts()
-        assert controller.stats.count("scans") >= 5
+        assert controller.scans >= 5
         assert counts["reference"] >= 1
         assert counts["associate"] >= 1
 

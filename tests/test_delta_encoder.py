@@ -15,6 +15,10 @@ from repro.sim.request import BLOCK_SIZE
 from conftest import make_block
 from reference import delta_codec as reference_codec
 
+#: Warnings are errors here: the codec writes python ints into its `<u2`
+#: wire header, and NumPy deprecates, then wraps, an out-of-range one.
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 class TestEncodeBasics:
     def test_identity_delta_is_empty(self):

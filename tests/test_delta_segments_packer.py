@@ -14,6 +14,10 @@ from repro.sim.request import BLOCK_SIZE
 
 from conftest import make_block
 
+#: Warnings are errors here: the codec writes python ints into its `<u2`
+#: wire header, and NumPy deprecates, then wraps, an out-of-range one.
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def delta_of_size(payload_len: int, offset: int = 0) -> Delta:
     return Delta(runs=((offset, bytes(payload_len)),))

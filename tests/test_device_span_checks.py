@@ -45,10 +45,10 @@ BAD_SPANS = {
 
 
 def _rejects(device, op, args, message):
-    before = (device.stats.counters(), device.busy_time)
+    before = (device.counters(), device.busy_time)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         op(*args)
-    assert (device.stats.counters(), device.busy_time) == before
+    assert (device.counters(), device.busy_time) == before
 
 
 @pytest.mark.parametrize("span", sorted(BAD_SPANS))

@@ -40,13 +40,13 @@ class TestAccessPatterns:
         hdd.read(1000, 1)  # position the head
         sequential = hdd.read(1001, 1)
         assert sequential == pytest.approx(hdd.spec.transfer_time(1))
-        assert hdd.stats.count("sequential_accesses") == 1
+        assert hdd.sequential_accesses == 1
 
     def test_random_access_is_milliseconds(self, hdd):
         hdd.read(0, 1)
         far = hdd.read(90_000, 1)
         assert far > 5e-3
-        assert hdd.stats.count("random_accesses") >= 1
+        assert hdd.random_accesses >= 1
 
     def test_near_access_pays_track_to_track(self, hdd):
         hdd.read(1000, 1)
@@ -54,7 +54,7 @@ class TestAccessPatterns:
         expected = hdd.spec.min_seek_s + hdd.spec.avg_rotation_s \
             + hdd.spec.transfer_time(1)
         assert near == pytest.approx(expected)
-        assert hdd.stats.count("near_accesses") == 1
+        assert hdd.near_accesses == 1
 
     def test_sequential_run_much_cheaper_than_random(self, hdd):
         hdd.read(0, 1)
@@ -86,8 +86,8 @@ class TestAccounting:
         hdd.write(10, 2)
         assert hdd.read_ops == 1
         assert hdd.write_ops == 1
-        assert hdd.stats.count("read_blocks") == 3
-        assert hdd.stats.count("write_blocks") == 2
+        assert hdd.read_blocks == 3
+        assert hdd.write_blocks == 2
 
     def test_bounds_checked(self, hdd):
         with pytest.raises(ValueError):

@@ -51,7 +51,7 @@ class TestRAID0Timing:
     def test_parallel_requests_counter(self):
         raid = RAID0Array(4096, ndisks=4, chunk_blocks=4)
         raid.read(0, 16)
-        assert raid.stats.count("parallel_requests") == 1
+        assert raid.parallel_requests == 1
 
     def test_member_busy_time_sums(self):
         raid = RAID0Array(4096, ndisks=2, chunk_blocks=8)

@@ -48,7 +48,7 @@ class TestBasicTiming:
         busy = ssd.busy_time
         ssd.trim(0, 1)
         assert ssd.busy_time == busy
-        assert ssd.stats.count("trim_ops") == 1
+        assert ssd.trim_ops == 1
 
 
 class TestFTL:
@@ -86,7 +86,7 @@ class TestGarbageCollection:
         for _round_ in range(6):
             for lba in range(128):
                 ssd.write(lba, 1)
-        assert ssd.stats.count("gc_erases") > 0
+        assert ssd.gc_erases > 0
         assert ssd.total_erases > 0
 
     def test_gc_never_loses_mappings(self):

@@ -11,6 +11,10 @@ from repro.sim.request import BLOCK_SIZE
 
 from reference import delta_codec as reference_codec
 
+#: Warnings are errors here: the codec writes python ints into its `<u2`
+#: wire header, and NumPy deprecates, then wraps, an out-of-range one.
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def _frozen_wire(targets, references):
     return [reference_codec.encode_delta(t, r).serialize()

@@ -162,19 +162,21 @@ class TestHostCostBudget:
     #: wall-clock gate cannot.  Each budget is 10 % above what CPython
     #: 3.11 measured when it was set:
     #:
-    #: * tpcc / raid0 — 40.6 (56.2 while a device operation walked
-    #:   several helper frames and bumped ``StatsCollector`` counters;
+    #: * tpcc / raid0 — 39.6 (40.6 while a system recorded latencies
+    #:   through a named-class collector; 56.2 while a device operation
+    #:   walked several helper frames and bumped string-keyed counters;
     #:   60.5 while it also kept a latency sample nobody read; 90.9
     #:   before the capture tracer folded phases at emission);
-    #: * sysbench / icash — 127.7, of which 6.1 in the codec (144.0 with
+    #: * sysbench / icash — 121.6, of which 6.1 in the codec (127.7
+    #:   while the controller bumped string-keyed counters; 144.0 with
     #:   those device frames; 145.1 while a virtual block kept its own
     #:   copy of its reference and dirtiness; 147.7 and 7.6 while ingest
     #:   tallied and encoded block by block);
-    #: * specsfs / icash — 349.1, of which 25.3 in the codec (390.3 with
-    #:   those device frames; 401.2 with those copies; 401.9 and 26.2
-    #:   block by block; 487.3, and 175.6 on sysbench, while the scan,
-    #:   retirement and reference loops read ``is_*`` / ``has_*``
-    #:   properties per window block).
+    #: * specsfs / icash — 341.0, of which 25.2 in the codec (349.1 with
+    #:   string-keyed counters; 390.3 with those device frames; 401.2
+    #:   with those copies; 401.9 and 26.2 block by block; 487.3, and
+    #:   175.6 on sysbench, while the scan, retirement and reference
+    #:   loops read ``is_*`` / ``has_*`` properties per window block).
     #:
     #: The icash pair is perfbench's ``oltp_read`` and ``nfs_write`` at
     #: a size tier-1 can afford; they read 257.1 (62.9) and 604.3 (55.8)
@@ -190,13 +192,13 @@ class TestHostCostBudget:
     #: on icash is the controller's own SSD mirror, caches and log.
     BUDGETS = (
         (RunSpec(workload="tpcc", system="raid0", engine="event",
-                 n_requests=2000, scale=0.5), 44.7, 0.0, 0.085),
+                 n_requests=2000, scale=0.5), 43.6, 0.0, 0.085),
         (RunSpec(workload="sysbench", system="icash", engine="event",
-                 n_requests=2000, scale=0.25), 140.5, 6.7, 0.72),
+                 n_requests=2000, scale=0.25), 133.8, 6.7, 0.72),
         (RunSpec(workload="specsfs", system="icash", engine="event",
                  n_requests=1500, scale=0.25,
                  config_overrides=(("ssd_capacity_blocks", 2048),)),
-         384.0, 27.8, 2.5),
+         375.1, 27.8, 2.5),
     )
 
     def test_calls_per_request_within_budget(self):

@@ -143,7 +143,7 @@ class TestHostPageCache:
         system = self.make(cache_blocks=1)
         system.write(0, [make_block(1)])
         system.write(1, [make_block(2)])  # evicts dirty page 0
-        assert system.stats.count("writebacks") == 1
+        assert system.page_writebacks == 1
         assert system.inner.background_time > 0
         # Block 0's content must not be lost.
         _, (out,) = system.read(0)

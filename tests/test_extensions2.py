@@ -70,7 +70,7 @@ class TestHydrationRevival:
                    if lba not in controller.cache]
         assert evicted, "tiny pool must leave some deltas log-only"
         controller.read(evicted[0])
-        hydrated = controller.stats.count("delta_hydrations")
+        hydrated = controller.delta_hydrations
         assert hydrated >= 1
         # A hydrated sibling now reads without another HDD access.
         siblings = [lba for lba in evicted[1:]

@@ -119,8 +119,8 @@ class TestReadsAfterReferenceRetirement:
     def test_every_read_matches_shadow(self, stock_run):
         system, reads, wrong = stock_run
         # The path under test actually ran.
-        assert system.stats.count("reference_refreshes") > 0
-        assert system.stats.count("references_retired") > 0
+        assert system.reference_refreshes > 0
+        assert system.references_retired > 0
         assert reads > 400
         assert wrong == 0, f"{wrong} stale reads of {reads}"
 
@@ -132,7 +132,7 @@ class TestReadsAfterReferenceRetirement:
         for counter in ("references_retired", "reference_refreshes",
                         "delta_spills", "spill_fallbacks",
                         "reference_shadowed"):
-            assert system.stats.count(counter) > 100, counter
+            assert getattr(system, counter) > 100, counter
         assert system.shadowed_reference_lbas
         for element in (system, rebuild_controller(system)):
             element.check_invariants()

@@ -82,8 +82,8 @@ class TestEnergyModel:
                 return (ssd,)
         holder = _Holder()
         report = measure_energy(holder, 1.0, 0.0)
-        base = ssd.stats.count("write_blocks") * EnergySpec().ssd_write_j \
-            + ssd.stats.count("read_blocks") * EnergySpec().ssd_read_j
+        base = ssd.write_blocks * EnergySpec().ssd_write_j \
+            + ssd.read_blocks * EnergySpec().ssd_read_j
         assert report.ssd_j > base  # erases and moves cost extra
 
 
@@ -101,7 +101,7 @@ class TestWearModel:
         assert report.total_erases == ssd.total_erases
         assert report.max_erase_count >= report.mean_erase_count
         assert report.write_amplification >= 1.0
-        assert report.host_write_pages == ssd.stats.count("write_blocks")
+        assert report.host_write_pages == ssd.write_blocks
 
     def test_lifetime_projection_positive(self):
         ssd = self.worn_ssd()

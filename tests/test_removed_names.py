@@ -2,8 +2,9 @@
 
 Each row is a pattern over ``src/repro`` (or the part of it a fourth
 field names) for a parallel copy of some fact that was folded into one
-record, or for a per-operation layer that was folded into one frame, and
-where that fact lives now.  A match means the copy came back.
+record, for a per-operation layer that was folded into one frame, or for
+a second way of counting, and where that fact lives now.  A match means
+the copy came back.
 """
 
 import re
@@ -43,9 +44,14 @@ REMOVED = (
     ("_place_page", r"_place_page",
      "FlashSSD.write and FlashSSD._garbage_collect"),
     ("_positioning_time", r"_positioning_time", "HardDiskDrive._access"),
-    ("stats.bump in devices", r"stats\.bump\(",
-     "an int counter attribute, snapshotted by CountedDevice.stats",
-     "repro/devices/"),
+    # A count is an int attribute everywhere (devices and systems alike).
+    ("stats.bump", r"stats\.bump\(",
+     "an int counter attribute declared in COUNTERS"),
+    ("StatsCollector", r"StatsCollector",
+     "Counted.counters() and two LatencyStats attributes"),
+    ("record_latency", r"record_latency",
+     "StorageSystem.read_latency / write_latency"),
+    (".stats.count", r"\.stats\.count\(", "the counter attribute itself"),
 )
 
 

@@ -1,9 +1,9 @@
-"""Unit tests for the virtual clock and the statistics collectors."""
+"""Unit tests for the virtual clock and the latency statistics."""
 
 import pytest
 
 from repro.sim.clock import VirtualClock
-from repro.sim.stats import LatencyStats, StatsCollector
+from repro.sim.stats import LatencyStats
 
 
 class TestVirtualClock:
@@ -112,110 +112,37 @@ class TestLatencyStats:
         assert a.max == 0.5
         assert LatencyStats().min == 0.0  # empty stays at the 0.0 default
 
-
-class TestStatsCollector:
-    def test_counters_start_at_zero(self):
-        assert StatsCollector().count("anything") == 0
-
-    def test_bump_and_read(self):
-        stats = StatsCollector()
-        stats.bump("reads")
-        stats.bump("reads", 4)
-        assert stats.count("reads") == 5
-        assert stats.counters() == {"reads": 5}
-
-    def test_latency_classes_are_independent(self):
-        stats = StatsCollector()
-        stats.record_latency("read", 1.0)
-        stats.record_latency("write", 3.0)
-        assert stats.latency("read").mean == 1.0
-        assert stats.latency("write").mean == 3.0
-        assert set(stats.latency_classes()) == {"read", "write"}
-
-    def test_existing_class_constructs_no_stats_object(self, monkeypatch):
-        # A LatencyStats is built once per class, on first use — not
-        # built and thrown away on every call.
-        built = []
-        original = LatencyStats.__init__
-
-        def counting_init(self):
-            built.append(self)
-            original(self)
-
-        monkeypatch.setattr(LatencyStats, "__init__", counting_init)
-        stats = StatsCollector()
-        stats.record_latency("read", 1.0)
-        assert len(built) == 1
-        for _ in range(5):
-            stats.record_latency("read", 2.0)
-            stats.latency("read")
-        assert len(built) == 1
-        assert stats.latency("read").count == 6
-        assert stats.latency("write") is stats.latency("write")
-        assert len(built) == 2
-
-    def test_merge(self):
-        a, b = StatsCollector(), StatsCollector()
-        a.bump("ops", 2)
-        b.bump("ops", 3)
-        b.record_latency("read", 1.0)
-        a.merge(b)
-        assert a.count("ops") == 5
-        assert a.latency("read").count == 1
-
     def test_merge_preserves_percentile_correctness(self):
-        # The merged collector must report the same percentiles as one
-        # collector that saw every sample directly — including when the
-        # sorted-order cache was already warm on both sides.
-        a, b, pooled = StatsCollector(), StatsCollector(), StatsCollector()
-        a_samples = [float(v) for v in (9, 1, 7, 3, 5)]
-        b_samples = [float(v) for v in (2, 8, 4, 6, 10, 12)]
-        for value in a_samples:
-            a.record_latency("read", value)
-            pooled.record_latency("read", value)
-        for value in b_samples:
-            b.record_latency("read", value)
-            pooled.record_latency("read", value)
+        # The merged stats must report the same percentiles as one object
+        # that saw every sample directly — including when the sorted-order
+        # cache was already warm on both sides.
+        a, b, pooled = LatencyStats(), LatencyStats(), LatencyStats()
+        for value in (9, 1, 7, 3, 5):
+            a.record(float(value))
+            pooled.record(float(value))
+        for value in (2, 8, 4, 6, 10, 12):
+            b.record(float(value))
+            pooled.record(float(value))
         # Warm both sort caches so merge must invalidate, not reuse.
-        a.latency("read").percentile(50)
-        b.latency("read").percentile(50)
+        a.percentile(50)
+        b.percentile(50)
         a.merge(b)
-        merged = a.latency("read")
-        reference = pooled.latency("read")
         for p in (0, 10, 25, 50, 75, 90, 99, 100):
-            assert merged.percentile(p) == reference.percentile(p), p
-        assert merged.min == reference.min == 1.0
-        assert merged.max == reference.max == 12.0
-        assert merged.mean == pytest.approx(reference.mean)
+            assert a.percentile(p) == pooled.percentile(p), p
+        assert a.min == pooled.min == 1.0
+        assert a.max == pooled.max == 12.0
+        assert a.mean == pytest.approx(pooled.mean)
 
     def test_merge_then_record_keeps_percentiles_exact(self):
         # record() after merge() must rebuild/patch the sorted cache
         # correctly (merge invalidates it; insort keeps it warm after).
-        a, b = StatsCollector(), StatsCollector()
+        a, b = LatencyStats(), LatencyStats()
         for value in (3.0, 1.0):
-            a.record_latency("read", value)
-        b.record_latency("read", 2.0)
+            a.record(value)
+        b.record(2.0)
         a.merge(b)
-        assert a.latency("read").percentile(50) == 2.0
-        a.record_latency("read", 0.5)
-        assert a.latency("read").percentile(50) == 1.0
-        assert a.latency("read").percentile(100) == 3.0
-        assert a.latency("read").min == 0.5
-
-    def test_summary_flattens(self):
-        stats = StatsCollector()
-        stats.bump("ops")
-        stats.record_latency("read", 2e-6)
-        summary = stats.summary()
-        assert summary["ops"] == 1.0
-        assert summary["read_mean_us"] == pytest.approx(2.0)
-        assert summary["read_count"] == 1.0
-
-    def test_format_table_mentions_counters(self):
-        stats = StatsCollector()
-        stats.bump("hits", 7)
-        stats.record_latency("read", 1e-3)
-        text = stats.format_table("title")
-        assert "title" in text
-        assert "hits" in text
-        assert "read latency" in text
+        assert a.percentile(50) == 2.0
+        a.record(0.5)
+        assert a.percentile(50) == 1.0
+        assert a.percentile(100) == 3.0
+        assert a.min == 0.5

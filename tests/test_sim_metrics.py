@@ -4,7 +4,7 @@ Covers the instruments and registry (catalogue checking, labels,
 callback-backed counters), the bounded series store (window deltas,
 downsampling), the periodic sampler, the three exporters, the SLO health
 monitor, the full-stack consistency invariant (summed window deltas
-reproduce the run-end `StatsCollector` totals), the `repro monitor`
+reproduce the run-end counter attributes), the `repro monitor`
 CLI, and the catalogue/documentation parity check.
 """
 
@@ -408,27 +408,27 @@ class TestHealthMonitor:
 
 class TestFullStackConsistency:
     """The acceptance invariant: summed per-window counter deltas
-    reproduce the end-of-run StatsCollector totals exactly."""
+    reproduce the end-of-run counters and latency counts exactly."""
 
     def test_request_counters_match_stats(self):
         monitor, system, result = monitored_benchmark()
         store = monitor.store
         assert len(store) > 1
         assert store.counter_total("requests_read_total") \
-            == system.stats.latency("read").count
+            == system.read_latency.count
         assert store.counter_total("requests_write_total") \
-            == system.stats.latency("write").count
+            == system.write_latency.count
         assert result.series is store
 
     def test_controller_counters_match_stats(self):
         monitor, system, _ = monitored_benchmark()
         store = monitor.store
         assert store.counter_total("delta_hits_total") \
-            == system.stats.count("ram_delta_hits")
+            == system.ram_delta_hits
         assert store.counter_total("delta_log_fetches_total") \
-            == system.stats.count("log_delta_fetches")
+            == system.log_delta_fetches
         assert store.counter_total("delta_writes_total") \
-            == system.stats.count("delta_writes")
+            == system.delta_writes
 
     def test_device_counters_match_stats(self):
         monitor, system, _ = monitored_benchmark()
@@ -437,14 +437,14 @@ class TestFullStackConsistency:
         assert ssd_key is not None
         # The monitor attaches after ingest, so the baseline subtracts
         # the load phase: totals match the *post-attach* delta.
-        expected = (system.ssd.stats.count("write_blocks")
-                    + system.ssd.stats.count("gc_page_moves")
+        expected = (system.ssd.write_blocks
+                    + system.ssd.gc_page_moves
                     - store.baseline.get(ssd_key, 0.0))
         assert store.counter_total(ssd_key) == expected
         hdd_key = store.resolve_key("hdd_seek_total")
         assert store.windows[-1].values[hdd_key] == \
-            (system.hdd.stats.count("near_accesses")
-             + system.hdd.stats.count("random_accesses"))
+            (system.hdd.near_accesses
+             + system.hdd.random_accesses)
 
     def test_sum_of_window_deltas_telescopes(self):
         monitor, _, _ = monitored_benchmark()
@@ -513,7 +513,7 @@ class TestRunnerIntegration:
             run_benchmark(workload, system, monitor=monitor)
             store = monitor.store
             assert store.counter_total("requests_read_total") \
-                == system.stats.latency("read").count, name
+                == system.read_latency.count, name
 
 
 class TestCLI:

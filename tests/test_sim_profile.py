@@ -218,7 +218,7 @@ class TestProfileTrace:
         # The tracer covers the whole stream (no warmup cut), so
         # reconcile against the system's full stats instead.
         assert table.mean_us("read") == \
-            pytest.approx(system.stats.latency("read").mean_us,
+            pytest.approx(system.read_latency.mean_us,
                           rel=1e-9)
         assert result.n_requests == \
             table.n_requests("read") + table.n_requests("write")

@@ -195,7 +195,7 @@ class TestExactness:
         assert tracer.dropped == 0
         for op in ("read", "write"):
             breakdown = phase_breakdown(tracer.events, op=op)
-            stats = system.stats.latency(op)
+            stats = getattr(system, f"{op}_latency")
             assert breakdown.n_requests == stats.count
             assert breakdown.mean_us == pytest.approx(stats.mean_us,
                                                       rel=1e-9)
@@ -216,7 +216,7 @@ class TestCacheBaselineDestages:
         system = make_system(system_name, workload)
         tracer = RingBufferTracer()
         run_benchmark(workload, system, tracer=tracer)
-        destages = system.stats.count("destages")
+        destages = system.destages
         assert destages > 0 and tracer.dropped == 0
         for op in ("read", "write"):
             breakdown = phase_breakdown(tracer.events, op=op)

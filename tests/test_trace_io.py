@@ -58,5 +58,5 @@ class TestTraceRoundtrip:
         system = PureSSD(workload.build_dataset())
         for request in load_trace(path):
             system.process(request)
-        assert system.stats.latency("read").count > 0
-        assert system.stats.latency("write").count > 0
+        assert system.read_latency.count > 0
+        assert system.write_latency.count > 0
