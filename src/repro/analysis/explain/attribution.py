@@ -4,12 +4,11 @@ flame-diff export that makes the movement visual.
 Rows come from :meth:`repro.sim.profile.AttributionTable.to_rows` (live
 and bench views carry the full table; ledger views the heaviest
 :data:`repro.ledger.TOP_ATTRIBUTION_ROWS` per class).  Significance is
-noise-aware, reusing the bench harness's tolerance shape: a row's mean
-contribution must move by more than ``max(rel_tol x |baseline|,
-NOISE_Z x sem)`` where ``rel_tol`` is the METRIC_POLICY tolerance of
-the class's mean-latency metric and ``sem`` the larger recorded
-standard error of the two runs — so an interleaving-level wobble never
-becomes "evidence".
+noise-aware: a row's mean contribution must move by more than the
+bench harness's :func:`~repro.experiments.bench.tolerance` for the
+class's mean-latency metric, with ``sem`` the larger recorded standard
+error of the two runs, and by at least :data:`EPSILON_US` — so an
+interleaving-level wobble never becomes "evidence".
 
 The flame-diff exporter writes ``op;device;phase count_a count_b``
 lines — the two-column folded format ``difffolded.pl`` produces and
@@ -23,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, TextIO, Tuple, Union
 
-from repro.analysis.explain.views import RunView
+from repro.analysis.explain.views import RunView, larger_sem
 
 #: Rows below this mean contribution (µs) never count as significant on
 #: their own — they round to zero in the flame export anyway.
@@ -73,22 +72,6 @@ class AttributionDelta:
                 f"tol {self.tolerance_us:.2f}){note}")
 
 
-def _row_tolerance_us(op: str, a_mean_us: float,
-                      view_a: RunView, view_b: RunView) -> float:
-    """``max(rel_tol x |baseline mean|, NOISE_Z x pooled sem)``."""
-    from repro.experiments.bench import METRIC_POLICY, NOISE_Z
-    from repro.ledger import DEFAULT_REL_TOL
-
-    policy = METRIC_POLICY.get(_CLASS_METRIC.get(op, ""))
-    rel_tol = policy[1] if policy is not None else DEFAULT_REL_TOL
-    tol = rel_tol * abs(a_mean_us)
-    sems = [sem for sem in (view_a.noise_sem_us(op),
-                            view_b.noise_sem_us(op)) if sem is not None]
-    if sems:
-        tol = max(tol, NOISE_Z * max(sems))
-    return max(tol, EPSILON_US)
-
-
 def _indexed(view: RunView) -> Dict[Tuple[str, str, str],
                                     Dict[str, object]]:
     return {(str(row["op"]), str(row["device"]), str(row["phase"])): row
@@ -99,6 +82,8 @@ def diff_attribution(view_a: RunView,
                      view_b: RunView) -> List[AttributionDelta]:
     """Every row either run carries, compared; sorted by absolute mean
     movement (then key, for byte-determinism on ties)."""
+    from repro.experiments.bench import tolerance
+
     rows_a = _indexed(view_a)
     rows_b = _indexed(view_b)
     deltas: List[AttributionDelta] = []
@@ -113,7 +98,9 @@ def diff_attribution(view_a: RunView,
             a_mean_us=a_mean, b_mean_us=b_mean,
             a_total_us=float(ra["total_us"]) if ra else 0.0,
             b_total_us=float(rb["total_us"]) if rb else 0.0,
-            tolerance_us=_row_tolerance_us(op, a_mean, view_a, view_b),
+            tolerance_us=max(tolerance(_CLASS_METRIC.get(op), a_mean,
+                                       larger_sem(view_a, view_b, op)),
+                             EPSILON_US),
             only_in=only_in))
     deltas.sort(key=lambda d: (-abs(d.delta_us), d.op, d.device,
                                d.phase))

@@ -1,11 +1,10 @@
 """Scalar metric diff with METRIC_POLICY noise-aware significance.
 
-The same tolerance shape the bench gate uses (``max(rel_tol x
-|baseline|, NOISE_Z x sem)``) applied to every scalar and counter the
-two views share — so ``repro explain`` and ``repro bench --compare``
-never disagree about whether a number "really" moved.  Metrics outside
-:data:`~repro.experiments.bench.METRIC_POLICY` fall back to the
-ledger's :data:`~repro.ledger.DEFAULT_REL_TOL` relative floor.
+The bench gate's own :func:`~repro.experiments.bench.tolerance`
+applied to every scalar and counter the two views share, with the
+larger of the two runs' standard errors — so ``repro explain`` and
+``repro bench --compare`` never disagree about whether a number
+"really" moved.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from repro.analysis.explain.views import RunView
+from repro.analysis.explain.views import RunView, larger_sem
 
 
 @dataclass(frozen=True)
@@ -67,24 +66,6 @@ class ScalarDelta:
                 f"{rel_text}  (tol {self.tolerance:.4f}){verdict}")
 
 
-def _scalar_tolerance(metric: str, base: Optional[float],
-                      view_a: RunView, view_b: RunView) -> float:
-    from repro.experiments.bench import METRIC_POLICY, NOISE_Z
-    from repro.ledger import DEFAULT_REL_TOL
-
-    policy = METRIC_POLICY.get(metric)
-    rel_tol = policy[1] if policy is not None else DEFAULT_REL_TOL
-    tol = rel_tol * abs(base or 0.0)
-    noise_key = policy[2] if policy is not None else None
-    if noise_key:
-        sems = [sem for sem in (view_a.noise_sem_us(noise_key),
-                                view_b.noise_sem_us(noise_key))
-                if sem is not None]
-        if sems:
-            tol = max(tol, NOISE_Z * max(sems))
-    return tol
-
-
 def _flat(view: RunView) -> Dict[str, float]:
     flat = dict(view.scalars)
     flat.update({f"counters.{name}": value
@@ -97,17 +78,19 @@ def diff_scalars(view_a: RunView,
                  view_b: RunView) -> List[ScalarDelta]:
     """Every metric either view carries, compared; sorted by absolute
     relative movement (missing-on-one-side first, then by name)."""
-    from repro.experiments.bench import METRIC_POLICY
+    from repro.experiments.bench import METRIC_POLICY, tolerance
 
     flat_a, flat_b = _flat(view_a), _flat(view_b)
     deltas: List[ScalarDelta] = []
     for metric in sorted(set(flat_a) | set(flat_b)):
         a, b = flat_a.get(metric), flat_b.get(metric)
-        policy = METRIC_POLICY.get(metric)
+        direction, _rel, noise_key = METRIC_POLICY.get(metric,
+                                                       ("", 0.0, None))
         deltas.append(ScalarDelta(
             metric=metric, a=a, b=b,
-            tolerance=_scalar_tolerance(metric, a, view_a, view_b),
-            direction=policy[0] if policy is not None else ""))
+            tolerance=tolerance(metric, a or 0.0,
+                                larger_sem(view_a, view_b, noise_key)),
+            direction=direction))
     deltas.sort(key=lambda d: (
         -(abs(d.rel) if d.rel is not None
           else float("inf") if d.delta is None or d.delta else 0.0),

@@ -54,15 +54,17 @@ class RunView:
     series: Optional[object] = None      # SeriesStore
     queueing: Optional[object] = None    # QueueingSummary
 
-    def noise_sem_us(self, op: str) -> Optional[float]:
-        """Standard error of the class's mean latency, in µs."""
-        import math
 
-        entry = self.noise.get(op)
-        if not entry:
-            return None
-        n = max(1.0, float(entry.get("n", 1.0)))
-        return float(entry.get("std_us", 0.0)) / math.sqrt(n)
+def larger_sem(view_a: RunView, view_b: RunView,
+               op: Optional[str]) -> Optional[float]:
+    """The larger standard error of request class ``op``'s mean latency
+    (µs) over the two runs; None when neither recorded one."""
+    from repro.experiments.bench import noise_sem
+
+    sems = [sem for sem in (noise_sem(view_a.noise.get(op)),
+                            noise_sem(view_b.noise.get(op)))
+            if sem is not None]
+    return max(sems, default=None)
 
 
 def view_from_ledger_row(row) -> RunView:

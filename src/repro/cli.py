@@ -322,11 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "provenance hints")
     l_diff.add_argument("ref_a", help="seq number or run-id prefix")
     l_diff.add_argument("ref_b", help="seq number or run-id prefix")
-    l_diff.add_argument("--deep", action="store_true",
-                        help="full differential diagnosis via the "
-                             "explain engine (noise-aware significance, "
-                             "attribution deltas, ranked suspects) "
-                             "instead of the field-level diff")
     l_trend = _ledger_sub("trend", "sparkline history of one metric "
                                    "with rolling-window anomaly "
                                    "detection")
@@ -342,18 +337,16 @@ def _build_parser() -> argparse.ArgumentParser:
     l_trend.add_argument("--window", type=int, default=None,
                          help="rolling history window per point "
                               "(default: 8)")
-    _ledger_sub("verify", "integrity check: schema version, content-"
-                          "hash run ids, row/export parity; exit 1 "
-                          "on any issue")
+    _ledger_sub("verify", "integrity check: schema versions, content-"
+                          "hash run ids, a torn final line; exit 1 on "
+                          "any issue")
     l_prune = _ledger_sub("prune", "drop all but the newest N rows "
-                                   "and rewrite the export")
+                                   "(the store is rewritten whole)")
     l_prune.add_argument("--keep", type=int, required=True,
                          help="rows to retain")
-    l_export = _ledger_sub("export", "rewrite the JSONL export from "
-                                     "the database")
-    l_export.add_argument("--out", default=None,
-                          help="write here instead of the store's "
-                               "export.jsonl")
+    l_export = _ledger_sub("export", "copy every row to a JSONL file")
+    l_export.add_argument("--out", required=True,
+                          help="file to write")
     l_export.add_argument("--canonical", action="store_true",
                           help="drop the volatile sub-object (byte-"
                                "identical across hosts and job "
@@ -820,8 +813,17 @@ def _cmd_bench(quick: bool, out_dir: str, compare_path: Optional[str],
         print("--against requires --compare BASELINE", file=sys.stderr)
         return 2
 
-    if against is not None:
-        current = bench.load_bench(against)
+    # Both documents load before anything runs: a bad path fails in
+    # a second, not after the suite.
+    try:
+        baseline = (bench.load_bench(compare_path)
+                    if compare_path is not None else None)
+        current = (bench.load_bench(against)
+                   if against is not None else None)
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
+    if current is not None:
         print(f"comparing {against} against {compare_path}")
     else:
         suite = "quick" if quick else "full"
@@ -835,9 +837,8 @@ def _cmd_bench(quick: bool, out_dir: str, compare_path: Optional[str],
               f"{len(current['cases'])} cases)")
         _ledger_note(ledger)
 
-    if compare_path is None:
+    if baseline is None:
         return 0
-    baseline = bench.load_bench(compare_path)
     deltas = bench.compare(baseline, current)
     print()
     print(bench.render_compare(deltas, verbose=verbose))
@@ -903,20 +904,30 @@ def _cmd_chaos(quick: bool, requests: int, seed: int,
     return 0 if report.all_passed else 1
 
 
-def _cmd_ledger(args) -> int:
+def _open_ledger(directory: Optional[str]):
+    """The store under ``directory`` (default: REPRO_LEDGER_DIR or
+    .repro-ledger), or None after saying on stderr that there is none."""
     import os
 
     from repro import ledger as ledger_module
 
-    root = args.dir or ledger_module.default_root()
-    db_path = os.path.join(root, ledger_module.DB_NAME)
-    if not os.path.exists(db_path):
-        print(f"no ledger at {db_path} — any recorded invocation "
+    root = directory or ledger_module.default_root()
+    path = os.path.join(root, ledger_module.EXPORT_NAME)
+    if not os.path.exists(path):
+        print(f"no ledger at {path} — any recorded invocation "
               f"(e.g. 'repro bench --quick') creates one",
               file=sys.stderr)
+        return None
+    return ledger_module.LedgerWriter(root)
+
+
+def _cmd_ledger(args) -> int:
+    from repro import ledger as ledger_module
+
+    store = _open_ledger(args.dir)
+    if store is None:
         return 2
     try:
-        store = ledger_module.LedgerWriter(root)
         if args.ledger_command == "list":
             filters = ledger_module.parse_filters(args.filter)
             rows = store.rows(filters or None, last=args.last)
@@ -926,10 +937,8 @@ def _cmd_ledger(args) -> int:
             print(ledger_module.render_row(store.get(args.ref)))
             return 0
         if args.ledger_command == "diff":
-            if args.deep:
-                print(store.explain(args.ref_a, args.ref_b).render())
-            else:
-                print(store.diff(args.ref_a, args.ref_b).render())
+            print(ledger_module.diff_rows(
+                store.get(args.ref_a), store.get(args.ref_b)).render())
             return 0
         if args.ledger_command == "trend":
             filters = ledger_module.parse_filters(args.filter)
@@ -946,18 +955,16 @@ def _cmd_ledger(args) -> int:
             if issues:
                 return 1
             print(f"ok: {store.count()} row(s), every run id matches "
-                  f"its content, export in sync")
+                  f"its content")
             return 0
         if args.ledger_command == "prune":
             removed = store.prune(args.keep)
-            print(f"pruned {removed} row(s); {store.count()} remain, "
-                  f"export rewritten")
+            print(f"pruned {removed} row(s); {store.count()} remain")
             return 0
         if args.ledger_command == "export":
-            path = args.out or store.export_path
             count = store.export(args.out, canonical=args.canonical)
             form = " (canonical)" if args.canonical else ""
-            print(f"wrote {count} row(s) to {path}{form}")
+            print(f"wrote {count} row(s) to {args.out}{form}")
             return 0
     except (KeyError, ValueError) as error:
         message = error.args[0] if error.args else error
@@ -970,7 +977,8 @@ def _cmd_ledger(args) -> int:
 def _cmd_explain(args) -> int:
     import os
 
-    from repro.analysis.explain import export_flame_diff
+    from repro.analysis.explain import (explain_ledger_rows,
+                                        export_flame_diff)
 
     is_bench = [os.path.isfile(ref) or ref.endswith(".json")
                 for ref in (args.a, args.b)]
@@ -982,17 +990,11 @@ def _cmd_explain(args) -> int:
         if all(is_bench):
             report = _explain_bench_files(args.a, args.b, args.case)
         else:
-            from repro import ledger as ledger_module
-
-            root = args.dir or ledger_module.default_root()
-            db_path = os.path.join(root, ledger_module.DB_NAME)
-            if not os.path.exists(db_path):
-                print(f"no ledger at {db_path} — any recorded "
-                      f"invocation (e.g. 'repro bench --quick') "
-                      f"creates one", file=sys.stderr)
+            store = _open_ledger(args.dir)
+            if store is None:
                 return 2
-            store = ledger_module.LedgerWriter(root)
-            report = store.explain(args.a, args.b)
+            report = explain_ledger_rows(store.get(args.a),
+                                         store.get(args.b))
     except (KeyError, ValueError) as error:
         message = error.args[0] if error.args else error
         print(message, file=sys.stderr)

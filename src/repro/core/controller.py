@@ -32,9 +32,9 @@ from repro.baselines.base import StorageSystem
 from repro.core.cache import ICashCache
 from repro.core.config import ICASHConfig
 from repro.core.heatmap import Heatmap
-from repro.core.batch import block_signatures_batch, block_signatures_many
 from repro.core.ingest import plan_ingest
-from repro.core.signatures import block_signatures
+from repro.core.signatures import (block_signatures, block_signatures_batch,
+                                   block_signatures_many)
 from repro.core.similarity import SimilarityScanner
 from repro.core.virtual_block import BlockKind, VirtualBlock
 from repro.delta.encoder import Delta, apply_delta, encode_delta

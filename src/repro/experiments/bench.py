@@ -88,6 +88,30 @@ METRIC_POLICY: Dict[str, Tuple[str, float, Optional[str]]] = {
 
 #: z-score for the noise-aware part of a latency tolerance.
 NOISE_Z = 3.0
+#: Relative tolerance of metrics outside METRIC_POLICY.
+DEFAULT_REL_TOL = 0.05
+
+
+def noise_sem(entry: Optional[Dict[str, float]]) -> Optional[float]:
+    """Standard error of a recorded latency spread (``std_us``, ``n``),
+    in µs; None without one."""
+    if not entry:
+        return None
+    n = max(1.0, float(entry.get("n", 1.0)))
+    return float(entry.get("std_us", 0.0)) / math.sqrt(n)
+
+
+def tolerance(metric: Optional[str], base: float,
+              sem: Optional[float] = None) -> float:
+    """How far ``metric`` may move from ``base`` and still be noise:
+    ``max(rel_tol x |base|, NOISE_Z x sem)``, with ``rel_tol`` from
+    METRIC_POLICY (else :data:`DEFAULT_REL_TOL`).  Callers pick the
+    ``sem``: the baseline's, the larger of two runs', or a history's
+    median."""
+    policy = METRIC_POLICY.get(metric)
+    tol = (policy[1] if policy is not None else DEFAULT_REL_TOL) \
+        * abs(base)
+    return tol if sem is None else max(tol, NOISE_Z * sem)
 
 
 def case_record(spec: RunSpec, result: RunResult,
@@ -184,14 +208,27 @@ def write_bench(document: Dict[str, object], out_dir: str = ".") -> str:
 
 
 def load_bench(path: str) -> Dict[str, object]:
-    """Read a ``BENCH_<n>.json``, validating the schema version."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    version = document.get("schema_version")
+    """Read a ``BENCH_<n>.json``, validating the schema version.
+
+    Every way a file can fail to be a BENCH document — missing,
+    unreadable, not JSON, another schema, no ``cases`` list — raises a
+    one-line ValueError naming the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except OSError as error:
+        raise ValueError(f"{path}: {error.strerror}") from None
+    except ValueError as error:
+        raise ValueError(f"{path}: not JSON ({error})") from None
+    version = document.get("schema_version") \
+        if isinstance(document, dict) else None
     if version != BENCH_SCHEMA_VERSION:
         raise ValueError(
             f"{path}: bench schema {version!r} unsupported "
             f"(expected {BENCH_SCHEMA_VERSION})")
+    if not isinstance(document.get("cases"), list):
+        raise ValueError(f"{path}: no 'cases' list")
     return document
 
 
@@ -218,18 +255,6 @@ class Delta:
                 f"(tol {self.tolerance:.3f})  {flag}")
 
 
-def _tolerance(metric: str, base_value: float,
-               noise: Dict[str, Dict[str, float]]) -> float:
-    direction, rel_tol, noise_key = METRIC_POLICY[metric]
-    tol = rel_tol * abs(base_value)
-    if noise_key and noise_key in noise:
-        entry = noise[noise_key]
-        n = max(1.0, float(entry.get("n", 1.0)))
-        sem = float(entry.get("std_us", 0.0)) / math.sqrt(n)
-        tol = max(tol, NOISE_Z * sem)
-    return tol
-
-
 def compare(baseline: Dict[str, object],
             current: Dict[str, object]) -> List[Delta]:
     """Compare two bench documents case by case.
@@ -249,7 +274,7 @@ def compare(baseline: Dict[str, object],
         base_metrics = base["metrics"]
         cur_metrics = record["metrics"]
         base_noise = base.get("noise", {})
-        for metric, (direction, _rel, _noise) in METRIC_POLICY.items():
+        for metric, (direction, _rel, noise_key) in METRIC_POLICY.items():
             if metric not in base_metrics or metric not in cur_metrics:
                 continue
             b = float(base_metrics[metric])
@@ -258,7 +283,8 @@ def compare(baseline: Dict[str, object],
             deltas.append(Delta(
                 case=record["case"], metric=metric, baseline=b,
                 current=c,
-                tolerance=_tolerance(metric, b, base_noise),
+                tolerance=tolerance(metric, b,
+                                    noise_sem(base_noise.get(noise_key))),
                 worsening=worsening))
     return deltas
 

@@ -35,9 +35,9 @@ import numpy as np
 from repro.baselines.base import StorageSystem
 from repro.metrics.cpu import cpu_utilization
 from repro.metrics.energy import EnergyReport, measure_energy
-from repro.sim.engine import (EngineConfig, EventEngine,
-                              QueueingSummary, StationSummary,
-                              _CaptureTracer, service_items)
+from repro.sim.engine import (EventEngine, QueueingSummary,
+                              StationSummary, _CaptureTracer,
+                              service_items)
 from repro.sim.load import default_closed_loop
 from repro.sim.profile import RESIDUAL_PHASE, AttributionTable
 from repro.sim.metrics import SeriesStore, SLOBreach
@@ -371,7 +371,6 @@ def run_benchmark(workload: Workload, system: StorageSystem,
                   monitor=None,
                   engine: str = "legacy",
                   load=None,
-                  engine_config: Optional[EngineConfig] = None,
                   profiler=None,
                   fault_plan=None,
                   ledger=None
@@ -435,7 +434,7 @@ def run_benchmark(workload: Workload, system: StorageSystem,
             workload, system, verify_reads=verify_reads,
             warmup_fraction=warmup_fraction, preload=preload,
             flush_at_end=flush_at_end, tracer=tracer, monitor=monitor,
-            load=load, engine_config=engine_config, profiler=profiler,
+            load=load, profiler=profiler,
             fault_plan=fault_plan)
         _ledger_record(ledger, result, workload, warmup_fraction)
         return result
@@ -537,7 +536,6 @@ def _run_event_benchmark(workload: Workload, system: StorageSystem,
                          tracer,
                          monitor,
                          load,
-                         engine_config: Optional[EngineConfig],
                          profiler=None,
                          fault_plan=None
                          ) -> RunResult:
@@ -554,8 +552,8 @@ def _run_event_benchmark(workload: Workload, system: StorageSystem,
                        monitor, profiler)
     if load is None:
         load = default_closed_loop(workload)
-    sim = EventEngine(system, config=engine_config,
-                      downstream_tracer=tracer, profiler=profiler)
+    sim = EventEngine(system, downstream_tracer=tracer,
+                      profiler=profiler)
     if monitor is not None:
         sim.register_metrics(monitor.registry)
     injector = None

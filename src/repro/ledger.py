@@ -1,69 +1,61 @@
 """Persistent run ledger: every experiment leaves a provenance trail.
 
-Six PRs of observability produce rich *point-in-time* artefacts —
-traces, windowed series, bench documents, chaos verdicts — but each
-command scatters its own output file and nothing survives across
-invocations, so "did loadtest p99 drift since last week?" means manual
-JSON spelunking.  This module is the longitudinal layer: an
-append-only, schema-versioned run store under ``.repro-ledger/`` that
-every entry point (``figure``, ``sweep``, ``bench``, ``loadtest``,
+An append-only, schema-versioned run store under ``.repro-ledger/``
+that every entry point (``figure``, ``sweep``, ``bench``, ``loadtest``,
 ``chaos``, ``monitor`` and plain :func:`~repro.experiments.runner.
-run_benchmark`) records into through one
-:meth:`LedgerWriter.record` hook on a
-:class:`~repro.experiments.runner.RunResult`.
+run_benchmark`) records into through :meth:`LedgerWriter.record`.
+Each row carries full provenance — the run spec, git SHA and dirty
+flag, schema versions, a host fingerprint, the virtual wall times —
+plus a curated metric snapshot (METRIC_POLICY scalars, counters, SLO
+breaches, the heaviest attribution rows, fault outcomes).  On top sit
+field-level :func:`diff_rows` with "why might these differ" hints,
+sparkline trends and a rolling median/MAD anomaly detector
+(:func:`detect_anomalies`) whose noise floor is the bench harness's
+tolerance.
 
-Each row carries full provenance — the declarative run spec (workload,
-system, engine, seed, config overrides, load), git SHA + dirty flag,
-schema versions, a host fingerprint and the run's virtual wall times —
-plus a curated metric snapshot: the :data:`~repro.experiments.bench.
-METRIC_POLICY` scalars, key counters, SLO breach summary, the heaviest
-critical-path attribution rows and fault outcomes.  On top of the
-store sit cross-run analytics: field-level :func:`diff_rows` with
-provenance-aware "why might these differ" hints, sparkline trends, and
-a rolling-window anomaly detector (:func:`detect_anomalies`) using a
-robust median/MAD z-score with noise floors borrowed from the bench
-harness's tolerances.
-
-Storage is SQLite (``ledger.db``, the queryable source of truth) plus
-a JSONL mirror (``export.jsonl``, one row per line) for grep/jq and CI
-artifacts.  Determinism contract: a run's ``run_id`` is a content hash
-of its non-volatile fields, machine-local clocks live in a separate
-``volatile`` sub-object, and a *canonical* export drops ``volatile``
-entirely — so ``--jobs N`` produces byte-identical canonical exports
-for any N (results are recorded in submission order by the parent
-process; workers never write).
+The store is one JSONL file, ``export.jsonl``, one row per line:
+reads scan its lines, and jq reads it as it stands.  Determinism
+contract: a run's ``run_id`` is a content hash of its non-volatile
+fields, machine-local clocks live in a separate ``volatile``
+sub-object, and a *canonical* export drops ``volatile`` entirely — so
+``--jobs N`` produces byte-identical canonical exports for any N
+(results are recorded in submission order by the parent process;
+workers never write).
 
 Recording is opt-out (``--no-ledger`` / ``REPRO_LEDGER=0``) and
 library use defaults to no ledger (``None``, like the tracer, the
-monitor and the profiler).  Schema, field
-tables, anomaly math and retention are documented in docs/LEDGER.md
-(doc-parity tested by tests/test_ledger_docs.py).
+monitor and the profiler).  Schema, field tables, anomaly math,
+locking and retention are documented in docs/LEDGER.md (doc-parity
+tested by tests/test_ledger_docs.py).
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import json
 import math
 import os
 import platform
-import sqlite3
+import statistics
 import subprocess
 import time
-from dataclasses import dataclass, field, is_dataclass, asdict
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
 #: Version of the row layout (documented in docs/LEDGER.md, doc-parity
 #: tested).  Bump on any breaking change to the keys below; the store
-#: refuses to mix schema versions.
+#: refuses to append to rows of another schema version.
 LEDGER_SCHEMA_VERSION = 1
 
 #: Default store directory, overridable via :data:`ENV_DIR`.
 DEFAULT_DIR = ".repro-ledger"
-DB_NAME = "ledger.db"
+#: The store: one JSON row per line.
 EXPORT_NAME = "export.jsonl"
+#: Lock file beside the store, held by every append and prune.
+LOCK_NAME = "ledger.lock"
 
 #: ``REPRO_LEDGER=0`` (or ``false``/``no``/``off``) disables recording
 #: everywhere :func:`default_ledger` is consulted.
@@ -93,8 +85,6 @@ MAD_SCALE = 1.4826
 DEFAULT_WINDOW = 8
 #: History points needed before a value can be judged at all.
 MIN_HISTORY = 3
-#: Relative-tolerance floor for metrics outside METRIC_POLICY.
-DEFAULT_REL_TOL = 0.05
 #: Heaviest attribution rows kept per request class in a snapshot.
 TOP_ATTRIBUTION_ROWS = 3
 
@@ -252,22 +242,10 @@ class LedgerRow:
 
     @classmethod
     def from_json(cls, doc: Dict[str, object]) -> "LedgerRow":
-        return cls(**{f: doc[f] for f in (
-            "seq", "run_id", "schema_version", "command", "spec",
-            "extra", "provenance", "metrics", "volatile")})
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
     def to_json(self, canonical: bool = False) -> Dict[str, object]:
-        doc = {
-            "seq": self.seq,
-            "run_id": self.run_id,
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "spec": self.spec,
-            "extra": self.extra,
-            "provenance": self.provenance,
-            "metrics": self.metrics,
-            "volatile": self.volatile,
-        }
+        doc = dict(vars(self))
         if canonical:
             del doc["volatile"]
         return doc
@@ -275,10 +253,9 @@ class LedgerRow:
     @property
     def body(self) -> Dict[str, object]:
         """The hashed (non-volatile, non-identity) fields."""
-        return {"schema_version": self.schema_version,
-                "command": self.command, "spec": self.spec,
-                "extra": self.extra, "provenance": self.provenance,
-                "metrics": self.metrics}
+        doc = self.to_json(canonical=True)
+        del doc["seq"], doc["run_id"]
+        return doc
 
     def describe(self) -> str:
         spec = self.spec
@@ -308,24 +285,6 @@ def metric_value(row: LedgerRow, metric: str) -> Optional[float]:
     return flatten_metrics(row.metrics).get(metric)
 
 
-def noise_sem(row: LedgerRow, metric: str) -> Optional[float]:
-    """Standard error of ``metric``'s request class, when recorded.
-
-    Only latency metrics have a noise entry (keyed by METRIC_POLICY's
-    noise key), and only rows from profiled runs carry one.
-    """
-    from repro.experiments.bench import METRIC_POLICY
-
-    policy = METRIC_POLICY.get(metric)
-    if policy is None or policy[2] is None:
-        return None
-    entry = row.metrics.get("noise", {}).get(policy[2])
-    if not entry:
-        return None
-    n = max(1.0, float(entry.get("n", 1.0)))
-    return float(entry.get("std_us", 0.0)) / math.sqrt(n)
-
-
 def ledger_enabled() -> bool:
     """False when :data:`ENV_TOGGLE` disables recording."""
     flag = os.environ.get(ENV_TOGGLE, "1").strip().lower()
@@ -350,35 +309,21 @@ def default_ledger(no_ledger: bool = False,
 # ---------------------------------------------------------------------------
 
 
-_CREATE_META = """
-CREATE TABLE IF NOT EXISTS meta (
-    key TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-)"""
-
-_CREATE_RUNS = """
-CREATE TABLE IF NOT EXISTS runs (
-    seq INTEGER PRIMARY KEY,
-    run_id TEXT NOT NULL,
-    command TEXT NOT NULL,
-    workload TEXT,
-    system TEXT,
-    engine TEXT,
-    seed TEXT,
-    created_unix REAL NOT NULL,
-    row_json TEXT NOT NULL
-)"""
+#: Bytes read per step when :func:`_tail` walks back from the end.
+_TAIL_CHUNK = 1 << 16
 
 
 class LedgerWriter:
-    """Append-only run store: SQLite + JSONL mirror under ``root``.
+    """Append-only run store: one JSON row per line of ``export.jsonl``.
 
-    Concurrency: every append runs inside a ``BEGIN IMMEDIATE``
-    transaction, and the export line is written while that write lock
-    is held — so concurrent recorders (e.g. two CLI invocations)
-    serialize cleanly instead of interleaving.  A crash between the
-    insert and the append leaves a row/export parity gap that
-    :meth:`verify` reports and :meth:`export` repairs.
+    Concurrency: :meth:`record` and :meth:`prune` hold an exclusive
+    ``flock`` on the lock file beside the store and open the store only
+    under it, so concurrent recorders serialize and no writer appends
+    to a file ``prune`` has replaced; an append is fsynced before the
+    lock is released.  Readers take no lock: a final line without its
+    newline is an append in flight, or one a crash cut short, and they
+    skip it; :meth:`verify` reports it and the next :meth:`record`
+    truncates it.
 
     ``clock`` injects the wall clock (tests pin it); it feeds only the
     ``volatile`` sub-object, never the run id.
@@ -387,38 +332,39 @@ class LedgerWriter:
     def __init__(self, root: str = DEFAULT_DIR,
                  clock: Callable[[], float] = time.time) -> None:
         self.root = root
-        self.db_path = os.path.join(root, DB_NAME)
-        self.export_path = os.path.join(root, EXPORT_NAME)
+        self.path = os.path.join(root, EXPORT_NAME)
+        self.lock_path = os.path.join(root, LOCK_NAME)
         self._clock = clock
         self.recorded = 0
         self.last_run_id: Optional[str] = None
         os.makedirs(root, exist_ok=True)
-        with contextlib.closing(self._connect()) as conn, conn:
-            conn.execute(_CREATE_META)
-            conn.execute(_CREATE_RUNS)
-            conn.execute(
-                "CREATE INDEX IF NOT EXISTS idx_runs_run_id "
-                "ON runs (run_id)")
-            conn.execute(
-                "CREATE INDEX IF NOT EXISTS idx_runs_filter "
-                "ON runs (command, workload, system, engine)")
-            row = conn.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-            if row is None:
-                conn.execute(
-                    "INSERT INTO meta (key, value) VALUES "
-                    "('schema_version', ?)",
-                    (str(LEDGER_SCHEMA_VERSION),))
-            elif int(row[0]) != LEDGER_SCHEMA_VERSION:
-                raise ValueError(
-                    f"{self.db_path}: ledger schema {row[0]} "
-                    f"unsupported (expected {LEDGER_SCHEMA_VERSION})")
 
-    def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.db_path, timeout=30.0)
-        conn.execute("PRAGMA busy_timeout = 30000")
-        return conn
+    @contextlib.contextmanager
+    def _locked(self):
+        """Hold the store's exclusive lock; closing the file drops it."""
+        with open(self.lock_path, "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            yield
+
+    def _read(self) -> Tuple[List[str], bytes]:
+        """The store's complete lines, and the torn tail after them."""
+        try:
+            with open(self.path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            return [], b""
+        end = data.rfind(b"\n") + 1
+        lines = data[:end].decode("utf-8", "replace").split("\n")[:-1]
+        return lines, data[end:]
+
+    def _parse(self, lines: Sequence[str],
+               first: int = 1) -> List[LedgerRow]:
+        """``lines`` as rows; ``first`` is the first one's line number."""
+        rows = [_parse_row(line) for line in lines]
+        if None in rows:
+            raise ValueError(f"{self.path}:{first + rows.index(None)}: "
+                             f"not a ledger row")
+        return rows
 
     # -- appending ---------------------------------------------------------
 
@@ -429,7 +375,8 @@ class LedgerWriter:
         ``spec`` (RunSpec or dict) pins the run's recipe; ``extra``
         carries command-specific context (figure name, sweep value,
         chaos scenario...).  ``host_wall_s`` is machine noise and goes
-        to the ``volatile`` sub-object only.
+        to the ``volatile`` sub-object only.  Only the store's last row
+        is read: it gives the next ``seq`` and must share this schema.
         """
         body = {
             "schema_version": LEDGER_SCHEMA_VERSION,
@@ -449,31 +396,26 @@ class LedgerWriter:
         run_id = run_id_for(body)
         volatile = {"recorded_unix": round(float(self._clock()), 6),
                     "host_wall_s": host_wall_s}
-        spec_doc = body["spec"]
-        with contextlib.closing(self._connect()) as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                seq = conn.execute(
-                    "SELECT COALESCE(MAX(seq), 0) + 1 FROM runs"
-                ).fetchone()[0]
-                row = LedgerRow(seq=seq, run_id=run_id,
-                                volatile=volatile, **body)
-                conn.execute(
-                    "INSERT INTO runs (seq, run_id, command, workload,"
-                    " system, engine, seed, created_unix, row_json) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    (seq, run_id, command, spec_doc.get("workload"),
-                     spec_doc.get("system"), spec_doc.get("engine"),
-                     _seed_text(spec_doc.get("seed")),
-                     volatile["recorded_unix"],
-                     _dumps(row.to_json())))
-                with open(self.export_path, "a",
-                          encoding="utf-8") as handle:
-                    handle.write(_dumps(row.to_json()) + "\n")
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
+        with self._locked(), open(self.path, "a+b") as handle:
+            end, last = _tail(handle)
+            seq = 1
+            if last is not None:
+                previous = _parse_row(last.decode("utf-8", "replace"))
+                if previous is None:  # not a row: raise, naming its line
+                    self._parse(self._read()[0])
+                if previous.schema_version != LEDGER_SCHEMA_VERSION:
+                    raise ValueError(
+                        f"{self.path}: ledger schema "
+                        f"{previous.schema_version} unsupported "
+                        f"(expected {LEDGER_SCHEMA_VERSION})")
+                seq = previous.seq + 1
+            row = LedgerRow(seq=seq, run_id=run_id, volatile=volatile,
+                            **body)
+            handle.truncate(end)  # drops a torn append, if any
+            line = json.dumps(row.to_json(), sort_keys=True) + "\n"
+            handle.write(line.encode("utf-8"))
+            handle.flush()
+            os.fsync(handle.fileno())
         self.recorded += 1
         self.last_run_id = run_id
         return run_id
@@ -485,19 +427,21 @@ class LedgerWriter:
         """Matching rows in append (seq) order.
 
         ``filters`` keys are limited to :data:`FILTER_KEYS`; ``last``
-        keeps only the newest N matches.
+        keeps only the newest N matches, and without filters only those
+        N lines are parsed.
         """
-        where, params = _where_clause(filters)
-        sql = f"SELECT row_json FROM runs{where} ORDER BY seq"
+        for key in filters or ():
+            _check_filter_key(key)
+        lines, _torn = self._read()
+        first = 1
+        if last is not None and not filters:
+            first = max(0, len(lines) - last) + 1
+            lines = lines[first - 1:]
+        found = [row for row in self._parse(lines, first)
+                 if _matches(row, filters)]
         if last is not None:
-            sql = (f"SELECT row_json FROM (SELECT seq, row_json FROM "
-                   f"runs{where} ORDER BY seq DESC LIMIT ?) "
-                   f"ORDER BY seq")
-            params = params + [int(last)]
-        with contextlib.closing(self._connect()) as conn:
-            found = conn.execute(sql, params).fetchall()
-        return [LedgerRow.from_json(json.loads(text))
-                for (text,) in found]
+            found = found[max(0, len(found) - last):]
+        return found
 
     def get(self, ref: str) -> LedgerRow:
         """One row by ``seq`` number or (prefix of a) ``run_id``.
@@ -509,69 +453,52 @@ class LedgerWriter:
         re-recordings of the identical run share a run id, and the
         newest row wins.
         """
-        with contextlib.closing(self._connect()) as conn:
-            if str(ref).isdigit():
-                found = conn.execute(
-                    "SELECT row_json FROM runs WHERE seq = ?",
-                    (int(ref),)).fetchall()
-                if found:
-                    return LedgerRow.from_json(json.loads(found[0][0]))
-            found = conn.execute(
-                "SELECT run_id, row_json FROM runs WHERE run_id "
-                "LIKE ? ORDER BY seq DESC",
-                (str(ref) + "%",)).fetchall()
+        ref = str(ref)
+        rows = self.rows()
+        if ref.isdigit():
+            for row in rows:
+                if row.seq == int(ref):
+                    return row
+        found = [row for row in reversed(rows)
+                 if row.run_id.startswith(ref.lower())]
         if not found:
             raise KeyError(f"no ledger row with seq or run id {ref!r}")
-        distinct = {run_id for run_id, _ in found}
+        distinct = {row.run_id for row in found}
         if len(distinct) > 1:
             raise KeyError(
                 f"run id prefix {ref!r} is ambiguous: "
                 f"{', '.join(sorted(distinct))}")
-        return LedgerRow.from_json(json.loads(found[0][1]))
+        return found[0]
 
     def count(self) -> int:
-        with contextlib.closing(self._connect()) as conn:
-            return conn.execute(
-                "SELECT COUNT(*) FROM runs").fetchone()[0]
+        return len(self._read()[0])
 
     # -- maintenance -------------------------------------------------------
 
-    def export(self, path: Optional[str] = None,
-               canonical: bool = False) -> int:
-        """(Re)write the JSONL mirror from the database.
+    def export(self, path: str, canonical: bool = False) -> int:
+        """Write every row to ``path``, one per line.
 
         ``canonical=True`` drops the ``volatile`` sub-object — the
         byte-identical-across-jobs form CI diffs.  Returns the row
         count.
         """
         rows = self.rows()
-        path = path or self.export_path
         with open(path, "w", encoding="utf-8") as handle:
             for row in rows:
-                handle.write(_dumps(row.to_json(canonical)) + "\n")
+                handle.write(json.dumps(row.to_json(canonical),
+                                        sort_keys=True) + "\n")
         return len(rows)
 
     def verify(self) -> List[str]:
         """Integrity issues, empty when the store is healthy.
 
-        Checks the meta schema version, per-row schema versions,
-        recomputes every content-hash run id, and compares the JSONL
-        mirror line by line against the database (row/export parity —
-        the crash window :meth:`record` documents shows up here).
+        Reports rows of another schema version, every row whose content
+        no longer hashes to its run id, and a torn final line.  A line
+        that is not a row at all raises, naming it.
         """
+        lines, torn = self._read()
         issues: List[str] = []
-        with contextlib.closing(self._connect()) as conn:
-            meta = conn.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-            if meta is None:
-                issues.append("meta: schema_version missing")
-            elif int(meta[0]) != LEDGER_SCHEMA_VERSION:
-                issues.append(
-                    f"meta: schema_version {meta[0]} != "
-                    f"{LEDGER_SCHEMA_VERSION}")
-        rows = self.rows()
-        for row in rows:
+        for row in self._parse(lines):
             if row.schema_version != LEDGER_SCHEMA_VERSION:
                 issues.append(f"seq {row.seq}: row schema "
                               f"{row.schema_version}")
@@ -581,84 +508,53 @@ class LedgerWriter:
                     f"seq {row.seq}: run_id {row.run_id} does not "
                     f"match content (expected {expected}) — row "
                     f"edited after append?")
-        if not os.path.exists(self.export_path):
-            issues.append(f"{self.export_path}: missing (run "
-                          f"'repro ledger export' to rebuild)")
-            return issues
-        with open(self.export_path, "r", encoding="utf-8") as handle:
-            lines = [line for line in handle if line.strip()]
-        if len(lines) != len(rows):
+        if torn:
             issues.append(
-                f"export has {len(lines)} line(s) but the database "
-                f"has {len(rows)} row(s) — rebuild with "
-                f"'repro ledger export'")
-        for row, line in zip(rows, lines):
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
-                issues.append(f"export line for seq {row.seq}: "
-                              f"not valid JSON")
-                continue
-            if doc.get("seq") != row.seq or \
-                    doc.get("run_id") != row.run_id:
-                issues.append(
-                    f"export line {doc.get('seq')}/{doc.get('run_id')}"
-                    f" does not match database row {row.seq}/"
-                    f"{row.run_id}")
-                continue
-            mirrored = dict(doc)
-            mirrored.pop("volatile", None)
-            if mirrored != row.to_json(canonical=True):
-                issues.append(f"export line for seq {row.seq}: "
-                              f"content diverges from database")
+                f"{self.path}:{len(lines) + 1}: torn final line "
+                f"({len(torn)} bytes, an append that never finished) — "
+                f"the next record truncates it")
         return issues
 
     def prune(self, keep: int) -> int:
-        """Drop all but the newest ``keep`` rows; rewrite the export.
+        """Drop all but the newest ``keep`` rows.
 
         The one deliberately destructive operation — retention, not
-        editing: surviving rows are untouched and keep their run ids.
-        Returns the number of rows removed.
+        editing: surviving lines are kept byte for byte.  They go to a
+        temporary file that then replaces the store, so a crash
+        mid-prune leaves the old store whole.  Returns the number of
+        rows removed.
         """
         if keep < 0:
             raise ValueError(f"keep must be >= 0, got {keep}")
-        with contextlib.closing(self._connect()) as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                removed = conn.execute(
-                    "DELETE FROM runs WHERE seq NOT IN "
-                    "(SELECT seq FROM runs ORDER BY seq DESC LIMIT ?)",
-                    (keep,)).rowcount
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
-        self.export()
-        return removed
+        with self._locked():
+            lines, _torn = self._read()
+            self._parse(lines)
+            kept = lines[max(0, len(lines) - keep):]
+            scratch = self.path + ".tmp"
+            with open(scratch, "w", encoding="utf-8") as handle:
+                handle.writelines(line + "\n" for line in kept)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(scratch, self.path)
+        return len(lines) - len(kept)
 
     # -- analytics ---------------------------------------------------------
-
-    def diff(self, ref_a: str, ref_b: str) -> "RunDiff":
-        return diff_rows(self.get(ref_a), self.get(ref_b))
-
-    def explain(self, ref_a: str, ref_b: str):
-        """Deep differential diagnosis of two recorded runs: the
-        :mod:`repro.analysis.explain` engine over both rows' snapshots
-        (``repro ledger diff --deep`` / ``repro explain``).  Returns
-        an :class:`~repro.analysis.explain.ExplainReport`."""
-        from repro.analysis.explain import explain_ledger_rows
-
-        return explain_ledger_rows(self.get(ref_a), self.get(ref_b))
 
     def trend(self, metric: str,
               filters: Optional[Dict[str, object]] = None,
               last: int = 50,
               window: int = DEFAULT_WINDOW) -> "TrendReport":
         """The metric's history over matching runs, anomaly-flagged."""
+        from repro.experiments.bench import METRIC_POLICY, noise_sem
+
         rows = [row for row in self.rows(filters, last=last)
                 if metric_value(row, metric) is not None]
         values = [metric_value(row, metric) for row in rows]
-        sems = [noise_sem(row, metric) for row in rows]
+        # Only latency metrics name a noise entry (a request class), and
+        # only rows from profiled runs carry one.
+        noise_key = METRIC_POLICY.get(metric, (None, None, None))[2]
+        sems = [noise_sem(row.metrics.get("noise", {}).get(noise_key))
+                for row in rows]
         anomalies = detect_anomalies(values, metric=metric,
                                      window=window, sems=sems)
         return TrendReport(metric=metric, rows=rows, values=values,
@@ -666,27 +562,52 @@ class LedgerWriter:
                            filters=dict(filters or {}))
 
 
-def _seed_text(seed) -> Optional[str]:
-    return None if seed is None else str(seed)
+def _tail(handle) -> Tuple[int, Optional[bytes]]:
+    """Where the store's complete lines end, and the last of them.
+
+    Walks back from the end in growing chunks, so an append reads a
+    few kilobytes however long the store is.  Bytes past the returned
+    offset are a torn append; the line is None when no complete line
+    exists.
+    """
+    size = handle.seek(0, os.SEEK_END)
+    start = size
+    while start > 0:
+        start = max(0, start - _TAIL_CHUNK)
+        handle.seek(start)
+        data = handle.read(size - start)
+        end = data.rfind(b"\n")
+        if end < 0:
+            continue
+        begin = data.rfind(b"\n", 0, end) + 1
+        if begin > 0 or start == 0:
+            return start + end + 1, data[begin:end]
+    return 0, None
 
 
-def _dumps(doc: Dict[str, object]) -> str:
-    return json.dumps(doc, sort_keys=True)
+def _parse_row(line: str) -> Optional[LedgerRow]:
+    """One store line as a row, or None when it is not one."""
+    try:
+        return LedgerRow.from_json(json.loads(line))
+    except (ValueError, KeyError, TypeError):
+        return None
 
 
-def _where_clause(filters: Optional[Dict[str, object]]
-                  ) -> Tuple[str, List[object]]:
-    if not filters:
-        return "", []
-    clauses, params = [], []
-    for key, value in sorted(filters.items()):
-        if key not in FILTER_KEYS:
-            raise ValueError(
-                f"unknown filter {key!r}; filterable fields: "
-                f"{', '.join(FILTER_KEYS)}")
-        clauses.append(f"{key} = ?")
-        params.append(str(value))
-    return " WHERE " + " AND ".join(clauses), params
+def _check_filter_key(key: str) -> None:
+    if key not in FILTER_KEYS:
+        raise ValueError(
+            f"unknown filter {key!r}; filterable fields: "
+            f"{', '.join(FILTER_KEYS)}")
+
+
+def _matches(row: LedgerRow,
+             filters: Optional[Dict[str, object]]) -> bool:
+    """Every filter equals the row's field as text; null matches none."""
+    for key, value in (filters or {}).items():
+        actual = row.command if key == "command" else row.spec.get(key)
+        if actual is None or str(actual) != str(value):
+            return False
+    return True
 
 
 def parse_filters(pairs: Optional[Sequence[str]]) -> Dict[str, str]:
@@ -698,10 +619,7 @@ def parse_filters(pairs: Optional[Sequence[str]]) -> Dict[str, str]:
             raise ValueError(
                 f"bad filter {pair!r}; expected key=value with a key "
                 f"from: {', '.join(FILTER_KEYS)}")
-        if key not in FILTER_KEYS:
-            raise ValueError(
-                f"unknown filter {key!r}; filterable fields: "
-                f"{', '.join(FILTER_KEYS)}")
+        _check_filter_key(key)
         filters[key] = value
     return filters
 
@@ -862,23 +780,6 @@ class Anomaly:
     floor: float
 
 
-def _median(values: Sequence[float]) -> float:
-    ranked = sorted(values)
-    n = len(ranked)
-    mid = n // 2
-    if n % 2:
-        return ranked[mid]
-    return (ranked[mid - 1] + ranked[mid]) / 2.0
-
-
-def rel_tol_for(metric: str) -> float:
-    """METRIC_POLICY's relative tolerance, or the default floor."""
-    from repro.experiments.bench import METRIC_POLICY
-
-    policy = METRIC_POLICY.get(metric)
-    return policy[1] if policy is not None else DEFAULT_REL_TOL
-
-
 def detect_anomalies(values: Sequence[float],
                      metric: Optional[str] = None,
                      window: int = DEFAULT_WINDOW,
@@ -891,35 +792,30 @@ def detect_anomalies(values: Sequence[float],
     *history*; the first :data:`MIN_HISTORY` points are never
     flagged): robust sigma is ``1.4826 x MAD`` and a point is
     anomalous when its deviation from the history median exceeds both
-    the noise floor and ``z`` robust sigmas.  The floor reuses the
-    bench harness's tolerances — ``max(rel_tol x |median|, NOISE_Z x
-    sem)`` with ``rel_tol`` from METRIC_POLICY (:func:`rel_tol_for`)
-    and ``sem`` the history's median recorded standard error, when
-    ``sems`` is given.  A zero-spread history (identical-seed reruns)
-    makes *any* above-floor deviation anomalous — the deterministic
-    regression case.
+    the noise floor and ``z`` robust sigmas.  The floor is the bench
+    harness's :func:`~repro.experiments.bench.tolerance` of the history
+    median, with ``sem`` the history's median recorded standard error
+    when ``sems`` is given.  A zero-spread history (identical-seed
+    reruns) makes *any* above-floor deviation anomalous — the
+    deterministic regression case.
     """
-    from repro.experiments.bench import NOISE_Z
+    from repro.experiments.bench import tolerance
 
     if window < MIN_HISTORY:
         raise ValueError(f"window must be >= {MIN_HISTORY}, "
                          f"got {window}")
-    rel_tol = rel_tol_for(metric) if metric is not None \
-        else DEFAULT_REL_TOL
     flagged: List[Anomaly] = []
     for index, value in enumerate(values):
         history = list(values[max(0, index - window):index])
         if len(history) < MIN_HISTORY:
             continue
-        median = _median(history)
-        sigma = MAD_SCALE * _median(
+        median = statistics.median(history)
+        sigma = MAD_SCALE * statistics.median(
             [abs(h - median) for h in history])
-        floor = rel_tol * abs(median)
-        if sems is not None:
-            known = [s for s in sems[max(0, index - window):index]
-                     if s is not None]
-            if known:
-                floor = max(floor, NOISE_Z * _median(known))
+        known = [s for s in (sems or ())[max(0, index - window):index]
+                 if s is not None]
+        floor = tolerance(metric, median,
+                          statistics.median(known) if known else None)
         deviation = abs(value - median)
         if deviation <= floor:
             continue
@@ -966,7 +862,7 @@ class TrendReport:
             f"window {self.window}",
             f"  {sparkline(self.values)}",
             f"  min {min(self.values):.4f}  "
-            f"median {_median(self.values):.4f}  "
+            f"median {statistics.median(self.values):.4f}  "
             f"max {max(self.values):.4f}",
         ]
         if self.anomalies:

@@ -22,7 +22,7 @@ import json
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.batch import block_signatures_batch, signature_tuples
+from repro.core.signatures import block_signatures_batch, signature_tuples
 from repro.core.config import ICASHConfig
 from repro.core.controller import ICASHController
 from repro.core.virtual_block import BlockKind

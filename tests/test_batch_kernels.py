@@ -3,7 +3,7 @@
 Three families of guarantees:
 
 * **golden equivalence** — every vectorised signature kernel in
-  :mod:`repro.core.batch` (and the batched heatmap entry points)
+  :mod:`repro.core.signatures` (and the batched heatmap entry points)
   must be bit-identical to its scalar twin on random shapes,
   non-contiguous views, empty batches and single blocks, and the
   ingest sweep must reproduce the digest frozen while it still had a
@@ -21,12 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import (block_signatures_batch, block_signatures_many,
-                              signature_tuples)
 from repro.core.heatmap import Heatmap
 from repro.core.signatures import (SignatureScheme, block_signatures,
+                                   block_signatures_batch,
+                                   block_signatures_many,
                                    clear_signature_cache,
-                                   signature_cache_stats)
+                                   signature_cache_stats, signature_tuples)
 from repro.delta.encoder import Delta
 from repro.sim.request import BLOCK_SIZE
 

@@ -12,7 +12,7 @@ Covers the four criteria the PR promises:
 
 Plus unit coverage of the building blocks: phase segmentation and
 alignment, queueing diffs, scalar significance, and the CLI surface
-(`repro explain`, `repro ledger diff --deep`, bench EXPLAIN emission).
+(`repro explain` on ledger refs and BENCH files, bench EXPLAIN emission).
 """
 
 import json
@@ -23,6 +23,7 @@ import pytest
 
 from repro.analysis.explain import (align_phases, diff_queueing,
                                     explain_bench_cases,
+                                    explain_ledger_rows,
                                     explain_results, export_flame_diff,
                                     fingerprint_distance,
                                     flame_diff_stacks, parse_flame_diff,
@@ -87,9 +88,13 @@ def store(tmp_path_factory, base_result, twin_result, override_result):
     return writer
 
 
+def _explain(store, ref_a, ref_b):
+    return explain_ledger_rows(store.get(ref_a), store.get(ref_b))
+
+
 class TestLedgerExplain:
     def test_config_override_is_top_suspect(self, store):
-        report = store.explain("1", "3")
+        report = _explain(store, "1", "3")
         assert report.significant
         assert report.suspects, "a real regression must produce suspects"
         top = report.suspects[0]
@@ -98,7 +103,7 @@ class TestLedgerExplain:
         assert top.evidence, "the top suspect must carry evidence"
 
     def test_attribution_rows_appear_as_evidence(self, store):
-        report = store.explain("1", "3")
+        report = _explain(store, "1", "3")
         top = report.suspects[0]
         moved = {f"{d.op}" for d in report.attribution_deltas
                  if d.significant}
@@ -106,14 +111,14 @@ class TestLedgerExplain:
         assert any(op in line for line in top.evidence for op in moved)
 
     def test_identical_runs_report_no_significant_deltas(self, store):
-        report = store.explain("1", "2")
+        report = _explain(store, "1", "2")
         assert not report.significant
         assert not report.suspects
         assert "no significant deltas" in report.render()
 
     def test_render_is_byte_deterministic(self, store):
-        first = store.explain("1", "3")
-        second = store.explain("1", "3")
+        first = _explain(store, "1", "3")
+        second = _explain(store, "1", "3")
         assert first.render() == second.render()
         assert first.render_json() == second.render_json()
         json.loads(first.render_json())  # and it is valid JSON
@@ -235,9 +240,9 @@ class TestQueueing:
 
 class TestScalars:
     def test_significance_respects_tolerance(self, store):
-        report = store.explain("1", "2")
+        report = _explain(store, "1", "2")
         assert significant_scalars(report.scalar_deltas) == []
-        report = store.explain("1", "3")
+        report = _explain(store, "1", "3")
         sig = significant_scalars(report.scalar_deltas)
         assert any(d.metric == "transactions_per_s" for d in sig)
 
@@ -278,15 +283,27 @@ class TestCLI:
         capsys.readouterr()
         assert code == 2
 
-    def test_ledger_diff_deep_delegates(self, store, capsys):
+    def test_explain_refs_print_the_ledger_diagnosis(self, store, capsys):
         from repro.cli import main
 
-        code = main(["ledger", "diff", "1", "3", "--deep",
-                     "--dir", store.root])
+        code = main(["explain", "1", "3", "--dir", store.root])
         out = capsys.readouterr().out
         assert code == 0
+        assert out == _explain(store, "1", "3").render() + "\n"
         assert out.startswith("explain:")
         assert "suspects" in out
+
+    def test_missing_bench_file_is_a_clear_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        missing = str(tmp_path / "missing.json")
+        present = tmp_path / "BENCH_1.json"
+        present.write_text(json.dumps({"schema_version": 3, "cases": []}))
+        assert main(["explain", str(present), missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"{missing}: ")
 
 
 class TestBenchEmission:
@@ -370,7 +387,7 @@ class TestDocParity:
 
         root = Path(__file__).resolve().parents[1]
         ledger_doc = (root / "docs" / "LEDGER.md").read_text()
-        assert "`--deep`" in ledger_doc
+        assert "`repro explain`" in ledger_doc
         assert "OBSERVABILITY.md" in ledger_doc
 
 

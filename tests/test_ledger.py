@@ -13,14 +13,17 @@ Four families of guarantees:
 * **analytics** — diffs surface metric deltas with provenance-aware
   hints, and the rolling median/MAD anomaly detector flags exactly the
   injected change among identical-seed reruns;
-* **maintenance** — ``verify`` catches tampering and row/export parity
-  gaps, ``export`` repairs them, ``prune`` retains only the newest
-  rows.
+* **maintenance** — the store is one JSONL file: ``verify`` catches
+  tampering, other schema versions and a torn final line, which the
+  next append truncates; a line that is not a row fails naming it;
+  ``prune`` retains only the newest rows, even racing a recorder.
 """
 
 import json
+import multiprocessing
 import os
-import sqlite3
+import re
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import lru_cache
@@ -403,7 +406,7 @@ class TestDiff:
                      spec={"seed": 2011})
         store.record(_small_result(seed=7), command="bench",
                      spec={"seed": 7})
-        diff = store.diff("1", "2")
+        diff = diff_rows(store.get("1"), store.get("2"))
         assert diff.deltas, "different seeds must shift some metric"
         assert any("seed differs" in hint for hint in diff.hints)
         rendered = diff.render()
@@ -421,7 +424,7 @@ class TestDiff:
         store = _writer(tmp_path)
         store.record(_small_result(), command="run", spec={"seed": 2011})
         store.record(_small_result(), command="run", spec={"seed": 2011})
-        diff = store.diff("1", "2")
+        diff = diff_rows(store.get("1"), store.get("2"))
         assert diff.deltas == []
         assert diff.unchanged == len(flatten_metrics(
             store.get("1").metrics))
@@ -435,7 +438,7 @@ class TestDiff:
                      spec={"seed": 2011,
                            "config_overrides": [["delta_accept_bytes",
                                                  64]]})
-        diff = store.diff("1", "2")
+        diff = diff_rows(store.get("1"), store.get("2"))
         assert any("config overrides differ" in hint
                    for hint in diff.hints)
 
@@ -511,7 +514,8 @@ class TestAnomalyDetector:
         assert DEFAULT_WINDOW == 8
         assert MIN_HISTORY == 3
         assert ledger_module.MAD_SCALE == 1.4826
-        assert ledger_module.DEFAULT_REL_TOL == 0.05
+        from repro.experiments.bench import DEFAULT_REL_TOL
+        assert DEFAULT_REL_TOL == 0.05
 
 
 class TestTrend:
@@ -572,6 +576,15 @@ def _record_worker(args):
         store.record(_small_result(seed=seed), command="run",
                      spec={"seed": seed})
     return store.recorded
+
+
+def _record_numbered(args):
+    """Record ``n_rows`` distinct rows; returns their run ids."""
+    root, n_rows = args
+    store = LedgerWriter(root=root)
+    return [store.record(_small_result(), command="run",
+                         spec={"seed": 2011}, extra={"i": i})
+            for i in range(n_rows)]
 
 
 def _drive_sweep(jobs, store):
@@ -658,58 +671,131 @@ class TestMaintenance:
                          command="run", spec={"seed": seed or 2011})
         return store
 
+    @staticmethod
+    def _lines(store):
+        with open(store.path, encoding="utf-8") as handle:
+            return handle.readlines()
+
+    @staticmethod
+    def _write(store, lines):
+        with open(store.path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+
     def test_verify_clean_store(self, tmp_path):
         assert self._seeded(tmp_path).verify() == []
 
-    def test_verify_catches_export_gap_and_export_repairs(self,
-                                                          tmp_path):
+    def test_fresh_store_holds_the_store_and_its_lock(self, tmp_path):
+        store = self._seeded(tmp_path, n=1)
+        assert sorted(os.listdir(store.root)) \
+            == sorted([ledger_module.EXPORT_NAME, ledger_module.LOCK_NAME])
+        # A database an older layout left behind is ignored, never
+        # deleted.
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "ledger.db").write_bytes(b"old database")
+        store = LedgerWriter(root=str(old))
+        store.record(_small_result(), command="run", spec={"seed": 2011})
+        store.prune(keep=1)
+        assert (old / "ledger.db").read_bytes() == b"old database"
+        assert store.count() == 1
+
+    def test_torn_tail_is_skipped_reported_and_truncated(self, tmp_path):
         store = self._seeded(tmp_path)
-        with open(store.export_path, "w", encoding="utf-8") as handle:
-            handle.write("")  # simulate the crash window
-        issues = store.verify()
-        assert any("export" in issue for issue in issues)
-        store.export()
+        last = self._lines(store)[-1]
+        with open(store.path, "a", encoding="utf-8") as handle:
+            handle.write(last[:len(last) // 2])  # an append cut short
+        (issue,) = store.verify()
+        assert f"{store.path}:4: torn final line" in issue
+        assert [row.seq for row in store.rows()] == [1, 2, 3]
+        assert store.count() == 3
+        store.record(_small_result(), command="run", spec={"seed": 2011})
         assert store.verify() == []
+        assert [row.seq for row in store.rows()] == [1, 2, 3, 4]
 
     def test_verify_catches_mangled_export_line(self, tmp_path):
         store = self._seeded(tmp_path)
-        with open(store.export_path, encoding="utf-8") as handle:
-            lines = handle.readlines()
+        lines = self._lines(store)
+        self._write(store, lines[:2] + ["not json\n"])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{store.path}:3: not a ledger row")):
+            store.record(_small_result(), command="run",
+                         spec={"seed": 2011})
         lines[1] = "not json\n"
-        with open(store.export_path, "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
-        assert any("not valid JSON" in issue
-                   for issue in store.verify())
+        self._write(store, lines)
+        where = re.escape(f"{store.path}:2: not a ledger row")
+        for read in (store.verify, store.rows, lambda: store.get("3"),
+                     lambda: store.prune(keep=1)):
+            with pytest.raises(ValueError, match=where):
+                read()
+        # The tail is intact, so appending still works.
+        store.record(_small_result(), command="run", spec={"seed": 2011})
+        assert len(self._lines(store)) == 4
+
+    def test_list_last_and_record_read_only_the_tail(self, tmp_path):
+        store = self._seeded(tmp_path)
+        lines = self._lines(store)
+        lines[0] = "not json\n"
+        self._write(store, lines)
+        assert [row.seq for row in store.rows(last=2)] == [2, 3]
+        store.record(_small_result(), command="run", spec={"seed": 2011})
+        assert [row.seq for row in store.rows(last=2)] == [3, 4]
+        with pytest.raises(ValueError, match=r":1: not a ledger row"):
+            store.rows()
 
     def test_verify_catches_edited_row(self, tmp_path):
         store = self._seeded(tmp_path)
-        row = store.get("2")
-        doc = row.to_json()
+        lines = self._lines(store)
+        doc = json.loads(lines[1])
         doc["metrics"]["scalars"]["transactions_per_s"] += 1.0
-        with sqlite3.connect(store.db_path) as conn:
-            conn.execute("UPDATE runs SET row_json = ? WHERE seq = 2",
-                         (json.dumps(doc, sort_keys=True),))
+        lines[1] = json.dumps(doc, sort_keys=True) + "\n"
+        self._write(store, lines)
         issues = store.verify()
         assert any("does not match content" in issue
                    for issue in issues)
 
     def test_prune_keeps_newest_and_rewrites_export(self, tmp_path):
         store = self._seeded(tmp_path, n=4)
+        before = self._lines(store)
         assert store.prune(keep=2) == 2
         assert [row.seq for row in store.rows()] == [3, 4]
-        with open(store.export_path, encoding="utf-8") as handle:
-            assert len(handle.readlines()) == 2
+        assert self._lines(store) == before[2:]  # kept byte for byte
+        assert not os.path.exists(store.path + ".tmp")
         assert store.verify() == []
+        store.record(_small_result(), command="run", spec={"seed": 2011})
+        assert [row.seq for row in store.rows()] == [3, 4, 5]
         with pytest.raises(ValueError):
             store.prune(keep=-1)
 
+    def test_prune_racing_a_recorder_loses_no_written_row(self, tmp_path):
+        store = self._seeded(tmp_path)
+        n_rows = 12
+        deadline = time.monotonic() + 300.0
+        with ProcessPoolExecutor(
+                max_workers=1,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            future = pool.submit(_record_numbered, (store.root, n_rows))
+            prunes = 0
+            while not future.done() or prunes == 0:
+                assert time.monotonic() < deadline, "recorder hung"
+                store.prune(keep=n_rows)
+                prunes += 1
+            written = future.result(timeout=60.0)
+        assert len(set(written)) == n_rows
+        assert set(written) <= {row.run_id for row in store.rows()}
+        assert store.verify() == []
+
     def test_schema_version_guard(self, tmp_path):
         store = self._seeded(tmp_path)
-        with sqlite3.connect(store.db_path) as conn:
-            conn.execute("UPDATE meta SET value = '99' "
-                         "WHERE key = 'schema_version'")
+        lines = self._lines(store)
+        doc = json.loads(lines[-1])
+        doc["schema_version"] = 99
+        lines[-1] = json.dumps(doc, sort_keys=True) + "\n"
+        self._write(store, lines)
+        assert any("row schema 99" in issue for issue in store.verify())
         with pytest.raises(ValueError, match="schema 99 unsupported"):
-            LedgerWriter(root=store.root)
+            store.record(_small_result(), command="run",
+                         spec={"seed": 2011})
+        assert store.count() == 3
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +859,7 @@ class TestCLI:
         out = self._run(capsys, ["run", "sysbench", "--requests", "200",
                                  "--no-ledger"])
         assert "ledger:" not in out
-        assert not (recording_env / "ledger.db").exists()
+        assert not recording_env.exists()
 
     def test_missing_store_is_a_clear_error(self, capsys, tmp_path):
         from repro.cli import main
@@ -791,3 +877,16 @@ class TestCLI:
         assert main(["ledger", "list", "--dir", str(recording_env),
                      "--filter", "figure=6a"]) == 2
         assert "unknown filter" in capsys.readouterr().err
+
+    def test_garbage_line_is_a_clear_error(self, capsys, recording_env):
+        from repro.cli import main
+
+        self._run(capsys, ["run", "sysbench", "--requests", "200"])
+        self._run(capsys, ["run", "sysbench", "--requests", "200"])
+        path = recording_env / "export.jsonl"
+        first, second = path.read_text().splitlines(keepends=True)
+        path.write_text(first + "not a row\n" + second)
+        assert main(["ledger", "list", "--dir", str(recording_env)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}:2: not a ledger row\n"

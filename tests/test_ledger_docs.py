@@ -9,6 +9,7 @@ import pytest
 
 from repro import ledger
 from repro.cli import LEDGER_SUBCOMMANDS
+from repro.experiments import bench
 from repro.experiments.bench import BENCH_SCHEMA_VERSION, NOISE_Z
 
 DOC = Path(__file__).resolve().parents[1] / "docs" / "LEDGER.md"
@@ -92,9 +93,10 @@ class TestAnomalyConstantParity:
         claim = re.search(pattern, doc_text)
         assert claim is not None, f"{name} claim missing from doc"
         documented = float(claim.group(1))
-        actual = getattr(ledger, name)
+        actual = getattr(ledger, name, None)
         if name == "DEFAULT_REL_TOL":
             documented /= 100.0
+            actual = bench.DEFAULT_REL_TOL
         assert documented == pytest.approx(actual)
 
     def test_noise_z_comes_from_bench(self, doc_text):
@@ -118,7 +120,7 @@ class TestCrossReferences:
 
     def test_store_names_match_code(self, doc_text):
         assert f"`{ledger.DEFAULT_DIR}/`" in doc_text
-        assert f"`{ledger.DB_NAME}`" in doc_text
+        assert f"`{ledger.LOCK_NAME}`" in doc_text
         assert f"`{ledger.EXPORT_NAME}`" in doc_text
         assert f"`{ledger.ENV_TOGGLE}=0`" in doc_text
         assert f"`{ledger.ENV_DIR}`" in doc_text

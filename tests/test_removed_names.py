@@ -52,6 +52,19 @@ REMOVED = (
     ("record_latency", r"record_latency",
      "StorageSystem.read_latency / write_latency"),
     (".stats.count", r"\.stats\.count\(", "the counter attribute itself"),
+    # The run ledger is one JSONL file, and deep diagnosis one command.
+    ("sqlite3", r"sqlite3",
+     "LedgerWriter's lines in export.jsonl, appended under ledger.lock"),
+    ("DB_NAME", r"\bDB_NAME\b|ledger\.db", "ledger.EXPORT_NAME"),
+    ("args.deep", r"args\.deep|--deep",
+     "repro explain A B, which calls explain_ledger_rows"),
+    # One noise-aware tolerance.
+    ("tolerance copies", r"_scalar_tolerance|_row_tolerance_us|noise_sem_us"
+     r"|rel_tol_for|\bdef _tolerance\b",
+     "bench.tolerance and bench.noise_sem"),
+    # The batch signature kernels live beside the scalar ones.
+    ("repro.core.batch", r"repro\.core\.batch|core\.batch import",
+     "repro.core.signatures"),
 )
 
 

@@ -471,23 +471,22 @@ class TestCapturePhaseOrderingUnderNCQ:
         from repro.sim.profile import Profiler
 
         wl = SysBenchWorkload(scale=0.05, n_requests=400, seed=21)
+        system = make_system("icash", wl)
+        system.ingest()
         profiler = Profiler()
         config = EngineConfig(device_slots={"ssd": slots, "raid0": 4,
                                             "nvram": 4, "dram": 64})
-        result = run_benchmark(
-            wl, make_system("icash", wl), engine="event",
-            load=OpenLoopLoad(2e6, distribution="constant", seed=5),
-            warmup_fraction=0.0, engine_config=config,
-            profiler=profiler)
-        return profiler.table, result
+        engine = EventEngine(system, config=config, profiler=profiler)
+        engine.run(wl, OpenLoopLoad(2e6, distribution="constant", seed=5))
+        return profiler.table, engine.summary(), system
 
     def test_service_items_identical_across_slot_counts(self):
         # The profiler records at completion, and completion order is
         # exactly what NCQ reshuffles — so compare the multiset of
         # per-request phase lists: every request must keep the same
         # phases with the same durations, whatever slot count ran it.
-        serial, _ = self._profiled(slots=1)
-        ncq, _ = self._profiled(slots=8)
+        serial, _, _ = self._profiled(slots=1)
+        ncq, _, _ = self._profiled(slots=8)
         stripped = sorted(
             [(request.op, device, phase, dur)
              for device, phase, dur in request.items
@@ -501,12 +500,12 @@ class TestCapturePhaseOrderingUnderNCQ:
         assert stripped == stripped_ncq
 
     def test_waits_shrink_with_more_slots(self):
-        _, serial = self._profiled(slots=1)
-        _, ncq = self._profiled(slots=8)
-        assert ncq.queueing.wait_mean_us < serial.queueing.wait_mean_us
+        _, serial, serial_system = self._profiled(slots=1)
+        _, ncq, ncq_system = self._profiled(slots=8)
+        assert ncq.wait_mean_us < serial.wait_mean_us
         # The work itself stays put: only waiting changed.
-        assert ncq.counters == serial.counters
-        assert ncq.ssd_write_ops == serial.ssd_write_ops
+        assert ncq_system.counters() == serial_system.counters()
+        assert ncq_system.ssd_write_ops == serial_system.ssd_write_ops
 
 
 class TestCurveCsvStationColumns:

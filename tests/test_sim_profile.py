@@ -10,6 +10,7 @@ the run's independent LatencyStats — on both engines.
 from __future__ import annotations
 
 import io
+import os
 import json
 
 import pytest
@@ -333,11 +334,17 @@ class TestBenchHarness:
         assert bench.regressions(bench.compare(worse, document)) == []
 
     def test_tolerance_uses_baseline_noise(self):
-        noise = {"read": {"std_us": 100.0, "n": 4}}
-        rel_only = bench._tolerance("read_mean_us", 10.0, {})
-        with_noise = bench._tolerance("read_mean_us", 10.0, noise)
+        sem = bench.noise_sem({"std_us": 100.0, "n": 4})
+        assert sem == pytest.approx(50.0)
+        assert bench.noise_sem({}) is None
+        assert bench.noise_sem(None) is None
+        rel_only = bench.tolerance("read_mean_us", 10.0)
+        with_noise = bench.tolerance("read_mean_us", 10.0, sem)
         assert rel_only == pytest.approx(0.5)
         assert with_noise == pytest.approx(bench.NOISE_Z * 50.0)
+        # Outside METRIC_POLICY the default relative tolerance applies.
+        assert bench.tolerance("counters.reads", -200.0) \
+            == pytest.approx(bench.DEFAULT_REL_TOL * 200.0)
 
     def test_write_and_load_bench_naming(self, tmp_path):
         document = {"schema_version": bench.BENCH_SCHEMA_VERSION,
@@ -462,6 +469,43 @@ class TestCLI:
         from repro.cli import main
 
         assert main(["bench", "--against", "X.json"]) == 2
+
+    @pytest.mark.parametrize("content, flag, message", [
+        (None, "--compare", "No such file"),
+        ('{"schema_version": 3, "cas', "--compare", "not JSON"),
+        ('{"schema_version": 2, "cases": []}', "--compare",
+         "bench schema 2 unsupported"),
+        ('{"schema_version": 3}', "--compare", "no 'cases' list"),
+        ('[]', "--against", "bench schema None unsupported"),
+    ], ids=["missing", "truncated", "wrong-schema", "case-less",
+            "not-a-document"])
+    def test_bad_bench_file_fails_before_the_suite(
+            self, tmp_path, capsys, monkeypatch, content, flag, message):
+        from repro.cli import main
+
+        def no_suite(**kwargs):
+            raise AssertionError("the suite ran before the inputs loaded")
+
+        monkeypatch.setattr(bench, "run_suite", no_suite)
+        bad = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_text(content)
+        good = tmp_path / "BENCH_1.json"
+        good.write_text(json.dumps(
+            {"schema_version": bench.BENCH_SCHEMA_VERSION, "cases": []}))
+        argv = ["bench", "--quick", "--out-dir", str(tmp_path),
+                "--compare", str(bad)]
+        if flag == "--against":
+            argv[-1] = str(good)
+            argv += ["--against", str(bad)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{bad}: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) \
+            == sorted(["BENCH_1.json"] + (["bad.json"] if content else []))
 
 
 class TestLatencyStatsVariance:
