@@ -10,7 +10,6 @@ the paper reports.
 import pytest
 
 from repro.experiments import figures
-from repro.metrics.wear import wear_report
 
 from conftest import report_figure
 

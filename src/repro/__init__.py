@@ -6,15 +6,26 @@ content *deltas* on an HDD, trading cheap CPU cycles (delta compression,
 similarity detection) for expensive mechanical disk operations while
 keeping random writes off the SSD.
 
-Quickstart::
+Quickstart (``tests/test_quickstart.py`` runs it)::
 
     import numpy as np
-    from repro import ICASHController, ICASHConfig
+    from repro import ICASHConfig, ICASHController
 
-    dataset = np.zeros((4096, 4096), dtype=np.uint8)   # 16 MiB of blocks
-    icash = ICASHController(dataset, ICASHConfig(ssd_capacity_blocks=512))
-    latency = icash.write(7, [np.full(4096, 0xAB, dtype=np.uint8)])
+    rng = np.random.default_rng(1)
+    families = rng.integers(0, 256, (24, 4096), dtype=np.uint8)
+    dataset = families[rng.integers(0, 24, 2048)]  # 8 MiB, 24 families
+    icash = ICASHController(dataset, ICASHConfig(ssd_capacity_blocks=256))
+    icash.ingest()                     # offline reference selection
+    print(icash.block_kind_counts())   # reference / associate / independent
+    block = dataset[7].copy()
+    block[128:192] = 0xAB              # a small partial update ...
+    latency = icash.write(7, [block])  # ... is buffered as a RAM delta
     latency, (content,) = icash.read(7)
+    assert (content == block).all()    # SSD reference + delta, decoded
+
+For the paper's experiments use the CLI: ``python -m repro --help``
+(``figure figure10a``, ``figure figure15``, ``analyze sysbench``,
+``chaos --quick``, ...).
 
 Package map:
 
@@ -23,7 +34,7 @@ Package map:
 * :mod:`repro.delta` — the delta codec, segment pool and HDD delta log.
 * :mod:`repro.baselines` — the paper's four comparison architectures.
 * :mod:`repro.workloads` — the six benchmark trace generators.
-* :mod:`repro.metrics` — energy, SSD-wear and CPU-utilisation models.
+* :mod:`repro.metrics` — energy and CPU-utilisation models.
 * :mod:`repro.experiments` — runners regenerating every table and figure.
 """
 

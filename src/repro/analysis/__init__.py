@@ -7,23 +7,20 @@ package measures those properties directly:
 
 * :mod:`repro.analysis.locality` — dataset- and trace-level content
   statistics: duplicate ratio, delta-size distributions against best
-  references, signature-overlap histograms, write-change fractions.
-* :mod:`repro.analysis.coverage` — how well a reference set covers a
-  block population (the "1 % references anchor 85 % of blocks" number).
+  references, signature-overlap histograms, write-change fractions
+  (``repro analyze``).  How a live element splits its blocks into
+  references and associates is ``ICASHController.block_kind_counts()``.
 * :mod:`repro.analysis.explain` — differential diagnosis of two runs:
   noise-aware attribution/scalar diffs, phase-aligned series diffs,
   queueing deltas and a ranked suspect list (``repro explain``).
 """
 
-from repro.analysis.coverage import CoverageReport, reference_coverage
 from repro.analysis.locality import (DatasetLocality, WriteLocality,
                                      analyze_dataset, analyze_writes)
 
 __all__ = [
-    "CoverageReport",
     "DatasetLocality",
     "WriteLocality",
     "analyze_dataset",
     "analyze_writes",
-    "reference_coverage",
 ]

@@ -3,10 +3,9 @@
 Everything the experiment harness can do, runnable without writing
 Python::
 
-    python -m repro list                      # what can I run?
     python -m repro figure figure6a           # one paper figure
     python -m repro figure all                # every figure (long)
-    python -m repro profile sysbench          # a Table 4 row
+    python -m repro analyze sysbench          # Table 4 row + locality
     python -m repro sweep scan_interval 250 500 1000 2000
 """
 
@@ -26,9 +25,7 @@ from repro.workloads import WORKLOADS
 #: string names its entry here (the CLI help test audits the mapping),
 #: so ``repro --help`` always points at the right doc.
 COMMAND_DOCS = {
-    "list": "README.md",
     "figure": "EXPERIMENTS.md",
-    "profile": "docs/MODELING.md",
     "sweep": "docs/TUNING.md",
     "validate": "EXPERIMENTS.md",
     "analyze": "docs/MODELING.md",
@@ -62,15 +59,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="I-CASH (HPCA 2011) reproduction harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list",
-                   help="list runnable figures and workloads "
-                        f"(see {COMMAND_DOCS['list']})")
-
     figure = sub.add_parser("figure",
                             help="regenerate one paper figure (or 'all') "
                                  f"(see {COMMAND_DOCS['figure']})")
-    figure.add_argument("name", help="figure name from 'repro list', "
-                                     "or 'all'")
+    figure.add_argument("name", help="one of "
+                        f"{', '.join(figures_module.ALL_FIGURES)}, "
+                        "or 'all'")
     figure.add_argument("--requests", type=int, default=None,
                         help="requests per benchmark run "
                              "(default: harness default)")
@@ -79,12 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "the figures (results are identical at any "
                              "job count)")
     _add_no_ledger(figure)
-
-    profile = sub.add_parser("profile",
-                             help="measure a workload's Table 4 profile "
-                                  f"(see {COMMAND_DOCS['profile']})")
-    profile.add_argument("workload", choices=sorted(WORKLOADS))
-    profile.add_argument("--requests", type=int, default=4000)
 
     sweep = sub.add_parser("sweep",
                            help="sweep one ICASHConfig field on SysBench "
@@ -107,8 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--requests", type=int, default=None)
 
     analyze = sub.add_parser(
-        "analyze", help="measure a workload's content locality "
-                        "(the paper's Section 2.2 claims; see "
+        "analyze", help="measure a workload's Table 4 profile and "
+                        "content locality (the paper's Section 2.2 "
+                        "claims; see "
                         f"{COMMAND_DOCS['analyze']})")
     analyze.add_argument("workload", choices=sorted(WORKLOADS))
     analyze.add_argument("--requests", type=int, default=2000)
@@ -408,26 +397,15 @@ def _build_run(workload_name: str, system_name: str, requests: int,
     return spec, workload, spec.build_system(workload)
 
 
-def _cmd_list() -> int:
-    print("figures:")
-    for name in figures_module.ALL_FIGURES:
-        print(f"  {name}")
-    print("also: figure7 / figure9 (read+write pairs), table5, table6 "
-          "run via pytest benchmarks/")
-    print("\nworkloads:")
-    for name in sorted(WORKLOADS):
-        print(f"  {name}")
-    return 0
-
-
 def _cmd_figure(name: str, requests: Optional[int],
                 jobs: int = 1, ledger=None) -> int:
     names = (list(figures_module.ALL_FIGURES)
              if name == "all" else [name])
     unknown = [n for n in names if n not in figures_module.ALL_FIGURES]
     if unknown:
-        print(f"unknown figure(s): {', '.join(unknown)} — see "
-              f"'repro list'", file=sys.stderr)
+        print(f"unknown figure(s): {', '.join(unknown)} — one of "
+              f"{', '.join(figures_module.ALL_FIGURES)}, or 'all'",
+              file=sys.stderr)
         return 2
 
     def _n_requests(fig_name: str) -> Optional[int]:
@@ -461,15 +439,6 @@ def _cmd_figure(name: str, requests: Optional[int],
     return 0
 
 
-def _cmd_profile(workload_name: str, requests: int) -> int:
-    cls = WORKLOADS[workload_name]
-    workload = cls(scale=0.25, n_requests=requests)
-    measured = workload.measured_profile()
-    print("measured:", measured.format_row())
-    print("paper:   ", cls.paper_profile.format_row())
-    return 0
-
-
 def _cmd_sweep(parameter: str, raw_values: List[str],
                requests: int, jobs: int = 1, ledger=None) -> int:
     values = [_parse_value(v) for v in raw_values]
@@ -499,6 +468,8 @@ def _cmd_analyze(workload_name: str, requests: int) -> int:
 
     cls = WORKLOADS[workload_name]
     workload = cls(scale=0.25, n_requests=requests)
+    print("measured:", workload.measured_profile().format_row())
+    print("paper:   ", cls.paper_profile.format_row())
     dataset = workload.build_dataset()
     locality = analyze_dataset(dataset, sample=min(2000,
                                                    workload.n_blocks))
@@ -1053,13 +1024,9 @@ def _dispatch(args) -> int:
         from repro.ledger import default_ledger
 
         ledger = default_ledger(args.no_ledger)
-    if args.command == "list":
-        return _cmd_list()
     if args.command == "figure":
         return _cmd_figure(args.name, args.requests, args.jobs,
                            ledger=ledger)
-    if args.command == "profile":
-        return _cmd_profile(args.workload, args.requests)
     if args.command == "sweep":
         return _cmd_sweep(args.parameter, args.values, args.requests,
                           args.jobs, ledger=ledger)

@@ -14,13 +14,16 @@ Modules, in dependency order:
   three replacement policies.
 * :mod:`repro.core.similarity` — reference selection and delta
   association (the periodic scan).
+* :mod:`repro.core.ingest` — the load-phase plan (Section 3.1 case 2):
+  which blocks become references and which join one as a delta.
 * :mod:`repro.core.controller` — the full I-CASH storage element: read
-  path, write path, flushing, spill threshold, background scan.
+  path, write path, flushing, spill threshold, background scan; its
+  ``block_kind_counts()`` is Section 5.1's reference / associate /
+  independent split.
 * :mod:`repro.core.recovery` — crash recovery by replaying the HDD delta
   log against SSD reference blocks (Section 3.3).
 """
 
-from repro.core.array import ICASHArray
 from repro.core.config import ICASHConfig
 from repro.core.controller import ICASHController
 from repro.core.heatmap import Heatmap
@@ -30,7 +33,6 @@ from repro.core.virtual_block import BlockKind, VirtualBlock
 
 __all__ = [
     "BlockKind",
-    "ICASHArray",
     "Heatmap",
     "ICASHConfig",
     "ICASHController",

@@ -1,22 +1,20 @@
 """Measurement models layered over simulation runs.
 
+Table 6's metric, runtime SSD writes, needs no model: it is a device
+counter, read by :func:`repro.experiments.figures.table6`.
+
 * :mod:`repro.metrics.energy` — the power model behind Table 5
   (watt-hours per benchmark run, per architecture).
-* :mod:`repro.metrics.wear` — SSD endurance accounting behind Table 6's
-  lifetime argument (erase counts, write amplification, projected life).
 * :mod:`repro.metrics.cpu` — host CPU utilisation behind Figures 6(b),
   8(b) and 10(b).
 """
 
 from repro.metrics.cpu import cpu_utilization
 from repro.metrics.energy import EnergyReport, EnergySpec, measure_energy
-from repro.metrics.wear import WearReport, wear_report
 
 __all__ = [
     "EnergyReport",
     "EnergySpec",
-    "WearReport",
     "cpu_utilization",
     "measure_energy",
-    "wear_report",
 ]

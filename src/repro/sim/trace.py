@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, TextIO, Tuple, \
-    Union
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, \
+    TextIO, Tuple, Union
 
 from repro.sim.clock import VirtualClock
 
@@ -379,12 +379,12 @@ def read_jsonl(source: Union[str, TextIO]) -> List[TraceEvent]:
         with open(source, "r", encoding="utf-8") as handle:
             return read_jsonl(handle)
     events = []
-    for line in source:
-        line = line.strip()
-        if line:
-            data = json.loads(line)
-            if "name" in data:
+    for number, data in _jsonl_objects(source):
+        if "name" in data:
+            try:
                 events.append(TraceEvent.from_dict(data))
+            except (KeyError, TypeError, ValueError):
+                raise _not_a_trace(source, number, "trace event") from None
     return events
 
 
@@ -394,13 +394,28 @@ def read_jsonl_header(source: Union[str, TextIO]) \
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
             return read_jsonl_header(handle)
-    for line in source:
-        line = line.strip()
-        if line:
-            data = json.loads(line)
-            header = data.get("trace_header")
-            return header if isinstance(header, dict) else None
+    for _number, data in _jsonl_objects(source):
+        header = data.get("trace_header")
+        return header if isinstance(header, dict) else None
     return None
+
+
+def _not_a_trace(source: TextIO, line: int, what: str) -> ValueError:
+    return ValueError(f"{getattr(source, 'name', '<stream>')}:{line}: "
+                      f"not a {what}")
+
+
+def _jsonl_objects(source: TextIO) -> Iterator[Tuple[int, Dict]]:
+    """``(line number, object)`` per non-blank line of a JSONL trace."""
+    for number, line in enumerate(source, 1):
+        if line.strip():
+            try:
+                data = json.loads(line)
+            except ValueError:
+                data = None
+            if not isinstance(data, dict):
+                raise _not_a_trace(source, number, "trace event")
+            yield number, data
 
 
 #: Stable thread ids for the Chrome exporter, one per track.
@@ -484,12 +499,13 @@ def load_chrome_metadata(source: Union[str, TextIO]) \
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
             return load_chrome_metadata(handle)
-    payload = json.load(source)
-    meta = payload.get("metadata", {})
-    header = meta.get("trace_completeness")
+    payload = _chrome_payload(source)
+    meta = payload.get("metadata")
+    header = meta.get("trace_completeness") \
+        if isinstance(meta, dict) else None
     if isinstance(header, dict):
         return header
-    for record in payload.get("traceEvents", ()):
+    for record in payload["traceEvents"]:
         if record.get("ph") == "M" and \
                 record.get("name") == "trace_completeness":
             args = record.get("args")
@@ -506,23 +522,40 @@ def load_chrome_trace(source: Union[str, TextIO]) -> List[TraceEvent]:
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
             return load_chrome_trace(handle)
-    payload = json.load(source)
     tid_to_track = {tid: track for track, tid in _CHROME_TIDS.items()}
     events = []
-    for record in payload["traceEvents"]:
+    for record in _chrome_payload(source)["traceEvents"]:
         if record.get("ph") not in ("X", "i"):
             continue
-        args = record.get("args", {})
-        events.append(TraceEvent(
-            name=record["name"],
-            ts=record["ts"] / 1e6,
-            dur=record.get("dur", 0.0) / 1e6,
-            track=tid_to_track.get(record.get("tid"), TRACK_RUN),
-            req=args.get("req"),
-            lba=args.get("lba"),
-            nbytes=args.get("bytes"),
-            outcome=args.get("outcome")))
+        try:
+            args = record.get("args", {})
+            events.append(TraceEvent(
+                name=record["name"],
+                ts=record["ts"] / 1e6,
+                dur=record.get("dur", 0.0) / 1e6,
+                track=tid_to_track.get(record.get("tid"), TRACK_RUN),
+                req=args.get("req"),
+                lba=args.get("lba"),
+                nbytes=args.get("bytes"),
+                outcome=args.get("outcome")))
+        except (AttributeError, KeyError, TypeError):
+            raise _not_a_trace(source, 1, "Chrome trace") from None
     return events
+
+
+def _chrome_payload(source: TextIO) -> Dict:
+    """A Chrome trace's top-level object: a dict whose ``traceEvents``
+    is a list of dicts, or ``ValueError`` naming the line at fault."""
+    try:
+        payload = json.load(source)
+    except json.JSONDecodeError as error:
+        raise _not_a_trace(source, error.lineno, "Chrome trace") from None
+    records = payload.get("traceEvents") \
+        if isinstance(payload, dict) else None
+    if not isinstance(records, list) or \
+            not all(isinstance(record, dict) for record in records):
+        raise _not_a_trace(source, 1, "Chrome trace")
+    return payload
 
 
 # ---------------------------------------------------------------------------

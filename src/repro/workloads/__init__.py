@@ -19,6 +19,9 @@ Generators:
 * :class:`~repro.workloads.rubis.RUBiSWorkload` — RUBiS auction site.
 * :class:`~repro.workloads.multivm.MultiVMWorkload` — N cloned VM images
   running the same benchmark (Figures 15–16).
+
+Every stream is generated from a seed, never replayed from a file: an
+address-only trace carries no content to derive deltas from.
 """
 
 from repro.workloads.base import SyntheticWorkload, Workload, WorkloadProfile

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from repro.baselines.lru_cache import LRUCacheStorage
-from repro.core.array import ICASHArray
 from repro.core.controller import ICASHController
 from repro.devices.base import Counted
 from repro.devices.hdd import HardDiskDrive
@@ -104,18 +103,17 @@ class TestDeclaredNames:
 
 
 class TestWrapperCounters:
-    def test_array_counters_sum_its_elements_and_its_own(self):
+    def test_page_cache_run_counters_sum_its_inner_and_its_own(self):
         workload = SysBenchWorkload(scale=0.05, n_requests=400)
-        array = ICASHArray(workload.build_dataset(), n_elements=2,
-                           chunk_blocks=16, config=small_config())
-        result = run_benchmark(workload, array)
-        expected = {"reads": array.reads, "writes": array.writes}
-        for element in array.elements:
-            for name, value in element.counters().items():
-                expected[name] = expected.get(name, 0) + value
+        inner = ICASHController(workload.build_dataset(), small_config())
+        system = HostCachedSystem(inner, cache_blocks=16)
+        result = run_benchmark(workload, system)
+        expected = dict(inner.counters())
+        for name in HostCachedSystem.COUNTERS:
+            expected[name] = getattr(system, name)
         assert result.counters == expected
         assert result.counters["delta_reconstructions"] > 0
-        assert array.reads + array.writes == 400
+        assert system.page_hits + system.page_misses > 0
 
     def test_page_cache_over_lru_reports_both_evictions(self):
         inner = LRUCacheStorage(make_dataset(64), cache_blocks=4)

@@ -193,15 +193,22 @@ class TestSweeps:
 
 class TestCLI:
     def test_list(self, capsys):
-        assert cli_main(["list"]) == 0
+        # Figure names are in `figure`'s help and its unknown-name
+        # error; workload names are every verb's argparse choices.
+        for argv in (["figure", "--help"], ["run", "--help"]):
+            with pytest.raises(SystemExit):
+                cli_main(argv)
         out = capsys.readouterr().out
-        assert "figure6a" in out
-        assert "sysbench" in out
+        assert "figure6a" in out and "sysbench" in out
+        assert cli_main(["figure", "figure99"]) == 2
+        assert "figure6a" in capsys.readouterr().err
 
     def test_profile(self, capsys):
-        assert cli_main(["profile", "rubis", "--requests", "500"]) == 0
-        out = capsys.readouterr().out
-        assert "measured:" in out and "paper:" in out
+        assert cli_main(["analyze", "rubis", "--requests", "500"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("measured:")
+        assert lines[1].startswith("paper:")
+        assert lines[2] == "rubis initial data set:"
 
     def test_unknown_figure_fails_cleanly(self, capsys):
         assert cli_main(["figure", "figure99"]) == 2

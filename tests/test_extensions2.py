@@ -1,13 +1,10 @@
 """Tests for the second wave of extensions: flush-order policy, sibling
-hydration revival, the controller status report and TraceWorkload."""
+hydration revival and the controller status report."""
 
 import numpy as np
 import pytest
 
 from repro.core import ICASHConfig, ICASHController
-from repro.sim.request import BLOCK_SIZE
-from repro.workloads import TPCCWorkload
-from repro.workloads.trace_io import TraceWorkload, save_trace
 
 from test_core_controller import family_dataset, small_config
 
@@ -96,38 +93,3 @@ class TestDescribe:
         controller = ICASHController(
             family_dataset(), small_config(log_on_nvram=True))
         assert "nvram" in controller.describe()
-
-
-class TestTraceWorkload:
-    def test_capture_and_replay_match_source(self, tmp_path):
-        source = TPCCWorkload(scale=0.05, n_requests=200)
-        trace = TraceWorkload.capture(tmp_path / "t.npz", source)
-        assert trace.n_requests == 200
-        assert trace.n_blocks == source.n_blocks
-        assert trace.ios_per_transaction == source.ios_per_transaction
-        replayed = [(r.op, r.lba, r.nblocks) for r in trace.requests()]
-        original = [(r.op, r.lba, r.nblocks) for r in source.requests()]
-        assert replayed == original
-
-    def test_shadow_tracks_replayed_writes(self, tmp_path):
-        source = TPCCWorkload(scale=0.05, n_requests=150)
-        trace = TraceWorkload.capture(tmp_path / "t.npz", source)
-        for request in trace.requests():
-            if request.is_write:
-                for offset, block in enumerate(request.payload):
-                    assert np.array_equal(
-                        trace.shadow[request.lba + offset], block)
-
-    def test_trace_drives_the_runner_with_verification(self, tmp_path):
-        from repro.experiments.runner import run_benchmark
-        from repro.experiments.systems import make_system
-        source = TPCCWorkload(scale=0.05, n_requests=300)
-        trace = TraceWorkload.capture(tmp_path / "t.npz", source)
-        system = make_system("icash", trace)
-        result = run_benchmark(trace, system, verify_reads=True)
-        assert result.verified_reads > 0
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            TraceWorkload(tmp_path / "absent.npz",
-                          np.zeros((8, BLOCK_SIZE), dtype=np.uint8))

@@ -1,5 +1,5 @@
-"""Second wave of property-based tests: multi-block requests, the array
-composition, recovery round-trips and the page-cache wrapper."""
+"""Second wave of property-based tests: multi-block requests, recovery
+round-trips and the page-cache wrapper."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ICASHConfig, ICASHController
-from repro.core.array import ICASHArray
 from repro.core.recovery import rebuild_controller, recover
 from repro.sim.pagecache import HostCachedSystem
 from repro.sim.request import BLOCK_SIZE
@@ -66,34 +65,6 @@ def test_multiblock_requests_match_shadow(seed, ops):
             for offset, content in enumerate(contents):
                 assert np.array_equal(content, shadow[lba + offset])
         controller.check_invariants()
-
-
-@settings(max_examples=8, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.integers(0, 2**31 - 1), st.integers(1, 4),
-       st.integers(1, 16))
-def test_array_equals_single_element_semantics(seed, n_elements,
-                                               chunk_blocks):
-    """Any array geometry serves exactly the same bytes."""
-    gen = np.random.default_rng(seed)
-    dataset = _family_dataset(gen, n_blocks=64)
-    array = ICASHArray(dataset.copy(), n_elements=n_elements,
-                       chunk_blocks=chunk_blocks, config=_tiny_config())
-    shadow = dataset.copy()
-    for _ in range(40):
-        lba = int(gen.integers(0, 60))
-        span = int(gen.integers(1, min(5, 64 - lba) + 1))
-        if gen.random() < 0.5:
-            payload = []
-            for block in range(lba, lba + span):
-                content = gen.integers(0, 256, BLOCK_SIZE, dtype=np.uint8)
-                shadow[block] = content
-                payload.append(content)
-            array.write(lba, payload)
-        else:
-            _, contents = array.read(lba, span)
-            for offset, content in enumerate(contents):
-                assert np.array_equal(content, shadow[lba + offset])
 
 
 @settings(max_examples=10, deadline=None,

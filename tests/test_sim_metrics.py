@@ -527,11 +527,11 @@ class TestCLI:
         printed = capsys.readouterr().out
         assert "per-window report" in printed
         assert "consistency:" in printed
-        assert (tmp_path / "series.csv").exists()
-        assert (tmp_path / "series.jsonl").exists()
-        assert (tmp_path / "metrics.prom").exists()
+        for name in ("series.csv", "series.jsonl", "metrics.prom"):
+            assert (tmp_path / name).stat().st_size > 0, name
         prom = (tmp_path / "metrics.prom").read_text()
         assert "# TYPE requests_read_total counter" in prom
+        assert re.search(r"^requests_read_total ", prom, re.MULTILINE)
 
     def test_monitor_json_output(self, tmp_path, capsys):
         import json

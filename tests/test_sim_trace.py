@@ -10,6 +10,7 @@ means), and the schema/documentation parity check.
 from __future__ import annotations
 
 import io
+import json
 import re
 from pathlib import Path
 
@@ -379,6 +380,7 @@ class TestCLI:
         printed = capsys.readouterr().out
         assert "consistency:" in printed
         assert "read phase breakdown" in printed
+        assert out.stat().st_size > 0
         events = load_chrome_trace(str(out))
         assert any(e.name == "request_start" for e in events)
 
@@ -509,8 +511,7 @@ class TestExporterCompleteness:
         assert header["complete"] is False
         # Drop accounting also rides inside traceEvents as an "M"
         # record, surviving viewers that strip top-level keys.
-        import json as json_module
-        payload = json_module.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text())
         m_records = [r for r in payload["traceEvents"]
                      if r.get("name") == "trace_completeness"]
         assert len(m_records) == 1 and m_records[0]["ph"] == "M"
@@ -537,3 +538,67 @@ class TestExporterCompleteness:
         assert code == 0
         header = read_jsonl_header(str(out))
         assert header is not None and header["complete"] is True
+
+
+class TestHostileInput:
+    """A truncated or foreign file is a ``ValueError`` naming the file
+    and the line, from every reader."""
+
+    def exported(self):
+        tracer = RingBufferTracer()
+        for lba in range(2):
+            tracer.begin_request("read", lba, 1)
+            tracer.span("ssd_read", 10e-6)
+            tracer.end_request(10e-6)
+        out = io.StringIO()
+        export_jsonl(tracer.events, out, tracer=tracer)
+        return out.getvalue()
+
+    def test_jsonl_cut_mid_line(self):
+        text = self.exported()
+        cut = text[:text.index("\n", text.index("\n") + 1) + 20]
+        with pytest.raises(ValueError, match=r"^<stream>:3: not a trace "
+                                             r"event$"):
+            read_jsonl(io.StringIO(cut))
+
+    def test_jsonl_event_without_timestamp(self):
+        line = json.dumps({"name": "ssd_read", "dur_us": 1.0,
+                           "track": TRACK_REQUEST})
+        with pytest.raises(ValueError, match=r"^<stream>:2: not a trace "
+                                             r"event$"):
+            read_jsonl(io.StringIO("\n" + line + "\n"))
+
+    def test_jsonl_array_line(self):
+        with pytest.raises(ValueError, match=r"^<stream>:1: not a trace "
+                                             r"event$"):
+            read_jsonl(io.StringIO("[1, 2]\n"))
+
+    def test_jsonl_header_on_a_string_line(self):
+        from repro.sim.trace import read_jsonl_header
+
+        with pytest.raises(ValueError, match=r"^<stream>:1: not a trace "
+                                             r"event$"):
+            read_jsonl_header(io.StringIO('"trace_header"\n'))
+
+    def test_file_path_named(self, tmp_path):
+        path = tmp_path / "cut.jsonl"
+        path.write_text(self.exported()[:-5])
+        with pytest.raises(ValueError, match=rf"^{path}:\d+: not a trace "
+                                             r"event$"):
+            read_jsonl(str(path))
+
+    @pytest.mark.parametrize("text", ["{}", "[]", "{\n\"traceEvents\": ",
+                                      '{"traceEvents": [[]]}',
+                                      '{"traceEvents": [{"ph": "X"}]}'])
+    def test_chrome_trace_not_a_trace(self, text):
+        with pytest.raises(ValueError, match=r"^<stream>:\d: not a Chrome "
+                                             r"trace$"):
+            load_chrome_trace(io.StringIO(text))
+
+    @pytest.mark.parametrize("text", ["[]", '{"traceEvents": {}}'])
+    def test_chrome_metadata_not_a_trace(self, text):
+        from repro.sim.trace import load_chrome_metadata
+
+        with pytest.raises(ValueError, match=r"^<stream>:1: not a Chrome "
+                                             r"trace$"):
+            load_chrome_metadata(io.StringIO(text))

@@ -18,8 +18,6 @@ from repro.workloads import (ALL_WORKLOADS, HadoopWorkload,
                              SysBenchWorkload, TPCCWorkload)
 from repro.workloads.content import (ContentModel, clear_dataset_cache,
                                      sprinkle_family_noise)
-from repro.workloads.msr import MSRTraceWorkload
-from repro.workloads.trace_io import TraceWorkload
 
 from reference import dataset as reference_dataset
 
@@ -176,23 +174,13 @@ class TestOneFrozenImage:
     """A data set is built once: the memoised matrix is what every
     workload, shadow and system sits on, and nothing can write to it."""
 
-    def workloads(self, tmp_path):
-        source = TPCCWorkload(scale=0.05, n_requests=60)
-        msr = tmp_path / "msr.csv"
-        msr.write_text("".join(
-            f"{i},host,0,{'Write' if i % 3 == 0 else 'Read'},"
-            f"{(i * 37 % 64) * BLOCK_SIZE},{BLOCK_SIZE},100\n"
-            for i in range(60)))
+    def workloads(self):
         return [cls(scale=0.05, n_requests=60) for cls in ALL_WORKLOADS] \
             + [MultiVMWorkload(TPCCWorkload, n_vms=3, scale=0.05,
-                               n_requests_per_vm=20),
-               MSRTraceWorkload(msr),
-               TraceWorkload.capture(tmp_path / "t.npz", source),
-               TraceWorkload(tmp_path / "t.npz",
-                             source.build_dataset().copy())]
+                               n_requests_per_vm=20)]
 
-    def test_whatever_a_workload_hands_out_is_read_only(self, tmp_path):
-        for workload in self.workloads(tmp_path):
+    def test_whatever_a_workload_hands_out_is_read_only(self):
+        for workload in self.workloads():
             for _ in workload.requests():
                 pass
             dataset = workload.build_dataset()
@@ -219,16 +207,6 @@ class TestOneFrozenImage:
             assert np.shares_memory(workload.build_dataset(), memo)
         other = SysBenchWorkload(scale=0.05, n_requests=50, seed=4)
         assert not np.shares_memory(other.build_dataset(), memo)
-
-    def test_a_trace_copies_only_a_writeable_image(self, tmp_path):
-        source = TPCCWorkload(scale=0.05, n_requests=30)
-        frozen = source.build_dataset()
-        shared = TraceWorkload.capture(tmp_path / "t.npz", source)
-        assert np.shares_memory(shared.build_dataset(), frozen)
-        mine = frozen.copy()
-        private = TraceWorkload(tmp_path / "t.npz", mine)
-        mine[:] = 0
-        assert np.array_equal(private.build_dataset(), frozen)
 
     def test_runs_leave_the_memoised_image_untouched(self):
         spec = RunSpec(workload="specsfs", scale=0.25, n_requests=400)
