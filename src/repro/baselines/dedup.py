@@ -150,7 +150,7 @@ class DedupCacheStorage(StorageSystem):
         latency = 0.0
         contents: List[np.ndarray] = []
         for block in range(lba, lba + nblocks):
-            content = self.backing.get(block)
+            content = self.backing.view(block)
             digest = self._lba_hash.get(block)
             if digest is not None:
                 self._lba_hash.move_to_end(block)

@@ -724,14 +724,6 @@ def _cmd_critpath(workload_name: str, system_name: str, requests: int,
             print(f"consistency: attribution {op} mean "
                   f"{table_mean:.2f} us vs run {op} mean "
                   f"{stats_mean:.2f} us [{'ok' if ok else 'MISMATCH'}]")
-    from repro.core.signatures import signature_cache_stats
-    cache_stats = signature_cache_stats()
-    if not as_json:
-        print(f"signature cache: {cache_stats['hits']} hits / "
-              f"{cache_stats['misses']} misses, "
-              f"{cache_stats['size']} entries "
-              f"({cache_stats['size_bytes'] / 1024:.0f} KiB pinned), "
-              f"{cache_stats['evictions']} evictions")
     folded_lines = None
     if folded is not None:
         folded_lines = export_folded(tracer.events, folded)
@@ -766,7 +758,6 @@ def _cmd_critpath(workload_name: str, system_name: str, requests: int,
             if result.queueing is not None else None,
             "consistency": consistency,
             "consistent": consistent,
-            "signature_cache": cache_stats,
             "folded": None if folded is None
             else {"path": folded, "lines": folded_lines},
         }

@@ -11,13 +11,13 @@ blocks.
 A hash-based scheme is provided anyway so the ablation bench
 (``bench_ablation_signature_scheme``) can quantify that design choice.
 
-Because :func:`block_signatures` sits on both hot request paths (every
-write, every first read of a block), results are memoised behind a
-bounded LRU keyed by the *exact block content* plus the scheme — so a
-cache hit is byte-for-byte equivalent to recomputing by construction
-(no digest collisions: the key is the content itself).  The direct
-implementations (:func:`_sampled_signatures`, :func:`_hash_signatures`)
-are kept and exercised by golden-equivalence tests.
+Signatures are recomputed on every call, with no memo: gathering the
+32 sampled bytes of a block is one numpy fancy index, cheaper than the
+4 KB content copy a memo key would need, and nothing stays pinned
+between requests.  The hash scheme, which only the ablation uses, is
+recomputed too.  The direct element-wise implementations
+(:func:`_sampled_signatures`, :func:`_hash_signatures`) are kept as the
+references golden-equivalence tests compare the kernels against.
 
 Callers that already hold ``N`` blocks (controller ingest over the
 whole backing store, multi-block writes) use the batch kernels
@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,16 +46,11 @@ SAMPLE_OFFSETS = (0, 16, 32, 64)
 #: Number of possible values of one sub-signature.
 SIGNATURE_VALUES = 256
 
-#: Bound on the memoised-signature LRU (entries; each key holds one 4 KB
-#: content copy, so the default caps the cache at ~16 MiB — the same
-#: order as the paper's delta buffer).
-SIGNATURE_CACHE_CAPACITY = 4096
-
-#: Flat byte indices of every sampled offset within a 4 KB block, row
-#: by sub-block — precomputed once for the vectorised fast path.
-_FLAT_SAMPLE_INDEX = (
+#: Byte index of every sampled offset within a 4 KB block, one row per
+#: sub-block — precomputed once for the vectorised kernels.
+_SAMPLE_INDEX = (
     np.arange(SUB_BLOCKS, dtype=np.intp)[:, None] * SUB_BLOCK_BYTES
-    + np.array(SAMPLE_OFFSETS, dtype=np.intp)).ravel()
+    + np.array(SAMPLE_OFFSETS, dtype=np.intp))
 
 
 class SignatureScheme(enum.Enum):
@@ -71,106 +65,42 @@ class SignatureScheme(enum.Enum):
     HASH = "hash"
 
 
-_signature_cache: "OrderedDict[Tuple[str, bytes], Tuple[int, ...]]" = \
-    OrderedDict()
-_cache_counters = {"hits": 0, "misses": 0, "evictions": 0, "size_bytes": 0}
-
-#: Per-entry key overhead beyond the 4 KB content copy: the scheme tag
-#: and the memoised 8-tuple.  Small but honest — the point of
-#: ``size_bytes`` is that each entry costs a full content copy, not just
-#: a digest.
-_CACHE_ENTRY_OVERHEAD = 64
-
-
-def _cache_entry_bytes(key: Tuple[str, bytes]) -> int:
-    return len(key[1]) + _CACHE_ENTRY_OVERHEAD
-
-
-def clear_signature_cache() -> None:
-    """Drop every memoised signature (tests and benchmarks use this)."""
-    _signature_cache.clear()
-    _cache_counters["hits"] = 0
-    _cache_counters["misses"] = 0
-    _cache_counters["evictions"] = 0
-    _cache_counters["size_bytes"] = 0
-
-
 def signature_cache_stats() -> Dict[str, int]:
-    """Hit/miss/size counters of the memoisation layer.
+    """Zero hits and zero misses: there is no signature memo.
 
-    ``size_bytes`` accounts for the content-copy keys (each entry pins a
-    full 4 KB ``tobytes()`` copy plus bookkeeping), and ``evictions``
-    counts LRU pop-outs — together they make cache pressure visible in
-    ``repro critpath --json``.
+    Gathering the 32 sampled bytes of a block costs less than the 4 KB
+    content copy a memo key would need, so signatures are recomputed on
+    every call.  The function stays importable because the benchmark's
+    adapter still reads a ``core.signatures.cache_hit_ratio`` from it.
     """
-    return {"hits": _cache_counters["hits"],
-            "misses": _cache_counters["misses"],
-            "size": len(_signature_cache),
-            "size_bytes": _cache_counters["size_bytes"],
-            "evictions": _cache_counters["evictions"]}
+    return {"hits": 0, "misses": 0}
 
 
-def _cache_get(key: Tuple[str, bytes]):
-    """LRU lookup with hit/miss accounting (shared with the batch path)."""
-    cached = _signature_cache.get(key)
-    if cached is not None:
-        _signature_cache.move_to_end(key)
-        _cache_counters["hits"] += 1
-        return cached
-    _cache_counters["misses"] += 1
-    return None
-
-
-def _cache_put(key: Tuple[str, bytes],
-               signatures: Tuple[int, ...]) -> None:
-    """Insert one memoised signature, evicting LRU past capacity."""
-    if key not in _signature_cache:
-        _cache_counters["size_bytes"] += _cache_entry_bytes(key)
-    _signature_cache[key] = signatures
-    if len(_signature_cache) > SIGNATURE_CACHE_CAPACITY:
-        evicted_key, _ = _signature_cache.popitem(last=False)
-        _cache_counters["evictions"] += 1
-        _cache_counters["size_bytes"] -= _cache_entry_bytes(evicted_key)
-
-
-def block_signatures(block: np.ndarray,
-                     scheme: SignatureScheme = SignatureScheme.SAMPLED,
-                     ) -> Tuple[int, ...]:
-    """The 8-tuple of sub-signatures of a 4 KB block."""
+def _block_bytes(block: np.ndarray) -> np.ndarray:
+    """The 4 096 bytes of ``block`` as one flat ``uint8`` array (the
+    block itself when it is one already)."""
     if block.nbytes != BLOCK_SIZE:
         raise ValueError(
             f"signatures are defined on {BLOCK_SIZE}-byte blocks, "
             f"got {block.nbytes}")
     if block.dtype != np.uint8:
-        # Rare non-byte layouts keep the direct element-wise semantics
-        # and skip the content-keyed cache (whose key is raw bytes).
-        if scheme is SignatureScheme.SAMPLED:
-            return _sampled_signatures(block)
-        return _hash_signatures(block)
-    raw = block.tobytes()
-    key = (scheme.value, raw)
-    cached = _cache_get(key)
-    if cached is not None:
-        return cached
-    if scheme is SignatureScheme.SAMPLED:
-        signatures = _sampled_from_bytes(raw)
-    else:
-        signatures = _hash_from_bytes(raw)
-    _cache_put(key, signatures)
-    return signatures
+        block = np.ascontiguousarray(block).view(np.uint8)
+    return block if block.ndim == 1 else block.reshape(BLOCK_SIZE)
 
 
-def _sampled_from_bytes(raw: bytes) -> Tuple[int, ...]:
-    """Vectorised sampled scheme over the block's raw bytes.
+def block_signatures(block: np.ndarray,
+                     scheme: SignatureScheme = SignatureScheme.SAMPLED,
+                     ) -> Tuple[int, ...]:
+    """The 8-tuple of sub-signatures of a 4 KB block.
 
     ``uint8`` summation wraps at 256, which *is* the paper's mod-256 —
     golden-equivalence tested against :func:`_sampled_signatures`.
     """
-    flat = np.frombuffer(raw, dtype=np.uint8)
-    sums = flat[_FLAT_SAMPLE_INDEX] \
-        .reshape(SUB_BLOCKS, len(SAMPLE_OFFSETS)) \
-        .sum(axis=1, dtype=np.uint8)
-    return tuple(sums.tolist())
+    flat = _block_bytes(block)
+    if scheme is SignatureScheme.SAMPLED:
+        return tuple(flat[_SAMPLE_INDEX].sum(axis=1, dtype=np.uint8)
+                     .tolist())
+    return _hash_from_bytes(flat.tobytes())
 
 
 def _hash_from_bytes(raw: bytes) -> Tuple[int, ...]:
@@ -182,8 +112,8 @@ def _hash_from_bytes(raw: bytes) -> Tuple[int, ...]:
 
 
 def _sampled_signatures(block: np.ndarray) -> Tuple[int, ...]:
-    """Direct (unmemoised, element-wise) sampled scheme — the reference
-    implementation golden tests compare the cached path against."""
+    """Direct (element-wise) sampled scheme — the reference
+    implementation golden tests compare the kernels against."""
     view = block.reshape(SUB_BLOCKS, SUB_BLOCK_BYTES)
     # Sum the four sampled columns per sub-block; uint8 overflow wraps
     # naturally at 256, matching the paper's 1-byte signature.
@@ -208,7 +138,7 @@ def _as_block_matrix(blocks: np.ndarray, name: str) -> np.ndarray:
             f"{arr.shape}")
     if arr.dtype != np.uint8:
         raise ValueError(f"{name} must be uint8, got {arr.dtype}")
-    return np.ascontiguousarray(arr)
+    return arr
 
 
 def block_signatures_batch(blocks: np.ndarray,
@@ -216,21 +146,16 @@ def block_signatures_batch(blocks: np.ndarray,
                            ) -> np.ndarray:
     """Sub-signatures of ``N`` stacked blocks as an ``(N, 8)`` uint8 array.
 
-    The sampled scheme is one fancy-index gather plus a reshape-sum over
-    ``_FLAT_SAMPLE_INDEX`` — uint8 summation wraps at 256, which *is*
-    the paper's mod-256.  The hash scheme has no vector form (SHA-1 per
+    The sampled scheme is one fancy-index gather over ``_SAMPLE_INDEX``
+    plus a sum — uint8 summation wraps at 256, which *is* the paper's
+    mod-256.  The hash scheme has no vector form (SHA-1 per
     sub-block) and falls back to the scalar reference per row.
     """
     arr = _as_block_matrix(blocks, "blocks")
-    n = arr.shape[0]
-    if n == 0:
-        return np.empty((0, SUB_BLOCKS), dtype=np.uint8)
     if scheme is SignatureScheme.SAMPLED:
-        return (arr[:, _FLAT_SAMPLE_INDEX]
-                .reshape(n, SUB_BLOCKS, len(SAMPLE_OFFSETS))
-                .sum(axis=2, dtype=np.uint8))
-    out = np.empty((n, SUB_BLOCKS), dtype=np.uint8)
-    for i in range(n):
+        return arr[:, _SAMPLE_INDEX].sum(axis=2, dtype=np.uint8)
+    out = np.empty((arr.shape[0], SUB_BLOCKS), dtype=np.uint8)
+    for i in range(arr.shape[0]):
         out[i] = _hash_from_bytes(arr[i].tobytes())
     return out
 
@@ -243,45 +168,19 @@ def signature_tuples(matrix: np.ndarray) -> List[Tuple[int, ...]]:
 def block_signatures_many(blocks: Sequence[np.ndarray],
                           scheme: SignatureScheme = SignatureScheme.SAMPLED,
                           ) -> List[Tuple[int, ...]]:
-    """Cache-aware signatures for a sequence of individual blocks.
+    """``[block_signatures(b, scheme) for b in blocks]`` in one pass.
 
-    Drop-in for ``[block_signatures(b) for b in blocks]``: each block is
-    looked up in the memoisation LRU first, then the misses are computed
-    in one :func:`block_signatures_batch` pass and inserted.  Duplicate
-    content within one batch is computed once.
+    The sampled scheme gathers the 32 sampled bytes of every block into
+    one ``(N, 8, 4)`` array and sums it once, so a multi-block write
+    costs one numpy reduction, not ``N``.
     """
-    results: List[Optional[Tuple[int, ...]]] = [None] * len(blocks)
-    miss_raw: dict = {}
-    miss_slots: List[Tuple[int, Tuple[str, bytes]]] = []
-    for i, block in enumerate(blocks):
-        arr = np.asarray(block)
-        if arr.nbytes != BLOCK_SIZE:
-            raise ValueError(
-                f"signatures are defined on {BLOCK_SIZE}-byte blocks, "
-                f"got {arr.nbytes}")
-        if arr.dtype != np.uint8:
-            # Rare non-byte layouts keep scalar semantics (uncached).
-            results[i] = block_signatures(arr, scheme)
-            continue
-        key = (scheme.value, arr.tobytes())
-        cached = _cache_get(key)
-        if cached is not None:
-            results[i] = cached
-        else:
-            if key not in miss_raw:
-                miss_raw[key] = len(miss_raw)
-            miss_slots.append((i, key))
-    if miss_raw:
-        stacked = np.frombuffer(
-            b"".join(key[1] for key in miss_raw),
-            dtype=np.uint8).reshape(len(miss_raw), BLOCK_SIZE)
-        matrix = block_signatures_batch(stacked, scheme)
-        computed = signature_tuples(matrix)
-        for key, row in zip(miss_raw, computed):
-            _cache_put(key, row)
-        for i, key in miss_slots:
-            results[i] = computed[miss_raw[key]]
-    return results  # type: ignore[return-value]
+    flats = [_block_bytes(np.asarray(block)) for block in blocks]
+    if scheme is not SignatureScheme.SAMPLED:
+        return [_hash_from_bytes(flat.tobytes()) for flat in flats]
+    if not flats:
+        return []
+    gathered = np.array([flat[_SAMPLE_INDEX] for flat in flats])
+    return signature_tuples(gathered.sum(axis=2, dtype=np.uint8))
 
 
 def signature_overlap(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:

@@ -52,8 +52,8 @@ def _ensure_pool(jobs: int) -> ProcessPoolExecutor:
     Reused across waves — ``figure``/``sweep``/``bench``/``loadtest``
     issue many :func:`run_specs` calls, and pool-per-call paid the full
     worker spawn each time.  Workers build the datasets their specs
-    name themselves, and keep that per-process memoisation (signature
-    LRU, dataset cache) warm between waves.
+    name themselves, and keep their per-process memos (data set,
+    request stream) warm between waves.
     """
     global _pool, _pool_workers
     if _pool is not None and _pool_workers < jobs:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import abc
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,8 +32,9 @@ from repro.sim.backing import BackingStore
 from repro.sim.request import BLOCK_SIZE, IORequest, OpType
 from repro.workloads.content import ContentModel
 
-#: Bound on the per-process memoised request-stream LRU (entries).  A
-#: stream is deterministic in the workload's parameters (that is the
+#: Bound on the per-process memoised request-stream LRU (entries; a
+#: multi-VM stream, interleaved, is one entry).  A stream is
+#: deterministic in the workload's parameters (that is the
 #: restartability contract above), so replaying a memoised stream is
 #: bit-identical to regenerating it; payload arrays are frozen
 #: read-only at creation so no consumer can corrupt a shared stream.
@@ -72,6 +73,34 @@ def _stream_cache_put(key: Tuple, stream: List[IORequest]) -> None:
             or _stream_counters["bytes"] > STREAM_CACHE_MAX_BYTES):
         _, (_, evicted_bytes) = _stream_cache.popitem(last=False)
         _stream_counters["bytes"] -= evicted_bytes
+
+
+def memoised_stream(key: Tuple,
+                    generate: Callable[[], Iterator[IORequest]],
+                    replay: Callable[[List[IORequest]],
+                                     Iterator[IORequest]]
+                    ) -> Iterator[IORequest]:
+    """The stream memoised under ``key``: ``replay`` of the recorded
+    requests on a hit, ``generate()`` recorded as it is drained on a
+    miss."""
+    cached = _stream_cache.get(key)
+    if cached is not None:
+        _stream_cache.move_to_end(key)
+        _stream_counters["hits"] += 1
+        return replay(cached[0])
+    _stream_counters["misses"] += 1
+    return _recorded(key, generate())
+
+
+def _recorded(key: Tuple, requests: Iterator[IORequest]
+              ) -> Iterator[IORequest]:
+    stream: List[IORequest] = []
+    for request in requests:
+        stream.append(request)
+        yield request
+    # Reached only when the consumer drained the whole stream — a
+    # partially consumed generator must never seed the cache.
+    _stream_cache_put(key, stream)
 
 
 @dataclass(frozen=True)
@@ -301,25 +330,13 @@ class SyntheticWorkload(Workload):
                 content.duplicate_fraction)
 
     def requests(self) -> Iterator[IORequest]:
-        key = self._stream_key
-        cached = _stream_cache.get(key)
-        if cached is not None:
-            _stream_cache.move_to_end(key)
-            _stream_counters["hits"] += 1
-            return self._replay(cached[0])
-        _stream_counters["misses"] += 1
-        return self._generate(key)
+        return memoised_stream(self._stream_key, self._generate,
+                               self._replay)
 
-    def _generate(self, key: Tuple) -> Iterator[IORequest]:
+    def _generate(self) -> Iterator[IORequest]:
         self._reset()
-        stream: List[IORequest] = []
         for _ in range(self.n_requests):
-            request = self._next_request()
-            stream.append(request)
-            yield request
-        # Reached only when the consumer drained the whole stream — a
-        # partially consumed generator must never seed the cache.
-        _stream_cache_put(key, stream)
+            yield self._next_request()
 
     def _replay(self, stream: List[IORequest]) -> Iterator[IORequest]:
         """Yield a memoised stream, still applying writes to the shadow.

@@ -33,10 +33,15 @@ import numpy as np
 
 from repro.sim.request import BLOCK_SIZE
 
-#: Bound on the per-process memoised-dataset LRU (entries).  Datasets
-#: are deterministic in their parameters, so a cache hit returns the one
-#: frozen matrix every caller shares, bit-identical to rebuilding.
-DATASET_CACHE_CAPACITY = 8
+#: Bound on the per-process data-set memo (images), counting the one
+#: being built: a build first evicts down to one image, so no image is
+#: built while two others are held.  Two is the paper grid's reuse
+#: distance — SysBench and TPC-C share one image, and Figure 8(a)'s
+#: Hadoop image comes between their uses; every other image serves one
+#: unbroken run of figures.  Data sets are deterministic in their
+#: parameters, so a hit returns the one frozen matrix every caller
+#: shares, bit-identical to rebuilding.
+DATASET_CACHE_CAPACITY = 2
 
 #: Private noise bytes on top of the family base, per non-duplicate
 #: block (and per :meth:`ContentModel.rewrite`).
@@ -72,9 +77,9 @@ def _dataset_cache_get(key: DatasetKey) -> Optional[np.ndarray]:
     return None
 
 
-def _dataset_cache_put(key: DatasetKey, dataset: np.ndarray) -> None:
-    _dataset_cache[key] = dataset
-    if len(_dataset_cache) > DATASET_CACHE_CAPACITY:
+def _make_room_for_build() -> None:
+    """Evict the oldest images until the one about to be built fits."""
+    while len(_dataset_cache) >= DATASET_CACHE_CAPACITY:
         _dataset_cache.popitem(last=False)
 
 
@@ -167,12 +172,13 @@ class ContentModel:
         key = self.dataset_key
         dataset = _dataset_cache_get(key)
         if dataset is None:
+            _make_room_for_build()
             dataset = self._bases[self.family_of]
             sprinkle_family_noise(
                 dataset, np.flatnonzero(self._unique_mask),
                 np.random.default_rng(self.content_seed + 2))
             dataset.flags.writeable = False
-            _dataset_cache_put(key, dataset)
+            _dataset_cache[key] = dataset
         return dataset
 
     # -- overwrites ---------------------------------------------------------------

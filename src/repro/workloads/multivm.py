@@ -14,7 +14,8 @@ I-CASH exploits to win 2.8x over pure SSD in Figure 15: thousands of
 blocks across images delta-compress against a tiny shared reference set.
 
 Per-VM request streams are interleaved round-robin, modelling the
-concurrent VMs competing for the shared storage element.
+concurrent VMs competing for the shared storage element.  The
+interleaved stream is memoised as one entry, like a single workload's.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from typing import Iterator, List, Type
 import numpy as np
 
 from repro.sim.request import IORequest
-from repro.workloads.base import SyntheticWorkload, Workload
+from repro.workloads.base import (SyntheticWorkload, Workload,
+                                  memoised_stream)
 
 
 class _VMShadows:
@@ -101,8 +103,18 @@ class MultiVMWorkload(Workload):
                          timestamp=request.timestamp)
 
     def requests(self) -> Iterator[IORequest]:
-        """Round-robin interleave of the per-VM streams."""
-        streams = [vm.requests() for vm in self.vms]
+        """Round-robin interleave of the per-VM streams.
+
+        The interleaved, translated stream is one stream-memo entry,
+        keyed by the VMs' stream keys; the per-VM streams take none of
+        their own, so a replay neither regenerates nor re-translates
+        them.
+        """
+        return memoised_stream(tuple(vm._stream_key for vm in self.vms),
+                               self._interleave, self._replay)
+
+    def _interleave(self) -> Iterator[IORequest]:
+        streams = [vm._generate() for vm in self.vms]
         live = list(range(self.n_vms))
         while live:
             finished: List[int] = []
@@ -115,6 +127,19 @@ class MultiVMWorkload(Workload):
                 yield self._translate(vm_index, request)
             for vm_index in finished:
                 live.remove(vm_index)
+
+    def _replay(self, stream: List[IORequest]) -> Iterator[IORequest]:
+        """Yield the memoised stream, writing each VM's shadow as the
+        generation pass did."""
+        for vm in self.vms:
+            vm._reset()
+        for request in stream:
+            if request.is_write:
+                vm_shadow = self.vms[request.vm_id].shadow
+                local = request.lba - request.vm_id * self.vm_blocks
+                for offset, block in enumerate(request.payload):
+                    vm_shadow[local + offset] = block
+            yield request
 
     def cross_vm_similarity(self) -> float:
         """Fraction of VM-1..N-1 initial blocks identical to VM 0's copy.

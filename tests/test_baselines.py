@@ -182,6 +182,25 @@ class TestDedupCacheStorage:
         assert system.destages == 1
         assert system.background_time > 0
 
+    def test_reads_return_the_stored_block_read_only(self):
+        """A read, hit or miss, hands back the stored block itself, as
+        the other systems do: never a private writeable copy."""
+        from repro.workloads.tpcc import TPCCWorkload
+
+        workload = TPCCWorkload(scale=0.05, n_requests=400, seed=3)
+        system = DedupCacheStorage(workload.build_dataset(),
+                                   cache_blocks=16)
+        for request in workload.requests():
+            if request.is_write:
+                system.write(request.lba, request.payload)
+                continue
+            _, contents = system.read(request.lba, request.nblocks)
+            for offset, content in enumerate(contents):
+                assert not content.flags.writeable
+                assert np.array_equal(
+                    content, workload.shadow[request.lba + offset])
+        assert system.cache_hits > 0 and system.cache_misses > 0
+
 
 class TestCommonInterface:
     @pytest.mark.parametrize("factory", [

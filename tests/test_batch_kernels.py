@@ -22,11 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.heatmap import Heatmap
-from repro.core.signatures import (SignatureScheme, block_signatures,
+from repro.core.signatures import (SignatureScheme, _hash_signatures,
+                                   _sampled_signatures, block_signatures,
                                    block_signatures_batch,
-                                   block_signatures_many,
-                                   clear_signature_cache,
-                                   signature_cache_stats, signature_tuples)
+                                   block_signatures_many, signature_tuples)
 from repro.delta.encoder import Delta
 from repro.sim.request import BLOCK_SIZE
 
@@ -47,7 +46,6 @@ class TestSignatureBatchEquivalence:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 24),
            scheme=st.sampled_from(list(SignatureScheme)))
     def test_matches_scalar_on_random_batches(self, seed, n, scheme):
-        clear_signature_cache()
         rng = np.random.default_rng(seed)
         batch = _random_batch(rng, n)
         matrix = block_signatures_batch(batch, scheme)
@@ -56,7 +54,6 @@ class TestSignatureBatchEquivalence:
             == [block_signatures(batch[i], scheme) for i in range(n)]
 
     def test_non_contiguous_view_input(self, rng):
-        clear_signature_cache()
         doubled = _random_batch(rng, 12)
         view = doubled[::2]  # stride-2 rows: not C-contiguous
         assert not view.flags.c_contiguous
@@ -64,7 +61,6 @@ class TestSignatureBatchEquivalence:
             == [block_signatures(row) for row in view]
 
     def test_single_block_and_empty_batch(self, rng):
-        clear_signature_cache()
         one = _random_batch(rng, 1)
         assert signature_tuples(block_signatures_batch(one)) \
             == [block_signatures(one[0])]
@@ -80,48 +76,62 @@ class TestSignatureBatchEquivalence:
                 np.zeros((2, BLOCK_SIZE), dtype=np.uint16))
 
 
+def _reference(scheme):
+    return (_sampled_signatures if scheme is SignatureScheme.SAMPLED
+            else _hash_signatures)
+
+
 class TestBlockSignaturesMany:
     def test_matches_scalar_list(self, rng):
-        clear_signature_cache()
         blocks = list(_random_batch(rng, 10))
-        blocks.append(blocks[0].copy())  # in-batch duplicate
-        assert block_signatures_many(blocks) \
-            == [block_signatures(b) for b in blocks]
+        for scheme in SignatureScheme:
+            expected = [_reference(scheme)(b) for b in blocks]
+            assert block_signatures_many(blocks, scheme) == expected
+            assert [block_signatures(b, scheme) for b in blocks] \
+                == expected
 
-    def test_mixed_hits_and_misses(self, rng):
-        clear_signature_cache()
-        blocks = list(_random_batch(rng, 6))
-        for block in blocks[:3]:
-            block_signatures(block)  # pre-warm half the batch
-        before = signature_cache_stats()
-        result = block_signatures_many(blocks)
-        after = signature_cache_stats()
-        assert result == [block_signatures(b) for b in blocks]
-        assert after["hits"] >= before["hits"] + 3
-        assert after["misses"] >= before["misses"] + 3
+    @pytest.mark.parametrize("scheme", list(SignatureScheme))
+    def test_non_contiguous_views(self, rng, scheme):
+        wide = _random_batch(rng, 6).reshape(3, 2 * BLOCK_SIZE)
+        views = list(wide[:, ::2])  # every other byte: stride-2 blocks
+        assert not any(view.flags.c_contiguous for view in views)
+        expected = [_reference(scheme)(np.ascontiguousarray(view))
+                    for view in views]
+        assert block_signatures_many(views, scheme) == expected
+        assert [block_signatures(v, scheme) for v in views] == expected
 
-    def test_cache_size_bytes_and_evictions_accounted(self, rng):
-        from repro.core.signatures import SIGNATURE_CACHE_CAPACITY
+    @pytest.mark.parametrize("scheme", list(SignatureScheme))
+    def test_non_uint8_layouts(self, rng, scheme):
+        """Signatures are a function of a block's bytes: a signed-byte
+        view and an (8, 512) sub-block matrix of the same bytes agree
+        with the flat block."""
+        block = _random_batch(rng, 1)[0]
+        signed = block.view(np.int8)
+        matrix = block.reshape(8, BLOCK_SIZE // 8)
+        expected = _reference(scheme)(block)
+        assert _reference(scheme)(signed) == expected
+        for layout in (signed, matrix):
+            assert block_signatures(layout, scheme) == expected
+        assert block_signatures_many([signed, matrix, block], scheme) \
+            == [expected] * 3
 
-        clear_signature_cache()
-        block_signatures_many(list(_random_batch(rng, 8)))
-        stats = signature_cache_stats()
-        assert stats["size"] == 8
-        # Every entry pins its key (scheme tag + 4 KB of content), the
-        # signature tuple, and LRU bookkeeping; the accounting must grow
-        # with the population and reset with it.
-        assert stats["size_bytes"] > 8 * BLOCK_SIZE
-        assert stats["evictions"] == 0
-        per_entry = stats["size_bytes"] // 8
-        for chunk in range(0, SIGNATURE_CACHE_CAPACITY + 64, 64):
-            block_signatures_many(list(_random_batch(rng, 64)))
-        stats = signature_cache_stats()
-        assert stats["evictions"] > 0
-        assert stats["size"] <= SIGNATURE_CACHE_CAPACITY
-        assert stats["size_bytes"] \
-            <= (SIGNATURE_CACHE_CAPACITY + 1) * per_entry
-        clear_signature_cache()
-        assert signature_cache_stats()["size_bytes"] == 0
+    def test_empty_batch(self):
+        for scheme in SignatureScheme:
+            assert block_signatures_many([], scheme) == []
+
+    @pytest.mark.parametrize("scheme", list(SignatureScheme))
+    def test_request_repeating_one_block(self, rng, scheme):
+        block = _random_batch(rng, 1)[0]
+        frozen = block.copy()
+        frozen.flags.writeable = False
+        result = block_signatures_many([block, frozen, block], scheme)
+        assert result == [_reference(scheme)(block)] * 3
+
+    def test_rejects_a_block_of_the_wrong_size(self):
+        with pytest.raises(ValueError):
+            block_signatures_many([np.zeros(100, dtype=np.uint8)])
+        with pytest.raises(ValueError):
+            block_signatures(np.zeros(100, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +322,24 @@ class TestStreamCache:
         again_stream, again_shadow = _stream_fingerprint(first)
         assert again_stream == gen_stream
         assert np.array_equal(again_shadow, gen_shadow)
+
+    def test_multi_vm_stream_is_one_entry_and_replays_identically(self):
+        from repro.workloads import base as workload_base
+        from repro.workloads.multivm import MultiVMWorkload
+        from repro.workloads.tpcc import TPCCWorkload
+
+        def make():
+            return MultiVMWorkload(TPCCWorkload, n_vms=3, scale=0.05,
+                                   n_requests_per_vm=80, seed=4)
+
+        workload_base.clear_stream_cache()
+        gen_stream, gen_shadow = _stream_fingerprint(make())
+        stats = workload_base.stream_cache_stats()
+        assert (stats["misses"], stats["size"]) == (1, 1)
+        rep_stream, rep_shadow = _stream_fingerprint(make())
+        assert workload_base.stream_cache_stats()["hits"] == 1
+        assert rep_stream == gen_stream
+        assert np.array_equal(rep_shadow, gen_shadow)
 
     def test_different_parameters_do_not_collide(self):
         from repro.workloads import base as workload_base

@@ -167,16 +167,18 @@ class TestHostCostBudget:
     #:   walked several helper frames and bumped string-keyed counters;
     #:   60.5 while it also kept a latency sample nobody read; 90.9
     #:   before the capture tracer folded phases at emission);
-    #: * sysbench / icash — 121.6, of which 6.1 in the codec (127.7
-    #:   while the controller bumped string-keyed counters; 144.0 with
-    #:   those device frames; 145.1 while a virtual block kept its own
-    #:   copy of its reference and dirtiness; 147.7 and 7.6 while ingest
-    #:   tallied and encoded block by block);
-    #: * specsfs / icash — 341.0, of which 25.2 in the codec (349.1 with
-    #:   string-keyed counters; 390.3 with those device frames; 401.2
-    #:   with those copies; 401.9 and 26.2 block by block; 487.3, and
-    #:   175.6 on sysbench, while the scan, retirement and reference
-    #:   loops read ``is_*`` / ``has_*`` properties per window block).
+    #: * sysbench / icash — 121.2, of which 6.1 in the codec (121.6
+    #:   while signatures were memoised behind a content-keyed LRU;
+    #:   127.7 while the controller bumped string-keyed counters; 144.0
+    #:   with those device frames; 145.1 while a virtual block kept its
+    #:   own copy of its reference and dirtiness; 147.7 and 7.6 while
+    #:   ingest tallied and encoded block by block);
+    #: * specsfs / icash — 316.6, of which 25.2 in the codec (341.0 with
+    #:   that signature LRU; 349.1 with string-keyed counters; 390.3
+    #:   with those device frames; 401.2 with those copies; 401.9 and
+    #:   26.2 block by block; 487.3, and 175.6 on sysbench, while the
+    #:   scan, retirement and reference loops read ``is_*`` / ``has_*``
+    #:   properties per window block).
     #:
     #: The icash pair is perfbench's ``oltp_read`` and ``nfs_write`` at
     #: a size tier-1 can afford; they read 257.1 (62.9) and 604.3 (55.8)
@@ -185,20 +187,23 @@ class TestHostCostBudget:
     #:
     #: The last column is memory: the tracemalloc peak of what one more
     #: warm ``run_spec`` allocates, as a multiple of the data set's
-    #: size, 15 % above the measured 0.072 / 0.62 / 2.17.  The data set
-    #: itself is built once and shared (a frozen image plus the blocks
-    #: written since), so every whole-image copy a run makes adds 1.0 —
-    #: the five it used to make read 4.02 / 4.34 / 5.09.  What is left
-    #: on icash is the controller's own SSD mirror, caches and log.
+    #: size — 15 % above the measured 0.072 on raid0, 10 % above the
+    #: measured 0.592 / 1.122 on icash (0.62 / 2.17, budgets 0.72 /
+    #: 2.5, while every signature lookup copied its block into an LRU
+    #: key).  The data set itself is built once and shared (a frozen
+    #: image plus the blocks written since), so every whole-image copy a
+    #: run makes adds 1.0 — the five it used to make read 4.02 / 4.34 /
+    #: 5.09.  What is left on icash is the controller's own SSD mirror,
+    #: caches and log.
     BUDGETS = (
         (RunSpec(workload="tpcc", system="raid0", engine="event",
                  n_requests=2000, scale=0.5), 43.6, 0.0, 0.085),
         (RunSpec(workload="sysbench", system="icash", engine="event",
-                 n_requests=2000, scale=0.25), 133.8, 6.7, 0.72),
+                 n_requests=2000, scale=0.25), 133.4, 6.7, 0.65),
         (RunSpec(workload="specsfs", system="icash", engine="event",
                  n_requests=1500, scale=0.25,
                  config_overrides=(("ssd_capacity_blocks", 2048),)),
-         375.1, 27.8, 2.5),
+         348.3, 27.8, 1.23),
     )
 
     def test_calls_per_request_within_budget(self):

@@ -4,8 +4,8 @@ Two families of guarantees live here:
 
 * **golden equivalence** — every memoised/incremental/zero-copy fast
   path must produce byte-identical results to the direct
-  implementation it replaced (signature cache vs. recompute,
-  incremental similarity index vs. per-scan rebuild, view-based reads
+  implementation it replaced (signature kernels vs. the element-wise
+  references, incremental similarity index vs. per-scan rebuild, view-based reads
   vs. copies);
 * **parallel determinism** — fanning runs out across worker processes
   must be invisible in the results: byte-identical figures, sweeps and
@@ -24,9 +24,7 @@ from hypothesis import strategies as st
 from repro.core.cache import ICashCache
 from repro.core.heatmap import Heatmap
 from repro.core.signatures import (SignatureScheme, _hash_signatures,
-                                   _sampled_signatures, block_signatures,
-                                   clear_signature_cache,
-                                   signature_cache_stats)
+                                   _sampled_signatures, block_signatures)
 from repro.core.similarity import SimilarityScanner
 from repro.core.virtual_block import BlockKind, VirtualBlock
 from repro.delta.encoder import apply_delta, encode_delta
@@ -37,46 +35,26 @@ from reference.similarity import direct_scan, outcome
 
 
 # ---------------------------------------------------------------------------
-# Signature memoisation: golden equivalence with the direct computation
+# Signature kernels: golden equivalence with the direct computation
 # ---------------------------------------------------------------------------
 
 
 class TestSignatureCache:
     def test_sampled_matches_direct_implementation(self, rng):
-        clear_signature_cache()
         for _ in range(20):
             block = rng.integers(0, 256, BLOCK_SIZE, dtype=np.uint8)
             assert block_signatures(block) \
                 == tuple(_sampled_signatures(block))
 
     def test_hash_matches_direct_implementation(self, rng):
-        clear_signature_cache()
         for _ in range(10):
             block = rng.integers(0, 256, BLOCK_SIZE, dtype=np.uint8)
             assert block_signatures(block, SignatureScheme.HASH) \
                 == tuple(_hash_signatures(block))
 
-    def test_cache_hit_returns_identical_tuple(self, rng):
-        clear_signature_cache()
-        block = rng.integers(0, 256, BLOCK_SIZE, dtype=np.uint8)
-        first = block_signatures(block)
-        again = block_signatures(block.copy())  # same content, new array
-        assert again == first
-        stats = signature_cache_stats()
-        assert stats["hits"] >= 1 and stats["misses"] >= 1
-
-    def test_schemes_do_not_collide_in_cache(self, rng):
-        clear_signature_cache()
-        block = rng.integers(0, 256, BLOCK_SIZE, dtype=np.uint8)
-        sampled = block_signatures(block, SignatureScheme.SAMPLED)
-        hashed = block_signatures(block, SignatureScheme.HASH)
-        assert sampled == tuple(_sampled_signatures(block))
-        assert hashed == tuple(_hash_signatures(block))
-
     def test_mutated_block_gets_fresh_signatures(self, rng):
-        """The cache keys on content, so mutation can never serve a
-        stale entry."""
-        clear_signature_cache()
+        """Signatures follow the content: a changed sampled byte
+        changes them."""
         block = rng.integers(0, 256, BLOCK_SIZE, dtype=np.uint8)
         before = block_signatures(block)
         block[0] = (int(block[0]) + 1) % 256  # offset 0 is sampled
@@ -87,22 +65,10 @@ class TestSignatureCache:
     def test_readonly_view_input_accepted(self, rng):
         """Controller read paths hand out read-only views; signatures
         must compute on them without writeability."""
-        clear_signature_cache()
         block = rng.integers(0, 256, BLOCK_SIZE, dtype=np.uint8)
         view = block.view()
         view.flags.writeable = False
         assert block_signatures(view) == tuple(_sampled_signatures(block))
-
-    def test_capacity_bounded(self, rng):
-        from repro.core.signatures import SIGNATURE_CACHE_CAPACITY, \
-            _signature_cache
-        clear_signature_cache()
-        block = rng.integers(0, 256, BLOCK_SIZE, dtype=np.uint8)
-        for i in range(64):
-            variant = block.copy()
-            variant[0] = i % 256
-            block_signatures(variant)
-        assert len(_signature_cache) <= SIGNATURE_CACHE_CAPACITY
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,13 @@ REMOVED = (
     # The batch signature kernels live beside the scalar ones.
     ("repro.core.batch", r"repro\.core\.batch|core\.batch import",
      "repro.core.signatures"),
+    # Signatures are recomputed on every call: there is no memo.
+    ("clear_signature_cache", r"clear_signature_cache",
+     "nothing: block_signatures keeps no state"),
+    ("SIGNATURE_CACHE_CAPACITY", r"SIGNATURE_CACHE_CAPACITY",
+     "nothing: block_signatures keeps no state"),
+    ("_signature_cache", r"\b_signature_cache\b",
+     "nothing: block_signatures keeps no state"),
 )
 
 
