@@ -90,9 +90,10 @@ class _SSDCopy:
 
     Created only by :meth:`ICASHController._acquire_ssd_slot`, filled by
     ``_ssd_write`` (``data`` is replaced wholesale, never patched) and
-    destroyed only by ``_release_ssd_slot``.  This is the RAM-side mirror
-    the real prototype's metadata makes addressable; device latencies are
-    still charged through ``controller.ssd``.
+    destroyed only by ``_release_ssd_slot``; frozen bytes written to it
+    (an image row, a write payload) are shared, not copied.  This is the
+    RAM-side mirror the real prototype's metadata makes addressable;
+    device latencies are still charged through ``controller.ssd``.
     """
 
     slot: int
@@ -1107,9 +1108,10 @@ class ICASHController(StorageSystem):
         return self.ssd.read(self._ssd_copies[lba].slot, 1)
 
     def _ssd_write(self, lba: int, content: np.ndarray) -> float:
-        """The one way bytes reach the SSD: one private copy per store."""
+        """The one way bytes reach the SSD.  A read-only array is frozen
+        bytes and is kept as it is; writeable input is copied."""
         copy = self._ssd_copies[lba]
-        copy.data = content.copy()
+        copy.data = content.copy() if content.flags.writeable else content
         return self.ssd.write(copy.slot, 1)
 
     def _hdd_write(self, lba: int, content: np.ndarray) -> float:
@@ -1190,9 +1192,12 @@ class ICASHController(StorageSystem):
         Returns the live array, not a copy: fault injection corrupts
         it in place and the signature scrub
         (:func:`repro.sim.faults.scrub_references`) must observe that
-        damage.
+        damage.  Shared frozen bytes are first swapped for a private
+        copy, so the damage never reaches an image or a payload.
         """
         copy = self._ssd_copies.get(lba)
+        if copy is not None and not copy.data.flags.writeable:
+            copy.data = copy.data.copy()
         return copy.data if copy is not None else None
 
     def check_invariants(self) -> None:

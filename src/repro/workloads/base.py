@@ -214,9 +214,7 @@ class SyntheticWorkload(Workload):
     ``content_seed`` defaults to ``seed`` but can be pinned separately so
     several instances share one content universe (identical initial
     images) while issuing independent request streams — the multi-VM
-    cloning scenario.  ``image_divergence`` additionally mutates that
-    fraction of blocks privately at start-up, modelling a VM image that
-    has drifted slightly from the golden image.
+    cloning scenario.
     """
 
     # Subclasses override these class-level defaults.
@@ -234,16 +232,12 @@ class SyntheticWorkload(Workload):
                  rewrite_fraction: float = 0.05,
                  max_request_blocks: int = 32,
                  vm_id: int = 0, seed: int = 2011,
-                 content_seed: Optional[int] = None,
-                 image_divergence: float = 0.0) -> None:
+                 content_seed: Optional[int] = None) -> None:
         if not 0.0 <= read_fraction <= 1.0:
             raise ValueError(f"read_fraction must be in [0, 1], "
                              f"got {read_fraction}")
         if n_requests < 1:
             raise ValueError(f"need at least one request, got {n_requests}")
-        if not 0.0 <= image_divergence <= 1.0:
-            raise ValueError(f"image_divergence must be in [0, 1], "
-                             f"got {image_divergence}")
         self._n_blocks = n_blocks
         self.n_requests = n_requests
         self.read_fraction = read_fraction
@@ -260,7 +254,6 @@ class SyntheticWorkload(Workload):
         self.seed = seed
         self.content_seed = content_seed if content_seed is not None \
             else seed
-        self.image_divergence = image_divergence
         if n_families is None:
             n_families = max(1, n_blocks // 32)
         self.content = ContentModel(
@@ -269,15 +262,6 @@ class SyntheticWorkload(Workload):
             duplicate_fraction=duplicate_fraction,
             content_seed=self.content_seed)
         self._initial = self.content.build_dataset()
-        if image_divergence > 0.0:
-            self._initial = self._initial.copy()
-            diverge_rng = np.random.default_rng(seed + 0x5EED)
-            count = int(n_blocks * image_divergence)
-            for lba in diverge_rng.choice(n_blocks, size=count,
-                                          replace=False):
-                self._initial[lba] = self.content.mutate(
-                    self._initial[lba], diverge_rng)
-            self._initial.flags.writeable = False
         self._reset()
 
     def _reset(self) -> None:
@@ -325,7 +309,7 @@ class SyntheticWorkload(Workload):
                 self.hot_access_prob, self.zipf_theta, self.seq_run_prob,
                 self.dup_write_fraction, self.rewrite_fraction,
                 self.max_request_blocks, self.vm_id, self.seed,
-                self.content_seed, self.image_divergence,
+                self.content_seed,
                 content.n_families, content.mutation_fraction,
                 content.duplicate_fraction)
 

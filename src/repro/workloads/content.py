@@ -26,22 +26,12 @@ image sprawl scenario of Section 3.1.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.sim.request import BLOCK_SIZE
-
-#: Bound on the per-process data-set memo (images), counting the one
-#: being built: a build first evicts down to one image, so no image is
-#: built while two others are held.  Two is the paper grid's reuse
-#: distance — SysBench and TPC-C share one image, and Figure 8(a)'s
-#: Hadoop image comes between their uses; every other image serves one
-#: unbroken run of figures.  Data sets are deterministic in their
-#: parameters, so a hit returns the one frozen matrix every caller
-#: shares, bit-identical to rebuilding.
-DATASET_CACHE_CAPACITY = 2
 
 #: Private noise bytes on top of the family base, per non-duplicate
 #: block (and per :meth:`ContentModel.rewrite`).
@@ -50,12 +40,17 @@ FAMILY_NOISE_BYTES = 24
 #: Dataset parameters -> the finished initial-content matrix.
 DatasetKey = Tuple[int, int, float, int]
 
-_dataset_cache: "OrderedDict[DatasetKey, np.ndarray]" = OrderedDict()
+#: The per-process data-set memo: the one image in use, under its key.
+#: A miss drops it before building the next, so no image is ever built
+#: while another is held.  Data sets are deterministic in their
+#: parameters, so a hit returns the one frozen matrix every caller
+#: shares, bit-identical to rebuilding.
+_dataset_cache: Dict[DatasetKey, np.ndarray] = {}
 _dataset_counters = {"hits": 0, "misses": 0}
 
 
 def clear_dataset_cache() -> None:
-    """Drop memoised datasets."""
+    """Drop the memoised data set."""
     _dataset_cache.clear()
     _dataset_counters["hits"] = 0
     _dataset_counters["misses"] = 0
@@ -65,22 +60,6 @@ def dataset_cache_stats() -> Dict[str, int]:
     return {"hits": _dataset_counters["hits"],
             "misses": _dataset_counters["misses"],
             "size": len(_dataset_cache)}
-
-
-def _dataset_cache_get(key: DatasetKey) -> Optional[np.ndarray]:
-    cached = _dataset_cache.get(key)
-    if cached is not None:
-        _dataset_cache.move_to_end(key)
-        _dataset_counters["hits"] += 1
-        return cached
-    _dataset_counters["misses"] += 1
-    return None
-
-
-def _make_room_for_build() -> None:
-    """Evict the oldest images until the one about to be built fits."""
-    while len(_dataset_cache) >= DATASET_CACHE_CAPACITY:
-        _dataset_cache.popitem(last=False)
 
 
 #: 32-bit draws per noisy block: one per position, a quarter of one
@@ -136,19 +115,25 @@ class ContentModel:
         self.mutation_fraction = mutation_fraction
         self.duplicate_fraction = duplicate_fraction
         self.content_seed = content_seed
-        build_rng = np.random.default_rng(content_seed)
-        self._bases = build_rng.integers(
-            0, 256, size=(n_families, BLOCK_SIZE), dtype=np.uint8)
-        self.family_of = build_rng.integers(0, n_families, size=n_blocks)
-        self._unique_mask = (build_rng.random(n_blocks)
-                             >= duplicate_fraction)
         # Per-block anchored update offsets: real partial writes hit the
         # same few regions of a block over and over (a row, a header
         # field), so repeated mutations must not diffuse across the whole
         # block — that bounded drift is what keeps deltas small over a
         # block's lifetime.
-        self._anchor_rng = np.random.default_rng(content_seed + 3)
         self._anchors: dict = {}
+
+    @cached_property
+    def _family_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(bases, family_of, unique)``: the family base blocks, each
+        block's family and which blocks carry private noise, drawn on
+        first use — a workload whose data set and stream both come from
+        the host memos never draws it."""
+        rng = np.random.default_rng(self.content_seed)
+        bases = rng.integers(0, 256, size=(self.n_families, BLOCK_SIZE),
+                             dtype=np.uint8)
+        family_of = rng.integers(0, self.n_families, size=self.n_blocks)
+        unique = rng.random(self.n_blocks) >= self.duplicate_fraction
+        return bases, family_of, unique
 
     # -- initial population -------------------------------------------------
 
@@ -170,15 +155,18 @@ class ContentModel:
         fresh build.  Copy it to mutate it.
         """
         key = self.dataset_key
-        dataset = _dataset_cache_get(key)
-        if dataset is None:
-            _make_room_for_build()
-            dataset = self._bases[self.family_of]
-            sprinkle_family_noise(
-                dataset, np.flatnonzero(self._unique_mask),
-                np.random.default_rng(self.content_seed + 2))
-            dataset.flags.writeable = False
-            _dataset_cache[key] = dataset
+        dataset = _dataset_cache.get(key)
+        if dataset is not None:
+            _dataset_counters["hits"] += 1
+            return dataset
+        _dataset_counters["misses"] += 1
+        _dataset_cache.clear()
+        bases, family_of, unique = self._family_table
+        dataset = bases[family_of]
+        sprinkle_family_noise(dataset, np.flatnonzero(unique),
+                              np.random.default_rng(self.content_seed + 2))
+        dataset.flags.writeable = False
+        _dataset_cache[key] = dataset
         return dataset
 
     # -- overwrites ---------------------------------------------------------------
@@ -236,7 +224,8 @@ class ContentModel:
         (snapshots, log rotation, packaged files) — the traffic dedup
         caches feed on.
         """
-        return self._bases[self.family_of[lba]].copy()
+        bases, family_of, _ = self._family_table
+        return bases[family_of[lba]].copy()
 
     def rewrite(self, lba: int, rng: np.random.Generator) -> np.ndarray:
         """A full rewrite: fresh family-based content for ``lba``.
@@ -245,6 +234,7 @@ class ContentModel:
         content but still similar to the family base — a new record page,
         a rewritten file, a reprovisioned VM block.
         """
-        block = self._bases[self.family_of[lba]].copy()
+        bases, family_of, _ = self._family_table
+        block = bases[family_of[lba]].copy()
         sprinkle_family_noise(block[None], _ONE_ROW, rng)
         return block

@@ -36,8 +36,7 @@ class HadoopWorkload(SyntheticWorkload):
 
     def __init__(self, scale: float = 1.0, n_requests: Optional[int] = None,
                  seed: int = 2011, vm_id: int = 0,
-                 content_seed: Optional[int] = None,
-                 image_divergence: float = 0.0) -> None:
+                 content_seed: Optional[int] = None) -> None:
         n_blocks = max(256, int(BASE_BLOCKS * scale))
         super().__init__(
             n_blocks=n_blocks,
@@ -52,5 +51,4 @@ class HadoopWorkload(SyntheticWorkload):
             duplicate_fraction=0.10,
             dup_write_fraction=0.05,
             rewrite_fraction=0.10,          # output files are fresh content
-            vm_id=vm_id, seed=seed, content_seed=content_seed,
-            image_divergence=image_divergence)
+            vm_id=vm_id, seed=seed, content_seed=content_seed)

@@ -13,6 +13,10 @@ Section 2.2.  The resulting cross-VM content similarity is exactly what
 I-CASH exploits to win 2.8x over pure SSD in Figure 15: thousands of
 blocks across images delta-compress against a tiny shared reference set.
 
+The composed image is one frozen array: each VM's slice is the golden
+image plus that VM's drift, and each VM's own image is a read-only view
+of its slice, so no block's bytes are held twice.
+
 Per-VM request streams are interleaved round-robin, modelling the
 concurrent VMs competing for the shared storage element.  The
 interleaved stream is memoised as one entry, like a single workload's.
@@ -24,7 +28,7 @@ from typing import Iterator, List, Type
 
 import numpy as np
 
-from repro.sim.request import IORequest
+from repro.sim.request import BLOCK_SIZE, IORequest
 from repro.workloads.base import (SyntheticWorkload, Workload,
                                   memoised_stream)
 
@@ -62,13 +66,13 @@ class MultiVMWorkload(Workload):
         # parameters" per VM.
         self.vms: List[SyntheticWorkload] = [
             workload_cls(scale=scale, n_requests=n_requests_per_vm,
-                         seed=seed + 101 * vm, vm_id=vm, content_seed=seed,
-                         image_divergence=0.01 * vm)
+                         seed=seed + 101 * vm, vm_id=vm, content_seed=seed)
             for vm in range(n_vms)]
         self.vm_blocks = self.vms[0].n_blocks
         for vm in self.vms[1:]:
             if vm.n_blocks != self.vm_blocks:
                 raise ValueError("all VM images must be the same size")
+        self._divergence = tuple(0.01 * vm for vm in range(n_vms))
         self.name = f"{self.vms[0].name}-{n_vms}vms"
         self.ios_per_transaction = self.vms[0].ios_per_transaction
         # Guest application compute runs concurrently across the VMs (the
@@ -79,8 +83,25 @@ class MultiVMWorkload(Workload):
         self.app_cpu_fraction = getattr(self.vms[0], "app_cpu_fraction",
                                         0.55)
         self.io_concurrency = getattr(self.vms[0], "io_concurrency", 8)
-        self._initial = np.concatenate([vm.build_dataset()
-                                        for vm in self.vms])
+        # One frozen array: VM i's slice is the golden image with
+        # int(vm_blocks x divergence) blocks, drawn from
+        # default_rng(vm seed + 0x5EED), mutated in place; each VM's image
+        # is a read-only view of its slice.  A VM's own stream key does
+        # not see that drift, so its stream is only ever generated inside
+        # requests(), whose key carries it.
+        golden = self.vms[0].build_dataset()
+        self._initial = np.empty((n_vms * self.vm_blocks, BLOCK_SIZE),
+                                 dtype=np.uint8)
+        for vm, image, divergence in zip(
+                self.vms, np.split(self._initial, n_vms), self._divergence):
+            image[:] = golden
+            rng = np.random.default_rng(vm.seed + 0x5EED)
+            for lba in rng.choice(self.vm_blocks, replace=False,
+                                  size=int(self.vm_blocks * divergence)):
+                image[lba] = vm.content.mutate(image[lba], rng)
+            image.flags.writeable = False
+            vm._initial = image
+            vm._reset()
         self._initial.flags.writeable = False
 
     # -- Workload interface -------------------------------------------------
@@ -106,12 +127,13 @@ class MultiVMWorkload(Workload):
         """Round-robin interleave of the per-VM streams.
 
         The interleaved, translated stream is one stream-memo entry,
-        keyed by the VMs' stream keys; the per-VM streams take none of
-        their own, so a replay neither regenerates nor re-translates
-        them.
+        keyed by the VMs' stream keys and their images' divergence; the
+        per-VM streams take none of their own, so a replay neither
+        regenerates nor re-translates them.
         """
-        return memoised_stream(tuple(vm._stream_key for vm in self.vms),
-                               self._interleave, self._replay)
+        return memoised_stream(
+            (tuple(vm._stream_key for vm in self.vms), self._divergence),
+            self._interleave, self._replay)
 
     def _interleave(self) -> Iterator[IORequest]:
         streams = [vm._generate() for vm in self.vms]
@@ -144,8 +166,7 @@ class MultiVMWorkload(Workload):
     def cross_vm_similarity(self) -> float:
         """Fraction of VM-1..N-1 initial blocks identical to VM 0's copy.
 
-        A quick measure of how much image sprawl the composition created;
-        exercised by tests and the VM example.
+        A quick measure of how much image sprawl the composition created.
         """
         if self.n_vms < 2:
             return 1.0

@@ -35,8 +35,7 @@ class TPCCWorkload(SyntheticWorkload):
 
     def __init__(self, scale: float = 1.0, n_requests: Optional[int] = None,
                  seed: int = 2011, vm_id: int = 0,
-                 content_seed: Optional[int] = None,
-                 image_divergence: float = 0.0) -> None:
+                 content_seed: Optional[int] = None) -> None:
         n_blocks = max(256, int(BASE_BLOCKS * scale))
         super().__init__(
             n_blocks=n_blocks,
@@ -51,5 +50,4 @@ class TPCCWorkload(SyntheticWorkload):
             duplicate_fraction=0.05,
             dup_write_fraction=0.02,
             rewrite_fraction=0.03,
-            vm_id=vm_id, seed=seed, content_seed=content_seed,
-            image_divergence=image_divergence)
+            vm_id=vm_id, seed=seed, content_seed=content_seed)

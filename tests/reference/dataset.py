@@ -33,7 +33,8 @@ def sprinkle_noise_loop(dataset: np.ndarray, rows: np.ndarray,
 def loop_dataset(model: ContentModel) -> Tuple[np.ndarray, Dict]:
     """The data set the loop builds for ``model``, and its noise
     generator's ``bit_generator.state`` afterwards."""
-    dataset = model._bases[model.family_of]
+    bases, family_of, unique = model._family_table
+    dataset = bases[family_of]
     rng = np.random.default_rng(model.content_seed + 2)
-    sprinkle_noise_loop(dataset, np.flatnonzero(model._unique_mask), rng)
+    sprinkle_noise_loop(dataset, np.flatnonzero(unique), rng)
     return dataset, rng.bit_generator.state

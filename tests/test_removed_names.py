@@ -72,6 +72,14 @@ REMOVED = (
      "nothing: block_signatures keeps no state"),
     ("_signature_cache", r"\b_signature_cache\b",
      "nothing: block_signatures keeps no state"),
+    # The data-set memo holds the one image in use.
+    ("DATASET_CACHE_CAPACITY", r"DATASET_CACHE_CAPACITY",
+     "nothing: a data-set miss drops the held image before building"),
+    ("_make_room_for_build", r"_make_room_for_build",
+     "ContentModel.build_dataset, which clears the memo on a miss"),
+    # A VM image's drift is applied once, inside the composed image.
+    ("image_divergence", r"image_divergence",
+     "MultiVMWorkload, which drifts each VM's slice of its one image"),
 )
 
 

@@ -2,10 +2,12 @@
 live event-engine run, degraded-mode windows, instruments, and the
 runner/CLI integration."""
 
+import numpy as np
 import pytest
 
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import make_system
+from repro.sim import faults
 from repro.sim.engine import EventEngine
 from repro.sim.faults import (FAULT_KINDS, FaultInjector, FaultPlan,
                               FaultSpec, scrub_references)
@@ -15,8 +17,9 @@ from repro.workloads import SysBenchWorkload
 
 
 def run_with_fault(kind, n_requests=600, at_request=300, seed=9,
-                   rate=3000.0, monitor=None, **knobs):
-    workload = SysBenchWorkload(n_requests=n_requests)
+                   rate=3000.0, monitor=None, workload=None, **knobs):
+    if workload is None:
+        workload = SysBenchWorkload(n_requests=n_requests)
     system = make_system("icash", workload)
     plan = FaultPlan.single(kind, at_request=at_request, seed=seed,
                             **knobs)
@@ -122,6 +125,47 @@ class TestInjectors:
                                load=OpenLoopLoad(2000.0, seed=1),
                                fault_plan=plan)
         assert result.faults.outcomes[0].skipped
+
+
+class TestCopyOnCorrupt:
+    """SSD copies share frozen bytes; a corruption gets a private copy."""
+
+    def test_ingested_reference_shares_the_frozen_image(self):
+        workload = SysBenchWorkload(n_requests=50)
+        system = make_system("icash", workload)
+        system.ingest()
+        image = workload.build_dataset()
+        ref = min(system.reference_lbas)
+        assert np.shares_memory(system._ssd_copies[ref].data, image)
+        content = system.ssd_block_content(ref)
+        assert content.flags.writeable
+        assert not np.shares_memory(content, image)
+        assert np.array_equal(content, image[ref])
+        assert system.ssd_block_content(ref) is content
+
+    def test_reference_corruption_never_reaches_image_or_shadow(self):
+        expected = SysBenchWorkload(n_requests=600)
+        list(expected.requests())
+        expected_shadow = np.asarray(expected.shadow)
+        workload = SysBenchWorkload(n_requests=600)
+        image = workload.build_dataset()
+        pristine = image.copy()
+        scrub = faults.scrub_references
+        seen = []
+
+        def scrub_while_corrupted(controller):
+            # The flipped bytes are in place until the scrub returns.
+            seen.append(np.array_equal(image, pristine))
+            return scrub(controller)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(faults, "scrub_references", scrub_while_corrupted)
+            result, _ = run_with_fault("silent_corruption",
+                                       workload=workload)
+        assert result.faults.outcomes[0].detected is True
+        assert seen == [True]
+        assert np.array_equal(image, pristine)
+        assert np.array_equal(np.asarray(workload.shadow), expected_shadow)
 
 
 class TestInstrumentsAndReport:

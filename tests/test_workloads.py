@@ -43,7 +43,7 @@ class TestContentModel:
     def test_family_members_are_similar(self):
         model = self.make()
         dataset = model.build_dataset()
-        fam = model.family_of
+        _, fam, _ = model._family_table
         members = np.flatnonzero(fam == fam[0])
         if len(members) < 2:
             pytest.skip("family too small for this seed")
@@ -57,7 +57,7 @@ class TestContentModel:
     def test_duplicates_exist(self):
         model = self.make(duplicate_fraction=0.5)
         dataset = model.build_dataset()
-        fam = model.family_of
+        _, fam, _ = model._family_table
         exact = sum(
             1 for lba in range(256)
             if np.array_equal(dataset[lba], model.duplicate_of(lba)))
@@ -102,10 +102,10 @@ class TestContentModel:
                           content_seed=content_seed)
         expected, loop_state = reference_dataset.loop_dataset(model)
         assert np.array_equal(model.build_dataset(), expected)
-        noisy = model._bases[model.family_of]
+        bases, family_of, unique = model._family_table
+        noisy = bases[family_of]
         rng = np.random.default_rng(content_seed + 2)
-        sprinkle_family_noise(noisy, np.flatnonzero(model._unique_mask),
-                              rng)
+        sprinkle_family_noise(noisy, np.flatnonzero(unique), rng)
         assert np.array_equal(noisy, expected)
         assert rng.bit_generator.state == loop_state
 
@@ -333,15 +333,33 @@ class TestMultiVM:
         multivm = MultiVMWorkload(TPCCWorkload, n_vms=5, scale=0.1,
                                   n_requests_per_vm=10)
         image = multivm.vms[0].build_dataset()
-        assert np.shares_memory(image, golden.build_dataset())
+        whole = multivm.build_dataset()
+        assert np.shares_memory(image, whole)
         for vm in multivm.vms[1:]:
             assert not np.shares_memory(vm.build_dataset(), image)
             assert not vm.build_dataset().flags.writeable
             assert _sha256(vm.build_dataset()) != digest
         assert _sha256(image) == digest
-        whole = multivm.build_dataset()
         assert not whole.flags.writeable
         assert np.array_equal(whole[:multivm.vm_blocks], image)
+
+    def test_composed_image_is_each_vms_drift_on_the_golden_image(self):
+        """Each VM's slice is the golden image with its drift drawn as a
+        private clone drew it: ``default_rng(vm seed + 0x5EED)``, then
+        ``choice``, then one ``mutate`` per block in order."""
+        multivm = MultiVMWorkload(TPCCWorkload, n_vms=4, scale=0.1,
+                                  n_requests_per_vm=10, seed=77)
+        golden = TPCCWorkload(scale=0.1, n_requests=10, seed=77)
+        expected = []
+        for vm in range(4):
+            image = golden.build_dataset().copy()
+            rng = np.random.default_rng(77 + 101 * vm + 0x5EED)
+            count = int(len(image) * 0.01 * vm)
+            for lba in rng.choice(len(image), size=count, replace=False):
+                image[lba] = golden.content.mutate(image[lba], rng)
+            expected.append(image)
+        assert np.array_equal(multivm.build_dataset(),
+                              np.concatenate(expected))
 
     def test_compute_overlap_scales_app_time(self):
         single = TPCCWorkload(scale=0.1, n_requests=10)
