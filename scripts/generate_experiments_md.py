@@ -56,32 +56,9 @@ for cls in ALL_WORKLOADS:
 w("\nRequest counts and data sizes are scaled ~1/30 (see DESIGN.md); the\n"
   "mix and size shape is what the storage behaviour depends on.\n\n")
 
-print("running sysbench figures...", file=sys.stderr)
-emit(figures.figure6a())
-emit(figures.figure6b())
-r, wr_ = figures.figure7()
-emit(r); emit(wr_)
-print("running hadoop figures...", file=sys.stderr)
-emit(figures.figure8a())
-emit(figures.figure8b())
-r, wr_ = figures.figure9()
-emit(r); emit(wr_)
-print("running tpcc figures...", file=sys.stderr)
-emit(figures.figure10a())
-emit(figures.figure10b())
-emit(figures.figure11())
-print("running loadsim/specsfs/rubis...", file=sys.stderr)
-emit(figures.figure12())
-emit(figures.figure13())
-emit(figures.figure14())
-print("running multi-vm figures...", file=sys.stderr)
-emit(figures.figure15())
-emit(figures.figure16())
-print("running tables...", file=sys.stderr)
-for res in figures.table5().values():
-    emit(res)
-for res in figures.table6().values():
-    emit(res)
+for name, figure in figures.ALL_FIGURES.items():
+    print(f"running {name}...", file=sys.stderr)
+    emit(figure())
 
 w("""## Known divergences and why
 

@@ -89,8 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_no_ledger(sweep)
 
     validate = sub.add_parser(
-        "validate", help="run every figure and summarise shape scores "
-                         "and headline claims "
+        "validate", help="run every paper series, hold each shape score "
+                         "to its floor and check the headline claims; "
+                         "exit 1 on a miss "
                          f"(see {COMMAND_DOCS['validate']})")
     validate.add_argument("--requests", type=int, default=None)
 
@@ -408,30 +409,14 @@ def _cmd_figure(name: str, requests: Optional[int],
               file=sys.stderr)
         return 2
 
-    def _n_requests(fig_name: str) -> Optional[int]:
-        # Multi-VM figures take per-VM counts; leave their defaults.
-        if fig_name in figures_module._FIGURE_MULTIVM:
-            return None
-        return requests
-
     if jobs > 1:
         # Fan the grid cells behind the requested figures out across
         # workers; the figure functions below then hit the cache.
-        groups: dict = {}
-        for fig_name in names:
-            groups.setdefault(_n_requests(fig_name), []).append(fig_name)
-        for n_req, group in groups.items():
-            if n_req is None:
-                figures_module.prewarm(group, jobs=jobs)
-            else:
-                figures_module.prewarm(group, n_requests=n_req, jobs=jobs)
+        n_requests = (figures_module.DEFAULT_REQUESTS if requests is None
+                      else requests)
+        figures_module.prewarm(names, n_requests=n_requests, jobs=jobs)
     for fig_name in names:
-        fn = figures_module.ALL_FIGURES[fig_name]
-        kwargs = {}
-        n_req = _n_requests(fig_name)
-        if n_req is not None:
-            kwargs["n_requests"] = n_req
-        result = fn(**kwargs)
+        result = figures_module.run_figure(fig_name, requests)
         figures_module.record_figure(ledger, result)
         print(result.render())
         print()
@@ -460,7 +445,7 @@ def _cmd_validate(requests: Optional[int]) -> int:
 
     summary = validate(n_requests=requests)
     print(summary.render())
-    return 0 if summary.claims_held == len(summary.claims) else 1
+    return 0 if summary.passed else 1
 
 
 def _cmd_analyze(workload_name: str, requests: int) -> int:

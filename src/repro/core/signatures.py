@@ -8,8 +8,9 @@ single changed byte destroys the hash, which hurts *similarity* detection
 — and similarity, not identity, is what pairs blocks with reference
 blocks.
 
-A hash-based scheme is provided anyway so the ablation bench
-(``bench_ablation_signature_scheme``) can quantify that design choice.
+A hash-based scheme is provided anyway so that design choice can be
+quantified (``repro sweep signature_scheme``; tier-1 holds it in
+``tests/test_core_signatures.py::TestHashScheme``).
 
 Signatures are recomputed on every call, with no memo: gathering the
 32 sampled bytes of a block is one numpy fancy index, cheaper than the

@@ -11,7 +11,8 @@ The model mirrors 2010-era PCM characteristics: reads near DRAM speed,
 writes several times slower, no erase cycle, effectively unlimited
 endurance at log-append rates.  It exposes the same block interface as
 the other devices, so :class:`~repro.delta.packer.DeltaLog` can sit on
-it unchanged — exercised by the ``bench_ablation_log_medium`` ablation.
+it unchanged (``ICASHConfig(log_on_nvram=True)``;
+``tests/test_extensions.py::TestNVRAMLogVariant``).
 """
 
 from __future__ import annotations

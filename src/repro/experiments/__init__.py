@@ -8,7 +8,10 @@
   (workload, system) pair.
 * :mod:`repro.experiments.paperdata` — the numbers the paper reports, for
   side-by-side comparison.
-* :mod:`repro.experiments.figures` — one function per figure/table.
+* :mod:`repro.experiments.figures` — one registry row per figure/table
+  series (`SERIES`), each run through `ALL_FIGURES`.
+* :mod:`repro.experiments.validate` — every series against its floor,
+  plus the headline claims.
 * :mod:`repro.experiments.report` — text rendering of
   measured-vs-paper tables.
 * :mod:`repro.experiments.loadtest` — open-loop arrival-rate sweeps

@@ -1,9 +1,12 @@
-"""One entry point per paper figure and table.
+"""One entry point per series of the paper's evaluation.
 
-Each ``figure*`` function runs the relevant workload across the five
-architectures (sharing runs between sub-figures of the same benchmark)
-and returns a :class:`FigureResult` holding the measured values, the
-paper's published values, and rendering/shape-check helpers.
+Each :class:`Series` row of :data:`SERIES` names the workload grid a
+figure or table reads, how it reads one run, the paper's numbers and
+the least shape it must keep.  :data:`ALL_FIGURES` turns every row into
+a callable that runs the grid across the five architectures (sharing
+runs between every series of the same benchmark) and returns a
+:class:`FigureResult` holding the measured values, the paper's published
+values, and rendering/shape-check helpers.
 
 Absolute values are not expected to match the paper (the substrate is a
 simulator, the workloads synthetic, the scale 1/30th); the deliverable is
@@ -16,6 +19,7 @@ preserves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.experiments import paperdata
@@ -50,6 +54,9 @@ class FigureResult:
     runs: Dict[str, RunResult] = field(default_factory=dict)
     #: The executed recipe behind each entry of ``runs``.
     specs: Dict[str, RunSpec] = field(default_factory=dict)
+    #: The least shape score the series must keep (0 when it is judged
+    #: by its headline claims alone).
+    floor: float = 0.0
 
     def shape_score(self) -> float:
         """Fraction of the paper's pairwise orderings preserved."""
@@ -61,15 +68,6 @@ class FigureResult:
             self.paper, unit=self.metric, better=self.better,
             precision=2)
         return table + "\n" + render_shape_check(self.measured, self.paper)
-
-    def render_bars(self) -> str:
-        """The figure as the paper draws it: horizontal bars, measured
-        (solid) over the paper's series (light)."""
-        from repro.experiments.plotting import ascii_bars
-        header = f"{self.figure}: {self.title} ({self.better} is better)"
-        bars = ascii_bars(self.measured, SYSTEM_NAMES, unit=self.metric,
-                          reference=self.paper)
-        return f"{header}\n{bars}"
 
 
 def record_figure(ledger, result: FigureResult) -> int:
@@ -154,18 +152,6 @@ def clear_cache() -> None:
 # and the grid cells are independent runs — ideal fan-out units.
 # ----------------------------------------------------------------------
 
-#: Single-workload grid behind each figure.
-_FIGURE_FAMILY: Dict[str, str] = {
-    "figure6a": "sysbench", "figure6b": "sysbench",
-    "figure8a": "hadoop", "figure8b": "hadoop",
-    "figure10a": "tpcc", "figure10b": "tpcc", "figure11": "tpcc",
-    "figure12": "loadsim", "figure13": "specsfs", "figure14": "rubis",
-}
-
-#: Multi-VM figures pin their own request counts (``MULTIVM_*``).
-_FIGURE_MULTIVM: Dict[str, str] = {"figure15": "tpcc", "figure16": "rubis"}
-
-
 def grid_requirements(names, n_requests: int = DEFAULT_REQUESTS,
                       seed: int = DEFAULT_SEED):
     """The distinct grid cells the named figures will consult.
@@ -176,13 +162,14 @@ def grid_requirements(names, n_requests: int = DEFAULT_REQUESTS,
     cells = []
     seen = set()
     for name in names:
-        if name in _FIGURE_FAMILY:
-            key, specs = _cells(_FIGURE_FAMILY[name], n_requests, seed)
-        elif name in _FIGURE_MULTIVM:
-            key, specs = _cells(_FIGURE_MULTIVM[name], MULTIVM_REQUESTS,
-                                seed, n_vms=MULTIVM_VMS)
-        else:
+        series = SERIES.get(name)
+        if series is None:
             raise KeyError(f"unknown figure {name!r}")
+        if series.multivm:
+            key, specs = _cells(series.family, MULTIVM_REQUESTS, seed,
+                                n_vms=MULTIVM_VMS)
+        else:
+            key, specs = _cells(series.family, n_requests, seed)
         if key not in seen:
             seen.add(key)
             cells.extend((key, system, spec)
@@ -212,215 +199,135 @@ def prewarm(names, n_requests: int = DEFAULT_REQUESTS,
     return len(todo)
 
 
-def _metric(runs: Dict[str, RunResult],
-            getter: Callable[[RunResult], float]) -> Dict[str, float]:
-    return {name: getter(run) for name, run in runs.items()}
-
-
 # ----------------------------------------------------------------------
-# SysBench: Figures 6(a), 6(b), 7
+# The registry: one row per series of Section 5, in EXPERIMENTS.md order
 # ----------------------------------------------------------------------
 
-def figure6a(n_requests: int = DEFAULT_REQUESTS,
-             seed: int = DEFAULT_SEED) -> FigureResult:
-    runs, specs = _grid("sysbench", n_requests, seed)
-    return FigureResult(
+@dataclass(frozen=True)
+class Series:
+    """One series of the paper's evaluation and how it is judged."""
+
+    figure: str
+    #: ``{n_vms}`` in a multi-VM title is the run's image count.
+    title: str
+    metric: str
+    better: str
+    #: The workload whose grid the series reads.
+    family: str
+    #: The :class:`RunResult` attribute (dotted) plotted per system.
+    value: str
+    paper: Dict[str, float]
+    floor: float
+    #: Cloned-image runs, normalised to fusion-io (Figures 15 and 16).
+    multivm: bool = False
+    #: A system the paper has no number for (Table 6 has no RAID0).
+    exclude: str = ""
+
+    def result(self, runs: Dict[str, RunResult], specs: Dict[str, RunSpec],
+               n_vms: int = 0) -> FigureResult:
+        get = attrgetter(self.value)
+        measured = {name: float(get(run)) for name, run in runs.items()
+                    if name != self.exclude}
+        if self.multivm:
+            measured = normalize(measured)
+        return FigureResult(self.figure, self.title.format(n_vms=n_vms),
+                            self.metric, self.better, measured, self.paper,
+                            runs, specs, self.floor)
+
+
+SERIES: Dict[str, Series] = {
+    "figure6a": Series(
         "Figure 6(a)", "SysBench transaction rate", "tx/s", "higher",
-        _metric(runs, lambda r: r.transactions_per_s),
-        paperdata.FIG6A_SYSBENCH_TPS, runs, specs)
-
-
-def figure6b(n_requests: int = DEFAULT_REQUESTS,
-             seed: int = DEFAULT_SEED) -> FigureResult:
-    runs, specs = _grid("sysbench", n_requests, seed)
-    return FigureResult(
+        "sysbench", "transactions_per_s", paperdata.FIG6A_SYSBENCH_TPS,
+        0.9),
+    "figure6b": Series(
         "Figure 6(b)", "SysBench CPU utilisation", "fraction", "lower",
-        _metric(runs, lambda r: r.cpu_utilization),
-        paperdata.FIG6B_SYSBENCH_CPU, runs, specs)
-
-
-def figure7(n_requests: int = DEFAULT_REQUESTS,
-            seed: int = DEFAULT_SEED) -> Tuple[FigureResult, FigureResult]:
-    runs, specs = _grid("sysbench", n_requests, seed)
-    read = FigureResult(
+        "sysbench", "cpu_utilization", paperdata.FIG6B_SYSBENCH_CPU, 0.0),
+    "figure7read": Series(
         "Figure 7 (read)", "SysBench read response time", "µs", "lower",
-        _metric(runs, lambda r: r.read_mean_us),
-        paperdata.FIG7_SYSBENCH_READ_US, runs, specs)
-    write = FigureResult(
+        "sysbench", "read_mean_us", paperdata.FIG7_SYSBENCH_READ_US, 0.6),
+    "figure7write": Series(
         "Figure 7 (write)", "SysBench write response time", "µs", "lower",
-        _metric(runs, lambda r: r.write_mean_us),
-        paperdata.FIG7_SYSBENCH_WRITE_US, runs, specs)
-    return read, write
-
-
-# ----------------------------------------------------------------------
-# Hadoop: Figures 8(a), 8(b), 9
-# ----------------------------------------------------------------------
-
-def figure8a(n_requests: int = DEFAULT_REQUESTS,
-             seed: int = DEFAULT_SEED) -> FigureResult:
-    runs, specs = _grid("hadoop", n_requests, seed)
-    return FigureResult(
+        "sysbench", "write_mean_us", paperdata.FIG7_SYSBENCH_WRITE_US, 0.6),
+    "figure8a": Series(
         "Figure 8(a)", "Hadoop execution time", "s", "lower",
-        _metric(runs, lambda r: r.wall_time_s),
-        paperdata.FIG8A_HADOOP_TIME_S, runs, specs)
-
-
-def figure8b(n_requests: int = DEFAULT_REQUESTS,
-             seed: int = DEFAULT_SEED) -> FigureResult:
-    runs, specs = _grid("hadoop", n_requests, seed)
-    return FigureResult(
+        "hadoop", "wall_time_s", paperdata.FIG8A_HADOOP_TIME_S, 0.6),
+    "figure8b": Series(
         "Figure 8(b)", "Hadoop CPU utilisation", "fraction", "lower",
-        _metric(runs, lambda r: r.cpu_utilization),
-        paperdata.FIG8B_HADOOP_CPU, runs, specs)
-
-
-def figure9(n_requests: int = DEFAULT_REQUESTS,
-            seed: int = DEFAULT_SEED) -> Tuple[FigureResult, FigureResult]:
-    runs, specs = _grid("hadoop", n_requests, seed)
-    read = FigureResult(
+        "hadoop", "cpu_utilization", paperdata.FIG8B_HADOOP_CPU, 0.0),
+    "figure9read": Series(
         "Figure 9 (read)", "Hadoop read response time", "µs", "lower",
-        _metric(runs, lambda r: r.read_mean_us),
-        paperdata.FIG9_HADOOP_READ_US, runs, specs)
-    write = FigureResult(
+        "hadoop", "read_mean_us", paperdata.FIG9_HADOOP_READ_US, 0.5),
+    "figure9write": Series(
         "Figure 9 (write)", "Hadoop write response time", "µs", "lower",
-        _metric(runs, lambda r: r.write_mean_us),
-        paperdata.FIG9_HADOOP_WRITE_US, runs, specs)
-    return read, write
-
-
-# ----------------------------------------------------------------------
-# TPC-C: Figures 10(a), 10(b), 11
-# ----------------------------------------------------------------------
-
-def figure10a(n_requests: int = DEFAULT_REQUESTS,
-              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs, specs = _grid("tpcc", n_requests, seed)
-    return FigureResult(
+        "hadoop", "write_mean_us", paperdata.FIG9_HADOOP_WRITE_US, 0.5),
+    "figure10a": Series(
         "Figure 10(a)", "TPC-C transaction rate", "tx/s", "higher",
-        _metric(runs, lambda r: r.transactions_per_s),
-        paperdata.FIG10A_TPCC_TPS, runs, specs)
-
-
-def figure10b(n_requests: int = DEFAULT_REQUESTS,
-              seed: int = DEFAULT_SEED) -> FigureResult:
-    runs, specs = _grid("tpcc", n_requests, seed)
-    return FigureResult(
+        "tpcc", "transactions_per_s", paperdata.FIG10A_TPCC_TPS, 0.9),
+    "figure10b": Series(
         "Figure 10(b)", "TPC-C CPU utilisation", "fraction", "lower",
-        _metric(runs, lambda r: r.cpu_utilization),
-        paperdata.FIG10B_TPCC_CPU, runs, specs)
-
-
-def figure11(n_requests: int = DEFAULT_REQUESTS,
-             seed: int = DEFAULT_SEED) -> FigureResult:
-    runs, specs = _grid("tpcc", n_requests, seed)
-    return FigureResult(
+        "tpcc", "cpu_utilization", paperdata.FIG10B_TPCC_CPU, 0.0),
+    "figure11": Series(
         "Figure 11", "TPC-C application response time", "ms", "lower",
-        _metric(runs, lambda r: r.tx_response_ms),
-        paperdata.FIG11_TPCC_RSP_MS, runs, specs)
-
-
-# ----------------------------------------------------------------------
-# LoadSim, SPEC-sfs, RUBiS: Figures 12, 13, 14
-# ----------------------------------------------------------------------
-
-def figure12(n_requests: int = DEFAULT_REQUESTS,
-             seed: int = DEFAULT_SEED) -> FigureResult:
-    runs, specs = _grid("loadsim", n_requests, seed)
-    return FigureResult(
+        "tpcc", "tx_response_ms", paperdata.FIG11_TPCC_RSP_MS, 0.7),
+    "figure12": Series(
         "Figure 12", "LoadSim score (response-time based)", "score",
-        "lower",
-        _metric(runs, lambda r: r.loadsim_score),
-        paperdata.FIG12_LOADSIM_SCORE, runs, specs)
-
-
-def figure13(n_requests: int = DEFAULT_REQUESTS,
-             seed: int = DEFAULT_SEED) -> FigureResult:
-    runs, specs = _grid("specsfs", n_requests, seed)
-    return FigureResult(
+        "lower", "loadsim", "loadsim_score",
+        paperdata.FIG12_LOADSIM_SCORE, 0.6),
+    "figure13": Series(
         "Figure 13", "SPEC-sfs response time", "ms", "lower",
-        _metric(runs, lambda r: r.io_response_ms),
-        paperdata.FIG13_SPECSFS_RSP_MS, runs, specs)
-
-
-def figure14(n_requests: int = DEFAULT_REQUESTS,
-             seed: int = DEFAULT_SEED) -> FigureResult:
-    runs, specs = _grid("rubis", n_requests, seed)
-    return FigureResult(
+        "specsfs", "io_response_ms", paperdata.FIG13_SPECSFS_RSP_MS, 0.5),
+    "figure14": Series(
         "Figure 14", "RUBiS request rate", "req/s", "higher",
-        _metric(runs, lambda r: r.requests_per_s),
-        paperdata.FIG14_RUBIS_RPS, runs, specs)
-
-
-# ----------------------------------------------------------------------
-# Multi-VM: Figures 15, 16
-# ----------------------------------------------------------------------
-
-def figure15(per_vm_requests: int = MULTIVM_REQUESTS,
-             n_vms: int = MULTIVM_VMS,
-             seed: int = DEFAULT_SEED) -> FigureResult:
-    runs, specs = _grid("tpcc", per_vm_requests, seed, n_vms=n_vms)
-    measured = normalize(_metric(runs, lambda r: r.transactions_per_s))
-    return FigureResult(
-        "Figure 15", f"{n_vms} TPC-C VMs, normalised transaction rate",
-        "x fusion-io", "higher", measured,
-        paperdata.FIG15_TPCC_5VMS_NORM, runs, specs)
-
-
-def figure16(per_vm_requests: int = MULTIVM_REQUESTS,
-             n_vms: int = MULTIVM_VMS,
-             seed: int = DEFAULT_SEED) -> FigureResult:
-    runs, specs = _grid("rubis", per_vm_requests, seed, n_vms=n_vms)
-    measured = normalize(_metric(runs, lambda r: r.requests_per_s))
-    return FigureResult(
-        "Figure 16", f"{n_vms} RUBiS VMs, normalised request rate",
-        "x fusion-io", "higher", measured,
-        paperdata.FIG16_RUBIS_5VMS_NORM, runs, specs)
-
-
-# ----------------------------------------------------------------------
-# Tables 5 and 6
-# ----------------------------------------------------------------------
-
-def table5(n_requests: int = DEFAULT_REQUESTS,
-           seed: int = DEFAULT_SEED) -> Dict[str, FigureResult]:
-    """Energy (Wh) for Hadoop and TPC-C, per architecture."""
-    out: Dict[str, FigureResult] = {}
-    for bench in ("hadoop", "tpcc"):
-        runs, specs = _grid(bench, n_requests, seed)
-        out[bench] = FigureResult(
-            "Table 5", f"Energy for {bench}", "Wh", "lower",
-            _metric(runs, lambda r: r.energy.total_wh),
-            paperdata.TABLE5_ENERGY_WH[bench], runs, specs)
-    return out
-
-
-def table6(n_requests: int = DEFAULT_REQUESTS,
-           seed: int = DEFAULT_SEED) -> Dict[str, FigureResult]:
-    """Runtime SSD write operations for the four write-heavy benchmarks."""
-    out: Dict[str, FigureResult] = {}
-    for bench in ("sysbench", "hadoop", "tpcc", "specsfs"):
-        runs, specs = _grid(bench, n_requests, seed)
-        measured = {name: float(run.ssd_write_ops)
-                    for name, run in runs.items() if name != "raid0"}
-        out[bench] = FigureResult(
-            "Table 6", f"SSD write requests, {bench}", "writes", "lower",
-            measured, paperdata.TABLE6_SSD_WRITES[bench], runs, specs)
-    return out
-
-
-#: Every single-result figure, for "run them all" loops.
-ALL_FIGURES: Dict[str, Callable[[], FigureResult]] = {
-    "figure6a": figure6a,
-    "figure6b": figure6b,
-    "figure8a": figure8a,
-    "figure8b": figure8b,
-    "figure10a": figure10a,
-    "figure10b": figure10b,
-    "figure11": figure11,
-    "figure12": figure12,
-    "figure13": figure13,
-    "figure14": figure14,
-    "figure15": figure15,
-    "figure16": figure16,
+        "rubis", "requests_per_s", paperdata.FIG14_RUBIS_RPS, 0.8),
+    "figure15": Series(
+        "Figure 15", "{n_vms} TPC-C VMs, normalised transaction rate",
+        "x fusion-io", "higher", "tpcc", "transactions_per_s",
+        paperdata.FIG15_TPCC_5VMS_NORM, 0.9, multivm=True),
+    "figure16": Series(
+        "Figure 16", "{n_vms} RUBiS VMs, normalised request rate",
+        "x fusion-io", "higher", "rubis", "requests_per_s",
+        paperdata.FIG16_RUBIS_5VMS_NORM, 0.9, multivm=True),
+    **{f"table5{family}": Series(
+        "Table 5", f"Energy for {family}", "Wh", "lower", family,
+        "energy.total_wh", paperdata.TABLE5_ENERGY_WH[family], 0.5)
+       for family in ("hadoop", "tpcc")},
+    # Table 6 counts runtime SSD writes; RAID0 has no SSD.
+    **{f"table6{family}": Series(
+        "Table 6", f"SSD write requests, {family}", "writes", "lower",
+        family, "ssd_write_ops", paperdata.TABLE6_SSD_WRITES[family],
+        0.5 if family == "specsfs" else 1.0, exclude="raid0")
+       for family in ("sysbench", "hadoop", "tpcc", "specsfs")},
 }
+
+
+def _entry(series: Series) -> Callable[..., FigureResult]:
+    """The callable behind one :data:`ALL_FIGURES` name.  A multi-VM
+    series is sized per VM (``per_vm_requests``, ``n_vms``), every other
+    one per run (``n_requests``)."""
+    if series.multivm:
+        def figure(per_vm_requests: int = MULTIVM_REQUESTS,
+                   n_vms: int = MULTIVM_VMS,
+                   seed: int = DEFAULT_SEED) -> FigureResult:
+            runs, specs = _grid(series.family, per_vm_requests, seed,
+                                n_vms=n_vms)
+            return series.result(runs, specs, n_vms)
+    else:
+        def figure(n_requests: int = DEFAULT_REQUESTS,
+                   seed: int = DEFAULT_SEED) -> FigureResult:
+            return series.result(*_grid(series.family, n_requests, seed))
+    return figure
+
+
+#: Every series, for "run them all" loops.
+ALL_FIGURES: Dict[str, Callable[..., FigureResult]] = {
+    name: _entry(series) for name, series in SERIES.items()}
+
+
+def run_figure(name: str, n_requests: Optional[int] = None
+               ) -> FigureResult:
+    """Series ``name`` at ``n_requests`` per run (its default when
+    ``None``); a multi-VM series keeps its per-VM defaults."""
+    if n_requests is None or SERIES[name].multivm:
+        return ALL_FIGURES[name]()
+    return ALL_FIGURES[name](n_requests=n_requests)

@@ -1,8 +1,9 @@
 """Generic parameter-sweep utility for I-CASH experiments.
 
-The ablation benches each sweep one knob by hand; this module offers the
-same capability as a reusable API, so downstream users can explore the
-configuration space (`sweep_config`) without writing runner plumbing.
+Sweeps one :class:`~repro.core.ICASHConfig` knob across values (the
+ablations of DESIGN.md, whole curves), so downstream users can explore
+the configuration space (`sweep_config`) without writing runner
+plumbing.
 
 Example::
 

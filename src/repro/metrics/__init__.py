@@ -1,7 +1,7 @@
 """Measurement models layered over simulation runs.
 
 Table 6's metric, runtime SSD writes, needs no model: it is a device
-counter, read by :func:`repro.experiments.figures.table6`.
+counter, read by the Table 6 series of :mod:`repro.experiments.figures`.
 
 * :mod:`repro.metrics.energy` — the power model behind Table 5
   (watt-hours per benchmark run, per architecture).

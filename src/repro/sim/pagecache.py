@@ -9,8 +9,8 @@ than raw device latencies suggest.
 :class:`HostCachedSystem` wraps any :class:`StorageSystem` with a
 write-back LRU page cache in host RAM.  It is deliberately *optional*:
 the headline experiments run without it (the block-level latencies the
-paper reports are measured below the cache), but the
-``bench_ablation_page_cache`` ablation quantifies how much of the
+paper reports are measured below the cache), but
+``tests/test_extensions.py::TestHostPageCache`` measures how much of the
 architecture gap a host cache hides — and the wrapper is useful for
 anyone composing I-CASH into a full-system study.
 """

@@ -1,12 +1,11 @@
-"""Tests for the content-locality analysis package, plotting helpers and
-the validation harness plumbing."""
+"""Tests for the content-locality analysis package and the validation
+harness plumbing."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import analyze_dataset, analyze_writes
 from repro.core import ICASHController
-from repro.experiments.plotting import ascii_bars, sparkline
 from repro.sim.request import BLOCK_SIZE
 from repro.sim.stats import LatencyStats
 from repro.workloads import SysBenchWorkload
@@ -93,47 +92,6 @@ class TestReferenceCoverage:
     def test_fresh_element_has_no_coverage(self):
         controller = ICASHController(family_dataset(), small_config())
         assert controller.block_kind_counts()["associate"] == 0
-
-
-class TestPlotting:
-    VALUES = {"fusion-io": 180.0, "raid0": 85.0, "icash": 190.0}
-
-    def test_bars_render_every_row(self):
-        text = ascii_bars(self.VALUES, ["fusion-io", "raid0", "icash"],
-                          unit="tx/s")
-        assert text.count("|") == 6
-        assert "190.00 tx/s" in text
-
-    def test_reference_series_renders(self):
-        text = ascii_bars(self.VALUES, ["fusion-io", "icash"],
-                          reference={"fusion-io": 18.0, "icash": 19.0})
-        assert "paper" in text
-        assert "░" in text
-
-    def test_largest_value_gets_longest_bar(self):
-        text = ascii_bars(self.VALUES, ["fusion-io", "raid0", "icash"])
-        lengths = {line.split(" |")[0].strip():
-                   line.split("|")[1].count("█")
-                   for line in text.splitlines()}
-        assert lengths["icash"] == max(lengths.values())
-
-    def test_empty(self):
-        assert ascii_bars({}, ["a"]) == "(no data)"
-
-    def test_sparkline(self):
-        line = sparkline([1.0, 2.0, 3.0, 2.0])
-        assert len(line) == 4
-        assert line[2] == "█"
-        assert sparkline([]) == ""
-
-    def test_figure_render_bars(self):
-        from repro.experiments.figures import FigureResult
-        result = FigureResult(
-            "Figure X", "test", "tx/s", "higher",
-            measured=dict(self.VALUES),
-            paper={"fusion-io": 180, "raid0": 85, "icash": 190})
-        text = result.render_bars()
-        assert "Figure X" in text and "█" in text
 
 
 class TestHistogram:

@@ -10,6 +10,8 @@ import pytest
 
 from repro.core import BlockKind, ICASHConfig, ICASHController
 from repro.core.signatures import block_signatures
+from repro.experiments.parallel import RunSpec, run_spec
+from repro.experiments.runner import run_benchmark
 from repro.sim.request import BLOCK_SIZE
 
 from conftest import make_dataset
@@ -300,6 +302,22 @@ class TestFlushAndEviction:
         assert controller.log_delta_fetches >= 1
 
 
+class TestSpillThreshold:
+    def test_aggressive_spilling_costs_ssd_writes(self):
+        """Section 5.3's 2 048-byte spill threshold: spilling every delta
+        over 512 bytes writes the SSD more than the default does
+        (SPEC-sfs, 2 606 vs 657 writes at seed 2011)."""
+        writes = {
+            threshold: run_spec(RunSpec(
+                "specsfs", n_requests=1500, warmup_fraction=0.4,
+                config_overrides=(
+                    ("delta_spill_bytes", threshold),
+                    ("delta_accept_bytes", min(threshold, 2048)))
+            )).ssd_write_ops
+            for threshold in (512, 2048)}
+        assert writes[512] >= writes[2048]
+
+
 class TestScanIntegration:
     def test_scan_promotes_and_associates_online(self, rng):
         """Without ingest, the periodic scan alone must discover the
@@ -313,12 +331,47 @@ class TestScanIntegration:
         assert counts["reference"] >= 1
         assert counts["associate"] >= 1
 
+    def test_frequent_scans_keep_coverage(self):
+        """The scan interval, online only (no ingest): scanning every 250
+        I/Os covers at least 80 % of what every 4 000 covers (805 vs 505
+        blocks at seed 2011).  Below 4 000 requests after warmup the rare
+        scan never runs, so the run is 6 000 requests long."""
+        coverage = {}
+        for interval in (250, 4000):
+            spec = RunSpec("sysbench", n_requests=6000, config_overrides=(
+                ("scan_interval", interval),))
+            workload = spec.build_workload()
+            controller = spec.build_system(workload)
+            run_benchmark(workload, controller, preload=False,
+                          warmup_fraction=0.4)
+            counts = controller.block_kind_counts()
+            coverage[interval] = counts["associate"] + counts["reference"]
+        assert coverage[250] >= coverage[4000] * 0.8
+
     def test_block_kind_counts_cover_population(self):
         dataset = family_dataset()
         controller = ICASHController(dataset, small_config())
         controller.ingest()
         counts = controller.block_kind_counts()
         assert sum(counts.values()) >= 256 * 0.9
+
+
+class TestReferenceStoreBudget:
+    def test_throughput_saturates_past_a_tenth(self):
+        """The paper's one-tenth rule: an SSD of 10 % of the data set
+        gains at least what 2.5 % does, and 40 % gains little more."""
+        workload = RunSpec("sysbench", n_requests=1500).build_workload()
+        tps = {
+            fraction: run_spec(RunSpec(
+                "sysbench", n_requests=1500, warmup_fraction=0.4,
+                config_overrides=(("ssd_capacity_blocks", max(
+                    64, int(workload.n_blocks * fraction))),)
+            )).transactions_per_s
+            for fraction in (0.025, 0.10, 0.40)}
+        assert tps[0.10] >= tps[0.025]
+        gain_low = tps[0.10] - tps[0.025]
+        gain_high = tps[0.40] - tps[0.10]
+        assert gain_high <= max(gain_low, 0.15 * tps[0.10])
 
 
 class TestRandomizedShadowComparison:

@@ -9,8 +9,10 @@ from repro.cli import main as cli_main
 from repro.core import ICASHConfig, ICASHController
 from repro.devices.nvram import NVRAM, NVRAMSpec
 from repro.experiments.parallel import RunSpec
+from repro.experiments.runner import run_benchmark
 from repro.experiments.sweeps import (SweepPoint, render_sweep,
                                       sweep_config)
+from repro.experiments.systems import make_system
 from repro.sim.pagecache import HostCachedSystem
 from repro.sim.request import BLOCK_SIZE
 
@@ -162,6 +164,28 @@ class TestHostPageCache:
     def test_validation(self):
         with pytest.raises(ValueError):
             self.make(cache_blocks=0)
+
+    def test_big_cache_narrows_the_gap_and_slows_nothing(self):
+        """A host cache of a quarter of the data set hides part of the
+        gap between pure SSD and I-CASH on SysBench, and makes neither
+        slower."""
+        tps = {}
+        for name in ("fusion-io", "icash"):
+            for fraction in (0.0, 0.25):
+                workload = RunSpec("sysbench",
+                                   n_requests=1500).build_workload()
+                system = make_system(name, workload)
+                if fraction:
+                    system = HostCachedSystem(
+                        system, max(8, int(workload.n_blocks * fraction)))
+                tps[name, fraction] = run_benchmark(
+                    workload, system, warmup_fraction=0.4
+                ).transactions_per_s
+        gap_none = abs(tps["icash", 0.0] - tps["fusion-io", 0.0])
+        gap_big = abs(tps["icash", 0.25] - tps["fusion-io", 0.25])
+        assert gap_big <= gap_none * 1.5
+        for name in ("fusion-io", "icash"):
+            assert tps[name, 0.25] >= tps[name, 0.0] * 0.95
 
 
 def _sweep_spec(n_requests):

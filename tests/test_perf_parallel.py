@@ -360,7 +360,7 @@ class TestFigureGridCache:
             raise AssertionError("cell re-run despite prewarm")
 
         monkeypatch.setattr(figures, "run_spec", _fail)
-        result = figures.figure6a(n_requests=300)
+        result = figures.ALL_FIGURES["figure6a"](n_requests=300)
         assert set(result.measured) == set(result.paper)
         assert figures.prewarm(["figure6a"], n_requests=300) == 0
         figures.clear_cache()
@@ -376,5 +376,5 @@ class TestFigureGridCache:
 
         monkeypatch.setattr(figures, "run_spec", _fail)
         with pytest.raises(AssertionError):
-            figures.figure6a(n_requests=301)
+            figures.ALL_FIGURES["figure6a"](n_requests=301)
         figures.clear_cache()

@@ -80,6 +80,19 @@ REMOVED = (
     # A VM image's drift is applied once, inside the composed image.
     ("image_divergence", r"image_divergence",
      "MultiVMWorkload, which drifts each VM's slice of its one image"),
+    # Every paper series is one row of figures.SERIES.
+    ("def figure7", r"\bdef figure7\b",
+     "ALL_FIGURES['figure7read'] and ALL_FIGURES['figure7write']"),
+    ("def figure9", r"\bdef figure9\b",
+     "ALL_FIGURES['figure9read'] and ALL_FIGURES['figure9write']"),
+    ("def table5", r"\bdef table5\b", "ALL_FIGURES['table5<family>']"),
+    ("def table6", r"\bdef table6\b", "ALL_FIGURES['table6<family>']"),
+    ("_FIGURE_FAMILY", r"_FIGURE_FAMILY", "Series.family"),
+    ("_FIGURE_MULTIVM", r"_FIGURE_MULTIVM",
+     "Series.multivm, read by figures.run_figure"),
+    # No verb draws bar charts.
+    ("render_bars", r"render_bars", "FigureResult.render"),
+    ("ascii_bars", r"ascii_bars", "FigureResult.render"),
 )
 
 

@@ -1,15 +1,14 @@
 """Golden snapshots for the ASCII renderers.
 
-``repro.experiments.report`` and ``repro.experiments.plotting`` are the
-presentation layer for every figure and bench summary; their output is
-eyeballed against the paper's charts, so a silent formatting drift is a
-real regression even when the numbers underneath are right.  Each test
+``repro.experiments.report`` is the presentation layer for every
+figure; its output is eyeballed against the paper's charts, so a silent
+formatting drift is a real regression even when the numbers underneath
+are right.  Each test
 pins the exact rendered text for a small fixed input.
 """
 
 import textwrap
 
-from repro.experiments.plotting import ascii_bars, sparkline
 from repro.experiments.report import (comparison_table, normalize,
                                       render_shape_check, shape_check,
                                       shape_score, speedup_summary)
@@ -81,37 +80,3 @@ class TestHelpers:
         down = speedup_summary({"icash": 2.0, "raid0": 5.0}, "raid0",
                                better="lower")
         assert down == {"icash_over_raid0": 2.5}
-
-
-class TestAsciiBars:
-    def test_measured_bars(self):
-        rendered = ascii_bars(
-            {"icash": 4.0, "raid0": 1.0}, ["icash", "raid0"],
-            unit="tx/s", width=8)
-        assert rendered == golden("""
-            icash |████████| 4.00 tx/s
-            raid0 |██      | 1.00 tx/s
-        """)
-
-    def test_reference_series_scales_independently(self):
-        rendered = ascii_bars(
-            {"icash": 4.0, "raid0": 2.0}, ["icash", "raid0"],
-            width=4, reference={"icash": 100.0, "raid0": 25.0})
-        assert rendered == golden("""
-            icash |████| 4.00
-            paper |░░░░| 100.00
-            raid0 |██  | 2.00
-            paper |░   | 25.00
-        """)
-
-    def test_empty_and_zero_rows(self):
-        assert ascii_bars({}, ["icash"]) == "(no data)"
-        rendered = ascii_bars({"icash": 0.0}, ["icash"], width=4)
-        assert rendered == "icash |    | 0.00"
-
-
-class TestSparkline:
-    def test_shape(self):
-        assert sparkline([0.0, 1.0, 2.0, 3.0]) == "▁▃▅█"
-        assert sparkline([5.0, 5.0, 5.0]) == "▁▁▁"
-        assert sparkline([]) == ""

@@ -5,48 +5,64 @@ exercise its aggregation logic against stubbed figures, and the CLI
 paths against small real runs.
 """
 
+import re
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cli import main as cli_main
+from repro.experiments import figures
 from repro.experiments import validate as validate_module
-from repro.experiments.figures import FigureResult
+from repro.experiments.figures import ALL_FIGURES, SERIES, FigureResult
+from repro.experiments.systems import SYSTEM_NAMES
 from repro.experiments.validate import (Claim, ValidationSummary,
                                         _headline_claims)
 
+EXPERIMENTS_MD = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 
-def stub_figure(name: str, measured, paper) -> FigureResult:
-    return FigureResult(name, name, "x", "higher", measured, paper)
+#: The least shape score each series must keep.
+EXPECTED_FLOORS = {
+    "figure6a": 0.9, "figure6b": 0.0, "figure7read": 0.6,
+    "figure7write": 0.6, "figure8a": 0.6, "figure8b": 0.0,
+    "figure9read": 0.5, "figure9write": 0.5, "figure10a": 0.9,
+    "figure10b": 0.0, "figure11": 0.7, "figure12": 0.6, "figure13": 0.5,
+    "figure14": 0.8, "figure15": 0.9, "figure16": 0.9,
+    "table5hadoop": 0.5, "table5tpcc": 0.5, "table6sysbench": 1.0,
+    "table6hadoop": 1.0, "table6tpcc": 1.0, "table6specsfs": 0.5,
+}
+
+
+def stub_figure(name: str, measured, paper, floor=0.0) -> FigureResult:
+    return FigureResult(name, name, "x", "higher", measured, paper,
+                        floor=floor)
 
 
 def stub_results(icash_wins: bool = True):
-    """A full figure-result set with controllable outcomes."""
-    win = {"fusion-io": 10.0, "raid0": 4.0, "dedup": 6.0,
-           "lru": 7.0, "icash": 12.0 if icash_wins else 9.0}
-    lose_time = {"fusion-io": 5.0, "raid0": 14.0, "dedup": 12.0,
-                 "lru": 7.0, "icash": 2.6 if icash_wins else 9.0}
-    loadsim = {"fusion-io": 1800.0, "raid0": 5340.0, "dedup": 3259.0,
-               "lru": 3002.0, "icash": 2263.0}
-    rubis = {"fusion-io": 84.0, "raid0": 48.0, "dedup": 59.0,
-             "lru": 73.0, "icash": 80.0}
-    vms = {"fusion-io": 1.0, "raid0": 0.4, "dedup": 0.5,
-           "lru": 0.4, "icash": 2.8 if icash_wins else 0.5}
-    hadoop = {"fusion-io": 24.0, "raid0": 32.0, "dedup": 26.0,
-              "lru": 25.0, "icash": 18.0 if icash_wins else 40.0}
-    paper = dict(win)
-    return {
-        "figure6a": stub_figure("figure6a", win, paper),
-        "figure10a": stub_figure("figure10a", win, paper),
-        "figure11": stub_figure("figure11", lose_time, lose_time),
-        "figure12": stub_figure("figure12", loadsim, loadsim),
-        "figure14": stub_figure("figure14", rubis, rubis),
-        "figure15": stub_figure("figure15", vms, vms),
-        "figure8a": stub_figure("figure8a", hadoop, hadoop),
-    }
+    """Every series at the paper's own numbers, which hold every
+    headline claim; a losing run puts I-CASH last everywhere."""
+    results = {}
+    for name, series in SERIES.items():
+        measured = dict(series.paper)
+        if not icash_wins:
+            measured["icash"] = (0.5 * min(measured.values())
+                                 if series.better == "higher"
+                                 else 2 * max(measured.values()))
+        results[name] = FigureResult(series.figure, series.title,
+                                     series.metric, series.better,
+                                     measured, series.paper)
+    # The lifetime claim reads host page writes off the SysBench runs.
+    results["table6sysbench"].runs = {
+        "lru": SimpleNamespace(ssd_write_blocks=1000),
+        "icash": SimpleNamespace(ssd_write_blocks=100 if icash_wins
+                                 else 1000)}
+    return results
 
 
 class TestHeadlineClaims:
     def test_winning_run_holds_all_claims(self):
         claims = _headline_claims(stub_results(icash_wins=True))
+        assert len(claims) == 28
         assert all(claim.holds for claim in claims)
 
     def test_losing_run_fails_claims(self):
@@ -57,8 +73,9 @@ class TestHeadlineClaims:
         results = stub_results()
         results["figure15"] = stub_figure("figure15", {}, {})
         claims = _headline_claims(results)
-        vm_claims = [c for c in claims if "VMs" in c.description]
+        vm_claims = [c for c in claims if "(Fig 15)" in c.description]
         assert vm_claims and not any(c.holds for c in vm_claims)
+        assert all(c.holds for c in claims if c not in vm_claims)
 
 
 class TestValidationSummary:
@@ -89,6 +106,72 @@ class TestValidationSummary:
         summary = validate_module.validate()
         assert sorted(calls) == sorted(fake_registry)
         assert set(summary.shape_scores) == set(fake_registry)
+
+
+class TestFloors:
+    """A series below its floor fails the gate on its own."""
+
+    def run(self, monkeypatch, floor):
+        low = stub_figure("figure6a", {"fusion-io": 2.0, "icash": 1.0},
+                          {"fusion-io": 1.0, "icash": 2.0}, floor=floor)
+        monkeypatch.setattr(figures, "ALL_FIGURES",
+                            {"figure6a": lambda **kwargs: low})
+        monkeypatch.setattr(validate_module, "_headline_claims",
+                            lambda results: [Claim("held", True)])
+        return validate_module.validate()
+
+    def test_series_below_its_floor_fails_validate(self, monkeypatch,
+                                                   capsys):
+        summary = self.run(monkeypatch, floor=0.9)
+        assert summary.shape_scores == {"figure6a": 0.0}
+        assert summary.below_floor == ["figure6a"]
+        assert not summary.passed
+        assert "LOW  figure6a" in summary.render()
+        assert cli_main(["validate"]) == 1
+        assert "at or above their floor: 0/1" in capsys.readouterr().out
+
+    def test_series_at_its_floor_passes(self, monkeypatch):
+        summary = self.run(monkeypatch, floor=0.0)
+        assert summary.below_floor == [] and summary.passed
+        assert cli_main(["validate"]) == 0
+
+
+@pytest.fixture(scope="module")
+def every_series():
+    """Every registry entry, called through its factory on a stub grid
+    (the runs themselves are tests/test_memos.py's)."""
+    def stub_grid(family, n_requests, seed, n_vms=0):
+        runs = {system: SimpleNamespace(
+            transactions_per_s=rank, cpu_utilization=rank / 10,
+            read_mean_us=rank, write_mean_us=rank, wall_time_s=rank,
+            tx_response_ms=rank, loadsim_score=rank, io_response_ms=rank,
+            requests_per_s=rank, energy=SimpleNamespace(total_wh=rank),
+            ssd_write_ops=rank)
+            for rank, system in enumerate(SYSTEM_NAMES, 1)}
+        return runs, {}
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(figures, "_grid", stub_grid)
+        return {name: fn() for name, fn in ALL_FIGURES.items()}
+
+
+class TestRegistry:
+    def test_every_series_has_its_floor(self, every_series):
+        assert {name: result.floor for name, result
+                in every_series.items()} == EXPECTED_FLOORS
+
+    def test_every_series_renders(self, every_series):
+        for result in every_series.values():
+            assert set(result.measured) == set(result.paper)
+            text = result.render()
+            assert text.startswith(f"{result.figure}: {result.title}\n")
+            assert "pairwise orderings preserved" in text
+
+    def test_order_is_experiments_md_section_order(self, every_series):
+        headings = re.findall(r"^## ((?:Figure|Table [56]).*)$",
+                              EXPERIMENTS_MD.read_text(), re.MULTILINE)
+        assert headings == [f"{result.figure}: {result.title}"
+                            for result in every_series.values()]
 
 
 class TestNewCLICommands:
