@@ -1,46 +1,32 @@
 """Differential diagnosis of two runs (``repro explain``).
 
-Takes two runs — ledger rows, bench case records, or live results —
-and produces a ranked root-cause report: noise-aware scalar and
-attribution diffs, a phase-aligned series diff, a queueing diff naming
-bottleneck migration, and a suspect ranking built from provenance
-deltas.  See docs/OBSERVABILITY.md ("Explaining a delta") and the
-"debugging a regression" walkthrough.
+Takes two runs — ledger rows or bench case records — and produces a
+ranked root-cause report: noise-aware scalar and attribution diffs
+and a suspect ranking built from provenance deltas.  See
+docs/OBSERVABILITY.md ("Explaining a delta") and the "debugging a
+regression" walkthrough.
 """
 
 from repro.analysis.explain.attribution import (AttributionDelta,
                                                 diff_attribution,
                                                 export_flame_diff,
                                                 flame_diff_stacks,
-                                                parse_flame_diff,
                                                 significant_attribution)
-from repro.analysis.explain.phases import (Phase, PhasePair,
-                                           PhaseReport, align_phases,
-                                           diff_phases,
-                                           fingerprint_distance,
-                                           segment_phases)
-from repro.analysis.explain.queueing import (QueueingDiff, StationDelta,
-                                             diff_queueing)
 from repro.analysis.explain.report import (ExplainReport, explain,
                                            explain_bench_cases,
-                                           explain_ledger_rows,
-                                           explain_results)
+                                           explain_ledger_rows)
 from repro.analysis.explain.scalars import (ScalarDelta, diff_scalars,
                                             significant_scalars)
 from repro.analysis.explain.suspects import (SUSPECT_SCORES, Suspect,
                                              rank_suspects)
 from repro.analysis.explain.views import (RunView, view_from_bench_case,
-                                          view_from_ledger_row,
-                                          view_from_result)
+                                          view_from_ledger_row)
 
 __all__ = [
-    "AttributionDelta", "ExplainReport", "Phase", "PhasePair",
-    "PhaseReport", "QueueingDiff", "RunView", "ScalarDelta",
-    "StationDelta", "SUSPECT_SCORES", "Suspect", "align_phases",
-    "diff_attribution", "diff_phases", "diff_queueing", "diff_scalars",
+    "AttributionDelta", "ExplainReport", "RunView", "ScalarDelta",
+    "SUSPECT_SCORES", "Suspect", "diff_attribution", "diff_scalars",
     "explain", "explain_bench_cases", "explain_ledger_rows",
-    "explain_results", "export_flame_diff", "fingerprint_distance",
-    "flame_diff_stacks", "parse_flame_diff", "rank_suspects",
-    "segment_phases", "significant_attribution", "significant_scalars",
-    "view_from_bench_case", "view_from_ledger_row", "view_from_result",
+    "export_flame_diff", "flame_diff_stacks", "rank_suspects",
+    "significant_attribution", "significant_scalars",
+    "view_from_bench_case", "view_from_ledger_row",
 ]

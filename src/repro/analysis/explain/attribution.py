@@ -153,19 +153,3 @@ def export_flame_diff(view_a: RunView, view_b: RunView,
         destination.write(f"{key} {a_us} {b_us}\n")
     return len(stacks)
 
-
-def parse_flame_diff(source: Union[str, TextIO, Iterable[str]]
-                     ) -> Dict[str, Tuple[int, int]]:
-    """Inverse of :func:`export_flame_diff` (the round-trip the
-    acceptance test asserts).  Accepts a path, handle, or lines."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return parse_flame_diff(handle)
-    stacks: Dict[str, Tuple[int, int]] = {}
-    for line in source:
-        line = line.strip()
-        if not line:
-            continue
-        stack, a_text, b_text = line.rsplit(" ", 2)
-        stacks[stack] = (int(a_text), int(b_text))
-    return stacks

@@ -1,12 +1,11 @@
 """The explain engine's front door: run it, render it, serialise it.
 
 :func:`explain` takes two :class:`~repro.analysis.explain.views.
-RunView`\\ s and produces an :class:`ExplainReport` bundling the four
-diagnosis components — scalar diff, attribution diff, phase-aligned
-series diff, queueing diff — plus the ranked suspect list.  The
-convenience constructors (:func:`explain_ledger_rows`,
-:func:`explain_bench_cases`, :func:`explain_results`) adapt each input
-shape; :meth:`ExplainReport.render` is byte-deterministic for fixed
+RunView`\\ s and produces an :class:`ExplainReport` bundling the two
+diagnosis components — scalar diff and attribution diff — plus the
+ranked suspect list.  The convenience constructors
+(:func:`explain_ledger_rows`, :func:`explain_bench_cases`) adapt each
+input shape; :meth:`ExplainReport.render` is byte-deterministic for fixed
 inputs and :meth:`ExplainReport.to_json` is the machine form CI and
 tooling consume.
 """
@@ -19,14 +18,11 @@ from typing import Dict, List, Optional
 
 from repro.analysis.explain.attribution import (
     AttributionDelta, diff_attribution, significant_attribution)
-from repro.analysis.explain.phases import PhaseReport, diff_phases
-from repro.analysis.explain.queueing import QueueingDiff, diff_queueing
 from repro.analysis.explain.scalars import (ScalarDelta, diff_scalars,
                                             significant_scalars)
 from repro.analysis.explain.suspects import Suspect, rank_suspects
 from repro.analysis.explain.views import (RunView, view_from_bench_case,
-                                          view_from_ledger_row,
-                                          view_from_result)
+                                          view_from_ledger_row)
 
 #: Rows shown per section in the rendered report (the full lists live
 #: in the JSON form).
@@ -42,17 +38,13 @@ class ExplainReport:
     scalar_deltas: List[ScalarDelta] = field(default_factory=list)
     attribution_deltas: List[AttributionDelta] = \
         field(default_factory=list)
-    phase_report: Optional[PhaseReport] = None
-    queueing_diff: Optional[QueueingDiff] = None
     suspects: List[Suspect] = field(default_factory=list)
 
     @property
     def significant(self) -> bool:
         """Did anything move beyond the noise-aware tolerances?"""
         return bool(significant_scalars(self.scalar_deltas)
-                    or significant_attribution(self.attribution_deltas)
-                    or (self.queueing_diff is not None
-                        and self.queueing_diff.significant))
+                    or significant_attribution(self.attribution_deltas))
 
     # -- rendering ---------------------------------------------------------
 
@@ -97,18 +89,11 @@ class ExplainReport:
         else:
             lines.append("  (none — the movement is not "
                          "attribution-visible)")
-
-        if self.queueing_diff is not None:
-            lines.append("")
-            lines.append(self.queueing_diff.render())
-        if self.phase_report is not None:
-            lines.append("")
-            lines.append(self.phase_report.render())
         return "\n".join(lines)
 
     def to_json(self) -> Dict[str, object]:
         """JSON-ready document (sorted keys when dumped; stable)."""
-        doc: Dict[str, object] = {
+        return {
             "a": {"label": self.view_a.label,
                   "source": self.view_a.source},
             "b": {"label": self.view_b.label,
@@ -132,50 +117,7 @@ class ExplainReport:
                  "tolerance_us": d.tolerance_us,
                  "only_in": d.only_in, "significant": d.significant}
                 for d in self.attribution_deltas],
-            "queueing": None,
-            "phases": None,
         }
-        if self.queueing_diff is not None:
-            q = self.queueing_diff
-            doc["queueing"] = {
-                "bottleneck_a": q.bottleneck_a,
-                "bottleneck_b": q.bottleneck_b,
-                "bottleneck_moved": q.bottleneck_moved,
-                "wait_mean_us": [q.a_wait_mean_us, q.b_wait_mean_us],
-                "wait_p99_us": [q.a_wait_p99_us, q.b_wait_p99_us],
-                "stations": [
-                    {"name": s.name,
-                     "a_utilization": s.a_utilization,
-                     "b_utilization": s.b_utilization,
-                     "a_mean_depth": s.a_mean_depth,
-                     "b_mean_depth": s.b_mean_depth,
-                     "significant": s.significant}
-                    for s in q.stations],
-            }
-        if self.phase_report is not None:
-            p = self.phase_report
-
-            def phase_doc(phase):
-                return {"index": phase.index,
-                        "start_window": phase.start_window,
-                        "end_window": phase.end_window,
-                        "fingerprint": list(phase.fingerprint)}
-
-            doc["phases"] = {
-                "structure_changed": p.structure_changed,
-                "a": [phase_doc(ph) for ph in p.phases_a],
-                "b": [phase_doc(ph) for ph in p.phases_b],
-                "pairs": [
-                    {"a": pair.phase_a.index
-                     if pair.phase_a is not None else None,
-                     "b": pair.phase_b.index
-                     if pair.phase_b is not None else None,
-                     "distance": pair.distance,
-                     "a_read_mean_us": pair.a_read_mean_us,
-                     "b_read_mean_us": pair.b_read_mean_us}
-                    for pair in p.pairs],
-            }
-        return doc
 
     def render_json(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2)
@@ -188,17 +130,11 @@ def explain(view_a: RunView, view_b: RunView) -> ExplainReport:
     """Run the full differential diagnosis over two normalised views."""
     scalar_deltas = diff_scalars(view_a, view_b)
     attribution_deltas = diff_attribution(view_a, view_b)
-    phase_report = diff_phases(view_a, view_b)
-    queueing_diff = diff_queueing(view_a, view_b)
     suspects = rank_suspects(view_a, view_b, scalar_deltas,
-                             attribution_deltas,
-                             phase_report=phase_report,
-                             queueing_diff=queueing_diff)
+                             attribution_deltas)
     return ExplainReport(view_a=view_a, view_b=view_b,
                          scalar_deltas=scalar_deltas,
                          attribution_deltas=attribution_deltas,
-                         phase_report=phase_report,
-                         queueing_diff=queueing_diff,
                          suspects=suspects)
 
 
@@ -221,14 +157,3 @@ def explain_bench_cases(case_a: Dict[str, object],
     return explain(view_from_bench_case(case_a, label=label_a),
                    view_from_bench_case(case_b, label=label_b))
 
-
-def explain_results(result_a, result_b,
-                    label_a: str = "a", label_b: str = "b",
-                    spec_a: Optional[Dict[str, object]] = None,
-                    spec_b: Optional[Dict[str, object]] = None
-                    ) -> ExplainReport:
-    """Diagnose two live :class:`~repro.experiments.runner.RunResult`
-    objects — the only input shape carrying series and queueing state,
-    so the only one producing phase and queueing sections."""
-    return explain(view_from_result(result_a, label_a, spec=spec_a),
-                   view_from_result(result_b, label_b, spec=spec_b))

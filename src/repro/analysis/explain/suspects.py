@@ -1,7 +1,7 @@
 """Suspect ranking: from "what moved" to "what probably caused it".
 
 Combines provenance deltas (spec, seed, config overrides, git state)
-with the significant metric/attribution/phase/queueing findings into a
+with the significant metric and attribution findings into a
 ranked hypothesis list.  Scores are fixed per cause kind — this is a
 deterministic triage order encoding how conclusive each kind of
 evidence is, not a fitted probability: an explicit config override
@@ -14,12 +14,10 @@ a cause the ledger recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.explain.attribution import (AttributionDelta,
                                                 significant_attribution)
-from repro.analysis.explain.phases import PhaseReport
-from repro.analysis.explain.queueing import QueueingDiff
 from repro.analysis.explain.scalars import (ScalarDelta,
                                             significant_scalars)
 from repro.analysis.explain.views import RunView
@@ -31,9 +29,7 @@ SUSPECT_SCORES = {
     "config_override": 0.95,
     "code_change": 0.8,
     "dirty_tree": 0.6,
-    "bottleneck_migration": 0.55,
     "seed_change": 0.5,
-    "phase_shift": 0.45,
     "behavioural_shift": 0.4,
 }
 
@@ -75,9 +71,7 @@ def _metric_evidence(sig_scalars: List[ScalarDelta],
 
 def rank_suspects(view_a: RunView, view_b: RunView,
                   scalar_deltas: List[ScalarDelta],
-                  attribution_deltas: List[AttributionDelta],
-                  phase_report: Optional[PhaseReport] = None,
-                  queueing_diff: Optional[QueueingDiff] = None
+                  attribution_deltas: List[AttributionDelta]
                   ) -> List[Suspect]:
     """The ranked hypothesis list, highest score first.
 
@@ -135,17 +129,6 @@ def rank_suspects(view_a: RunView, view_b: RunView,
                     f"uncommitted edits may explain the movement",
             evidence=_metric_evidence(sig_scalars, sig_attr)))
 
-    if queueing_diff is not None and queueing_diff.bottleneck_moved:
-        suspects.append(Suspect(
-            cause="bottleneck_migration",
-            score=SUSPECT_SCORES["bottleneck_migration"],
-            summary=(f"bottleneck moved "
-                     f"{queueing_diff.bottleneck_a or 'none'} -> "
-                     f"{queueing_diff.bottleneck_b or 'none'}"),
-            evidence=[s.render().strip()
-                      for s in queueing_diff.stations
-                      if s.significant][:MAX_EVIDENCE]))
-
     if sa.get("seed") != sb.get("seed"):
         suspects.append(Suspect(
             cause="seed_change", score=SUSPECT_SCORES["seed_change"],
@@ -154,17 +137,6 @@ def rank_suspects(view_a: RunView, view_b: RunView,
                      f"tolerance under a reseed point at "
                      f"seed-sensitive behaviour"),
             evidence=_metric_evidence(sig_scalars, sig_attr)))
-
-    if phase_report is not None and phase_report.structure_changed:
-        suspects.append(Suspect(
-            cause="phase_shift", score=SUSPECT_SCORES["phase_shift"],
-            summary=(f"workload phase structure changed "
-                     f"({len(phase_report.phases_a)} -> "
-                     f"{len(phase_report.phases_b)} phases)"),
-            evidence=[pair.render().strip()
-                      for pair in phase_report.pairs
-                      if pair.phase_a is None or pair.phase_b is None
-                      or pair.shifted][:MAX_EVIDENCE]))
 
     if not suspects:
         suspects.append(Suspect(

@@ -21,7 +21,7 @@ and the loss window never exceeds the data written since the last flush.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -60,9 +60,6 @@ class RecoveredImage:
         if lba in self._ssd and lba not in self._shadowed:
             return self._ssd[lba].copy()
         return self._backing.get(lba)
-
-    def read_many(self, lbas: Iterable[int]) -> Dict[int, np.ndarray]:
-        return {lba: self.read(lba) for lba in lbas}
 
     @property
     def logged_blocks(self) -> int:

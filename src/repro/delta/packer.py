@@ -41,10 +41,6 @@ class DeltaRecord:
     ref_lba: int
     delta: Delta
 
-    @property
-    def wire_size(self) -> int:
-        return _RECORD_HEADER.size + self.delta.size_bytes
-
 
 class DeltaBlockPacker:
     """Packs delta records into 4 KB blocks and unpacks them again."""
@@ -179,10 +175,6 @@ class DeltaLog:
         #: pointer but not this counter (a wrap happened; the metrics
         #: layer needs monotone counters).
         self.wrap_count = 0
-
-    @property
-    def next_sequence(self) -> int:
-        return self._sequence
 
     def append(self, records: Sequence[DeltaRecord]
                ) -> Tuple[float, List[int], List[Tuple[int, DeltaRecord]]]:

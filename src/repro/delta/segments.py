@@ -41,10 +41,6 @@ class SegmentPool:
     def free_segments(self) -> int:
         return self.capacity_segments - self.used_segments
 
-    @property
-    def used_bytes(self) -> int:
-        return self.used_segments * SEGMENT_BYTES
-
     def can_fit(self, nbytes: int) -> bool:
         return self.segments_for(nbytes) <= self.free_segments
 

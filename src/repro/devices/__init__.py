@@ -9,8 +9,8 @@ Four device models underpin every storage architecture in the repository:
   counts for the paper's SSD-lifetime analysis (Table 6).
 * :class:`~repro.devices.raid.RAID0Array` — striping across N HDDs, the
   paper's second baseline.
-* :class:`~repro.devices.dram.DRAMBuffer` — byte-budgeted RAM buffer used
-  for the I-CASH delta cache and baseline caches.
+* :class:`~repro.devices.dram.DRAMBuffer` — the RAM buffer behind the
+  I-CASH data and delta caches, charging per-block copy time.
 """
 
 from repro.devices.base import Device, DeviceSpec

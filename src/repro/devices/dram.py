@@ -5,9 +5,10 @@ prototype dedicates a slice of system RAM, e.g. 32–256 MB depending on the
 benchmark).  DRAM access is effectively free next to device latencies, but
 it is not *zero*: copying a 4 KB block still costs on the order of a
 microsecond, and that cost is visible in the paper's 7 µs I-CASH write
-latency.  The buffer therefore models a small per-block copy cost and —
-more importantly — enforces a byte budget that the I-CASH replacement
-policies must operate within.
+latency.  The buffer therefore models that per-block copy cost.  The
+byte budgets the I-CASH replacement policies work within belong to
+:class:`~repro.core.cache.ICashCache` and the delta segment pool, not
+to this model.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from repro.sim.request import BLOCK_SIZE
 
 
 class DRAMBuffer(Counted):
-    """A byte-budgeted RAM pool with explicit reserve/release accounting."""
+    """A RAM pool of ``capacity_bytes`` whose accesses cost copy time."""
 
-    COUNTERS = ("reservations", "releases", "accesses")
+    COUNTERS = ("accesses",)
 
     #: Time to move one 4 KB block through DRAM (copy + bookkeeping).
     BLOCK_COPY_S = 1e-6
@@ -36,43 +37,7 @@ class DRAMBuffer(Counted):
                 f"capacity must be positive, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
         self.name = name
-        self.used_bytes = 0
         self.busy_time = 0.0
-
-    # -- space accounting ---------------------------------------------------
-
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity_bytes - self.used_bytes
-
-    def can_fit(self, nbytes: int) -> bool:
-        return nbytes <= self.free_bytes
-
-    def reserve(self, nbytes: int) -> None:
-        """Claim ``nbytes``; raises ``MemoryError`` when over budget.
-
-        Callers are expected to evict (via their replacement policy) until
-        :meth:`can_fit` holds before reserving.
-        """
-        if nbytes < 0:
-            raise ValueError(f"cannot reserve negative bytes: {nbytes}")
-        if nbytes > self.free_bytes:
-            raise MemoryError(
-                f"{self.name}: reserve of {nbytes} B exceeds free "
-                f"{self.free_bytes} B")
-        self.used_bytes += nbytes
-        self.reservations += 1
-
-    def release(self, nbytes: int) -> None:
-        """Return ``nbytes`` to the pool."""
-        if nbytes < 0:
-            raise ValueError(f"cannot release negative bytes: {nbytes}")
-        if nbytes > self.used_bytes:
-            raise ValueError(
-                f"{self.name}: releasing {nbytes} B but only "
-                f"{self.used_bytes} B are in use")
-        self.used_bytes -= nbytes
-        self.releases += 1
 
     # -- metrics --------------------------------------------------------------
 
@@ -97,5 +62,5 @@ class DRAMBuffer(Counted):
         return latency
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"DRAMBuffer(name={self.name!r}, used={self.used_bytes}, "
+        return (f"DRAMBuffer(name={self.name!r}, "
                 f"capacity={self.capacity_bytes})")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 def comparison_table(title: str, systems: Sequence[str],
@@ -44,21 +44,6 @@ def normalize(values: Dict[str, float],
     if not base:
         raise ValueError(f"baseline {baseline!r} missing or zero")
     return {name: value / base for name, value in values.items()}
-
-
-def speedup_summary(measured: Dict[str, float], over: str,
-                    better: str = "higher") -> Dict[str, float]:
-    """I-CASH's speedup over one baseline, in the paper's convention.
-
-    For "higher is better" metrics (throughput), speedup is
-    icash / baseline; for "lower is better" (response time, score), it is
-    baseline / icash.
-    """
-    icash = measured["icash"]
-    base = measured[over]
-    if better == "higher":
-        return {"icash_over_" + over: icash / base if base else float("inf")}
-    return {"icash_over_" + over: base / icash if icash else float("inf")}
 
 
 def shape_check(measured: Dict[str, float], paper: Dict[str, float],

@@ -40,7 +40,7 @@ from repro.sim.engine import (EventEngine, QueueingSummary,
                               service_items)
 from repro.sim.load import default_closed_loop
 from repro.sim.profile import RESIDUAL_PHASE, AttributionTable
-from repro.sim.metrics import SeriesStore, SLOBreach
+from repro.sim.metrics import SLOBreach
 from repro.sim.stats import LatencyStats
 from repro.workloads.base import Workload
 
@@ -82,9 +82,6 @@ class RunResult:
     energy: EnergyReport
     counters: Dict[str, int] = field(default_factory=dict)
     verified_reads: int = 0
-    #: Windowed time series when a :class:`repro.sim.metrics.Monitor`
-    #: was attached; None for plain runs.
-    series: Optional[SeriesStore] = None
     #: SLO breaches the monitor's health rules flagged (empty without a
     #: monitor or when every window held).
     slo_breaches: List[SLOBreach] = field(default_factory=list)
@@ -158,9 +155,9 @@ class RunResult:
 
         Parallel experiment workers (:mod:`repro.experiments.parallel`)
         ship results back as payloads: scalars, nested dicts and lists
-        only — no live tracer, registry or monitor state.  The windowed
-        ``series``/``slo_breaches`` monitor products and fault-report
-        objects are deliberately not carried (monitors and fault
+        only — no live tracer, registry or monitor state.  The
+        ``slo_breaches`` monitor product and fault-report objects are
+        deliberately not carried (monitors and fault
         injection are interactive-run tooling; attach them
         to serial runs), and :meth:`from_payload` restores everything
         else bit-identically — floats cross pickle exactly.
@@ -353,7 +350,6 @@ class _Measurement:
                 storage_cpu_s=system.cpu_time - self.cpu_base),
             counters=system.counters(),
             verified_reads=self.verified,
-            series=monitor.store if monitor is not None else None,
             slo_breaches=list(monitor.breaches) if monitor is not None
             else [],
             engine=engine,
@@ -392,7 +388,9 @@ def run_benchmark(workload: Workload, system: StorageSystem,
     ``monitor`` (a :class:`repro.sim.metrics.Monitor`) likewise attaches
     after ingest; its sampler runs on the aggregate device-busy-time
     clock (``io_time_all``, the same virtual timeline trace spans lie
-    on) and its series and SLO breaches land in the returned result.
+    on).  Its windowed series stays on ``monitor.store``, which ``repro
+    monitor`` exports; its SLO breaches land in
+    ``RunResult.slo_breaches``.
 
     ``engine`` selects the wall-clock model.  The default ``"legacy"``
     is the open-queue approximation documented above and stays

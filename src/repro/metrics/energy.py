@@ -22,7 +22,7 @@ power — which is most of why RAID0 loses Table 5 so badly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.baselines.base import StorageSystem
 
@@ -66,13 +66,6 @@ class EnergyReport:
     def total_wh(self) -> float:
         """Watt-hours, the unit of the paper's Table 5."""
         return self.total_j / 3600.0
-
-    def breakdown_wh(self) -> Dict[str, float]:
-        return {
-            "hdd": self.hdd_j / 3600.0,
-            "ssd": self.ssd_j / 3600.0,
-            "cpu": self.cpu_j / 3600.0,
-        }
 
 
 def measure_energy(system: StorageSystem, wall_time_s: float,

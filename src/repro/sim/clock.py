@@ -22,11 +22,6 @@ class VirtualClock:
         """Current virtual time in seconds."""
         return self._now
 
-    @property
-    def now_us(self) -> float:
-        """Current virtual time in microseconds (trace exporters' unit)."""
-        return self._now * 1e6
-
     def advance_to(self, timestamp: float) -> float:
         """Move time forward to ``timestamp`` if it lies ahead.
 

@@ -380,21 +380,8 @@ class QueueingSummary:
                 best, best_util = summary.name, summary.utilization
         return best
 
-    def render(self) -> str:
-        lines = [f"queueing over {self.duration_s:.4f}s of event time "
-                 f"(wait mean {self.wait_mean_us:.1f} us, "
-                 f"p99 {self.wait_p99_us:.1f} us)"]
-        for name in sorted(self.stations):
-            s = self.stations[name]
-            lines.append(
-                f"  {name:<8} slots={s.slots} util={s.utilization:6.1%} "
-                f"depth mean={s.mean_depth:6.2f} max={s.max_depth:<4d} "
-                f"served={s.served}")
-        return "\n".join(lines)
-
     def to_doc(self) -> Dict[str, object]:
-        """JSON-ready form (``repro critpath --json`` and the explain
-        engine's machine output)."""
+        """JSON-ready form (``repro critpath --json``)."""
         return {
             "duration_s": self.duration_s,
             "wait_mean_us": self.wait_mean_us,

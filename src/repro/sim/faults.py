@@ -26,7 +26,7 @@ runs exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,44 +163,6 @@ class FaultReport:
 
     seed: int
     outcomes: List[FaultOutcome] = field(default_factory=list)
-
-    @property
-    def total_rebuild_blocks(self) -> int:
-        return sum(o.rebuild_blocks for o in self.outcomes)
-
-    @property
-    def max_recovery_s(self) -> float:
-        return max((o.degraded_s for o in self.outcomes), default=0.0)
-
-    @property
-    def data_loss_window_blocks(self) -> int:
-        return max((o.data_loss_window_blocks or 0
-                    for o in self.outcomes), default=0)
-
-    @property
-    def all_detected(self) -> bool:
-        """True when every detectable corruption was caught."""
-        return all(o.detected for o in self.outcomes
-                   if o.detected is not None)
-
-    def render(self) -> str:
-        lines = [f"fault report (seed {self.seed})"]
-        for o in self.outcomes:
-            status = "skipped" if o.skipped else (
-                f"recovered in {o.degraded_s * 1e3:.1f} ms"
-                if o.t_recovered_s is not None else "still degraded")
-            extra = ""
-            if o.data_loss_window_blocks is not None:
-                extra += f", loss window {o.data_loss_window_blocks} blk"
-            if o.detected is not None:
-                extra += (", corruption detected" if o.detected
-                          else ", corruption MISSED")
-            lines.append(
-                f"  {o.kind} @ req {o.at_request} "
-                f"[{o.station or '-'}]: {status}, "
-                f"{o.rebuild_blocks} rebuild blk{extra}"
-                + (f" ({o.detail})" if o.detail else ""))
-        return "\n".join(lines)
 
 
 class FaultInjector:

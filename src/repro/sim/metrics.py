@@ -653,12 +653,6 @@ class SeriesStore:
                 return bound
         return None  # pragma: no cover - +Inf bucket always covers
 
-    def window_mean(self, index: int, base: str) -> Optional[float]:
-        count = self.window_delta(index, f"{base}_count")
-        if count <= 0:
-            return None
-        return self.window_delta(index, f"{base}_sum") / count
-
 
 class PeriodicSampler:
     """Snapshots a registry at a fixed sim-time interval.
@@ -733,8 +727,7 @@ class SLORule:
     * ``"rate"``  — counter increment divided by window duration (per
       second of busy time), multiplied by ``scale`` (so a daily budget
       uses ``scale=86400``);
-    * ``"mean"`` / ``"p50"``/``"p95"``/``"p99"``... — histogram window
-      statistics.
+    * ``"p50"``/``"p95"``/``"p99"``... — histogram window quantiles.
 
     ``bound`` is ``"max"`` (breach when value > threshold) or ``"min"``
     (breach when value < threshold).  ``metric`` may be a bare
@@ -754,7 +747,7 @@ class SLORule:
         if self.bound not in ("max", "min"):
             raise ValueError(f"bound must be 'max' or 'min', "
                              f"got {self.bound!r}")
-        if self.stat not in ("value", "delta", "rate", "mean") \
+        if self.stat not in ("value", "delta", "rate") \
                 and not self.stat.startswith("p"):
             raise ValueError(f"unknown stat {self.stat!r}")
 
@@ -817,10 +810,8 @@ class HealthMonitor:
 
     def _window_stat(self, store: SeriesStore, index: int,
                      rule: SLORule) -> Optional[float]:
-        if rule.stat == "mean" or rule.stat.startswith("p"):
-            # Histogram statistics: the metric is the histogram base name.
-            if rule.stat == "mean":
-                return store.window_mean(index, rule.metric)
+        if rule.stat.startswith("p"):
+            # Histogram quantiles: the metric is the histogram base name.
             return store.window_quantile(index, rule.metric,
                                          float(rule.stat[1:]) / 100.0)
         key = store.resolve_key(rule.metric)
@@ -1084,43 +1075,3 @@ def _resolved_value(store: SeriesStore, index: int,
                     metric: str) -> Optional[float]:
     key = store.resolve_key(metric)
     return store.window_value(index, key) if key else None
-
-
-# ---------------------------------------------------------------------------
-# Workload fingerprints (ReCA-style characterization)
-# ---------------------------------------------------------------------------
-
-
-#: The ratio components of a window fingerprint, in vector order:
-#: ``(numerator counter, denominator-partner counter)`` — each
-#: dimension is ``num / (num + partner)`` over the window's deltas.
-FINGERPRINT_RATIOS: Tuple[Tuple[str, str], ...] = (
-    ("requests_read_total", "requests_write_total"),
-    ("delta_hits_total", "delta_log_fetches_total"),
-    ("hdd_seek_total", "hdd_sequential_total"),
-)
-
-#: Dimension names matching :data:`FINGERPRINT_RATIOS`.
-FINGERPRINT_DIMENSIONS = ("read_fraction", "delta_hit_ratio",
-                          "seek_ratio")
-
-
-def window_fingerprint(store: SeriesStore,
-                       index: int) -> Tuple[float, ...]:
-    """The window's workload fingerprint: read/write mix, delta-hit
-    ratio and seek locality, each in [0, 1].
-
-    This is the ReCA-style online characterization vector — the same
-    signal an adaptive controller would reconfigure on (ROADMAP), used
-    today by :mod:`repro.analysis.explain` to segment a run into
-    workload phases.  A dimension whose window saw no events reports
-    -1.0 (distinct from any real ratio) so phase segmentation treats
-    "no HDD traffic" differently from "all-sequential HDD traffic".
-    """
-    out: List[float] = []
-    for num_name, partner_name in FINGERPRINT_RATIOS:
-        num = _resolved_delta(store, index, num_name) or 0.0
-        partner = _resolved_delta(store, index, partner_name) or 0.0
-        total = num + partner
-        out.append(num / total if total > 0 else -1.0)
-    return tuple(out)

@@ -53,9 +53,9 @@ from repro.sim.trace import TRACK_BACKGROUND, TRACK_REQUEST, TRACK_RUN, \
 DEVICE_HEADS = ("dram", "ssd", "hdd", "nvram", "raid0")
 
 #: Pseudo-devices attribution rows may use beyond :data:`DEVICE_HEADS`:
-#: ``cpu`` for codec/host computation phases, ``queue`` for pooled
-#: queue time recovered from a trace (the trace does not say which
-#: station), ``host`` for the uninstrumented residual.
+#: ``cpu`` for codec/host computation phases, ``queue`` for a trace's
+#: pooled ``queue`` span in the folded stacks (the trace does not say
+#: which station), ``host`` for the uninstrumented residual.
 PSEUDO_DEVICES = ("cpu", "queue", "host")
 
 #: The phase name end-to-end time not covered by any emitted item is
@@ -101,10 +101,6 @@ class RequestAttribution:
     #: ``(device, phase, seconds)`` items including queue waits and the
     #: ``(host, other, ...)`` residual; they sum to ``latency_s``.
     items: Tuple[Tuple[str, str, float], ...]
-
-    @property
-    def covered_s(self) -> float:
-        return sum(dur for _d, _p, dur in self.items)
 
 
 class AttributionRow:
@@ -354,38 +350,6 @@ class Profiler:
 
 
 # ---------------------------------------------------------------------------
-# Trace-based attribution (offline; either engine)
-# ---------------------------------------------------------------------------
-
-
-def profile_trace(events: Iterable[TraceEvent]) -> AttributionTable:
-    """Fold a recorded trace into an attribution table.
-
-    Works on any trace — legacy or event engine, fresh or re-read from
-    a JSONL/Chrome file.  Only request-track spans count (background
-    and device-internal time is off the critical path by construction).
-    Queue time appears as the pooled ``(queue, wait)`` pair: the trace
-    does not record which station a request waited at, unlike the live
-    engine profiler, which attributes waits per device.
-    """
-    table = AttributionTable()
-    children: Dict[int, List[TraceEvent]] = {}
-    roots: List[TraceEvent] = []
-    for event in events:
-        if event.track != TRACK_REQUEST or event.req is None:
-            continue
-        if event.name == "request_start":
-            roots.append(event)
-        elif event.dur > 0.0:
-            children.setdefault(event.req, []).append(event)
-    for root in roots:
-        items = [classify_phase(child.name) + (child.dur,)
-                 for child in children.get(root.req, ())]
-        table.record_request(str(root.outcome), items, root.dur)
-    return table
-
-
-# ---------------------------------------------------------------------------
 # Folded-stack export (flamegraph tooling)
 # ---------------------------------------------------------------------------
 
@@ -493,25 +457,3 @@ def export_folded(events: Iterable[TraceEvent],
         count += 1
     return count
 
-
-def parse_folded(source: Union[str, TextIO, Iterable[str]]
-                 ) -> Dict[str, int]:
-    """Read folded flame stacks back: ``{stack: count_us}``.
-
-    The inverse of :func:`export_folded` (and the single-count half of
-    the flame-diff round trip in :mod:`repro.analysis.explain`).
-    Accepts a path, an open handle, or an iterable of lines; blank
-    lines are skipped, and the count is the text after the last space
-    — stack frames themselves may contain spaces.
-    """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return parse_folded(handle)
-    stacks: Dict[str, int] = {}
-    for line in source:
-        line = line.strip()
-        if not line:
-            continue
-        stack, _sep, count = line.rpartition(" ")
-        stacks[stack] = stacks.get(stack, 0) + int(count)
-    return stacks

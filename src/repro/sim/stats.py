@@ -10,7 +10,7 @@ and storage systems that keep them (:class:`repro.devices.base.Counted`).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import insort
 from typing import List, Optional
 
 
@@ -30,7 +30,7 @@ class LatencyStats:
         self._sum = 0.0
         #: Cached ascending order of ``_samples``; ``None`` when stale.
         self._sorted: Optional[List[float]] = None
-        #: Streaming extrema, maintained on every record/merge so the
+        #: Streaming extrema, maintained on every record so the
         #: ``min``/``max`` properties never rescan the sample list.
         self._min = math.inf
         self._max = -math.inf
@@ -124,48 +124,6 @@ class LatencyStats:
     @property
     def min(self) -> float:
         return self._min if self._samples else 0.0
-
-    def merge(self, other: "LatencyStats") -> None:
-        """Fold another stats object into this one."""
-        self._samples.extend(other._samples)
-        self._sum += other._sum
-        self._sumsq += other._sumsq
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-        self._sorted = None
-
-    def histogram(self, bins: int = 8, width: int = 40) -> str:
-        """A log-scale ASCII latency histogram.
-
-        Storage latencies span five orders of magnitude (RAM hits to
-        mechanical seeks), so the bins are logarithmic — the bimodal
-        hit/miss structure of a cache shows up at a glance.
-        """
-        if not self._samples:
-            return "(no samples)"
-        if bins < 1:
-            raise ValueError(f"need at least one bin, got {bins}")
-        low = max(min(self._samples), 1e-9)
-        high = max(self._samples)
-        if high <= low:
-            return (f"[{low * 1e6:10.1f}us] "
-                    f"{'#' * width} {len(self._samples)}")
-        edges = [low * (high / low) ** (i / bins) for i in range(bins + 1)]
-        edges[-1] = high * 1.0000001
-        counts = [0] * bins
-        # Binary-search each sample into its bin: O(samples x log bins)
-        # instead of the O(samples x bins) linear scan.
-        for sample in self._samples:
-            i = bisect_right(edges, max(sample, low)) - 1
-            counts[min(max(i, 0), bins - 1)] += 1
-        peak = max(counts) or 1
-        lines = []
-        for i in range(bins):
-            bar = "#" * max(0, round(counts[i] / peak * width))
-            lines.append(
-                f"[{edges[i] * 1e6:10.1f}us - {edges[i + 1] * 1e6:10.1f}us)"
-                f" {bar:<{width}} {counts[i]}")
-        return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"LatencyStats(count={self.count}, "

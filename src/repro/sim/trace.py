@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, \
-    TextIO, Tuple, Union
+from typing import Deque, Dict, Iterable, List, Optional, TextIO, \
+    Tuple, Union
 
 from repro.sim.clock import VirtualClock
 
@@ -130,18 +130,6 @@ class TraceEvent:
         if self.outcome is not None:
             out["outcome"] = self.outcome
         return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TraceEvent":
-        return cls(
-            name=str(data["name"]),
-            ts=float(data["ts_us"]) / 1e6,  # type: ignore[arg-type]
-            dur=float(data["dur_us"]) / 1e6,  # type: ignore[arg-type]
-            track=str(data["track"]),
-            req=data.get("req"),  # type: ignore[arg-type]
-            lba=data.get("lba"),  # type: ignore[arg-type]
-            nbytes=data.get("bytes"),  # type: ignore[arg-type]
-            outcome=data.get("outcome"))  # type: ignore[arg-type]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"TraceEvent({self.name!r}, ts={self.ts * 1e6:.1f}us, "
@@ -350,8 +338,8 @@ def export_jsonl(events: Iterable[TraceEvent],
 
     With ``tracer`` (the :class:`RingBufferTracer` that recorded the
     events), the first line is a ``{"trace_header": ...}`` object
-    carrying :func:`completeness_header` metadata; readers recognise it
-    by the absence of a ``name`` field.
+    carrying :func:`completeness_header` metadata (the one line without
+    a ``name`` field).
     """
     if isinstance(destination, str):
         with open(destination, "w", encoding="utf-8") as handle:
@@ -367,55 +355,6 @@ def export_jsonl(events: Iterable[TraceEvent],
         destination.write("\n")
         count += 1
     return count
-
-
-def read_jsonl(source: Union[str, TextIO]) -> List[TraceEvent]:
-    """Read a JSONL trace back into :class:`TraceEvent` objects.
-
-    Header lines (objects without a ``name`` field) are skipped; use
-    :func:`read_jsonl_header` to recover the completeness metadata.
-    """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return read_jsonl(handle)
-    events = []
-    for number, data in _jsonl_objects(source):
-        if "name" in data:
-            try:
-                events.append(TraceEvent.from_dict(data))
-            except (KeyError, TypeError, ValueError):
-                raise _not_a_trace(source, number, "trace event") from None
-    return events
-
-
-def read_jsonl_header(source: Union[str, TextIO]) \
-        -> Optional[Dict[str, object]]:
-    """The ``trace_header`` of a JSONL trace, or None if absent."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return read_jsonl_header(handle)
-    for _number, data in _jsonl_objects(source):
-        header = data.get("trace_header")
-        return header if isinstance(header, dict) else None
-    return None
-
-
-def _not_a_trace(source: TextIO, line: int, what: str) -> ValueError:
-    return ValueError(f"{getattr(source, 'name', '<stream>')}:{line}: "
-                      f"not a {what}")
-
-
-def _jsonl_objects(source: TextIO) -> Iterator[Tuple[int, Dict]]:
-    """``(line number, object)`` per non-blank line of a JSONL trace."""
-    for number, line in enumerate(source, 1):
-        if line.strip():
-            try:
-                data = json.loads(line)
-            except ValueError:
-                data = None
-            if not isinstance(data, dict):
-                raise _not_a_trace(source, number, "trace event")
-            yield number, data
 
 
 #: Stable thread ids for the Chrome exporter, one per track.
@@ -493,71 +432,6 @@ def export_chrome_trace(events: Iterable[TraceEvent],
     return count
 
 
-def load_chrome_metadata(source: Union[str, TextIO]) \
-        -> Optional[Dict[str, object]]:
-    """The ``trace_completeness`` metadata of a Chrome trace, or None."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return load_chrome_metadata(handle)
-    payload = _chrome_payload(source)
-    meta = payload.get("metadata")
-    header = meta.get("trace_completeness") \
-        if isinstance(meta, dict) else None
-    if isinstance(header, dict):
-        return header
-    for record in payload["traceEvents"]:
-        if record.get("ph") == "M" and \
-                record.get("name") == "trace_completeness":
-            args = record.get("args")
-            return args if isinstance(args, dict) else None
-    return None
-
-
-def load_chrome_trace(source: Union[str, TextIO]) -> List[TraceEvent]:
-    """Read a Chrome-format trace back into :class:`TraceEvent` objects.
-
-    Round-trip helper for tests and offline analysis; metadata events
-    are skipped and tracks recovered from the thread-id mapping.
-    """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return load_chrome_trace(handle)
-    tid_to_track = {tid: track for track, tid in _CHROME_TIDS.items()}
-    events = []
-    for record in _chrome_payload(source)["traceEvents"]:
-        if record.get("ph") not in ("X", "i"):
-            continue
-        try:
-            args = record.get("args", {})
-            events.append(TraceEvent(
-                name=record["name"],
-                ts=record["ts"] / 1e6,
-                dur=record.get("dur", 0.0) / 1e6,
-                track=tid_to_track.get(record.get("tid"), TRACK_RUN),
-                req=args.get("req"),
-                lba=args.get("lba"),
-                nbytes=args.get("bytes"),
-                outcome=args.get("outcome")))
-        except (AttributeError, KeyError, TypeError):
-            raise _not_a_trace(source, 1, "Chrome trace") from None
-    return events
-
-
-def _chrome_payload(source: TextIO) -> Dict:
-    """A Chrome trace's top-level object: a dict whose ``traceEvents``
-    is a list of dicts, or ``ValueError`` naming the line at fault."""
-    try:
-        payload = json.load(source)
-    except json.JSONDecodeError as error:
-        raise _not_a_trace(source, error.lineno, "Chrome trace") from None
-    records = payload.get("traceEvents") \
-        if isinstance(payload, dict) else None
-    if not isinstance(records, list) or \
-            not all(isinstance(record, dict) for record in records):
-        raise _not_a_trace(source, 1, "Chrome trace")
-    return payload
-
-
 # ---------------------------------------------------------------------------
 # Per-phase latency breakdown
 # ---------------------------------------------------------------------------
@@ -584,10 +458,6 @@ class PhaseBreakdown:
     def mean_us(self) -> float:
         """Mean request latency in microseconds."""
         return (self.total_s / self.n_requests * 1e6
-                if self.n_requests else 0.0)
-
-    def phase_mean_us(self, name: str) -> float:
-        return (self.phases.get(name, 0.0) / self.n_requests * 1e6
                 if self.n_requests else 0.0)
 
     def render(self) -> str:

@@ -94,33 +94,6 @@ class TestReferenceCoverage:
         assert controller.block_kind_counts()["associate"] == 0
 
 
-class TestHistogram:
-    def test_bimodal_latencies_visible(self):
-        stats = LatencyStats()
-        for _ in range(50):
-            stats.record(10e-6)    # cache hits
-        for _ in range(10):
-            stats.record(10e-3)    # mechanical misses
-        text = stats.histogram(bins=6)
-        lines = text.splitlines()
-        assert len(lines) == 6
-        assert sum(int(line.rsplit(" ", 1)[1]) for line in lines) == 60
-
-    def test_empty_histogram(self):
-        assert LatencyStats().histogram() == "(no samples)"
-
-    def test_single_value(self):
-        stats = LatencyStats()
-        stats.record(5e-6)
-        assert "#" in stats.histogram()
-
-    def test_bins_validated(self):
-        stats = LatencyStats()
-        stats.record(1e-6)
-        with pytest.raises(ValueError):
-            stats.histogram(bins=0)
-
-
 class TestRebuildController:
     def test_restarted_element_serves_and_continues(self, rng):
         from repro.core.recovery import rebuild_controller

@@ -70,38 +70,6 @@ class TestRAID0Timing:
 
 
 class TestDRAMBuffer:
-    def test_reserve_release_accounting(self):
-        ram = DRAMBuffer(1024)
-        ram.reserve(512)
-        assert ram.used_bytes == 512
-        assert ram.free_bytes == 512
-        ram.release(512)
-        assert ram.used_bytes == 0
-
-    def test_over_reserve_raises(self):
-        ram = DRAMBuffer(100)
-        with pytest.raises(MemoryError):
-            ram.reserve(101)
-
-    def test_over_release_raises(self):
-        ram = DRAMBuffer(100)
-        ram.reserve(10)
-        with pytest.raises(ValueError):
-            ram.release(11)
-
-    def test_negative_amounts_rejected(self):
-        ram = DRAMBuffer(100)
-        with pytest.raises(ValueError):
-            ram.reserve(-1)
-        with pytest.raises(ValueError):
-            ram.release(-1)
-
-    def test_can_fit(self):
-        ram = DRAMBuffer(100)
-        assert ram.can_fit(100)
-        ram.reserve(50)
-        assert not ram.can_fit(51)
-
     def test_access_latency_scales_with_blocks(self):
         ram = DRAMBuffer(1 << 20)
         one = ram.access(BLOCK_SIZE)

@@ -7,7 +7,7 @@ from repro.core import ICASHController
 from repro.experiments import paperdata
 from repro.experiments.report import (comparison_table, normalize,
                                       render_shape_check, shape_check,
-                                      shape_score, speedup_summary)
+                                      shape_score)
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import SYSTEM_NAMES, make_system
 from repro.workloads import SysBenchWorkload, TPCCWorkload
@@ -235,13 +235,6 @@ class TestReporting:
     def test_render_shape_check(self):
         text = render_shape_check(self.MEASURED, self.PAPER)
         assert "pairwise orderings preserved" in text
-
-    def test_speedup_conventions(self):
-        up = speedup_summary(self.MEASURED, "fusion-io", better="higher")
-        assert up["icash_over_fusion-io"] == pytest.approx(1.2)
-        down = speedup_summary({"icash": 2.0, "raid0": 8.0}, "raid0",
-                               better="lower")
-        assert down["icash_over_raid0"] == pytest.approx(4.0)
 
 
 class TestPaperData:

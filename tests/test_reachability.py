@@ -1,16 +1,26 @@
-"""Every module under ``src/repro`` is reached from a CLI verb.
+"""Every module under ``src/repro`` is reached from a CLI verb, and
+every public name in it has a user.
 
 A static import walk from :mod:`repro.cli` and :mod:`repro.__main__`
 follows every import statement of a reached module, those inside
 functions too (the CLI imports lazily).  A package ``__init__`` is
 followed only for the names imported from it, so a re-export nobody
 asks for keeps no module alive.
+
+The name rule: each public top-level function, public class and
+public method under ``src/repro`` is used somewhere in ``src/``,
+``scripts/`` or ``perfbench/`` outside its own definition.  A use is a
+bare name, an attribute, a string constant equal to the name (the
+``figures.SERIES`` getters and ``getattr`` dispatch) or a ``from ...
+import`` outside a package ``__init__``.  Tests do not count: a name
+only a test calls is code no verb runs.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 #: Module -> why it may stay unreached.
 ALLOWED_UNREACHED = {
@@ -76,3 +86,95 @@ def test_every_module_is_reached_from_the_cli():
 
 def test_the_allowlist_holds_only_unreached_modules():
     assert ALLOWED_UNREACHED.keys() <= MODULES.keys() - reached()
+
+
+_ORACLE = "a crash-recovery oracle the recovery tests check the " \
+          "controller against"
+_INSPECT = "test inspection: a test reads model state through it"
+
+#: ``Class.method`` or function name -> why it may have no user.
+ALLOWED_UNUSED = {
+    "rebuild_controller": _ORACLE,
+    "verify_recovery": _ORACLE,
+    "select_reference": "the paper's Table 1 worked example, checked "
+                        "step by step against the scanner",
+    "clear_stream_cache": "seam: tests start from an empty "
+                          "request-stream memo",
+    "clear_dataset_cache": "seam: tests start from an empty data-set "
+                           "memo",
+    "make_read": "seam: tests build single requests with it",
+    "make_write": "seam: tests build single requests with it",
+    "run_rate_point": "seam: one load point of the sweep, driven alone "
+                      "by the loadtest tests",
+    "HostCachedSystem": "the ROADMAP engine item's host page cache; "
+                        "its module is allowlisted above",
+    "FlashSSD.mapped_lbas": _INSPECT,
+    "FlashSSD.footprint_blocks": _INSPECT,
+    "FlashSSD.worn_blocks": _INSPECT,
+    "HardDiskDrive.head_position": _INSPECT,
+    "HDDSpec.seek_time": _INSPECT,
+    "RAID0Array.member_busy_time": _INSPECT,
+    "VirtualBlock.is_associate": _INSPECT,
+    "Delta.changed_bytes": _INSPECT,
+    "DedupCacheStorage.dedup_ratio": _INSPECT,
+    "MultiVMWorkload.cross_vm_similarity": _INSPECT,
+}
+
+
+def _definitions():
+    """``(path, qualified name, node)`` per public top-level function or
+    class and per public method of a top-level class."""
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                yield path, node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((path, f"{node.name}.{sub.name}", sub)
+                            for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)
+                            and not sub.name.startswith("_"))
+
+
+def _uses():
+    """Name -> ``(path, line)`` of every use outside the tests."""
+    uses = {}
+    for base in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / base).rglob("*.py")):
+            if path.name.startswith("test_"):
+                continue
+            in_init = path.name == "__init__.py"
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.Constant) and \
+                        isinstance(node.value, str):
+                    names = [node.value]
+                elif isinstance(node, ast.ImportFrom) and not in_init:
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    uses.setdefault(name, []).append((path, node.lineno))
+    return uses
+
+
+def unused_names():
+    uses = _uses()
+    return {qualified for path, qualified, node in _definitions()
+            if not any(where != path
+                       or not node.lineno <= line <= node.end_lineno
+                       for where, line in
+                       uses.get(qualified.rpartition(".")[2], ()))}
+
+
+def test_every_public_name_has_a_user():
+    unused = unused_names() - ALLOWED_UNUSED.keys()
+    assert not unused, f"nothing outside the tests uses {sorted(unused)}"
+
+
+def test_the_allowlist_holds_only_unused_names():
+    assert ALLOWED_UNUSED.keys() <= unused_names()

@@ -93,6 +93,30 @@ REMOVED = (
     # No verb draws bar charts.
     ("render_bars", r"render_bars", "FigureResult.render"),
     ("ascii_bars", r"ascii_bars", "FigureResult.render"),
+    # The explain engine diffs what the verbs hand it: ledger rows and
+    # BENCH cases.  Neither carries a series or a queueing summary.
+    ("window_fingerprint", r"window_fingerprint|FINGERPRINT_",
+     "nowhere: no verb's input carried a series to fingerprint"),
+    ("segment_phases / diff_phases", r"segment_phases|diff_phases",
+     "nowhere: no verb's input carried a series to segment"),
+    ("diff_queueing / QueueingDiff", r"diff_queueing|QueueingDiff",
+     "nowhere yet: a ledger row needs a station summary first (the "
+     "ROADMAP engine item)"),
+    ("explain_results / view_from_result",
+     r"explain_results|view_from_result",
+     "explain_ledger_rows and explain_bench_cases, the inputs the "
+     "verbs pass"),
+    # No verb reads a file it wrote back in.
+    ("trace readers", r"read_jsonl|load_chrome_trace|load_chrome_metadata",
+     "nowhere: no verb reads a trace back (completeness_header rides "
+     "in the exports)"),
+    ("profile_trace", r"profile_trace",
+     "the live Profiler behind critpath and bench; fold_stacks for a "
+     "recorded trace"),
+    ("parse_folded", r"parse_folded",
+     "nowhere: no verb reads folded stacks back"),
+    ("parse_flame_diff", r"parse_flame_diff",
+     "nowhere: no verb reads a flame diff back"),
 )
 
 

@@ -11,7 +11,7 @@ import textwrap
 
 from repro.experiments.report import (comparison_table, normalize,
                                       render_shape_check, shape_check,
-                                      shape_score, speedup_summary)
+                                      shape_score)
 
 MEASURED = {"icash": 420.0, "fusion-io": 300.0, "raid0": 80.0}
 PAPER = {"icash": 400.0, "fusion-io": 310.0, "raid0": 90.0}
@@ -73,10 +73,3 @@ class TestHelpers:
         normalized = normalize(MEASURED, baseline="fusion-io")
         assert normalized["fusion-io"] == 1.0
         assert normalized["icash"] == 1.4
-
-    def test_speedup_both_conventions(self):
-        up = speedup_summary(MEASURED, "raid0")
-        assert up == {"icash_over_raid0": 5.25}
-        down = speedup_summary({"icash": 2.0, "raid0": 5.0}, "raid0",
-                               better="lower")
-        assert down == {"icash_over_raid0": 2.5}

@@ -48,7 +48,6 @@ class TestNullRegistry:
         workload = SysBenchWorkload(n_requests=10)
         system = make_system("icash", workload)
         result = run_benchmark(workload, system)
-        assert result.series is None
         assert result.slo_breaches == []
 
 
@@ -411,14 +410,13 @@ class TestFullStackConsistency:
     reproduce the end-of-run counters and latency counts exactly."""
 
     def test_request_counters_match_stats(self):
-        monitor, system, result = monitored_benchmark()
+        monitor, system, _ = monitored_benchmark()
         store = monitor.store
         assert len(store) > 1
         assert store.counter_total("requests_read_total") \
             == system.read_latency.count
         assert store.counter_total("requests_write_total") \
             == system.write_latency.count
-        assert result.series is store
 
     def test_controller_counters_match_stats(self):
         monitor, system, _ = monitored_benchmark()
@@ -496,13 +494,6 @@ class TestFullStackConsistency:
 
 
 class TestRunnerIntegration:
-    def test_plain_runs_have_no_series(self):
-        workload = SysBenchWorkload(n_requests=60)
-        system = make_system("icash", workload)
-        result = run_benchmark(workload, system)
-        assert result.series is None
-        assert result.slo_breaches == []
-
     def test_monitor_on_baseline_systems(self):
         # Device + request instruments work on every architecture, not
         # just I-CASH (controller gauges are I-CASH-specific).

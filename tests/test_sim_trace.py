@@ -1,6 +1,6 @@
 """Tests for the per-request tracing layer (`repro.sim.trace`).
 
-Covers the ring buffer, timeline ordering, both exporters' round-trips,
+Covers the ring buffer, timeline ordering, both exporters' wire forms,
 the controller integration (a delta-mapped read emits the paper's
 SSD-read + delta-decode pair), the exactness invariant (a request's
 child spans sum to its latency, so breakdowns reproduce the stats
@@ -21,10 +21,10 @@ from repro.core import BlockKind, ICASHConfig, ICASHController
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import make_system
 from repro.sim.request import BLOCK_SIZE, IORequest, OpType
-from repro.sim.trace import (EVENT_TYPES, TRACK_BACKGROUND, TRACK_REQUEST,
-                             TRACK_RUN, RingBufferTracer, TraceEvent,
-                             export_chrome_trace, export_jsonl,
-                             load_chrome_trace, phase_breakdown, read_jsonl)
+from repro.sim.trace import (_CHROME_TIDS, EVENT_TYPES, TRACK_BACKGROUND,
+                             TRACK_REQUEST, TRACK_RUN, RingBufferTracer,
+                             TraceEvent, export_chrome_trace, export_jsonl,
+                             phase_breakdown)
 from repro.workloads import SysBenchWorkload, TPCCWorkload
 
 from conftest import make_dataset
@@ -56,6 +56,18 @@ def family_dataset(n_blocks: int = 256, n_families: int = 8,
         idx = gen.integers(0, BLOCK_SIZE, 16)
         dataset[lba, idx] = gen.integers(0, 256, 16)
     return dataset
+
+
+def jsonl_lines(path) -> list:
+    """Every line of an exported JSONL trace, parsed."""
+    return [json.loads(line)
+            for line in Path(path).read_text().splitlines()]
+
+
+def chrome_events(path) -> list:
+    """The span and instant records of an exported Chrome trace."""
+    payload = json.loads(Path(path).read_text())
+    return [r for r in payload["traceEvents"] if r["ph"] in ("X", "i")]
 
 
 def traced_benchmark(n_requests: int = 600):
@@ -311,36 +323,44 @@ class TestExporters:
         tracer.end_background()
         return list(tracer.events)
 
-    @staticmethod
-    def assert_same(a: TraceEvent, b: TraceEvent) -> None:
-        assert a.name == b.name
-        assert a.ts == pytest.approx(b.ts, abs=1e-12)
-        assert a.dur == pytest.approx(b.dur, abs=1e-12)
-        assert a.track == b.track
-        assert a.req == b.req
-        assert a.lba == b.lba
-        assert a.nbytes == b.nbytes
-        assert a.outcome == b.outcome
-
     def test_jsonl_round_trip(self, tmp_path):
         events = self.make_events()
         path = str(tmp_path / "trace.jsonl")
         written = export_jsonl(events, path)
         assert written == len(events)
-        loaded = read_jsonl(path)
+        loaded = jsonl_lines(path)
         assert len(loaded) == len(events)
-        for a, b in zip(events, loaded):
-            self.assert_same(a, b)
+        for event, data in zip(events, loaded):
+            assert data["name"] == event.name
+            assert data["ts_us"] == pytest.approx(event.ts * 1e6,
+                                                  abs=1e-6)
+            assert data["dur_us"] == pytest.approx(event.dur * 1e6,
+                                                   abs=1e-6)
+            assert data["track"] == event.track
+            assert data.get("req") == event.req
+            assert data.get("lba") == event.lba
+            assert data.get("bytes") == event.nbytes
+            assert data.get("outcome") == event.outcome
 
     def test_chrome_round_trip(self, tmp_path):
         events = self.make_events()
         path = str(tmp_path / "trace.json")
         written = export_chrome_trace(events, path)
         assert written == len(events)
-        loaded = load_chrome_trace(path)
+        loaded = chrome_events(path)
         assert len(loaded) == len(events)
-        for a, b in zip(events, loaded):
-            self.assert_same(a, b)
+        for event, record in zip(events, loaded):
+            assert record["name"] == event.name
+            assert record["ts"] == pytest.approx(event.ts * 1e6, abs=1e-6)
+            assert record.get("dur", 0.0) == pytest.approx(
+                event.dur * 1e6, abs=1e-6)
+            assert record["ph"] == ("i" if event.is_instant else "X")
+            assert record["tid"] == _CHROME_TIDS[event.track]
+            args = record["args"]
+            assert args.get("req") == event.req
+            assert args.get("lba") == event.lba
+            assert args.get("bytes") == event.nbytes
+            assert args.get("outcome") == event.outcome
 
     def test_chrome_format_shape(self):
         import json
@@ -381,8 +401,8 @@ class TestCLI:
         assert "consistency:" in printed
         assert "read phase breakdown" in printed
         assert out.stat().st_size > 0
-        events = load_chrome_trace(str(out))
-        assert any(e.name == "request_start" for e in events)
+        events = chrome_events(out)
+        assert any(e["name"] == "request_start" for e in events)
 
     def test_trace_subcommand_jsonl(self, tmp_path, capsys):
         from repro.cli import main
@@ -391,8 +411,8 @@ class TestCLI:
         code = main(["trace", "--workload", "sysbench",
                      "--requests", "300", "--out", str(out)])
         assert code == 0
-        events = read_jsonl(str(out))
-        assert any(e.name == "request_start" for e in events)
+        events = jsonl_lines(out)
+        assert any(e.get("name") == "request_start" for e in events)
 
 
 class TestPhaseBreakdownEdgeCases:
@@ -479,126 +499,57 @@ class TestExporterCompleteness:
         return tracer
 
     def test_jsonl_header_round_trip(self, tmp_path):
-        from repro.sim.trace import read_jsonl_header
-
         tracer = self.overflowed_tracer()
         path = str(tmp_path / "trace.jsonl")
         export_jsonl(tracer.events, path, tracer=tracer)
-        header = read_jsonl_header(path)
-        assert header == {"recorded": len(tracer.events),
-                          "dropped": tracer.dropped,
-                          "complete": False}
-        # The header line must not leak into the event stream.
-        assert len(read_jsonl(path)) == len(tracer.events)
+        first, *events = jsonl_lines(path)
+        assert first == {"trace_header": {"recorded": len(tracer.events),
+                                          "dropped": tracer.dropped,
+                                          "complete": False}}
+        # The header is the one line without a name.
+        assert len(events) == len(tracer.events)
+        assert all("name" in event for event in events)
 
     def test_jsonl_without_tracer_has_no_header(self, tmp_path):
-        from repro.sim.trace import read_jsonl_header
-
         tracer = self.overflowed_tracer()
         path = str(tmp_path / "trace.jsonl")
         export_jsonl(tracer.events, path)
-        assert read_jsonl_header(path) is None
+        assert all("name" in line for line in jsonl_lines(path))
 
     def test_chrome_metadata_round_trip(self, tmp_path):
-        from repro.sim.trace import load_chrome_metadata
-
         tracer = self.overflowed_tracer()
         path = str(tmp_path / "trace.json")
         export_chrome_trace(tracer.events, path, tracer=tracer)
-        header = load_chrome_metadata(path)
-        assert header is not None
+        payload = json.loads(Path(path).read_text())
+        header = payload["metadata"]["trace_completeness"]
         assert header["dropped"] == tracer.dropped
         assert header["complete"] is False
         # Drop accounting also rides inside traceEvents as an "M"
         # record, surviving viewers that strip top-level keys.
-        payload = json.loads(Path(path).read_text())
         m_records = [r for r in payload["traceEvents"]
                      if r.get("name") == "trace_completeness"]
         assert len(m_records) == 1 and m_records[0]["ph"] == "M"
-        assert len(load_chrome_trace(path)) == len(tracer.events)
+        assert m_records[0]["args"] == header
+        assert len(chrome_events(path)) == len(tracer.events)
 
     def test_complete_trace_flagged_complete(self, tmp_path):
-        from repro.sim.trace import load_chrome_metadata
-
         tracer = RingBufferTracer()
         tracer.begin_request("read", 1, 1)
         tracer.span("ssd_read", 10e-6)
         tracer.end_request(10e-6)
         path = str(tmp_path / "trace.json")
         export_chrome_trace(tracer.events, path, tracer=tracer)
-        assert load_chrome_metadata(path)["complete"] is True
+        payload = json.loads(Path(path).read_text())
+        assert payload["metadata"]["trace_completeness"]["complete"] \
+            is True
 
     def test_cli_trace_exports_carry_header(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.sim.trace import read_jsonl_header
 
         out = tmp_path / "trace.jsonl"
         code = main(["trace", "--workload", "sysbench",
                      "--requests", "200", "--out", str(out)])
         assert code == 0
-        header = read_jsonl_header(str(out))
-        assert header is not None and header["complete"] is True
+        header = jsonl_lines(out)[0]["trace_header"]
+        assert header["complete"] is True
 
-
-class TestHostileInput:
-    """A truncated or foreign file is a ``ValueError`` naming the file
-    and the line, from every reader."""
-
-    def exported(self):
-        tracer = RingBufferTracer()
-        for lba in range(2):
-            tracer.begin_request("read", lba, 1)
-            tracer.span("ssd_read", 10e-6)
-            tracer.end_request(10e-6)
-        out = io.StringIO()
-        export_jsonl(tracer.events, out, tracer=tracer)
-        return out.getvalue()
-
-    def test_jsonl_cut_mid_line(self):
-        text = self.exported()
-        cut = text[:text.index("\n", text.index("\n") + 1) + 20]
-        with pytest.raises(ValueError, match=r"^<stream>:3: not a trace "
-                                             r"event$"):
-            read_jsonl(io.StringIO(cut))
-
-    def test_jsonl_event_without_timestamp(self):
-        line = json.dumps({"name": "ssd_read", "dur_us": 1.0,
-                           "track": TRACK_REQUEST})
-        with pytest.raises(ValueError, match=r"^<stream>:2: not a trace "
-                                             r"event$"):
-            read_jsonl(io.StringIO("\n" + line + "\n"))
-
-    def test_jsonl_array_line(self):
-        with pytest.raises(ValueError, match=r"^<stream>:1: not a trace "
-                                             r"event$"):
-            read_jsonl(io.StringIO("[1, 2]\n"))
-
-    def test_jsonl_header_on_a_string_line(self):
-        from repro.sim.trace import read_jsonl_header
-
-        with pytest.raises(ValueError, match=r"^<stream>:1: not a trace "
-                                             r"event$"):
-            read_jsonl_header(io.StringIO('"trace_header"\n'))
-
-    def test_file_path_named(self, tmp_path):
-        path = tmp_path / "cut.jsonl"
-        path.write_text(self.exported()[:-5])
-        with pytest.raises(ValueError, match=rf"^{path}:\d+: not a trace "
-                                             r"event$"):
-            read_jsonl(str(path))
-
-    @pytest.mark.parametrize("text", ["{}", "[]", "{\n\"traceEvents\": ",
-                                      '{"traceEvents": [[]]}',
-                                      '{"traceEvents": [{"ph": "X"}]}'])
-    def test_chrome_trace_not_a_trace(self, text):
-        with pytest.raises(ValueError, match=r"^<stream>:\d: not a Chrome "
-                                             r"trace$"):
-            load_chrome_trace(io.StringIO(text))
-
-    @pytest.mark.parametrize("text", ["[]", '{"traceEvents": {}}'])
-    def test_chrome_metadata_not_a_trace(self, text):
-        from repro.sim.trace import load_chrome_metadata
-
-        with pytest.raises(ValueError, match=r"^<stream>:1: not a Chrome "
-                                             r"trace$"):
-            load_chrome_metadata(io.StringIO(text))
