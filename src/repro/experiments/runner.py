@@ -27,17 +27,17 @@ end-to-end correctness check that makes the I-CASH numbers trustworthy
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import compress
+from operator import add, attrgetter, not_
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from repro.baselines.base import StorageSystem
 from repro.metrics.cpu import cpu_utilization
 from repro.metrics.energy import EnergyReport, measure_energy
 from repro.sim.engine import (EventEngine, QueueingSummary,
                               StationSummary, _CaptureTracer,
-                              service_items)
+                              read_verified, service_items)
 from repro.sim.load import default_closed_loop
 from repro.sim.profile import RESIDUAL_PHASE, AttributionTable
 from repro.sim.metrics import SLOBreach
@@ -46,6 +46,9 @@ from repro.workloads.base import Workload
 
 #: The two wall-clock models ``run_benchmark`` accepts.
 ENGINES = ("legacy", "event")
+
+_wait_s, _service_s, _is_read, _verified = map(
+    attrgetter, ("wait_s", "service_s", "is_read", "verified"))
 
 
 @dataclass
@@ -192,22 +195,7 @@ class RunResult:
             "attribution": None,
         }
         if self.queueing is not None:
-            q = self.queueing
-            payload["queueing"] = {
-                "duration_s": q.duration_s,
-                "wait_mean_us": q.wait_mean_us,
-                "wait_p99_us": q.wait_p99_us,
-                "wait_max_us": q.wait_max_us,
-                "stations": {
-                    name: {"name": s.name, "slots": s.slots,
-                           "busy_s": s.busy_s,
-                           "background_s": s.background_s,
-                           "utilization": s.utilization,
-                           "served": s.served,
-                           "mean_depth": s.mean_depth,
-                           "max_depth": s.max_depth}
-                    for name, s in q.stations.items()},
-            }
+            payload["queueing"] = asdict(self.queueing)
         if self.attribution is not None:
             # Per-request (op, latency, items) in recording order,
             # *excluding* the derived (host, other) residual item: the
@@ -229,15 +217,9 @@ class RunResult:
         attribution = data.pop("attribution")
         result = cls(energy=EnergyReport(**energy), **data)
         if queueing is not None:
-            stations = {
+            result.queueing = QueueingSummary(**dict(queueing, stations={
                 name: StationSummary(**fields)
-                for name, fields in queueing["stations"].items()}
-            result.queueing = QueueingSummary(
-                duration_s=queueing["duration_s"],
-                wait_mean_us=queueing["wait_mean_us"],
-                wait_p99_us=queueing["wait_p99_us"],
-                wait_max_us=queueing["wait_max_us"],
-                stations=stations)
+                for name, fields in queueing["stations"].items()}))
         if attribution is not None:
             table = AttributionTable()
             for op, latency_s, items in attribution:
@@ -297,6 +279,26 @@ class _Measurement:
                 self.read_lat.record(latency)
             else:
                 self.write_lat.record(latency)
+
+    def record_all(self, records) -> None:
+        """Fold a finished event run's records, in admission order, in
+        one frame: the same sums, in the same order, as :meth:`record`
+        per record."""
+        cutoff = self.warmup_cutoff
+        latencies = list(map(add, map(_wait_s, records),
+                             map(_service_s, records)))
+        io_time_all, io_time_meas = self.io_time_all, self.io_time_meas
+        for index, latency in enumerate(latencies):
+            io_time_all += latency
+            if index >= cutoff:
+                io_time_meas += latency
+        self.io_time_all, self.io_time_meas = io_time_all, io_time_meas
+        measured = latencies[cutoff:]
+        self.n_measured += len(measured)
+        reads = list(map(_is_read, records[cutoff:]))
+        self.read_lat.extend(list(compress(measured, reads)))
+        self.write_lat.extend(list(compress(measured, map(not_, reads))))
+        self.verified += sum(map(_verified, records))
 
     def flush(self, flush_at_end: bool, verify: bool) -> float:
         """Final foreground flush, charged to the measured window; a
@@ -460,15 +462,9 @@ def run_benchmark(workload: Workload, system: StorageSystem,
         if n_requests == warmup_cutoff:
             run.mark_warmup()
         if verify_reads and request.is_read:
-            latency, contents = system.process_read(request)
-            shadow = workload.shadow
-            for offset, content in enumerate(contents):
-                expected = shadow[request.lba + offset]
-                if not np.array_equal(content, expected):
-                    raise AssertionError(
-                        f"{system.name} returned wrong content for block "
-                        f"{request.lba + offset} on request {n_requests}")
-                run.verified += 1
+            latency, verified = read_verified(system, workload.shadow,
+                                              request, n_requests)
+            run.verified += verified
         else:
             latency = system.process(request)
         measured = n_requests >= warmup_cutoff
@@ -562,39 +558,30 @@ def _run_event_benchmark(workload: Workload, system: StorageSystem,
             fault_plan, system, sim,
             registry=monitor.registry if monitor is not None else None)
         sim.attach_faults(injector)
-    warmup_cutoff = run.warmup_cutoff
-
-    def on_admit(index: int) -> None:
-        if index == warmup_cutoff:
-            run.mark_warmup()
-
     on_complete = None
     if monitor is not None:
         def on_complete(record) -> None:
             monitor.on_request(record.is_read, record.latency_s, sim.now)
 
     records = sim.run(workload, load, verify_reads=verify_reads,
-                      on_admit=on_admit, on_complete=on_complete,
-                      profile_from=warmup_cutoff)
+                      on_measure=run.mark_warmup, on_complete=on_complete,
+                      measure_from=run.warmup_cutoff)
     queueing = sim.summary()
-    for record in records:
-        run.verified += record.verified
-        run.record(record.is_read, record.latency_s,
-                   record.index >= warmup_cutoff)
+    run.record_all(records)
     # Two clocks: ``t_full`` runs until the heap drains (deferred
     # background included); the throughput window closes at the last
     # request completion — trailing background is off the critical
     # path, exactly as the legacy model treats it.
     flush_latency = run.flush(flush_at_end, verify_reads)
-    t_full = sim.t_end + flush_latency
+    t_full = sim.now + flush_latency
     t_last = sim.last_completion_s + flush_latency
     if monitor is not None:
         monitor.finish(t_full)
     # The measurement window opens when the first measured request
     # arrives and closes when the last completion (plus any final
     # flush) lands on the event clock.
-    if len(records) > warmup_cutoff:
-        t_meas_start = records[warmup_cutoff].arrival_s
+    if len(records) > run.warmup_cutoff:
+        t_meas_start = records[run.warmup_cutoff].arrival_s
     else:
         t_meas_start = t_last
     return run.result(

@@ -2,58 +2,56 @@
 
 The legacy experiment runner approximates wall-clock as *aggregate
 device busy time / io_concurrency* — queueing delay, device contention
-and saturation behaviour simply do not exist in that model.  This
-module supplies the missing substrate: a deterministic discrete-event
-simulation in which requests *arrive* on a timeline (driven by a
-:mod:`repro.sim.load` generator), wait in per-device FIFO queues, and
-overlap their service across devices, so per-request latency becomes
-``queue_wait + service`` and throughput saturates when the bottleneck
-device does.
+and saturation do not exist in that model.  Here requests *arrive* on a
+timeline (a :mod:`repro.sim.load` generator), wait in per-device FIFO
+queues and overlap their service across devices, so latency becomes
+``queue_wait + service`` and throughput saturates with the bottleneck.
 
-Three pieces:
+* **The capture tracer** (:class:`_CaptureTracer`) folds each
+  foreground device span a system emits, as it is emitted, into the
+  request's *phase list* — its ordered per-device visits — and
+  collects the background work (flushes, scans, destages) it
+  triggered.  Span objects are buffered only for a consumer that reads
+  them back (a downstream tracer, the profiler).  Requests are
+  processed in stream order, so contents, counters and service times
+  equal a legacy run's; the engine only re-times them.
+* **Stations.**  One :class:`DeviceStation` per device with its service
+  slots (NCQ depth) and a FIFO.  Background work is *deferrable
+  backlog*, run in bounded quanta on slots no foreground request
+  wants: background yields to foreground.
+* **One loop.**  :meth:`EventEngine.run` handles all four event kinds
+  — arrival, phase done, background quantum done, completion — itself;
+  heap entries are ``(time, seq, kind, payload)`` with a small-int
+  kind.  A request in flight is a flat list (its measurements, then its
+  routing state), routed and started inline; a helper frame runs only
+  when backlog forms or drains.  Observers (event log, faults,
+  profiler, downstream tracer, ``on_complete``) are branches of the
+  same loop.  A completed request becomes a :class:`RequestRecord`.
+* **Exact order.**  Entries are keyed on ``(time, seq)`` with ``seq``
+  drawn when an event is created.  The last event a step creates is
+  not pushed: ``heappushpop`` hands it straight back when it is the
+  earliest, else swaps it for the heap head — the pop order of a push
+  then a pop, so every run is the event order it always was.  All
+  randomness lives in the load generator's seeded RNG.
 
-* **The capture tracer.**  Storage systems already emit one trace span
-  per device operation (see :mod:`repro.sim.trace`).  The engine
-  attaches a :class:`_CaptureTracer` that folds each foreground device
-  span, as it is emitted, into the request's *phase list* — the
-  ordered per-device visits of its service — and collects any
-  background work (flushes, scans) the request triggered.  Span
-  objects are buffered only for a consumer that reads them back (a
-  downstream tracer, the profiler); a bare run builds none.  Requests
-  are still processed in stream order, so block contents, device
-  counters and service latencies are identical to a legacy run; the
-  event simulation only re-times them.
-* **Stations and the event heap.**  One :class:`DeviceStation` per
-  device (keyed by trace name) with a configurable number of service
-  slots (NCQ depth) and a FIFO queue.  A request's phases route
-  through the stations in emission order, so request A's HDD phase
-  overlaps request B's SSD phase.  Background work becomes *deferrable
-  backlog*: it runs in bounded quanta only when a station has an idle
-  slot and no waiting foreground request, and a foreground arrival
-  waits at most one quantum — background yields to foreground.
-* **Determinism.**  The event heap is keyed on ``(virtual time,
-  sequence number)``; all randomness lives in the load generator's
-  seeded RNG.  Two runs with the same seed produce identical event
-  orders, latencies and queue waits — asserted by the test suite.
-
-The experiment runner front end is
-``run_benchmark(..., engine="event", load=...)``; the ``repro
-loadtest`` CLI sweeps arrival rates over this engine to locate a
-system's saturation knee.  Architecture notes: the "Event engine &
-load generation" section of ``docs/ARCHITECTURE.md``.
+The front end is ``run_benchmark(..., engine="event", load=...)``;
+``repro loadtest`` sweeps arrival rates over it to find a system's
+knee.  See "Event engine & load generation" in ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from heapq import heappop, heappush, heappushpop
+from operator import attrgetter, itemgetter
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.sim.profile import classify_phase
+from repro.sim.request import OpType
 from repro.sim.stats import LatencyStats
 
 #: Default service-slot counts (NCQ depth) per device trace name.
@@ -293,8 +291,9 @@ class DeviceStation:
 
     Foreground phases occupy slots in arrival order; deferrable
     background backlog runs in bounded quanta only on slots no
-    foreground work wants.  Depth accounting is time-weighted so the
-    run summary can report the mean queue depth exactly.
+    foreground work wants.  The depth (requests waiting plus operations
+    in service, background quanta included: they hold slots) is
+    integrated over time, so the summary reports its mean exactly.
     """
 
     __slots__ = ("name", "slots", "waiting", "active", "bg_active",
@@ -305,7 +304,7 @@ class DeviceStation:
     def __init__(self, name: str, slots: int) -> None:
         self.name = name
         self.slots = slots
-        self.waiting: deque = deque()  # (job, enqueue time)
+        self.waiting: deque = deque()  # requests in flight, FIFO
         self.active = 0
         self.bg_active = 0
         self.busy_s = 0.0
@@ -317,28 +316,16 @@ class DeviceStation:
         self._depth_integral = 0.0
         self._depth_since = 0.0
 
-    @property
-    def depth(self) -> int:
-        """Requests waiting plus operations in service (incl. background
-        quanta — they hold slots a foreground arrival must wait for)."""
-        return len(self.waiting) + self.active + self.bg_active
-
     def note_depth(self, now: float) -> None:
-        """Advance the time-weighted depth integral to ``now``.
-
-        Called before every change to the station's depth, often
-        several times within one event; a zero-width step adds nothing
-        to the integral and is skipped.
-        """
+        """Advance the time-weighted depth integral to ``now`` (before
+        every change to the depth; a zero-width step is skipped).  The
+        run loop inlines this on its common path."""
         depth = len(self.waiting) + self.active + self.bg_active
         if now != self._depth_since:
             self._depth_integral += depth * (now - self._depth_since)
             self._depth_since = now
         if depth > self.max_depth:
             self.max_depth = depth
-
-    def mean_depth(self, elapsed: float) -> float:
-        return self._depth_integral / elapsed if elapsed > 0 else 0.0
 
     def utilization(self, elapsed: float) -> float:
         """Busy fraction of the station's total slot capacity."""
@@ -374,29 +361,17 @@ class QueueingSummary:
     @property
     def bottleneck(self) -> Optional[str]:
         """The station with the highest utilisation (None when idle)."""
-        best, best_util = None, 0.0
-        for summary in self.stations.values():
-            if summary.utilization > best_util:
-                best, best_util = summary.name, summary.utilization
-        return best
+        best = max(self.stations.values(), default=None,
+                   key=attrgetter("utilization"))
+        return best.name if best and best.utilization > 0.0 else None
 
     def to_doc(self) -> Dict[str, object]:
         """JSON-ready form (``repro critpath --json``)."""
-        return {
-            "duration_s": self.duration_s,
-            "wait_mean_us": self.wait_mean_us,
-            "wait_p99_us": self.wait_p99_us,
-            "wait_max_us": self.wait_max_us,
-            "bottleneck": self.bottleneck,
-            "stations": {
-                name: {"slots": s.slots, "busy_s": s.busy_s,
-                       "background_s": s.background_s,
-                       "utilization": s.utilization,
-                       "served": s.served,
-                       "mean_depth": s.mean_depth,
-                       "max_depth": s.max_depth}
-                for name, s in sorted(self.stations.items())},
-        }
+        doc = asdict(self)
+        for station in doc["stations"].values():
+            del station["name"]
+        doc["bottleneck"] = self.bottleneck
+        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -404,57 +379,36 @@ class QueueingSummary:
 # ---------------------------------------------------------------------------
 
 
-class RequestRecord:
-    """One request in the engine: what was measured for it (``index``
-    through ``verified``) and, while it is in flight, the station
-    phases it is routing through.
+class RequestRecord(NamedTuple):
+    """What was measured for one request of an event run."""
 
-    The routing state is dropped at completion, so a finished run's
-    records hold the measurements only.
-    """
-
-    __slots__ = ("index", "is_read", "arrival_s", "service_s", "wait_s",
-                 "completion_s", "verified",
-                 "req", "phases", "phase_idx", "residual", "entries",
-                 "waits")
-
-    def __init__(self, index: int, is_read: bool, arrival_s: float,
-                 service_s: float, verified: int = 0,
-                 req: Optional[Tuple[str, int, int]] = None,
-                 phases: Optional[List[Tuple[str, float]]] = None,
-                 residual: float = 0.0,
-                 entries: Optional[List[_Span]] = None,
-                 waits: Optional[List[Tuple[str, float]]] = None) -> None:
-        self.index = index
-        self.is_read = is_read
-        self.arrival_s = arrival_s
-        self.service_s = service_s
-        self.wait_s = 0.0
-        self.completion_s = 0.0
-        self.verified = verified
-        self.req = req
-        self.phases = phases
-        self.phase_idx = 0
-        #: Service time outside every station (CPU spans): the
-        #: non-contended tail between the last phase and completion.
-        self.residual = residual
-        #: Buffered spans, when the capture tracer keeps them.
-        self.entries = entries
-        #: Per-station queue waits ``(device, seconds)`` — collected
-        #: only when a profiler is attached (None otherwise).
-        self.waits = waits
+    index: int
+    is_read: bool
+    arrival_s: float
+    #: Service time of the request's own work (the system's latency).
+    service_s: float
+    #: Time spent waiting in station queues.
+    wait_s: float
+    completion_s: float
+    #: Blocks compared with the workload's shadow.
+    verified: int
+    #: Service time outside every station (CPU spans): the
+    #: non-contended tail between the last phase and completion.
+    residual: float
 
     @property
     def latency_s(self) -> float:
         """Response time: queue wait plus service."""
         return self.wait_s + self.service_s
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"RequestRecord(index={self.index}, "
-                f"is_read={self.is_read}, arrival_s={self.arrival_s}, "
-                f"service_s={self.service_s}, wait_s={self.wait_s}, "
-                f"completion_s={self.completion_s}, "
-                f"verified={self.verified})")
+
+#: A request in flight is a flat list: its :class:`RequestRecord`
+#: fields, then its routing state, cut off at completion.  The phase
+#: index runs from ``-len(phases)`` up to 0, where the request is done.
+_INDEX, _IS_READ, _ARRIVAL_S, _SERVICE_S, _WAIT_S, _COMPLETION_S, \
+    _VERIFIED, _RESIDUAL, _PHASES, _PHASE_IDX, _STATION, _ENQUEUED_S, \
+    _ENTRIES, _WAITS, _REQ = range(15)
+_new_record = tuple.__new__   # a record from its fields, with no frame
 
 
 def service_items(entries: List[_Span]) -> List[Tuple[str, str, float]]:
@@ -473,25 +427,31 @@ def service_items(entries: List[_Span]) -> List[Tuple[str, str, float]]:
     return items
 
 
-# Action names in ``EventEngine.event_log``.
-_ARRIVAL = "arrival"
-_PHASE_DONE = "phase_done"
-_BG_DONE = "background_done"
-_COMPLETE = "complete"
+def read_verified(system, shadow, request, index: int) -> Tuple[float, int]:
+    """Serve read ``request`` (admission ``index``) and compare every
+    block it returns with ``shadow``; returns the latency and the
+    number of blocks checked."""
+    latency, contents = system.process_read(request)
+    for offset, content in enumerate(contents):
+        if not np.array_equal(content, shadow[request.lba + offset]):
+            raise AssertionError(
+                f"{system.name} returned wrong content for block "
+                f"{request.lba + offset} on request {index}")
+    return latency, len(contents)
 
+
+# Event kinds: the third field of a heap entry.
+_ARRIVE, _PHASE_DONE, _BG_DONE, _COMPLETE = range(4)
 _phase_dur = itemgetter(1)
+_READ = OpType.READ
 
 
 class EventEngine:
     """Deterministic discrete-event simulation over one storage system.
 
-    Requests are *admitted* (processed through the system, in stream
-    order, capturing their per-device phase decomposition) at their
-    arrival events, then routed through the device stations; their
-    latency is what the event timeline says it is.  Totals — service
-    times, device counters, SSD writes, block contents — are identical
-    to a legacy closed-loop replay by construction, which the collapse
-    property test asserts.
+    Totals — service times, device counters, SSD writes, block contents
+    — equal a legacy closed-loop replay's by construction (the collapse
+    property test asserts it); only the timeline is the engine's.
     """
 
     def __init__(self, system, config: Optional[EngineConfig] = None,
@@ -502,16 +462,16 @@ class EventEngine:
         self.config = config if config is not None else EngineConfig()
         #: Critical-path profiler (:mod:`repro.sim.profile`), or None.
         self.profiler = profiler
-        self._profile = profiler is not None
         self.capture = _CaptureTracer(downstream_tracer,
-                                      keep_spans=self._profile)
-        self._profile_from = 0
+                                      keep_spans=profiler is not None)
         self.stations: Dict[str, DeviceStation] = {}
         self.now = 0.0
         self.records: List[RequestRecord] = []
         self.queue_waits = LatencyStats()
-        self.in_flight = 0
-        #: Event time of the last request completion.  ``t_end`` keeps
+        #: This run's queue waits, in completion order, until the run
+        #: ends and hands them to ``queue_waits``.
+        self._completed_waits: List[float] = []
+        #: Event time of the last request completion.  ``now`` keeps
         #: running past it while deferred background backlog drains, so
         #: throughput windows close here, not at heap exhaustion.
         self.last_completion_s = 0.0
@@ -519,10 +479,10 @@ class EventEngine:
         #: determinism test diffs two runs' logs exactly.
         self.event_log: Optional[List[Tuple[float, str, str]]] = \
             [] if keep_event_log else None
-        #: (time, sequence number, handler, payload); the sequence
-        #: number is unique, so handlers are never compared.
-        self._heap: List[Tuple[float, int, object, object]] = []
-        self._seq = 0
+        #: (time, sequence number, event kind, payload); the sequence
+        #: number is unique, so kinds and payloads are never compared.
+        self._heap: List[Tuple[float, int, int, object]] = []
+        self._next_seq = itertools.count(1).__next__
         self._registry = None
         self._wait_hist = None
         #: Optional :class:`repro.sim.faults.FaultInjector` — fires
@@ -575,66 +535,249 @@ class EventEngine:
         registry = self._registry
         registry.gauge("queue_depth", ("device",)) \
             .labels(device=station.name) \
-            .set_fn(lambda s=station: s.depth)
+            .set_fn(lambda s=station: len(s.waiting) + s.active
+                    + s.bg_active)
         registry.gauge("device_utilization", ("device",)) \
             .labels(device=station.name) \
             .set_fn(lambda s=station: s.utilization(self.now)
                     if self.now > 0 else 0.0)
 
-    # -- event heap --------------------------------------------------------
-
-    def _push(self, time_s: float, handler, payload) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (time_s, self._seq, handler, payload))
+    @property
+    def in_flight(self) -> int:
+        """Requests admitted and not yet complete."""
+        return len(self.records) - self.queue_waits.count \
+            - len(self._completed_waits)
 
     def _log_event(self, action: str, label: str) -> None:
-        """Append to the event log.  The per-event handlers call this
-        only when a log is kept, so a bare run formats no label."""
+        """Append to the event log.  The run loop calls this only when a
+        log is kept, so a bare run formats no label."""
         if self.event_log is not None:
             self.event_log.append((self.now, action, label))
 
     # -- the run -----------------------------------------------------------
 
     def run(self, workload, load, verify_reads: bool = False,
-            on_admit=None, on_complete=None,
-            profile_from: int = 0) -> List[RequestRecord]:
+            on_measure=None, on_complete=None,
+            measure_from: int = 0) -> List[RequestRecord]:
         """Drive ``workload``'s stream through the system under ``load``.
 
-        ``on_admit(index)`` fires before request ``index`` (0-based) is
-        processed — the runner snapshots warmup state there;
-        ``on_complete(record)`` fires at each completion event in event
-        time.  ``profile_from`` keeps warmup requests (admission index
-        below it) out of the attached profiler's attribution table so
-        it covers the same window the latency statistics do.  Returns
-        the completed records in admission order.
+        The measurement window opens at admission index ``measure_from``
+        (0-based): ``on_measure()`` fires once, just before that request
+        is processed — the runner snapshots warmup state there — and
+        the attached profiler's attribution table leaves out the
+        requests before it, so it covers the same window the latency
+        statistics do.  ``on_complete(record)`` fires at each
+        completion event in event time.  Returns the completed records
+        in admission order.  The loop and its next-event register
+        (``created``) are described in the module docstring.
         """
-        self._profile_from = profile_from
-        self.system.set_tracer(self.capture)
-        self._stream = workload.requests()
-        self._workload = workload
-        self._load = load
-        self._verify = verify_reads
-        self._on_admit = on_admit
-        self._on_complete = on_complete
-        load.reset()
-        if load.open_loop:
-            self._push(load.next_arrival(0.0), self._handle_arrival, None)
-        else:
-            for _ in range(load.clients):
-                self._push(load.initial_think(), self._handle_arrival,
-                           None)
+        system = self.system
+        system.set_tracer(self.capture)
+        take_request = self.capture.take_request
+        process = system.process
+        stream = workload.requests()
+        stations = self.stations
+        records = self.records
+        log = self.event_log
+        faults = self.faults
+        profiling = self.profiler is not None
+        wait_hist = self._wait_hist
+        open_loop = load.open_loop
         heap = self._heap
-        heappop = heapq.heappop
-        while heap:
-            self.now, _seq, handler, payload = heappop(heap)
-            handler(payload)
-        if self.faults is not None:
-            self.faults.finish(self.now)
-        return self.records
+        next_seq = self._next_seq
+        last_completion = self.last_completion_s
+        completed_waits = self._completed_waits
+        load.reset()
+        starts = [load.next_arrival(0.0)] if open_loop else \
+            [load.initial_think() for _ in range(load.clients)]
+        for start in starts:
+            heappush(heap, (start, next_seq(), _ARRIVE, None))
+        created = None
+        index = len(records) - 1                    # last admission
+        while created is not None or heap:
+            if created is None:
+                now, _seq, kind, payload = heappop(heap)
+            else:
+                now, _seq, kind, payload = heappushpop(heap, created)
+                created = None
+            self.now = now
+            job = freed = None
+            if kind == _PHASE_DONE:
+                job = payload
+                freed = job[_STATION]
+                if log is not None:
+                    self._log_event("phase_done",
+                                    f"{freed.name}:req{job[_INDEX]}")
+                active = freed.active
+                depth = len(freed.waiting) + active + freed.bg_active
+                if now != freed._depth_since:
+                    freed._depth_integral += depth * (now - freed._depth_since)
+                    freed._depth_since = now
+                if depth > freed.max_depth:
+                    freed.max_depth = depth
+                freed.active = active - 1
+                freed.served += 1
+                phases = job[_PHASES]
+                phase_idx = job[_PHASE_IDX] + 1
+                job[_PHASE_IDX] = phase_idx
+            elif kind == _ARRIVE:
+                request = next(stream, None)
+                if request is None:
+                    if log is not None:
+                        self._log_event("arrival", "drained")
+                else:
+                    index += 1
+                    if log is not None:
+                        self._log_event("arrival", f"req{index}")
+                    if faults is not None:
+                        faults.on_admit(index)
+                    if index == measure_from and on_measure is not None:
+                        on_measure()
+                    is_read = request.op is _READ
+                    if verify_reads and is_read:
+                        latency, verified = read_verified(
+                            system, workload.shadow, request, index)
+                    else:
+                        latency, verified = process(request), 0
+                    req, phases, entries, bg_jobs = take_request()
+                    phase_idx = -len(phases)
+                    # The built-in ``sum`` (compensated on Python >= 3.12,
+                    # so a hand-written loop would yield other bits).
+                    covered = phases[0][1] if phase_idx == -1 \
+                        else sum(map(_phase_dur, phases))
+                    residual = latency - covered
+                    job = [
+                        index, is_read, now, latency, 0.0, 0.0, verified,
+                        residual if residual > 0.0 else 0.0, phases,
+                        phase_idx, None, 0.0, entries,
+                        [] if profiling and index >= measure_from else None,
+                        req]
+                    records.append(job)
+                    # Background work the request triggered becomes
+                    # deferrable backlog on the stations it targets.
+                    for device, dur in bg_jobs:
+                        self.add_backlog(device, dur)
+                    if open_loop:
+                        heappush(heap, (load.next_arrival(now), next_seq(),
+                                        _ARRIVE, None))
+            elif kind == _COMPLETE:
+                record = payload
+                if log is not None:
+                    self._log_event("complete", f"req{record[_INDEX]}")
+                record[_COMPLETION_S] = now
+                last_completion = now
+                wait = record[_WAIT_S]
+                completed_waits.append(wait)
+                if wait_hist is not None:
+                    wait_hist.observe(wait * 1e6)
+                entries = record[_ENTRIES]
+                if entries is not None:
+                    # Kept spans go to the downstream tracer and, in the
+                    # measured window, to the profiler with the waits.
+                    latency = wait + record[_SERVICE_S]
+                    req = record[_REQ]
+                    self.capture.replay(req, entries, wait, latency)
+                    station_waits = record[_WAITS]
+                    if station_waits is not None:
+                        items = [(device, "queue_wait", dur)
+                                 for device, dur in station_waits]
+                        items.extend(service_items(entries))
+                        self.profiler.record_request(req[0], items,
+                                                     latency)
+                done = _new_record(RequestRecord, record[:_PHASES])
+                records[record[_INDEX]] = done
+                if on_complete is not None:
+                    on_complete(done)
+                if faults is not None:
+                    faults.on_event(now)
+                if not open_loop:
+                    created = (now + load.next_think(), next_seq(), _ARRIVE,
+                               None)
+            else:                                   # _BG_DONE
+                freed = payload
+                if log is not None:
+                    self._log_event("background_done", freed.name)
+                freed.note_depth(now)
+                freed.bg_active -= 1
+            if job is not None:
+                # Route ``job`` to its next phase's station — into service
+                # if a slot is free and nobody waits, else to the back of
+                # the FIFO — or, past its last phase, to completion.
+                if phase_idx == 0:
+                    created = (now + job[_RESIDUAL], next_seq(), _COMPLETE,
+                               job)
+                else:
+                    device, dur = phases[phase_idx]
+                    station = stations[device] if device in stations \
+                        else self._station(device)
+                    waiting = station.waiting
+                    busy = station.active + station.bg_active
+                    depth = len(waiting) + busy
+                    if now != station._depth_since:
+                        station._depth_integral += depth * (
+                            now - station._depth_since)
+                        station._depth_since = now
+                    if depth > station.max_depth:
+                        station.max_depth = depth
+                    job[_STATION] = station
+                    if waiting or busy >= station.slots:
+                        job[_ENQUEUED_S] = now
+                        waiting.append(job)
+                    else:
+                        station.active += 1
+                        station.busy_s += dur
+                        created = (now + dur, next_seq(), _PHASE_DONE, job)
+            if freed is not None:
+                # A queue only forms while every slot is held: the slot
+                # just freed goes to its head, else idle slots drain
+                # background backlog.
+                waiting = freed.waiting
+                if waiting:
+                    job = waiting.popleft()
+                    wait = now - job[_ENQUEUED_S]
+                    job[_WAIT_S] += wait
+                    if job[_WAITS] is not None and wait > 0.0:
+                        job[_WAITS].append((freed.name, wait))
+                    dur = job[_PHASES][job[_PHASE_IDX]][1]
+                    freed.active += 1
+                    freed.busy_s += dur
+                    if created is not None:
+                        heappush(heap, created)
+                    created = (now + dur, next_seq(), _PHASE_DONE, job)
+                elif freed.backlog_s > 0.0:
+                    self._drain(freed)
+                if kind == _BG_DONE and faults is not None:
+                    faults.on_event(now)
+        self.last_completion_s = last_completion
+        self.queue_waits.extend(completed_waits)
+        completed_waits.clear()
+        if faults is not None:
+            faults.finish(self.now)
+        return records
 
-    @property
-    def t_end(self) -> float:
-        return self.now
+    def add_backlog(self, device: str, seconds: float) -> None:
+        """Queue deferrable background work on ``device``'s station."""
+        station = self.stations.get(device) or self._station(device)
+        station.note_depth(self.now)
+        station.backlog_s += seconds
+        if station.active + station.bg_active < station.slots:
+            self._drain(station)      # a free slot: nobody waits there
+
+    def _drain(self, station: DeviceStation) -> None:
+        """Start a background quantum on each idle slot, while backlog
+        lasts (nobody waits at a station with an idle slot)."""
+        free = station.slots - station.active - station.bg_active
+        while free > 0 and station.backlog_s > 0.0:
+            chunk = min(self.config.background_quantum_s,
+                        station.backlog_s)
+            station.backlog_s -= chunk
+            station.bg_active += 1
+            station.busy_s += chunk
+            station.bg_busy_s += chunk
+            station.bg_chunks += 1
+            heappush(self._heap, (self.now + chunk, self._next_seq(),
+                                  _BG_DONE, station))
+            free -= 1
 
     def summary(self) -> QueueingSummary:
         elapsed = self.now
@@ -646,7 +789,8 @@ class EventEngine:
                 background_s=station.bg_busy_s,
                 utilization=station.utilization(elapsed),
                 served=station.served,
-                mean_depth=station.mean_depth(elapsed),
+                mean_depth=station._depth_integral / elapsed
+                if elapsed > 0 else 0.0,
                 max_depth=station.max_depth)
         waits = self.queue_waits
         return QueueingSummary(
@@ -656,153 +800,3 @@ class EventEngine:
             wait_max_us=waits.max * 1e6,
             stations=stations)
 
-    # -- event handlers ----------------------------------------------------
-
-    def _handle_arrival(self, _payload=None) -> None:
-        request = next(self._stream, None)
-        if request is None:
-            if self.event_log is not None:
-                self._log_event(_ARRIVAL, "drained")
-            return
-        index = len(self.records)
-        if self.event_log is not None:
-            self._log_event(_ARRIVAL, f"req{index}")
-        if self.faults is not None:
-            self.faults.on_admit(index)
-        if self._on_admit is not None:
-            self._on_admit(index)
-        verified = 0
-        if self._verify and request.is_read:
-            latency, contents = self.system.process_read(request)
-            shadow = self._workload.shadow
-            for offset, content in enumerate(contents):
-                if not np.array_equal(content,
-                                      shadow[request.lba + offset]):
-                    raise AssertionError(
-                        f"{self.system.name} returned wrong content for "
-                        f"block {request.lba + offset} on request {index}")
-                verified += 1
-        else:
-            latency = self.system.process(request)
-        req, phases, entries, bg_jobs = self.capture.take_request()
-        # The built-in ``sum``: it is compensated on Python >= 3.12, so
-        # a hand-written loop would yield different bits there.
-        covered = sum(map(_phase_dur, phases))
-        job = RequestRecord(
-            index, request.is_read, self.now, latency, verified,
-            req, phases, max(0.0, latency - covered), entries,
-            [] if self._profile and index >= self._profile_from else None)
-        self.records.append(job)
-        self.in_flight += 1
-        # Background work the request triggered becomes deferrable
-        # backlog on the stations it targets.
-        for device, dur in bg_jobs:
-            self.add_backlog(device, dur)
-        if self._load.open_loop:
-            self._push(self._load.next_arrival(self.now),
-                       self._handle_arrival, None)
-        self._route(job)
-
-    def add_backlog(self, device: str, seconds: float) -> None:
-        """Queue deferrable background work on ``device``'s station."""
-        station = self._station(device)
-        station.note_depth(self.now)
-        station.backlog_s += seconds
-        self._kick(station)
-
-    def _route(self, job: RequestRecord) -> None:
-        """Send ``job`` to the station of its next phase — into service
-        when a slot is free and nobody waits, else to the back of the
-        FIFO — or, past its last phase, schedule its completion after
-        the residual."""
-        if job.phase_idx == len(job.phases):
-            self._push(self.now + job.residual, self._handle_complete, job)
-            return
-        device, dur = job.phases[job.phase_idx]
-        station = self._station(device)
-        station.note_depth(self.now)
-        if station.waiting or \
-                station.active + station.bg_active >= station.slots:
-            station.waiting.append((job, self.now))
-        else:
-            self._start_service(station, job, dur)
-
-    def _start_service(self, station: DeviceStation, job: RequestRecord,
-                       dur: float) -> None:
-        station.active += 1
-        station.busy_s += dur
-        self._push(self.now + dur, self._handle_phase_done, (station, job))
-
-    def _handle_phase_done(self, payload) -> None:
-        station, job = payload
-        if self.event_log is not None:
-            self._log_event(_PHASE_DONE, f"{station.name}:req{job.index}")
-        station.note_depth(self.now)
-        station.active -= 1
-        station.served += 1
-        job.phase_idx += 1
-        self._route(job)
-        self._kick(station)
-
-    def _kick(self, station: DeviceStation) -> None:
-        """Fill free slots: waiting foreground first, then one
-        background quantum per remaining idle slot.  The caller has
-        advanced the station's depth integral to ``now``."""
-        free = station.slots - station.active - station.bg_active
-        waiting = station.waiting
-        while free > 0 and waiting:
-            job, enqueued = waiting.popleft()
-            wait = self.now - enqueued
-            job.wait_s += wait
-            if job.waits is not None and wait > 0.0:
-                job.waits.append((station.name, wait))
-            self._start_service(station, job,
-                                job.phases[job.phase_idx][1])
-            free -= 1
-        # A slot still free here means nobody is waiting.
-        while free > 0 and station.backlog_s > 0.0:
-            chunk = min(self.config.background_quantum_s,
-                        station.backlog_s)
-            station.backlog_s -= chunk
-            station.bg_active += 1
-            station.busy_s += chunk
-            station.bg_busy_s += chunk
-            station.bg_chunks += 1
-            self._push(self.now + chunk, self._handle_bg_done, station)
-            free -= 1
-
-    def _handle_bg_done(self, station: DeviceStation) -> None:
-        if self.event_log is not None:
-            self._log_event(_BG_DONE, station.name)
-        station.note_depth(self.now)
-        station.bg_active -= 1
-        self._kick(station)
-        if self.faults is not None:
-            self.faults.on_event(self.now)
-
-    def _handle_complete(self, record: RequestRecord) -> None:
-        if self.event_log is not None:
-            self._log_event(_COMPLETE, f"req{record.index}")
-        record.completion_s = self.now
-        self.last_completion_s = self.now
-        self.in_flight -= 1
-        self.queue_waits.record(record.wait_s)
-        if self._wait_hist is not None:
-            self._wait_hist.observe(record.wait_s * 1e6)
-        if record.entries is not None:
-            self.capture.replay(record.req, record.entries, record.wait_s,
-                                record.latency_s)
-            if record.waits is not None:
-                items = [(device, "queue_wait", dur)
-                         for device, dur in record.waits]
-                items.extend(service_items(record.entries))
-                self.profiler.record_request(record.req[0], items,
-                                             record.latency_s)
-        record.req = record.phases = record.entries = record.waits = None
-        if self._on_complete is not None:
-            self._on_complete(record)
-        if self.faults is not None:
-            self.faults.on_event(self.now)
-        if not self._load.open_loop:
-            self._push(self.now + self._load.next_think(),
-                       self._handle_arrival, None)

@@ -54,6 +54,25 @@ class LatencyStats:
             # throwing away the O(n log n) sort behind it.
             insort(self._sorted, seconds)
 
+    def extend(self, samples: List[float]) -> None:
+        """:meth:`record` each of ``samples`` in order, in one frame:
+        the sums add one sample at a time (not ``math.fsum``, nor the
+        builtin ``sum``, compensated on Python >= 3.12), bit for bit."""
+        if not samples:
+            return
+        low = min(samples)
+        if low < 0:
+            raise ValueError(f"latency cannot be negative: {low}")
+        total, sumsq = self._sum, self._sumsq
+        for seconds in samples:
+            total += seconds
+            sumsq += seconds * seconds
+        self._sum, self._sumsq = total, sumsq
+        self._min = min(self._min, low)
+        self._max = max(self._max, max(samples))
+        self._samples.extend(samples)
+        self._sorted = None           # one sort on demand, not n inserts
+
     def _ordered(self) -> List[float]:
         if self._sorted is None:
             self._sorted = sorted(self._samples)

@@ -28,8 +28,7 @@ from repro.experiments import loadtest
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import SYSTEM_NAMES, make_system
-from repro.sim.engine import (DeviceStation, EngineConfig, EventEngine,
-                              QueueingSummary)
+from repro.sim.engine import EngineConfig, EventEngine, QueueingSummary
 from repro.sim.load import (ClosedLoopLoad, OpenLoopLoad,
                             default_closed_loop)
 from repro.sim.metrics import Monitor, export_prometheus
@@ -193,20 +192,22 @@ class TestEngineBehaviour:
                    for s in summary.stations.values())
 
     def test_background_yields_to_foreground(self):
-        station = DeviceStation("hdd", slots=1)
-        config = EngineConfig()
         # A foreground arrival waits at most one background quantum:
-        # backlog is drained in bounded chunks, never as one span.
+        # backlog is drained in bounded chunks, never as one span.  The
+        # quantum sits below the run's 1.5 ms of backlog, so one span
+        # would break the bound.
+        config = EngineConfig(background_quantum_s=2e-4)
         wl = SysBenchWorkload(scale=0.05, n_requests=400)
         system = make_system("icash", wl)
         system.ingest()
         engine = EventEngine(system, config=config)
-        records = engine.run(wl, OpenLoopLoad(2_000_000.0, seed=5))
-        hdd = engine.stations["hdd"]
-        if hdd.bg_chunks:
-            assert hdd.bg_busy_s / hdd.bg_chunks <= \
-                config.background_quantum_s + 1e-12
-        assert station.depth == 0  # fresh station starts idle
+        engine.run(wl, OpenLoopLoad(2_000_000.0, seed=5))
+        drained = [s for s in engine.stations.values() if s.bg_chunks]
+        assert drained, "no station drained any background backlog"
+        for station in drained:
+            # (1 + 1e-9): the chunk sum rounds once per chunk.
+            assert station.bg_busy_s <= station.bg_chunks \
+                * config.background_quantum_s * (1 + 1e-9), station.name
 
     def test_engine_validation(self):
         wl = SysBenchWorkload(scale=0.05, n_requests=50)
