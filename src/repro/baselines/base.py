@@ -28,11 +28,11 @@ class StorageSystem(Counted, abc.ABC):
     and count in ``int`` attributes the way devices do (:class:`Counted`).
     """
 
-    #: Per-request trace sink (see :mod:`repro.sim.trace` and
-    #: ``docs/OBSERVABILITY.md``), or None when nothing observes the
-    #: run — every instrumentation site tests ``is not None``.
-    #: :meth:`set_tracer` attaches a tracer to the system and every
-    #: device model under it.
+    #: Per-request trace sink — a :class:`repro.sim.trace.Recorder`
+    #: (see ``docs/OBSERVABILITY.md``), or None when nothing observes
+    #: the run: every instrumentation site tests ``is not None``.
+    #: :meth:`set_tracer` attaches it to the system and every device
+    #: model under it; whoever attached it takes each request from it.
     tracer = None
 
     def __init__(self, name: str, capacity_blocks: int) -> None:
@@ -118,8 +118,8 @@ class StorageSystem(Counted, abc.ABC):
         every device beneath it.
 
         Pass None to detach.  Devices shared with nothing else (the
-        normal case) simply start emitting spans into ``tracer``'s
-        buffer.  A wrapped system declares its own background work to
+        normal case) simply start emitting spans into ``tracer``.  A
+        wrapped system declares its own background work to
         the tracer, so it must hold it too.
         """
         self.tracer = tracer
@@ -135,7 +135,7 @@ class StorageSystem(Counted, abc.ABC):
         The one way model code declares background work: the latency
         lands on :attr:`background_time` and, when a tracer is attached,
         every span ``op`` emits sits inside a background scope (named
-        ``section`` when given), which is what tells the ring tracer's
+        ``section`` when given), which is what tells the ring trace's
         background track, the event engine's backlog and the profiler
         that no request waited for it.  Scopes nest.
         """
@@ -189,8 +189,6 @@ class StorageSystem(Counted, abc.ABC):
             tracer.begin_request("read", request.lba, request.nblocks)
         latency, contents = self.read(request.lba, request.nblocks)
         self.read_latency.record(latency)
-        if tracer is not None:
-            tracer.end_request(latency)
         return latency, contents
 
     def process_write(self, request: IORequest) -> float:
@@ -200,8 +198,6 @@ class StorageSystem(Counted, abc.ABC):
             tracer.begin_request("write", request.lba, request.nblocks)
         latency = self.write(request.lba, request.payload)
         self.write_latency.record(latency)
-        if tracer is not None:
-            tracer.end_request(latency)
         return latency
 
     # -- reporting ---------------------------------------------------------------

@@ -36,12 +36,12 @@ from repro.baselines.base import StorageSystem
 from repro.metrics.cpu import cpu_utilization
 from repro.metrics.energy import EnergyReport, measure_energy
 from repro.sim.engine import (EventEngine, QueueingSummary,
-                              StationSummary, _CaptureTracer,
-                              read_verified, service_items)
+                              StationSummary, read_verified)
 from repro.sim.load import default_closed_loop
 from repro.sim.profile import RESIDUAL_PHASE, AttributionTable
 from repro.sim.metrics import SLOBreach
 from repro.sim.stats import LatencyStats
+from repro.sim.trace import Recorder
 from repro.workloads.base import Workload
 
 #: The two wall-clock models ``run_benchmark`` accepts.
@@ -300,10 +300,14 @@ class _Measurement:
         self.write_lat.extend(list(compress(measured, map(not_, reads))))
         self.verified += sum(map(_verified, records))
 
-    def flush(self, flush_at_end: bool, verify: bool) -> float:
+    def flush(self, flush_at_end: bool, verify: bool,
+              recorder: Optional[Recorder], tracer) -> float:
         """Final foreground flush, charged to the measured window; a
-        verified run then checks the system's own invariants."""
+        verified run then checks the system's own invariants.  What the
+        flush emitted folds into the ring outside any request."""
         latency = self.system.flush() if flush_at_end else 0.0
+        if tracer is not None:
+            tracer.fold(recorder.take_request()[1])
         self.io_time_all += latency
         self.io_time_meas += latency
         if verify:
@@ -383,9 +387,11 @@ def run_benchmark(workload: Workload, system: StorageSystem,
     every real benchmark performs — and excludes both its time and its
     device writes from the measured results.
 
-    ``tracer`` (a :class:`repro.sim.trace.RingBufferTracer`) is attached
-    *after* the ingest pass so the trace covers the benchmark stream
-    itself rather than flooding the ring buffer with load-phase events.
+    ``tracer`` (a :class:`repro.sim.trace.RingBufferTracer`) folds what
+    a :class:`repro.sim.trace.Recorder` attached *after* the ingest pass
+    keeps, so the trace covers the benchmark stream itself rather than
+    flooding the ring buffer with load-phase events.  It is the same
+    trace whatever else is attached.
 
     ``monitor`` (a :class:`repro.sim.metrics.Monitor`) likewise attaches
     after ingest; its sampler runs on the aggregate device-busy-time
@@ -447,15 +453,12 @@ def run_benchmark(workload: Workload, system: StorageSystem,
                          "legacy model has no arrival timeline")
     run = _Measurement(workload, system, warmup_fraction, preload,
                        monitor, profiler)
-    capture = None
-    if profiler is not None:
-        # Interpose the engine's capture tracer so each request's
-        # service phases can be harvested for attribution; recorded
-        # spans still reach the caller's tracer via replay.
-        capture = _CaptureTracer(tracer, keep_spans=True)
-        system.set_tracer(capture)
-    elif tracer is not None:
-        system.set_tracer(tracer)
+    recorder = None
+    if tracer is not None or profiler is not None:
+        # Only a fold needs the recorder here: a bare legacy run keeps
+        # no tracer at all.
+        recorder = Recorder(keep=True)
+        system.set_tracer(recorder)
     warmup_cutoff = run.warmup_cutoff
     n_requests = 0
     for request in workload.requests():
@@ -468,18 +471,18 @@ def run_benchmark(workload: Workload, system: StorageSystem,
         else:
             latency = system.process(request)
         measured = n_requests >= warmup_cutoff
-        if capture is not None:
-            creq, _phases, entries, _bg = capture.take_request()
-            if measured:
-                profiler.record_request(creq[0],
-                                        service_items(entries),
-                                        latency)
-            capture.replay(creq, entries, 0.0, latency)
+        if recorder is not None:
+            # The ring lays the request in emission order.
+            emitted = recorder.take_request()[1]
+            if tracer is not None:
+                tracer.fold(emitted, latency)
+            if profiler is not None and measured:
+                profiler.fold(emitted, latency)
         run.record(request.is_read, latency, measured)
         if monitor is not None:
             monitor.on_request(request.is_read, latency, run.io_time_all)
         n_requests += 1
-    run.flush(flush_at_end, verify_reads)
+    run.flush(flush_at_end, verify_reads, recorder, tracer)
     if monitor is not None:
         monitor.finish(run.io_time_all)
     concurrency = max(1, workload.io_concurrency)
@@ -546,8 +549,7 @@ def _run_event_benchmark(workload: Workload, system: StorageSystem,
                        monitor, profiler)
     if load is None:
         load = default_closed_loop(workload)
-    sim = EventEngine(system, downstream_tracer=tracer,
-                      profiler=profiler)
+    sim = EventEngine(system, tracer=tracer, profiler=profiler)
     if monitor is not None:
         sim.register_metrics(monitor.registry)
     injector = None
@@ -572,7 +574,8 @@ def _run_event_benchmark(workload: Workload, system: StorageSystem,
     # background included); the throughput window closes at the last
     # request completion — trailing background is off the critical
     # path, exactly as the legacy model treats it.
-    flush_latency = run.flush(flush_at_end, verify_reads)
+    flush_latency = run.flush(flush_at_end, verify_reads, sim.recorder,
+                              tracer)
     t_full = sim.now + flush_latency
     t_last = sim.last_completion_s + flush_latency
     if monitor is not None:

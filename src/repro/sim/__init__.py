@@ -1,13 +1,13 @@
 """Trace-driven simulation substrate.
 
 This package provides the pieces every storage model in the repository is
-built on: typed I/O requests that carry content (:mod:`repro.sim.request`),
-a virtual clock (:mod:`repro.sim.clock`), and latency statistics
-(:mod:`repro.sim.stats`).  Counters are ``int`` attributes of the devices
-and storage systems that keep them (:class:`repro.devices.base.Counted`).
+built on: typed I/O requests that carry content (:mod:`repro.sim.request`)
+and latency statistics (:mod:`repro.sim.stats`).  Counters are ``int``
+attributes of the devices and storage systems that keep them
+(:class:`repro.devices.base.Counted`).
 
 The default replay is *closed loop*: a workload issues one request, the
-storage system returns its service latency, and the clock advances by
+storage system returns its service latency, and virtual time advances by
 that latency (plus any application compute time the workload models).
 Response time and service time therefore coincide, which matches how
 the paper reports block-level response times.
@@ -25,7 +25,6 @@ base class).
 """
 
 from repro.sim.backing import BackingStore
-from repro.sim.clock import VirtualClock
 from repro.sim.engine import (DEFAULT_DEVICE_SLOTS, DeviceStation,
                               EngineConfig, EventEngine, QueueingSummary,
                               RequestRecord, StationSummary)
@@ -56,6 +55,5 @@ __all__ = [
     "SLORule",
     "SeriesStore",
     "StationSummary",
-    "VirtualClock",
     "default_closed_loop",
 ]

@@ -7,14 +7,14 @@ timeline (a :mod:`repro.sim.load` generator), wait in per-device FIFO
 queues and overlap their service across devices, so latency becomes
 ``queue_wait + service`` and throughput saturates with the bottleneck.
 
-* **The capture tracer** (:class:`_CaptureTracer`) folds each
+* **The recorder** (:class:`~repro.sim.trace.Recorder`) folds each
   foreground device span a system emits, as it is emitted, into the
   request's *phase list* — its ordered per-device visits — and
   collects the background work (flushes, scans, destages) it
-  triggered.  Span objects are buffered only for a consumer that reads
-  them back (a downstream tracer, the profiler).  Requests are
-  processed in stream order, so contents, counters and service times
-  equal a legacy run's; the engine only re-times them.
+  triggered.  It keeps the emissions themselves only for a fold that
+  reads them (a ring trace, the profiler).  Requests are processed in
+  stream order, so contents, counters and service times equal a
+  legacy run's; the engine only re-times them.
 * **Stations.**  One :class:`DeviceStation` per device with its service
   slots (NCQ depth) and a FIFO.  Background work is *deferrable
   backlog*, run in bounded quanta on slots no foreground request
@@ -24,9 +24,11 @@ queues and overlap their service across devices, so latency becomes
   heap entries are ``(time, seq, kind, payload)`` with a small-int
   kind.  A request in flight is a flat list (its measurements, then its
   routing state), routed and started inline; a helper frame runs only
-  when backlog forms or drains.  Observers (event log, faults,
-  profiler, downstream tracer, ``on_complete``) are branches of the
-  same loop.  A completed request becomes a :class:`RequestRecord`.
+  when backlog forms or drains.  Observers (event log, faults, the
+  ring and profiler folds, ``on_complete``) are branches of the same
+  loop: a ring folds what a request triggered off its critical path at
+  admission and the request itself at completion.  A completed request
+  becomes a :class:`RequestRecord`.
 * **Exact order.**  Entries are keyed on ``(time, seq)`` with ``seq``
   drawn when an event is created.  The last event a step creates is
   not pushed: ``heappushpop`` hands it straight back when it is the
@@ -41,18 +43,18 @@ knee.  See "Event engine & load generation" in ``docs/ARCHITECTURE.md``.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from heapq import heappop, heappush, heappushpop
+from itertools import count, filterfalse
 from operator import attrgetter, itemgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.sim.profile import classify_phase
 from repro.sim.request import OpType
 from repro.sim.stats import LatencyStats
+from repro.sim.trace import Recorder, foreground
 
 #: Default service-slot counts (NCQ depth) per device trace name.
 #: Flash exposes channel parallelism, a mechanical disk has one head,
@@ -88,197 +90,6 @@ class EngineConfig:
             raise ValueError(
                 f"station {device!r} needs at least one slot, got {slots}")
         return slots
-
-
-# ---------------------------------------------------------------------------
-# Capture tracer: per-request phase decomposition via the trace hooks
-# ---------------------------------------------------------------------------
-
-
-class _Span:
-    """One buffered foreground emission of the current request."""
-
-    __slots__ = ("kind", "name", "device", "dur", "lba", "nbytes",
-                 "outcome")
-
-    def __init__(self, kind: str, name: str, device: Optional[str],
-                 dur: float, lba, nbytes, outcome) -> None:
-        self.kind = kind  # "device" | "span" | "instant" | "mark"
-        self.name = name
-        self.device = device
-        self.dur = dur
-        self.lba = lba
-        self.nbytes = nbytes
-        self.outcome = outcome
-
-
-class _CaptureTracer:
-    """Implements the tracer protocol to harvest per-request phases.
-
-    Attached by the engine via ``system.set_tracer``; every device
-    operation, codec span and background section the system emits lands
-    here.  Foreground (in-request) device spans fold into the request's
-    station phases as they arrive: zero-length spans are skipped and
-    consecutive spans on one device coalesce into one phase (one queue
-    entry per device visit, not per 4 KB block); CPU spans and instants
-    stay out — they become the non-contended residual tail.  The spans
-    themselves are buffered as :class:`_Span` objects only when
-    something reads them back — a ``downstream`` recording tracer, so
-    ``engine="event"`` runs still produce full traces (with an added
-    ``queue`` span per delayed request), or the profiler
-    (``keep_spans``).  Background device spans accumulate as
-    ``(device, seconds)`` backlog jobs.
-    """
-
-    def __init__(self, downstream=None, keep_spans: bool = False) -> None:
-        self.downstream = downstream
-        self._keep_spans = keep_spans or downstream is not None
-        self._name_scopes: List[str] = []
-        self._bg_depth = 0
-        self._in_request = False
-        self._req: Optional[Tuple[str, int, int]] = None
-        self._phases: List[Tuple[str, float]] = []
-        self._entries: Optional[List[_Span]] = None
-        self._bg_jobs: List[Tuple[str, float]] = []
-
-    # -- request lifecycle ------------------------------------------------
-
-    def begin_request(self, op: str, lba: int, nblocks: int) -> None:
-        if self._in_request:
-            raise RuntimeError("begin_request while a request is open")
-        self._in_request = True
-        self._req = (op, lba, nblocks)
-        self._phases = []
-        self._entries = [] if self._keep_spans else None
-
-    def end_request(self, latency_s: float) -> None:
-        if not self._in_request:
-            raise RuntimeError("end_request without begin_request")
-        self._in_request = False
-
-    def take_request(self) -> Tuple[Tuple[str, int, int],
-                                    List[Tuple[str, float]],
-                                    Optional[List[_Span]],
-                                    List[Tuple[str, float]]]:
-        """The last request's (op info, station phases, foreground
-        spans — None unless spans are kept — and background jobs);
-        clears the buffers."""
-        taken = (self._req, self._phases, self._entries, self._bg_jobs)
-        self._req, self._phases, self._entries = None, [], None
-        self._bg_jobs = []
-        return taken
-
-    # -- emission hooks ---------------------------------------------------
-
-    def _resolved(self, device: str, kind: str) -> str:
-        if self._name_scopes:
-            return self._name_scopes[-1]
-        return f"{device}_{kind}"
-
-    def device_span(self, device: str, kind: str, dur_s: float,
-                    lba=None, nbytes=None, outcome=None) -> None:
-        if self._bg_depth:
-            self._bg_jobs.append((device, dur_s))
-            if self.downstream is not None:
-                self.downstream.device_span(device, kind, dur_s, lba=lba,
-                                            nbytes=nbytes, outcome=outcome)
-            return
-        if self._in_request:
-            if dur_s > 0.0:
-                phases = self._phases
-                if phases and phases[-1][0] == device:
-                    phases[-1] = (device, phases[-1][1] + dur_s)
-                else:
-                    phases.append((device, dur_s))
-            if self._entries is not None:
-                self._entries.append(
-                    _Span("device", self._resolved(device, kind), device,
-                          dur_s, lba, nbytes, outcome))
-        elif self.downstream is not None:  # run track (final flush)
-            self.downstream.span(self._resolved(device, kind), dur_s,
-                                 lba=lba, nbytes=nbytes, outcome=outcome)
-
-    def span(self, name: str, dur_s: float, lba=None, nbytes=None,
-             outcome=None) -> None:
-        if self._bg_depth:
-            if self.downstream is not None:
-                self.downstream.span(name, dur_s, lba=lba, nbytes=nbytes,
-                                     outcome=outcome)
-            return
-        if self._in_request:
-            if self._entries is not None:
-                kind = "instant" if dur_s == 0.0 else "span"
-                self._entries.append(_Span(kind, name, None, dur_s,
-                                           lba, nbytes, outcome))
-        elif self.downstream is not None:
-            self.downstream.span(name, dur_s, lba=lba, nbytes=nbytes,
-                                 outcome=outcome)
-
-    def instant(self, name: str, lba=None, outcome=None) -> None:
-        self.span(name, 0.0, lba=lba, outcome=outcome)
-
-    def mark(self, name: str, dur_s: float, lba=None, nbytes=None,
-             outcome=None) -> None:
-        # Device-internal time already inside another span's duration.
-        if self._in_request and not self._bg_depth:
-            if self._entries is not None:
-                self._entries.append(_Span("mark", name, None, dur_s,
-                                           lba, nbytes, outcome))
-        elif self.downstream is not None:
-            self.downstream.mark(name, dur_s, lba=lba, nbytes=nbytes,
-                                 outcome=outcome)
-
-    # -- background sections ----------------------------------------------
-
-    def begin_background(self, name=None, outcome=None) -> None:
-        self._bg_depth += 1
-        if self.downstream is not None:
-            self.downstream.begin_background(name, outcome=outcome)
-
-    def end_background(self, extra_s: float = 0.0) -> None:
-        if self._bg_depth <= 0:
-            raise RuntimeError("end_background without begin_background")
-        self._bg_depth -= 1
-        if self.downstream is not None:
-            self.downstream.end_background(extra_s)
-
-    # -- device-span renaming scopes ---------------------------------------
-
-    def push_name_scope(self, name: str) -> None:
-        self._name_scopes.append(name)
-        if self.downstream is not None:
-            self.downstream.push_name_scope(name)
-
-    def pop_name_scope(self) -> None:
-        self._name_scopes.pop()
-        if self.downstream is not None:
-            self.downstream.pop_name_scope()
-
-    # -- downstream replay -------------------------------------------------
-
-    def replay(self, req: Tuple[str, int, int], entries: List[_Span],
-               wait_s: float, latency_s: float) -> None:
-        """Emit one completed request to the downstream tracer.
-
-        The request span tiles exactly: an explicit ``queue`` span for
-        the time spent waiting in device queues, followed by the
-        captured service phases.
-        """
-        ds = self.downstream
-        if ds is None:
-            return
-        op, lba, nblocks = req
-        ds.begin_request(op, lba, nblocks)
-        if wait_s > 0.0:
-            ds.span("queue", wait_s)
-        for entry in entries:
-            if entry.kind == "mark":
-                ds.mark(entry.name, entry.dur, lba=entry.lba,
-                        nbytes=entry.nbytes, outcome=entry.outcome)
-            else:
-                ds.span(entry.name, entry.dur, lba=entry.lba,
-                        nbytes=entry.nbytes, outcome=entry.outcome)
-        ds.end_request(latency_s)
 
 
 # ---------------------------------------------------------------------------
@@ -407,24 +218,8 @@ class RequestRecord(NamedTuple):
 #: index runs from ``-len(phases)`` up to 0, where the request is done.
 _INDEX, _IS_READ, _ARRIVAL_S, _SERVICE_S, _WAIT_S, _COMPLETION_S, \
     _VERIFIED, _RESIDUAL, _PHASES, _PHASE_IDX, _STATION, _ENQUEUED_S, \
-    _ENTRIES, _WAITS, _REQ = range(15)
+    _EMITTED, _WAITS = range(14)
 _new_record = tuple.__new__   # a record from its fields, with no frame
-
-
-def service_items(entries: List[_Span]) -> List[Tuple[str, str, float]]:
-    """A captured request's service spans as ``(device, phase, dur)``
-    attribution items (marks and instants excluded — their time is
-    zero or already inside another span's duration)."""
-    items = []
-    for entry in entries:
-        if entry.dur <= 0.0 or entry.kind == "mark":
-            continue
-        if entry.kind == "device":
-            items.append(classify_phase(entry.name, device=entry.device)
-                         + (entry.dur,))
-        else:
-            items.append(classify_phase(entry.name) + (entry.dur,))
-    return items
 
 
 def read_verified(system, shadow, request, index: int) -> Tuple[float, int]:
@@ -455,15 +250,18 @@ class EventEngine:
     """
 
     def __init__(self, system, config: Optional[EngineConfig] = None,
-                 downstream_tracer=None,
+                 tracer=None,
                  keep_event_log: bool = False,
                  profiler=None) -> None:
         self.system = system
         self.config = config if config is not None else EngineConfig()
-        #: Critical-path profiler (:mod:`repro.sim.profile`), or None.
+        #: Ring trace (:class:`repro.sim.trace.RingBufferTracer`) and
+        #: critical-path profiler (:mod:`repro.sim.profile`), or None:
+        #: folds over what the recorder keeps.
+        self.tracer = tracer
         self.profiler = profiler
-        self.capture = _CaptureTracer(downstream_tracer,
-                                      keep_spans=profiler is not None)
+        self.recorder = Recorder(keep=tracer is not None
+                                 or profiler is not None)
         self.stations: Dict[str, DeviceStation] = {}
         self.now = 0.0
         self.records: List[RequestRecord] = []
@@ -482,7 +280,7 @@ class EventEngine:
         #: (time, sequence number, event kind, payload); the sequence
         #: number is unique, so kinds and payloads are never compared.
         self._heap: List[Tuple[float, int, int, object]] = []
-        self._next_seq = itertools.count(1).__next__
+        self._next_seq = count(1).__next__
         self._registry = None
         self._wait_hist = None
         #: Optional :class:`repro.sim.faults.FaultInjector` — fires
@@ -572,15 +370,15 @@ class EventEngine:
         (``created``) are described in the module docstring.
         """
         system = self.system
-        system.set_tracer(self.capture)
-        take_request = self.capture.take_request
+        system.set_tracer(self.recorder)
+        take_request = self.recorder.take_request
         process = system.process
         stream = workload.requests()
         stations = self.stations
         records = self.records
         log = self.event_log
         faults = self.faults
-        profiling = self.profiler is not None
+        tracer, profiler = self.tracer, self.profiler
         wait_hist = self._wait_hist
         open_loop = load.open_loop
         heap = self._heap
@@ -639,7 +437,9 @@ class EventEngine:
                             system, workload.shadow, request, index)
                     else:
                         latency, verified = process(request), 0
-                    req, phases, entries, bg_jobs = take_request()
+                    phases, emitted, bg_jobs = take_request()
+                    if tracer is not None:
+                        tracer.fold(filterfalse(foreground, emitted))
                     phase_idx = -len(phases)
                     # The built-in ``sum`` (compensated on Python >= 3.12,
                     # so a hand-written loop would yield other bits).
@@ -649,9 +449,9 @@ class EventEngine:
                     job = [
                         index, is_read, now, latency, 0.0, 0.0, verified,
                         residual if residual > 0.0 else 0.0, phases,
-                        phase_idx, None, 0.0, entries,
-                        [] if profiling and index >= measure_from else None,
-                        req]
+                        phase_idx, None, 0.0, emitted,
+                        [] if profiler is not None and index >= measure_from
+                        else None]
                     records.append(job)
                     # Background work the request triggered becomes
                     # deferrable backlog on the stations it targets.
@@ -670,20 +470,17 @@ class EventEngine:
                 completed_waits.append(wait)
                 if wait_hist is not None:
                     wait_hist.observe(wait * 1e6)
-                entries = record[_ENTRIES]
-                if entries is not None:
-                    # Kept spans go to the downstream tracer and, in the
-                    # measured window, to the profiler with the waits.
+                emitted = record[_EMITTED]
+                if emitted is not None:
+                    # Kept emissions fold into the ring and, in the
+                    # measured window, into the profiler with the waits.
                     latency = wait + record[_SERVICE_S]
-                    req = record[_REQ]
-                    self.capture.replay(req, entries, wait, latency)
+                    if tracer is not None:
+                        tracer.fold(filter(foreground, emitted), latency,
+                                    wait)
                     station_waits = record[_WAITS]
                     if station_waits is not None:
-                        items = [(device, "queue_wait", dur)
-                                 for device, dur in station_waits]
-                        items.extend(service_items(entries))
-                        self.profiler.record_request(req[0], items,
-                                                     latency)
+                        profiler.fold(emitted, latency, station_waits)
                 done = _new_record(RequestRecord, record[:_PHASES])
                 records[record[_INDEX]] = done
                 if on_complete is not None:

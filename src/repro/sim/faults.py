@@ -251,8 +251,8 @@ class FaultInjector:
             if self._rebuild_counter is not None and \
                     outcome.rebuild_blocks:
                 self._rebuild_counter.inc(outcome.rebuild_blocks)
-        # The instant lands on the *run* track (no request is being
-        # captured at admission time), so trace timelines show the
+        # The instant lands on the *run* track (it fires before the
+        # admitted request begins), so trace timelines show the
         # fault between requests; the event log carries it too for the
         # determinism diff.
         tracer = getattr(self.system, "tracer", None)

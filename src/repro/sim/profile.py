@@ -1,6 +1,6 @@
 """Simulated-time profiler: critical-path attribution and flame stacks.
 
-The tracer (:mod:`repro.sim.trace`) records *what happened*; the event
+The recorder (:mod:`repro.sim.trace`) records *what happened*; the event
 engine (:mod:`repro.sim.engine`) decides *when*.  This module closes
 the loop and answers the paper's actual question — **which phase on
 which device dominates a request's latency** — by attributing every
@@ -16,11 +16,12 @@ Three pieces:
 
 * **Profilers.**  No profiler is ``None`` (the default): the engines
   test ``is not None`` once per run, so the hot path stays at zero
-  overhead; :class:`Profiler` aggregates per-request phase items into
-  an :class:`AttributionTable`.  ``run_benchmark(..., profiler=...)``
-  threads it through both engines: the event engine feeds exact
-  per-station queue waits plus captured service phases, the legacy
-  runner feeds service phases alone (no queues exist in that model).
+  overhead; :class:`Profiler` is a fold over each taken request's kept
+  emissions: it classifies them into ``(device, phase)`` items of an
+  :class:`AttributionTable`.  ``run_benchmark(..., profiler=...)``
+  threads it through both engines: the event engine adds exact
+  per-station queue waits to the service items, the legacy runner
+  folds service items alone (no queues exist in that model).
 * **The attribution table.**  Per operation class and ``(device,
   phase)`` pair: total and mean time, p50/p99 of per-request
   contributions, share of the class's latency, plus a *blame* summary
@@ -44,8 +45,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, TextIO, \
     Tuple, Union
 
 from repro.sim.stats import LatencyStats
-from repro.sim.trace import TRACK_BACKGROUND, TRACK_REQUEST, TRACK_RUN, \
-    TraceEvent
+from repro.sim.trace import SPAN, TRACK_BACKGROUND, TRACK_REQUEST, \
+    TRACK_RUN, TraceEvent, foreground
 
 #: Device heads a span name may start with; ``classify_phase`` splits
 #: ``{device}_{phase}`` names on this set (``hdd_log_read`` ->
@@ -67,8 +68,8 @@ def classify_phase(name: str,
                    device: Optional[str] = None) -> Tuple[str, str]:
     """Map a trace span name to its ``(device, phase)`` attribution pair.
 
-    ``device`` pins the device when the caller knows it (the engine's
-    capture tracer records which device model emitted a span, so a
+    ``device`` pins the device when the caller knows it (the recorder
+    keeps which device model emitted a span, so a
     re-labelled ``hdd_log_append`` on an NVRAM log still attributes to
     ``nvram``); without it the name is split on :data:`DEVICE_HEADS`.
     CPU phases (``delta_encode``/``delta_decode``) and anything else
@@ -337,15 +338,30 @@ class AttributionTable:
 # ---------------------------------------------------------------------------
 
 
+def service_items(emitted) -> List[Tuple[str, str, float]]:
+    """A taken request's service spans as ``(device, phase, dur)``
+    attribution items: its foreground spans of positive duration
+    (instants take no time, marks' time is already inside another
+    span)."""
+    return [classify_phase(name, device) + (dur,)
+            for foreground, op, name, dur, _lba, _nbytes, _outcome, device
+            in emitted if foreground and op == SPAN and dur > 0.0]
+
+
 class Profiler:
-    """Aggregates per-request phase items into an attribution table."""
+    """Folds taken requests into an attribution table."""
 
     def __init__(self) -> None:
         self.table = AttributionTable()
 
-    def record_request(self, op: str,
-                       items: Sequence[Tuple[str, str, float]],
-                       latency_s: float) -> None:
+    def fold(self, emitted, latency_s: float,
+             waits: Sequence[Tuple[str, float]] = ()) -> None:
+        """Attribute one taken request: its ``(station, seconds)`` queue
+        waits, then its classified service spans, under the operation
+        its first foreground emission (``BEGIN_REQUEST``) carries."""
+        op = next(filter(foreground, emitted))[6]
+        items = [(device, "queue_wait", dur) for device, dur in waits]
+        items.extend(service_items(emitted))
         self.table.record_request(op, items, latency_s)
 
 

@@ -8,13 +8,20 @@ typed span events — device operations, delta codec time, cache lookups,
 background flushes and scans — stamped with sim-clock timestamps, block
 addresses, byte counts and outcome tags.
 
-Three pieces:
+Four pieces:
 
-* **Tracers.**  No tracer is ``None`` (the default): every
-  instrumentation site tests ``if tracer is not None:``, so an untraced
-  run pays one identity test per site; :class:`RingBufferTracer`
-  records events into a bounded ring so memory stays fixed no matter
-  how long the run is.
+* **The recorder.**  :class:`Recorder` is the one implementation of
+  the emission protocol model code calls (``device_span``, ``span``,
+  ``instant``, ``mark``, ``begin/end_background``, name scopes).  No
+  recorder is ``None`` (a bare legacy run): every instrumentation site
+  tests ``if tracer is not None:``, so an untraced run pays one
+  identity test per site.  The event engine always attaches one — it
+  needs each request's station phases — and a fold attached to either
+  engine makes it keep each emission as a flat tuple.
+* **Folds.**  What observers read is folded from a taken request:
+  :class:`RingBufferTracer` lays it on a timeline into a bounded ring,
+  so memory stays fixed no matter how long the run is; the profiler
+  (:mod:`repro.sim.profile`) classifies it into attribution items.
 * **Exporters.**  :func:`export_jsonl` writes one JSON object per line
   (greppable, streamable); :func:`export_chrome_trace` writes the Chrome
   ``trace_event`` format, which opens directly in ``chrome://tracing``
@@ -28,9 +35,13 @@ The full event schema — every event type, its fields and units — is
 documented in ``docs/OBSERVABILITY.md``; a test keeps that document and
 :data:`EVENT_TYPES` in lockstep.
 
-Timeline semantics: the tracer lays request spans end to end on a
-:class:`~repro.sim.clock.VirtualClock` — the *device busy time*
-timeline, before the experiment runner divides by workload concurrency.
+Timeline semantics: the ring lays request spans end to end on a float
+cursor — the *device busy time* timeline, before the experiment runner
+divides by workload concurrency.  On the legacy engine it lays each
+request's emissions in emission order when the request is taken, which
+is the order they happened in; on the event engine it lays what a
+request triggered off its critical path at admission and the request
+itself, after a ``queue`` span for its station waits, at completion.
 Background work (flushes, scans, destages) runs on its own track so it
 never pollutes per-request attribution.
 """
@@ -39,14 +50,13 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from operator import itemgetter
 from typing import Deque, Dict, Iterable, List, Optional, TextIO, \
     Tuple, Union
 
-from repro.sim.clock import VirtualClock
-
-#: Every event type any instrumentation site may emit.  Tracers reject
-#: unknown names, and a test asserts ``docs/OBSERVABILITY.md`` documents
-#: exactly this set — the schema cannot silently drift.
+#: Every event type any instrumentation site may emit.  The ring fold
+#: rejects unknown names, and a test asserts ``docs/OBSERVABILITY.md``
+#: documents exactly this set — the schema cannot silently drift.
 EVENT_TYPES = frozenset({
     # request lifecycle
     "request_start",
@@ -82,8 +92,6 @@ TRACK_BACKGROUND = "background"  # off the critical path (flush, scan...)
 TRACK_RUN = "run"                # outside any request (ingest, final flush)
 TRACK_DEVICE = "device"          # device-internal, nested inside another
 #                                # span's duration (GC inside an SSD write)
-
-_TRACKS = (TRACK_REQUEST, TRACK_BACKGROUND, TRACK_RUN, TRACK_DEVICE)
 
 
 class TraceEvent:
@@ -136,181 +144,257 @@ class TraceEvent:
                 f"dur={self.dur * 1e6:.1f}us, track={self.track!r})")
 
 
-class RingBufferTracer:
-    """Records :class:`TraceEvent`\\ s into a bounded ring buffer.
+#: What a :class:`Recorder` keeps of one emission: a flat tuple
+#: ``(foreground, op, name, dur_s, lba, nbytes, outcome, device)``.
+#: ``foreground`` (read by :func:`foreground`) is true for what an open
+#: request emitted outside every background section: its critical path,
+#: which its ``BEGIN_REQUEST`` opens.  ``op`` is one of these five.  A
+#: span's ``name`` is resolved (``{device}_{kind}``, or the innermost
+#: name scope) and ``device`` is set for a device operation;
+#: ``BEGIN_REQUEST`` carries the request's own ``request_start`` span
+#: (its lba, bytes, and the operation as outcome); ``BEGIN_BACKGROUND``
+#: carries the section's name and outcome, ``END_BACKGROUND`` its
+#: ``extra_s`` as ``dur_s``.
+SPAN, MARK, BEGIN_BACKGROUND, END_BACKGROUND, BEGIN_REQUEST = range(5)
+foreground = itemgetter(0)
 
-    ``capacity_events`` bounds memory (one evicted event bumps
-    :attr:`dropped` per overflow); ``None`` keeps every event.  The
-    tracer owns a :class:`~repro.sim.clock.VirtualClock` (or shares one
-    passed in) and advances it by each foreground span's duration, so
-    request spans tile the busy-time timeline deterministically.
+
+class Recorder:
+    """The one implementation of the emission protocol.
+
+    ``system.set_tracer`` attaches it, and every device operation,
+    codec span, instant, device-internal mark, background section and
+    name scope the system emits lands here.  It always folds, as they
+    arrive, the open request's foreground device spans into its
+    *station phases* — zero-length spans skipped, consecutive spans on
+    one device coalesced (one queue entry per device visit, not per
+    4 KB block) — and background device spans into ``(device,
+    seconds)`` backlog jobs: all the event engine needs.  With ``keep``
+    (a fold is attached: a ring trace, a profiler) it also keeps every
+    emission as a flat tuple (:data:`SPAN`), in emission order.
+    :meth:`take_request` hands it all over and closes the request.
     """
 
-    def __init__(self, capacity_events: Optional[int] = 1 << 20,
-                 clock: Optional[VirtualClock] = None) -> None:
-        if capacity_events is not None and capacity_events < 1:
-            raise ValueError(
-                f"capacity must be >= 1 event, got {capacity_events}")
-        self._capacity = capacity_events
-        self.events: Deque[TraceEvent] = deque()
-        self.dropped = 0
-        self.clock = clock if clock is not None else VirtualClock()
-        # Request state.
-        self._req_seq = 0
-        self._in_request = False
-        self._req_op = ""
-        self._req_lba = 0
-        self._req_nblocks = 0
-        self._req_start = 0.0
-        # Background-section state: a stack of (name, start, outcome);
-        # while non-empty, spans land on the background track at
-        # ``_bg_cursor`` instead of advancing the foreground clock.
-        self._bg_stack: List[Tuple[Optional[str], float,
-                                   Optional[str]]] = []
-        self._bg_cursor = 0.0
-        self._bg_free_at = 0.0
-        # Device-span renaming scopes (the delta log re-labels the raw
-        # device operations it issues).
+    def __init__(self, keep: bool = False) -> None:
+        self._emitted: Optional[List[tuple]] = [] if keep else None
         self._name_scopes: List[str] = []
-
-    # -- emission core ----------------------------------------------------
-
-    def _emit(self, event: TraceEvent) -> None:
-        if self._capacity is not None and \
-                len(self.events) >= self._capacity:
-            self.events.popleft()
-            self.dropped += 1
-        self.events.append(event)
-
-    def _place(self, dur_s: float) -> Tuple[float, str]:
-        """Allot ``dur_s`` of timeline; returns (start ts, track)."""
-        if self._bg_stack:
-            ts = self._bg_cursor
-            self._bg_cursor += dur_s
-            return ts, TRACK_BACKGROUND
-        ts = self.clock.now
-        self.clock.advance(dur_s)
-        return ts, TRACK_REQUEST if self._in_request else TRACK_RUN
+        self._bg_depth = 0
+        self._in_request = False
+        self._phases: List[Tuple[str, float]] = []
+        self._bg_jobs: List[Tuple[str, float]] = []
 
     # -- request lifecycle ------------------------------------------------
 
     def begin_request(self, op: str, lba: int, nblocks: int) -> None:
         if self._in_request:
             raise RuntimeError("begin_request while a request is open")
-        self._req_seq += 1
         self._in_request = True
-        self._req_op = op
-        self._req_lba = lba
-        self._req_nblocks = nblocks
-        self._req_start = self.clock.now
+        if self._emitted is not None:
+            self._emitted.append((True, BEGIN_REQUEST, "request_start",
+                                  0.0, lba, nblocks * 4096, op, None))
 
-    def end_request(self, latency_s: float) -> None:
-        if not self._in_request:
-            raise RuntimeError("end_request without begin_request")
-        # Reconcile: whatever slice of the latency was not covered by
-        # emitted spans still advances the timeline, so the next request
-        # starts after this one ends.
-        self.clock.advance_to(self._req_start + latency_s)
-        self._emit(TraceEvent(
-            "request_start", self._req_start, latency_s, TRACK_REQUEST,
-            req=self._req_seq, lba=self._req_lba,
-            nbytes=self._req_nblocks * 4096, outcome=self._req_op))
+    def take_request(self) -> tuple:
+        """Everything since the last take — the request's station
+        phases, the kept emissions (None unless keeping) and the
+        background jobs — and close the request."""
+        taken = (self._phases, self._emitted, self._bg_jobs)
         self._in_request = False
+        self._phases = []
+        self._bg_jobs = []
+        if self._emitted is not None:
+            self._emitted = []
+        return taken
 
     # -- spans, instants, marks -------------------------------------------
-
-    def span(self, name: str, dur_s: float, lba: Optional[int] = None,
-             nbytes: Optional[int] = None,
-             outcome: Optional[str] = None) -> None:
-        """A phase that occupies ``dur_s`` of the current timeline."""
-        if name not in EVENT_TYPES:
-            raise ValueError(f"unknown trace event type {name!r}; add it "
-                             f"to EVENT_TYPES and docs/OBSERVABILITY.md")
-        ts, track = self._place(dur_s)
-        self._emit(TraceEvent(name, ts, dur_s, track,
-                              req=self._req_seq if self._in_request
-                              else None,
-                              lba=lba, nbytes=nbytes, outcome=outcome))
-
-    def instant(self, name: str, lba: Optional[int] = None,
-                outcome: Optional[str] = None) -> None:
-        """A zero-duration marker (cache lookup outcomes and the like)."""
-        self.span(name, 0.0, lba=lba, outcome=outcome)
-
-    def mark(self, name: str, dur_s: float, lba: Optional[int] = None,
-             nbytes: Optional[int] = None,
-             outcome: Optional[str] = None) -> None:
-        """A device-internal span whose time is *already inside* another
-        span's duration (SSD garbage collection inside a program).  Does
-        not advance the timeline and is excluded from breakdowns."""
-        if name not in EVENT_TYPES:
-            raise ValueError(f"unknown trace event type {name!r}; add it "
-                             f"to EVENT_TYPES and docs/OBSERVABILITY.md")
-        ts = self._bg_cursor if self._bg_stack else self.clock.now
-        self._emit(TraceEvent(name, ts, dur_s, TRACK_DEVICE,
-                              req=self._req_seq if self._in_request
-                              else None,
-                              lba=lba, nbytes=nbytes, outcome=outcome))
 
     def device_span(self, device: str, kind: str, dur_s: float,
                     lba: Optional[int] = None, nbytes: Optional[int] = None,
                     outcome: Optional[str] = None) -> None:
         """A device operation; named ``{device}_{kind}`` unless a name
         scope (e.g. the delta log) re-labels it."""
-        if self._name_scopes:
-            name = self._name_scopes[-1]
+        if self._bg_depth:
+            self._bg_jobs.append((device, dur_s))
+            foreground = False
+        elif self._in_request:
+            if dur_s > 0.0:
+                phases = self._phases
+                if phases and phases[-1][0] == device:
+                    phases[-1] = (device, phases[-1][1] + dur_s)
+                else:
+                    phases.append((device, dur_s))
+            foreground = True
         else:
-            name = f"{device}_{kind}"
-        self.span(name, dur_s, lba=lba, nbytes=nbytes, outcome=outcome)
+            foreground = False
+        emitted = self._emitted
+        if emitted is not None:
+            scopes = self._name_scopes
+            emitted.append((foreground, SPAN,
+                            scopes[-1] if scopes else f"{device}_{kind}",
+                            dur_s, lba, nbytes, outcome, device))
+
+    def span(self, name: str, dur_s: float, lba: Optional[int] = None,
+             nbytes: Optional[int] = None,
+             outcome: Optional[str] = None) -> None:
+        """A phase that occupies ``dur_s`` of the current timeline."""
+        if self._emitted is not None:
+            self._emitted.append((self._in_request and not self._bg_depth,
+                                  SPAN, name, dur_s, lba, nbytes, outcome,
+                                  None))
+
+    def instant(self, name: str, lba: Optional[int] = None,
+                outcome: Optional[str] = None) -> None:
+        """A zero-duration marker (cache lookup outcomes and the like)."""
+        if self._emitted is not None:
+            self._emitted.append((self._in_request and not self._bg_depth,
+                                  SPAN, name, 0.0, lba, None, outcome,
+                                  None))
+
+    def mark(self, name: str, dur_s: float, lba: Optional[int] = None,
+             nbytes: Optional[int] = None,
+             outcome: Optional[str] = None) -> None:
+        """A device-internal span whose time is *already inside* another
+        span's duration (SSD garbage collection inside a program): it
+        takes no time of its own and stays out of breakdowns."""
+        if self._emitted is not None:
+            self._emitted.append((self._in_request and not self._bg_depth,
+                                  MARK, name, dur_s, lba, nbytes, outcome,
+                                  None))
 
     # -- background sections ----------------------------------------------
 
     def begin_background(self, name: Optional[str] = None,
                          outcome: Optional[str] = None) -> None:
-        """Enter a section charged off the request critical path.
-
-        Spans emitted until :meth:`end_background` land on the
-        background track; the foreground clock does not move.  A named
-        section additionally emits one enclosing span covering its
-        children.  Sections nest (a scan can trigger a flush).
-        """
-        if not self._bg_stack:
-            # Background work is initiated now but the track may still
-            # be busy with earlier background work; queue behind it so
-            # the track stays non-overlapping and monotonic.
-            self._bg_cursor = max(self.clock.now, self._bg_free_at)
-        self._bg_stack.append((name, self._bg_cursor, outcome))
+        """Enter a section charged off the request critical path, until
+        :meth:`end_background`.  A named section is one enclosing span
+        on the trace.  Sections nest (a scan can trigger a flush)."""
+        self._bg_depth += 1
+        if self._emitted is not None:
+            self._emitted.append((False, BEGIN_BACKGROUND, name, 0.0, None,
+                                  None, outcome, None))
 
     def end_background(self, extra_s: float = 0.0) -> None:
-        """Close the innermost background section.
-
-        ``extra_s`` extends the section by time that had no individual
-        spans (e.g. the similarity scan's CPU comparisons).
-        """
-        if not self._bg_stack:
+        """Close the innermost background section; ``extra_s`` extends
+        it by time that had no spans of its own (the similarity scan's
+        CPU comparisons)."""
+        if self._bg_depth <= 0:
             raise RuntimeError("end_background without begin_background")
-        name, start, outcome = self._bg_stack.pop()
-        self._bg_cursor += extra_s
-        if name is not None:
-            self._emit(TraceEvent(name, start, self._bg_cursor - start,
-                                  TRACK_BACKGROUND,
-                                  req=self._req_seq if self._in_request
-                                  else None,
-                                  outcome=outcome))
-        if not self._bg_stack:
-            self._bg_free_at = self._bg_cursor
+        self._bg_depth -= 1
+        if self._emitted is not None:
+            self._emitted.append((False, END_BACKGROUND, None, extra_s,
+                                  None, None, None, None))
 
     # -- device-span renaming scopes ---------------------------------------
 
     def push_name_scope(self, name: str) -> None:
         """Re-label device spans until :meth:`pop_name_scope` (the delta
         log labels its raw device I/O ``hdd_log_append``/``hdd_log_read``)."""
-        if name not in EVENT_TYPES:
-            raise ValueError(f"unknown trace event type {name!r}")
         self._name_scopes.append(name)
 
     def pop_name_scope(self) -> None:
         self._name_scopes.pop()
+
+
+class RingBufferTracer:
+    """Lays a recorder's kept emissions on a timeline, into a bounded
+    ring of :class:`TraceEvent`\\ s.
+
+    ``capacity_events`` bounds memory (one evicted event bumps
+    :attr:`dropped` per overflow); ``None`` keeps every event.  Each
+    foreground span advances a float cursor by its duration, so request
+    spans tile the busy-time timeline deterministically; background
+    sections queue on their own cursor behind earlier background work.
+    """
+
+    def __init__(self, capacity_events: Optional[int] = 1 << 20) -> None:
+        if capacity_events is not None and capacity_events < 1:
+            raise ValueError(
+                f"capacity must be >= 1 event, got {capacity_events}")
+        self._capacity = capacity_events
+        self.events: Deque[TraceEvent] = deque()
+        self.dropped = 0
+        self._now = 0.0
+        self._req_seq = 0
+        # Open background sections, (name, start, outcome) each; while
+        # any is open, spans land on the background track at
+        # ``_bg_cursor`` instead of advancing ``_now``.
+        self._bg_stack: List[Tuple[Optional[str], float,
+                                   Optional[str]]] = []
+        self._bg_cursor = 0.0
+        self._bg_free_at = 0.0
+
+    def fold(self, emitted: Iterable[tuple], latency_s: float = 0.0,
+             wait_s: float = 0.0) -> None:
+        """Lay kept emissions on the timeline in the order given.
+
+        A ``BEGIN_REQUEST`` among them opens a request — its spans land
+        on the request track, a ``queue`` span of ``wait_s`` first when
+        positive — and the fold closes it with its ``request_start``
+        span of ``latency_s``, whatever slice of which no span covered
+        still advancing the timeline.
+        """
+        events = self.events
+        append = events.append
+        bg_stack = self._bg_stack
+        now, bg_cursor = self._now, self._bg_cursor
+        req = request = None
+        start = 0.0
+        for _fg, op, name, dur, lba, nbytes, outcome, _device in emitted:
+            if op <= MARK:
+                if name not in EVENT_TYPES:
+                    raise ValueError(
+                        f"unknown trace event type {name!r}; add it to "
+                        f"EVENT_TYPES and docs/OBSERVABILITY.md")
+                if op == MARK:
+                    append(TraceEvent(name,
+                                      bg_cursor if bg_stack else now, dur,
+                                      TRACK_DEVICE, req, lba, nbytes,
+                                      outcome))
+                elif bg_stack:
+                    append(TraceEvent(name, bg_cursor, dur,
+                                      TRACK_BACKGROUND, req, lba, nbytes,
+                                      outcome))
+                    bg_cursor += dur
+                else:
+                    append(TraceEvent(name, now, dur,
+                                      TRACK_RUN if req is None
+                                      else TRACK_REQUEST, req, lba,
+                                      nbytes, outcome))
+                    now += dur
+            elif op == BEGIN_BACKGROUND:
+                if not bg_stack:
+                    # Initiated now, queued behind earlier background
+                    # work: the track stays non-overlapping.
+                    bg_cursor = max(now, self._bg_free_at)
+                bg_stack.append((name, bg_cursor, outcome))
+            elif op == END_BACKGROUND:
+                name, section_start, outcome = bg_stack.pop()
+                bg_cursor += dur
+                if name is not None:
+                    append(TraceEvent(name, section_start,
+                                      bg_cursor - section_start,
+                                      TRACK_BACKGROUND, req, None, None,
+                                      outcome))
+                if not bg_stack:
+                    self._bg_free_at = bg_cursor
+            else:                                   # BEGIN_REQUEST
+                self._req_seq += 1
+                req, start = self._req_seq, now
+                request = (name, lba, nbytes, outcome)
+                if wait_s > 0.0:
+                    append(TraceEvent("queue", now, wait_s, TRACK_REQUEST,
+                                      req))
+                    now += wait_s
+        if request is not None:
+            if start + latency_s > now:
+                now = start + latency_s
+            name, lba, nbytes, outcome = request
+            append(TraceEvent(name, start, latency_s, TRACK_REQUEST, req,
+                              lba, nbytes, outcome))
+        self._now, self._bg_cursor = now, bg_cursor
+        if self._capacity is not None:
+            while len(events) > self._capacity:
+                events.popleft()
+                self.dropped += 1
 
 
 # ---------------------------------------------------------------------------

@@ -55,20 +55,20 @@ def _no_ambient_ledger(monkeypatch) -> None:
 
 @pytest.fixture
 def taken(monkeypatch):
-    """Every ``take_request`` result of the test's event-engine runs —
-    ``(request, station phases, spans or None, background jobs)`` — in
-    admission order."""
-    from repro.sim import engine as engine_module
+    """Every ``take_request`` result of the test's recorders — ``(station
+    phases, kept emissions or None, background jobs)`` — in the order
+    taken (admission order on the event engine)."""
+    from repro.sim.trace import Recorder
 
     seen = []
-    original = engine_module._CaptureTracer.take_request
+    original = Recorder.take_request
 
     def spy(self):
         result = original(self)
         seen.append(result)
         return result
 
-    monkeypatch.setattr(engine_module._CaptureTracer, "take_request", spy)
+    monkeypatch.setattr(Recorder, "take_request", spy)
     return seen
 
 

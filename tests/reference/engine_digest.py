@@ -91,7 +91,7 @@ def _engine_run(name: str) -> Dict[str, object]:
     profiler = Profiler() if observed else None
     tracer = RingBufferTracer(None) if observed else None
     engine = EventEngine(system, keep_event_log=True,
-                         downstream_tracer=tracer, profiler=profiler)
+                         tracer=tracer, profiler=profiler)
     injector = None
     if make_plan is not None:
         injector = FaultInjector(make_plan(), system, engine)

@@ -1,0 +1,113 @@
+"""Frozen trace files, folded stacks and attribution rows, byte for byte.
+
+``trace_digest.json`` pins what the observers hand a reader, as they
+were before the ring trace and the profiler became folds over one
+recorder:
+
+* ``tpcc/<system>`` for all five systems and ``specsfs/icash`` — each
+  run twice: on the legacy engine with ``tracer=`` alone, and on the
+  event engine with ``tracer=`` plus ``profiler=``;
+* ``tpcc/icash/overflow`` — a legacy run into a ring too small for it.
+
+Each run pins the sha256 of its ``export_jsonl`` bytes (completeness
+header included), its ``export_chrome_trace`` bytes and its
+``export_folded`` bytes, and both ``phase_breakdown`` renders; an event
+run also pins ``profiler.table.to_rows()``, the overflow case the
+ring's surviving events and its drop count.
+``PYTHONPATH=src:tests python -m reference.trace_digest`` rewrites the
+JSON from whatever tracer is on the path.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+from pathlib import Path
+from typing import Dict
+
+from repro.experiments.runner import run_benchmark
+from repro.experiments.systems import make_system
+from repro.sim.profile import Profiler, export_folded
+from repro.sim.trace import (RingBufferTracer, export_chrome_trace,
+                             export_jsonl, phase_breakdown)
+from repro.workloads import SpecSFSWorkload, TPCCWorkload
+
+DIGEST_PATH = Path(__file__).with_name("trace_digest.json")
+
+SYSTEMS = ("icash", "fusion-io", "raid0", "lru", "dedup")
+
+#: Pin name -> (workload factory, system, ring capacity).
+CASES = {
+    **{f"tpcc/{system}": (
+        lambda: TPCCWorkload(scale=0.1, n_requests=600, seed=2011),
+        system, None) for system in SYSTEMS},
+    "specsfs/icash": (
+        lambda: SpecSFSWorkload(scale=0.1, n_requests=500, seed=2011),
+        "icash", None),
+    "tpcc/icash/overflow": (
+        lambda: TPCCWorkload(scale=0.1, n_requests=300, seed=2011),
+        "icash", 500),
+}
+
+
+def _sha_text(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _sha(value) -> str:
+    return _sha_text(json.dumps(value, sort_keys=True))
+
+
+def _trace_pin(tracer: RingBufferTracer) -> Dict[str, object]:
+    """What a reader of the ring gets: the three files and the
+    breakdowns ``repro trace`` prints."""
+    jsonl, chrome, folded = io.StringIO(), io.StringIO(), io.StringIO()
+    export_jsonl(tracer.events, jsonl, tracer=tracer)
+    export_chrome_trace(tracer.events, chrome, tracer=tracer)
+    export_folded(tracer.events, folded)
+    return {
+        "events": len(tracer.events),
+        "dropped": tracer.dropped,
+        "jsonl_sha256": _sha_text(jsonl.getvalue()),
+        "chrome_sha256": _sha_text(chrome.getvalue()),
+        "folded_sha256": _sha_text(folded.getvalue()),
+        "breakdowns_sha256": _sha_text("\n".join(
+            phase_breakdown(tracer.events, op=op).render()
+            for op in ("read", "write"))),
+    }
+
+
+def case_pin(name: str) -> Dict[str, object]:
+    """Case ``name``'s pin, computed by the tracer on the path."""
+    make_workload, system_name, capacity = CASES[name]
+    workload = make_workload()
+    tracer = RingBufferTracer(capacity)
+    run_benchmark(workload, make_system(system_name, workload),
+                  tracer=tracer)
+    if capacity is not None:
+        return {"legacy": _trace_pin(tracer),
+                "events_sha256": _sha([e.to_dict()
+                                       for e in tracer.events])}
+    workload = make_workload()
+    event_tracer, profiler = RingBufferTracer(None), Profiler()
+    run_benchmark(workload, make_system(system_name, workload),
+                  engine="event", tracer=event_tracer, profiler=profiler)
+    return {"legacy": _trace_pin(tracer),
+            "event": dict(_trace_pin(event_tracer),
+                          attribution_sha256=_sha(
+                              profiler.table.to_rows()))}
+
+
+def frozen() -> Dict[str, Dict[str, object]]:
+    return json.loads(DIGEST_PATH.read_text())
+
+
+def regenerate() -> Dict[str, Dict[str, object]]:
+    """Every pin; writing it to ``DIGEST_PATH`` re-freezes them."""
+    return {name: case_pin(name) for name in CASES}
+
+
+if __name__ == "__main__":
+    DIGEST_PATH.write_text(json.dumps(regenerate(), indent=2,
+                                      sort_keys=True) + "\n")

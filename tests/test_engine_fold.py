@@ -1,10 +1,10 @@
-"""The capture tracer's fold-at-emission against the after-the-fact
+"""The recorder's fold-at-emission against the after-the-fact
 reference, and the host-cost properties of a bare event run.
 
 ``tests/reference/engine.py`` derives a request's station phases from
-its buffered spans, the way the engine did before the tracer folded them
-on the way in.  With a recording tracer downstream the spans exist, so
-both derivations run on the same request and must agree exactly.
+its kept emissions, the way the engine did before the recorder folded
+them on the way in.  With a ring trace attached the emissions are kept,
+so both derivations run on the same request and must agree exactly.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import pytest
 from reference.engine import _phases_of, residual_of
 from repro.experiments.parallel import RunSpec, run_spec
 from repro.experiments.runner import run_benchmark
-from repro.sim import engine as engine_module
 from repro.sim.engine import EventEngine
 from repro.sim.load import default_closed_loop
-from repro.sim.trace import RingBufferTracer
+from repro.sim.profile import Profiler
+from repro.sim.trace import BEGIN_REQUEST, Recorder, RingBufferTracer
 
 SYSTEMS = ("icash", "fusion-io", "raid0", "lru", "dedup")
 WORKLOADS = (("sysbench", 0.25, 600), ("tpcc", 0.25, 600),
@@ -38,15 +38,14 @@ class TestFoldAtEmissionMatchesReference:
         wl = spec.build_workload()
         storage = spec.build_system(wl)
         storage.ingest()
-        sim = EventEngine(storage,
-                          downstream_tracer=RingBufferTracer(None))
+        sim = EventEngine(storage, tracer=RingBufferTracer(None))
         records = sim.run(wl, default_closed_loop(wl))
         assert len(records) == len(taken) == n_requests
-        for record, (_req, phases, entries, _bg) in zip(records, taken):
-            assert entries is not None
+        for record, (phases, emitted, _bg) in zip(records, taken):
+            assert emitted is not None
             # Tuples of (str, float): == is exact on both.
-            assert phases == _phases_of(entries)
-            assert record.residual == residual_of(entries,
+            assert phases == _phases_of(emitted)
+            assert record.residual == residual_of(emitted,
                                                   record.service_s)
 
     def test_zero_length_and_non_device_emissions(self):
@@ -54,24 +53,27 @@ class TestFoldAtEmissionMatchesReference:
         # rule gets emissions made by hand: a skipped span must not
         # split the phase around it, and spans, instants, marks and
         # background work stay out of the phases.
-        capture = engine_module._CaptureTracer(keep_spans=True)
-        capture.begin_request("read", 0, 3)
-        capture.device_span("ssd", "read", 1e-5)
-        capture.device_span("hdd", "read", 0.0)
-        capture.device_span("ssd", "read", 2e-5)
-        capture.span("delta_decode", 3e-6)
-        capture.instant("ram_hit")
-        capture.mark("ssd_gc", 1e-6)
-        capture.begin_background("flush")
-        capture.device_span("hdd", "write", 4e-3)
-        capture.end_background()
-        capture.device_span("hdd", "read", 5e-3)
-        capture.device_span("hdd", "read", -1.0)
-        capture.end_request(5.033e-3)
-        _req, phases, entries, bg = capture.take_request()
-        assert phases == _phases_of(entries) \
+        recorder = Recorder(keep=True)
+        recorder.begin_request("read", 0, 3)
+        recorder.device_span("ssd", "read", 1e-5)
+        recorder.device_span("hdd", "read", 0.0)
+        recorder.device_span("ssd", "read", 2e-5)
+        recorder.span("delta_decode", 3e-6)
+        recorder.instant("cache_lookup")
+        recorder.mark("gc", 1e-6)
+        recorder.begin_background("flush")
+        recorder.device_span("hdd", "write", 4e-3)
+        recorder.end_background()
+        recorder.device_span("hdd", "read", 5e-3)
+        recorder.device_span("hdd", "read", -1.0)
+        phases, emitted, bg = recorder.take_request()
+        assert phases == _phases_of(emitted) \
             == [("ssd", 1e-5 + 2e-5), ("hdd", 5e-3)]
-        assert len(entries) == 8
+        assert [e[2] for e in emitted if e[0]] == [
+            "request_start", "ssd_read", "hdd_read", "ssd_read",
+            "delta_decode", "cache_lookup", "gc", "hdd_read", "hdd_read"]
+        assert [e[2] for e in emitted if not e[0]] == \
+            ["flush", "hdd_write", None]
         assert bg == [("hdd", 4e-3)]
 
     def test_runs_cover_coalescing_multi_phase_and_background(self, taken):
@@ -85,48 +87,56 @@ class TestFoldAtEmissionMatchesReference:
             wl = spec.build_workload()
             run_benchmark(wl, spec.build_system(wl), engine="event",
                           tracer=RingBufferTracer(None))
-        device_spans = [[e for e in entries if e.kind == "device"]
-                        for _req, _phases, entries, _bg in taken]
-        assert any(len([e for e in spans if e.dur > 0.0]) > len(phases)
-                   for spans, (_r, phases, _e, _b)
+        device_spans = [[e for e in emitted if e[0] and e[7] is not None]
+                        for _phases, emitted, _bg in taken]
+        assert any(len([e for e in spans if e[3] > 0.0]) > len(phases)
+                   for spans, (phases, _e, _b)
                    in zip(device_spans, taken))
-        assert any(len(phases) > 1 for _r, phases, _e, _b in taken)
-        assert any(nblocks > 1 for (_op, _lba, nblocks), _p, _e, _b
-                   in taken)
-        assert any(bg for _r, _p, _e, bg in taken)
+        assert any(len(phases) > 1 for phases, _e, _b in taken)
+        # A multi-block request: its BEGIN_REQUEST carries > 4 KB.
+        assert any(e[1] == BEGIN_REQUEST and e[5] > 4096
+                   for _p, emitted, _b in taken for e in emitted)
+        assert any(bg for _p, _e, bg in taken)
 
 
 class TestBareRunBuildsNothingToThrowAway:
     def test_no_spans_and_no_event_labels(self, monkeypatch, taken):
-        spans = []
         labels = []
-
-        class CountingSpan(engine_module._Span):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                spans.append(args)
-                super().__init__(*args)
-
-        monkeypatch.setattr(engine_module, "_Span", CountingSpan)
         monkeypatch.setattr(EventEngine, "_log_event",
                             lambda self, action, label:
                             labels.append(label))
         spec = RunSpec(workload="sysbench", system="icash",
                        engine="event", n_requests=400, scale=0.25)
         assert run_spec(spec).n_requests == 400
-        assert spans == [] and labels == []
-        assert all(entries is None for _r, _p, entries, _b in taken)
-        # The same run with a consumer attached does buffer them.
+        assert labels == []
+        assert len(taken) == 400
+        assert all(emitted is None for _p, emitted, _b in taken)
+        # The same run with a fold attached does keep them.
+        del taken[:]
         wl = spec.build_workload()
         run_benchmark(wl, spec.build_system(wl), engine="event",
                       tracer=RingBufferTracer(None))
-        assert spans
+        assert all(emitted for _p, emitted, _b in taken[:400])
 
 
-#: The files of the engine's own bookkeeping: the event loop and its
-#: capture tracer, the latency statistics and the runner's folds.
-ENGINE_FILES = ("sim/engine.py", "sim/stats.py", "experiments/runner.py")
+#: The files of the engine's own bookkeeping: the event loop, the
+#: recorder and the ring fold, the latency statistics and the runner's
+#: folds.
+ENGINE_FILES = ("sim/engine.py", "sim/stats.py", "experiments/runner.py",
+                "sim/trace.py")
+
+#: What an observed budget row attaches.
+OBSERVERS = {"tracer": RingBufferTracer, "profiler": Profiler}
+
+
+def _run(spec: RunSpec, observer=None):
+    """``run_spec(spec)``, with a fresh ``observer`` attached."""
+    if observer is None:
+        return run_spec(spec)
+    workload = spec.build_workload()
+    return run_benchmark(workload, spec.build_system(workload),
+                         engine=spec.engine, load=spec.build_load(),
+                         **{observer: OBSERVERS[observer]()})
 
 
 def _python_calls(fn) -> Tuple[int, int, int]:
@@ -172,29 +182,36 @@ class TestHostCostBudget:
     #: host cost where a wall-clock gate cannot.  Each budget is 10 %
     #: above what CPython 3.11 measured when it was set:
     #:
-    #: * tpcc / raid0 — 19.9, of which 5.0 in the engine files (39.6 and
-    #:   23.8 while the engine ran a handler frame per event and a
-    #:   helper frame per heap push, route and depth step, and the
-    #:   runner and the queue-wait stats folded request by request; 40.6
-    #:   while a system recorded latencies through a named-class
-    #:   collector; 56.2 while a device operation walked several helper
-    #:   frames and bumped string-keyed counters; 60.5 while it also
-    #:   kept a latency sample nobody read; 90.9 before the capture
-    #:   tracer folded phases at emission);
-    #: * sysbench / icash — 87.3, of which 14.9 in the engine files and
-    #:   6.1 in the codec (121.2 and 47.9 with those engine frames;
-    #:   121.6 while signatures were memoised behind a content-keyed
-    #:   LRU; 127.7 while the controller bumped string-keyed counters;
-    #:   144.0 with those device frames; 145.1 while a virtual block
-    #:   kept its own copy of its reference and dirtiness; 147.7 and 7.6
-    #:   while ingest tallied and encoded block by block);
-    #: * specsfs / icash — 281.0, of which 40.8 in the engine files and
-    #:   25.2 in the codec (316.6 and 75.4 with those engine frames;
-    #:   341.0 with that signature LRU; 349.1 with string-keyed
-    #:   counters; 390.3 with those device frames; 401.2 with those
-    #:   copies; 401.9 and 26.2 block by block; 487.3, and 175.6 on
-    #:   sysbench, while the scan, retirement and reference loops read
-    #:   ``is_*`` / ``has_*`` properties per window block).
+    #: * tpcc / raid0 — 18.9, of which 4.0 in the engine files (19.9 and
+    #:   5.0 while a request was closed by a tracer call of its own; 39.6
+    #:   and 23.8 while the engine ran a handler frame per event and a
+    #:   helper frame per heap push, route and depth step, and the runner
+    #:   and the queue-wait stats folded request by request; 40.6 while a
+    #:   system recorded latencies through a named-class collector; 56.2
+    #:   while a device operation walked several helper frames and bumped
+    #:   string-keyed counters; 60.5 while it also kept a latency sample
+    #:   nobody read; 90.9 before the capture tracer folded phases at
+    #:   emission);
+    #: * sysbench / icash — 84.6, of which 12.2 in the engine files and 6.1
+    #:   in the codec (87.3 and 14.9 with that closing call; 121.2 and 47.9
+    #:   with those engine frames; 121.6 while signatures were memoised
+    #:   behind a content-keyed LRU; 127.7 while the controller bumped
+    #:   string-keyed counters; 144.0 with those device frames; 145.1 while
+    #:   a virtual block kept its own copy of its reference and dirtiness;
+    #:   147.7 and 7.6 while ingest tallied and encoded block by block);
+    #: * specsfs / icash — 276.0, of which 35.7 in the engine files and
+    #:   25.2 in the codec (281.0 and 40.8 with that closing call; 316.6
+    #:   and 75.4 with those engine frames; 341.0 with that signature LRU;
+    #:   349.1 with string-keyed counters; 390.3 with those device frames;
+    #:   401.2 with those copies; 401.9 and 26.2 block by block; 487.3, and
+    #:   175.6 on sysbench, while the scan, retirement and reference loops
+    #:   read ``is_*`` / ``has_*`` properties per window block);
+    #: * sysbench / icash with a ring trace — 94.2, of which 21.8 in the
+    #:   engine files (143.7 and 56.6 while the trace was a second tracer
+    #:   that the engine's capture tracer forwarded to and replayed into,
+    #:   span object by span object);
+    #: * sysbench / icash with a profiler — 95.9, of which 15.8 in the
+    #:   engine files (107.8 and 29.9 with those span objects).
     #:
     #: The icash pair is perfbench's ``oltp_read`` and ``nfs_write`` at
     #: a size tier-1 can afford; they read 257.1 (62.9) and 604.3 (55.8)
@@ -212,34 +229,41 @@ class TestHostCostBudget:
     #: shared (a frozen image plus the blocks written since), so every
     #: whole-image copy a run makes adds 1.0 — the five it used to make
     #: read 4.02 / 4.34 / 5.09.  What is left on icash is the
-    #: controller's own caches, log and SSD records.
+    #: controller's own caches, log and SSD records.  The observed rows
+    #: keep what they record, so they have no memory budget.
+    SYSBENCH = RunSpec(workload="sysbench", system="icash", engine="event",
+                       n_requests=2000, scale=0.25)
     BUDGETS = (
         (RunSpec(workload="tpcc", system="raid0", engine="event",
-                 n_requests=2000, scale=0.5), 21.9, 5.5, 0.0, 0.056),
-        (RunSpec(workload="sysbench", system="icash", engine="event",
-                 n_requests=2000, scale=0.25), 96.0, 16.4, 6.7, 0.61),
+                 n_requests=2000, scale=0.5), None, 20.8, 4.4, 0.0, 0.056),
+        (SYSBENCH, None, 93.0, 13.5, 6.7, 0.61),
         (RunSpec(workload="specsfs", system="icash", engine="event",
                  n_requests=1500, scale=0.25,
                  config_overrides=(("ssd_capacity_blocks", 2048),)),
-         309.1, 44.9, 27.8, 0.95),
+         None, 303.6, 39.3, 27.8, 0.95),
+        (SYSBENCH, "tracer", 103.6, 24.0, 6.7, None),
+        (SYSBENCH, "profiler", 105.5, 17.3, 6.7, None),
     )
 
     def test_calls_per_request_within_budget(self):
         over = []
-        for spec, budget, engine_budget, codec_budget, bytes_budget \
-                in self.BUDGETS:
-            run_spec(spec)  # fill the dataset and request-stream memos
+        for spec, observer, budget, engine_budget, codec_budget, \
+                bytes_budget in self.BUDGETS:
+            # The first run fills the dataset and request-stream memos.
+            _run(spec, observer)
             calls, codec_calls, engine_calls = _python_calls(
-                lambda spec=spec: run_spec(spec))
+                lambda spec=spec, observer=observer: _run(spec, observer))
             for what, count, limit in (
                     ("python", calls, budget),
                     ("engine", engine_calls, engine_budget),
                     ("codec", codec_calls, codec_budget)):
                 if count / spec.n_requests > limit:
                     over.append(
-                        f"{spec.workload}/{spec.system}: "
+                        f"{spec.workload}/{spec.system}/{observer}: "
                         f"{count / spec.n_requests:.1f} {what} calls per "
                         f"request, budget {limit}")
+            if bytes_budget is None:
+                continue
             data_sets = _peak_allocated_bytes(
                 lambda spec=spec: run_spec(spec)) \
                 / spec.build_workload().data_size_bytes

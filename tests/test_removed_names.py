@@ -7,6 +7,7 @@ a second way of counting, and where that fact lives now.  A match means
 the copy came back.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -117,7 +118,22 @@ REMOVED = (
      "nowhere: no verb reads folded stacks back"),
     ("parse_flame_diff", r"parse_flame_diff",
      "nowhere: no verb reads a flame diff back"),
+    # Model code emits into one recorder; the ring trace and the
+    # profiler are folds over what it keeps.
+    ("_CaptureTracer", r"_CaptureTracer",
+     "trace.Recorder, the one implementation of the emission protocol"),
+    ("_Span", r"\b_Span\b",
+     "the recorder's kept emission tuples (trace.SPAN)"),
+    ("downstream_tracer", r"downstream_tracer",
+     "EventEngine(tracer=...), a fold over the engine's recorder"),
+    ("VirtualClock", r"VirtualClock|repro\.sim\.clock",
+     "the float cursor RingBufferTracer.fold advances"),
+    (".downstream.", r"\.downstream\.",
+     "RingBufferTracer.fold over what the recorder kept"),
 )
+
+#: The emission protocol model code calls.
+PROTOCOL = ("device_span", "begin_background", "push_name_scope")
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +153,18 @@ def test_name_stays_removed(sources, row):
             if name.startswith(under[0] if under else "repro/")
             for match in regex.finditer(text)]
     assert not hits, f"{pattern} is back (use {replaced_by}): {hits}"
+
+
+def test_one_class_implements_the_emission_protocol(sources):
+    """A second implementation is how two observers came to disagree."""
+    implementers = {
+        f"{name}:{node.name}"
+        for name, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ClassDef)
+        and {sub.name for sub in node.body
+             if isinstance(sub, ast.FunctionDef)} & set(PROTOCOL)}
+    assert implementers == {"repro/sim/trace.py:Recorder"}
 
 
 def test_patterns_spare_the_records_own_field():

@@ -1,36 +1,8 @@
-"""Unit tests for the virtual clock and the latency statistics."""
+"""Unit tests for the latency statistics."""
 
 import pytest
 
-from repro.sim.clock import VirtualClock
 from repro.sim.stats import LatencyStats
-
-
-class TestVirtualClock:
-    def test_starts_at_zero(self):
-        assert VirtualClock().now == 0.0
-
-    def test_advance_accumulates(self):
-        clock = VirtualClock()
-        clock.advance(1.5)
-        clock.advance(0.5)
-        assert clock.now == pytest.approx(2.0)
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(ValueError):
-            VirtualClock().advance(-0.1)
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            VirtualClock(start=-1.0)
-
-    def test_reset(self):
-        clock = VirtualClock()
-        clock.advance(10)
-        clock.reset()
-        assert clock.now == 0.0
-        clock.reset(3.0)
-        assert clock.now == 3.0
 
 
 class TestLatencyStats:

@@ -133,7 +133,7 @@ class TestEngineBehaviour:
                 assert system.destages > 0
             assert any(r.wait_s > 0 for r in records), name
             assert len(taken) == len(records)
-            for r, (_req, phases, _spans, _bg) in zip(records, taken):
+            for r, (phases, _emitted, _bg) in zip(records, taken):
                 assert r.latency_s == r.wait_s + r.service_s
                 assert r.completion_s >= r.arrival_s
                 assert r.completion_s == pytest.approx(

@@ -22,8 +22,8 @@ from repro.experiments.systems import make_system
 from repro.sim.load import ClosedLoopLoad, OpenLoopLoad
 from repro.sim.profile import (AttributionTable, Profiler, classify_phase,
                                export_folded, fold_stacks)
-from repro.sim.trace import RingBufferTracer
-from repro.workloads import SysBenchWorkload
+from repro.sim.trace import Recorder, RingBufferTracer
+from repro.workloads import SysBenchWorkload, TPCCWorkload
 
 
 def profiled_run(engine: str, n_requests: int = 500, seed: int = 11,
@@ -180,28 +180,24 @@ class TestEngineReconciliation:
         assert total_wait_us == pytest.approx(summary_wait_us, rel=1e-6)
 
     def test_legacy_profiler_keeps_downstream_tracer_intact(self):
-        # The legacy runner interposes the engine's capture tracer,
-        # which forwards background spans immediately but replays a
-        # request's foreground spans at completion — so event *order*
-        # may differ from a directly-attached tracer, while the event
-        # multiset and every per-request breakdown must not.
-        from repro.sim.trace import phase_breakdown
-
-        workload = SysBenchWorkload(scale=0.05, n_requests=300, seed=9)
-        plain_tracer = RingBufferTracer()
-        run_benchmark(workload, make_system("icash", workload),
-                      tracer=plain_tracer)
-        workload = SysBenchWorkload(scale=0.05, n_requests=300, seed=9)
-        both_tracer = RingBufferTracer()
-        run_benchmark(workload, make_system("icash", workload),
-                      tracer=both_tracer, profiler=Profiler())
-        assert sorted((e.name, e.dur) for e in both_tracer.events) == \
-            sorted((e.name, e.dur) for e in plain_tracer.events)
-        for op in ("read", "write"):
-            with_prof = phase_breakdown(both_tracer.events, op=op)
-            without = phase_breakdown(plain_tracer.events, op=op)
-            assert with_prof.phases == pytest.approx(without.phases)
-            assert with_prof.total_s == pytest.approx(without.total_s)
+        # One observer never changes another's output: the ring and
+        # the profiler are both folds over what the recorder keeps, so
+        # a legacy trace is the same event for event — order, ts and
+        # req included — with or without a profiler beside it.
+        for make_workload, system in (
+                (lambda: SysBenchWorkload(scale=0.05, n_requests=300,
+                                          seed=9), "icash"),
+                (lambda: TPCCWorkload(scale=0.1, n_requests=800,
+                                      seed=2011), "lru")):
+            traces = []
+            for profiler in (None, Profiler()):
+                workload = make_workload()
+                tracer = RingBufferTracer()
+                run_benchmark(workload, make_system(system, workload),
+                              tracer=tracer, profiler=profiler)
+                traces.append([e.to_dict() for e in tracer.events])
+            assert any(e["track"] == "background" for e in traces[0])
+            assert traces[1] == traces[0], system
 
     def test_profiler_excludes_warmup(self):
         table, result = profiled_run("event", warmup_fraction=0.5)
@@ -210,16 +206,23 @@ class TestEngineReconciliation:
         assert result.n_measured < result.n_requests
 
 
+def fold_taken(recorder: Recorder, tracer: RingBufferTracer,
+               latency_s: float = 0.0) -> None:
+    """Lay what ``recorder`` kept since its last take on ``tracer``."""
+    tracer.fold(recorder.take_request()[1], latency_s)
+
+
 class TestFoldedStacks:
     def make_tracer(self):
-        tracer = RingBufferTracer()
-        tracer.begin_request("read", 1, 1)
-        tracer.span("ssd_read", 10e-6)
-        tracer.span("delta_decode", 4e-6)
-        tracer.end_request(16e-6)  # 2us uninstrumented residual
-        tracer.begin_background("flush")
-        tracer.span("hdd_log_append", 30e-6)
-        tracer.end_background(extra_s=5e-6)
+        recorder, tracer = Recorder(keep=True), RingBufferTracer()
+        recorder.begin_request("read", 1, 1)
+        recorder.span("ssd_read", 10e-6)
+        recorder.span("delta_decode", 4e-6)
+        fold_taken(recorder, tracer, 16e-6)  # 2us uninstrumented residual
+        recorder.begin_background("flush")
+        recorder.span("hdd_log_append", 30e-6)
+        recorder.end_background(extra_s=5e-6)
+        fold_taken(recorder, tracer)
         return tracer
 
     def test_request_stacks_and_residual(self):
@@ -247,11 +250,12 @@ class TestFoldedStacks:
                                                      - 30e-6)
 
     def test_queue_spans_pool_under_queue_wait(self):
-        tracer = RingBufferTracer()
-        tracer.begin_request("read", 1, 1)
-        tracer.span("queue", 5e-6)
-        tracer.span("ssd_read", 10e-6)
-        tracer.end_request(15e-6)
+        recorder, tracer = Recorder(keep=True), RingBufferTracer()
+        recorder.begin_request("read", 1, 1)
+        recorder.span("ssd_read", 10e-6)
+        tracer.fold(recorder.take_request()[1], 15e-6, wait_s=5e-6)
+        assert [e.name for e in tracer.events] == \
+            ["queue", "ssd_read", "request_start"]
         stacks = fold_stacks(tracer.events)
         assert stacks["read;queue;wait"] == pytest.approx(5e-6)
         assert stacks["read;ssd;read"] == pytest.approx(10e-6)
@@ -266,10 +270,10 @@ class TestFoldedStacks:
             assert key and int(value) >= 1
 
     def test_submicrosecond_stacks_dropped(self):
-        tracer = RingBufferTracer()
-        tracer.begin_request("read", 1, 1)
-        tracer.span("ssd_read", 4e-7)
-        tracer.end_request(4e-7)
+        recorder, tracer = Recorder(keep=True), RingBufferTracer()
+        recorder.begin_request("read", 1, 1)
+        recorder.span("ssd_read", 4e-7)
+        fold_taken(recorder, tracer, 4e-7)
         handle = io.StringIO()
         assert export_folded(tracer.events, handle) == 0
 
@@ -399,13 +403,13 @@ class TestCLI:
         # mean, and the consistency check has to say so.
         from repro.cli import main
 
-        record_request = Profiler.record_request
+        record_request = AttributionTable.record_request
 
         def over_cover(self, op, items, latency_s):
             record_request(self, op,
                            [*items, ("hdd", "write", 1e-3)], latency_s)
 
-        monkeypatch.setattr(Profiler, "record_request", over_cover)
+        monkeypatch.setattr(AttributionTable, "record_request", over_cover)
         code = main(["critpath", "--workload", "sysbench",
                      "--requests", "300", "--engine", "event"])
         out = capsys.readouterr().out

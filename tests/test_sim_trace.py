@@ -22,8 +22,9 @@ from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import make_system
 from repro.sim.request import BLOCK_SIZE, IORequest, OpType
 from repro.sim.trace import (_CHROME_TIDS, EVENT_TYPES, TRACK_BACKGROUND,
-                             TRACK_REQUEST, TRACK_RUN, RingBufferTracer,
-                             TraceEvent, export_chrome_trace, export_jsonl,
+                             TRACK_REQUEST, TRACK_RUN, Recorder,
+                             RingBufferTracer, TraceEvent,
+                             export_chrome_trace, export_jsonl,
                              phase_breakdown)
 from repro.workloads import SysBenchWorkload, TPCCWorkload
 
@@ -70,6 +71,20 @@ def chrome_events(path) -> list:
     return [r for r in payload["traceEvents"] if r["ph"] in ("X", "i")]
 
 
+def fold_taken(recorder: Recorder, tracer: RingBufferTracer,
+               latency_s: float = 0.0) -> None:
+    """Lay what ``recorder`` kept since its last take on ``tracer``,
+    closing the request (if one began) at ``latency_s``."""
+    tracer.fold(recorder.take_request()[1], latency_s)
+
+
+def traced_controller(controller):
+    """``controller`` recording into a fresh recorder, and a ring."""
+    recorder = Recorder(keep=True)
+    controller.set_tracer(recorder)
+    return recorder, RingBufferTracer()
+
+
 def traced_benchmark(n_requests: int = 600):
     """One small SysBench run on I-CASH under a recording tracer."""
     workload = SysBenchWorkload(n_requests=n_requests)
@@ -92,11 +107,10 @@ class TestNullTracer:
     def test_set_tracer_none_detaches_mid_run(self):
         controller = ICASHController(family_dataset(), small_config())
         controller.ingest()
-        tracer = RingBufferTracer()
-        controller.set_tracer(tracer)
+        recorder = Recorder(keep=True)
+        controller.set_tracer(recorder)
         controller.process_read(IORequest(op=OpType.READ, lba=5))
-        recorded = len(tracer.events)
-        assert recorded > 0
+        assert recorder.take_request()[1]
         controller.set_tracer(None)
         assert controller.tracer is None
         assert all(device.tracer is None for device in controller.devices())
@@ -107,14 +121,16 @@ class TestNullTracer:
             controller.process_write(
                 IORequest(op=OpType.WRITE, lba=lba, payload=[block]))
         assert controller.background_time > 0.0
-        assert len(tracer.events) == recorded
+        assert recorder.take_request()[1] == []
 
 
 class TestRingBuffer:
     def test_eviction_keeps_newest_and_counts_dropped(self):
+        recorder = Recorder(keep=True)
         tracer = RingBufferTracer(capacity_events=4)
         for i in range(10):
-            tracer.span("ssd_read", 1e-6, lba=i)
+            recorder.span("ssd_read", 1e-6, lba=i)
+        fold_taken(recorder, tracer)
         assert len(tracer.events) == 4
         assert tracer.dropped == 6
         assert [e.lba for e in tracer.events] == [6, 7, 8, 9]
@@ -124,34 +140,61 @@ class TestRingBuffer:
             RingBufferTracer(capacity_events=0)
 
     def test_unbounded_keeps_everything(self):
+        recorder = Recorder(keep=True)
         tracer = RingBufferTracer(capacity_events=None)
         for _i in range(1000):
-            tracer.span("ssd_read", 1e-6)
+            recorder.span("ssd_read", 1e-6)
+        fold_taken(recorder, tracer)
         assert len(tracer.events) == 1000
         assert tracer.dropped == 0
 
     def test_unknown_event_names_rejected(self):
-        tracer = RingBufferTracer()
-        with pytest.raises(ValueError):
-            tracer.span("made_up_event", 1e-6)
-        with pytest.raises(ValueError):
-            tracer.mark("made_up_event", 1e-6)
-        with pytest.raises(ValueError):
-            tracer.push_name_scope("made_up_event")
+        recorder = Recorder(keep=True)
+        for emit in (lambda: recorder.span("made_up_event", 1e-6),
+                     lambda: recorder.mark("made_up_event", 1e-6),
+                     lambda: (recorder.push_name_scope("made_up_event"),
+                              recorder.device_span("hdd", "write", 1e-6),
+                              recorder.pop_name_scope())):
+            emit()
+            with pytest.raises(ValueError):
+                fold_taken(recorder, RingBufferTracer())
 
     def test_request_nesting_guarded(self):
-        tracer = RingBufferTracer()
+        recorder = Recorder()
+        recorder.begin_request("read", 0, 1)
         with pytest.raises(RuntimeError):
-            tracer.end_request(1e-6)
-        tracer.begin_request("read", 0, 1)
+            recorder.begin_request("read", 1, 1)
+        recorder.take_request()           # a take closes the request
+        recorder.begin_request("read", 1, 1)
         with pytest.raises(RuntimeError):
-            tracer.begin_request("read", 1, 1)
-        tracer.end_request(1e-6)
-        with pytest.raises(RuntimeError):
-            tracer.end_background()
+            recorder.end_background()
 
 
 class TestTimeline:
+    def test_timeline_starts_at_zero(self):
+        recorder, tracer = Recorder(keep=True), RingBufferTracer()
+        recorder.begin_request("read", 0, 1)
+        recorder.span("ssd_read", 1.5)
+        fold_taken(recorder, tracer, 1.5)
+        assert [(e.name, e.ts) for e in tracer.events] == \
+            [("ssd_read", 0.0), ("request_start", 0.0)]
+
+    def test_spans_advance_the_cursor(self):
+        # Spans lay end to end; a request's uncovered latency still
+        # moves the cursor, so the next request starts after it ends.
+        recorder, tracer = Recorder(keep=True), RingBufferTracer()
+        recorder.begin_request("read", 0, 1)
+        recorder.span("ssd_read", 1.5)
+        recorder.span("delta_decode", 0.5)
+        fold_taken(recorder, tracer, 3.0)
+        recorder.begin_request("write", 1, 1)
+        recorder.span("ssd_write", 1.0)
+        fold_taken(recorder, tracer, 1.0)
+        assert [(e.name, e.ts) for e in tracer.events] == [
+            ("ssd_read", 0.0), ("delta_decode", 1.5),
+            ("request_start", 0.0), ("ssd_write", 3.0),
+            ("request_start", 3.0)]
+
     def test_request_spans_tile_monotonically(self):
         tracer, _, _ = traced_benchmark()
         requests = [e for e in tracer.events
@@ -250,10 +293,10 @@ class TestControllerIntegration:
         assert snapshot, "family dataset must produce delta mappings"
         lba = min(lba for lba, (ref, _slot) in snapshot.items()
                   if ref != lba)
-        tracer = RingBufferTracer()
-        controller.set_tracer(tracer)
+        recorder, tracer = traced_controller(controller)
         latency, (content,) = controller.process_read(
             IORequest(op=OpType.READ, lba=lba))
+        fold_taken(recorder, tracer, latency)
         assert np.array_equal(content, controller.backing.get(lba))
         names = [e.name for e in tracer.events]
         assert "request_start" in names
@@ -278,10 +321,10 @@ class TestControllerIntegration:
         vb = controller.cache.get(lba, touch=False)
         if vb is not None and vb.has_delta:
             controller.cache.drop_delta(vb)
-        tracer = RingBufferTracer()
-        controller.set_tracer(tracer)
+        recorder, tracer = traced_controller(controller)
         latency, (content,) = controller.process_read(
             IORequest(op=OpType.READ, lba=lba))
+        fold_taken(recorder, tracer, latency)
         assert np.array_equal(content, controller.backing.get(lba))
         names = {e.name for e in tracer.events}
         assert "hdd_log_read" in names
@@ -291,8 +334,7 @@ class TestControllerIntegration:
     def test_flush_appends_are_relabelled(self):
         controller = ICASHController(family_dataset(), small_config())
         controller.ingest()
-        tracer = RingBufferTracer()
-        controller.set_tracer(tracer)
+        recorder, tracer = traced_controller(controller)
         rng = np.random.default_rng(11)
         snapshot = controller.delta_map_snapshot()
         lba = next(lba for lba, (ref, _s) in snapshot.items()
@@ -301,6 +343,7 @@ class TestControllerIntegration:
         base[:8] = rng.integers(0, 256, 8, dtype=np.uint8)
         controller.write(lba, [base])
         controller.flush()
+        fold_taken(recorder, tracer)
         names = {e.name for e in tracer.events}
         assert "hdd_log_append" in names
         assert "hdd_write" not in \
@@ -311,16 +354,17 @@ class TestControllerIntegration:
 
 class TestExporters:
     def make_events(self):
-        tracer = RingBufferTracer()
-        tracer.begin_request("read", 7, 2)
-        tracer.instant("cache_lookup", lba=7, outcome="associate")
-        tracer.span("ssd_read", 150e-6, lba=7, nbytes=4096,
-                    outcome="pipelined")
-        tracer.span("delta_decode", 10e-6)
-        tracer.end_request(160e-6)
-        tracer.begin_background("flush", outcome="deltas")
-        tracer.span("hdd_log_append", 2e-3, lba=0, nbytes=8192)
-        tracer.end_background()
+        recorder, tracer = Recorder(keep=True), RingBufferTracer()
+        recorder.begin_request("read", 7, 2)
+        recorder.instant("cache_lookup", lba=7, outcome="associate")
+        recorder.span("ssd_read", 150e-6, lba=7, nbytes=4096,
+                      outcome="pipelined")
+        recorder.span("delta_decode", 10e-6)
+        fold_taken(recorder, tracer, 160e-6)
+        recorder.begin_background("flush", outcome="deltas")
+        recorder.span("hdd_log_append", 2e-3, lba=0, nbytes=8192)
+        recorder.end_background()
+        fold_taken(recorder, tracer)
         return list(tracer.events)
 
     def test_jsonl_round_trip(self, tmp_path):
@@ -414,6 +458,42 @@ class TestCLI:
         events = jsonl_lines(out)
         assert any(e.get("name") == "request_start" for e in events)
 
+    def test_trace_mismatch_exits_nonzero(self, tmp_path, monkeypatch,
+                                          capsys):
+        # A complete trace whose read breakdown disagrees with the
+        # run's statistics fails the consistency check, and says so.
+        from repro.cli import main
+        from repro.sim import trace as trace_module
+
+        breakdown = trace_module.phase_breakdown
+
+        def skewed(events, op="read"):
+            result = breakdown(events, op=op)
+            result.total_s *= 1.001
+            return result
+
+        monkeypatch.setattr(trace_module, "phase_breakdown", skewed)
+        code = main(["trace", "--workload", "sysbench", "--requests",
+                     "300", "--out", str(tmp_path / "trace.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "consistency:" in captured.out
+        assert "disagrees" in captured.err
+
+    def test_trace_dropped_events_skip_the_judgement(self, tmp_path,
+                                                     capsys):
+        # An overflowed ring covers only the tail: its mean differs
+        # from the run's, and the warning names the drop instead.
+        from repro.cli import main
+
+        code = main(["trace", "--workload", "specsfs", "--requests",
+                     "600", "--buffer", "500",
+                     "--out", str(tmp_path / "trace.json")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "ring buffer overflowed" in captured.err
+        assert "disagrees" not in captured.err
+
 
 class TestPhaseBreakdownEdgeCases:
     """Satellite of the profiler PR: the attribution math depends on
@@ -477,8 +557,9 @@ class TestPhaseBreakdownEdgeCases:
         assert "hdd_read" not in breakdown.phases
 
     def test_children_may_arrive_before_their_request_event(self):
-        # The capture tracer replays child spans before emitting the
-        # enclosing request_start; order in the buffer must not matter.
+        # The ring lays child spans before the enclosing request_start,
+        # which it can only lay once it knows the latency; order in the
+        # buffer must not matter.
         events = [
             self.child(1, "ssd_read", 0.0, 10e-6),
             self.request(1, "read", 0.0, 10e-6),
@@ -491,11 +572,12 @@ class TestExporterCompleteness:
     """Satellite: exported traces carry their own drop accounting."""
 
     def overflowed_tracer(self):
+        recorder = Recorder(keep=True)
         tracer = RingBufferTracer(capacity_events=4)
         for lba in range(6):
-            tracer.begin_request("read", lba, 1)
-            tracer.span("ssd_read", 10e-6)
-            tracer.end_request(10e-6)
+            recorder.begin_request("read", lba, 1)
+            recorder.span("ssd_read", 10e-6)
+            fold_taken(recorder, tracer, 10e-6)
         return tracer
 
     def test_jsonl_header_round_trip(self, tmp_path):
@@ -533,10 +615,10 @@ class TestExporterCompleteness:
         assert len(chrome_events(path)) == len(tracer.events)
 
     def test_complete_trace_flagged_complete(self, tmp_path):
-        tracer = RingBufferTracer()
-        tracer.begin_request("read", 1, 1)
-        tracer.span("ssd_read", 10e-6)
-        tracer.end_request(10e-6)
+        recorder, tracer = Recorder(keep=True), RingBufferTracer()
+        recorder.begin_request("read", 1, 1)
+        recorder.span("ssd_read", 10e-6)
+        fold_taken(recorder, tracer, 10e-6)
         path = str(tmp_path / "trace.json")
         export_chrome_trace(tracer.events, path, tracer=tracer)
         payload = json.loads(Path(path).read_text())
