@@ -1,10 +1,9 @@
 """Differential diagnosis of two runs (``repro explain``).
 
-Takes two runs — ledger rows or bench case records — and produces a
-ranked root-cause report: noise-aware scalar and attribution diffs
-and a suspect ranking built from provenance deltas.  See
-docs/OBSERVABILITY.md ("Explaining a delta") and the "debugging a
-regression" walkthrough.
+Takes two runs — two ledger rows — and produces a ranked root-cause
+report: noise-aware scalar and attribution diffs and a suspect ranking
+built from provenance deltas.  See docs/OBSERVABILITY.md ("Explaining
+a delta") and the "debugging a regression" walkthrough.
 """
 
 from repro.analysis.explain.attribution import (AttributionDelta,
@@ -13,20 +12,18 @@ from repro.analysis.explain.attribution import (AttributionDelta,
                                                 flame_diff_stacks,
                                                 significant_attribution)
 from repro.analysis.explain.report import (ExplainReport, explain,
-                                           explain_bench_cases,
                                            explain_ledger_rows)
 from repro.analysis.explain.scalars import (ScalarDelta, diff_scalars,
                                             significant_scalars)
 from repro.analysis.explain.suspects import (SUSPECT_SCORES, Suspect,
                                              rank_suspects)
-from repro.analysis.explain.views import (RunView, view_from_bench_case,
-                                          view_from_ledger_row)
+from repro.analysis.explain.views import RunView, view_from_ledger_row
 
 __all__ = [
     "AttributionDelta", "ExplainReport", "RunView", "ScalarDelta",
     "SUSPECT_SCORES", "Suspect", "diff_attribution", "diff_scalars",
-    "explain", "explain_bench_cases", "explain_ledger_rows",
+    "explain", "explain_ledger_rows",
     "export_flame_diff", "flame_diff_stacks", "rank_suspects",
     "significant_attribution", "significant_scalars",
-    "view_from_bench_case", "view_from_ledger_row",
+    "view_from_ledger_row",
 ]

@@ -1,13 +1,12 @@
 """Attribution diff: which ``(device, phase)`` pairs moved, and the
 flame-diff export that makes the movement visual.
 
-Rows come from :meth:`repro.sim.profile.AttributionTable.to_rows` (live
-and bench views carry the full table; ledger views the heaviest
-:data:`repro.ledger.TOP_ATTRIBUTION_ROWS` per class).  Significance is
-noise-aware: a row's mean contribution must move by more than the
-bench harness's :func:`~repro.experiments.bench.tolerance` for the
-class's mean-latency metric, with ``sem`` the larger recorded standard
-error of the two runs, and by at least :data:`EPSILON_US` — so an
+Rows come from :meth:`repro.sim.profile.AttributionTable.to_rows` (a
+ledger row keeps the heaviest :data:`repro.ledger.TOP_ATTRIBUTION_ROWS`
+per class).  Significance is noise-aware: a row's mean contribution
+must move by more than :func:`repro.ledger.tolerance` for the class's
+mean-latency metric, with ``sem`` the larger recorded standard error
+of the two runs, and by at least :data:`EPSILON_US` — so an
 interleaving-level wobble never becomes "evidence".
 
 The flame-diff exporter writes ``op;device;phase count_a count_b``
@@ -23,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, TextIO, Tuple, Union
 
 from repro.analysis.explain.views import RunView, larger_sem
+from repro.ledger import tolerance
 
 #: Rows below this mean contribution (µs) never count as significant on
 #: their own — they round to zero in the flame export anyway.
@@ -82,8 +82,6 @@ def diff_attribution(view_a: RunView,
                      view_b: RunView) -> List[AttributionDelta]:
     """Every row either run carries, compared; sorted by absolute mean
     movement (then key, for byte-determinism on ties)."""
-    from repro.experiments.bench import tolerance
-
     rows_a = _indexed(view_a)
     rows_b = _indexed(view_b)
     deltas: List[AttributionDelta] = []

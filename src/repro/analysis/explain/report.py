@@ -3,26 +3,24 @@
 :func:`explain` takes two :class:`~repro.analysis.explain.views.
 RunView`\\ s and produces an :class:`ExplainReport` bundling the two
 diagnosis components — scalar diff and attribution diff — plus the
-ranked suspect list.  The convenience constructors
-(:func:`explain_ledger_rows`, :func:`explain_bench_cases`) adapt each
-input shape; :meth:`ExplainReport.render` is byte-deterministic for fixed
-inputs and :meth:`ExplainReport.to_json` is the machine form CI and
-tooling consume.
+ranked suspect list.  :func:`explain_ledger_rows` adapts two ledger
+rows; :meth:`ExplainReport.render` is byte-deterministic for fixed
+inputs and :meth:`ExplainReport.to_json` is the machine form tooling
+consumes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.explain.attribution import (
     AttributionDelta, diff_attribution, significant_attribution)
 from repro.analysis.explain.scalars import (ScalarDelta, diff_scalars,
                                             significant_scalars)
 from repro.analysis.explain.suspects import Suspect, rank_suspects
-from repro.analysis.explain.views import (RunView, view_from_bench_case,
-                                          view_from_ledger_row)
+from repro.analysis.explain.views import RunView, view_from_ledger_row
 
 #: Rows shown per section in the rendered report (the full lists live
 #: in the JSON form).
@@ -52,8 +50,8 @@ class ExplainReport:
         """The deterministic human-readable report."""
         sig_scalars = significant_scalars(self.scalar_deltas)
         sig_attr = significant_attribution(self.attribution_deltas)
-        lines = [f"explain: {self.view_a.label} ({self.view_a.source})"
-                 f" vs {self.view_b.label} ({self.view_b.source})",
+        lines = [f"explain: {self.view_a.label} (ledger)"
+                 f" vs {self.view_b.label} (ledger)",
                  ""]
         if not self.significant:
             lines.append("no significant deltas: every metric and "
@@ -94,10 +92,8 @@ class ExplainReport:
     def to_json(self) -> Dict[str, object]:
         """JSON-ready document (sorted keys when dumped; stable)."""
         return {
-            "a": {"label": self.view_a.label,
-                  "source": self.view_a.source},
-            "b": {"label": self.view_b.label,
-                  "source": self.view_b.source},
+            "a": {"label": self.view_a.label, "source": "ledger"},
+            "b": {"label": self.view_b.label, "source": "ledger"},
             "significant": self.significant,
             "suspects": [
                 {"cause": s.cause, "score": s.score,
@@ -122,9 +118,6 @@ class ExplainReport:
     def render_json(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2)
 
-    def top_suspects(self, n: int = 3) -> List[Suspect]:
-        return self.suspects[:n]
-
 
 def explain(view_a: RunView, view_b: RunView) -> ExplainReport:
     """Run the full differential diagnosis over two normalised views."""
@@ -147,13 +140,4 @@ def explain_ledger_rows(row_a, row_b) -> ExplainReport:
     """Diagnose two :class:`repro.ledger.LedgerRow` snapshots."""
     return explain(view_from_ledger_row(row_a),
                    view_from_ledger_row(row_b))
-
-
-def explain_bench_cases(case_a: Dict[str, object],
-                        case_b: Dict[str, object],
-                        label_a: Optional[str] = None,
-                        label_b: Optional[str] = None) -> ExplainReport:
-    """Diagnose two ``BENCH_<n>.json`` case records (baseline first)."""
-    return explain(view_from_bench_case(case_a, label=label_a),
-                   view_from_bench_case(case_b, label=label_b))
 

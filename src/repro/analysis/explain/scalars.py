@@ -1,10 +1,9 @@
 """Scalar metric diff with METRIC_POLICY noise-aware significance.
 
-The bench gate's own :func:`~repro.experiments.bench.tolerance`
-applied to every scalar and counter the two views share, with the
-larger of the two runs' standard errors — so ``repro explain`` and
-``repro bench --compare`` never disagree about whether a number
-"really" moved.
+The ledger's :func:`~repro.ledger.tolerance` applied to every scalar
+and counter the two views share, with the larger of the two runs'
+standard errors — so ``repro explain`` and ``repro ledger trend``'s
+anomaly floor never disagree about whether a number "really" moved.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.analysis.explain.views import RunView, larger_sem
+from repro.ledger import METRIC_POLICY, tolerance
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,6 @@ def diff_scalars(view_a: RunView,
                  view_b: RunView) -> List[ScalarDelta]:
     """Every metric either view carries, compared; sorted by absolute
     relative movement (missing-on-one-side first, then by name)."""
-    from repro.experiments.bench import METRIC_POLICY, tolerance
-
     flat_a, flat_b = _flat(view_a), _flat(view_b)
     deltas: List[ScalarDelta] = []
     for metric in sorted(set(flat_a) | set(flat_b)):

@@ -1,21 +1,18 @@
-"""Normalised run views: one shape for every comparable artefact.
+"""Normalised run views: a ledger row in the shape the diffs read.
 
-The explain engine diffs *runs*, but a run reaches it in two forms: a
-:class:`repro.ledger.LedgerRow` (curated metric snapshot plus full
-provenance) or one case record of a ``BENCH_<n>.json`` document (full
-attribution table, no provenance beyond the recipe fields).
-
-:class:`RunView` is the common denominator.  Every field is either
-populated from the source artefact or empty, and each diff component
-(:mod:`.attribution`, :mod:`.suspects`) degrades gracefully when its
-input is absent — a ledger-row pair gets the heaviest attribution rows
-and provenance suspects, a bench pair the full attribution table.
+The explain engine diffs *runs*, each a :class:`repro.ledger.LedgerRow`
+(curated metric snapshot plus full provenance).  :class:`RunView` holds
+what the diff components (:mod:`.scalars`, :mod:`.attribution`,
+:mod:`.suspects`) read; each degrades gracefully when its input is
+empty — a row of an unprofiled run carries no attribution rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+from repro.ledger import noise_sem
 
 
 @dataclass
@@ -27,12 +24,9 @@ class RunView:
     for the statistical part of significance tolerances;
     ``attribution`` holds JSON-ready ``(op, device, phase)`` rows in
     the :meth:`repro.sim.profile.AttributionTable.to_rows` shape.
-    ``spec``/``provenance`` are present for ledger rows (and partially
-    for bench cases).
     """
 
     label: str
-    source: str  # "ledger" | "bench"
     scalars: Dict[str, float] = field(default_factory=dict)
     counters: Dict[str, float] = field(default_factory=dict)
     noise: Dict[str, Dict[str, float]] = field(default_factory=dict)
@@ -46,8 +40,6 @@ def larger_sem(view_a: RunView, view_b: RunView,
                op: Optional[str]) -> Optional[float]:
     """The larger standard error of request class ``op``'s mean latency
     (µs) over the two runs; None when neither recorded one."""
-    from repro.experiments.bench import noise_sem
-
     sems = [sem for sem in (noise_sem(view_a.noise.get(op)),
                             noise_sem(view_b.noise.get(op)))
             if sem is not None]
@@ -63,7 +55,6 @@ def view_from_ledger_row(row) -> RunView:
                 in metrics.get("counters", {}).items()}
     return RunView(
         label=f"#{row.seq} {row.run_id}",
-        source="ledger",
         scalars=scalars,
         counters=counters,
         noise=dict(metrics.get("noise", {}) or {}),
@@ -71,24 +62,5 @@ def view_from_ledger_row(row) -> RunView:
         spec=dict(row.spec or {}),
         provenance=dict(row.provenance or {}),
         slo_breaches=int(metrics.get("slo", {}).get("breaches", 0)),
-    )
-
-
-def view_from_bench_case(case: Dict[str, object],
-                         label: Optional[str] = None) -> RunView:
-    """Adapt one case record of a ``BENCH_<n>.json`` document."""
-    spec = {key: case.get(key) for key in
-            ("workload", "system", "engine", "seed", "n_requests",
-             "scale")}
-    return RunView(
-        label=label or str(case.get("case")),
-        source="bench",
-        scalars={name: float(value) for name, value
-                 in case.get("metrics", {}).items()},
-        counters={},
-        noise=dict(case.get("noise", {}) or {}),
-        attribution=list(case.get("attribution", []) or []),
-        spec=spec,
-        provenance={},
     )
 

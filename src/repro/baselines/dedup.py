@@ -186,9 +186,3 @@ class DedupCacheStorage(StorageSystem):
         self.flush_destages += len(self._dirty)
         self._dirty.clear()
         return latency
-
-    @property
-    def dedup_ratio(self) -> float:
-        """Logical cached blocks per physical SSD copy (>= 1)."""
-        physical = len(self._chunks)
-        return len(self._lba_hash) / physical if physical else 1.0

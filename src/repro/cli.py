@@ -34,7 +34,6 @@ COMMAND_DOCS = {
     "monitor": "docs/OBSERVABILITY.md",
     "loadtest": "docs/ARCHITECTURE.md",
     "critpath": "docs/OBSERVABILITY.md",
-    "bench": "docs/OBSERVABILITY.md",
     "chaos": "docs/RELIABILITY.md",
     "ledger": "docs/LEDGER.md",
     "explain": "docs/OBSERVABILITY.md",
@@ -229,37 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                "document on stdout (machine-readable "
                                "form for tooling and CI)")
 
-    bench = sub.add_parser(
-        "bench", help="run the canonical benchmark suite, write a "
-                      "schema-versioned BENCH_<n>.json and optionally "
-                      "compare against a baseline "
-                      "(see docs/OBSERVABILITY.md)")
-    bench.add_argument("--quick", action="store_true",
-                       help="smoke suite (SysBench x both engines) "
-                            "instead of the full per-family suite")
-    bench.add_argument("--out-dir", default=".",
-                       help="directory receiving the next free "
-                            "BENCH_<n>.json")
-    bench.add_argument("--compare", default=None, metavar="BASELINE",
-                       help="compare the fresh run against this "
-                            "BENCH_*.json; exit 1 on regression")
-    bench.add_argument("--against", default=None, metavar="CURRENT",
-                       help="with --compare: skip running; compare "
-                            "CURRENT against BASELINE instead")
-    bench.add_argument("--verbose", action="store_true",
-                       help="show every compared metric, not just "
-                            "regressions")
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="worker processes, one suite case each "
-                            "(every compared field is identical at any "
-                            "job count)")
-    bench.add_argument("--seed", type=int, default=None,
-                       help="override every case's fixed seed — for "
-                            "seed-sensitivity probes feeding 'repro "
-                            "ledger diff', not for --compare against "
-                            "the committed baseline")
-    _add_no_ledger(bench)
-
     chaos = sub.add_parser(
         "chaos", help="run the fault-injection scenario matrix against "
                       "the I-CASH element and judge every cell against "
@@ -346,21 +314,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "explain", help="differential diagnosis of two runs: noise-"
                         "aware metric and attribution diffs, a ranked "
                         "root-cause suspect list, and a flame-diff "
-                        "export; inputs are two ledger refs or two "
-                        "BENCH_*.json files "
+                        "export; inputs are two ledger refs "
                         f"(see {COMMAND_DOCS['explain']})")
-    explain.add_argument("a", help="baseline: a ledger seq/run-id "
-                                   "prefix, or a BENCH_*.json path")
-    explain.add_argument("b", help="candidate: a ledger seq/run-id "
-                                   "prefix, or a BENCH_*.json path")
-    explain.add_argument("--case", default=None,
-                         help="with two BENCH files: which suite case "
-                              "to diagnose (default: the single shared "
-                              "case, error when ambiguous)")
+    explain.add_argument("a", help="baseline: a ledger seq/run-id prefix")
+    explain.add_argument("b", help="candidate: a ledger seq/run-id prefix")
     explain.add_argument("--dir", default=None,
-                         help="ledger directory for ref inputs "
-                              "(default: REPRO_LEDGER_DIR or "
-                              ".repro-ledger)")
+                         help="ledger directory (default: "
+                              "REPRO_LEDGER_DIR or .repro-ledger)")
     explain.add_argument("--json", action="store_true",
                          help="emit the machine-readable report "
                               "instead of the rendered text")
@@ -757,81 +717,6 @@ def _cmd_critpath(workload_name: str, system_name: str, requests: int,
     return 0 if consistent else 1
 
 
-def _cmd_bench(quick: bool, out_dir: str, compare_path: Optional[str],
-               against: Optional[str], verbose: bool,
-               jobs: int = 1, ledger=None,
-               seed: Optional[int] = None) -> int:
-    from repro.experiments import bench
-
-    if against is not None and compare_path is None:
-        print("--against requires --compare BASELINE", file=sys.stderr)
-        return 2
-
-    # Both documents load before anything runs: a bad path fails in
-    # a second, not after the suite.
-    try:
-        baseline = (bench.load_bench(compare_path)
-                    if compare_path is not None else None)
-        current = (bench.load_bench(against)
-                   if against is not None else None)
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
-    if current is not None:
-        print(f"comparing {against} against {compare_path}")
-    else:
-        suite = "quick" if quick else "full"
-        workers = f" ({jobs} jobs)" if jobs > 1 else ""
-        print(f"running {suite} suite{workers}...")
-        current = bench.run_suite(
-            quick=quick, jobs=jobs, ledger=ledger, seed=seed,
-            progress=lambda spec: print(f"  {bench.case_name(spec)}"))
-        path = bench.write_bench(current, out_dir)
-        print(f"wrote {path} (schema v{current['schema_version']}, "
-              f"{len(current['cases'])} cases)")
-        _ledger_note(ledger)
-
-    if baseline is None:
-        return 0
-    deltas = bench.compare(baseline, current)
-    print()
-    print(bench.render_compare(deltas, verbose=verbose))
-    regressed = bench.regressions(deltas)
-    if regressed:
-        _emit_explain_reports(baseline, current, regressed, out_dir)
-    return 1 if regressed else 0
-
-
-def _emit_explain_reports(baseline, current, regressed,
-                          out_dir: str) -> None:
-    """One differential-diagnosis report per regressed bench case.
-
-    Written as ``EXPLAIN_<case>.txt``/``.json`` next to the BENCH
-    documents so CI can upload them as artifacts; the top suspects go
-    straight to the job log.
-    """
-    import os
-
-    from repro.analysis.explain import explain_bench_cases
-
-    base_cases = {c["case"]: c for c in baseline["cases"]}
-    cur_cases = {c["case"]: c for c in current["cases"]}
-    os.makedirs(out_dir, exist_ok=True)
-    for name in sorted({d.case for d in regressed}):
-        report = explain_bench_cases(base_cases[name], cur_cases[name],
-                                     label_a=f"baseline {name}",
-                                     label_b=f"current {name}")
-        stem = os.path.join(out_dir, f"EXPLAIN_{name}")
-        with open(stem + ".txt", "w", encoding="utf-8") as handle:
-            handle.write(report.render() + "\n")
-        with open(stem + ".json", "w", encoding="utf-8") as handle:
-            handle.write(report.render_json() + "\n")
-        print(f"\nexplain: {name} -> {stem}.txt")
-        for rank, suspect in enumerate(report.top_suspects(3),
-                                       start=1):
-            print(suspect.render(rank))
-
-
 def _cmd_chaos(quick: bool, requests: int, seed: int,
                scenario_ids: Optional[List[str]],
                out: Optional[str], ledger=None) -> int:
@@ -869,7 +754,7 @@ def _open_ledger(directory: Optional[str]):
     path = os.path.join(root, ledger_module.EXPORT_NAME)
     if not os.path.exists(path):
         print(f"no ledger at {path} — any recorded invocation "
-              f"(e.g. 'repro bench --quick') creates one",
+              f"(e.g. 'repro run sysbench') creates one",
               file=sys.stderr)
         return None
     return ledger_module.LedgerWriter(root)
@@ -929,26 +814,14 @@ def _cmd_ledger(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    import os
-
     from repro.analysis.explain import (explain_ledger_rows,
                                         export_flame_diff)
 
-    is_bench = [os.path.isfile(ref) or ref.endswith(".json")
-                for ref in (args.a, args.b)]
-    if any(is_bench) and not all(is_bench):
-        print("explain: cannot mix a BENCH file with a ledger ref — "
-              "pass two files or two refs", file=sys.stderr)
+    store = _open_ledger(args.dir)
+    if store is None:
         return 2
     try:
-        if all(is_bench):
-            report = _explain_bench_files(args.a, args.b, args.case)
-        else:
-            store = _open_ledger(args.dir)
-            if store is None:
-                return 2
-            report = explain_ledger_rows(store.get(args.a),
-                                         store.get(args.b))
+        report = explain_ledger_rows(store.get(args.a), store.get(args.b))
     except (KeyError, ValueError) as error:
         message = error.args[0] if error.args else error
         print(message, file=sys.stderr)
@@ -960,35 +833,6 @@ def _cmd_explain(args) -> int:
         print(f"wrote {lines} flame-diff line(s) to {args.flame_diff}",
               file=sys.stderr)
     return 0
-
-
-def _explain_bench_files(path_a: str, path_b: str,
-                         case: Optional[str]):
-    """Diagnose one shared case across two BENCH documents."""
-    from repro.analysis.explain import explain_bench_cases
-    from repro.experiments import bench
-
-    doc_a = bench.load_bench(path_a)
-    doc_b = bench.load_bench(path_b)
-    cases_a = {c["case"]: c for c in doc_a["cases"]}
-    cases_b = {c["case"]: c for c in doc_b["cases"]}
-    shared = sorted(set(cases_a) & set(cases_b))
-    if not shared:
-        raise ValueError(f"no case shared between {path_a} and "
-                         f"{path_b}")
-    if case is None:
-        if len(shared) > 1:
-            raise ValueError("ambiguous: both documents carry "
-                             f"{len(shared)} shared cases "
-                             f"({', '.join(shared)}) — pick one with "
-                             f"--case")
-        case = shared[0]
-    elif case not in shared:
-        raise ValueError(f"case {case!r} not in both documents — "
-                         f"shared: {', '.join(shared)}")
-    return explain_bench_cases(cases_a[case], cases_b[case],
-                               label_a=f"{path_a}:{case}",
-                               label_b=f"{path_b}:{case}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1037,10 +881,6 @@ def _dispatch(args) -> int:
         return _cmd_critpath(args.workload, args.system, args.requests,
                              args.engine, args.rate, args.seed,
                              args.folded, as_json=args.json)
-    if args.command == "bench":
-        return _cmd_bench(args.quick, args.out_dir, args.compare,
-                          args.against, args.verbose, args.jobs,
-                          ledger=ledger, seed=args.seed)
     if args.command == "chaos":
         return _cmd_chaos(args.quick, args.requests, args.seed,
                           args.scenario, args.out, ledger=ledger)

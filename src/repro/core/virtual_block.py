@@ -58,10 +58,6 @@ class VirtualBlock:
         return self.kind is BlockKind.REFERENCE
 
     @property
-    def is_associate(self) -> bool:
-        return self.kind is BlockKind.ASSOCIATE
-
-    @property
     def has_data(self) -> bool:
         return self.data is not None
 

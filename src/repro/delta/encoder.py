@@ -124,11 +124,6 @@ class Delta:
         return self.size_bytes == DELTA_HEADER_BYTES
 
     @property
-    def changed_bytes(self) -> int:
-        return (self.size_bytes - DELTA_HEADER_BYTES
-                - self.run_count * RUN_HEADER_BYTES)
-
-    @property
     def runs(self) -> Tuple[Tuple[int, bytes], ...]:
         """``(offset, payload)`` pairs, materialised from the wire bytes."""
         n = self.run_count

@@ -48,14 +48,6 @@ class HDDSpec(DeviceSpec):
         """Average rotational latency: half a revolution."""
         return 60.0 / self.rpm / 2.0
 
-    def seek_time(self, distance_blocks: int, capacity_blocks: int) -> float:
-        """Distance-dependent seek time via the square-root seek curve."""
-        if distance_blocks <= 0:
-            return 0.0
-        frac = min(1.0, distance_blocks / capacity_blocks)
-        return (self.min_seek_s
-                + (self.max_seek_s - self.min_seek_s) * math.sqrt(frac))
-
     def transfer_time(self, nblocks: int) -> float:
         return nblocks * BLOCK_SIZE / self.transfer_bytes_per_s
 
@@ -114,11 +106,6 @@ class HardDiskDrive(Device):
                 outcome="sequential" if distance == 0 else
                 "near" if distance <= self._near_span else "random")
         return latency
-
-    @property
-    def head_position(self) -> int:
-        """Current head position in blocks (exposed for tests)."""
-        return self._head
 
     # -- metrics ------------------------------------------------------------
 

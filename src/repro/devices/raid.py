@@ -92,8 +92,3 @@ class RAID0Array(Device):
                 self.trace_name, "write" if write else "read", latency,
                 lba=lba, nbytes=nblocks * BLOCK_SIZE, outcome=f"disks={used}")
         return latency
-
-    @property
-    def member_busy_time(self) -> float:
-        """Summed busy time across member disks (energy accounting)."""
-        return sum(d.busy_time for d in self.disks)

@@ -358,15 +358,6 @@ class FlashSSD(Device):
             return 1.0
         return (host + self.gc_page_moves) / host
 
-    def mapped_lbas(self) -> List[int]:
-        """The logical blocks the FTL maps to a valid page, ascending."""
-        return [lba for lba, ppn in enumerate(self._l2p) if ppn >= 0]
-
-    @property
-    def footprint_blocks(self) -> int:
-        """Distinct logical blocks ever accessed."""
-        return len(self._footprint)
-
     # -- failure injection --------------------------------------------------
 
     def wear_out(self, block_indices) -> int:
@@ -385,9 +376,3 @@ class FlashSSD(Device):
                 erases[index] = limit
                 worn += 1
         return worn
-
-    @property
-    def worn_blocks(self) -> int:
-        """Physical blocks at or beyond the endurance limit."""
-        limit = self.spec.endurance_cycles
-        return sum(1 for count in self._erases if count >= limit)

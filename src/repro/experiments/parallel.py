@@ -1,7 +1,7 @@
 """Parallel experiment fan-out.
 
-The evaluation is a grid of independent runs — figure grid cells, bench
-suite entries, sweep points, load-test rate probes — each fully
+The evaluation is a grid of independent runs — figure grid cells,
+sweep points, load-test rate probes — each fully
 determined by a handful of plain parameters (workload family, request
 count, seed, system, engine, arrival pattern).  This module schedules
 such runs across a :class:`~concurrent.futures.ProcessPoolExecutor`:
@@ -49,7 +49,7 @@ _pool_workers = 0
 def _ensure_pool(jobs: int) -> ProcessPoolExecutor:
     """The persistent executor, grown (never shrunk) to ``jobs`` workers.
 
-    Reused across waves — ``figure``/``sweep``/``bench``/``loadtest``
+    Reused across waves — ``figure``/``sweep``/``loadtest``
     issue many :func:`run_specs` calls, and pool-per-call paid the full
     worker spawn each time.  Workers build the datasets their specs
     name themselves, and keep their per-process memos (data set,
@@ -124,7 +124,6 @@ class RunSpec:
     warmup_fraction: float = 0.25
     preload: bool = True
     flush_at_end: bool = True
-    profile: bool = False
     config_overrides: Tuple[Tuple[str, object], ...] = ()
     load: Optional[Tuple] = None
 
@@ -189,16 +188,11 @@ def run_spec(spec: RunSpec) -> RunResult:
     """Execute one spec in this process."""
     workload = spec.build_workload()
     system = spec.build_system(workload)
-    profiler = None
-    if spec.profile:
-        from repro.sim.profile import Profiler
-        profiler = Profiler()
     return run_benchmark(workload, system, engine=spec.engine,
                          warmup_fraction=spec.warmup_fraction,
                          preload=spec.preload,
                          flush_at_end=spec.flush_at_end,
-                         load=spec.build_load(),
-                         profiler=profiler)
+                         load=spec.build_load())
 
 
 def execute_spec(spec: RunSpec) -> Dict[str, object]:

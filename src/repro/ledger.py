@@ -1,8 +1,8 @@
 """Persistent run ledger: every experiment leaves a provenance trail.
 
 An append-only, schema-versioned run store under ``.repro-ledger/``
-that every entry point (``figure``, ``sweep``, ``bench``, ``loadtest``,
-``chaos``, ``monitor`` and plain :func:`~repro.experiments.runner.
+that every entry point (``figure``, ``sweep``, ``loadtest``, ``chaos``,
+``monitor``, ``run`` and plain :func:`~repro.experiments.runner.
 run_benchmark`) records into through :meth:`LedgerWriter.record`.
 Each row carries full provenance — the run spec, git SHA and dirty
 flag, schema versions, a host fingerprint, the virtual wall times —
@@ -10,8 +10,8 @@ plus a curated metric snapshot (METRIC_POLICY scalars, counters, SLO
 breaches, the heaviest attribution rows, fault outcomes).  On top sit
 field-level :func:`diff_rows` with "why might these differ" hints,
 sparkline trends and a rolling median/MAD anomaly detector
-(:func:`detect_anomalies`) whose noise floor is the bench harness's
-tolerance.
+(:func:`detect_anomalies`) whose noise floor is :func:`tolerance`, the
+same noise-aware tolerance ``repro explain`` tests significance with.
 
 The store is one JSONL file, ``export.jsonl``, one row per line:
 reads scan its lines, and jq reads it as it stands.  Determinism
@@ -88,6 +88,25 @@ MIN_HISTORY = 3
 #: Heaviest attribution rows kept per request class in a snapshot.
 TOP_ATTRIBUTION_ROWS = 3
 
+#: The scalars every snapshot records, each with its tolerance policy:
+#: (direction, relative tolerance, key of the noise entry sizing the
+#: statistical tolerance, or None).  ``direction`` is the *good*
+#: direction — "higher" for throughput, "lower" for latency and wear.
+METRIC_POLICY: Dict[str, Tuple[str, float, Optional[str]]] = {
+    "transactions_per_s": ("higher", 0.05, None),
+    "requests_per_s": ("higher", 0.05, None),
+    "read_mean_us": ("lower", 0.05, "read"),
+    "read_p99_us": ("lower", 0.10, "read"),
+    "write_mean_us": ("lower", 0.05, "write"),
+    "write_p99_us": ("lower", 0.10, "write"),
+    "ssd_write_ops": ("lower", 0.02, None),
+    "ssd_write_blocks": ("lower", 0.02, None),
+}
+#: z-score for the noise-aware part of a latency tolerance.
+NOISE_Z = 3.0
+#: Relative tolerance of metrics outside METRIC_POLICY.
+DEFAULT_REL_TOL = 0.05
+
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
 
@@ -132,10 +151,7 @@ def host_fingerprint() -> Dict[str, str]:
 
 def schema_versions() -> Dict[str, int]:
     """Every schema version a row depends on."""
-    from repro.experiments.bench import BENCH_SCHEMA_VERSION
-
-    return {"ledger": LEDGER_SCHEMA_VERSION,
-            "bench": BENCH_SCHEMA_VERSION}
+    return {"ledger": LEDGER_SCHEMA_VERSION}
 
 
 def spec_payload(spec, result) -> Dict[str, object]:
@@ -163,14 +179,12 @@ def spec_payload(spec, result) -> Dict[str, object]:
 def snapshot_result(result) -> Dict[str, object]:
     """The curated metric snapshot of one run.
 
-    ``scalars`` holds every :data:`~repro.experiments.bench.
-    METRIC_POLICY` metric plus derived headline numbers; ``noise``
-    carries the per-class LatencyStats spread that sizes statistical
-    tolerances; ``attribution`` keeps only the heaviest
-    :data:`TOP_ATTRIBUTION_ROWS` critical-path rows per class.
+    ``scalars`` holds every :data:`METRIC_POLICY` metric plus derived
+    headline numbers; ``noise`` carries the per-class LatencyStats
+    spread that sizes statistical tolerances; ``attribution`` keeps
+    only the heaviest :data:`TOP_ATTRIBUTION_ROWS` critical-path rows
+    per class.
     """
-    from repro.experiments.bench import METRIC_POLICY
-
     scalars = {name: float(getattr(result, name))
                for name in METRIC_POLICY}
     scalars.update({
@@ -545,8 +559,6 @@ class LedgerWriter:
               last: int = 50,
               window: int = DEFAULT_WINDOW) -> "TrendReport":
         """The metric's history over matching runs, anomaly-flagged."""
-        from repro.experiments.bench import METRIC_POLICY, noise_sem
-
         rows = [row for row in self.rows(filters, last=last)
                 if metric_value(row, metric) is not None]
         values = [metric_value(row, metric) for row in rows]
@@ -767,6 +779,27 @@ def diff_rows(a: LedgerRow, b: LedgerRow) -> RunDiff:
 # ---------------------------------------------------------------------------
 
 
+def noise_sem(entry: Optional[Dict[str, float]]) -> Optional[float]:
+    """Standard error of a recorded latency spread (``std_us``, ``n``),
+    in µs; None without one."""
+    if not entry:
+        return None
+    n = max(1.0, float(entry.get("n", 1.0)))
+    return float(entry.get("std_us", 0.0)) / math.sqrt(n)
+
+
+def tolerance(metric: Optional[str], base: float,
+              sem: Optional[float] = None) -> float:
+    """How far ``metric`` may move from ``base`` and still be noise:
+    ``max(rel_tol x |base|, NOISE_Z x sem)``, with ``rel_tol`` from
+    METRIC_POLICY (else :data:`DEFAULT_REL_TOL`).  Callers pick the
+    ``sem``: the larger of two runs' or a history's median."""
+    policy = METRIC_POLICY.get(metric)
+    tol = (policy[1] if policy is not None else DEFAULT_REL_TOL) \
+        * abs(base)
+    return tol if sem is None else max(tol, NOISE_Z * sem)
+
+
 @dataclass(frozen=True)
 class Anomaly:
     """One trend point flagged by :func:`detect_anomalies`."""
@@ -792,15 +825,12 @@ def detect_anomalies(values: Sequence[float],
     *history*; the first :data:`MIN_HISTORY` points are never
     flagged): robust sigma is ``1.4826 x MAD`` and a point is
     anomalous when its deviation from the history median exceeds both
-    the noise floor and ``z`` robust sigmas.  The floor is the bench
-    harness's :func:`~repro.experiments.bench.tolerance` of the history
-    median, with ``sem`` the history's median recorded standard error
-    when ``sems`` is given.  A zero-spread history (identical-seed
-    reruns) makes *any* above-floor deviation anomalous — the
-    deterministic regression case.
+    the noise floor and ``z`` robust sigmas.  The floor is
+    :func:`tolerance` of the history median, with ``sem`` the history's
+    median recorded standard error when ``sems`` is given.  A
+    zero-spread history (identical-seed reruns) makes *any* above-floor
+    deviation anomalous — the deterministic regression case.
     """
-    from repro.experiments.bench import tolerance
-
     if window < MIN_HISTORY:
         raise ValueError(f"window must be >= {MIN_HISTORY}, "
                          f"got {window}")

@@ -34,8 +34,7 @@ Three pieces:
 
 Documented in the "Profiling & critical path" section of
 ``docs/OBSERVABILITY.md``; ``repro critpath`` is the CLI front end and
-``repro bench`` snapshots attribution tables into ``BENCH_<n>.json``
-for regression tracking.
+the run ledger keeps each profiled run's heaviest rows.
 """
 
 from __future__ import annotations
@@ -304,7 +303,7 @@ class AttributionTable:
         return "\n".join(lines)
 
     def to_rows(self) -> List[Dict[str, object]]:
-        """JSON-ready rows (the ``attribution`` array of a bench case)."""
+        """JSON-ready rows (``critpath --json``'s ``attribution`` array)."""
         out: List[Dict[str, object]] = []
         for op in self.ops:
             out.extend({

@@ -35,8 +35,8 @@ class LatencyStats:
         self._min = math.inf
         self._max = -math.inf
         #: Streaming sum of squares, so ``variance``/``std`` never
-        #: rescan the sample list (the bench harness sizes its
-        #: noise tolerances from these).
+        #: rescan the sample list (the ledger sizes its noise
+        #: tolerances from these).
         self._sumsq = 0.0
 
     def record(self, seconds: float) -> None:

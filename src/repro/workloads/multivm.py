@@ -162,20 +162,3 @@ class MultiVMWorkload(Workload):
                 for offset, block in enumerate(request.payload):
                     vm_shadow[local + offset] = block
             yield request
-
-    def cross_vm_similarity(self) -> float:
-        """Fraction of VM-1..N-1 initial blocks identical to VM 0's copy.
-
-        A quick measure of how much image sprawl the composition created.
-        """
-        if self.n_vms < 2:
-            return 1.0
-        golden = self.vms[0].build_dataset()
-        identical = 0
-        total = 0
-        for vm in self.vms[1:]:
-            image = vm.build_dataset()
-            identical += int(
-                (image == golden).all(axis=1).sum())
-            total += self.vm_blocks
-        return identical / total if total else 1.0

@@ -17,7 +17,7 @@ from repro.core.signatures import signature_overlap
 from repro.core.similarity import (REF_CANDIDATE_FRACTION, Association,
                                    ScanResult, SimilarityScanner,
                                    popularity_ranking)
-from repro.core.virtual_block import VirtualBlock
+from repro.core.virtual_block import BlockKind, VirtualBlock
 from repro.delta.encoder import encode_delta
 
 _Index = Dict[Tuple[int, int], List[VirtualBlock]]
@@ -76,7 +76,7 @@ def direct_scan(scanner: SimilarityScanner, cache, window: int,
     for vb, _pop in ranked:
         if vb.is_reference:
             continue
-        if vb.is_associate and vb.has_delta:
+        if vb.kind is BlockKind.ASSOCIATE and vb.has_delta:
             continue  # already well paired
         content = content_fn(vb)
         if content is None:

@@ -212,7 +212,7 @@ class TestScanOnMatureCache:
                     continue
                 if vb.is_reference:
                     kinds["reference"] += 1
-                elif vb.is_associate and vb.has_delta:
+                elif vb.kind is BlockKind.ASSOCIATE and vb.has_delta:
                     kinds["paired"] += 1
                 elif content_fn(vb) is not None:
                     kinds["eligible"] += 1

@@ -21,13 +21,22 @@ class TestSpec:
         assert spec.avg_rotation_s == pytest.approx(60.0 / 7200 / 2)
 
     def test_seek_curve_monotone(self):
+        """A random access pays a seek that grows with the distance and
+        reaches ``max_seek_s`` at full stroke."""
         spec = HDDSpec()
         capacity = 100_000
-        seeks = [spec.seek_time(d, capacity)
-                 for d in (0, 1, 100, 10_000, 100_000)]
-        assert seeks[0] == 0.0
-        assert all(a <= b for a, b in zip(seeks, seeks[1:]))
-        assert seeks[-1] == pytest.approx(spec.max_seek_s)
+
+        def seek(distance):
+            hdd = HardDiskDrive(capacity, spec)
+            hdd.read(0, 1)                      # the head now sits at 1
+            return (hdd.read(1 + distance, 1) - spec.avg_rotation_s
+                    - spec.transfer_time(1))
+
+        seeks = [seek(d) for d in (spec.near_span_blocks + 1, 1_000,
+                                   10_000, capacity - 2)]
+        assert seeks[0] > spec.min_seek_s
+        assert all(a < b for a, b in zip(seeks, seeks[1:]))
+        assert seeks[-1] == pytest.approx(spec.max_seek_s, rel=1e-4)
 
     def test_transfer_time_scales_with_size(self):
         spec = HDDSpec(transfer_bytes_per_s=100e6)
@@ -66,7 +75,7 @@ class TestAccessPatterns:
 
     def test_head_tracks_position(self, hdd):
         hdd.write(500, 4)
-        assert hdd.head_position == 504
+        assert hdd._head == 504
 
     def test_write_and_read_same_latency_model(self, hdd):
         read = hdd.read(5000, 2)

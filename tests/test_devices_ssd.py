@@ -12,6 +12,11 @@ def small_ssd(capacity_blocks: int = 256, **spec_kwargs) -> FlashSSD:
     return FlashSSD(capacity_blocks, spec)
 
 
+def mapped_lbas(ssd: FlashSSD):
+    """The logical blocks the FTL maps to a valid page, ascending."""
+    return [lba for lba, ppn in enumerate(ssd._l2p) if ppn >= 0]
+
+
 class TestBasicTiming:
     def test_read_latency_small_footprint(self):
         ssd = small_ssd()
@@ -59,7 +64,7 @@ class TestFTL:
         # One valid mapping only (the valid counts agree with the page
         # owners); the rest are stale pages awaiting GC.
         ssd.check_invariants()
-        assert ssd.mapped_lbas() == [7]
+        assert mapped_lbas(ssd) == [7]
 
     def test_mapping_unique_per_lba(self):
         ssd = small_ssd()
@@ -69,14 +74,14 @@ class TestFTL:
             ssd.write(lba, 1)
         # l2p and the page owners are inverses: no page holds two lbas.
         ssd.check_invariants()
-        assert ssd.mapped_lbas() == list(range(64))
+        assert mapped_lbas(ssd) == list(range(64))
 
     def test_trim_frees_mapping(self):
         ssd = small_ssd()
         ssd.write(3, 1)
         ssd.trim(3, 1)
         ssd.check_invariants()
-        assert ssd.mapped_lbas() == []
+        assert mapped_lbas(ssd) == []
 
 
 class TestGarbageCollection:
@@ -96,7 +101,7 @@ class TestGarbageCollection:
                 ssd.write(lba, 1)
         assert ssd.total_erases > 0
         ssd.check_invariants()
-        assert ssd.mapped_lbas() == list(range(128))
+        assert mapped_lbas(ssd) == list(range(128))
 
     def test_write_amplification_at_least_one(self):
         ssd = small_ssd(capacity_blocks=128, overprovision=0.15)
@@ -148,11 +153,11 @@ class TestWearLeveling:
         ssd = small_ssd()
         for _ in range(10):
             ssd.read(5, 1)
-        assert ssd.footprint_blocks == 1
+        assert len(ssd._footprint) == 1
         ssd.read(6, 1)
-        assert ssd.footprint_blocks == 2
+        assert len(ssd._footprint) == 2
         ssd.trim(6, 1)
-        assert ssd.footprint_blocks == 1
+        assert len(ssd._footprint) == 1
 
 
 class TestInvariants:

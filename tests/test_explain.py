@@ -11,20 +11,18 @@ Four criteria:
 * the flame-diff export writes exactly the stacks it computes.
 
 Plus unit coverage of scalar significance and the CLI surface
-(`repro explain` on ledger refs and BENCH files, bench EXPLAIN emission).
+(`repro explain` on ledger refs).
 """
 
 import json
-import os
 from dataclasses import replace
 
 import pytest
 
-from repro.analysis.explain import (explain_ledger_rows,
+from repro.analysis.explain import (RunView, explain_ledger_rows,
                                     export_flame_diff,
                                     flame_diff_stacks,
-                                    significant_scalars,
-                                    view_from_bench_case)
+                                    significant_scalars)
 from repro.core import ICASHController
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import make_icash_config
@@ -87,10 +85,9 @@ def _explain(store, ref_a, ref_b):
 
 
 def _view(result, label="a"):
-    """A run's full attribution table, in the shape a BENCH case
-    carries it."""
-    return view_from_bench_case(
-        {"case": label, "attribution": result.attribution.to_rows()})
+    """A run's full attribution table (a ledger row keeps only the
+    heaviest rows)."""
+    return RunView(label=label, attribution=result.attribution.to_rows())
 
 
 def _read_flame_diff(path):
@@ -216,11 +213,13 @@ class TestCLI:
                                           capsys):
         from repro.cli import main
 
-        bench = tmp_path / "BENCH_1.json"
-        bench.write_text("{}")
-        code = main(["explain", str(bench), "1", "--dir", store.root])
-        capsys.readouterr()
+        path = tmp_path / "run.json"
+        path.write_text("{}")
+        code = main(["explain", str(path), "1", "--dir", store.root])
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
 
     def test_explain_refs_print_the_ledger_diagnosis(self, store, capsys):
         from repro.cli import main
@@ -231,53 +230,6 @@ class TestCLI:
         assert out == _explain(store, "1", "3").render() + "\n"
         assert out.startswith("explain:")
         assert "suspects" in out
-
-    def test_missing_bench_file_is_a_clear_error(self, tmp_path, capsys):
-        from repro.cli import main
-
-        missing = str(tmp_path / "missing.json")
-        present = tmp_path / "BENCH_1.json"
-        present.write_text(json.dumps({"schema_version": 3, "cases": []}))
-        assert main(["explain", str(present), missing]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert captured.err.startswith(f"{missing}: ")
-
-
-class TestBenchEmission:
-    def test_regressed_case_emits_explain_report(self, tmp_path,
-                                                 capsys):
-        """A doctored baseline forces a regression; the compare path
-        must write EXPLAIN_<case>.{txt,json} and print suspects."""
-        from repro.cli import _emit_explain_reports
-        from repro.experiments import bench
-
-        case = {"case": "sysbench-icash-event", "workload": "sysbench",
-                "system": "icash", "engine": "event", "seed": SEED,
-                "n_requests": N_REQUESTS, "scale": None,
-                "n_measured": 375,
-                "metrics": {"transactions_per_s": 1000.0,
-                            "read_mean_us": 30.0},
-                "noise": {}, "attribution": []}
-        slower = dict(case,
-                      metrics={"transactions_per_s": 500.0,
-                               "read_mean_us": 90.0})
-        baseline = {"cases": [case]}
-        current = {"cases": [slower]}
-        deltas = bench.compare(baseline, current)
-        regressed = bench.regressions(deltas)
-        assert regressed
-        out_dir = str(tmp_path / "bench-out")
-        _emit_explain_reports(baseline, current, regressed, out_dir)
-        printed = capsys.readouterr().out
-        stem = os.path.join(out_dir, "EXPLAIN_sysbench-icash-event")
-        assert os.path.exists(stem + ".txt")
-        assert os.path.exists(stem + ".json")
-        doc = json.loads(open(stem + ".json", encoding="utf-8").read())
-        assert doc["significant"]
-        assert "explain: sysbench-icash-event" in printed
-        assert "1. [" in printed
 
 
 class TestDocParity:
@@ -302,7 +254,7 @@ class TestDocParity:
 
     def test_walkthrough_chains_every_tool(self, obs_doc):
         section = obs_doc.split("# Debugging a regression", 1)[1]
-        for command in ("repro bench --compare", "ledger diff",
+        for command in ("test_grid_digest.py", "ledger diff",
                         "repro monitor --json", "repro critpath --json",
                         "repro trace", "explain"):
             assert command in section, f"{command!r} missing from the " \
@@ -328,26 +280,3 @@ class TestDocParity:
         ledger_doc = (root / "docs" / "LEDGER.md").read_text()
         assert "`repro explain`" in ledger_doc
         assert "OBSERVABILITY.md" in ledger_doc
-
-
-class TestBenchFileInput:
-    def test_two_bench_files_shared_case(self, tmp_path, capsys):
-        from repro.cli import main
-
-        case = {"case": "only", "workload": "sysbench",
-                "system": "icash", "engine": "event", "seed": SEED,
-                "n_requests": 100, "scale": None, "n_measured": 75,
-                "metrics": {"transactions_per_s": 1000.0},
-                "noise": {}, "attribution": []}
-        doc = {"schema_version": 3, "cases": [case]}
-        path_a = tmp_path / "BENCH_1.json"
-        path_b = tmp_path / "BENCH_2.json"
-        path_a.write_text(json.dumps(doc))
-        path_b.write_text(json.dumps(
-            {"schema_version": 3,
-             "cases": [dict(case,
-                            metrics={"transactions_per_s": 400.0})]}))
-        code = main(["explain", str(path_a), str(path_b)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "transactions_per_s" in out

@@ -33,12 +33,14 @@ import pytest
 
 from repro import ledger as ledger_module
 from repro.experiments.parallel import RunSpec
-from repro.ledger import (ANOMALY_Z, DEFAULT_WINDOW, FILTER_KEYS,
-                          LEDGER_SCHEMA_VERSION, MIN_HISTORY,
+from repro.ledger import (ANOMALY_Z, DEFAULT_REL_TOL, DEFAULT_WINDOW,
+                          FILTER_KEYS, LEDGER_SCHEMA_VERSION,
+                          METRIC_POLICY, MIN_HISTORY, NOISE_Z,
                           PROVENANCE_FIELDS, SPEC_FIELDS, Anomaly,
-                          LedgerWriter, default_ledger, detect_anomalies,
-                          diff_rows, flatten_metrics, parse_filters,
-                          sparkline)
+                          LedgerRow, LedgerWriter, default_ledger,
+                          detect_anomalies, diff_rows, flatten_metrics,
+                          noise_sem, parse_filters, run_id_for,
+                          sparkline, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -264,51 +266,6 @@ class TestEntryPoints:
         assert row.spec["seed"] == workload.seed
         assert store.recorded == 1
 
-    def test_bench_suite_embeds_run_ids(self, tmp_path):
-        from repro.experiments import bench
-
-        store = _writer(tmp_path)
-        document = bench.run_suite(quick=True, ledger=store)
-        rows = store.rows()
-        assert len(rows) == len(document["cases"]) == 2
-        for case, row in zip(document["cases"], rows):
-            assert case["ledger_run_id"] == row.run_id
-            assert row.command == "bench"
-            assert row.extra["case"] == case["case"]
-            assert row.extra["suite"] == "quick"
-        # No dangling links: every embedded id resolves in the store.
-        for case in document["cases"]:
-            assert store.get(case["ledger_run_id"]).command == "bench"
-
-    def test_bench_suite_without_ledger_links_null(self):
-        from repro.experiments import bench
-
-        document = bench.run_suite(quick=True)
-        assert all(case["ledger_run_id"] is None
-                   for case in document["cases"])
-
-    def test_bench_seed_override_reaches_spec_and_ledger(self,
-                                                         monkeypatch,
-                                                         tmp_path):
-        # Patch the fan-out so the seed plumbing is testable without
-        # paying for two more full suite runs.
-        from repro.experiments import bench, parallel
-
-        captured = {}
-
-        def fake_run_specs(specs, jobs=1, progress=None):
-            captured["specs"] = specs
-            return [parallel.SpecOutcome(result=_small_result(),
-                                         host_wall_s=0.0)
-                    for _ in specs]
-
-        monkeypatch.setattr(bench, "run_specs", fake_run_specs)
-        store = _writer(tmp_path)
-        document = bench.run_suite(quick=True, ledger=store, seed=777)
-        assert [spec.seed for spec in captured["specs"]] == [777, 777]
-        assert [case["seed"] for case in document["cases"]] == [777, 777]
-        assert all(row.spec["seed"] == 777 for row in store.rows())
-
     def test_sweep_records_each_point(self, tmp_path):
         from repro.experiments.sweeps import sweep_config
 
@@ -402,9 +359,9 @@ class TestEntryPoints:
 class TestDiff:
     def test_seed_change_yields_deltas_and_seed_hint(self, tmp_path):
         store = _writer(tmp_path)
-        store.record(_small_result(), command="bench",
+        store.record(_small_result(), command="run",
                      spec={"seed": 2011})
-        store.record(_small_result(seed=7), command="bench",
+        store.record(_small_result(seed=7), command="run",
                      spec={"seed": 7})
         diff = diff_rows(store.get("1"), store.get("2"))
         assert diff.deltas, "different seeds must shift some metric"
@@ -445,7 +402,7 @@ class TestDiff:
     def test_engine_and_command_hints(self, tmp_path):
         store = _writer(tmp_path)
         store.record(_small_result(), command="run", spec={"seed": 2011})
-        store.record(_small_result(engine="event"), command="bench",
+        store.record(_small_result(engine="event"), command="sweep",
                      spec={"seed": 2011})
         hints = diff_rows(store.get("1"), store.get("2")).hints
         assert any("engine differs" in hint for hint in hints)
@@ -489,8 +446,6 @@ class TestAnomalyDetector:
         assert noisy == []
 
     def test_metric_policy_tolerance_is_used(self):
-        from repro.experiments.bench import METRIC_POLICY
-
         metric, (_, rel_tol, _) = next(iter(METRIC_POLICY.items()))
         values = [100.0] * 6 + [100.0 * (1 + rel_tol) - 0.01]
         assert detect_anomalies(values, metric=metric) == []
@@ -514,8 +469,20 @@ class TestAnomalyDetector:
         assert DEFAULT_WINDOW == 8
         assert MIN_HISTORY == 3
         assert ledger_module.MAD_SCALE == 1.4826
-        from repro.experiments.bench import DEFAULT_REL_TOL
         assert DEFAULT_REL_TOL == 0.05
+
+    def test_tolerance_uses_recorded_noise(self):
+        sem = noise_sem({"std_us": 100.0, "n": 4})
+        assert sem == pytest.approx(50.0)
+        assert noise_sem({}) is None
+        assert noise_sem(None) is None
+        rel_only = tolerance("read_mean_us", 10.0)
+        with_noise = tolerance("read_mean_us", 10.0, sem)
+        assert rel_only == pytest.approx(0.5)
+        assert with_noise == pytest.approx(NOISE_Z * 50.0)
+        # Outside METRIC_POLICY the default relative tolerance applies.
+        assert tolerance("counters.reads", -200.0) \
+            == pytest.approx(DEFAULT_REL_TOL * 200.0)
 
 
 class TestTrend:
@@ -626,11 +593,7 @@ class TestDeterminism:
         return exports
 
     def test_canonical_export_byte_identical_across_jobs(self, tmp_path):
-        from repro.experiments import bench
-
-        exports = self._canonical_exports(
-            tmp_path, lambda jobs, store: bench.run_suite(
-                quick=True, jobs=jobs, ledger=store))
+        exports = self._canonical_exports(tmp_path, _drive_sweep)
         assert exports[1] == exports[2]
         assert exports[1], "canonical export came out empty"
         for line in exports[1].decode().splitlines():
@@ -890,3 +853,50 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"{path}:2: not a ledger row\n"
+
+
+class TestOldRows:
+    """Rows recorded while ``repro bench`` existed name its file schema
+    beside the ledger's; they stay first-class rows."""
+
+    OLD_SCHEMA = {"ledger": 1, "bench": 3}
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        """An old ``bench`` row (seq 1) and a new ``run`` row (seq 2)."""
+        store = _writer(tmp_path)
+        store.record(_small_result(), command="bench",
+                     spec={"seed": 2011},
+                     extra={"case": "sysbench-icash-legacy",
+                            "suite": "quick"})
+        doc = json.loads(open(store.path, encoding="utf-8").read())
+        doc["provenance"]["schema"] = dict(self.OLD_SCHEMA)
+        doc["run_id"] = run_id_for(LedgerRow.from_json(doc).body)
+        with open(store.path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(doc, sort_keys=True) + "\n")
+        store.record(_small_result(seed=7), command="run",
+                     spec={"seed": 7})
+        return store
+
+    def test_old_row_reads_like_any_other(self, store):
+        old, new = store.rows()
+        assert old.provenance["schema"] == self.OLD_SCHEMA
+        assert new.provenance["schema"] == {"ledger": 1}
+        assert store.verify() == []
+        assert store.trend("transactions_per_s").values \
+            == [row.metrics["scalars"]["transactions_per_s"]
+                for row in (old, new)]
+        hints = diff_rows(old, new).hints
+        assert any("schema versions differ" in hint for hint in hints)
+
+    def test_cli_verbs_read_the_old_row(self, store, capsys):
+        from repro.cli import main
+
+        root = store.root
+        for argv in (["ledger", "list"], ["ledger", "show", "1"],
+                     ["ledger", "trend", "transactions_per_s"],
+                     ["ledger", "verify"], ["explain", "1", "2"],
+                     ["explain", "1", "2", "--json"]):
+            assert main(argv + ["--dir", root]) == 0, argv
+        out = capsys.readouterr().out
+        assert "bench" in out and "seed_change" in out

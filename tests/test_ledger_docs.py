@@ -9,8 +9,6 @@ import pytest
 
 from repro import ledger
 from repro.cli import LEDGER_SUBCOMMANDS
-from repro.experiments import bench
-from repro.experiments.bench import BENCH_SCHEMA_VERSION, NOISE_Z
 
 DOC = Path(__file__).resolve().parents[1] / "docs" / "LEDGER.md"
 
@@ -28,13 +26,10 @@ class TestSchemaVersionParity:
         assert int(heading.group(1)) == ledger.LEDGER_SCHEMA_VERSION
 
     def test_schema_map_literal_matches(self, doc_text):
-        expected = ('`{"ledger": %d, "bench": %d}`'
-                    % (ledger.LEDGER_SCHEMA_VERSION, BENCH_SCHEMA_VERSION))
+        expected = '`{"ledger": %d}`' % ledger.LEDGER_SCHEMA_VERSION
         assert expected in doc_text
         assert ledger.schema_versions() == {
-            "ledger": ledger.LEDGER_SCHEMA_VERSION,
-            "bench": BENCH_SCHEMA_VERSION,
-        }
+            "ledger": ledger.LEDGER_SCHEMA_VERSION}
 
 
 class TestFieldTableParity:
@@ -61,7 +56,7 @@ class TestFieldTableParity:
         documented = set(re.findall(r"^\| `(\w+)`", section,
                                     re.MULTILINE))
         assert documented == commands
-        assert len(commands) == 8
+        assert len(commands) == 7
 
     def test_filter_keys_all_named(self, doc_text):
         section = doc_text.split("## Subcommands", 1)[1]
@@ -93,17 +88,35 @@ class TestAnomalyConstantParity:
         claim = re.search(pattern, doc_text)
         assert claim is not None, f"{name} claim missing from doc"
         documented = float(claim.group(1))
-        actual = getattr(ledger, name, None)
         if name == "DEFAULT_REL_TOL":
             documented /= 100.0
-            actual = bench.DEFAULT_REL_TOL
-        assert documented == pytest.approx(actual)
+        assert documented == pytest.approx(getattr(ledger, name))
 
-    def test_noise_z_comes_from_bench(self, doc_text):
-        claim = re.search(r"`NOISE_Z = (\d+)` from "
-                          r"`repro\.experiments\.bench`", doc_text)
+    def test_noise_z_comes_from_the_ledger(self, doc_text):
+        claim = re.search(r"`NOISE_Z = (\d+)` from `repro\.ledger`",
+                          doc_text)
         assert claim is not None
-        assert float(claim.group(1)) == pytest.approx(NOISE_Z)
+        assert float(claim.group(1)) == pytest.approx(ledger.NOISE_Z)
+
+
+class TestMetricPolicyParity:
+    def test_metric_table_matches_policy(self, doc_text):
+        documented = dict(re.findall(
+            r"^\| `(\w+)` \| (higher|lower) \|", doc_text, re.MULTILINE))
+        policy = {name: direction for name, (direction, _, _)
+                  in ledger.METRIC_POLICY.items()}
+        assert documented == policy, (
+            f"docs/LEDGER.md drifted from METRIC_POLICY: "
+            f"undocumented={sorted(set(policy) - set(documented))}, "
+            f"stale={sorted(set(documented) - set(policy))}")
+
+    def test_tolerances_documented(self, doc_text):
+        rows = dict(re.findall(
+            r"^\| `(\w+)` \| (?:higher|lower) \| ([0-9.]+) \|",
+            doc_text, re.MULTILINE))
+        for name, (_, rel_tol, _) in ledger.METRIC_POLICY.items():
+            assert float(rows[name]) == rel_tol, (
+                f"documented rel_tol for {name} drifted")
 
 
 class TestCrossReferences:

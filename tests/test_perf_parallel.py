@@ -9,7 +9,7 @@ Two families of guarantees live here:
   vs. copies);
 * **parallel determinism** — fanning runs out across worker processes
   must be invisible in the results: byte-identical figures, sweeps and
-  BENCH documents at any ``--jobs`` count, with only the
+  run payloads at any ``--jobs`` count, with only the
   machine-dependent ``host_wall_s`` allowed to differ.
 """
 
@@ -31,6 +31,7 @@ from repro.delta.encoder import apply_delta, encode_delta
 from repro.delta.segments import SegmentPool
 from repro.sim.request import BLOCK_SIZE
 
+from reference import grid_digest
 from reference.similarity import direct_scan, outcome
 
 
@@ -249,41 +250,31 @@ class TestControllerReadViews:
 
 class TestRunResultPayload:
     @pytest.mark.parametrize("engine", ["legacy", "event"])
-    def test_case_record_identical_after_roundtrip(self, engine):
-        from repro.experiments import bench
-        from repro.experiments.parallel import RunSpec, run_spec
+    def test_payload_identical_after_roundtrip(self, engine):
+        from repro.experiments.parallel import RunSpec
         from repro.experiments.runner import RunResult
+        from repro.ledger import snapshot_result
 
-        case = RunSpec(workload="sysbench", engine=engine,
-                       n_requests=300, scale=0.05, profile=True)
-        original = run_spec(case)
+        original = grid_digest.run_profiled(RunSpec(
+            workload="sysbench", engine=engine, n_requests=300,
+            scale=0.05))
         payload = pickle.loads(pickle.dumps(original.to_payload()))
         rebuilt = RunResult.from_payload(payload)
-        assert json.dumps(bench.case_record(case, original),
-                          sort_keys=True) \
-            == json.dumps(bench.case_record(case, rebuilt),
-                          sort_keys=True)
+        assert json.dumps(rebuilt.to_payload(), sort_keys=True) \
+            == json.dumps(original.to_payload(), sort_keys=True)
+        assert rebuilt.attribution.to_rows() \
+            == original.attribution.to_rows()
+        assert snapshot_result(rebuilt) == snapshot_result(original)
 
     def test_payload_is_plain_data(self):
-        from repro.experiments import bench
-        from repro.experiments.parallel import run_spec
-
-        payload = run_spec(bench.QUICK_SUITE[0]).to_payload()
+        spec = grid_digest.PROFILED["sysbench/icash/profiled/legacy"]
+        payload = grid_digest.run_profiled(spec).to_payload()
         json.dumps(payload)  # no live simulator objects inside
 
 
 # ---------------------------------------------------------------------------
 # Parallel fan-out: determinism at any job count, serial fallback
 # ---------------------------------------------------------------------------
-
-
-def _strip_host_wall(document):
-    stripped = json.loads(json.dumps(document))
-    for case in stripped["cases"]:
-        assert case["host_wall_s"] is None \
-            or float(case["host_wall_s"]) >= 0.0
-        case["host_wall_s"] = None
-    return json.dumps(stripped, indent=2, sort_keys=True)
 
 
 class TestParallelDeterminism:
@@ -301,17 +292,17 @@ class TestParallelDeterminism:
             assert json.dumps(left.result.to_payload(), sort_keys=True) \
                 == json.dumps(right.result.to_payload(), sort_keys=True)
 
-    def test_quick_suite_byte_identical_across_job_counts(self):
-        from repro.experiments import bench
+    def test_more_workers_than_specs_changes_nothing(self):
+        """The persistent pool at four workers runs the two profiled
+        digest specs (without the profiler) exactly as one process."""
+        from repro.experiments.parallel import run_specs
 
-        documents = {jobs: bench.run_suite(quick=True, jobs=jobs)
-                     for jobs in (1, 2, 4)}
-        baseline = _strip_host_wall(documents[1])
-        assert _strip_host_wall(documents[2]) == baseline
-        assert _strip_host_wall(documents[4]) == baseline
-        for document in documents.values():
-            for case in document["cases"]:
-                assert case["host_wall_s"] > 0.0
+        specs = list(grid_digest.PROFILED.values())
+        serial, pooled = (run_specs(specs, jobs=jobs) for jobs in (1, 4))
+        for left, right in zip(serial, pooled):
+            assert right.parallel and right.host_wall_s > 0.0
+            assert json.dumps(left.result.to_payload(), sort_keys=True) \
+                == json.dumps(right.result.to_payload(), sort_keys=True)
 
     def test_spec_errors_propagate_in_both_modes(self):
         from repro.experiments.parallel import RunSpec, run_specs

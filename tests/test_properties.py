@@ -16,6 +16,11 @@ from repro.devices.ssd import FlashSSD, SSDSpec
 from repro.sim.request import BLOCK_SIZE
 
 
+def mapped_lbas(ssd: FlashSSD):
+    """The logical blocks the FTL maps to a valid page, ascending."""
+    return [lba for lba, ppn in enumerate(ssd._l2p) if ppn >= 0]
+
+
 # ----------------------------------------------------------------------
 # FTL invariants under arbitrary write/trim sequences
 # ----------------------------------------------------------------------
@@ -40,7 +45,7 @@ def test_ftl_mapping_matches_live_set(ops):
     # The valid counts are the census of the page owners, which invert
     # l2p, so they sum to the mapped lbas — exactly the live ones.
     ssd.check_invariants()
-    assert ssd.mapped_lbas() == sorted(live)
+    assert mapped_lbas(ssd) == sorted(live)
 
 
 @settings(max_examples=20, deadline=None)
@@ -51,7 +56,7 @@ def test_ftl_survives_write_storms(seed, n_ops):
     ssd = FlashSSD(64, SSDSpec(pages_per_block=8, overprovision=0.2))
     for _ in range(n_ops):
         ssd.write(int(gen.integers(0, 64)), 1)
-    assert len(ssd.mapped_lbas()) <= 64
+    assert len(mapped_lbas(ssd)) <= 64
     assert ssd.write_amplification >= 1.0
     # Every mapped page location is unique: l2p and owner are inverses.
     ssd.check_invariants()

@@ -90,7 +90,6 @@ def test_the_allowlist_holds_only_unreached_modules():
 
 _ORACLE = "a crash-recovery oracle the recovery tests check the " \
           "controller against"
-_INSPECT = "test inspection: a test reads model state through it"
 
 #: ``Class.method`` or function name -> why it may have no user.
 ALLOWED_UNUSED = {
@@ -108,16 +107,6 @@ ALLOWED_UNUSED = {
                       "by the loadtest tests",
     "HostCachedSystem": "the ROADMAP engine item's host page cache; "
                         "its module is allowlisted above",
-    "FlashSSD.mapped_lbas": _INSPECT,
-    "FlashSSD.footprint_blocks": _INSPECT,
-    "FlashSSD.worn_blocks": _INSPECT,
-    "HardDiskDrive.head_position": _INSPECT,
-    "HDDSpec.seek_time": _INSPECT,
-    "RAID0Array.member_busy_time": _INSPECT,
-    "VirtualBlock.is_associate": _INSPECT,
-    "Delta.changed_bytes": _INSPECT,
-    "DedupCacheStorage.dedup_ratio": _INSPECT,
-    "MultiVMWorkload.cross_vm_similarity": _INSPECT,
 }
 
 

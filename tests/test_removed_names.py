@@ -2,9 +2,9 @@
 
 Each row is a pattern over ``src/repro`` (or the part of it a fourth
 field names) for a parallel copy of some fact that was folded into one
-record, for a per-operation layer that was folded into one frame, or for
-a second way of counting, and where that fact lives now.  A match means
-the copy came back.
+record, for a per-operation layer that was folded into one frame, for
+a second way of counting or for a removed second oracle, and where
+that fact lives now.  A match means the copy came back.
 """
 
 import ast
@@ -62,7 +62,7 @@ REMOVED = (
     # One noise-aware tolerance.
     ("tolerance copies", r"_scalar_tolerance|_row_tolerance_us|noise_sem_us"
      r"|rel_tol_for|\bdef _tolerance\b",
-     "bench.tolerance and bench.noise_sem"),
+     "repro.ledger.tolerance and repro.ledger.noise_sem"),
     # The batch signature kernels live beside the scalar ones.
     ("repro.core.batch", r"repro\.core\.batch|core\.batch import",
      "repro.core.signatures"),
@@ -94,8 +94,8 @@ REMOVED = (
     # No verb draws bar charts.
     ("render_bars", r"render_bars", "FigureResult.render"),
     ("ascii_bars", r"ascii_bars", "FigureResult.render"),
-    # The explain engine diffs what the verbs hand it: ledger rows and
-    # BENCH cases.  Neither carries a series or a queueing summary.
+    # The explain engine diffs what the verbs hand it: ledger rows,
+    # which carry neither a series nor a queueing summary.
     ("window_fingerprint", r"window_fingerprint|FINGERPRINT_",
      "nowhere: no verb's input carried a series to fingerprint"),
     ("segment_phases / diff_phases", r"segment_phases|diff_phases",
@@ -105,15 +105,14 @@ REMOVED = (
      "ROADMAP engine item)"),
     ("explain_results / view_from_result",
      r"explain_results|view_from_result",
-     "explain_ledger_rows and explain_bench_cases, the inputs the "
-     "verbs pass"),
+     "explain_ledger_rows, the input the verbs pass"),
     # No verb reads a file it wrote back in.
     ("trace readers", r"read_jsonl|load_chrome_trace|load_chrome_metadata",
      "nowhere: no verb reads a trace back (completeness_header rides "
      "in the exports)"),
     ("profile_trace", r"profile_trace",
-     "the live Profiler behind critpath and bench; fold_stacks for a "
-     "recorded trace"),
+     "the live Profiler behind critpath; fold_stacks for a recorded "
+     "trace"),
     ("parse_folded", r"parse_folded",
      "nowhere: no verb reads folded stacks back"),
     ("parse_flame_diff", r"parse_flame_diff",
@@ -130,6 +129,18 @@ REMOVED = (
      "the float cursor RingBufferTracer.fold advances"),
     (".downstream.", r"\.downstream\.",
      "RingBufferTracer.fold over what the recorder kept"),
+    # Simulated behaviour has one exact oracle, not a tolerance band.
+    ("experiments.bench", r"experiments\.bench|experiments import bench",
+     "tests/reference/grid_digest.json, held by tests/test_grid_digest.py"),
+    ("BENCH_SCHEMA_VERSION", r"BENCH_SCHEMA_VERSION",
+     "nothing: schema_versions() names the ledger's alone"),
+    ("explain_bench_cases", r"explain_bench_cases", "explain_ledger_rows"),
+    ("view_from_bench_case", r"view_from_bench_case",
+     "view_from_ledger_row"),
+    ("RunSpec(profile=)",
+     r"\bprofile\s*:\s*bool|\bprofile=|spec\.profile\b",
+     "run_benchmark(profiler=Profiler()), as the grid digest's "
+     "profiled runs attach it"),
 )
 
 #: The emission protocol model code calls.

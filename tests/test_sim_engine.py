@@ -451,6 +451,20 @@ class TestLoadtestCLI:
         assert code == 0
         assert "sweeping 1 explicit rates" in capsys.readouterr().out
 
+    def test_csv_identical_at_one_and_two_jobs(self, tmp_path, capsys):
+        """``loadtest --help`` promises identical results at any job
+        count: the curve's CSV matches byte for byte."""
+        from repro.cli import main
+
+        paths = [tmp_path / f"knee-jobs{jobs}.csv" for jobs in (1, 2)]
+        for jobs, path in zip((1, 2), paths):
+            assert main(["loadtest", "--workload", "tpcc", "--system",
+                         "lru", "--requests", "300", "--points", "3",
+                         "--jobs", str(jobs), "--csv", str(path)]) == 0
+        capsys.readouterr()
+        assert len(paths[0].read_text().splitlines()) == 4
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
 
 class TestCapturePhaseOrderingUnderNCQ:
     """Satellite of the profiler PR: attribution depends on the capture

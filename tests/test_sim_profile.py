@@ -1,5 +1,4 @@
-"""Tests for the simulated-time profiler (`repro.sim.profile`) and the
-benchmark regression harness (`repro.experiments.bench`).
+"""Tests for the simulated-time profiler (`repro.sim.profile`).
 
 The acceptance invariant everything rests on: per-request ``(device,
 phase)`` attributions sum to the request's end-to-end latency, so the
@@ -10,13 +9,10 @@ the run's independent LatencyStats — on both engines.
 from __future__ import annotations
 
 import io
-import os
 import json
 
 import pytest
 
-from repro.experiments import bench
-from repro.experiments.parallel import RunSpec, run_spec
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import make_system
 from repro.sim.load import ClosedLoopLoad, OpenLoopLoad
@@ -278,85 +274,6 @@ class TestFoldedStacks:
         assert export_folded(tracer.events, handle) == 0
 
 
-class TestBenchHarness:
-    def small_document(self, seed=2011):
-        case = RunSpec(workload="sysbench", seed=seed, n_requests=300,
-                       scale=0.05, profile=True)
-        return {
-            "schema_version": bench.BENCH_SCHEMA_VERSION,
-            "suite": "quick",
-            "cases": [bench.case_record(case, run_spec(case))],
-        }
-
-    def test_case_record_shape(self):
-        document = self.small_document()
-        (record,) = document["cases"]
-        assert set(bench.METRIC_POLICY) <= set(record["metrics"])
-        assert record["noise"]["read"]["n"] > 0
-        assert record["attribution"], "attribution rows missing"
-        json.dumps(document)  # JSON-serialisable end to end
-
-    def test_self_compare_reports_zero_regressions(self):
-        document = self.small_document()
-        deltas = bench.compare(document, document)
-        assert deltas
-        assert bench.regressions(deltas) == []
-        assert "0 regression(s)" in bench.render_compare(deltas)
-
-    def test_determinism_across_runs(self):
-        first = self.small_document()
-        second = self.small_document()
-        assert first["cases"][0]["metrics"] == \
-            second["cases"][0]["metrics"]
-
-    def test_compare_flags_out_of_tolerance_regression(self):
-        document = self.small_document()
-        worse = json.loads(json.dumps(document))
-        worse["cases"][0]["metrics"]["read_mean_us"] *= 2.0
-        worse["cases"][0]["metrics"]["transactions_per_s"] *= 0.5
-        deltas = bench.compare(document, worse)
-        bad = {d.metric for d in bench.regressions(deltas)}
-        assert bad == {"read_mean_us", "transactions_per_s"}
-        assert "REGRESSION" in bench.render_compare(deltas)
-        # The reverse direction is an improvement, not a regression.
-        assert bench.regressions(bench.compare(worse, document)) == []
-
-    def test_tolerance_uses_baseline_noise(self):
-        sem = bench.noise_sem({"std_us": 100.0, "n": 4})
-        assert sem == pytest.approx(50.0)
-        assert bench.noise_sem({}) is None
-        assert bench.noise_sem(None) is None
-        rel_only = bench.tolerance("read_mean_us", 10.0)
-        with_noise = bench.tolerance("read_mean_us", 10.0, sem)
-        assert rel_only == pytest.approx(0.5)
-        assert with_noise == pytest.approx(bench.NOISE_Z * 50.0)
-        # Outside METRIC_POLICY the default relative tolerance applies.
-        assert bench.tolerance("counters.reads", -200.0) \
-            == pytest.approx(bench.DEFAULT_REL_TOL * 200.0)
-
-    def test_write_and_load_bench_naming(self, tmp_path):
-        document = {"schema_version": bench.BENCH_SCHEMA_VERSION,
-                    "suite": "quick", "cases": []}
-        first = bench.write_bench(document, str(tmp_path))
-        second = bench.write_bench(document, str(tmp_path))
-        assert first.endswith("BENCH_1.json")
-        assert second.endswith("BENCH_2.json")
-        assert bench.load_bench(first)["suite"] == "quick"
-
-    def test_load_bench_rejects_unknown_schema(self, tmp_path):
-        path = tmp_path / "BENCH_1.json"
-        path.write_text(json.dumps({"schema_version": 999,
-                                    "cases": []}))
-        with pytest.raises(ValueError, match="schema"):
-            bench.load_bench(str(path))
-
-    def test_unmatched_cases_skipped(self):
-        document = self.small_document()
-        other = {"schema_version": bench.BENCH_SCHEMA_VERSION,
-                 "suite": "quick", "cases": []}
-        assert bench.compare(document, other) == []
-
-
 class TestCLI:
     def test_critpath_subcommand(self, tmp_path, capsys):
         from repro.cli import main
@@ -433,81 +350,15 @@ class TestCLI:
         for check in doc["consistency"]:
             assert check["ok"]
 
-    def test_bench_subcommand_round_trip(self, tmp_path, capsys):
+    def test_bench_is_an_unknown_verb(self, capsys):
+        """``repro bench`` is not a verb: tests/test_grid_digest.py
+        pins simulated behaviour exactly."""
         from repro.cli import main
 
-        code = main(["bench", "--quick", "--out-dir", str(tmp_path)])
-        assert code == 0
-        produced = tmp_path / "BENCH_1.json"
-        assert produced.exists()
-        # --against skips re-running: a self-compare must be clean.
-        code = main(["bench", "--compare", str(produced),
-                     "--against", str(produced)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "0 regression(s)" in out
-
-    def test_bench_compare_exits_nonzero_on_regression(self, tmp_path,
-                                                       capsys):
-        from repro.cli import main
-
-        code = main(["bench", "--quick", "--out-dir", str(tmp_path)])
-        assert code == 0
-        baseline_path = tmp_path / "BENCH_1.json"
-        worse = json.loads(baseline_path.read_text())
-        for record in worse["cases"]:
-            record["metrics"]["read_mean_us"] *= 3.0
-        worse_path = tmp_path / "WORSE.json"
-        worse_path.write_text(json.dumps(worse))
-        # --out-dir: the gate writes one EXPLAIN_* report per regressed
-        # case, and the default directory is the working one.
-        code = main(["bench", "--compare", str(baseline_path),
-                     "--against", str(worse_path),
-                     "--out-dir", str(tmp_path)])
-        assert code == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_bench_against_requires_compare(self, capsys):
-        from repro.cli import main
-
-        assert main(["bench", "--against", "X.json"]) == 2
-
-    @pytest.mark.parametrize("content, flag, message", [
-        (None, "--compare", "No such file"),
-        ('{"schema_version": 3, "cas', "--compare", "not JSON"),
-        ('{"schema_version": 2, "cases": []}', "--compare",
-         "bench schema 2 unsupported"),
-        ('{"schema_version": 3}', "--compare", "no 'cases' list"),
-        ('[]', "--against", "bench schema None unsupported"),
-    ], ids=["missing", "truncated", "wrong-schema", "case-less",
-            "not-a-document"])
-    def test_bad_bench_file_fails_before_the_suite(
-            self, tmp_path, capsys, monkeypatch, content, flag, message):
-        from repro.cli import main
-
-        def no_suite(**kwargs):
-            raise AssertionError("the suite ran before the inputs loaded")
-
-        monkeypatch.setattr(bench, "run_suite", no_suite)
-        bad = tmp_path / "bad.json"
-        if content is not None:
-            bad.write_text(content)
-        good = tmp_path / "BENCH_1.json"
-        good.write_text(json.dumps(
-            {"schema_version": bench.BENCH_SCHEMA_VERSION, "cases": []}))
-        argv = ["bench", "--quick", "--out-dir", str(tmp_path),
-                "--compare", str(bad)]
-        if flag == "--against":
-            argv[-1] = str(good)
-            argv += ["--against", str(bad)]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"{bad}: ")
-        assert message in captured.err
-        assert captured.err.count("\n") == 1
-        assert sorted(os.listdir(tmp_path)) \
-            == sorted(["BENCH_1.json"] + (["bad.json"] if content else []))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--quick"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestLatencyStatsVariance:
@@ -529,38 +380,3 @@ class TestLatencyStatsVariance:
         for _ in range(100):
             stats.record(0.123456789)
         assert stats.variance >= 0.0
-
-
-class TestDocumentationParity:
-    def test_bench_metric_table_matches_policy(self):
-        import re
-        from pathlib import Path
-
-        docs = (Path(__file__).resolve().parents[1]
-                / "docs" / "OBSERVABILITY.md")
-        text = docs.read_text(encoding="utf-8")
-        documented = {
-            name: direction
-            for name, direction in re.findall(
-                r"^\| `(\w+)` \| (higher|lower) \|", text, re.MULTILINE)}
-        policy = {name: direction
-                  for name, (direction, _, _) in
-                  bench.METRIC_POLICY.items()}
-        assert documented == policy, (
-            f"docs/OBSERVABILITY.md drifted from METRIC_POLICY: "
-            f"undocumented={sorted(set(policy) - set(documented))}, "
-            f"stale={sorted(set(documented) - set(policy))}")
-
-    def test_bench_tolerances_documented(self):
-        import re
-        from pathlib import Path
-
-        docs = (Path(__file__).resolve().parents[1]
-                / "docs" / "OBSERVABILITY.md")
-        text = docs.read_text(encoding="utf-8")
-        rows = dict(re.findall(
-            r"^\| `(\w+)` \| (?:higher|lower) \| ([0-9.]+) \|",
-            text, re.MULTILINE))
-        for name, (_, rel_tol, _) in bench.METRIC_POLICY.items():
-            assert float(rows[name]) == rel_tol, (
-                f"documented rel_tol for {name} drifted")
