@@ -22,11 +22,22 @@ randomness comes from the caller's RNG.  Keeping the two apart lets the
 multi-VM composer clone byte-identical images (same content seed) that
 then diverge under independent request streams — the virtual-machine
 image sprawl scenario of Section 3.1.
+
+An overwrite decodes one ``random_raw`` draw, with numpy's own
+formulas, into exactly the bytes and PCG64 state of a loop of scalar
+calls per run (``random()``, ``integers(0, width)``, ``integers(0, 256,
+run_len, uint8)``): ``(w >> 11) * 2**-53`` for ``random()``; a 32-bit
+draw is the buffered high half, else a fresh word's low half; Lemire's
+``(u * width) >> 32`` for a pick; four bytes per 32-bit draw, lowest
+first.  A Lemire rejection (about one pick in a million) or a zero-width
+range runs the loop instead.  A numpy release that changed a formula
+fails ``tests/test_content_draws.py`` and the stream pins rather than
+silently drifting a stream.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -89,6 +100,39 @@ def sprinkle_family_noise(dataset: np.ndarray, rows: np.ndarray,
 
 
 _ONE_ROW = np.zeros(1, dtype=np.intp)
+
+#: ``Generator.random()``: the top 53 bits of a word, times 2**-53.
+_TO_UNIT = 1.0 / 9007199254740992.0
+
+
+@lru_cache(maxsize=256)
+def _run_layout(n_runs: int, run_len: int, reuse: bool, cached: int
+                ) -> Tuple[int, int, np.ndarray, Tuple]:
+    """Where :meth:`ContentModel._draw_runs`'s draws fall among its
+    64-bit words: the words consumed, ``has_uint32`` after them, the
+    words read as integers, and per run the positions among those of its
+    ``random()`` word and its start pick (-1: none, the buffered half)
+    and last fresh word, and the offset of its byte values."""
+    needed, runs = [], []
+    n_words = 0
+    for _ in range(n_runs):
+        unit = pick = -1
+        if reuse:
+            unit = len(needed)
+            needed.append(n_words)
+            n_words += 1
+        if not cached:
+            pick = len(needed)
+            needed.append(n_words)
+        fresh = 1 + (run_len + 3) // 4 - cached
+        needed.append(n_words + (fresh - 1) // 2)
+        runs.append((unit, pick, len(needed) - 1,
+                     8 * n_words + 4 * (1 - cached)))
+        n_words += (fresh + 1) // 2
+        cached = fresh & 1
+    needed = np.array(needed)
+    needed.flags.writeable = False
+    return n_words, cached, needed, tuple(runs)
 
 
 class ContentModel:
@@ -180,10 +224,12 @@ class ContentModel:
     def _anchors_of(self, lba: int) -> np.ndarray:
         anchors = self._anchors.get(lba)
         if anchors is None:
-            per_block_rng = np.random.default_rng(
-                [self.content_seed, int(lba)])
-            anchors = per_block_rng.integers(
-                0, BLOCK_SIZE, size=self.ANCHORS_PER_BLOCK)
+            # ``default_rng([content_seed, lba]).integers(0, BLOCK_SIZE,
+            # size=6)``: six 32-bit draws, each ``u32 >> 20``.
+            words = np.random.PCG64([self.content_seed, int(lba)]) \
+                .random_raw(self.ANCHORS_PER_BLOCK // 2)
+            anchors = (np.ascontiguousarray(words, dtype="<u8").view(
+                "<u4") >> 20).astype(np.int64)
             self._anchors[lba] = anchors
         return anchors
 
@@ -206,6 +252,15 @@ class ContentModel:
         n_runs = max(1, min(8, total // 64))
         run_len = max(1, total // n_runs)
         anchors = self._anchors_of(lba) if lba is not None else None
+        if not self._decode_runs(updated, rng, n_runs, run_len, anchors):
+            updated = current.copy()
+            self._draw_runs(updated, rng, n_runs, run_len, anchors)
+        return updated
+
+    def _draw_runs(self, updated: np.ndarray, rng: np.random.Generator,
+                   n_runs: int, run_len: int,
+                   anchors: Optional[np.ndarray]) -> None:
+        """Write ``n_runs`` runs into ``updated``, one draw at a time."""
         for _ in range(n_runs):
             if anchors is not None \
                     and rng.random() < self.ANCHOR_REUSE_PROB:
@@ -215,7 +270,43 @@ class ContentModel:
                 start = int(rng.integers(0, max(1, BLOCK_SIZE - run_len)))
             updated[start:start + run_len] = rng.integers(
                 0, 256, size=run_len, dtype=np.uint8)
-        return updated
+
+    def _decode_runs(self, updated: np.ndarray, rng: np.random.Generator,
+                     n_runs: int, run_len: int,
+                     anchors: Optional[np.ndarray]) -> bool:
+        """:meth:`_draw_runs` from one ``random_raw`` call; ``False``,
+        with ``rng`` untouched and ``updated`` spoilt, where the draws
+        cannot be decoded."""
+        bitgen = rng.bit_generator
+        span = BLOCK_SIZE - run_len
+        if not isinstance(bitgen, np.random.PCG64) or span <= 1:
+            return False
+        state = bitgen.state
+        n_words, cached, needed, runs = _run_layout(
+            n_runs, run_len, anchors is not None, state["has_uint32"])
+        raw = bitgen.random_raw(n_words).astype("<u8", copy=False)
+        words = raw[needed].tolist()
+        octets = raw.view(np.uint8)
+        uinteger = state["uinteger"]
+        for unit, pick_at, last, at in runs:
+            pick = uinteger if pick_at < 0 else words[pick_at] & 0xFFFFFFFF
+            anchored = unit >= 0 and (words[unit] >> 11) * _TO_UNIT \
+                < self.ANCHOR_REUSE_PROB
+            width = len(anchors) if anchored else span
+            scaled = pick * width
+            if scaled & 0xFFFFFFFF < (1 << 32) % width:
+                bitgen.state = state        # Lemire would draw again
+                return False
+            start = scaled >> 32
+            if anchored:
+                start = min(int(anchors[start]), span)
+            updated[start:start + run_len] = octets[at:at + run_len]
+            uinteger = words[last] >> 32
+        if (cached, uinteger) != (state["has_uint32"], state["uinteger"]):
+            state = bitgen.state
+            state["has_uint32"], state["uinteger"] = cached, uinteger
+            bitgen.state = state
+        return True
 
     def duplicate_of(self, lba: int) -> np.ndarray:
         """Exact-copy content for ``lba``: its family base.

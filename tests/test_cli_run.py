@@ -23,6 +23,36 @@ class TestRunCommand:
         assert "block population" not in out
 
 
+class TestVerifiedRuns:
+    """The CLI's byte-exact read check end to end: every read compared
+    with the workload's shadow on a write-heavy I-CASH run (which ends
+    in the controller's ``check_invariants()``) and on dedup's copy-out
+    path, both through the backing store's overlay; then the locality
+    analysis, whose write replay keeps a shadow of its own over the
+    frozen data set."""
+
+    def test_write_heavy_icash_run(self, capsys):
+        code = cli_main(["run", "specsfs", "--system", "icash",
+                         "--requests", "1500", "--verify"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "reads verified byte-exact: 192" in out
+        assert "dirty deltas        0" in out
+
+    def test_dedup_copy_out_path(self, capsys):
+        code = cli_main(["run", "tpcc", "--system", "dedup",
+                         "--requests", "1500", "--verify"])
+        assert code == 0
+        assert "reads verified byte-exact: 3422" in capsys.readouterr().out
+
+    def test_locality_analysis(self, capsys):
+        code = cli_main(["analyze", "sysbench", "--requests", "400"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "reads=      289 writes=      111" in out
+        assert "234 overwrites: mean change 6.3% of the block" in out
+
+
 class TestFigureCommand:
     def test_requests_reaches_two_digit_figures(self, capsys):
         """``--requests`` once skipped every figure10–16 (a prefix test

@@ -10,6 +10,8 @@ import pytest
 
 from repro.core import BlockKind, ICASHController
 from repro.delta.encoder import Delta
+from repro.experiments.parallel import RunSpec
+from repro.experiments.runner import run_benchmark
 from repro.sim.request import BLOCK_SIZE
 
 from test_core_controller import family_dataset, small_config
@@ -155,3 +157,37 @@ class TestEachInvariantBreaks:
             Delta(runs=((0, b"x"),))
         with breaks("f", lba):
             controller.check_invariants()
+
+
+class TestDirtyVirtualEviction:
+    """A virtual-block budget below the RAM data budget evicts blocks
+    whose cached data is newer than the HDD's copy; only the destage in
+    ``_evict_virtual_block`` keeps their next reads right.  No run at
+    the standard configuration reaches it."""
+
+    @pytest.mark.parametrize("engine", ["legacy", "event"])
+    def test_dirty_victims_are_destaged(self, monkeypatch, engine):
+        victims, checks = [], []
+        evict = ICASHController._evict_virtual_block
+        check = ICASHController.check_invariants
+
+        def spy_evict(self, victim):
+            victims.append(victim.data_dirty and victim.has_data)
+            return evict(self, victim)
+
+        def spy_check(self):
+            checks.append(self)
+            return check(self)
+
+        monkeypatch.setattr(ICASHController, "_evict_virtual_block",
+                            spy_evict)
+        monkeypatch.setattr(ICASHController, "check_invariants", spy_check)
+        spec = RunSpec(workload="specsfs", engine=engine, n_requests=600,
+                       scale=0.25, config_overrides=(
+                           ("max_virtual_blocks", 256),
+                           ("ssd_capacity_blocks", 64)))
+        workload = spec.build_workload()
+        run_benchmark(workload, spec.build_system(workload),
+                      engine=engine, verify_reads=True)
+        assert sum(victims) > 100
+        assert len(checks) == 1
