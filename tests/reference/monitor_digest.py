@@ -1,0 +1,128 @@
+"""Frozen monitor exports, byte for byte.
+
+``monitor_digest.json`` pins, per monitored run, a sha256 of each thing
+a :class:`~repro.sim.metrics.Monitor` hands a reader: the
+``series.csv`` and ``series.jsonl`` exports of its windows, the
+``metrics.prom`` exposition of its registry, its SLO breaches (rule,
+window, bounds and value, floats exact) and ``render_report()``:
+
+* ``legacy/sysbench/icash`` — the controller, flash, disk and DRAM
+  instruments on the busy-time clock;
+* ``legacy/tpcc/raid0`` — four member disks sharing one name, so the
+  ``hdd``, ``hdd-2``... device labels, and a downsampled store;
+* ``event/sysbench/icash`` — the queue-wait histogram, the engine's
+  in-flight count and its stations;
+* ``event/tpcc/raid0`` — the ``raid0`` station the engine creates
+  mid-run, and a downsampled store;
+* ``chaos/<scenario>`` — each of ``chaos.quick_scenarios()`` at
+  :data:`CHAOS_REQUESTS` requests: the fault instruments and the
+  scenario rules, through ``chaos.run_scenario`` itself.
+
+Prometheus output follows registry insertion order and a counter's
+floats their accumulation order, so a monitor that registers, reads or
+adds in another order moves a pin.  The program is deterministic: an
+intended change to what the monitor exports rewrites the JSON, in a
+change of its own that says why.
+``PYTHONPATH=src:tests python -m reference.monitor_digest`` rewrites the
+JSON from whatever monitor is on the path.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+from pathlib import Path
+from typing import Dict
+from unittest import mock
+
+from repro.experiments import chaos
+from repro.experiments.runner import run_benchmark
+from repro.experiments.systems import make_system
+from repro.sim.metrics import (Monitor, export_prometheus,
+                               export_series_csv, export_series_jsonl)
+from repro.workloads import SysBenchWorkload, TPCCWorkload
+
+DIGEST_PATH = Path(__file__).with_name("monitor_digest.json")
+
+#: Requests per chaos scenario (the matrix default is 2 000).
+CHAOS_REQUESTS = 400
+
+#: Pin name -> (workload factory, system, engine, Monitor keywords).
+RUNS = {
+    "legacy/sysbench/icash": (
+        lambda: SysBenchWorkload(scale=0.1, n_requests=800, seed=2011),
+        "icash", "legacy", dict(interval_s=0.001)),
+    "legacy/tpcc/raid0": (
+        lambda: TPCCWorkload(scale=0.1, n_requests=800, seed=2011),
+        "raid0", "legacy", dict(interval_s=0.1, max_windows=16)),
+    "event/sysbench/icash": (
+        lambda: SysBenchWorkload(scale=0.1, n_requests=800, seed=2011),
+        "icash", "event", dict(interval_s=0.002)),
+    "event/tpcc/raid0": (
+        lambda: TPCCWorkload(scale=0.1, n_requests=800, seed=2011),
+        "raid0", "event", dict(interval_s=0.05, max_windows=16)),
+}
+
+
+def case_names():
+    return list(RUNS) + [f"chaos/{scenario.scenario_id}"
+                         for scenario in chaos.quick_scenarios()]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def exports(monitor: Monitor) -> Dict[str, str]:
+    """A sha256 of each export of a finished ``monitor``."""
+    csv, jsonl, prom = io.StringIO(), io.StringIO(), io.StringIO()
+    export_series_csv(monitor.store, csv)
+    export_series_jsonl(monitor.store, jsonl)
+    export_prometheus(monitor.registry, prom)
+    breaches = json.dumps([[b.rule.name, b.window, b.t_start, b.t_end,
+                            b.value] for b in monitor.breaches])
+    return {"csv": _sha(csv.getvalue()), "jsonl": _sha(jsonl.getvalue()),
+            "prom": _sha(prom.getvalue()), "breaches": _sha(breaches),
+            "report": _sha(monitor.render_report())}
+
+
+def monitored(name: str) -> Monitor:
+    """The finished monitor of case ``name``."""
+    if name.startswith("chaos/"):
+        (scenario,) = [s for s in chaos.quick_scenarios()
+                       if f"chaos/{s.scenario_id}" == name]
+        made = []
+
+        def keep(*args, **kwargs):
+            made.append(Monitor(*args, **kwargs))
+            return made[-1]
+
+        with mock.patch.object(chaos, "Monitor", keep):
+            chaos.run_scenario(scenario, n_requests=CHAOS_REQUESTS)
+        (monitor,) = made
+        return monitor
+    factory, system, engine, kwargs = RUNS[name]
+    workload = factory()
+    monitor = Monitor(**kwargs)
+    run_benchmark(workload, make_system(system, workload), engine=engine,
+                  monitor=monitor)
+    return monitor
+
+
+def pin(name: str) -> Dict[str, str]:
+    return exports(monitored(name))
+
+
+def frozen() -> Dict[str, Dict[str, str]]:
+    return json.loads(DIGEST_PATH.read_text())
+
+
+def regenerate() -> Dict[str, Dict[str, str]]:
+    """Every pin; writing it to ``DIGEST_PATH`` re-freezes them."""
+    return {name: pin(name) for name in case_names()}
+
+
+if __name__ == "__main__":
+    DIGEST_PATH.write_text(json.dumps(regenerate(), indent=2,
+                                      sort_keys=True) + "\n")
