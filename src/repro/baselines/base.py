@@ -147,30 +147,6 @@ class StorageSystem(Counted, abc.ABC):
             tracer.end_background()
         self.background_time += latency
 
-    def set_metrics(self, registry) -> None:
-        """Register the whole stack's instruments with ``registry``.
-
-        Calls :meth:`register_metrics` on the system itself (subclasses
-        with internal state to expose override it) and on every device
-        beneath it.  Devices sharing a name (array members, mirrored
-        pairs) get ``name``, ``name-2``, ``name-3``... as their
-        ``device`` label so their series stay distinguishable.
-        """
-        self.register_metrics(registry)
-        seen = {}
-        for device in self.devices():
-            register = getattr(device, "register_metrics", None)
-            if register is None:
-                continue
-            name = getattr(device, "name", "device")
-            seen[name] = seen.get(name, 0) + 1
-            label = name if seen[name] == 1 else f"{name}-{seen[name]}"
-            register(registry, label=label)
-
-    def register_metrics(self, registry) -> None:
-        """System-level instruments; the base system has none beyond
-        what the runner and devices register."""
-
     # -- request dispatch ------------------------------------------------------
 
     def process(self, request: IORequest) -> float:

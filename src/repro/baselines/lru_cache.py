@@ -126,9 +126,3 @@ class LRUCacheStorage(StorageSystem):
         self.flush_destages += len(self._dirty)
         self._dirty.clear()
         return latency
-
-    @property
-    def hit_ratio(self) -> float:
-        hits = self.cache_hits + self.write_hits
-        total = hits + self.cache_misses + self.write_misses
-        return hits / total if total else 0.0

@@ -91,6 +91,13 @@ class ICASHConfig:
     def __post_init__(self) -> None:
         if self.ssd_capacity_blocks < 1:
             raise ValueError("SSD needs at least one block")
+        if self.max_virtual_blocks <= self.ssd_capacity_blocks:
+            # Each SSD slot can hold a reference, and a reference's
+            # virtual block is never evicted: a budget the references
+            # can fill leaves nothing to evict for the next block.
+            raise ValueError(
+                f"max_virtual_blocks ({self.max_virtual_blocks}) must "
+                f"exceed ssd_capacity_blocks ({self.ssd_capacity_blocks})")
         if self.scan_interval < 1 or self.scan_window < 1:
             raise ValueError("scan parameters must be positive")
         if not 0.0 <= self.compress_exposed_fraction <= 1.0:

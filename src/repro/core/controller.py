@@ -217,54 +217,6 @@ class ICASHController(StorageSystem):
             return (self.ssd, self.hdd, self.dram, self.nvram)
         return (self.ssd, self.hdd, self.dram)
 
-    def register_metrics(self, registry) -> None:
-        """Controller-level instruments (see ``docs/OBSERVABILITY.md``).
-
-        All callback-backed: each reads a cumulative counter or live
-        structure size at sample time, so the read/write paths are
-        untouched.  Together with the device instruments this covers the
-        paper's time-series quantities — delta-hit ratio, RAM fill,
-        reference churn, log occupancy.
-        """
-        cache, segments, log = self.cache, self.segments, self.log
-        registry.counter("delta_hits_total") \
-            .set_fn(lambda: self.ram_delta_hits)
-        registry.counter("delta_log_fetches_total") \
-            .set_fn(lambda: self.log_delta_fetches)
-
-        def hit_ratio() -> float:
-            total = self.ram_delta_hits + self.log_delta_fetches
-            return self.ram_delta_hits / total if total else 0.0
-
-        registry.gauge("delta_hit_ratio").set_fn(hit_ratio)
-        registry.counter("delta_writes_total") \
-            .set_fn(lambda: self.delta_writes)
-        registry.gauge("ram_data_fill") \
-            .set_fn(lambda: cache.data_blocks_used
-                    / max(1, cache.max_data_blocks))
-        registry.gauge("ram_delta_fill") \
-            .set_fn(lambda: segments.used_segments
-                    / max(1, segments.capacity_segments))
-        registry.gauge("references_active") \
-            .set_fn(lambda: len(cache.references()))
-        registry.counter("reference_churn_total") \
-            .set_fn(lambda: self.references_created
-                    + self.references_retired)
-        registry.gauge("dirty_deltas") \
-            .set_fn(lambda: len(self._dirty_delta_lbas))
-        registry.gauge("delta_log_occupancy") \
-            .set_fn(lambda: log.occupancy)
-        registry.counter("delta_log_wraps_total") \
-            .set_fn(lambda: log.wrap_count)
-        registry.counter("delta_log_appends_total") \
-            .set_fn(lambda: log.blocks_written)
-        registry.counter("delta_log_corrupt_total") \
-            .set_fn(lambda: log.corrupt_blocks_total)
-        registry.counter("recovery_replays_total") \
-            .set_fn(lambda: log.replay_count)
-        registry.counter("recovery_records_total") \
-            .set_fn(lambda: log.replayed_records_total)
-
     def read(self, lba: int, nblocks: int = 1
              ) -> Tuple[float, List[np.ndarray]]:
         """Read ``nblocks`` starting at ``lba``.

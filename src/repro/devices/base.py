@@ -100,24 +100,6 @@ class Device(Counted):
                 f"span [{lba}, {lba + nblocks}) outside device "
                 f"{self.name} of {self.capacity_blocks} blocks")
 
-    # -- metrics -----------------------------------------------------------
-
-    def register_metrics(self, registry, label: str = None) -> None:
-        """Register callback-backed instruments reading the counters at
-        sample time.  Subclasses extend (call ``super()`` first);
-        ``label`` is the ``device`` label value (default: the name;
-        :meth:`StorageSystem.set_metrics` dedups collisions)."""
-        label = label if label is not None else self.name
-        registry.counter("device_read_ops_total", ("device",)) \
-            .labels(device=label) \
-            .set_fn(lambda: self.read_ops)
-        registry.counter("device_write_ops_total", ("device",)) \
-            .labels(device=label) \
-            .set_fn(lambda: self.write_ops)
-        registry.counter("device_busy_seconds", ("device",)) \
-            .labels(device=label) \
-            .set_fn(lambda: self.busy_time)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"{type(self).__name__}(name={self.name!r}, "
                 f"capacity_blocks={self.capacity_blocks})")

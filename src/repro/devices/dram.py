@@ -39,16 +39,6 @@ class DRAMBuffer(Counted):
         self.name = name
         self.busy_time = 0.0
 
-    # -- metrics --------------------------------------------------------------
-
-    def register_metrics(self, registry, label: str = None) -> None:
-        """DRAM exposes only busy time; space accounting is reported by
-        the controller's fill gauges (which know the budget split)."""
-        label = label if label is not None else self.name
-        registry.counter("device_busy_seconds", ("device",)) \
-            .labels(device=label) \
-            .set_fn(lambda: self.busy_time)
-
     # -- timed accesses -------------------------------------------------------
 
     def access(self, nbytes: int = BLOCK_SIZE) -> float:

@@ -106,28 +106,3 @@ class HardDiskDrive(Device):
                 outcome="sequential" if distance == 0 else
                 "near" if distance <= self._near_span else "random")
         return latency
-
-    # -- metrics ------------------------------------------------------------
-
-    def register_metrics(self, registry, label: str = None) -> None:
-        """Mechanical-pattern instruments on top of the generic set:
-        how often the head had to move (seek = near + random) versus
-        rode an existing sequential stream — the quantity I-CASH's log
-        layout exists to minimise."""
-        super().register_metrics(registry, label=label)
-        label = label if label is not None else self.name
-
-        def seeks() -> int:
-            return self.near_accesses + self.random_accesses
-
-        def seek_ratio() -> float:
-            total = seeks() + self.sequential_accesses
-            return seeks() / total if total else 0.0
-
-        registry.counter("hdd_seek_total", ("device",)) \
-            .labels(device=label).set_fn(seeks)
-        registry.counter("hdd_sequential_total", ("device",)) \
-            .labels(device=label) \
-            .set_fn(lambda: self.sequential_accesses)
-        registry.gauge("hdd_seek_ratio", ("device",)) \
-            .labels(device=label).set_fn(seek_ratio)

@@ -316,30 +316,6 @@ class FlashSSD(Device):
               == ppb - wp,
               "(e) a page past the write pointer has an owner")
 
-    # -- metrics ------------------------------------------------------------
-
-    def register_metrics(self, registry, label: str = None) -> None:
-        """Flash-specific instruments on top of the generic device set:
-        programs/erases/GC (the endurance story behind Table 6), wear
-        spread and write amplification."""
-        super().register_metrics(registry, label=label)
-        label = label if label is not None else self.name
-        registry.counter("ssd_program_total", ("device",)) \
-            .labels(device=label) \
-            .set_fn(lambda: self.write_blocks + self.gc_page_moves)
-        registry.counter("ssd_erase_total", ("device",)) \
-            .labels(device=label) \
-            .set_fn(lambda: self.total_erases)
-        registry.counter("ssd_gc_total", ("device",)) \
-            .labels(device=label) \
-            .set_fn(lambda: self.gc_erases)
-        registry.gauge("ssd_wear_spread", ("device",)) \
-            .labels(device=label) \
-            .set_fn(lambda: max(self._erases) - min(self._erases))
-        registry.gauge("ssd_write_amplification", ("device",)) \
-            .labels(device=label) \
-            .set_fn(lambda: self.write_amplification)
-
     # -- wear reporting -----------------------------------------------------
 
     def erase_counts(self) -> List[int]:

@@ -231,9 +231,9 @@ class RunResult:
 class _Measurement:
     """What the two clocks share of one run.
 
-    Construction is the run's preamble — the ingest pass, monitor
-    attach, the cpu and SSD-write baselines that keep load-phase work
-    out of the results, the warm-up cut-off — and :meth:`result`
+    Construction is the run's preamble — the ingest pass, the cpu and
+    SSD-write baselines that keep load-phase work out of the results,
+    the warm-up cut-off — and :meth:`result`
     assembles the :class:`RunResult` from the latencies recorded in
     between plus the few quantities each clock derives its own way.
     """
@@ -243,8 +243,6 @@ class _Measurement:
                  monitor, profiler) -> None:
         if preload:
             system.ingest()
-        if monitor is not None:
-            monitor.attach(system, workload)
         self.workload = workload
         self.system = system
         self.monitor = monitor
@@ -394,11 +392,14 @@ def run_benchmark(workload: Workload, system: StorageSystem,
     trace whatever else is attached.
 
     ``monitor`` (a :class:`repro.sim.metrics.Monitor`) likewise attaches
-    after ingest; its sampler runs on the aggregate device-busy-time
-    clock (``io_time_all``, the same virtual timeline trace spans lie
-    on).  Its windowed series stays on ``monitor.store``, which ``repro
-    monitor`` exports; its SLO breaches land in
-    ``RunResult.slo_breaches``.
+    after ingest, reading the stack through its one instrument table,
+    and folds in each completed request — read or write, latency,
+    queue wait (zero under ``"legacy"``) and the clock — where the
+    request completes.  Its sampler runs on the aggregate
+    device-busy-time clock (``io_time_all``, the same virtual timeline
+    trace spans lie on).  Its windowed series stays on
+    ``monitor.store``, which ``repro monitor`` exports; its SLO breaches
+    land in ``RunResult.slo_breaches``.
 
     ``engine`` selects the wall-clock model.  The default ``"legacy"``
     is the open-queue approximation documented above and stays
@@ -453,6 +454,8 @@ def run_benchmark(workload: Workload, system: StorageSystem,
                          "legacy model has no arrival timeline")
     run = _Measurement(workload, system, warmup_fraction, preload,
                        monitor, profiler)
+    if monitor is not None:
+        monitor.attach(system, workload)
     recorder = None
     if tracer is not None or profiler is not None:
         # Only a fold needs the recorder here: a bare legacy run keeps
@@ -480,7 +483,7 @@ def run_benchmark(workload: Workload, system: StorageSystem,
                 profiler.fold(emitted, latency)
         run.record(request.is_read, latency, measured)
         if monitor is not None:
-            monitor.on_request(request.is_read, latency, run.io_time_all)
+            monitor.fold(request.is_read, latency, 0.0, run.io_time_all)
         n_requests += 1
     run.flush(flush_at_end, verify_reads, recorder, tracer)
     if monitor is not None:
@@ -550,20 +553,19 @@ def _run_event_benchmark(workload: Workload, system: StorageSystem,
     if load is None:
         load = default_closed_loop(workload)
     sim = EventEngine(system, tracer=tracer, profiler=profiler)
-    if monitor is not None:
-        sim.register_metrics(monitor.registry)
     injector = None
     if fault_plan is not None:
         from repro.sim.faults import FaultInjector
 
-        injector = FaultInjector(
-            fault_plan, system, sim,
-            registry=monitor.registry if monitor is not None else None)
+        injector = FaultInjector(fault_plan, system, sim)
         sim.attach_faults(injector)
     on_complete = None
     if monitor is not None:
+        monitor.attach(system, workload, sim, injector)
+
         def on_complete(record) -> None:
-            monitor.on_request(record.is_read, record.latency_s, sim.now)
+            monitor.fold(record.is_read, record.latency_s, record.wait_s,
+                         sim.now)
 
     records = sim.run(workload, load, verify_reads=verify_reads,
                       on_measure=run.mark_warmup, on_complete=on_complete,

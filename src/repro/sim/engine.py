@@ -281,8 +281,6 @@ class EventEngine:
         #: number is unique, so kinds and payloads are never compared.
         self._heap: List[Tuple[float, int, int, object]] = []
         self._next_seq = count(1).__next__
-        self._registry = None
-        self._wait_hist = None
         #: Optional :class:`repro.sim.faults.FaultInjector` — fires
         #: scheduled faults at admission boundaries and closes
         #: degraded-mode windows as repair backlog drains.
@@ -291,7 +289,7 @@ class EventEngine:
             self._station(getattr(device, "trace_name",
                                   getattr(device, "name", "device")))
 
-    # -- stations and metrics ---------------------------------------------
+    # -- stations and faults ----------------------------------------------
 
     def attach_faults(self, injector) -> None:
         """Arm a :class:`repro.sim.faults.FaultInjector` for the next
@@ -306,39 +304,7 @@ class EventEngine:
         if station is None:
             station = DeviceStation(name, self.config.slots_for(name))
             self.stations[name] = station
-            if self._registry is not None:
-                self._register_station(station)
         return station
-
-    def register_metrics(self, registry) -> None:
-        """Expose queue depth, wait times and utilisation as instruments.
-
-        Gauges are callback-backed (sampled by the monitor on window
-        boundaries); the wait histogram is observed once per completed
-        request.  Also repoints ``outstanding_requests`` at the
-        engine's true in-flight count — the workload-level default
-        reports the closed-loop stream count, which an open-loop run
-        makes meaningless.
-        """
-        if registry is None:
-            return
-        self._registry = registry
-        self._wait_hist = registry.histogram("queue_wait_us")
-        registry.gauge("outstanding_requests") \
-            .set_fn(lambda: self.in_flight)
-        for station in self.stations.values():
-            self._register_station(station)
-
-    def _register_station(self, station: DeviceStation) -> None:
-        registry = self._registry
-        registry.gauge("queue_depth", ("device",)) \
-            .labels(device=station.name) \
-            .set_fn(lambda s=station: len(s.waiting) + s.active
-                    + s.bg_active)
-        registry.gauge("device_utilization", ("device",)) \
-            .labels(device=station.name) \
-            .set_fn(lambda s=station: s.utilization(self.now)
-                    if self.now > 0 else 0.0)
 
     @property
     def in_flight(self) -> int:
@@ -379,7 +345,6 @@ class EventEngine:
         log = self.event_log
         faults = self.faults
         tracer, profiler = self.tracer, self.profiler
-        wait_hist = self._wait_hist
         open_loop = load.open_loop
         heap = self._heap
         next_seq = self._next_seq
@@ -468,8 +433,6 @@ class EventEngine:
                 last_completion = now
                 wait = record[_WAIT_S]
                 completed_waits.append(wait)
-                if wait_hist is not None:
-                    wait_hist.observe(wait * 1e6)
                 emitted = record[_EMITTED]
                 if emitted is not None:
                     # Kept emissions fold into the ring and, in the

@@ -172,16 +172,12 @@ class FaultInjector:
     (so injected repair backlog competes with that request onward),
     :meth:`on_event` when completions or background quanta finish (to
     close degraded windows the moment the repair drains), and
-    :meth:`finish` when the heap empties.
-
-    When a :class:`~repro.sim.metrics.MetricsRegistry` is supplied, the
-    injector owns three instruments from the catalogue:
-    ``faults_injected_total`` (labelled by ``kind``),
-    ``rebuild_io_total`` and ``degraded_mode_seconds``.
+    :meth:`finish` when the heap empties.  A monitor reads what fired,
+    what it rebuilt and how long each window stayed degraded from
+    :attr:`outcomes`.
     """
 
-    def __init__(self, plan: FaultPlan, system, engine,
-                 registry=None) -> None:
+    def __init__(self, plan: FaultPlan, system, engine) -> None:
         self.plan = plan
         self.system = system
         self.engine = engine
@@ -189,15 +185,6 @@ class FaultInjector:
         self._pending: List[FaultSpec] = list(plan.specs)
         self.outcomes: List[FaultOutcome] = []
         self._open: List[FaultOutcome] = []
-        self._fault_counter = None
-        self._rebuild_counter = None
-        self._degraded_counter = None
-        if registry is not None:
-            self._fault_counter = registry.counter(
-                "faults_injected_total", ("kind",))
-            self._rebuild_counter = registry.counter("rebuild_io_total")
-            self._degraded_counter = registry.counter(
-                "degraded_mode_seconds")
 
     # -- engine hooks ------------------------------------------------------
 
@@ -231,8 +218,6 @@ class FaultInjector:
     def _close(self, outcome: FaultOutcome, now: float) -> None:
         outcome.t_recovered_s = now
         self._open.remove(outcome)
-        if self._degraded_counter is not None:
-            self._degraded_counter.inc(outcome.degraded_s)
         self.engine._log_event("fault", f"{outcome.kind}:recovered")
 
     def _fire(self, spec: FaultSpec) -> None:
@@ -243,14 +228,8 @@ class FaultInjector:
         handler = getattr(self, f"_inject_{spec.kind}")
         handler(spec, outcome)
         self.outcomes.append(outcome)
-        if not outcome.skipped:
-            if outcome.station is not None:
-                self._open.append(outcome)
-            if self._fault_counter is not None:
-                self._fault_counter.labels(kind=spec.kind).inc()
-            if self._rebuild_counter is not None and \
-                    outcome.rebuild_blocks:
-                self._rebuild_counter.inc(outcome.rebuild_blocks)
+        if not outcome.skipped and outcome.station is not None:
+            self._open.append(outcome)
         # The instant lands on the *run* track (it fires before the
         # admitted request begins), so trace timelines show the
         # fault between requests; the event log carries it too for the

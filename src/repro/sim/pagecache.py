@@ -158,8 +158,3 @@ class HostCachedSystem(StorageSystem):
         self._dirty.clear()
         latency += self.inner.flush()
         return latency
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.page_hits + self.page_misses
-        return self.page_hits / total if total else 0.0

@@ -181,22 +181,6 @@ class Workload(abc.ABC):
         one tenth of the data-set size."""
         return max(64, self.n_blocks // 10)
 
-    # -- metrics -------------------------------------------------------------
-
-    def register_metrics(self, registry) -> None:
-        """Workload-side instruments (see :mod:`repro.sim.metrics`).
-
-        The replay is a closed loop: every stream always has exactly one
-        request outstanding, so offered load and outstanding requests
-        both equal the stream count.  Both are exported as gauges so a
-        future open-loop generator can report a varying depth without
-        the schema changing.
-        """
-        registry.gauge("offered_load_streams") \
-            .set_fn(lambda: self.io_concurrency)
-        registry.gauge("outstanding_requests") \
-            .set_fn(lambda: self.io_concurrency)
-
 
 class SyntheticWorkload(Workload):
     """Parameterised synthetic benchmark generator.

@@ -53,6 +53,25 @@ class TestVerifiedRuns:
         assert "234 overwrites: mean change 6.3% of the block" in out
 
 
+class TestChaosCommand:
+    """``repro chaos --quick``: one fault per class injected into a live
+    event-engine run, each judged against its SLO breach budget and
+    recovery bound (docs/RELIABILITY.md); any FAIL verdict exits 1."""
+
+    def test_quick_matrix_passes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_LEDGER")
+        monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "ledger"))
+        out = tmp_path / "chaos.jsonl"
+        code = cli_main(["chaos", "--quick", "--out", str(out)])
+        printed = capsys.readouterr().out
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 5
+        assert printed.count(" PASS") == 4
+        assert "4 scenario(s), 0 failed" in printed
+        ledger = tmp_path / "ledger" / "export.jsonl"
+        assert ledger.read_text().count('"command": "chaos"') == 4
+
+
 class TestFigureCommand:
     def test_requests_reaches_two_digit_figures(self, capsys):
         """``--requests`` once skipped every figure10–16 (a prefix test

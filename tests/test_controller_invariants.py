@@ -191,3 +191,44 @@ class TestDirtyVirtualEviction:
                       engine=engine, verify_reads=True)
         assert sum(victims) > 100
         assert len(checks) == 1
+
+
+class TestVirtualBudget:
+    """Every SSD slot can hold a reference and a reference's virtual
+    block is never evicted, so a virtual-block budget no larger than the
+    SSD can fill with references: the configuration refuses it."""
+
+    @pytest.mark.parametrize("workload, scale, n_requests, budget, ssd", [
+        ("loadsim", 0.25, 600, 512, 614),
+        ("specsfs", 1.0, 1500, 256, 1638),
+    ])
+    def test_a_budget_the_references_can_fill_fails_at_build(
+            self, workload, scale, n_requests, budget, ssd):
+        spec = RunSpec(workload=workload, scale=scale,
+                       n_requests=n_requests, config_overrides=(
+                           ("max_virtual_blocks", budget),))
+        with pytest.raises(ValueError, match=rf"\({budget}\).*\({ssd}\)"):
+            spec.build_system(spec.build_workload())
+
+    @pytest.mark.parametrize("engine", ["legacy", "event"])
+    def test_the_smallest_accepted_budget_runs_verified(self, monkeypatch,
+                                                        engine):
+        checks = []
+        check = ICASHController.check_invariants
+
+        def spy_check(self):
+            checks.append(self)
+            return check(self)
+
+        monkeypatch.setattr(ICASHController, "check_invariants", spy_check)
+        spec = RunSpec(workload="loadsim", engine=engine, n_requests=600,
+                       scale=0.25, config_overrides=(
+                           ("max_virtual_blocks", 615),))
+        workload = spec.build_workload()
+        system = spec.build_system(workload)
+        assert system.config.ssd_capacity_blocks == 614
+        run_benchmark(workload, system, engine=engine, verify_reads=True)
+        assert checks == [system]
+        # The references come within two blocks of the whole budget.
+        assert len(system.reference_lbas) == 613
+        assert system.virtual_evictions > 1000

@@ -132,7 +132,7 @@ class TestHostPageCache:
         latency, _ = system.read(3)
         assert system.inner.ssd.read_ops == inner_reads
         assert latency < 2e-6
-        assert system.hit_ratio > 0
+        assert system.page_hits > 0
 
     def test_writes_are_absorbed_until_sync(self):
         system = self.make()

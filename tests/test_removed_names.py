@@ -141,6 +141,24 @@ REMOVED = (
      r"\bprofile\s*:\s*bool|\bprofile=|spec\.profile\b",
      "run_benchmark(profiler=Profiler()), as the grid digest's "
      "profiled runs attach it"),
+    # The monitor reads the stack through one table: no model class
+    # registers an instrument, and the engine and the fault injector
+    # keep none.
+    ("register_metrics", r"register_metrics",
+     "INSTRUMENT_CATALOGUE's source and read, walked by Monitor.attach"),
+    ("set_metrics", r"set_metrics", "Monitor.attach"),
+    ("set_fn", r"set_fn\(", "InstrumentSpec.read"),
+    ("_register_station", r"_register_station",
+     "the engine rows' reads over EventEngine.stations"),
+    ("_wait_hist", r"\bwait_hist\b|_wait_hist",
+     "Monitor.fold, which observes queue_wait_us from "
+     "RequestRecord.wait_s"),
+    ("FaultInjector(registry=)",
+     r"FaultInjector\([^)]*\bregistry\b|\bengine,\s*registry\b",
+     "the faults rows' reads over FaultInjector.outcomes"),
+    ("Monitor(registry=)",
+     r"\bMonitor\([^)]*\bregistry\b|registry: Optional\[MetricsRegistry\]",
+     "the MetricsRegistry each Monitor makes for itself"),
 )
 
 #: The emission protocol model code calls.
