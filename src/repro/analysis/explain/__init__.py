@@ -1,9 +1,10 @@
 """Differential diagnosis of two runs (``repro explain``).
 
-Takes two runs — two ledger rows — and produces a ranked root-cause
-report: noise-aware scalar and attribution diffs and a suspect ranking
-built from provenance deltas.  See docs/OBSERVABILITY.md ("Explaining
-a delta") and the "debugging a regression" walkthrough.
+The one comparison of two runs: takes two ledger rows and produces a
+ranked root-cause report — noise-aware scalar and attribution diffs
+and a suspect ranking built from provenance deltas, which names every
+recipe field the two rows disagree on.  See docs/OBSERVABILITY.md
+("Explaining a delta") and the "debugging a regression" walkthrough.
 """
 
 from repro.analysis.explain.attribution import (AttributionDelta,
@@ -11,19 +12,17 @@ from repro.analysis.explain.attribution import (AttributionDelta,
                                                 export_flame_diff,
                                                 flame_diff_stacks,
                                                 significant_attribution)
-from repro.analysis.explain.report import (ExplainReport, explain,
+from repro.analysis.explain.report import (ExplainReport,
                                            explain_ledger_rows)
 from repro.analysis.explain.scalars import (ScalarDelta, diff_scalars,
                                             significant_scalars)
-from repro.analysis.explain.suspects import (SUSPECT_SCORES, Suspect,
+from repro.analysis.explain.suspects import (RECIPE_FIELDS,
+                                             SUSPECT_SCORES, Suspect,
                                              rank_suspects)
-from repro.analysis.explain.views import RunView, view_from_ledger_row
 
 __all__ = [
-    "AttributionDelta", "ExplainReport", "RunView", "ScalarDelta",
+    "AttributionDelta", "ExplainReport", "RECIPE_FIELDS", "ScalarDelta",
     "SUSPECT_SCORES", "Suspect", "diff_attribution", "diff_scalars",
-    "explain", "explain_ledger_rows",
-    "export_flame_diff", "flame_diff_stacks", "rank_suspects",
-    "significant_attribution", "significant_scalars",
-    "view_from_ledger_row",
+    "explain_ledger_rows", "export_flame_diff", "flame_diff_stacks",
+    "rank_suspects", "significant_attribution", "significant_scalars",
 ]

@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, TextIO, Tuple, Union
 
-from repro.analysis.explain.views import RunView, larger_sem
-from repro.ledger import tolerance
+from repro.ledger import LedgerRow, attribution_index, max_sem, tolerance
 
 #: Rows below this mean contribution (µs) never count as significant on
 #: their own — they round to zero in the flame export anyway.
@@ -31,6 +30,10 @@ EPSILON_US = 1.0
 #: METRIC_POLICY metric whose relative tolerance sizes a class's row
 #: tolerance, per operation class.
 _CLASS_METRIC = {"read": "read_mean_us", "write": "write_mean_us"}
+
+#: Attribution rows in the :meth:`repro.sim.profile.AttributionTable.
+#: to_rows` shape, as a ledger row's ``metrics["attribution"]`` keeps.
+_Rows = Iterable[Dict[str, object]]
 
 
 @dataclass(frozen=True)
@@ -72,32 +75,26 @@ class AttributionDelta:
                 f"tol {self.tolerance_us:.2f}){note}")
 
 
-def _indexed(view: RunView) -> Dict[Tuple[str, str, str],
-                                    Dict[str, object]]:
-    return {(str(row["op"]), str(row["device"]), str(row["phase"])): row
-            for row in view.attribution}
-
-
-def diff_attribution(view_a: RunView,
-                     view_b: RunView) -> List[AttributionDelta]:
-    """Every row either run carries, compared; sorted by absolute mean
-    movement (then key, for byte-determinism on ties)."""
-    rows_a = _indexed(view_a)
-    rows_b = _indexed(view_b)
+def diff_attribution(row_a: LedgerRow,
+                     row_b: LedgerRow) -> List[AttributionDelta]:
+    """Every attribution row either ledger row carries, compared;
+    sorted by absolute mean movement (then key, for byte-determinism on
+    ties)."""
+    items_a = attribution_index(row_a.metrics.get("attribution", []))
+    items_b = attribution_index(row_b.metrics.get("attribution", []))
     deltas: List[AttributionDelta] = []
-    for key in sorted(set(rows_a) | set(rows_b)):
+    for key in sorted(set(items_a) | set(items_b)):
         op, device, phase = key
-        ra, rb = rows_a.get(key), rows_b.get(key)
-        a_mean = float(ra["mean_us"]) if ra else 0.0
-        b_mean = float(rb["mean_us"]) if rb else 0.0
-        only_in = "" if ra and rb else ("a" if ra else "b")
+        a_mean, a_total = items_a.get(key, (0.0, 0.0))
+        b_mean, b_total = items_b.get(key, (0.0, 0.0))
+        only_in = "" if key in items_a and key in items_b else (
+            "a" if key in items_a else "b")
         deltas.append(AttributionDelta(
             op=op, device=device, phase=phase,
             a_mean_us=a_mean, b_mean_us=b_mean,
-            a_total_us=float(ra["total_us"]) if ra else 0.0,
-            b_total_us=float(rb["total_us"]) if rb else 0.0,
+            a_total_us=a_total, b_total_us=b_total,
             tolerance_us=max(tolerance(_CLASS_METRIC.get(op), a_mean,
-                                       larger_sem(view_a, view_b, op)),
+                                       max_sem((row_a, row_b), op)),
                              EPSILON_US),
             only_in=only_in))
     deltas.sort(key=lambda d: (-abs(d.delta_us), d.op, d.device,
@@ -115,26 +112,26 @@ def significant_attribution(deltas: Iterable[AttributionDelta]
 # ---------------------------------------------------------------------------
 
 
-def flame_diff_stacks(view_a: RunView, view_b: RunView
+def flame_diff_stacks(items_a: _Rows, items_b: _Rows
                       ) -> Dict[str, Tuple[int, int]]:
-    """``{stack: (a_us, b_us)}`` over both runs' attribution rows.
+    """``{stack: (a_us, b_us)}`` over two runs' attribution rows.
 
     Stacks are ``op;device;phase``, counts integer microseconds of
     total attributed time; stacks rounding to zero on both sides are
     dropped, mirroring :func:`repro.sim.profile.export_folded`.
     """
+    totals_a = attribution_index(items_a)
+    totals_b = attribution_index(items_b)
     stacks: Dict[str, Tuple[int, int]] = {}
-    for delta in diff_attribution(view_a, view_b):
-        a_us = round(delta.a_total_us)
-        b_us = round(delta.b_total_us)
-        if a_us < 1 and b_us < 1:
-            continue
-        stacks[f"{delta.op};{delta.device};{delta.phase}"] = (a_us,
-                                                              b_us)
+    for key in sorted(set(totals_a) | set(totals_b)):
+        a_us = round(totals_a.get(key, (0.0, 0.0))[1])
+        b_us = round(totals_b.get(key, (0.0, 0.0))[1])
+        if a_us >= 1 or b_us >= 1:
+            stacks[";".join(key)] = (a_us, b_us)
     return stacks
 
 
-def export_flame_diff(view_a: RunView, view_b: RunView,
+def export_flame_diff(items_a: _Rows, items_b: _Rows,
                       destination: Union[str, TextIO]) -> int:
     """Write ``stack count_a count_b`` lines, sorted by stack.
 
@@ -144,8 +141,8 @@ def export_flame_diff(view_a: RunView, view_b: RunView,
     """
     if isinstance(destination, str):
         with open(destination, "w", encoding="utf-8") as handle:
-            return export_flame_diff(view_a, view_b, handle)
-    stacks = flame_diff_stacks(view_a, view_b)
+            return export_flame_diff(items_a, items_b, handle)
+    stacks = flame_diff_stacks(items_a, items_b)
     for key in sorted(stacks):
         a_us, b_us = stacks[key]
         destination.write(f"{key} {a_us} {b_us}\n")

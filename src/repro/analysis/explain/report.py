@@ -1,10 +1,9 @@
 """The explain engine's front door: run it, render it, serialise it.
 
-:func:`explain` takes two :class:`~repro.analysis.explain.views.
-RunView`\\ s and produces an :class:`ExplainReport` bundling the two
-diagnosis components — scalar diff and attribution diff — plus the
-ranked suspect list.  :func:`explain_ledger_rows` adapts two ledger
-rows; :meth:`ExplainReport.render` is byte-deterministic for fixed
+:func:`explain_ledger_rows` takes two :class:`~repro.ledger.LedgerRow`\\ s
+and produces an :class:`ExplainReport` bundling the two diagnosis
+components — scalar diff and attribution diff — plus the ranked suspect
+list.  :meth:`ExplainReport.render` is byte-deterministic for fixed
 inputs and :meth:`ExplainReport.to_json` is the machine form tooling
 consumes.
 """
@@ -20,7 +19,7 @@ from repro.analysis.explain.attribution import (
 from repro.analysis.explain.scalars import (ScalarDelta, diff_scalars,
                                             significant_scalars)
 from repro.analysis.explain.suspects import Suspect, rank_suspects
-from repro.analysis.explain.views import RunView, view_from_ledger_row
+from repro.ledger import LedgerRow
 
 #: Rows shown per section in the rendered report (the full lists live
 #: in the JSON form).
@@ -31,8 +30,8 @@ MAX_RENDERED_ROWS = 12
 class ExplainReport:
     """One differential diagnosis of two runs."""
 
-    view_a: RunView
-    view_b: RunView
+    row_a: LedgerRow
+    row_b: LedgerRow
     scalar_deltas: List[ScalarDelta] = field(default_factory=list)
     attribution_deltas: List[AttributionDelta] = \
         field(default_factory=list)
@@ -50,8 +49,8 @@ class ExplainReport:
         """The deterministic human-readable report."""
         sig_scalars = significant_scalars(self.scalar_deltas)
         sig_attr = significant_attribution(self.attribution_deltas)
-        lines = [f"explain: {self.view_a.label} (ledger)"
-                 f" vs {self.view_b.label} (ledger)",
+        lines = [f"explain: {_label(self.row_a)} (ledger)"
+                 f" vs {_label(self.row_b)} (ledger)",
                  ""]
         if not self.significant:
             lines.append("no significant deltas: every metric and "
@@ -60,6 +59,8 @@ class ExplainReport:
             lines.append(f"  ({len(self.scalar_deltas)} metric(s) and "
                          f"{len(self.attribution_deltas)} attribution "
                          f"row(s) compared)")
+            # Only a recipe difference is a suspect without movement.
+            lines.extend(f"  but {s.summary}" for s in self.suspects)
             return "\n".join(lines)
 
         lines.append(f"suspects ({len(self.suspects)}):")
@@ -92,8 +93,8 @@ class ExplainReport:
     def to_json(self) -> Dict[str, object]:
         """JSON-ready document (sorted keys when dumped; stable)."""
         return {
-            "a": {"label": self.view_a.label, "source": "ledger"},
-            "b": {"label": self.view_b.label, "source": "ledger"},
+            "a": {"label": _label(self.row_a), "source": "ledger"},
+            "b": {"label": _label(self.row_b), "source": "ledger"},
             "significant": self.significant,
             "suspects": [
                 {"cause": s.cause, "score": s.score,
@@ -119,25 +120,18 @@ class ExplainReport:
         return json.dumps(self.to_json(), sort_keys=True, indent=2)
 
 
-def explain(view_a: RunView, view_b: RunView) -> ExplainReport:
-    """Run the full differential diagnosis over two normalised views."""
-    scalar_deltas = diff_scalars(view_a, view_b)
-    attribution_deltas = diff_attribution(view_a, view_b)
-    suspects = rank_suspects(view_a, view_b, scalar_deltas,
+def _label(row: LedgerRow) -> str:
+    return f"#{row.seq} {row.run_id}"
+
+
+def explain_ledger_rows(row_a: LedgerRow,
+                        row_b: LedgerRow) -> ExplainReport:
+    """Run the full differential diagnosis over two ledger rows."""
+    scalar_deltas = diff_scalars(row_a, row_b)
+    attribution_deltas = diff_attribution(row_a, row_b)
+    suspects = rank_suspects(row_a, row_b, scalar_deltas,
                              attribution_deltas)
-    return ExplainReport(view_a=view_a, view_b=view_b,
+    return ExplainReport(row_a=row_a, row_b=row_b,
                          scalar_deltas=scalar_deltas,
                          attribution_deltas=attribution_deltas,
                          suspects=suspects)
-
-
-# ---------------------------------------------------------------------------
-# Input adapters
-# ---------------------------------------------------------------------------
-
-
-def explain_ledger_rows(row_a, row_b) -> ExplainReport:
-    """Diagnose two :class:`repro.ledger.LedgerRow` snapshots."""
-    return explain(view_from_ledger_row(row_a),
-                   view_from_ledger_row(row_b))
-

@@ -1,18 +1,19 @@
 """Scalar metric diff with METRIC_POLICY noise-aware significance.
 
-The ledger's :func:`~repro.ledger.tolerance` applied to every scalar
-and counter the two views share, with the larger of the two runs'
-standard errors — so ``repro explain`` and ``repro ledger trend``'s
-anomaly floor never disagree about whether a number "really" moved.
+The ledger's :func:`~repro.ledger.tolerance` applied to every metric
+:func:`~repro.ledger.flatten_metrics` reads from either row, with the
+larger of the two runs' standard errors — so ``repro explain`` and
+``repro ledger trend``'s anomaly floor never disagree about whether a
+number "really" moved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
-from repro.analysis.explain.views import RunView, larger_sem
-from repro.ledger import METRIC_POLICY, tolerance
+from repro.ledger import (METRIC_POLICY, LedgerRow, flatten_metrics,
+                          max_sem, tolerance)
 
 
 @dataclass(frozen=True)
@@ -66,19 +67,12 @@ class ScalarDelta:
                 f"{rel_text}  (tol {self.tolerance:.4f}){verdict}")
 
 
-def _flat(view: RunView) -> Dict[str, float]:
-    flat = dict(view.scalars)
-    flat.update({f"counters.{name}": value
-                 for name, value in view.counters.items()})
-    flat["slo.breaches"] = float(view.slo_breaches)
-    return flat
-
-
-def diff_scalars(view_a: RunView,
-                 view_b: RunView) -> List[ScalarDelta]:
-    """Every metric either view carries, compared; sorted by absolute
+def diff_scalars(row_a: LedgerRow,
+                 row_b: LedgerRow) -> List[ScalarDelta]:
+    """Every metric either row carries, compared; sorted by absolute
     relative movement (missing-on-one-side first, then by name)."""
-    flat_a, flat_b = _flat(view_a), _flat(view_b)
+    flat_a = flatten_metrics(row_a.metrics)
+    flat_b = flatten_metrics(row_b.metrics)
     deltas: List[ScalarDelta] = []
     for metric in sorted(set(flat_a) | set(flat_b)):
         a, b = flat_a.get(metric), flat_b.get(metric)
@@ -87,7 +81,7 @@ def diff_scalars(view_a: RunView,
         deltas.append(ScalarDelta(
             metric=metric, a=a, b=b,
             tolerance=tolerance(metric, a or 0.0,
-                                larger_sem(view_a, view_b, noise_key)),
+                                max_sem((row_a, row_b), noise_key)),
             direction=direction))
     deltas.sort(key=lambda d: (
         -(abs(d.rel) if d.rel is not None

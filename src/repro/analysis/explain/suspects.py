@@ -1,6 +1,6 @@
 """Suspect ranking: from "what moved" to "what probably caused it".
 
-Combines provenance deltas (spec, seed, config overrides, git state)
+Combines provenance deltas (recipe, seed, config overrides, git state)
 with the significant metric and attribution findings into a
 ranked hypothesis list.  Scores are fixed per cause kind — this is a
 deterministic triage order encoding how conclusive each kind of
@@ -20,7 +20,7 @@ from repro.analysis.explain.attribution import (AttributionDelta,
                                                 significant_attribution)
 from repro.analysis.explain.scalars import (ScalarDelta,
                                             significant_scalars)
-from repro.analysis.explain.views import RunView
+from repro.ledger import SPEC_FIELDS, LedgerRow
 
 #: Fixed score per cause kind (the triage order; doc-parity listed in
 #: docs/OBSERVABILITY.md).
@@ -35,6 +35,11 @@ SUSPECT_SCORES = {
 
 #: Evidence lines kept per suspect (the heaviest movers).
 MAX_EVIDENCE = 5
+
+#: The recipe two comparable runs share: every spec field but the two
+#: that are causes of their own.
+RECIPE_FIELDS = tuple(key for key in SPEC_FIELDS
+                      if key not in ("seed", "config_overrides"))
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,7 @@ def _metric_evidence(sig_scalars: List[ScalarDelta],
     return evidence
 
 
-def rank_suspects(view_a: RunView, view_b: RunView,
+def rank_suspects(row_a: LedgerRow, row_b: LedgerRow,
                   scalar_deltas: List[ScalarDelta],
                   attribution_deltas: List[AttributionDelta]
                   ) -> List[Suspect]:
@@ -83,10 +88,10 @@ def rank_suspects(view_a: RunView, view_b: RunView,
     sig_scalars = significant_scalars(scalar_deltas)
     sig_attr = significant_attribution(attribution_deltas)
     moved = bool(sig_scalars or sig_attr)
-    sa, sb = view_a.spec, view_b.spec
+    sa, sb = row_a.spec, row_b.spec
     suspects: List[Suspect] = []
 
-    mismatched = [key for key in ("workload", "system", "engine")
+    mismatched = [key for key in RECIPE_FIELDS
                   if sa.get(key) != sb.get(key)]
     if mismatched:
         suspects.append(Suspect(
@@ -111,13 +116,13 @@ def rank_suspects(view_a: RunView, view_b: RunView,
                      f"{overrides_b!r}"),
             evidence=_metric_evidence(sig_scalars, sig_attr)))
 
-    pa, pb = view_a.provenance, view_b.provenance
+    pa, pb = row_a.provenance, row_b.provenance
     sha_a, sha_b = pa.get("git_sha"), pb.get("git_sha")
     if (sha_a or sha_b) and sha_a != sha_b:
         suspects.append(Suspect(
             cause="code_change", score=SUSPECT_SCORES["code_change"],
-            summary=(f"trees differ: {(sha_a or 'unknown')[:10]} vs "
-                     f"{(sha_b or 'unknown')[:10]}"),
+            summary=(f"trees differ: {str(sha_a or 'unknown')[:10]} vs "
+                     f"{str(sha_b or 'unknown')[:10]}"),
             evidence=_metric_evidence(sig_scalars, sig_attr)))
     if pa.get("git_dirty") or pb.get("git_dirty"):
         which = "both runs" if pa.get("git_dirty") \

@@ -41,8 +41,8 @@ COMMAND_DOCS = {
 
 #: ``repro ledger`` subcommands (doc-parity tested against the table
 #: in docs/LEDGER.md).
-LEDGER_SUBCOMMANDS = ("list", "show", "diff", "trend", "verify",
-                      "prune", "export")
+LEDGER_SUBCOMMANDS = ("list", "show", "trend", "verify", "prune",
+                      "export")
 
 
 def _add_no_ledger(parser: argparse.ArgumentParser) -> None:
@@ -253,9 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ledger = sub.add_parser(
         "ledger", help="inspect the persistent run ledger: list, "
-                       "show, diff (with provenance hints), sparkline "
-                       "trends with anomaly detection, integrity "
-                       "verify, retention prune and JSONL export "
+                       "show, sparkline trends with anomaly detection, "
+                       "integrity verify, retention prune and JSONL "
+                       "export; 'repro explain A B' compares two rows "
                        f"(see {COMMAND_DOCS['ledger']})")
     lsub = ledger.add_subparsers(dest="ledger_command", required=True)
 
@@ -276,10 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "workload/system/engine/seed); repeatable")
     l_show = _ledger_sub("show", "one full row as JSON")
     l_show.add_argument("ref", help="seq number or run-id prefix")
-    l_diff = _ledger_sub("diff", "field-level diff of two runs with "
-                                 "provenance hints")
-    l_diff.add_argument("ref_a", help="seq number or run-id prefix")
-    l_diff.add_argument("ref_b", help="seq number or run-id prefix")
     l_trend = _ledger_sub("trend", "sparkline history of one metric "
                                    "with rolling-window anomaly "
                                    "detection")
@@ -775,10 +771,6 @@ def _cmd_ledger(args) -> int:
         if args.ledger_command == "show":
             print(ledger_module.render_row(store.get(args.ref)))
             return 0
-        if args.ledger_command == "diff":
-            print(ledger_module.diff_rows(
-                store.get(args.ref_a), store.get(args.ref_b)).render())
-            return 0
         if args.ledger_command == "trend":
             filters = ledger_module.parse_filters(args.filter)
             kwargs = ({} if args.window is None
@@ -828,8 +820,9 @@ def _cmd_explain(args) -> int:
         return 2
     print(report.render_json() if args.json else report.render())
     if args.flame_diff is not None:
-        lines = export_flame_diff(report.view_a, report.view_b,
-                                  args.flame_diff)
+        lines = export_flame_diff(
+            report.row_a.metrics.get("attribution", []),
+            report.row_b.metrics.get("attribution", []), args.flame_diff)
         print(f"wrote {lines} flame-diff line(s) to {args.flame_diff}",
               file=sys.stderr)
     return 0

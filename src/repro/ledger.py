@@ -8,10 +8,11 @@ Each row carries full provenance — the run spec, git SHA and dirty
 flag, schema versions, a host fingerprint, the virtual wall times —
 plus a curated metric snapshot (METRIC_POLICY scalars, counters, SLO
 breaches, the heaviest attribution rows, fault outcomes).  On top sit
-field-level :func:`diff_rows` with "why might these differ" hints,
 sparkline trends and a rolling median/MAD anomaly detector
 (:func:`detect_anomalies`) whose noise floor is :func:`tolerance`, the
-same noise-aware tolerance ``repro explain`` tests significance with.
+same noise-aware tolerance ``repro explain``, the one comparison of two
+rows, tests significance with.  Both read a row's metrics through
+:func:`flatten_metrics` and its noise through :func:`max_sem`.
 
 The store is one JSONL file, ``export.jsonl``, one row per line:
 reads scan its lines, and jq reads it as it stands.  Determinism
@@ -275,9 +276,9 @@ class LedgerRow:
         spec = self.spec
         seed = spec.get("seed")
         return (f"#{self.seq:<4} {self.run_id}  {self.command:<10} "
-                f"{spec.get('workload') or '-':<9} "
-                f"{spec.get('system') or '-':<9} "
-                f"{spec.get('engine') or '-':<7} "
+                f"{spec.get('workload') or '-'!s:<9} "
+                f"{spec.get('system') or '-'!s:<9} "
+                f"{spec.get('engine') or '-'!s:<7} "
                 f"{seed if seed is not None else '-'}")
 
 
@@ -292,6 +293,16 @@ def flatten_metrics(metrics: Dict[str, object]) -> Dict[str, float]:
     flat["slo.breaches"] = float(
         metrics.get("slo", {}).get("breaches", 0))
     return flat
+
+
+def attribution_index(items: Iterable[Dict[str, object]]
+                      ) -> Dict[Tuple[str, str, str], Tuple[float, float]]:
+    """Attribution rows (the :meth:`~repro.sim.profile.AttributionTable.
+    to_rows` shape a snapshot keeps) as ``(op, device, phase)`` ->
+    ``(mean_us, total_us)``."""
+    return {(str(item["op"]), str(item["device"]), str(item["phase"])):
+            (float(item["mean_us"]), float(item["total_us"]))
+            for item in items}
 
 
 def metric_value(row: LedgerRow, metric: str) -> Optional[float]:
@@ -565,8 +576,7 @@ class LedgerWriter:
         # Only latency metrics name a noise entry (a request class), and
         # only rows from profiled runs carry one.
         noise_key = METRIC_POLICY.get(metric, (None, None, None))[2]
-        sems = [noise_sem(row.metrics.get("noise", {}).get(noise_key))
-                for row in rows]
+        sems = [max_sem([row], noise_key) for row in rows]
         anomalies = detect_anomalies(values, metric=metric,
                                      window=window, sems=sems)
         return TrendReport(metric=metric, rows=rows, values=values,
@@ -597,12 +607,29 @@ def _tail(handle) -> Tuple[int, Optional[bytes]]:
     return 0, None
 
 
+#: The JSON type of each stored field of a row.
+_FIELD_TYPES = {"seq": int, "run_id": str, "schema_version": int,
+                "command": str, "spec": dict, "extra": dict,
+                "provenance": dict, "metrics": dict, "volatile": dict}
+
+
 def _parse_row(line: str) -> Optional[LedgerRow]:
-    """One store line as a row, or None when it is not one."""
+    """One store line as a row, or None when it is not one: a field
+    is not of its :data:`_FIELD_TYPES` type, or the readers cannot
+    read the metrics (numbers, noise entries, attribution rows)."""
     try:
-        return LedgerRow.from_json(json.loads(line))
-    except (ValueError, KeyError, TypeError):
+        row = LedgerRow.from_json(json.loads(line))
+        if not all(isinstance(getattr(row, name), kind)
+                   for name, kind in _FIELD_TYPES.items()):
+            return None
+        flatten_metrics(row.metrics)
+        attribution_index(row.metrics.get("attribution", []))
+        for op in row.metrics.get("noise", {}):
+            max_sem([row], op)
+    except (ValueError, KeyError, TypeError, AttributeError,
+            OverflowError):
         return None
+    return row
 
 
 def _check_filter_key(key: str) -> None:
@@ -637,144 +664,6 @@ def parse_filters(pairs: Optional[Sequence[str]]) -> Dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Diff
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FieldDelta:
-    """One metric that differs between two rows."""
-
-    metric: str
-    a: Optional[float]
-    b: Optional[float]
-
-    @property
-    def rel(self) -> Optional[float]:
-        """Relative change b vs a, None when undefined."""
-        if self.a is None or self.b is None or self.a == 0:
-            return None
-        return (self.b - self.a) / abs(self.a)
-
-    def render(self) -> str:
-        def fmt(value):
-            return "-" if value is None else f"{value:>14.4f}"
-        rel = self.rel
-        rel_text = "" if rel is None else f"  {rel:+8.2%}"
-        return (f"  {self.metric:<32} {fmt(self.a)} -> "
-                f"{fmt(self.b)}{rel_text}")
-
-
-@dataclass
-class RunDiff:
-    """Field-level diff of two runs plus provenance hints."""
-
-    a: LedgerRow
-    b: LedgerRow
-    deltas: List[FieldDelta]
-    unchanged: int
-    hints: List[str]
-
-    def render(self) -> str:
-        lines = [f"a: {self.a.describe()}",
-                 f"b: {self.b.describe()}", ""]
-        if self.deltas:
-            lines.append(f"{len(self.deltas)} metric(s) differ "
-                         f"({self.unchanged} unchanged):")
-            lines.extend(delta.render() for delta in self.deltas)
-        else:
-            lines.append(f"no metric differences "
-                         f"({self.unchanged} compared)")
-        lines.append("")
-        lines.append("why might these differ?")
-        lines.extend(f"  - {hint}" for hint in self.hints)
-        return "\n".join(lines)
-
-
-def provenance_hints(a: LedgerRow, b: LedgerRow) -> List[str]:
-    """Human hints: which recipe/tree differences could explain a
-    metric delta between two rows."""
-    hints: List[str] = []
-    sa, sb = a.spec, b.spec
-    for key, why in (
-            ("workload", "different workloads — not comparable runs"),
-            ("system", "different architectures under test"),
-            ("engine", "different wall-clock engines time the same "
-                       "service stream differently"),
-            ("n_requests", "different run lengths shift warmup and "
-                           "steady-state mix"),
-            ("scale", "different data-set scales change locality"),
-            ("n_vms", "different VM counts change interleaving"),
-            ("load", "different arrival models change queueing"),
-    ):
-        if sa.get(key) != sb.get(key):
-            hints.append(f"{key} differs ({sa.get(key)!r} vs "
-                         f"{sb.get(key)!r}): {why}")
-    if sa.get("seed") != sb.get("seed"):
-        hints.append(
-            f"seed differs ({sa.get('seed')} vs {sb.get('seed')}): "
-            f"expect run-to-run statistical shifts within the "
-            f"METRIC_POLICY noise tolerances")
-    if sa.get("config_overrides") != sb.get("config_overrides"):
-        hints.append(
-            f"config overrides differ ({sa.get('config_overrides')} "
-            f"vs {sb.get('config_overrides')}): deliberate "
-            f"configuration change")
-    pa, pb = a.provenance, b.provenance
-    if pa.get("git_sha") != pb.get("git_sha"):
-        hints.append(
-            f"trees differ ({_short(pa.get('git_sha'))} vs "
-            f"{_short(pb.get('git_sha'))}): a code change is the "
-            f"likely cause")
-    if pa.get("git_dirty") != pb.get("git_dirty"):
-        hints.append("one run used a dirty working tree — "
-                     "uncommitted edits may not be reproducible")
-    elif pa.get("git_dirty") and pb.get("git_dirty"):
-        hints.append("both runs used dirty working trees — the "
-                     "recorded SHA may not describe either")
-    if pa.get("schema") != pb.get("schema"):
-        hints.append(f"schema versions differ ({pa.get('schema')} vs "
-                     f"{pb.get('schema')}): snapshots may not be "
-                     f"field-compatible")
-    if (pa.get("host") or {}).get("node") != \
-            (pb.get("host") or {}).get("node"):
-        hints.append("recorded on different hosts — virtual-clock "
-                     "metrics are machine-independent, but check "
-                     "volatile wall times separately")
-    if a.command != b.command:
-        hints.append(f"recorded by different commands "
-                     f"({a.command} vs {b.command}) — warmup and "
-                     f"load conventions differ per entry point")
-    if not hints:
-        hints.append("same recipe, seed, and tree — any metric drift "
-                     "is behavioural (or a determinism bug worth "
-                     "chasing)")
-    return hints
-
-
-def _short(sha: Optional[str]) -> str:
-    return (sha or "unknown")[:10]
-
-
-def diff_rows(a: LedgerRow, b: LedgerRow) -> RunDiff:
-    """Field-level diff of two rows' metric snapshots."""
-    flat_a = flatten_metrics(a.metrics)
-    flat_b = flatten_metrics(b.metrics)
-    deltas: List[FieldDelta] = []
-    unchanged = 0
-    for metric in sorted(set(flat_a) | set(flat_b)):
-        va, vb = flat_a.get(metric), flat_b.get(metric)
-        if va == vb:
-            unchanged += 1
-        else:
-            deltas.append(FieldDelta(metric=metric, a=va, b=vb))
-    deltas.sort(key=lambda d: (-(abs(d.rel) if d.rel is not None
-                                 else math.inf), d.metric))
-    return RunDiff(a=a, b=b, deltas=deltas, unchanged=unchanged,
-                   hints=provenance_hints(a, b))
-
-
-# ---------------------------------------------------------------------------
 # Trend + anomaly detection
 # ---------------------------------------------------------------------------
 
@@ -786,6 +675,15 @@ def noise_sem(entry: Optional[Dict[str, float]]) -> Optional[float]:
         return None
     n = max(1.0, float(entry.get("n", 1.0)))
     return float(entry.get("std_us", 0.0)) / math.sqrt(n)
+
+
+def max_sem(rows: Sequence[LedgerRow],
+            op: Optional[str]) -> Optional[float]:
+    """The largest standard error of request class ``op``'s mean
+    latency (µs) the ``rows`` recorded; None when none recorded one."""
+    sems = [noise_sem(row.metrics.get("noise", {}).get(op))
+            for row in rows]
+    return max((sem for sem in sems if sem is not None), default=None)
 
 
 def tolerance(metric: Optional[str], base: float,

@@ -10,23 +10,28 @@ Four criteria:
   fixed inputs;
 * the flame-diff export writes exactly the stacks it computes.
 
+And two runs whose recipes differ in any spec field but the seed and
+the config overrides are not comparable: the summary names the field.
+
 Plus unit coverage of scalar significance and the CLI surface
 (`repro explain` on ledger refs).
 """
 
 import json
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
-from repro.analysis.explain import (RunView, explain_ledger_rows,
+from repro import ledger as ledger_module
+from repro.analysis.explain import (explain_ledger_rows,
                                     export_flame_diff,
                                     flame_diff_stacks,
                                     significant_scalars)
 from repro.core import ICASHController
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import make_icash_config
-from repro.ledger import LedgerWriter
+from repro.ledger import SPEC_FIELDS, LedgerWriter
 from repro.sim.profile import Profiler
 from repro.workloads import SysBenchWorkload
 
@@ -37,13 +42,15 @@ SEED = 2011
 OVERRIDE = ("delta_accept_bytes", 1)
 
 
-def _run(seed=SEED, overrides=()):
-    workload = SysBenchWorkload(n_requests=N_REQUESTS, seed=seed)
+def _run(seed=SEED, overrides=(), n_requests=N_REQUESTS,
+         warmup_fraction=0.25):
+    workload = SysBenchWorkload(n_requests=n_requests, seed=seed)
     config = make_icash_config(workload)
     if overrides:
         config = replace(config, **dict(overrides))
     system = ICASHController(workload.build_dataset(), config)
     return run_benchmark(workload, system, engine="event",
+                         warmup_fraction=warmup_fraction,
                          profiler=Profiler())
 
 
@@ -80,14 +87,32 @@ def store(tmp_path_factory, base_result, twin_result, override_result):
     return writer
 
 
+@pytest.fixture(scope="module")
+def recipe_store(tmp_path_factory, base_result):
+    """A ledger on a clean tree holding seq 1 = base, 2 = twice the
+    requests, 3 = base recorded with its 0.25 warmup, 4 = a 0.4 warmup:
+    two pairs whose recipes differ in one field each."""
+    root = str(tmp_path_factory.mktemp("recipe-ledger"))
+    writer = LedgerWriter(root)
+    with mock.patch.object(ledger_module, "_GIT_CACHE",
+                           ("deadbeef", False)):
+        writer.record(base_result, command="test", spec=_spec())
+        writer.record(_run(n_requests=2 * N_REQUESTS), command="test",
+                      spec=_spec())
+        for warmup in (0.25, 0.4):
+            writer.record(_run(warmup_fraction=warmup), command="test",
+                          spec={**_spec(), "warmup_fraction": warmup})
+    return writer
+
+
 def _explain(store, ref_a, ref_b):
     return explain_ledger_rows(store.get(ref_a), store.get(ref_b))
 
 
-def _view(result, label="a"):
+def _rows(result):
     """A run's full attribution table (a ledger row keeps only the
     heaviest rows)."""
-    return RunView(label=label, attribution=result.attribution.to_rows())
+    return result.attribution.to_rows()
 
 
 def _read_flame_diff(path):
@@ -142,17 +167,17 @@ class TestLedgerExplain:
 class TestFlameDiff:
     def test_round_trips_through_parser(self, base_result,
                                         override_result, tmp_path):
-        view_a, view_b = _view(base_result), _view(override_result, "b")
+        rows_a, rows_b = _rows(base_result), _rows(override_result)
         path = str(tmp_path / "flame.diff")
-        lines = export_flame_diff(view_a, view_b, path)
+        lines = export_flame_diff(rows_a, rows_b, path)
         assert lines > 0
         parsed = _read_flame_diff(path)
-        assert parsed == flame_diff_stacks(view_a, view_b)
+        assert parsed == flame_diff_stacks(rows_a, rows_b)
         assert len(parsed) == lines
 
     def test_stack_shape_is_op_device_phase(self, base_result):
-        view = _view(base_result)
-        stacks = flame_diff_stacks(view, view)
+        rows = _rows(base_result)
+        stacks = flame_diff_stacks(rows, rows)
         assert stacks
         for stack, (a_us, b_us) in stacks.items():
             assert len(stack.split(";")) == 3
@@ -162,15 +187,55 @@ class TestFlameDiff:
                                                  tmp_path):
         """Each line is `frames SPACE int SPACE int` — what
         flamegraph.pl --negate and speedscope's importer expect."""
-        view = _view(base_result)
+        rows = _rows(base_result)
         path = str(tmp_path / "flame.diff")
-        export_flame_diff(view, view, path)
+        export_flame_diff(rows, rows, path)
         with open(path, encoding="utf-8") as handle:
             for line in handle:
                 stack, count_a, count_b = line.rsplit(" ", 2)
                 assert stack
                 int(count_a)
                 int(count_b)
+
+
+class TestRecipe:
+    """Each paper claim compares runs of one recipe that differ in one
+    thing; any other recipe difference makes the runs not comparable."""
+
+    def test_recipe_is_every_spec_field_but_seed_and_overrides(self):
+        from repro.analysis.explain import RECIPE_FIELDS
+
+        assert RECIPE_FIELDS == (
+            "workload", "system", "engine", "n_requests", "scale",
+            "n_vms", "warmup_fraction", "load")
+        assert set(RECIPE_FIELDS) == set(SPEC_FIELDS) - {
+            "seed", "config_overrides"}
+
+    @pytest.mark.parametrize("refs, field", [
+        (("1", "2"), "n_requests"), (("3", "4"), "warmup_fraction")],
+        ids=["n_requests", "warmup_fraction"])
+    def test_one_recipe_difference_ranks_incomparable_first(
+            self, recipe_store, refs, field):
+        row_a, row_b = (recipe_store.get(ref) for ref in refs)
+        assert [key for key in SPEC_FIELDS
+                if row_a.spec[key] != row_b.spec[key]] == [field]
+        top = explain_ledger_rows(row_a, row_b).suspects[0]
+        assert top.cause == "incomparable"
+        assert top.summary == (f"runs are not comparable: {field} "
+                               f"{row_a.spec[field]!r} vs "
+                               f"{row_b.spec[field]!r}")
+
+
+    def test_recipe_difference_is_named_without_movement(
+            self, tmp_path, base_result):
+        writer = LedgerWriter(str(tmp_path))
+        for scale in (None, 0.5):
+            writer.record(base_result, command="test",
+                          spec={**_spec(), "scale": scale})
+        report = _explain(writer, "1", "2")
+        assert not report.significant
+        assert report.render().endswith(
+            "\n  but runs are not comparable: scale None vs 0.5")
 
 
 class TestScalars:
@@ -254,9 +319,9 @@ class TestDocParity:
 
     def test_walkthrough_chains_every_tool(self, obs_doc):
         section = obs_doc.split("# Debugging a regression", 1)[1]
-        for command in ("test_grid_digest.py", "ledger diff",
-                        "repro monitor --json", "repro critpath --json",
-                        "repro trace", "explain"):
+        for command in ("test_grid_digest.py", "repro explain A B",
+                        "--json", "repro monitor --json",
+                        "repro critpath --json", "repro trace"):
             assert command in section, f"{command!r} missing from the " \
                                        f"walkthrough"
 
@@ -270,7 +335,7 @@ class TestDocParity:
         root = Path(__file__).resolve().parents[1]
         readme = " ".join((root / "README.md").read_text().split())
         assert "python -m repro explain" in readme
-        assert "trace → monitor → critpath → ledger diff → explain" \
+        assert "trace → monitor → critpath → ledger → explain" \
             in readme
 
     def test_ledger_doc_cross_links(self):

@@ -10,19 +10,22 @@ Four families of guarantees:
   suite ran serially or fanned out across worker processes, and
   concurrent recorders from separate processes cannot corrupt the
   store;
-* **analytics** — diffs surface metric deltas with provenance-aware
-  hints, and the rolling median/MAD anomaly detector flags exactly the
-  injected change among identical-seed reruns;
+* **analytics** — ``repro explain`` ranks the recorded cause of a
+  delta between two rows, and the rolling median/MAD anomaly detector
+  flags exactly the injected change among identical-seed reruns;
 * **maintenance** — the store is one JSONL file: ``verify`` catches
   tampering, other schema versions and a torn final line, which the
   next append truncates; a line that is not a row fails naming it;
   ``prune`` retains only the newest rows, even racing a recorder.
 """
 
+import contextlib
+import io
 import json
 import multiprocessing
 import os
 import re
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -30,6 +33,8 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ledger as ledger_module
 from repro.experiments.parallel import RunSpec
@@ -38,7 +43,7 @@ from repro.ledger import (ANOMALY_Z, DEFAULT_REL_TOL, DEFAULT_WINDOW,
                           METRIC_POLICY, MIN_HISTORY, NOISE_Z,
                           PROVENANCE_FIELDS, SPEC_FIELDS, Anomaly,
                           LedgerRow, LedgerWriter, default_ledger,
-                          detect_anomalies, diff_rows, flatten_metrics,
+                          detect_anomalies, flatten_metrics,
                           noise_sem, parse_filters, run_id_for,
                           sparkline, tolerance)
 
@@ -352,40 +357,40 @@ class TestEntryPoints:
 
 
 # ---------------------------------------------------------------------------
-# Diff + provenance hints
+# Two rows compared: repro explain
 # ---------------------------------------------------------------------------
 
 
+def _explain(store):
+    from repro.analysis.explain import explain_ledger_rows
+
+    return explain_ledger_rows(store.get("1"), store.get("2"))
+
+
 class TestDiff:
+    """``repro explain`` is the one comparison of two rows; these are
+    the cases ``repro ledger diff`` once hinted at."""
+
     def test_seed_change_yields_deltas_and_seed_hint(self, tmp_path):
         store = _writer(tmp_path)
         store.record(_small_result(), command="run",
                      spec={"seed": 2011})
         store.record(_small_result(seed=7), command="run",
                      spec={"seed": 7})
-        diff = diff_rows(store.get("1"), store.get("2"))
-        assert diff.deltas, "different seeds must shift some metric"
-        assert any("seed differs" in hint for hint in diff.hints)
-        rendered = diff.render()
-        assert "why might these differ?" in rendered
-        # Sorted most-moved first.
-        rels = [abs(d.rel) for d in diff.deltas if d.rel is not None]
-        assert rels == sorted(rels, reverse=True)
+        report = _explain(store)
+        assert report.significant, "different seeds must shift a metric"
+        assert "seed_change" in [s.cause for s in report.suspects]
 
-    def test_identical_rows_fall_back_to_determinism_hint(self, tmp_path,
-                                                          monkeypatch):
-        # Pin provenance to a clean tree; otherwise the dirty-tree
-        # hint (correctly) pre-empts the fallback while developing.
-        monkeypatch.setattr(ledger_module, "_GIT_CACHE",
-                            ("deadbeef", False))
+    def test_identical_rows_report_no_significant_deltas(self, tmp_path):
         store = _writer(tmp_path)
         store.record(_small_result(), command="run", spec={"seed": 2011})
         store.record(_small_result(), command="run", spec={"seed": 2011})
-        diff = diff_rows(store.get("1"), store.get("2"))
-        assert diff.deltas == []
-        assert diff.unchanged == len(flatten_metrics(
+        report = _explain(store)
+        assert report.suspects == []
+        assert all(d.delta == 0 for d in report.scalar_deltas)
+        assert len(report.scalar_deltas) == len(flatten_metrics(
             store.get("1").metrics))
-        assert any("same recipe" in hint for hint in diff.hints)
+        assert "no significant deltas" in report.render()
 
     def test_config_override_hint(self, tmp_path):
         store = _writer(tmp_path)
@@ -395,18 +400,17 @@ class TestDiff:
                      spec={"seed": 2011,
                            "config_overrides": [["delta_accept_bytes",
                                                  64]]})
-        diff = diff_rows(store.get("1"), store.get("2"))
-        assert any("config overrides differ" in hint
-                   for hint in diff.hints)
+        assert _explain(store).suspects[0].cause == "config_override"
 
-    def test_engine_and_command_hints(self, tmp_path):
+    def test_engine_change_is_incomparable(self, tmp_path):
         store = _writer(tmp_path)
         store.record(_small_result(), command="run", spec={"seed": 2011})
         store.record(_small_result(engine="event"), command="sweep",
                      spec={"seed": 2011})
-        hints = diff_rows(store.get("1"), store.get("2")).hints
-        assert any("engine differs" in hint for hint in hints)
-        assert any("different commands" in hint for hint in hints)
+        top = _explain(store).suspects[0]
+        assert top.cause == "incomparable"
+        assert top.summary == ("runs are not comparable: engine "
+                               "'legacy' vs 'event'")
 
 
 # ---------------------------------------------------------------------------
@@ -581,12 +585,13 @@ class TestDeterminism:
     @staticmethod
     def _canonical_exports(tmp_path, drive):
         """Canonical export bytes after ``drive(jobs, store)`` at one
-        and at two jobs."""
+        and at two jobs; each store verifies clean."""
         exports = {}
         for jobs in (1, 2):
             store = _writer(tmp_path, f"jobs{jobs}",
                             clock=lambda: 1.5)
             drive(jobs, store)
+            assert store.verify() == []
             path = tmp_path / f"canon{jobs}.jsonl"
             store.export(str(path), canonical=True)
             exports[jobs] = path.read_bytes()
@@ -762,6 +767,142 @@ class TestMaintenance:
 
 
 # ---------------------------------------------------------------------------
+# Fuzzed rows: every reader reads a row or names the line that is not one
+# ---------------------------------------------------------------------------
+
+
+#: Any JSON value (finite floats: JSON has no NaN or infinity).
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+@lru_cache(maxsize=None)
+def _profiled_row() -> str:
+    """A stored row of a profiled run: it carries noise entries and
+    attribution rows beside the scalars and counters."""
+    from repro.experiments.runner import run_benchmark
+    from repro.experiments.systems import make_system
+    from repro.sim.profile import Profiler
+    from repro.workloads import SysBenchWorkload
+
+    workload = SysBenchWorkload(scale=0.05, n_requests=300, seed=2011)
+    result = run_benchmark(workload, make_system("icash", workload),
+                           engine="event", profiler=Profiler())
+    with tempfile.TemporaryDirectory() as root:
+        store = LedgerWriter(root, clock=lambda: 1.5)
+        store.record(result, command="run", spec=_SMALL_SPEC)
+        with open(store.path, encoding="utf-8") as handle:
+            return handle.read()
+
+
+def _paths(doc, prefix=()):
+    """Every field and sub-field of a JSON document, as key paths."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+#: Any field or sub-field of the profiled row (drawn lazily: the row
+#: is a simulated run).
+_PATHS = st.deferred(lambda: st.sampled_from(
+    sorted(_paths(json.loads(_profiled_row())), key=str)))
+
+
+def _replaced(path, value, seq=1) -> str:
+    """The profiled row as row ``seq``, with the field at ``path``
+    replaced by ``value`` and its run id re-hashed unless the run id is
+    what changed."""
+    doc = json.loads(_profiled_row())
+    doc["seq"] = seq
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    if path != ("run_id",):
+        doc["run_id"] = run_id_for({key: doc[key] for key in doc
+                                    if key not in ("seq", "run_id",
+                                                   "volatile")})
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def _cli(argv):
+    """``(exit code, stderr)`` of one CLI call."""
+    from repro.cli import main
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+#: The reading verbs and the refs they look up; prune runs last.
+_READERS = (["ledger", "list"], ["ledger", "list", "--filter", "workload=x"],
+            ["ledger", "show", "2"], ["ledger", "trend", "read_p99_us"],
+            ["ledger", "verify"], ["explain", "1", "2"],
+            ["explain", "2", "1", "--json"],
+            ["ledger", "prune", "--keep", "2"])
+
+
+class TestFuzzedRows:
+    """A store line is a ledger row every reader can read, or every
+    reader exits 2 naming it — whatever a field or sub-field holds."""
+
+    PROBED = ((("spec",), None, ["ledger", "list", "--filter",
+                                 "workload=x"]),
+              (("metrics",), [], ["ledger", "trend", "read_p99_us"]),
+              (("metrics",), [], ["explain", "1", "1"]),
+              (("metrics", "scalars", "read_p99_us"), "x",
+               ["ledger", "trend", "read_p99_us"]))
+
+    @pytest.mark.parametrize("path, value, argv", PROBED,
+                             ids=["null spec", "metrics list: trend",
+                                  "metrics list: explain",
+                                  "text scalar"])
+    def test_probed_rows_name_their_line(self, tmp_path, path, value,
+                                         argv):
+        store = _writer(tmp_path)
+        with open(store.path, "w", encoding="utf-8") as handle:
+            handle.write(_replaced(path, value))
+        assert _cli(argv + ["--dir", store.root]) \
+            == (2, f"{store.path}:1: not a ledger row\n")
+
+    @settings(max_examples=80, deadline=None)
+    @given(path=_PATHS, value=_JSON)
+    def test_every_reader_reads_the_row_or_names_its_line(self, path,
+                                                           value):
+        with tempfile.TemporaryDirectory() as root:
+            store = LedgerWriter(root)
+            with open(store.path, "w", encoding="utf-8") as handle:
+                handle.write(_profiled_row()
+                             + _replaced(path, value, seq=2))
+            not_a_row = f"{store.path}:2: not a ledger row\n"
+            for argv in _READERS:
+                code, err = _cli(argv + ["--dir", root])
+                if code == 2 and path[0] in ("seq", "run_id") \
+                        and argv[-1] in ("1", "2", "--json"):
+                    # Another seq or run id may leave a ref unmatched.
+                    assert err == not_a_row or err.startswith(
+                        ("no ledger row", "run id prefix")), (argv, err)
+                elif code == 1 and argv[1] == "verify":
+                    assert all(line.startswith("FAIL: ")
+                               for line in err.splitlines()), err
+                else:
+                    assert code == 0 or (code, err) == (2, not_a_row), \
+                        (argv, code, err)
+
+
+# ---------------------------------------------------------------------------
 # CLI round trip
 # ---------------------------------------------------------------------------
 
@@ -794,10 +935,8 @@ class TestCLI:
         out = self._run(capsys, ["ledger", "show", "1", "--dir", root])
         assert json.loads(out)["command"] == "run"
 
-        out = self._run(capsys,
-                        ["ledger", "diff", "1", "2", "--dir", root])
-        assert "no metric differences" in out
-        assert "why might these differ?" in out
+        out = self._run(capsys, ["explain", "1", "2", "--dir", root])
+        assert "no significant deltas" in out
 
         out = self._run(capsys, ["ledger", "trend",
                                  "transactions_per_s", "--dir", root])
@@ -886,8 +1025,6 @@ class TestOldRows:
         assert store.trend("transactions_per_s").values \
             == [row.metrics["scalars"]["transactions_per_s"]
                 for row in (old, new)]
-        hints = diff_rows(old, new).hints
-        assert any("schema versions differ" in hint for hint in hints)
 
     def test_cli_verbs_read_the_old_row(self, store, capsys):
         from repro.cli import main

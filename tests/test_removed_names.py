@@ -136,11 +136,26 @@ REMOVED = (
      "nothing: schema_versions() names the ledger's alone"),
     ("explain_bench_cases", r"explain_bench_cases", "explain_ledger_rows"),
     ("view_from_bench_case", r"view_from_bench_case",
-     "view_from_ledger_row"),
+     "explain_ledger_rows"),
     ("RunSpec(profile=)",
      r"\bprofile\s*:\s*bool|\bprofile=|spec\.profile\b",
      "run_benchmark(profiler=Profiler()), as the grid digest's "
      "profiled runs attach it"),
+    # Two runs are compared one way: repro explain reads two ledger
+    # rows directly and names every recipe difference.
+    ("diff_rows", r"\bdiff_rows\b",
+     "repro.analysis.explain.explain_ledger_rows"),
+    ("provenance_hints", r"provenance_hints",
+     "repro.analysis.explain.rank_suspects"),
+    ("FieldDelta", r"\bFieldDelta\b",
+     "repro.analysis.explain.ScalarDelta"),
+    ("RunDiff", r"\bRunDiff\b", "repro.analysis.explain.ExplainReport"),
+    ("RunView", r"\bRunView\b|view_from_ledger_row",
+     "the LedgerRow itself, read through ledger.flatten_metrics, "
+     "ledger.max_sem and ledger.attribution_index"),
+    ('"diff" in LEDGER_SUBCOMMANDS',
+     r'LEDGER_SUBCOMMANDS = \([^)]*"diff"|_ledger_sub\("diff"',
+     "repro explain A B", "repro/cli.py"),
     # The monitor reads the stack through one table: no model class
     # registers an instrument, and the engine and the fault injector
     # keep none.
