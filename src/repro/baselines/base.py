@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.devices.base import Counted
 from repro.sim.request import IORequest, OpType
-from repro.sim.stats import LatencyStats
 
 
 class StorageSystem(Counted, abc.ABC):
@@ -38,10 +37,6 @@ class StorageSystem(Counted, abc.ABC):
     def __init__(self, name: str, capacity_blocks: int) -> None:
         self.name = name
         self.capacity_blocks = capacity_blocks
-        #: Latencies of the requests :meth:`process_read` and
-        #: :meth:`process_write` served.
-        self.read_latency = LatencyStats()
-        self.write_latency = LatencyStats()
         #: Time (s) spent on work off the request critical path
         #: (background scans, flushes, destaging).  The experiment runner
         #: folds this into wall-clock time.  Device work reaches it
@@ -150,7 +145,7 @@ class StorageSystem(Counted, abc.ABC):
     # -- request dispatch ------------------------------------------------------
 
     def process(self, request: IORequest) -> float:
-        """Service one request, recording per-class latency stats."""
+        """Service one request; returns its latency in seconds."""
         if request.op is OpType.READ:
             latency, _ = self.process_read(request)
         else:
@@ -159,22 +154,18 @@ class StorageSystem(Counted, abc.ABC):
 
     def process_read(self, request: IORequest
                      ) -> Tuple[float, List[np.ndarray]]:
-        """Service one read request with stats and trace bookkeeping."""
+        """Service one read request, opening it on the tracer."""
         tracer = self.tracer
         if tracer is not None:
             tracer.begin_request("read", request.lba, request.nblocks)
-        latency, contents = self.read(request.lba, request.nblocks)
-        self.read_latency.record(latency)
-        return latency, contents
+        return self.read(request.lba, request.nblocks)
 
     def process_write(self, request: IORequest) -> float:
-        """Service one write request with stats and trace bookkeeping."""
+        """Service one write request, opening it on the tracer."""
         tracer = self.tracer
         if tracer is not None:
             tracer.begin_request("write", request.lba, request.nblocks)
-        latency = self.write(request.lba, request.payload)
-        self.write_latency.record(latency)
-        return latency
+        return self.write(request.lba, request.payload)
 
     # -- reporting ---------------------------------------------------------------
 

@@ -455,12 +455,17 @@ def _cmd_run(workload_name: str, system_name: str, requests: int,
 
 def _cmd_trace(workload_name: str, system_name: str, requests: int,
                out: str, buffer_events: int) -> int:
+    from repro.sim.profile import Profiler
     from repro.sim.trace import (RingBufferTracer, export_chrome_trace,
-                                 export_jsonl, phase_breakdown)
+                                 export_jsonl)
 
     _, workload, system = _build_run(workload_name, system_name, requests)
     tracer = RingBufferTracer(capacity_events=buffer_events)
-    run_benchmark(workload, system, tracer=tracer)
+    profiler = Profiler()
+    # No warm-up cut: the table and the run's means cover every request
+    # the ring holds.
+    result = run_benchmark(workload, system, tracer=tracer,
+                           profiler=profiler, warmup_fraction=0.0)
     if out.endswith(".jsonl"):
         written = export_jsonl(tracer.events, out, tracer=tracer)
         kind = "JSONL"
@@ -474,25 +479,25 @@ def _cmd_trace(workload_name: str, system_name: str, requests: int,
           f"dropped: {tracer.dropped}")
     if tracer.dropped:
         print(f"warning: ring buffer overflowed; the {tracer.dropped} "
-              f"oldest events were dropped — the trace file and the "
-              f"phase breakdowns below cover only the surviving tail. "
-              f"Raise --buffer for a complete trace.", file=sys.stderr)
-    for op in ("read", "write"):
-        breakdown = phase_breakdown(tracer.events, op=op)
-        print()
-        print(breakdown.render())
-    # Cross-check the trace against the independent latency statistics:
-    # the read breakdown's mean must reproduce the system's own mean,
-    # within critpath's tolerance.  A ring that dropped events covers
-    # only the tail (warned above), so then there is nothing to judge.
-    stats_mean = system.read_latency.mean_us
-    trace_mean = phase_breakdown(tracer.events, op="read").mean_us
+              f"oldest events were dropped — the trace file covers "
+              f"only the surviving tail. Raise --buffer for a complete "
+              f"trace.", file=sys.stderr)
+    print()
+    print(profiler.table.render())
+    # Cross-check the trace against the run's own measurement: the
+    # ring's read spans must reproduce the measured read mean, within
+    # critpath's tolerance.  A ring that dropped events covers only the
+    # tail (warned above), so then there is nothing to judge.
+    stats_mean = result.read_mean_us
+    reads = [event.dur for event in tracer.events
+             if event.name == "request_start" and event.outcome == "read"]
+    trace_mean = sum(reads) / len(reads) * 1e6 if reads else 0.0
     print(f"\nconsistency: trace read mean {trace_mean:.2f} us vs "
           f"stats read mean {stats_mean:.2f} us")
     if not tracer.dropped and \
             abs(trace_mean - stats_mean) > 1e-6 * max(1.0, stats_mean):
-        print("warning: the trace's read breakdown disagrees with the "
-              "run's latency statistics", file=sys.stderr)
+        print("warning: the trace's read mean disagrees with the run's "
+              "measured read mean", file=sys.stderr)
         return 1
     return 0
 
@@ -522,12 +527,13 @@ def _cmd_monitor(workload_name: str, system_name: str, requests: int,
     export_series_jsonl(monitor.store, jsonl_path)
     samples = export_prometheus(monitor.registry, prom_path)
 
-    # Cross-check the windowed series against the independent run-end
-    # statistics: summed window deltas must reproduce the request counts
-    # the system saw (the tracer's consistency check, for metrics).
+    # Cross-check the windowed series against the stream itself: summed
+    # window deltas must reproduce the stream's read and write counts
+    # (the tracer's consistency check, for metrics).
     store = monitor.store
-    stats_reads = system.read_latency.count
-    stats_writes = system.write_latency.count
+    reads = [request.is_read for request in workload.requests()]
+    stats_reads = sum(reads)
+    stats_writes = len(reads) - stats_reads
     series_reads = store.counter_total("requests_read_total")
     series_writes = store.counter_total("requests_write_total")
     consistent = (series_reads, series_writes) == (stats_reads,
@@ -674,14 +680,14 @@ def _cmd_critpath(workload_name: str, system_name: str, requests: int,
                   f"{stats_mean:.2f} us [{'ok' if ok else 'MISMATCH'}]")
     folded_lines = None
     if folded is not None:
-        folded_lines = export_folded(tracer.events, folded)
+        folded_lines = export_folded(table, tracer.events, folded)
         if not as_json:
             print(f"\nwrote {folded_lines} folded stacks to {folded} "
                   f"(flamegraph.pl / speedscope 'folded' format)")
         if tracer.dropped:
             print(f"warning: ring buffer dropped {tracer.dropped} "
-                  f"events; folded stacks cover the surviving tail",
-                  file=sys.stderr)
+                  f"events; folded background and run stacks cover the "
+                  f"surviving tail", file=sys.stderr)
     if as_json:
         blames = {}
         for op in table.ops:

@@ -11,7 +11,7 @@ of SSD very frequently with mostly read I/Os") as numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.core.controller import ICASHController
 

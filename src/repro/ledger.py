@@ -763,8 +763,11 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
     lo, hi = min(values), max(values)
     if hi <= lo:
         return _SPARK_CHARS[3] * len(values)
-    scale = (len(_SPARK_CHARS) - 1) / (hi - lo)
-    return "".join(_SPARK_CHARS[int((v - lo) * scale)]
+    # Halve before subtracting: hi - lo overflows for values spanning
+    # more than the float range, hi / 2 - lo / 2 never does, and the
+    # halving moves no level.
+    scale = (len(_SPARK_CHARS) - 1) / (hi / 2 - lo / 2)
+    return "".join(_SPARK_CHARS[int((v / 2 - lo / 2) * scale)]
                    for v in values)
 
 

@@ -18,12 +18,11 @@ anyone composing I-CASH into a full-system study.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.baselines.base import StorageSystem
-from repro.sim.request import BLOCK_SIZE
 
 #: Latency of serving one 4 KB block from the host page cache.
 PAGE_HIT_S = 0.5e-6

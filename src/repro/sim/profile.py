@@ -27,10 +27,11 @@ Three pieces:
   contributions, share of the class's latency, plus a *blame* summary
   over the p99 tail.  Per-request sums reconcile exactly with the
   end-to-end latency statistics — asserted by the test suite.
-* **The folded-stack exporter.**  :func:`export_folded` collapses a
-  recorded trace's span trees into ``component;device;phase count_us``
-  lines consumable by standard flamegraph tooling (flamegraph.pl,
-  speedscope, inferno), complementing the Chrome trace export.
+* **The folded-stack exporter.**  :func:`export_folded` writes
+  ``component;device;phase count_us`` lines consumable by standard
+  flamegraph tooling (flamegraph.pl, speedscope, inferno): the table's
+  rows as the request stacks, a recorded trace's background and run
+  span trees beside them.
 
 Documented in the "Profiling & critical path" section of
 ``docs/OBSERVABILITY.md``; ``repro critpath`` is the CLI front end and
@@ -44,19 +45,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, TextIO, \
     Tuple, Union
 
 from repro.sim.stats import LatencyStats
-from repro.sim.trace import SPAN, TRACK_BACKGROUND, TRACK_REQUEST, \
-    TRACK_RUN, TraceEvent, foreground
+from repro.sim.trace import SPAN, TRACK_BACKGROUND, TRACK_RUN, \
+    TraceEvent, foreground
 
 #: Device heads a span name may start with; ``classify_phase`` splits
 #: ``{device}_{phase}`` names on this set (``hdd_log_read`` ->
 #: ``("hdd", "log_read")``).
 DEVICE_HEADS = ("dram", "ssd", "hdd", "nvram", "raid0")
-
-#: Pseudo-devices attribution rows may use beyond :data:`DEVICE_HEADS`:
-#: ``cpu`` for codec/host computation phases, ``queue`` for a trace's
-#: pooled ``queue`` span in the folded stacks (the trace does not say
-#: which station), ``host`` for the uninstrumented residual.
-PSEUDO_DEVICES = ("cpu", "queue", "host")
 
 #: The phase name end-to-end time not covered by any emitted item is
 #: attributed to, paired with the ``host`` pseudo-device.
@@ -72,15 +67,12 @@ def classify_phase(name: str,
     re-labelled ``hdd_log_append`` on an NVRAM log still attributes to
     ``nvram``); without it the name is split on :data:`DEVICE_HEADS`.
     CPU phases (``delta_encode``/``delta_decode``) and anything else
-    unprefixed attribute to the ``cpu`` pseudo-device; the engine's
-    aggregate ``queue`` span becomes ``("queue", "wait")``.
+    unprefixed attribute to the ``cpu`` pseudo-device.
     """
     if device is not None:
         if name.startswith(device + "_"):
             return device, name[len(device) + 1:]
         return device, name
-    if name == "queue":
-        return "queue", "wait"
     head, sep, rest = name.partition("_")
     if sep and head in DEVICE_HEADS:
         return head, rest
@@ -406,51 +398,30 @@ def _fold_nested(events: List[TraceEvent], root: str,
         open_spans.append((event.ts + event.dur, path))
 
 
-def _fold_requests(events: List[TraceEvent],
-                   stacks: Dict[str, float]) -> None:
-    """Request track: one stack per phase under the request's op."""
-    latency: Dict[int, Tuple[str, float]] = {}
-    covered: Dict[int, float] = {}
-    for event in events:
-        if event.name == "request_start" and event.req is not None:
-            latency[event.req] = (str(event.outcome), event.dur)
-    for event in events:
-        if event.name == "request_start" or event.req is None or \
-                event.dur <= 0.0 or event.req not in latency:
-            continue
-        op = latency[event.req][0]
-        device, phase = classify_phase(event.name)
-        key = f"{op};{device};{phase}"
-        stacks[key] = stacks.get(key, 0.0) + event.dur
-        covered[event.req] = covered.get(event.req, 0.0) + event.dur
-    for req, (op, total) in latency.items():
-        residual = total - covered.get(req, 0.0)
-        if residual > 1e-12:
-            key = f"{op};host;{RESIDUAL_PHASE}"
-            stacks[key] = stacks.get(key, 0.0) + residual
+def fold_stacks(table: AttributionTable,
+                events: Iterable[TraceEvent]) -> Dict[str, float]:
+    """Collapse a run into ``{semicolon-joined stack: seconds}``.
 
-
-def fold_stacks(events: Iterable[TraceEvent]) -> Dict[str, float]:
-    """Collapse a trace into ``{semicolon-joined stack: seconds}``.
-
-    Request-track spans fold under their request's operation class
-    (``read;ssd;read``), background and run tracks fold under their
-    track name with span nesting preserved
-    (``background;flush;hdd;log_append``).  Device-internal marks are
-    excluded — their time already lives inside an enclosing span.
+    Request stacks are ``table``'s rows (``read;ssd;read``, each row's
+    total time), so they cover the requests the table measured; the
+    background and run tracks of ``events`` fold under their track name
+    with span nesting preserved (``background;flush;hdd;log_append``),
+    over the whole recorded run.  The ring's request track and
+    device-internal marks are left out — the table already attributes
+    every request's time, and a mark's lives inside an enclosing span.
     """
+    stacks = {f"{row.op};{row.device};{row.phase}": row.total_s
+              for op in table.ops for row in table.rows(op)}
     by_track: Dict[str, List[TraceEvent]] = {}
     for event in events:
         by_track.setdefault(event.track, []).append(event)
-    stacks: Dict[str, float] = {}
-    _fold_requests(by_track.get(TRACK_REQUEST, []), stacks)
     _fold_nested(by_track.get(TRACK_BACKGROUND, []), TRACK_BACKGROUND,
                  stacks)
     _fold_nested(by_track.get(TRACK_RUN, []), TRACK_RUN, stacks)
     return stacks
 
 
-def export_folded(events: Iterable[TraceEvent],
+def export_folded(table: AttributionTable, events: Iterable[TraceEvent],
                   destination: Union[str, TextIO]) -> int:
     """Write folded flame stacks (``frame;frame;frame count_us``).
 
@@ -461,8 +432,8 @@ def export_folded(events: Iterable[TraceEvent],
     """
     if isinstance(destination, str):
         with open(destination, "w", encoding="utf-8") as handle:
-            return export_folded(events, handle)
-    stacks = fold_stacks(events)
+            return export_folded(table, events, handle)
+    stacks = fold_stacks(table, events)
     count = 0
     for key in sorted(stacks):
         value = round(stacks[key] * 1e6)

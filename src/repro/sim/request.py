@@ -9,7 +9,7 @@ traces alone cannot drive an evaluation of delta-based storage.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

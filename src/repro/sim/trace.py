@@ -1,14 +1,15 @@
 """Per-request structured tracing for simulation runs.
 
-A system's ``read_latency`` / ``write_latency``
-(:class:`~repro.sim.stats.LatencyStats`) answer *how fast on average*;
-this module answers *where each request's time went*.  Every request
+A run's :class:`~repro.experiments.runner.RunResult` answers *how fast
+on average*, and the profiler's attribution table
+(:mod:`repro.sim.profile`) where each request's time went; this module
+records *what each request did*, on a timeline.  Every request
 flowing through a :class:`~repro.baselines.base.StorageSystem` can emit
 typed span events — device operations, delta codec time, cache lookups,
 background flushes and scans — stamped with sim-clock timestamps, block
 addresses, byte counts and outcome tags.
 
-Four pieces:
+Three pieces:
 
 * **The recorder.**  :class:`Recorder` is the one implementation of
   the emission protocol model code calls (``device_span``, ``span``,
@@ -26,10 +27,6 @@ Four pieces:
   (greppable, streamable); :func:`export_chrome_trace` writes the Chrome
   ``trace_event`` format, which opens directly in ``chrome://tracing``
   or https://ui.perfetto.dev.
-* **Breakdown.**  :func:`phase_breakdown` folds a trace back into the
-  paper's response-time decomposition: mean time per request spent in
-  each phase (SSD read, delta decode, HDD log fetch...), summing to the
-  mean request latency.
 
 The full event schema — every event type, its fields and units — is
 documented in ``docs/OBSERVABILITY.md``; a test keeps that document and
@@ -514,84 +511,3 @@ def export_chrome_trace(events: Iterable[TraceEvent],
         payload["metadata"] = {"trace_completeness": header}
     json.dump(payload, destination)
     return count
-
-
-# ---------------------------------------------------------------------------
-# Per-phase latency breakdown
-# ---------------------------------------------------------------------------
-
-class PhaseBreakdown:
-    """Mean per-request time spent in each phase, for one request class.
-
-    ``phases`` maps phase name to total seconds across all requests of
-    the class; ``other`` is request latency no child span covered
-    (zero for the I-CASH controller, whose instrumentation is exact).
-    The per-phase means sum to the class's mean request latency — the
-    paper's response-time decomposition recovered from one trace.
-    """
-
-    def __init__(self, op: str, n_requests: int, total_s: float,
-                 phases: Dict[str, float], other_s: float) -> None:
-        self.op = op
-        self.n_requests = n_requests
-        self.total_s = total_s
-        self.phases = phases
-        self.other_s = other_s
-
-    @property
-    def mean_us(self) -> float:
-        """Mean request latency in microseconds."""
-        return (self.total_s / self.n_requests * 1e6
-                if self.n_requests else 0.0)
-
-    def render(self) -> str:
-        title = (f"{self.op} phase breakdown "
-                 f"(n={self.n_requests}, mean {self.mean_us:.1f} us)")
-        lines = [title, "-" * len(title)]
-        if not self.n_requests:
-            lines.append("(no requests traced)")
-            return "\n".join(lines)
-        rows = sorted(self.phases.items(), key=lambda kv: -kv[1])
-        if self.other_s > 0:
-            rows.append(("other", self.other_s))
-        total = self.total_s or 1.0
-        for name, seconds in rows:
-            if seconds == 0.0:
-                continue
-            mean_us = seconds / self.n_requests * 1e6
-            lines.append(f"{name:<20} {mean_us:>10.2f} us/op "
-                         f"{seconds / total:>7.1%}")
-        lines.append(f"{'total':<20} {self.mean_us:>10.2f} us/op "
-                     f"{1:>7.1%}")
-        return "\n".join(lines)
-
-
-def phase_breakdown(events: Iterable[TraceEvent],
-                    op: str = "read") -> PhaseBreakdown:
-    """Fold request-track events into a per-phase latency breakdown.
-
-    Only spans on the request track count (background and
-    device-internal time is off the critical path by construction), so
-    the phases partition each request's service latency exactly.
-    """
-    request_total: Dict[int, float] = {}
-    child_totals: Dict[int, float] = {}
-    phases: Dict[str, float] = {}
-    pending: List[TraceEvent] = []
-    for event in events:
-        if event.track != TRACK_REQUEST:
-            continue
-        if event.name == "request_start":
-            if event.outcome == op and event.req is not None:
-                request_total[event.req] = event.dur
-        elif event.dur > 0.0 and event.req is not None:
-            pending.append(event)
-    for event in pending:
-        if event.req in request_total:
-            phases[event.name] = phases.get(event.name, 0.0) + event.dur
-            child_totals[event.req] = \
-                child_totals.get(event.req, 0.0) + event.dur
-    total = sum(request_total.values())
-    covered = sum(child_totals.values())
-    other = max(0.0, total - covered)
-    return PhaseBreakdown(op, len(request_total), total, phases, other)

@@ -5,15 +5,17 @@ were before the ring trace and the profiler became folds over one
 recorder:
 
 * ``tpcc/<system>`` for all five systems and ``specsfs/icash`` — each
-  run twice: on the legacy engine with ``tracer=`` alone, and on the
-  event engine with ``tracer=`` plus ``profiler=``;
+  run twice, with ``tracer=`` plus ``profiler=``: on the legacy engine
+  and on the event engine;
 * ``tpcc/icash/overflow`` — a legacy run into a ring too small for it.
 
 Each run pins the sha256 of its ``export_jsonl`` bytes (completeness
 header included), its ``export_chrome_trace`` bytes and its
-``export_folded`` bytes, and both ``phase_breakdown`` renders; an event
-run also pins ``profiler.table.to_rows()``, the overflow case the
-ring's surviving events and its drop count.
+``export_folded`` bytes (the profiler's rows as request stacks); an
+event run also pins ``profiler.table.to_rows()``, the overflow case the
+ring's surviving events and its drop count.  The profiler beside a
+legacy ring leaves the ring as it is, event for event, so the JSONL and
+Chrome pins predate it.
 ``PYTHONPATH=src:tests python -m reference.trace_digest`` rewrites the
 JSON from whatever tracer is on the path.
 """
@@ -30,7 +32,7 @@ from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import make_system
 from repro.sim.profile import Profiler, export_folded
 from repro.sim.trace import (RingBufferTracer, export_chrome_trace,
-                             export_jsonl, phase_breakdown)
+                             export_jsonl)
 from repro.workloads import SpecSFSWorkload, TPCCWorkload
 
 DIGEST_PATH = Path(__file__).with_name("trace_digest.json")
@@ -59,22 +61,19 @@ def _sha(value) -> str:
     return _sha_text(json.dumps(value, sort_keys=True))
 
 
-def _trace_pin(tracer: RingBufferTracer) -> Dict[str, object]:
-    """What a reader of the ring gets: the three files and the
-    breakdowns ``repro trace`` prints."""
+def _trace_pin(tracer: RingBufferTracer,
+               profiler: Profiler) -> Dict[str, object]:
+    """What a reader of the run gets: the three files."""
     jsonl, chrome, folded = io.StringIO(), io.StringIO(), io.StringIO()
     export_jsonl(tracer.events, jsonl, tracer=tracer)
     export_chrome_trace(tracer.events, chrome, tracer=tracer)
-    export_folded(tracer.events, folded)
+    export_folded(profiler.table, tracer.events, folded)
     return {
         "events": len(tracer.events),
         "dropped": tracer.dropped,
         "jsonl_sha256": _sha_text(jsonl.getvalue()),
         "chrome_sha256": _sha_text(chrome.getvalue()),
         "folded_sha256": _sha_text(folded.getvalue()),
-        "breakdowns_sha256": _sha_text("\n".join(
-            phase_breakdown(tracer.events, op=op).render()
-            for op in ("read", "write"))),
     }
 
 
@@ -82,19 +81,19 @@ def case_pin(name: str) -> Dict[str, object]:
     """Case ``name``'s pin, computed by the tracer on the path."""
     make_workload, system_name, capacity = CASES[name]
     workload = make_workload()
-    tracer = RingBufferTracer(capacity)
+    tracer, legacy_profiler = RingBufferTracer(capacity), Profiler()
     run_benchmark(workload, make_system(system_name, workload),
-                  tracer=tracer)
+                  tracer=tracer, profiler=legacy_profiler)
     if capacity is not None:
-        return {"legacy": _trace_pin(tracer),
+        return {"legacy": _trace_pin(tracer, legacy_profiler),
                 "events_sha256": _sha([e.to_dict()
                                        for e in tracer.events])}
     workload = make_workload()
     event_tracer, profiler = RingBufferTracer(None), Profiler()
     run_benchmark(workload, make_system(system_name, workload),
                   engine="event", tracer=event_tracer, profiler=profiler)
-    return {"legacy": _trace_pin(tracer),
-            "event": dict(_trace_pin(event_tracer),
+    return {"legacy": _trace_pin(tracer, legacy_profiler),
+            "event": dict(_trace_pin(event_tracer, profiler),
                           attribution_sha256=_sha(
                               profiler.table.to_rows()))}
 

@@ -6,11 +6,9 @@ import pytest
 
 from repro.analysis import analyze_dataset, analyze_writes
 from repro.core import ICASHController
-from repro.sim.request import BLOCK_SIZE
-from repro.sim.stats import LatencyStats
 from repro.workloads import SysBenchWorkload
 
-from conftest import make_block, make_dataset
+from conftest import make_dataset
 from test_core_controller import family_dataset, small_config
 
 

@@ -212,11 +212,17 @@ class TestCommonInterface:
     ])
     def test_process_records_latency_classes(self, factory):
         from repro.sim.request import make_read, make_write
+        from repro.sim.trace import BEGIN_REQUEST, Recorder
         system = factory(make_dataset(32))
-        system.process(make_read(0))
-        system.process(make_write(1, [make_block()]))
-        assert system.read_latency.count == 1
-        assert system.write_latency.count == 1
+        recorder = Recorder(keep=True)
+        system.set_tracer(recorder)
+        classes = []
+        for request in (make_read(0), make_write(1, [make_block()])):
+            assert system.process(request) > 0.0
+            classes.extend(outcome for _fg, op, *_rest, outcome, _dev
+                           in recorder.take_request()[1]
+                           if op == BEGIN_REQUEST)
+        assert classes == ["read", "write"]
 
     @pytest.mark.parametrize("factory", [
         lambda ds: PureSSD(ds),

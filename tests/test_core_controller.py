@@ -8,8 +8,7 @@ reference + delta, SSD spill, HDD region, delta log) currently holds it.
 import numpy as np
 import pytest
 
-from repro.core import BlockKind, ICASHConfig, ICASHController
-from repro.core.signatures import block_signatures
+from repro.core import ICASHConfig, ICASHController
 from repro.experiments.parallel import RunSpec, run_spec
 from repro.experiments.runner import run_benchmark
 from repro.sim.request import BLOCK_SIZE

@@ -6,9 +6,8 @@ the window since the last flush — never older durable state.
 """
 
 import numpy as np
-import pytest
 
-from repro.core import ICASHConfig, ICASHController
+from repro.core import ICASHController
 from repro.core.recovery import recover, verify_recovery
 from repro.experiments.parallel import RunSpec
 from repro.sim.request import BLOCK_SIZE

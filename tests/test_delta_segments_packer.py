@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.delta.encoder import Delta, encode_delta
-from repro.delta.packer import (MAGIC, DeltaBlockPacker, DeltaLog,
-                                DeltaRecord)
+from repro.delta.packer import DeltaBlockPacker, DeltaLog, DeltaRecord
 from repro.delta.segments import SEGMENT_BYTES, SegmentPool
 from repro.devices.hdd import HardDiskDrive
 from repro.sim.request import BLOCK_SIZE
-
-from conftest import make_block
 
 #: Warnings are errors here: the codec writes python ints into its `<u2`
 #: wire header, and NumPy deprecates, then wraps, an out-of-range one.

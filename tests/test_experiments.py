@@ -10,7 +10,7 @@ from repro.experiments.report import (comparison_table, normalize,
                                       shape_score)
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import SYSTEM_NAMES, make_system
-from repro.workloads import SysBenchWorkload, TPCCWorkload
+from repro.workloads import SysBenchWorkload
 
 
 def tiny_workload(**kwargs):

@@ -6,8 +6,8 @@ import pytest
 
 from repro.baselines import PureSSD, RAID0Storage
 from repro.cli import main as cli_main
-from repro.core import ICASHConfig, ICASHController
-from repro.devices.nvram import NVRAM, NVRAMSpec
+from repro.core import ICASHController
+from repro.devices.nvram import NVRAM
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import run_benchmark
 from repro.experiments.sweeps import (SweepPoint, render_sweep,

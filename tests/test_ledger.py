@@ -41,8 +41,8 @@ from repro.experiments.parallel import RunSpec
 from repro.ledger import (ANOMALY_Z, DEFAULT_REL_TOL, DEFAULT_WINDOW,
                           FILTER_KEYS, LEDGER_SCHEMA_VERSION,
                           METRIC_POLICY, MIN_HISTORY, NOISE_Z,
-                          PROVENANCE_FIELDS, SPEC_FIELDS, Anomaly,
-                          LedgerRow, LedgerWriter, default_ledger,
+                          PROVENANCE_FIELDS, SPEC_FIELDS, LedgerRow,
+                          LedgerWriter, default_ledger,
                           detect_anomalies, flatten_metrics,
                           noise_sem, parse_filters, run_id_for,
                           sparkline, tolerance)
@@ -876,6 +876,18 @@ class TestFuzzedRows:
             handle.write(_replaced(path, value))
         assert _cli(argv + ["--dir", store.root]) \
             == (2, f"{store.path}:1: not a ledger row\n")
+
+    def test_trend_reads_values_spanning_the_float_range(self, tmp_path):
+        # Two valid rows whose difference overflows a float: the
+        # sparkline still scales them, lowest to highest level.
+        path = ("metrics", "scalars", "read_p99_us")
+        store = _writer(tmp_path)
+        with open(store.path, "w", encoding="utf-8") as handle:
+            handle.write(_replaced(path, -1.7e308, seq=1)
+                         + _replaced(path, 1.7e308, seq=2))
+        assert _cli(["ledger", "trend", "read_p99_us",
+                     "--dir", store.root]) == (0, "")
+        assert sparkline([-1.7e308, 1.7e308]) == "▁█"
 
     @settings(max_examples=80, deadline=None)
     @given(path=_PATHS, value=_JSON)

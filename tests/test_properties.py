@@ -6,7 +6,6 @@ the segment pool never leaks, the heatmap stays consistent.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

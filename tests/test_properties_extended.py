@@ -2,7 +2,6 @@
 round-trips and the page-cache wrapper."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -49,9 +49,9 @@ REMOVED = (
     ("stats.bump", r"stats\.bump\(",
      "an int counter attribute declared in COUNTERS"),
     ("StatsCollector", r"StatsCollector",
-     "Counted.counters() and two LatencyStats attributes"),
+     "Counted.counters(), and the run's own measurement for latencies"),
     ("record_latency", r"record_latency",
-     "StorageSystem.read_latency / write_latency"),
+     "the run's measurement (RunResult.read_mean_us and the like)"),
     (".stats.count", r"\.stats\.count\(", "the counter attribute itself"),
     # The run ledger is one JSONL file, and deep diagnosis one command.
     ("sqlite3", r"sqlite3",
@@ -129,6 +129,17 @@ REMOVED = (
      "the float cursor RingBufferTracer.fold advances"),
     (".downstream.", r"\.downstream\.",
      "RingBufferTracer.fold over what the recorder kept"),
+    # Where a request's time went is attributed once, by the profiler,
+    # and its latency recorded once, by the run's measurement.
+    ("phase_breakdown", r"phase_breakdown|PhaseBreakdown",
+     "the Profiler's AttributionTable, which repro trace prints"),
+    ("_fold_requests", r"_fold_requests",
+     "fold_stacks, whose request stacks are the AttributionTable's rows"),
+    ("PSEUDO_DEVICES", r"PSEUDO_DEVICES",
+     "nothing: no code read it"),
+    (".read_latency / .write_latency", r"\.(read|write)_latency\b",
+     "RunResult.read_mean_us / write_mean_us from the run's own "
+     "measurement, or the request stream's own counts"),
     # Simulated behaviour has one exact oracle, not a tolerance band.
     ("experiments.bench", r"experiments\.bench|experiments import bench",
      "tests/reference/grid_digest.json, held by tests/test_grid_digest.py"),

@@ -15,10 +15,10 @@ import pytest
 
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import make_system
-from repro.sim.load import ClosedLoopLoad, OpenLoopLoad
+from repro.sim.load import OpenLoopLoad
 from repro.sim.profile import (AttributionTable, Profiler, classify_phase,
                                export_folded, fold_stacks)
-from repro.sim.trace import Recorder, RingBufferTracer
+from repro.sim.trace import TRACK_BACKGROUND, Recorder, RingBufferTracer
 from repro.workloads import SysBenchWorkload, TPCCWorkload
 
 
@@ -42,9 +42,6 @@ class TestClassifyPhase:
     def test_cpu_phases_unprefixed(self):
         assert classify_phase("delta_decode") == ("cpu", "delta_decode")
         assert classify_phase("flush") == ("cpu", "flush")
-
-    def test_queue_span_pools(self):
-        assert classify_phase("queue") == ("queue", "wait")
 
     def test_known_device_pins_attribution(self):
         # The capture tracer knows which device emitted a re-labelled
@@ -203,62 +200,80 @@ class TestEngineReconciliation:
 
 
 def fold_taken(recorder: Recorder, tracer: RingBufferTracer,
-               latency_s: float = 0.0) -> None:
-    """Lay what ``recorder`` kept since its last take on ``tracer``."""
-    tracer.fold(recorder.take_request()[1], latency_s)
+               profiler: Profiler, latency_s: float = 0.0,
+               waits=()) -> None:
+    """Hand what ``recorder`` kept since its last take to both folds;
+    only a request (``latency_s`` given) reaches the profiler."""
+    emitted = recorder.take_request()[1]
+    tracer.fold(emitted, latency_s,
+                wait_s=sum(dur for _device, dur in waits))
+    if latency_s:
+        profiler.fold(emitted, latency_s, waits)
 
 
 class TestFoldedStacks:
-    def make_tracer(self):
+    def make_run(self):
         recorder, tracer = Recorder(keep=True), RingBufferTracer()
+        profiler = Profiler()
         recorder.begin_request("read", 1, 1)
         recorder.span("ssd_read", 10e-6)
         recorder.span("delta_decode", 4e-6)
-        fold_taken(recorder, tracer, 16e-6)  # 2us uninstrumented residual
+        # 2us uninstrumented residual
+        fold_taken(recorder, tracer, profiler, 16e-6)
         recorder.begin_background("flush")
         recorder.span("hdd_log_append", 30e-6)
         recorder.end_background(extra_s=5e-6)
-        fold_taken(recorder, tracer)
-        return tracer
+        fold_taken(recorder, tracer, profiler)
+        return profiler.table, list(tracer.events)
 
     def test_request_stacks_and_residual(self):
-        stacks = fold_stacks(self.make_tracer().events)
+        table, events = self.make_run()
+        stacks = fold_stacks(table, events)
         assert stacks["read;ssd;read"] == pytest.approx(10e-6)
         assert stacks["read;cpu;delta_decode"] == pytest.approx(4e-6)
         assert stacks["read;host;other"] == pytest.approx(2e-6)
+        # The request stacks are the table's rows, nothing else.
+        assert {key: value for key, value in stacks.items()
+                if key.startswith("read;")} == \
+            {f"read;{row.device};{row.phase}": row.total_s
+             for row in table.rows("read")}
 
     def test_background_nesting_preserved_with_self_time(self):
-        stacks = fold_stacks(self.make_tracer().events)
+        stacks = fold_stacks(*self.make_run())
         assert stacks["background;flush;hdd;log_append"] == \
             pytest.approx(30e-6)
         # The enclosing flush span keeps only its self time (extra_s).
         assert stacks["background;flush"] == pytest.approx(5e-6)
 
     def test_fold_conserves_total_time(self):
-        tracer = self.make_tracer()
-        stacks = fold_stacks(tracer.events)
-        spans = sum(e.dur for e in tracer.events
-                    if e.name != "request_start" and e.dur > 0.0)
-        residual = 2e-6  # request latency not covered by child spans
+        table, events = self.make_run()
+        stacks = fold_stacks(table, events)
+        background = sum(e.dur for e in events
+                         if e.track == TRACK_BACKGROUND)
         # The named flush section overlaps its children, so self-time
         # folding must count its extra_s exactly once.
-        assert sum(stacks.values()) == pytest.approx(spans + residual
-                                                     - 30e-6)
+        assert sum(stacks.values()) == pytest.approx(
+            table.total_s("read") + background - 30e-6)
 
     def test_queue_spans_pool_under_queue_wait(self):
+        # The ring pools a request's station waits into one queue span;
+        # the folded stacks keep the table's per-station rows.
         recorder, tracer = Recorder(keep=True), RingBufferTracer()
+        profiler = Profiler()
         recorder.begin_request("read", 1, 1)
         recorder.span("ssd_read", 10e-6)
-        tracer.fold(recorder.take_request()[1], 15e-6, wait_s=5e-6)
+        fold_taken(recorder, tracer, profiler, 17e-6,
+                   waits=(("ssd", 5e-6), ("hdd", 2e-6)))
         assert [e.name for e in tracer.events] == \
             ["queue", "ssd_read", "request_start"]
-        stacks = fold_stacks(tracer.events)
-        assert stacks["read;queue;wait"] == pytest.approx(5e-6)
-        assert stacks["read;ssd;read"] == pytest.approx(10e-6)
+        stacks = fold_stacks(profiler.table, tracer.events)
+        assert stacks == pytest.approx({"read;ssd;queue_wait": 5e-6,
+                                        "read;hdd;queue_wait": 2e-6,
+                                        "read;ssd;read": 10e-6})
 
     def test_export_folded_format(self, tmp_path):
         path = tmp_path / "flame.folded"
-        lines = export_folded(self.make_tracer().events, str(path))
+        lines = export_folded(*self.make_run(), str(path))
         text = path.read_text()
         assert lines == len(text.strip().splitlines())
         for line in text.strip().splitlines():
@@ -267,11 +282,12 @@ class TestFoldedStacks:
 
     def test_submicrosecond_stacks_dropped(self):
         recorder, tracer = Recorder(keep=True), RingBufferTracer()
+        profiler = Profiler()
         recorder.begin_request("read", 1, 1)
         recorder.span("ssd_read", 4e-7)
-        fold_taken(recorder, tracer, 4e-7)
+        fold_taken(recorder, tracer, profiler, 4e-7)
         handle = io.StringIO()
-        assert export_folded(tracer.events, handle) == 0
+        assert export_folded(profiler.table, tracer.events, handle) == 0
 
 
 class TestCLI:
@@ -290,6 +306,30 @@ class TestCLI:
         assert folded.stat().st_size > 0
         assert any(line.startswith("read;")
                    for line in folded.read_text().splitlines())
+
+    @pytest.mark.parametrize("engine", ["legacy", "event"])
+    def test_critpath_folded_request_lines_are_the_table(
+            self, engine, tmp_path, capsys):
+        # One run, one attribution: the folded file's request stacks
+        # are the table's rows, so each class's lines add up to the
+        # class's total latency, within a microsecond of rounding per
+        # row (a row under half a microsecond has no line at all).
+        from repro.cli import main
+
+        folded = tmp_path / "flame.folded"
+        code = main(["critpath", "--workload", "sysbench",
+                     "--requests", "600", "--engine", engine,
+                     "--folded", str(folded), "--json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        lines = [line.rpartition(" ")
+                 for line in folded.read_text().splitlines()]
+        for op, summary in doc["classes"].items():
+            rows = [row for row in doc["attribution"] if row["op"] == op]
+            folded_us = sum(int(value) for key, _, value in lines
+                            if key.startswith(op + ";"))
+            assert rows and folded_us == pytest.approx(
+                summary["n"] * summary["mean_us"], abs=len(rows)), op
 
     def test_critpath_legacy_engine(self, capsys):
         from repro.cli import main

@@ -3,8 +3,8 @@
 Covers the ring buffer, timeline ordering, both exporters' wire forms,
 the controller integration (a delta-mapped read emits the paper's
 SSD-read + delta-decode pair), the exactness invariant (a request's
-child spans sum to its latency, so breakdowns reproduce the stats
-means), and the schema/documentation parity check.
+child spans sum to its latency, so the ring and the profiler's table
+reproduce the run's means), and the schema/documentation parity check.
 """
 
 from __future__ import annotations
@@ -17,15 +17,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import BlockKind, ICASHConfig, ICASHController
+from repro.core import ICASHConfig, ICASHController
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import make_system
+from repro.sim.profile import Profiler
 from repro.sim.request import BLOCK_SIZE, IORequest, OpType
 from repro.sim.trace import (_CHROME_TIDS, EVENT_TYPES, TRACK_BACKGROUND,
                              TRACK_REQUEST, TRACK_RUN, Recorder,
-                             RingBufferTracer, TraceEvent,
-                             export_chrome_trace, export_jsonl,
-                             phase_breakdown)
+                             RingBufferTracer, export_chrome_trace,
+                             export_jsonl)
 from repro.workloads import SysBenchWorkload, TPCCWorkload
 
 from conftest import make_dataset
@@ -92,6 +92,22 @@ def traced_benchmark(n_requests: int = 600):
     tracer = RingBufferTracer()
     result = run_benchmark(workload, system, tracer=tracer)
     return tracer, system, result
+
+
+def profiled_trace(workload, system_name: str = "icash"):
+    """A run under a ring and a profiler, with no warm-up cut: the
+    table and the run's means cover every request the ring holds."""
+    system = make_system(system_name, workload)
+    tracer, profiler = RingBufferTracer(), Profiler()
+    result = run_benchmark(workload, system, tracer=tracer,
+                           profiler=profiler, warmup_fraction=0.0)
+    return tracer, profiler.table, system, result
+
+
+def ring_latencies(events, op: str) -> list:
+    """The ``request_start`` durations of the ring's ``op`` requests."""
+    return [e.dur for e in events
+            if e.name == "request_start" and e.outcome == op]
 
 
 class TestNullTracer:
@@ -247,38 +263,45 @@ class TestExactness:
         assert checked > 100
 
     def test_breakdown_means_match_stats(self):
-        tracer, system, _ = traced_benchmark()
+        # The ring, the profiler's table and the run's measurement
+        # count the same requests and agree on their mean; the table's
+        # rows partition it, with no uninstrumented residual on I-CASH.
+        tracer, table, _, result = profiled_trace(
+            SysBenchWorkload(n_requests=600))
         assert tracer.dropped == 0
-        for op in ("read", "write"):
-            breakdown = phase_breakdown(tracer.events, op=op)
-            stats = getattr(system, f"{op}_latency")
-            assert breakdown.n_requests == stats.count
-            assert breakdown.mean_us == pytest.approx(stats.mean_us,
+        for op, run_mean_us in (("read", result.read_mean_us),
+                                ("write", result.write_mean_us)):
+            latencies = ring_latencies(tracer.events, op)
+            assert len(latencies) == table.n_requests(op) > 0
+            assert sum(latencies) / len(latencies) * 1e6 == \
+                pytest.approx(run_mean_us, rel=1e-9)
+            assert table.mean_us(op) == pytest.approx(run_mean_us,
                                                       rel=1e-9)
-            phase_sum = sum(breakdown.phases.values()) + breakdown.other_s
-            assert phase_sum == pytest.approx(breakdown.total_s, rel=1e-9)
-            assert breakdown.other_s == pytest.approx(0.0, abs=1e-12)
-            assert op in breakdown.render()
+            rows = table.rows(op)
+            assert sum(row.total_s for row in rows) == \
+                pytest.approx(table.total_s(op), rel=1e-9)
+            assert ("host", "other") not in \
+                {(row.device, row.phase) for row in rows}
+            assert f"{op} critical path" in table.render(op)
 
 
 class TestCacheBaselineDestages:
     """The write-back caches destage off the critical path, on the trace
-    as on the legacy clock: the request breakdown still partitions."""
+    as on the legacy clock: the attribution still partitions."""
 
     @pytest.mark.parametrize("system_name", ["lru", "dedup"])
     def test_breakdown_partitions_and_destages_are_background(
             self, system_name):
-        workload = TPCCWorkload(scale=0.1, n_requests=1000)
-        system = make_system(system_name, workload)
-        tracer = RingBufferTracer()
-        run_benchmark(workload, system, tracer=tracer)
+        tracer, table, system, _ = profiled_trace(
+            TPCCWorkload(scale=0.1, n_requests=1000), system_name)
         destages = system.destages
         assert destages > 0 and tracer.dropped == 0
         for op in ("read", "write"):
-            breakdown = phase_breakdown(tracer.events, op=op)
-            assert breakdown.n_requests > 0
-            phase_sum = sum(breakdown.phases.values()) + breakdown.other_s
-            assert phase_sum == pytest.approx(breakdown.total_s, rel=1e-9)
+            assert table.n_requests(op) == \
+                len(ring_latencies(tracer.events, op)) > 0
+            # A destage leaking into a request would over-cover it.
+            assert sum(row.total_s for row in table.rows(op)) == \
+                pytest.approx(table.total_s(op), rel=1e-9)
         # The only HDD writes outside the final flush are the destages.
         tracks = [e.track for e in tracer.events
                   if e.name == "hdd_write" and e.track != TRACK_RUN]
@@ -443,7 +466,7 @@ class TestCLI:
         assert code == 0
         printed = capsys.readouterr().out
         assert "consistency:" in printed
-        assert "read phase breakdown" in printed
+        assert "read critical path" in printed
         assert out.stat().st_size > 0
         events = chrome_events(out)
         assert any(e["name"] == "request_start" for e in events)
@@ -460,19 +483,16 @@ class TestCLI:
 
     def test_trace_mismatch_exits_nonzero(self, tmp_path, monkeypatch,
                                           capsys):
-        # A complete trace whose read breakdown disagrees with the
-        # run's statistics fails the consistency check, and says so.
+        # A complete trace whose read spans disagree with the run's
+        # measurement fails the consistency check, and says so.
         from repro.cli import main
-        from repro.sim import trace as trace_module
 
-        breakdown = trace_module.phase_breakdown
+        fold = RingBufferTracer.fold
 
-        def skewed(events, op="read"):
-            result = breakdown(events, op=op)
-            result.total_s *= 1.001
-            return result
+        def skewed(self, emitted, latency_s=0.0, wait_s=0.0):
+            fold(self, emitted, latency_s * 1.001, wait_s)
 
-        monkeypatch.setattr(trace_module, "phase_breakdown", skewed)
+        monkeypatch.setattr(RingBufferTracer, "fold", skewed)
         code = main(["trace", "--workload", "sysbench", "--requests",
                      "300", "--out", str(tmp_path / "trace.json")])
         captured = capsys.readouterr()
@@ -496,76 +516,85 @@ class TestCLI:
 
 
 class TestPhaseBreakdownEdgeCases:
-    """Satellite of the profiler PR: the attribution math depends on
-    phase_breakdown being exact under nesting and overlap."""
+    """The per-phase breakdown ``repro trace`` prints is the profiler's
+    attribution table; its edge cases, fed by a recorder the way a run
+    feeds it."""
 
     @staticmethod
-    def request(req, op, ts, dur):
-        return TraceEvent("request_start", ts, dur, TRACK_REQUEST,
-                          req=req, outcome=op)
+    def attribute(*requests):
+        """Fold ``(op, emit, latency_s)`` requests into a table; ``emit``
+        records the request's emissions once it has begun."""
+        recorder, profiler = Recorder(keep=True), Profiler()
+        for op, emit, latency_s in requests:
+            recorder.begin_request(op, 0, 1)
+            emit(recorder)
+            profiler.fold(recorder.take_request()[1], latency_s)
+        return profiler.table
 
     @staticmethod
-    def child(req, name, ts, dur):
-        return TraceEvent(name, ts, dur, TRACK_REQUEST, req=req)
+    def rows(table, op="read"):
+        return {(row.device, row.phase): row.total_s
+                for row in table.rows(op)}
 
     def test_nested_children_all_count(self):
-        # Two phases laid inside the request interval, one strictly
-        # inside the other's timestamps: both contribute their full
-        # duration (breakdowns sum durations, not wall intervals).
-        events = [
-            self.request(1, "read", 0.0, 100e-6),
-            self.child(1, "ssd_read", 0.0, 80e-6),
-            self.child(1, "delta_decode", 10e-6, 20e-6),
-        ]
-        breakdown = phase_breakdown(events, op="read")
-        assert breakdown.phases["ssd_read"] == pytest.approx(80e-6)
-        assert breakdown.phases["delta_decode"] == pytest.approx(20e-6)
-        assert breakdown.other_s == pytest.approx(0.0)
+        # A codec phase inside a device visit: both contribute their
+        # full duration (attribution sums durations, not wall
+        # intervals), and nothing is left for the residual.
+        def emit(recorder):
+            recorder.device_span("ssd", "read", 80e-6)
+            recorder.span("delta_decode", 20e-6)
+
+        table = self.attribute(("read", emit, 100e-6))
+        assert self.rows(table) == pytest.approx(
+            {("ssd", "read"): 80e-6, ("cpu", "delta_decode"): 20e-6})
 
     def test_overlapping_children_never_negative_other(self):
         # Overlap can push covered time past the request latency (e.g.
-        # parallel device phases); `other` clamps at zero instead of
-        # going negative.
-        events = [
-            self.request(1, "read", 0.0, 50e-6),
-            self.child(1, "ssd_read", 0.0, 40e-6),
-            self.child(1, "hdd_read", 0.0, 40e-6),
-        ]
-        breakdown = phase_breakdown(events, op="read")
-        assert breakdown.other_s == 0.0
-        assert breakdown.total_s == pytest.approx(50e-6)
+        # parallel device phases); the residual row is left out instead
+        # of going negative.
+        def emit(recorder):
+            recorder.device_span("ssd", "read", 40e-6)
+            recorder.device_span("hdd", "read", 40e-6)
+
+        table = self.attribute(("read", emit, 50e-6))
+        assert ("host", "other") not in self.rows(table)
+        assert table.total_s("read") == pytest.approx(50e-6)
 
     def test_instants_and_marks_excluded(self):
-        events = [
-            self.request(1, "read", 0.0, 30e-6),
-            TraceEvent("cache_lookup", 0.0, 0.0, TRACK_REQUEST, req=1),
-            TraceEvent("gc", 5e-6, 10e-6, "device", req=1),
-            self.child(1, "ssd_read", 0.0, 30e-6),
-        ]
-        breakdown = phase_breakdown(events, op="read")
-        assert set(breakdown.phases) == {"ssd_read"}
+        def emit(recorder):
+            recorder.instant("cache_lookup", lba=0, outcome="hit")
+            recorder.mark("gc", 10e-6)
+            recorder.device_span("ssd", "read", 30e-6)
+
+        table = self.attribute(("read", emit, 30e-6))
+        assert set(self.rows(table)) == {("ssd", "read")}
 
     def test_children_without_matching_request_ignored(self):
-        events = [
-            self.request(1, "read", 0.0, 10e-6),
-            self.child(1, "ssd_read", 0.0, 10e-6),
-            self.child(2, "hdd_read", 0.0, 99e-6),  # req 2 is a write
-            self.request(2, "write", 10e-6, 5e-6),
-        ]
-        breakdown = phase_breakdown(events, op="read")
-        assert breakdown.n_requests == 1
-        assert "hdd_read" not in breakdown.phases
+        # A write's phases stay in the write class.
+        def read(recorder):
+            recorder.device_span("ssd", "read", 10e-6)
+
+        def write(recorder):
+            recorder.device_span("hdd", "read", 99e-6)
+
+        table = self.attribute(("read", read, 10e-6),
+                               ("write", write, 99e-6))
+        assert table.n_requests("read") == 1
+        assert set(self.rows(table)) == {("ssd", "read")}
 
     def test_children_may_arrive_before_their_request_event(self):
-        # The ring lays child spans before the enclosing request_start,
-        # which it can only lay once it knows the latency; order in the
-        # buffer must not matter.
-        events = [
-            self.child(1, "ssd_read", 0.0, 10e-6),
-            self.request(1, "read", 0.0, 10e-6),
-        ]
-        breakdown = phase_breakdown(events, op="read")
-        assert breakdown.phases["ssd_read"] == pytest.approx(10e-6)
+        # Background work emitted before the request opened is taken
+        # with it, off its critical path: the request still classes by
+        # its own begin and the background spans count for nothing.
+        recorder, profiler = Recorder(keep=True), Profiler()
+        recorder.begin_background("flush")
+        recorder.device_span("hdd", "write", 2e-3)
+        recorder.end_background()
+        recorder.begin_request("read", 0, 1)
+        recorder.device_span("ssd", "read", 10e-6)
+        profiler.fold(recorder.take_request()[1], 10e-6)
+        assert self.rows(profiler.table) == \
+            pytest.approx({("ssd", "read"): 10e-6})
 
 
 class TestExporterCompleteness:

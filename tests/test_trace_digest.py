@@ -2,9 +2,11 @@
 
 ``tests/reference/trace_digest.json`` was written by
 ``tests/reference/trace_digest.py`` before the ring trace and the
-profiler became folds over one recorder; every exported byte,
-breakdown render and attribution row of its seeded runs must still
-match it.
+profiler became folds over one recorder; every JSONL and Chrome byte
+and attribution row of its seeded runs must still match it.  The
+folded pins were re-frozen once, when the folded file's request stacks
+became the profiler's rows (they were a second attribution, re-derived
+from the ring over the whole run, warm-up included).
 """
 
 import pytest

@@ -11,7 +11,7 @@ from repro.core.signatures import block_signatures, signature_overlap
 from repro.delta.encoder import encode_delta
 from repro.experiments.parallel import RunSpec, run_spec
 from repro.experiments.systems import SYSTEM_NAMES
-from repro.sim.request import BLOCK_SIZE, OpType
+from repro.sim.request import BLOCK_SIZE
 from repro.workloads import (ALL_WORKLOADS, HadoopWorkload,
                              LoadSimWorkload, MultiVMWorkload,
                              RUBiSWorkload, SpecSFSWorkload,
