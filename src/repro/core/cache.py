@@ -24,8 +24,11 @@ from collections import OrderedDict
 from itertools import islice
 from typing import Iterator, List, Optional
 
-from repro.core.virtual_block import BlockKind, VirtualBlock
-from repro.delta.segments import SegmentPool
+import numpy as np
+
+from repro.core.virtual_block import BlockKind, VirtualBlock, associates
+from repro.delta.encoder import Delta
+from repro.delta.segments import SEGMENT_BYTES, SegmentPool
 from repro.sim.request import BLOCK_SIZE
 
 
@@ -57,17 +60,12 @@ class ICashCache:
     def get(self, lba: int, touch: bool = True) -> Optional[VirtualBlock]:
         vb = self._blocks.get(lba)
         if vb is not None and touch:
-            self.touch(lba)
+            self._blocks.move_to_end(lba)
+            if lba in self._data_order:
+                self._data_order.move_to_end(lba)
+            if lba in self._delta_order:
+                self._delta_order.move_to_end(lba)
         return vb
-
-    def touch(self, lba: int) -> None:
-        if lba not in self._blocks:
-            return
-        self._blocks.move_to_end(lba)
-        if lba in self._data_order:
-            self._data_order.move_to_end(lba)
-        if lba in self._delta_order:
-            self._delta_order.move_to_end(lba)
 
     def insert(self, vb: VirtualBlock) -> None:
         """Insert at the MRU end.  Capacity must already be ensured."""
@@ -128,6 +126,34 @@ class ICashCache:
             vb.delta_segments_bytes = 0
         vb.delta = None
         self._delta_order.pop(vb.lba, None)
+
+    def fill_delta_buffer(self, lbas: List[int], deltas: List[Delta]) -> int:
+        """:meth:`insert` an associate and :meth:`attach_delta` per pair,
+        in order, until a delta does not fit the free segments; returns
+        how many of them the virtual budget evicted again.  The cache
+        must hold references only, so each eviction takes the oldest
+        block of this fill: one integer pass finds the outcome, and only
+        the blocks that stay are built."""
+        sizes = np.array([delta.size_bytes for delta in deltas], np.intp)
+        held = np.zeros(sizes.size + 1, np.intp)  # segments of the first i
+        np.maximum(-(-sizes // SEGMENT_BYTES), 1).cumsum(out=held[1:])
+        # After i inserts, blocks [first[i], i) are cached.
+        first = np.maximum(np.arange(held.size) - self.max_virtual_blocks
+                           + len(self._blocks), 0)
+        cached = held - held[first]
+        pool = self.segments
+        misfit = (np.diff(held) > pool.free_segments - cached[:-1]).nonzero()[0]
+        stop = int(misfit[0]) if misfit.size else sizes.size
+        if stop:
+            pool.peak_segments = max(pool.peak_segments, pool.used_segments
+                                     + int(cached[1:stop + 1].max()))
+            pool.used_segments += int(cached[stop])
+        evicted = int(first[stop])
+        kept = lbas[evicted:stop]
+        warm = associates(kept, deltas[evicted:stop])
+        self._blocks.update(zip(kept, warm))
+        self._delta_order.update(zip(kept, warm))
+        return evicted
 
     # -- victim search (the three policies) ------------------------------------------
 

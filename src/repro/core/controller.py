@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -67,16 +68,14 @@ class _DeltaMapEntry:
     ``ref_lba`` is the reference the delta is derived against — the lba
     itself for a reference's own delta.  ``log_slot`` is None exactly
     while the delta waits in the flush queue.  Created or rebound only
-    by :meth:`ICASHController._map_delta`, dropped only by
+    by :meth:`ICASHController._map_delta` and ``ingest``, dropped only by
     ``_unmap_delta``.  Survives virtual-block eviction: a block whose
     delta lives only in the HDD log is still reconstructible through it.
+    It has no ``__init__`` (creating one runs no Python frame): the
+    creator sets both fields.
     """
 
     __slots__ = ("ref_lba", "log_slot")
-
-    def __init__(self, ref_lba: int, log_slot: Optional[int]) -> None:
-        self.ref_lba = ref_lba
-        self.log_slot = log_slot
 
 
 #: The three values of :attr:`_SSDCopy.own`, compared by identity.
@@ -199,8 +198,8 @@ class ICASHController(StorageSystem):
 
         # Host-side memo of delta reconstructions: lba -> (delta object,
         # reference bytes, read-only content).  Purely a host-CPU saving
-        # — :meth:`_read_via_delta` still charges the same device
-        # latencies and decompress cost on a hit.  A hit requires the
+        # — a read charges the same device latencies and decompress cost
+        # whether or not the memo answers.  A hit requires the
         # *same* delta object against the *same* reference array: a
         # rewritten associate gets a new Delta and an SSD copy is
         # replaced wholesale, never patched, so identity is the staleness
@@ -282,10 +281,14 @@ class ICASHController(StorageSystem):
         measured benchmark window.  Runs once, on a fresh controller.
 
         Every decision is made up front by :func:`plan_ingest` from one
-        vectorised signature pass; this loop replays them in LBA order
-        with the sweep's side effects — device calls, ``cpu_time`` and
-        latency sums, SSD copies, delta map — in the order a block-by-
-        block sweep makes them (``tests/reference/ingest.py``).
+        vectorised signature pass.  The replay leaves what a
+        block-by-block sweep leaves, side effects in the same order
+        (``tests/reference/ingest.py``), without a Python round per
+        block: only the sequential HDD read runs per block, with each
+        promotion between two reads; the delta map and the dependants
+        counts are written in one loop, ``cpu_time`` is charged in
+        another, and :meth:`ICashCache.fill_delta_buffer` warms the
+        delta buffer.
         """
         config = self.config
         blocks = self.backing.view_all()
@@ -293,41 +296,48 @@ class ICASHController(StorageSystem):
         self.heatmap.record_batch(sig_matrix)
         plan = plan_ingest(blocks, sig_matrix, config.min_signature_match,
                            config.delta_accept_bytes, len(self._free_slots))
-        pending: List[DeltaRecord] = []
         total = 0.0
         hdd_read = self.hdd.read
-        compare_s, compress_s = config.scan_compare_s, config.compress_s
-        for lba, (candidates, ref_lba, delta) in enumerate(zip(*plan)):
-            total += hdd_read(lba, 1)  # sequential sweep
-            self.cpu_time += max(1, candidates) * compare_s
+        swept = 0
+        for lba in plan.promoted:
+            for block in range(swept, lba + 1):
+                total += hdd_read(block, 1)  # sequential sweep
+            swept = lba + 1
+            self._acquire_ssd_slot(lba)
+            total += self._ssd_write(lba, blocks[lba])
+            vb = self._install_virtual_block(lba, BlockKind.REFERENCE)
+            vb.signatures = tuple(sig_matrix[lba].tolist())
+            self.scanner.note_reference(vb)
+            self.ingest_references += 1
+        for block in range(swept, self.capacity_blocks):
+            total += hdd_read(block, 1)
+        cpu, compare_s, compress_s = \
+            self.cpu_time, config.scan_compare_s, config.compress_s
+        for candidates, delta in zip(plan.candidates, plan.deltas):
+            cpu += max(1, candidates) * compare_s
             if delta is not None:
-                self.cpu_time += compress_s
-                if delta.size_bytes <= config.delta_accept_bytes:
-                    pending.append(DeltaRecord(lba, ref_lba, delta))
-                    self._map_delta(lba, ref_lba, dirty=False)
-                    continue
-            # No similar reference: promote the block itself — unless the
-            # SSD is full, when it stays independent on the HDD region.
-            if self._acquire_ssd_slot(lba) is not None:
-                total += self._ssd_write(lba, blocks[lba])
-                vb = self._install_virtual_block(lba, BlockKind.REFERENCE)
-                vb.signatures = tuple(sig_matrix[lba].tolist())
-                self.scanner.note_reference(vb)
-                self.ingest_references += 1
-        if pending:
-            total += self._append_to_log(pending)
-            self.ingest_deltas += len(pending)
-            # Leave the delta buffer warm: the prototype "is able to cache
-            # all delta blocks within 32 MB RAM" (Section 5.1).  Whatever
-            # exceeds the pool stays reachable through the log.
-            for record in pending:
-                if not self.segments.can_fit(record.delta.size_bytes):
-                    break
-                if record.lba in self.cache:
-                    continue
-                vb = self._install_virtual_block(record.lba,
-                                                 BlockKind.ASSOCIATE)
-                self.cache.attach_delta(vb, record.delta)
+                cpu += compress_s
+        self.cpu_time = cpu
+        logged = plan.logged
+        if not logged:
+            return total
+        refs = [plan.references[lba] for lba in logged]
+        deltas = [plan.deltas[lba] for lba in logged]
+        delta_map, dependents = self._delta_map, self._ref_dependents
+        for lba, ref_lba in zip(logged, refs):
+            entry = delta_map[lba] = _DeltaMapEntry()
+            entry.ref_lba, entry.log_slot = ref_lba, None
+            dependents[ref_lba] = dependents.get(ref_lba, 0) + 1
+        # tuple.__new__ builds each record without a Python frame.
+        total += self._append_to_log(list(map(
+            tuple.__new__, repeat(DeltaRecord), zip(logged, refs, deltas))))
+        self.ingest_deltas += len(logged)
+        # Leave the delta buffer warm: the prototype "is able to cache all
+        # delta blocks within 32 MB RAM" (Section 5.1).  Whatever exceeds
+        # the pool stays reachable through the log.
+        evicted = self.cache.fill_delta_buffer(logged, deltas)
+        if evicted:
+            self.virtual_evictions += evicted
         return total
 
     # ------------------------------------------------------------------
@@ -335,7 +345,16 @@ class ICASHController(StorageSystem):
     # ------------------------------------------------------------------
 
     def _read_one(self, lba: int) -> Tuple[float, np.ndarray]:
-        vb = self.cache.get(lba)
+        # A hit runs in this one frame: the lookup and LRU touch, and for
+        # a delta the reference and delta reads and the memoised patch.
+        cache = self.cache
+        orders = cache._blocks, cache._data_order, cache._delta_order
+        blocks = orders[0]
+        vb = blocks.get(lba)
+        if vb is not None:
+            for order in orders:
+                if lba in order:
+                    order.move_to_end(lba)
         tracer = self.tracer
         if tracer is not None:
             tracer.instant("cache_lookup", lba=lba,
@@ -344,7 +363,53 @@ class ICASHController(StorageSystem):
             latency, content, vb = self._read_miss(lba)
         elif vb.kind is BlockKind.ASSOCIATE or (
                 vb.kind is BlockKind.REFERENCE and vb.delta is not None):
-            latency, content = self._read_via_delta(vb)
+            # An associate (or a written reference): its reference's
+            # content patched with its delta.
+            entry = self._delta_map[lba]
+            ref_lba = entry.ref_lba
+            ref_vb = vb if ref_lba == lba else blocks.get(ref_lba)
+            if ref_vb is not vb and ref_vb is not None:
+                for order in orders:
+                    if ref_lba in order:
+                        order.move_to_end(ref_lba)
+            if ref_vb is not None and ref_vb.data is not None:
+                latency = self.dram.access()
+                self.ram_ref_hits += 1
+            else:
+                latency = self._ssd_read_latency(ref_lba)
+                self.ssd_ref_reads += 1
+            delta = vb.delta
+            if delta is not None:
+                latency += self.dram.access(vb.delta_segments_bytes)
+                self.ram_delta_hits += 1
+            else:
+                self._ensure_segment_capacity(vb,
+                                              self.LOG_FETCH_HEADROOM_BYTES)
+                log_latency, delta = self._fetch_delta_from_log(lba, entry)
+                latency += log_latency
+                if self._ensure_segment_capacity(vb, delta.size_bytes):
+                    cache.attach_delta(vb, delta)
+                self.log_delta_fetches += 1
+            # The memo answers for the same delta on the same reference.
+            reference = self._ssd_copies[ref_lba].data
+            memo = self._recon_cache.get(lba)
+            if memo is not None and memo[0] is delta \
+                    and memo[1] is reference:
+                self._recon_cache.move_to_end(lba)
+                self.recon_cache_hits += 1
+                content = memo[2]
+            else:
+                content = apply_delta(delta, reference)
+                content.flags.writeable = False
+                self._recon_cache[lba] = (delta, reference, content)
+                if len(self._recon_cache) > self.RECON_CACHE_CAPACITY:
+                    self._recon_cache.popitem(last=False)
+            decompress_s = self.config.decompress_s
+            self.cpu_time += decompress_s
+            if tracer is not None:
+                tracer.span("delta_decode", decompress_s)
+            latency += decompress_s
+            self.delta_reconstructions += 1
         elif vb.data is not None:
             self.ram_data_hits += 1
             latency = self.dram.access()
@@ -370,10 +435,13 @@ class ICASHController(StorageSystem):
                 else:
                     self.ssd_ref_reads += 1
                     self.ssd_ref_direct_reads += 1
-        if not vb.signatures:
-            vb.signatures = block_signatures(content,
-                                             self.config.signature_scheme)
-        self.heatmap.record(vb.signatures)
+        signatures = vb.signatures
+        if not signatures:
+            signatures = vb.signatures = block_signatures(
+                content, self.config.signature_scheme)
+        heatmap = self.heatmap  # its own signatures skip record's check
+        heatmap._pending.append(signatures)
+        heatmap.total_accesses += 1
         return latency, content
 
     def _read_miss(self, lba: int
@@ -410,66 +478,18 @@ class ICASHController(StorageSystem):
         latency, delta = self._fetch_delta_from_log(lba, entry)
         latency += self._ssd_read_latency(entry.ref_lba)
         content = apply_delta(delta, self._ssd_copies[entry.ref_lba].data)
-        latency += self._decompress_cost()
+        decompress_s = self.config.decompress_s
+        self.cpu_time += decompress_s
+        if self.tracer is not None:
+            self.tracer.span("delta_decode", decompress_s)
+        latency += decompress_s
         if self._ensure_segment_capacity(vb, delta.size_bytes):
             self.cache.attach_delta(vb, delta)
         self.log_delta_fetches += 1
         return latency, content, vb
 
-    def _read_via_delta(self, vb: VirtualBlock) -> Tuple[float, np.ndarray]:
-        """Associate (or written reference): reference content + delta."""
-        entry = self._delta_map[vb.lba]
-        ref_lba = entry.ref_lba
-        latency = 0.0
-        ref_vb = self.cache.get(ref_lba) if ref_lba != vb.lba else vb
-        if ref_vb is not None and ref_vb.data is not None:
-            latency += self.dram.access()
-            self.ram_ref_hits += 1
-        else:
-            latency += self._ssd_read_latency(ref_lba)
-            self.ssd_ref_reads += 1
-        delta = vb.delta
-        if delta is not None:
-            latency += self.dram.access(vb.delta_segments_bytes)
-            self.ram_delta_hits += 1
-        else:
-            self._ensure_segment_capacity(vb,
-                                          self.LOG_FETCH_HEADROOM_BYTES)
-            log_latency, delta = self._fetch_delta_from_log(vb.lba, entry)
-            latency += log_latency
-            if self._ensure_segment_capacity(vb, delta.size_bytes):
-                self.cache.attach_delta(vb, delta)
-            self.log_delta_fetches += 1
-        content = self._reconstruct(vb.lba, delta, ref_lba)
-        latency += self._decompress_cost()
-        self.delta_reconstructions += 1
-        return latency, content
-
     #: Bound on memoised reconstructions (one 4 KB block each).
     RECON_CACHE_CAPACITY = 2048
-
-    def _reconstruct(self, lba: int, delta: Delta,
-                     ref_lba: int) -> np.ndarray:
-        """Patch ``delta`` onto the reference, memoising the result.
-
-        Re-reading an unchanged associate is the common case on a
-        skewed read stream; the memo returns the prior reconstruction
-        (read-only, like every other read path's view) as long as both
-        the delta object and the reference array are the same objects.
-        """
-        reference = self._ssd_copies[ref_lba].data
-        entry = self._recon_cache.get(lba)
-        if entry is not None and entry[0] is delta \
-                and entry[1] is reference:
-            self._recon_cache.move_to_end(lba)
-            self.recon_cache_hits += 1
-            return entry[2]
-        content = apply_delta(delta, reference)
-        content.flags.writeable = False
-        self._recon_cache[lba] = (delta, reference, content)
-        if len(self._recon_cache) > self.RECON_CACHE_CAPACITY:
-            self._recon_cache.popitem(last=False)
-        return content
 
     #: Segment-pool headroom a log fetch evicts for, as a multiple of a
     #: typical delta block's worth of records — the mechanical read is
@@ -534,7 +554,9 @@ class ICASHController(StorageSystem):
         if signatures is None:
             signatures = block_signatures(content,
                                           self.config.signature_scheme)
-        self.heatmap.record(signatures)
+        heatmap = self.heatmap  # its own signatures skip record's check
+        heatmap._pending.append(signatures)
+        heatmap.total_accesses += 1
         vb = self.cache.get(lba)
         tracer = self.tracer
         if tracer is not None:
@@ -1085,7 +1107,8 @@ class ICASHController(StorageSystem):
         order tracks the *latest* write burst — unless the caller logs it
         itself (``dirty=False``)."""
         self._unmap_delta(lba)
-        self._delta_map[lba] = _DeltaMapEntry(ref_lba, None)
+        entry = self._delta_map[lba] = _DeltaMapEntry()
+        entry.ref_lba, entry.log_slot = ref_lba, None
         if ref_lba != lba:
             self._ref_dependents[ref_lba] = \
                 self._ref_dependents.get(ref_lba, 0) + 1
@@ -1107,13 +1130,6 @@ class ICASHController(StorageSystem):
 
     def _dependents_of(self, ref_lba: int) -> int:
         return self._ref_dependents.get(ref_lba, 0)
-
-    def _decompress_cost(self) -> float:
-        self.cpu_time += self.config.decompress_s
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.span("delta_decode", self.config.decompress_s)
-        return self.config.decompress_s
 
     # ------------------------------------------------------------------
     # Introspection for reports, tests and recovery

@@ -7,22 +7,24 @@ order: a block joins the promoted reference sharing most sub-signature
 rows with it when that delta fits, and is promoted itself otherwise.
 Every one of those decisions is a pure function of the data set, so
 this module makes them all in array passes and the controller replays
-the outcome block by block, charging devices and CPU in sweep order.
+the outcome in a few bulk passes, with the sweep's device calls and CPU
+charges in sweep order.
 
 The planner keeps, for every block not yet swept, the best reference
 promoted so far — most shared rows, then the earliest first shared row,
 then the earliest promotion, which is the order a per-block tally over
 ``(row, value)`` cells meets them in — and folds each promotion in with
-one pass over that reference's eight inverted lists.  It walks windows
-of :data:`ENCODE_BATCH` blocks: when a block it is about to pass lacks
-the delta against its best reference, every such block of the window is
-encoded in one :func:`~repro.delta.encoder.encode_deltas` call (a later
-promotion re-encodes only the blocks whose best reference it replaces),
-and the walk stops at the first block that must promote: one with no
-reference sharing at least ``min_match`` rows, or whose delta exceeds
-``accept_bytes``.  Only blocks after a promotion can see it, so each
-block's entries are final once the walk passes it and the plan is exact
-by construction.
+one pass over that reference's eight inverted lists, each later block's
+shared rows reduced to a bit mask and scored as one integer.  It walks
+windows of :data:`ENCODE_BATCH` blocks: when a block it is about to pass
+lacks the delta against its best reference, every such block of the
+window is encoded in one :func:`~repro.delta.encoder.encode_deltas` call
+(a later promotion re-encodes only the blocks whose best reference it
+replaces), and the walk stops at the first block that must promote: one
+with no reference sharing at least ``min_match`` rows, or whose delta
+exceeds ``accept_bytes``.  Only blocks after a promotion can see it, so
+each block's entries are final once the walk passes it and the plan is
+exact by construction.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ class IngestPlan(NamedTuple):
     #: The block encoded against that reference, or None when no
     #: reference shared ``min_match`` rows and nothing was encoded.
     deltas: List[Optional[Delta]]
+    #: Blocks promoted to references, ascending.
+    promoted: List[int]
+    #: Blocks whose delta is accepted and logged, ascending.
+    logged: List[int]
 
 
 def plan_ingest(blocks: np.ndarray, signatures: np.ndarray,
@@ -73,35 +79,42 @@ def plan_ingest(blocks: np.ndarray, signatures: np.ndarray,
                              np.arange(1, SIGNATURE_VALUES * rows + 1))
 
     candidates = np.zeros(n, dtype=np.intp)
-    tally = np.zeros(n, dtype=np.intp)        # best reference's rows
-    first_row = np.zeros(n, dtype=np.intp)    # its first shared row
+    # A block's standing against its best reference: shared rows times
+    # ``rows`` plus ``rows - 1`` minus the first shared row, so higher is
+    # better and a tie keeps the earlier promotion.  ``mask_score`` maps
+    # a set of shared rows, row r at bit ``rows - 1 - r``, to it.
+    score = np.zeros(n, dtype=np.intp)
+    row_bit = 1 << (rows - 1 - np.arange(rows))
+    mask_score = np.array([bin(mask).count("1") * rows + mask.bit_length()
+                           - 1 for mask in range(1 << rows)], dtype=np.intp)
     best = np.full(n, -1, dtype=np.intp)
     encoded_for = np.full(n, -1, dtype=np.intp)
     sizes = np.zeros(n, dtype=np.intp)
     deltas: List[Optional[Delta]] = [None] * n
+    promoted: List[int] = []
     threshold = max(min_match, 1)  # no candidate never qualifies
+    qualifies = threshold * rows   # the least score of ``threshold`` rows
 
     def promote(ref: int) -> None:
         # The entries after ``ref`` in each of its lists, sorted: one
-        # group per block, rows ascending.
+        # group per later block sharing a row, rows ascending.
         lo = place[ref * rows:(ref + 1) * rows] + 1
         span = end_of[signatures[ref] + row_base] - lo
         taken = (lo - span.cumsum() + span).repeat(span)
         taken += np.arange(taken.size)
         hit, row = np.divmod(np.sort(entries[taken]), rows)
-        opens = np.empty(hit.size + 1, dtype=bool)
-        opens[0] = opens[-1] = True
-        np.not_equal(hit[1:], hit[:-1], out=opens[1:-1])
-        at = np.flatnonzero(opens)
-        head = at[:-1]
-        hit, row, count = hit[head], row[head], np.diff(at)
+        opens = np.empty(hit.size, dtype=bool)
+        opens[:1] = True
+        np.not_equal(hit[1:], hit[:-1], out=opens[1:])
+        head = opens.nonzero()[0]
+        if not head.size:
+            return
+        key = mask_score[np.bitwise_or.reduceat(row_bit[row], head)]
+        hit = hit[head]
         candidates[hit] += 1
-        held = tally[hit]
-        # Earlier promotions win ties on (rows, first row).
-        wins = (count > held) | ((count == held) & (row < first_row[hit]))
+        wins = key > score[hit]
         hit = hit[wins]
-        tally[hit] = count[wins]
-        first_row[hit] = row[wins]
+        score[hit] = key[wins]
         best[hit] = ref
 
     def encode(stale: np.ndarray) -> None:
@@ -116,28 +129,31 @@ def plan_ingest(blocks: np.ndarray, signatures: np.ndarray,
 
     def stale_in(lo: int, hi: int) -> np.ndarray:
         """Qualifying blocks in [lo, hi) not encoded against their best."""
-        return lo + np.flatnonzero((tally[lo:hi] >= threshold)
-                                   & (encoded_for[lo:hi] != best[lo:hi]))
+        return lo + ((score[lo:hi] >= qualifies)
+                     & (encoded_for[lo:hi] != best[lo:hi])).nonzero()[0]
 
     cursor = 0
     while cursor < n and free_slots:
         end = min(n, cursor + ENCODE_BATCH)
-        weak = np.flatnonzero(tally[cursor:end] < threshold)
+        weak = (score[cursor:end] < qualifies).nonzero()[0]
         stop = cursor + int(weak[0]) if weak.size else end
         if (encoded_for[cursor:stop] != best[cursor:stop]).any():
             # Encode the whole window ahead: a later promotion only
             # re-encodes the blocks whose best reference it replaces.
             encode(stale_in(cursor, end))
-        rejected = np.flatnonzero(sizes[cursor:stop] > accept_bytes)
+        rejected = (sizes[cursor:stop] > accept_bytes).nonzero()[0]
         if rejected.size:
             stop = cursor + int(rejected[0])
         if stop == end:
             cursor = end
             continue
         promote(stop)
+        promoted.append(stop)
         free_slots -= 1
         cursor = stop + 1
     # The SSD is full (or the sweep done): every later block's best
     # reference is final.
     encode(stale_in(cursor, n))
-    return IngestPlan(candidates.tolist(), best.tolist(), deltas)
+    logged = ((score >= qualifies) & (sizes <= accept_bytes)).nonzero()[0]
+    return IngestPlan(candidates.tolist(), best.tolist(), deltas, promoted,
+                      logged.tolist())

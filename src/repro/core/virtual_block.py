@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,3 +72,16 @@ class VirtualBlock:
             "*" if self.data_dirty else " ",
         ))
         return f"VirtualBlock(lba={self.lba}, {self.kind.value}, {flags})"
+
+
+def associates(lbas: Sequence[int],
+               deltas: Sequence[Delta]) -> List[VirtualBlock]:
+    """An associate holding each delta, every field set here rather than
+    by an ``__init__`` frame per block."""
+    blocks = [object.__new__(VirtualBlock) for _ in deltas]
+    for vb, lba, delta in zip(blocks, lbas, deltas):
+        vb.lba, vb.kind, vb.signatures, vb.data = \
+            lba, BlockKind.ASSOCIATE, (), None
+        vb.delta, vb.delta_segments_bytes, vb.data_dirty = \
+            delta, delta.size_bytes, False
+    return blocks

@@ -220,8 +220,9 @@ def encode_deltas(targets: np.ndarray,
     The runs are split by the same arithmetic as :func:`encode_delta`,
     over a difference mask whose rows are padded apart; only the
     per-row slicing of the shared header and payload buffers is a
-    Python loop.  Temporaries are a few times ``N`` blocks, so callers
-    keep ``N`` bounded (the ingest planner passes at most 64 rows).
+    Python loop, and it runs no Python frame.  Temporaries are a few
+    times ``N`` blocks, so callers keep ``N`` bounded (the ingest planner
+    passes at most 64 rows).
     """
     targets = np.asarray(targets)
     references = np.asarray(references)
@@ -259,9 +260,16 @@ def encode_deltas(targets: np.ndarray,
     head_to = head_from + 2 + 4 * counts
     pay_from = payload_at[runs_before]
     pay_to = payload_at[runs_before + counts]
-    return [Delta._trusted(header[h0:h1] + payload[p0:p1])
-            for h0, h1, p0, p1 in zip(head_from.tolist(), head_to.tolist(),
-                                      pay_from.tolist(), pay_to.tolist())]
+    # The rows are in range by construction: fill the two slots here
+    # rather than through a ``_trusted`` frame per row.
+    deltas = []
+    for h0, h1, p0, p1 in zip(head_from.tolist(), head_to.tolist(),
+                              pay_from.tolist(), pay_to.tolist()):
+        delta = object.__new__(Delta)
+        delta._wire = header[h0:h1] + payload[p0:p1]
+        delta.size_bytes = h1 - h0 + p1 - p0
+        deltas.append(delta)
+    return deltas
 
 
 def apply_delta(delta: Delta, reference: np.ndarray) -> np.ndarray:

@@ -22,8 +22,7 @@ each block's most recent delta to its reference.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from repro.delta.encoder import Delta
 from repro.sim.request import BLOCK_SIZE
@@ -33,8 +32,7 @@ _BLOCK_HEADER = struct.Struct("<IIH")
 _RECORD_HEADER = struct.Struct("<QQH")
 
 
-@dataclass(frozen=True)
-class DeltaRecord:
+class DeltaRecord(NamedTuple):
     """One logical block's delta destined for (or read from) the log."""
 
     lba: int
@@ -47,23 +45,14 @@ class DeltaBlockPacker:
 
     payload_capacity = BLOCK_SIZE - _BLOCK_HEADER.size
 
-    def pack(self, records: Sequence[DeltaRecord],
-             start_sequence: int = 0) -> List[bytes]:
-        """Greedily pack ``records`` into as few 4 KB blocks as possible.
-
-        Records are packed in order (the flush order preserves the write
-        order, which recovery relies on).  Returns the packed blocks, each
-        exactly ``BLOCK_SIZE`` bytes (zero padded).
-        """
-        return [block for block, _ in self.pack_with_records(
-            records, start_sequence=start_sequence)]
-
     def pack_with_records(self, records: Sequence[DeltaRecord],
                           start_sequence: int = 0
                           ) -> List[Tuple[bytes, List[DeltaRecord]]]:
-        """:meth:`pack`, but each block is paired with the records it
-        holds — the log caches these so a ``peek_block`` right after an
-        append never re-unpacks bytes it just sealed."""
+        """Greedily pack ``records``, in order (the flush order preserves
+        the write order, which recovery relies on), into as few 4 KB
+        blocks as possible, each zero padded and paired with the records
+        it holds — the log caches these so a ``peek_block`` right after
+        an append never re-unpacks bytes it just sealed."""
         blocks: List[Tuple[bytes, List[DeltaRecord]]] = []
         current: List[DeltaRecord] = []
         used = 0
@@ -87,12 +76,11 @@ class DeltaBlockPacker:
 
     @staticmethod
     def _seal(records: List[DeltaRecord], sequence: int) -> bytes:
-        parts = [_BLOCK_HEADER.pack(MAGIC, sequence, len(records))]
-        parts.extend(_RECORD_HEADER.pack(record.lba, record.ref_lba,
-                                         record.delta.size_bytes)
-                     for record in records)
-        parts.extend(record.delta.serialize() for record in records)
-        packed = b"".join(parts)
+        packed = b"".join(
+            [_BLOCK_HEADER.pack(MAGIC, sequence, len(records))]
+            + [_RECORD_HEADER.pack(lba, ref_lba, delta.size_bytes)
+               for lba, ref_lba, delta in records]
+            + [delta.serialize() for _lba, _ref, delta in records])
         return packed + b"\x00" * (BLOCK_SIZE - len(packed))
 
     @staticmethod

@@ -204,7 +204,10 @@ class AttributionTable:
         return list(self._requests)
 
     def latency(self, op: str) -> LatencyStats:
-        return self._latency.setdefault(op, LatencyStats())
+        """The class's latency statistics; empty ones, not added to the
+        table, for a class that recorded nothing."""
+        stats = self._latency.get(op)
+        return stats if stats is not None else LatencyStats()
 
     def n_requests(self, op: str) -> int:
         return self.latency(op).count

@@ -205,7 +205,7 @@ class TestReplacementPolicies:
             vb = vb_of(lba)
             cache.insert(vb)
             cache.attach_delta(vb, delta_of(10))
-        cache.touch(0)
+        cache.get(0)  # a lookup touches
         assert cache.find_delta_victim().lba == 1
 
     def test_references_listing(self):

@@ -68,6 +68,11 @@ class TestSegmentPool:
         assert pool.used_segments == 0
 
 
+def _pack(packer, records, start_sequence=0):
+    return [block for block, _ in packer.pack_with_records(
+        records, start_sequence=start_sequence)]
+
+
 class TestPacker:
     def records(self, count: int, payload_len: int = 100):
         return [DeltaRecord(lba=i, ref_lba=1000 + i,
@@ -77,7 +82,7 @@ class TestPacker:
     def test_pack_unpack_roundtrip(self):
         packer = DeltaBlockPacker()
         records = self.records(10)
-        blocks = packer.pack(records)
+        blocks = _pack(packer, records)
         unpacked = [r for block in blocks for r in packer.unpack(block)]
         assert [(r.lba, r.ref_lba, r.delta) for r in unpacked] == \
             [(r.lba, r.ref_lba, r.delta) for r in records]
@@ -86,17 +91,17 @@ class TestPacker:
         """The core packing claim: one 4 KB block carries many deltas."""
         packer = DeltaBlockPacker()
         records = self.records(20, payload_len=100)
-        blocks = packer.pack(records)
+        blocks = _pack(packer, records)
         assert len(blocks) == 1
 
     def test_blocks_are_exactly_block_size(self):
         packer = DeltaBlockPacker()
-        for block in packer.pack(self.records(40, payload_len=200)):
+        for block in _pack(packer, self.records(40, payload_len=200)):
             assert len(block) == BLOCK_SIZE
 
     def test_sequence_numbers_stamped(self):
         packer = DeltaBlockPacker()
-        blocks = packer.pack(self.records(60, payload_len=300),
+        blocks = _pack(packer, self.records(60, payload_len=300),
                              start_sequence=5)
         sequences = [packer.sequence_of(b) for b in blocks]
         assert sequences == list(range(5, 5 + len(blocks)))
@@ -105,7 +110,7 @@ class TestPacker:
         packer = DeltaBlockPacker()
         huge = DeltaRecord(0, 0, delta_of_size(BLOCK_SIZE))
         with pytest.raises(ValueError, match="spill"):
-            packer.pack([huge])
+            _pack(packer, [huge])
 
     def test_bad_magic_rejected(self):
         packer = DeltaBlockPacker()
@@ -118,7 +123,7 @@ class TestPacker:
         inside a foreground read's apply_delta."""
         packer = DeltaBlockPacker()
         good = DeltaRecord(1, 0, Delta(runs=((BLOCK_SIZE - 2, b"ab"),)))
-        (block,) = packer.pack([good, DeltaRecord(2, 0, delta_of_size(9))])
+        (block,) = _pack(packer, [good, DeltaRecord(2, 0, delta_of_size(9))])
         offset_at = block.index((BLOCK_SIZE - 2).to_bytes(2, "little"))
         crafted = (block[:offset_at] + (BLOCK_SIZE - 1).to_bytes(2, "little")
                    + block[offset_at + 2:])
@@ -145,7 +150,7 @@ class TestPacker:
         packer = DeltaBlockPacker()
         records = [DeltaRecord(lba, ref, delta_of_size(size))
                    for lba, ref, size in specs]
-        blocks = packer.pack(records)
+        blocks = _pack(packer, records)
         unpacked = [r for block in blocks for r in packer.unpack(block)]
         assert [(r.lba, r.ref_lba, r.delta.size_bytes) for r in unpacked] \
             == [(r.lba, r.ref_lba, r.delta.size_bytes) for r in records]

@@ -193,29 +193,32 @@ class TestHostCostBudget:
     #:   helper frames and bumped string-keyed counters; 60.5 while it also
     #:   kept a latency sample nobody read; 90.9 before the capture tracer
     #:   folded phases at emission);
-    #: * sysbench / icash — 83.6, of which 11.2 in the engine files and 6.1
-    #:   in the codec (84.6 and 12.2 with that second latency record; 87.3
-    #:   and 14.9 with that closing call; 121.2 and 47.9 with those engine
-    #:   frames; 121.6 while signatures were memoised behind a content-keyed
+    #: * sysbench / icash — 50.0, of which 11.2 in the engine files and 5.1
+    #:   in the codec (83.6, and 6.1 in the codec, while ingest replayed its
+    #:   plan block by block and a read hit walked four helper frames; 84.6
+    #:   and 12.2 with that second latency record; 87.3 and 14.9 with that
+    #:   closing call; 121.2 and 47.9 with those engine frames; 121.6 while signatures were memoised behind a content-keyed
     #:   LRU; 127.7 while the controller bumped string-keyed counters; 144.0
     #:   with those device frames; 145.1 while a virtual block kept its own
     #:   copy of its reference and dirtiness; 147.7 and 7.6 while ingest
     #:   tallied and encoded block by block);
-    #: * specsfs / icash — 275.0, of which 34.7 in the engine files and 25.2
-    #:   in the codec (276.0 and 35.7 with that second record; 281.0 and 40.8
-    #:   with that closing call; 316.6 and 75.4 with those engine frames;
+    #: * specsfs / icash — 196.2, of which 34.7 in the engine files and 22.6
+    #:   in the codec (275.0 and 25.2 with that replay and those frames;
+    #:   276.0 and 35.7 with that second record; 281.0 and 40.8 with that
+    #:   closing call; 316.6 and 75.4 with those engine frames;
     #:   341.0 with that signature LRU; 349.1 with string-keyed counters;
     #:   390.3 with those device frames; 401.2 with those copies; 401.9 and
     #:   26.2 block by block; 487.3, and 175.6 on sysbench, while the scan,
     #:   retirement and reference loops read ``is_*`` / ``has_*`` properties
     #:   per window block);
-    #: * sysbench / icash with a ring trace — 93.2, of which 20.8 in the
-    #:   engine files (94.2 and 21.8 with that second record; 143.7 and 56.6
-    #:   while the trace was a second tracer that the engine's capture tracer
-    #:   forwarded to and replayed into, span object by span object);
-    #: * sysbench / icash with a profiler — 94.9, of which 14.8 in the engine
-    #:   files (95.9 and 15.8 with that second record; 107.8 and 29.9 with
-    #:   those span objects).
+    #: * sysbench / icash with a ring trace — 59.6, of which 20.8 in the
+    #:   engine files (93.2 with that replay and those frames; 94.2 and
+    #:   21.8 with that second record; 143.7 and 56.6 while the trace was a
+    #:   second tracer that the engine's capture tracer forwarded to and
+    #:   replayed into, span object by span object);
+    #: * sysbench / icash with a profiler — 61.3, of which 14.8 in the engine
+    #:   files (94.9 with that replay and those frames; 95.9 and 15.8 with
+    #:   that second record; 107.8 and 29.9 with those span objects).
     #:
     #: The icash pair is perfbench's ``oltp_read`` and ``nfs_write`` at
     #: a size tier-1 can afford; they read 257.1 (62.9) and 604.3 (55.8)
@@ -240,13 +243,13 @@ class TestHostCostBudget:
     BUDGETS = (
         (RunSpec(workload="tpcc", system="raid0", engine="event",
                  n_requests=2000, scale=0.5), None, 19.7, 3.3, 0.0, 0.056),
-        (SYSBENCH, None, 92.0, 12.3, 6.7, 0.61),
+        (SYSBENCH, None, 55.0, 12.3, 5.6, 0.61),
         (RunSpec(workload="specsfs", system="icash", engine="event",
                  n_requests=1500, scale=0.25,
                  config_overrides=(("ssd_capacity_blocks", 2048),)),
-         None, 302.5, 38.2, 27.8, 0.95),
-        (SYSBENCH, "tracer", 102.5, 22.9, 6.7, None),
-        (SYSBENCH, "profiler", 104.4, 16.3, 6.7, None),
+         None, 215.8, 38.2, 24.9, 0.95),
+        (SYSBENCH, "tracer", 65.6, 22.9, 5.6, None),
+        (SYSBENCH, "profiler", 67.4, 16.3, 5.6, None),
     )
 
     def test_calls_per_request_within_budget(self):

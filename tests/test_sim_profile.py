@@ -106,6 +106,19 @@ class TestAttributionTable:
         assert host_row["phase"] == "other"
         assert table.render("read").endswith("(no requests profiled)")
 
+    def test_queries_leave_an_absent_class_absent(self):
+        """Asking after a class that recorded nothing answers empty
+        stats and does not add it: a write-only table renders, and
+        ``critpath --json`` lists, no empty ``read`` section."""
+        table = AttributionTable()
+        table.record_request("write", [("ssd", "write", 70e-6)], 75e-6)
+        assert table.n_requests("read") == 0
+        assert table.total_s("read") == 0.0
+        assert table.mean_us("read") == 0.0
+        assert table.latency("read").count == 0
+        assert table.ops == ["write"]
+        assert "read critical path" not in table.render()
+
     def test_empty_table(self):
         table = AttributionTable()
         assert table.render() == "(no requests profiled)"
