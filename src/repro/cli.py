@@ -52,6 +52,30 @@ def _add_no_ledger(parser: argparse.ArgumentParser) -> None:
                              "REPRO_LEDGER=0 does the same globally")
 
 
+def _positive_seconds(text: str) -> float:
+    """A positive, finite ``--interval`` (NaN and infinity are not)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"not a positive, finite number of seconds: {text!r}")
+    return value
+
+
+def _window_capacity(text: str) -> int:
+    """A ``--max-windows`` that holds a merged pair: at least two."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 2:
+        raise argparse.ArgumentTypeError(
+            f"not a whole number of windows, at least 2: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -143,13 +167,15 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=["fusion-io", "raid0", "dedup", "lru",
                                   "icash"])
     monitor.add_argument("--requests", type=int, default=3000)
-    monitor.add_argument("--interval", type=float, default=0.01,
+    monitor.add_argument("--interval", type=_positive_seconds,
+                         default=0.01,
                          help="sample window width in seconds of "
                               "aggregate device busy time")
     monitor.add_argument("--out-dir", default=".",
                          help="directory for series.csv, series.jsonl "
                               "and metrics.prom")
-    monitor.add_argument("--max-windows", type=int, default=256,
+    monitor.add_argument("--max-windows", type=_window_capacity,
+                         default=256,
                          help="series store capacity; beyond it adjacent "
                               "windows merge (downsampling)")
     monitor.add_argument("--json", action="store_true",
@@ -523,19 +549,18 @@ def _cmd_monitor(workload_name: str, system_name: str, requests: int,
     csv_path = os.path.join(out_dir, "series.csv")
     jsonl_path = os.path.join(out_dir, "series.jsonl")
     prom_path = os.path.join(out_dir, "metrics.prom")
-    rows = export_series_csv(monitor.store, csv_path)
-    export_series_jsonl(monitor.store, jsonl_path)
-    samples = export_prometheus(monitor.registry, prom_path)
+    rows = export_series_csv(monitor, csv_path)
+    export_series_jsonl(monitor, jsonl_path)
+    samples = export_prometheus(monitor, prom_path)
 
     # Cross-check the windowed series against the stream itself: summed
     # window deltas must reproduce the stream's read and write counts
     # (the tracer's consistency check, for metrics).
-    store = monitor.store
     reads = [request.is_read for request in workload.requests()]
     stats_reads = sum(reads)
     stats_writes = len(reads) - stats_reads
-    series_reads = store.counter_total("requests_read_total")
-    series_writes = store.counter_total("requests_write_total")
+    series_reads = monitor.counter_total("requests_read_total")
+    series_writes = monitor.counter_total("requests_write_total")
     consistent = (series_reads, series_writes) == (stats_reads,
                                                    stats_writes)
     if as_json:
@@ -543,13 +568,9 @@ def _cmd_monitor(workload_name: str, system_name: str, requests: int,
             "workload": workload_name,
             "system": system_name,
             "interval_s": interval_s,
-            "downsample_factor": store.downsample_factor,
-            "windows": [
-                {"window": index,
-                 "t_start_s": window.t_start,
-                 "t_end_s": window.t_end,
-                 "series": store.window_row(index)}
-                for index, window in enumerate(store.windows)],
+            "downsample_factor": monitor.downsample_factor,
+            "windows": [monitor.window_record(index)
+                        for index in range(len(monitor.t_end))],
             "slo_breaches": [
                 {"rule": breach.rule.name, "window": breach.window,
                  "t_start_s": breach.t_start, "t_end_s": breach.t_end,

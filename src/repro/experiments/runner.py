@@ -395,11 +395,11 @@ def run_benchmark(workload: Workload, system: StorageSystem,
     after ingest, reading the stack through its one instrument table,
     and folds in each completed request — read or write, latency,
     queue wait (zero under ``"legacy"``) and the clock — where the
-    request completes.  Its sampler runs on the aggregate
+    request completes.  Its windows run on the aggregate
     device-busy-time clock (``io_time_all``, the same virtual timeline
-    trace spans lie on).  Its windowed series stays on
-    ``monitor.store``, which ``repro monitor`` exports; its SLO breaches
-    land in ``RunResult.slo_breaches``.
+    trace spans lie on).  Its windowed series stays on the monitor,
+    which ``repro monitor`` exports; its SLO breaches land in
+    ``RunResult.slo_breaches``.
 
     ``engine`` selects the wall-clock model.  The default ``"legacy"``
     is the open-queue approximation documented above and stays

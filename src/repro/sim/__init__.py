@@ -30,8 +30,7 @@ from repro.sim.engine import (DEFAULT_DEVICE_SLOTS, DeviceStation,
                               RequestRecord, StationSummary)
 from repro.sim.load import ClosedLoopLoad, OpenLoopLoad, \
     default_closed_loop
-from repro.sim.metrics import (HealthMonitor, MetricsRegistry, Monitor,
-                               PeriodicSampler, SeriesStore, SLORule)
+from repro.sim.metrics import Monitor, SLORule
 from repro.sim.request import IORequest, OpType
 from repro.sim.stats import LatencyStats
 
@@ -42,18 +41,14 @@ __all__ = [
     "DeviceStation",
     "EngineConfig",
     "EventEngine",
-    "HealthMonitor",
     "IORequest",
     "LatencyStats",
-    "MetricsRegistry",
     "Monitor",
     "OpenLoopLoad",
     "OpType",
-    "PeriodicSampler",
     "QueueingSummary",
     "RequestRecord",
     "SLORule",
-    "SeriesStore",
     "StationSummary",
     "default_closed_loop",
 ]

@@ -77,9 +77,9 @@ def _sha(text: str) -> str:
 def exports(monitor: Monitor) -> Dict[str, str]:
     """A sha256 of each export of a finished ``monitor``."""
     csv, jsonl, prom = io.StringIO(), io.StringIO(), io.StringIO()
-    export_series_csv(monitor.store, csv)
-    export_series_jsonl(monitor.store, jsonl)
-    export_prometheus(monitor.registry, prom)
+    export_series_csv(monitor, csv)
+    export_series_jsonl(monitor, jsonl)
+    export_prometheus(monitor, prom)
     breaches = json.dumps([[b.rule.name, b.window, b.t_start, b.t_end,
                             b.value] for b in monitor.breaches])
     return {"csv": _sha(csv.getvalue()), "jsonl": _sha(jsonl.getvalue()),

@@ -184,7 +184,28 @@ REMOVED = (
      "the faults rows' reads over FaultInjector.outcomes"),
     ("Monitor(registry=)",
      r"\bMonitor\([^)]*\bregistry\b|registry: Optional\[MetricsRegistry\]",
-     "the MetricsRegistry each Monitor makes for itself"),
+     "the instrument list each Monitor keeps for itself"),
+    # One Monitor holds the windows, as columns; a series key is built
+    # once, when its series first appears, and never parsed back.
+    ("MetricsRegistry", r"\bMetricsRegistry\b",
+     "Monitor._instruments, filled by Monitor.attach"),
+    ("Instrument", r"\bclass Instrument\b|\bInstrument\(",
+     "an INSTRUMENT_CATALOGUE row, read by Monitor or fed by Monitor.fold"),
+    ("PeriodicSampler", r"\bPeriodicSampler\b",
+     "Monitor.fold and Monitor.finish, which close the windows"),
+    ("SeriesStore", r"\bSeriesStore\b",
+     "Monitor.t_start, Monitor.t_end and Monitor.columns"),
+    ("WindowSnapshot", r"\bWindowSnapshot\b",
+     "one index into Monitor's columns"),
+    ("HealthMonitor", r"\bHealthMonitor\b",
+     "Monitor.finish, which evaluates the SLO rules into Monitor.breaches"),
+    ("parse_series_key", r"\bparse_series_key\b",
+     "Monitor's bucket keys per histogram: nothing parses a key"),
+    ("unescape_label_value", r"\bunescape_label_value\b",
+     "nothing: a key is only ever written out"),
+    ("monitor.store / .registry",
+     r"\bmonitor\.(?:store|registry|sampler|health)\b",
+     "the Monitor itself, which the exporters take"),
 )
 
 #: The emission protocol model code calls.

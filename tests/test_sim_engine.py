@@ -281,10 +281,10 @@ class TestObservabilityIntegration:
         names = {e.name for e in tracer.events}
         assert "queue" in names
         assert "request_start" in names
-        assert len(monitor.store) > 0
+        assert len(monitor.t_end) > 0
         assert isinstance(result.slo_breaches, list)
         handle = io.StringIO()
-        export_prometheus(monitor.registry, handle)
+        export_prometheus(monitor, handle)
         text = handle.getvalue()
         for name in ("queue_wait_us", "queue_depth",
                      "device_utilization", "delta_log_corrupt_total",

@@ -173,7 +173,7 @@ class TestInstrumentsAndReport:
     def test_counters_tick(self):
         monitor = Monitor(interval_s=0.02)
         result, _ = run_with_fault("hdd_failure", monitor=monitor)
-        values, _ = monitor.registry.collect()
+        values = {key: column[-1] for key, column in monitor.columns.items()}
         assert values['faults_injected_total{kind="hdd_failure"}'] == 1.0
         assert values["rebuild_io_total"] == 4096.0
         outcome = result.faults.outcomes[0]
