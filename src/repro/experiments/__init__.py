@@ -14,28 +14,11 @@
   plus the headline claims.
 * :mod:`repro.experiments.report` — text rendering of
   measured-vs-paper tables.
-* :mod:`repro.experiments.loadtest` — open-loop arrival-rate sweeps
-  over the discrete-event engine: saturation knees, throughput/latency
-  curves, and the all-architectures knee comparison.
+* :mod:`repro.experiments.sweeps` — one knob across values: an
+  ``ICASHConfig`` field, or the open-loop arrival rate over the
+  discrete-event engine (saturation knees, throughput/latency curves
+  and the all-architectures knee comparison).
+
+The package re-exports nothing: import from the module that defines a
+name.
 """
-
-from repro.experiments.loadtest import (RatePoint, SystemKnee,
-                                        calibrate_capacity,
-                                        compare_at_knee, find_knee,
-                                        render_curve, sweep_rates)
-from repro.experiments.runner import RunResult, run_benchmark
-from repro.experiments.systems import SYSTEM_NAMES, make_system
-
-__all__ = [
-    "RatePoint",
-    "RunResult",
-    "SYSTEM_NAMES",
-    "SystemKnee",
-    "calibrate_capacity",
-    "compare_at_knee",
-    "find_knee",
-    "make_system",
-    "render_curve",
-    "run_benchmark",
-    "sweep_rates",
-]

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.loadtest import calibrate_capacity
+from repro.experiments.sweeps import calibrate_capacity
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import record_run, run_benchmark
 from repro.sim.faults import FAULT_KINDS, FaultPlan

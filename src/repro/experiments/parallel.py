@@ -49,8 +49,8 @@ _pool_workers = 0
 def _ensure_pool(jobs: int) -> ProcessPoolExecutor:
     """The persistent executor, grown (never shrunk) to ``jobs`` workers.
 
-    Reused across waves — ``figure``/``sweep``/``loadtest``
-    issue many :func:`run_specs` calls, and pool-per-call paid the full
+    Reused across waves — ``validate NAME``/``sweep``/``sweep
+    load.rate`` issue many :func:`run_specs` calls, and pool-per-call paid the full
     worker spawn each time.  Workers build the datasets their specs
     name themselves, and keep their per-process memos (data set,
     request stream) warm between waves.

@@ -398,8 +398,8 @@ def run_benchmark(workload: Workload, system: StorageSystem,
     request completes.  Its windows run on the aggregate
     device-busy-time clock (``io_time_all``, the same virtual timeline
     trace spans lie on).  Its windowed series stays on the monitor,
-    which ``repro monitor`` exports; its SLO breaches land in
-    ``RunResult.slo_breaches``.
+    which ``repro run W --monitor DIR`` exports; its SLO breaches land
+    in ``RunResult.slo_breaches``.
 
     ``engine`` selects the wall-clock model.  The default ``"legacy"``
     is the open-queue approximation documented above and stays
@@ -559,16 +559,10 @@ def _run_event_benchmark(workload: Workload, system: StorageSystem,
 
         injector = FaultInjector(fault_plan, system, sim)
         sim.attach_faults(injector)
-    on_complete = None
     if monitor is not None:
         monitor.attach(system, workload, sim, injector)
-
-        def on_complete(record) -> None:
-            monitor.fold(record.is_read, record.latency_s, record.wait_s,
-                         sim.now)
-
     records = sim.run(workload, load, verify_reads=verify_reads,
-                      on_measure=run.mark_warmup, on_complete=on_complete,
+                      on_measure=run.mark_warmup, monitor=monitor,
                       measure_from=run.warmup_cutoff)
     queueing = sim.summary()
     run.record_all(records)

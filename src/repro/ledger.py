@@ -1,8 +1,8 @@
 """Persistent run ledger: every experiment leaves a provenance trail.
 
 An append-only, schema-versioned run store under ``.repro-ledger/``
-that every entry point (``figure``, ``sweep``, ``loadtest``, ``chaos``,
-``monitor``, ``run`` and plain :func:`~repro.experiments.runner.
+that every entry point (``validate NAME``, both ``sweep`` kinds,
+``chaos``, ``run`` with or without ``--monitor``, and plain :func:`~repro.experiments.runner.
 run_benchmark`) records into through :meth:`LedgerWriter.record`.
 Each row carries full provenance — the run spec, git SHA and dirty
 flag, schema versions, a host fingerprint, the virtual wall times —

@@ -17,7 +17,8 @@ discrete-event simulation routes requests through per-device FIFO
 queues, driven by the open-/closed-loop load generators of
 :mod:`repro.sim.load`, so response time becomes queue wait plus
 service and saturation behaviour is measurable
-(``run_benchmark(engine="event")``, ``python -m repro loadtest``).
+(``run_benchmark(engine="event")``, ``python -m repro sweep
+load.rate``).
 
 The optional host page-cache wrapper lives in :mod:`repro.sim.pagecache`
 (imported directly to avoid a circular dependency on the storage-system

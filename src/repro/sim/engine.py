@@ -25,7 +25,7 @@ queues and overlap their service across devices, so latency becomes
   kind.  A request in flight is a flat list (its measurements, then its
   routing state), routed and started inline; a helper frame runs only
   when backlog forms or drains.  Observers (event log, faults, the
-  ring and profiler folds, ``on_complete``) are branches of the same
+  ring, profiler and monitor folds) are branches of the same
   loop: a ring folds what a request triggered off its critical path at
   admission and the request itself at completion.  A completed request
   becomes a :class:`RequestRecord`.
@@ -37,8 +37,8 @@ queues and overlap their service across devices, so latency becomes
   randomness lives in the load generator's seeded RNG.
 
 The front end is ``run_benchmark(..., engine="event", load=...)``;
-``repro loadtest`` sweeps arrival rates over it to find a system's
-knee.  See "Event engine & load generation" in ``docs/ARCHITECTURE.md``.
+``repro sweep load.rate`` sweeps arrival rates over it to find a
+system's knee.  See "Event engine & load generation" in ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ class QueueingSummary:
         return best.name if best and best.utilization > 0.0 else None
 
     def to_doc(self) -> Dict[str, object]:
-        """JSON-ready form (``repro critpath --json``)."""
+        """JSON-ready form (``repro run W --critpath --json``)."""
         doc = asdict(self)
         for station in doc["stations"].values():
             del station["name"]
@@ -321,7 +321,7 @@ class EventEngine:
     # -- the run -----------------------------------------------------------
 
     def run(self, workload, load, verify_reads: bool = False,
-            on_measure=None, on_complete=None,
+            on_measure=None, monitor=None,
             measure_from: int = 0) -> List[RequestRecord]:
         """Drive ``workload``'s stream through the system under ``load``.
 
@@ -330,8 +330,10 @@ class EventEngine:
         is processed — the runner snapshots warmup state there — and
         the attached profiler's attribution table leaves out the
         requests before it, so it covers the same window the latency
-        statistics do.  ``on_complete(record)`` fires at each
-        completion event in event time.  Returns the completed records
+        statistics do.  An attached ``monitor``
+        (:class:`~repro.sim.metrics.Monitor`) folds each completion in
+        event time, from the request's wait and service as the engine
+        holds them.  Returns the completed records
         in admission order.  The loop and its next-event register
         (``created``) are described in the module docstring.
         """
@@ -350,6 +352,7 @@ class EventEngine:
         next_seq = self._next_seq
         last_completion = self.last_completion_s
         completed_waits = self._completed_waits
+        fold = monitor.fold if monitor is not None else None
         load.reset()
         starts = [load.next_arrival(0.0)] if open_loop else \
             [load.initial_think() for _ in range(load.clients)]
@@ -444,10 +447,11 @@ class EventEngine:
                     station_waits = record[_WAITS]
                     if station_waits is not None:
                         profiler.fold(emitted, latency, station_waits)
-                done = _new_record(RequestRecord, record[:_PHASES])
-                records[record[_INDEX]] = done
-                if on_complete is not None:
-                    on_complete(done)
+                records[record[_INDEX]] = _new_record(RequestRecord,
+                                                      record[:_PHASES])
+                if fold is not None:
+                    fold(record[_IS_READ], wait + record[_SERVICE_S], wait,
+                         now)
                 if faults is not None:
                     faults.on_event(now)
                 if not open_loop:

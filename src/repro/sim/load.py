@@ -8,7 +8,7 @@ long it then waits and executes.  Two disciplines:
   rate, independent of completions (Poisson or constant-spaced).  This
   is the discipline that exposes saturation: past the knee the queue
   grows without bound for the duration of the run and response times
-  blow up, exactly what ``repro loadtest`` sweeps for.
+  blow up, exactly what ``repro sweep load.rate`` sweeps for.
 * **Closed loop** (:class:`ClosedLoopLoad`) — N clients, each issuing
   its next request a think time after its previous one completes.
   With one client and zero think time this degenerates to the legacy

@@ -38,8 +38,8 @@ Four pieces, all held by one :class:`Monitor` per run:
   budget, delta-log high-water mark...) are checked against every
   window when the run finishes, into :class:`SLOBreach` records.
 
-``python -m repro monitor`` is the CLI front end, and
-:func:`repro.experiments.runner.run_benchmark` threads the breaches
+``python -m repro run WORKLOAD --monitor DIR`` is the CLI front end,
+and :func:`repro.experiments.runner.run_benchmark` threads the breaches
 into :class:`~repro.experiments.runner.RunResult`.
 """
 
@@ -671,6 +671,19 @@ class Monitor:
         prev = column[index - 1] if index else self.baseline.get(key)
         return (0.0 if value is None else value) \
             - (0.0 if prev is None else prev)
+
+    def to_doc(self) -> Dict[str, object]:
+        """JSON-ready form (``repro run W --monitor DIR --json``): every
+        window's record and every SLO breach."""
+        return {
+            "downsample_factor": self.downsample_factor,
+            "windows": [self.window_record(index)
+                        for index in range(len(self.t_end))],
+            "slo_breaches": [
+                {"rule": breach.rule.name, "window": breach.window,
+                 "t_start_s": breach.t_start, "t_end_s": breach.t_end,
+                 "value": breach.value, "threshold": breach.rule.threshold}
+                for breach in self.breaches]}
 
     def window_record(self, index: int) -> Dict[str, object]:
         """Window ``index`` as one exported record: counters as

@@ -34,13 +34,14 @@ Three pieces:
   span trees beside them.
 
 Documented in the "Profiling & critical path" section of
-``docs/OBSERVABILITY.md``; ``repro critpath`` is the CLI front end and
+``docs/OBSERVABILITY.md``; ``repro run W --critpath`` is the CLI front
+end and
 the run ledger keeps each profiled run's heaviest rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO, \
     Tuple, Union
 
@@ -297,8 +298,22 @@ class AttributionTable:
             lines.append(blame.render())
         return "\n".join(lines)
 
+    def to_doc(self) -> Dict[str, object]:
+        """JSON-ready form (``repro run W --critpath --json``): each
+        class's count, mean and p99, the rows and each class's blame."""
+        blames = {op: self.blame(op) for op in self.ops}
+        return {
+            "classes": {op: {"n": self.n_requests(op),
+                             "mean_us": self.mean_us(op),
+                             "p99_us": self.latency(op).percentile(99) * 1e6}
+                        for op in self.ops},
+            "attribution": self.to_rows(),
+            "blame": {op: None if blame is None else {
+                key: value for key, value in asdict(blame).items()
+                if key != "op"} for op, blame in blames.items()}}
+
     def to_rows(self) -> List[Dict[str, object]]:
-        """JSON-ready rows (``critpath --json``'s ``attribution`` array)."""
+        """JSON-ready rows (:meth:`to_doc`'s ``attribution`` array)."""
         out: List[Dict[str, object]] = []
         for op in self.ops:
             out.extend({

@@ -44,3 +44,61 @@ class TestCommandDocs:
                  for opt in action.option_strings}
         assert {"--quick", "--requests", "--seed", "--scenario",
                 "--out"} <= flags
+
+
+class TestSevenVerbs:
+    """One verb per question: ``run`` attaches the observers, ``sweep``
+    sweeps arrival rates and ``validate`` prints single series."""
+
+    def test_help_lists_exactly_the_seven(self):
+        sub = subcommand_actions()
+        assert list(sub.choices) == ["run", "sweep", "validate", "analyze",
+                                     "chaos", "ledger", "explain"]
+
+    @pytest.mark.parametrize("verb", ["figure", "trace", "monitor",
+                                      "critpath", "loadtest"])
+    def test_folded_verb_is_an_invalid_choice(self, verb, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--help"])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{verb}'" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    from repro.cli import main
+
+    try:
+        return main(argv)
+    except SystemExit as stop:
+        return stop.code
+
+
+class TestHostileNumbers:
+    """A numeric option the run cannot take exits 2 before anything
+    runs — the code of an argparse error, never 1, which a failed
+    verdict or consistency check uses — and names what it rejected."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["sweep", "scan_interval", "0"], "scan_interval"),
+        (["sweep", "load.rate", "--points", "0"], "argument --points"),
+        (["sweep", "load.rate", "--span", "2", "1"], "argument --span"),
+        (["sweep", "load.rate", "-5"], "argument values"),
+        (["run", "sysbench", "--critpath", "--rate", "-5"],
+         "argument --rate"),
+        (["run", "sysbench", "--trace", "t.json", "--buffer", "0"],
+         "argument --buffer"),
+        (["validate", "figure6a", "--requests", "0"], "argument --requests"),
+        (["run", "sysbench", "--requests", "0"], "argument --requests"),
+        (["analyze", "sysbench", "--requests", "0"], "argument --requests"),
+        (["chaos", "--quick", "--requests", "0"], "argument --requests"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list)
+        else None)
+    def test_rejected_before_any_run(self, argv, named, tmp_path,
+                                     monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert _exit_code(argv) == 2
+        out, err = capsys.readouterr()
+        assert named in err and "Traceback" not in err
+        assert out == "" and not list(tmp_path.iterdir())

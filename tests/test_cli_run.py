@@ -1,4 +1,7 @@
-"""Tests for the 'repro run' diagnosis command."""
+"""The CLI end to end: diagnosis runs, verified runs, chaos, single
+series and the files each spelling writes."""
+
+import pytest
 
 from repro.cli import main as cli_main
 
@@ -80,10 +83,66 @@ class TestFigureCommand:
 
         figures.clear_cache()
         try:
-            code = cli_main(["figure", "figure14", "--requests", "200"])
+            code = cli_main(["validate", "figure14", "--requests", "200"])
             sized = {key[:2] for key in figures._GRID_CACHE}
         finally:
             figures.clear_cache()
         assert code == 0
         assert "Figure 14" in capsys.readouterr().out
         assert sized == {("rubis", 200)}
+
+
+class TestWrittenFiles:
+    """Every file-writing spelling, run from an empty working directory
+    with recording on into a ledger elsewhere, leaves exactly the files
+    its command line names there: no stray export, default path or
+    ledger beside them."""
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        """Two profiled rows to explain, outside the working directory."""
+        from repro.experiments.parallel import RunSpec
+        from repro.experiments.runner import run_benchmark
+        from repro.ledger import LedgerWriter
+        from repro.sim.profile import Profiler
+
+        store = LedgerWriter(str(tmp_path_factory.mktemp("explained")))
+        for seed in (2011, 7):
+            spec = RunSpec(workload="sysbench", n_requests=300, seed=seed)
+            workload = spec.build_workload()
+            store.record(run_benchmark(workload, spec.build_system(workload),
+                                       profiler=Profiler()),
+                         command="run", spec=spec)
+        return store.root
+
+    @pytest.mark.parametrize("argv, named", [
+        (["run", "sysbench", "--requests", "300", "--trace", "t.json"],
+         {"t.json"}),
+        (["run", "sysbench", "--requests", "300", "--monitor", "mon"],
+         {"mon/series.csv", "mon/series.jsonl", "mon/metrics.prom"}),
+        (["run", "sysbench", "--requests", "300", "--critpath",
+          "--folded", "stacks.folded"], {"stacks.folded"}),
+        (["sweep", "load.rate", "200000", "--requests", "200",
+          "--csv", "curve.csv"], {"curve.csv"}),
+        (["chaos", "--quick", "--requests", "400", "--out", "v.jsonl"],
+         {"v.jsonl"}),
+        (["explain", "1", "2", "--flame-diff", "diff.folded"],
+         {"diff.folded"}),
+    ], ids=["run --trace", "run --monitor", "run --critpath --folded",
+            "sweep load.rate --csv", "chaos --out", "explain --flame-diff"])
+    def test_only_the_named_files(self, argv, named, store, tmp_path,
+                                  tmp_path_factory, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_LEDGER", "1")
+        monkeypatch.setenv("REPRO_LEDGER_DIR",
+                           str(tmp_path_factory.mktemp("recorded")))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        if argv[0] == "explain":
+            argv = argv + ["--dir", store]
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        written = {path.relative_to(cwd).as_posix()
+                   for path in cwd.rglob("*") if path.is_file()}
+        assert written == named
+        assert all((cwd / name).stat().st_size > 0 for name in named)

@@ -223,10 +223,12 @@ class TestHostCostBudget:
     #: * sysbench / icash with a profiler — 61.3, of which 14.8 in the engine
     #:   files (94.9 with that replay and those frames; 95.9 and 15.8 with
     #:   that second record; 107.8 and 29.9 with those span objects);
-    #: * sysbench / icash with a monitor sampling every 0.01 s — 53.4, of
-    #:   which 13.3 in the engine files and 5.1 in the codec (58.6 while a
-    #:   request walked five frames through the monitor's instruments and
-    #:   sampler, and every window rebuilt and parsed back its label keys).
+    #: * sysbench / icash with a monitor sampling every 0.01 s — 51.4, of
+    #:   which 11.2 in the engine files and 5.1 in the codec (53.4 and 13.3
+    #:   while the runner folded each completion through a closure that
+    #:   read the record's ``latency_s`` property; 58.6 while a request
+    #:   walked five frames through the monitor's instruments and sampler,
+    #:   and every window rebuilt and parsed back its label keys).
     #:
     #: The icash pair is perfbench's ``oltp_read`` and ``nfs_write`` at
     #: a size tier-1 can afford; they read 257.1 (62.9) and 604.3 (55.8)
@@ -258,7 +260,7 @@ class TestHostCostBudget:
          None, 215.8, 38.2, 24.9, 0.95),
         (SYSBENCH, "tracer", 65.6, 22.9, 5.6, None),
         (SYSBENCH, "profiler", 67.4, 16.3, 5.6, None),
-        (SYSBENCH, "monitor", 58.8, 14.6, 5.6, None),
+        (SYSBENCH, "monitor", 56.6, 12.4, 5.6, None),
     )
 
     def test_calls_per_request_within_budget(self):

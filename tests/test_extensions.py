@@ -217,14 +217,14 @@ class TestSweeps:
 
 class TestCLI:
     def test_list(self, capsys):
-        # Figure names are in `figure`'s help and its unknown-name
+        # Figure names are in `validate`'s help and its unknown-name
         # error; workload names are every verb's argparse choices.
-        for argv in (["figure", "--help"], ["run", "--help"]):
+        for argv in (["validate", "--help"], ["run", "--help"]):
             with pytest.raises(SystemExit):
                 cli_main(argv)
         out = capsys.readouterr().out
         assert "figure6a" in out and "sysbench" in out
-        assert cli_main(["figure", "figure99"]) == 2
+        assert cli_main(["validate", "figure99"]) == 2
         assert "figure6a" in capsys.readouterr().err
 
     def test_profile(self, capsys):
@@ -235,7 +235,7 @@ class TestCLI:
         assert lines[2] == "rubis initial data set:"
 
     def test_unknown_figure_fails_cleanly(self, capsys):
-        assert cli_main(["figure", "figure99"]) == 2
+        assert cli_main(["validate", "figure99"]) == 2
 
     def test_sweep(self, capsys):
         assert cli_main(["sweep", "scan_interval", "300",

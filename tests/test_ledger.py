@@ -287,10 +287,10 @@ class TestEntryPoints:
                                     "load": None} for row in rows)
 
     def test_loadtest_records_probe(self, tmp_path):
-        from repro.experiments import loadtest
+        from repro.experiments import sweeps
 
         store = _writer(tmp_path)
-        loadtest.run_rate_point(_SMALL_SPEC, 500.0, seed=99,
+        sweeps.run_rate_point(_SMALL_SPEC, 500.0, seed=99,
                                 ledger=store)
         (row,) = store.rows()
         assert row.command == "loadtest"
@@ -303,11 +303,11 @@ class TestEntryPoints:
 
     def test_loadtest_calibration_and_probe_rows_agree_on_seed(
             self, tmp_path):
-        from repro.experiments import loadtest
+        from repro.experiments import sweeps
 
         store = _writer(tmp_path)
-        capacity = loadtest.calibrate_capacity(_SMALL_SPEC, ledger=store)
-        loadtest.sweep_rates(_SMALL_SPEC, [capacity / 2], seed=99,
+        capacity = sweeps.calibrate_capacity(_SMALL_SPEC, ledger=store)
+        sweeps.sweep_rates(_SMALL_SPEC, [capacity / 2], seed=99,
                              ledger=store)
         calibrate, probe = store.rows()
         assert (calibrate.extra["role"], probe.extra["role"]) \
@@ -566,18 +566,18 @@ def _drive_sweep(jobs, store):
 
 
 def _drive_loadtest(jobs, store):
-    from repro.experiments import loadtest
+    from repro.experiments import sweeps
 
-    capacity = loadtest.calibrate_capacity(_SMALL_SPEC, ledger=store)
-    loadtest.sweep_rates(_SMALL_SPEC,
-                         loadtest.auto_rates(capacity, 2), jobs=jobs,
+    capacity = sweeps.calibrate_capacity(_SMALL_SPEC, ledger=store)
+    sweeps.sweep_rates(_SMALL_SPEC,
+                         sweeps.auto_rates(capacity, 2), jobs=jobs,
                          ledger=store)
 
 
 def _drive_compare(jobs, store):
-    from repro.experiments import loadtest
+    from repro.experiments import sweeps
 
-    loadtest.compare_at_knee(_SMALL_SPEC, ("fusion-io", "icash"),
+    sweeps.compare_at_knee(_SMALL_SPEC, ("fusion-io", "icash"),
                              jobs=jobs, ledger=store)
 
 

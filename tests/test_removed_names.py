@@ -206,6 +206,21 @@ REMOVED = (
     ("monitor.store / .registry",
      r"\bmonitor\.(?:store|registry|sampler|health)\b",
      "the Monitor itself, which the exporters take"),
+    # Seven CLI verbs, one per question: run attaches the observers,
+    # sweep sweeps arrival rates and validate prints single series.
+    ("repro trace", r'(?:add_parser|verb)\(\s*"trace"',
+     "repro run W --trace PATH", "repro/cli.py"),
+    ("repro monitor", r'(?:add_parser|verb)\(\s*"monitor"',
+     "repro run W --monitor DIR", "repro/cli.py"),
+    ("repro critpath", r'(?:add_parser|verb)\(\s*"critpath"',
+     "repro run W --critpath", "repro/cli.py"),
+    ("repro loadtest", r'(?:add_parser|verb)\(\s*"loadtest"',
+     "repro sweep load.rate", "repro/cli.py"),
+    ("repro figure", r'(?:add_parser|verb)\(\s*"figure"',
+     "repro validate NAME", "repro/cli.py"),
+    ("experiments.loadtest",
+     r"experiments\.loadtest|experiments import [^\n]*\bloadtest\b",
+     "repro.experiments.sweeps"),
 )
 
 #: The emission protocol model code calls.

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.delta.encoder import Delta
 from repro.delta.packer import DeltaLog, DeltaRecord
 from repro.devices.hdd import HardDiskDrive
-from repro.experiments import loadtest
+from repro.experiments import sweeps
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import SYSTEM_NAMES, make_system
@@ -368,9 +368,9 @@ class TestLoadtestSweep:
     @pytest.fixture(scope="class")
     def sweep(self):
         spec = RunSpec(workload="sysbench", scale=0.05, n_requests=500)
-        capacity = loadtest.calibrate_capacity(spec)
-        rates = loadtest.auto_rates(capacity, 5, span=(0.3, 1.6))
-        return loadtest.sweep_rates(spec, rates, seed=7)
+        capacity = sweeps.calibrate_capacity(spec)
+        rates = sweeps.auto_rates(capacity, 5, span=(0.3, 1.6))
+        return sweeps.sweep_rates(spec, rates, seed=7)
 
     def test_throughput_monotone_and_flattens(self, sweep):
         achieved = [p.achieved_rps for p in sweep]
@@ -383,7 +383,7 @@ class TestLoadtestSweep:
         assert sweep[-1].offered_rps > sweep[-2].offered_rps * 1.15
 
     def test_knee_found_with_p99_blowup(self, sweep):
-        knee = loadtest.find_knee(sweep)
+        knee = sweeps.find_knee(sweep)
         assert knee is not None and 0 < knee < len(sweep)
         pre = sweep[0]
         for point in sweep[knee:]:
@@ -391,40 +391,40 @@ class TestLoadtestSweep:
             assert point.wait_mean_ms >= pre.wait_mean_ms
 
     def test_render_and_csv(self, sweep):
-        text = loadtest.render_curve(sweep)
+        text = sweeps.render_curve(sweep)
         assert "knee" in text
         assert "#" in text
         handle = io.StringIO()
-        assert loadtest.export_curve_csv(sweep, handle) == len(sweep)
+        assert sweeps.export_curve_csv(sweep, handle) == len(sweep)
         lines = handle.getvalue().strip().splitlines()
         assert lines[0].startswith("offered_rps,achieved_rps,")
         assert len(lines) == len(sweep) + 1
 
     def test_find_knee_synthetic(self):
         def point(offered, achieved):
-            return loadtest.RatePoint(
+            return sweeps.RatePoint(
                 offered_rps=offered, achieved_rps=achieved,
                 n_measured=100, mean_ms=0.1, p99_ms=0.2,
                 wait_mean_ms=0.0, bottleneck="ssd",
                 bottleneck_util=0.5)
 
         flat = [point(100, 97), point(200, 194), point(400, 390)]
-        assert loadtest.find_knee(flat) is None
+        assert sweeps.find_knee(flat) is None
         kneed = flat + [point(800, 500)]
-        assert loadtest.find_knee(kneed) == 3
-        assert loadtest.find_knee([]) is None
+        assert sweeps.find_knee(kneed) == 3
+        assert sweeps.find_knee([]) is None
 
     def test_auto_rates(self):
-        rates = loadtest.auto_rates(1000.0, 5, span=(0.5, 1.5))
+        rates = sweeps.auto_rates(1000.0, 5, span=(0.5, 1.5))
         assert len(rates) == 5
         assert rates[0] == pytest.approx(500.0)
         assert rates[-1] == pytest.approx(1500.0)
-        assert loadtest.auto_rates(1000.0, 1) == \
+        assert sweeps.auto_rates(1000.0, 1) == \
             pytest.approx([1000.0 * 0.95])
         with pytest.raises(ValueError):
-            loadtest.auto_rates(1000.0, 0)
+            sweeps.auto_rates(1000.0, 0)
         with pytest.raises(ValueError):
-            loadtest.auto_rates(1000.0, 3, span=(0.0, 1.0))
+            sweeps.auto_rates(1000.0, 3, span=(0.0, 1.0))
 
 
 class TestLoadtestCLI:
@@ -432,7 +432,7 @@ class TestLoadtestCLI:
         from repro.cli import main
 
         csv_path = tmp_path / "curve.csv"
-        code = main(["loadtest", "--workload", "sysbench",
+        code = main(["sweep", "load.rate", "--workload", "sysbench",
                      "--requests", "300", "--points", "2",
                      "--csv", str(csv_path)])
         assert code == 0
@@ -445,20 +445,20 @@ class TestLoadtestCLI:
     def test_explicit_rates(self, capsys):
         from repro.cli import main
 
-        code = main(["loadtest", "--workload", "sysbench",
-                     "--requests", "200", "--rates", "50000",
+        code = main(["sweep", "load.rate", "50000", "--workload", "sysbench",
+                     "--requests", "200",
                      "--distribution", "constant"])
         assert code == 0
         assert "sweeping 1 explicit rates" in capsys.readouterr().out
 
     def test_csv_identical_at_one_and_two_jobs(self, tmp_path, capsys):
-        """``loadtest --help`` promises identical results at any job
+        """``sweep --help`` promises identical results at any job
         count: the curve's CSV matches byte for byte."""
         from repro.cli import main
 
         paths = [tmp_path / f"knee-jobs{jobs}.csv" for jobs in (1, 2)]
         for jobs, path in zip((1, 2), paths):
-            assert main(["loadtest", "--workload", "tpcc", "--system",
+            assert main(["sweep", "load.rate", "--workload", "tpcc", "--system",
                          "lru", "--requests", "300", "--points", "3",
                          "--jobs", str(jobs), "--csv", str(path)]) == 0
         capsys.readouterr()
@@ -518,14 +518,14 @@ class TestCurveCsvStationColumns:
     """Satellite: sweep CSVs carry per-station utilisation and depth."""
 
     def test_station_columns_present_and_ordered(self):
-        point = loadtest.RatePoint(
+        point = sweeps.RatePoint(
             offered_rps=100.0, achieved_rps=99.0, n_measured=50,
             mean_ms=0.1, p99_ms=0.3, wait_mean_ms=0.01,
             bottleneck="ssd", bottleneck_util=0.8,
             station_util={"ssd": 0.8, "hdd": 0.2},
             station_depth={"ssd": 2.5, "hdd": 0.1})
         handle = io.StringIO()
-        assert loadtest.export_curve_csv([point], handle) == 1
+        assert sweeps.export_curve_csv([point], handle) == 1
         header, row = handle.getvalue().strip().splitlines()
         assert header == ("offered_rps,achieved_rps,n_measured,mean_ms,"
                           "p99_ms,wait_mean_ms,bottleneck,"
@@ -537,23 +537,23 @@ class TestCurveCsvStationColumns:
         assert float(cells[11]) == pytest.approx(2.5)  # depth_ssd
 
     def test_points_missing_a_station_default_to_zero(self):
-        rich = loadtest.RatePoint(
+        rich = sweeps.RatePoint(
             offered_rps=1.0, achieved_rps=1.0, n_measured=1,
             mean_ms=0.1, p99_ms=0.1, wait_mean_ms=0.0,
             bottleneck=None, bottleneck_util=0.0,
             station_util={"ssd": 0.5}, station_depth={"ssd": 1.0})
-        bare = loadtest.RatePoint(
+        bare = sweeps.RatePoint(
             offered_rps=2.0, achieved_rps=2.0, n_measured=1,
             mean_ms=0.1, p99_ms=0.1, wait_mean_ms=0.0,
             bottleneck=None, bottleneck_util=0.0)
         handle = io.StringIO()
-        loadtest.export_curve_csv([rich, bare], handle)
+        sweeps.export_curve_csv([rich, bare], handle)
         lines = handle.getvalue().strip().splitlines()
         assert lines[0].endswith("util_ssd,depth_ssd")
         assert lines[2].endswith("0.000000,0.000000")
 
     def test_real_sweep_populates_station_columns(self):
-        point, result = loadtest.run_rate_point(
+        point, result = sweeps.run_rate_point(
             RunSpec(workload="sysbench", scale=0.05, n_requests=300),
             50_000.0)
         assert set(point.station_util) == \

@@ -504,9 +504,9 @@ class TestCLI:
     def test_monitor_subcommand_end_to_end(self, tmp_path, capsys):
         from repro.cli import main
 
-        code = main(["monitor", "--workload", "sysbench",
+        code = main(["run", "sysbench",
                      "--requests", "400", "--interval", "0.005",
-                     "--out-dir", str(tmp_path)])
+                     "--monitor", str(tmp_path)])
         assert code == 0
         printed = capsys.readouterr().out
         assert "per-window report" in printed
@@ -522,9 +522,9 @@ class TestCLI:
 
         from repro.cli import main
 
-        code = main(["monitor", "--workload", "sysbench",
+        code = main(["run", "sysbench",
                      "--requests", "400", "--interval", "0.005",
-                     "--out-dir", str(tmp_path), "--json",
+                     "--monitor", str(tmp_path), "--json",
                      "--no-ledger"])
         out = capsys.readouterr().out
         assert code == 0
@@ -547,8 +547,8 @@ class TestCLI:
         from repro.cli import main
 
         with pytest.raises(SystemExit) as exit_info:
-            main(["monitor", "--requests", "200", "--no-ledger",
-                  "--out-dir", str(tmp_path)] + bad)
+            main(["run", "sysbench", "--requests", "200", "--no-ledger",
+                  "--monitor", str(tmp_path)] + bad)
         assert exit_info.value.code == 2
         assert f"argument {bad[0]}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
@@ -558,8 +558,8 @@ class TestCLI:
         from repro.cli import main
 
         out = tmp_path / "trace.jsonl"
-        code = main(["trace", "--workload", "sysbench",
-                     "--requests", "300", "--out", str(out),
+        code = main(["run", "sysbench",
+                     "--requests", "300", "--trace", str(out),
                      "--buffer", "64"])
         assert code == 0
         captured = capsys.readouterr()
@@ -572,8 +572,8 @@ class TestCLI:
         from repro.cli import main
 
         out = tmp_path / "trace.jsonl"
-        code = main(["trace", "--workload", "sysbench",
-                     "--requests", "200", "--out", str(out)])
+        code = main(["run", "sysbench",
+                     "--requests", "200", "--trace", str(out)])
         assert code == 0
         captured = capsys.readouterr()
         assert "dropped: 0" in captured.out

@@ -308,7 +308,7 @@ class TestCLI:
         from repro.cli import main
 
         folded = tmp_path / "flame.folded"
-        code = main(["critpath", "--workload", "sysbench",
+        code = main(["run", "sysbench", "--critpath",
                      "--requests", "400", "--engine", "event",
                      "--folded", str(folded)])
         assert code == 0
@@ -330,7 +330,7 @@ class TestCLI:
         from repro.cli import main
 
         folded = tmp_path / "flame.folded"
-        code = main(["critpath", "--workload", "sysbench",
+        code = main(["run", "sysbench", "--critpath",
                      "--requests", "600", "--engine", engine,
                      "--folded", str(folded), "--json"])
         assert code == 0
@@ -347,7 +347,7 @@ class TestCLI:
     def test_critpath_legacy_engine(self, capsys):
         from repro.cli import main
 
-        code = main(["critpath", "--workload", "sysbench",
+        code = main(["run", "sysbench", "--critpath",
                      "--requests", "300", "--engine", "legacy"])
         assert code == 0
         assert "legacy engine" in capsys.readouterr().out
@@ -360,7 +360,7 @@ class TestCLI:
         # over-cover the rows and fail both consistency checks.
         from repro.cli import main
 
-        code = main(["critpath", "--workload", "tpcc", "--system", "lru",
+        code = main(["run", "tpcc", "--critpath", "--system", "lru",
                      "--engine", "event", "--requests", "3000"])
         out = capsys.readouterr().out
         assert code == 0
@@ -380,7 +380,7 @@ class TestCLI:
                            [*items, ("hdd", "write", 1e-3)], latency_s)
 
         monkeypatch.setattr(AttributionTable, "record_request", over_cover)
-        code = main(["critpath", "--workload", "sysbench",
+        code = main(["run", "sysbench", "--critpath",
                      "--requests", "300", "--engine", "event"])
         out = capsys.readouterr().out
         assert code == 1
@@ -391,7 +391,7 @@ class TestCLI:
 
         from repro.cli import main
 
-        code = main(["critpath", "--workload", "sysbench",
+        code = main(["run", "sysbench", "--critpath",
                      "--requests", "400", "--engine", "event",
                      "--json"])
         out = capsys.readouterr().out

@@ -461,8 +461,8 @@ class TestCLI:
         from repro.cli import main
 
         out = tmp_path / "trace.json"
-        code = main(["trace", "--workload", "sysbench",
-                     "--requests", "400", "--out", str(out)])
+        code = main(["run", "sysbench",
+                     "--requests", "400", "--trace", str(out)])
         assert code == 0
         printed = capsys.readouterr().out
         assert "consistency:" in printed
@@ -475,8 +475,8 @@ class TestCLI:
         from repro.cli import main
 
         out = tmp_path / "trace.jsonl"
-        code = main(["trace", "--workload", "sysbench",
-                     "--requests", "300", "--out", str(out)])
+        code = main(["run", "sysbench",
+                     "--requests", "300", "--trace", str(out)])
         assert code == 0
         events = jsonl_lines(out)
         assert any(e.get("name") == "request_start" for e in events)
@@ -493,8 +493,8 @@ class TestCLI:
             fold(self, emitted, latency_s * 1.001, wait_s)
 
         monkeypatch.setattr(RingBufferTracer, "fold", skewed)
-        code = main(["trace", "--workload", "sysbench", "--requests",
-                     "300", "--out", str(tmp_path / "trace.json")])
+        code = main(["run", "sysbench", "--requests",
+                     "300", "--trace", str(tmp_path / "trace.json")])
         captured = capsys.readouterr()
         assert code == 1
         assert "consistency:" in captured.out
@@ -506,9 +506,9 @@ class TestCLI:
         # from the run's, and the warning names the drop instead.
         from repro.cli import main
 
-        code = main(["trace", "--workload", "specsfs", "--requests",
+        code = main(["run", "specsfs", "--requests",
                      "600", "--buffer", "500",
-                     "--out", str(tmp_path / "trace.json")])
+                     "--trace", str(tmp_path / "trace.json")])
         captured = capsys.readouterr()
         assert code == 0
         assert "ring buffer overflowed" in captured.err
@@ -658,8 +658,8 @@ class TestExporterCompleteness:
         from repro.cli import main
 
         out = tmp_path / "trace.jsonl"
-        code = main(["trace", "--workload", "sysbench",
-                     "--requests", "200", "--out", str(out)])
+        code = main(["run", "sysbench",
+                     "--requests", "200", "--trace", str(out)])
         assert code == 0
         header = jsonl_lines(out)[0]["trace_header"]
         assert header["complete"] is True
