@@ -320,8 +320,9 @@ class TestDocParity:
     def test_walkthrough_chains_every_tool(self, obs_doc):
         section = obs_doc.split("# Debugging a regression", 1)[1]
         for command in ("test_grid_digest.py", "repro explain A B",
-                        "--json", "repro monitor --json",
-                        "repro critpath --json", "repro trace"):
+                        "--json", "repro run W --monitor DIR --json",
+                        "repro run W --critpath --json",
+                        "repro run W --trace PATH"):
             assert command in section, f"{command!r} missing from the " \
                                        f"walkthrough"
 
