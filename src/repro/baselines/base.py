@@ -11,7 +11,7 @@ reference-plus-delta reconstruction path rather than trusting it.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +25,8 @@ class StorageSystem(Counted, abc.ABC):
     Concrete systems keep ``initial_content`` in a ``BackingStore``, which
     shares a frozen image (what workloads hand out) and copies any other,
     and count in ``int`` attributes the way devices do (:class:`Counted`).
+    No system wraps another: each counts, traces and times only itself
+    and the devices under it.
     """
 
     #: Per-request trace sink — a :class:`repro.sim.trace.Recorder`
@@ -93,35 +95,17 @@ class StorageSystem(Counted, abc.ABC):
     def devices(self) -> Iterable:
         """The device models underlying this system (energy accounting)."""
 
-    def inner_systems(self) -> Iterable["StorageSystem"]:
-        """The storage systems this one wraps; a plain system wraps none."""
-        return ()
-
     # -- observability -----------------------------------------------------
 
-    def counters(self) -> Dict[str, int]:
-        """This system's counters plus, name by name, the sum of those of
-        every system it wraps."""
-        snapshot = super().counters()
-        for inner in self.inner_systems():
-            for name, value in inner.counters().items():
-                snapshot[name] = snapshot.get(name, 0) + value
-        return snapshot
-
     def set_tracer(self, tracer) -> None:
-        """Attach a tracer to this system, every system it wraps and
-        every device beneath it.
+        """Attach a tracer to this system and every device beneath it.
 
         Pass None to detach.  Devices shared with nothing else (the
-        normal case) simply start emitting spans into ``tracer``.  A
-        wrapped system declares its own background work to
-        the tracer, so it must hold it too.
+        normal case) simply start emitting spans into ``tracer``.
         """
         self.tracer = tracer
         for device in self.devices():
             device.tracer = tracer
-        for inner in self.inner_systems():
-            inner.set_tracer(tracer)
 
     def _in_background(self, op, *args, section=None, outcome=None) -> None:
         """Run ``op(*args)`` — a device operation, or a section of

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.baselines.base import StorageSystem
-from repro.devices.hdd import HardDiskDrive, HDDSpec
-from repro.devices.ssd import FlashSSD, SSDSpec
+from repro.devices.hdd import HardDiskDrive
+from repro.devices.ssd import FlashSSD
 from repro.sim.backing import BackingStore
 
 #: CPU time to hash one 4 KB block for content addressing.
@@ -52,20 +52,15 @@ class DedupCacheStorage(StorageSystem):
                 "dedup_hits", "shared_block_cow", "evictions", "destages",
                 "flush_destages")
 
-    def __init__(self, initial_content: np.ndarray, cache_blocks: int,
-                 ssd_spec: Optional[SSDSpec] = None,
-                 hdd_spec: Optional[HDDSpec] = None) -> None:
+    def __init__(self, initial_content: np.ndarray,
+                 cache_blocks: int) -> None:
         capacity_blocks = initial_content.shape[0]
         super().__init__("dedup", capacity_blocks)
         if cache_blocks < 1:
             raise ValueError(f"cache needs >= 1 block, got {cache_blocks}")
         self.backing = BackingStore(initial_content)
-        self.ssd = FlashSSD(cache_blocks,
-                            ssd_spec if ssd_spec is not None
-                            else SSDSpec())
-        self.hdd = HardDiskDrive(capacity_blocks,
-                                 hdd_spec if hdd_spec is not None
-                                 else HDDSpec())
+        self.ssd = FlashSSD(cache_blocks)
+        self.hdd = HardDiskDrive(capacity_blocks)
         self.cache_blocks = cache_blocks
         self._free: List[int] = list(range(cache_blocks - 1, -1, -1))
         # Content hash -> shared physical entry.

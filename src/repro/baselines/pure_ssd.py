@@ -13,26 +13,23 @@ workloads (Figures 7, 9, 11).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.baselines.base import StorageSystem
-from repro.devices.ssd import FlashSSD, SSDSpec
+from repro.devices.ssd import FlashSSD
 from repro.sim.backing import BackingStore
 
 
 class PureSSD(StorageSystem):
     """All blocks live on one flash SSD."""
 
-    def __init__(self, initial_content: np.ndarray,
-                 ssd_spec: Optional[SSDSpec] = None) -> None:
+    def __init__(self, initial_content: np.ndarray) -> None:
         capacity_blocks = initial_content.shape[0]
         super().__init__("fusion-io", capacity_blocks)
         self.backing = BackingStore(initial_content)
-        self.ssd = FlashSSD(capacity_blocks,
-                            ssd_spec if ssd_spec is not None
-                            else SSDSpec())
+        self.ssd = FlashSSD(capacity_blocks)
 
     def devices(self) -> Iterable:
         return (self.ssd,)

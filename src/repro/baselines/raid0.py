@@ -9,12 +9,11 @@ transaction workloads.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.baselines.base import StorageSystem
-from repro.devices.hdd import HDDSpec
 from repro.devices.raid import RAID0Array
 from repro.sim.backing import BackingStore
 
@@ -23,14 +22,12 @@ class RAID0Storage(StorageSystem):
     """All blocks live on a RAID0 array of mechanical disks."""
 
     def __init__(self, initial_content: np.ndarray, ndisks: int = 4,
-                 chunk_blocks: int = 16,
-                 hdd_spec: Optional[HDDSpec] = None) -> None:
+                 chunk_blocks: int = 16) -> None:
         capacity_blocks = initial_content.shape[0]
         super().__init__("raid0", capacity_blocks)
         self.backing = BackingStore(initial_content)
-        self.raid = RAID0Array(
-            capacity_blocks, ndisks=ndisks, chunk_blocks=chunk_blocks,
-            hdd_spec=hdd_spec if hdd_spec is not None else HDDSpec())
+        self.raid = RAID0Array(capacity_blocks, ndisks=ndisks,
+                               chunk_blocks=chunk_blocks)
 
     def devices(self) -> Iterable:
         # Expose member disks (not the array wrapper) so energy accounting

@@ -62,14 +62,16 @@ LEDGER_SUBCOMMANDS = {
     "export": "copy every row to a JSONL file"}
 
 
-def _number(cast, what: str, least=0):
-    """An argparse type: a finite ``cast`` above 0 and at least ``least``."""
+def _number(cast, what: str, least=None):
+    """An argparse type: a finite ``cast`` above 0, or at least ``least``
+    when given."""
     def parse(text: str):
         try:
             value = cast(text)
         except ValueError:
             value = float("nan")
-        if not (0 < value < float("inf") and value >= least):
+        if not (value < float("inf") and (value > 0 if least is None
+                                          else value >= least)):
             raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
         return value
     return parse
@@ -77,6 +79,10 @@ def _number(cast, what: str, least=0):
 
 _count = _number(int, "a positive whole number")
 _windows = _number(int, "a whole number of windows, at least 2", 2)
+_history = _number(int, "a whole number of points, at least "
+                        f"{ledger_module.MIN_HISTORY}",
+                   ledger_module.MIN_HISTORY)
+_rows = _number(int, "a whole number of rows, 0 or more", 0)
 _seconds = _number(float, "a positive, finite number of seconds")
 _fraction = _number(float, "a positive fraction of capacity")
 _rate = _number(float, "a positive, finite rate in requests/s")
@@ -116,7 +122,7 @@ SWEEP_OPTIONS = {dest: ("load.rate",) + entry for dest, entry in {
                 {"action": "store_true"})}.items()}
 VALIDATE_OPTIONS = {
     "jobs": ("NAME", 1, "worker processes (identical results)",
-             {"type": int}),
+             {"type": _count}),
     "no_ledger": ("NAME", False, "record nothing in the run ledger",
                   {"action": "store_true"}),
 }
@@ -189,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "or none to calibrate and sweep --points")
     sweep.add_argument("--requests", type=_count,
                        help="per run; default 6000, 3000 for load.rate")
-    sweep.add_argument("--jobs", type=int, default=1,
+    sweep.add_argument("--jobs", type=_count, default=1,
                        help="worker processes (identical results)")
     _add_owned(sweep, SWEEP_OPTIONS)
 
@@ -232,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
         store[name].add_argument("--dir", help="default: REPRO_LEDGER_DIR "
                                                "or .repro-ledger")
     for name, last in (("list", 20), ("trend", 50)):
-        store[name].add_argument("--last", type=int, default=last)
+        store[name].add_argument("--last", type=_count, default=last)
         store[name].add_argument("--filter", action="append",
                                  metavar="KEY=VALUE",
                                  help="command/workload/system/engine/"
@@ -241,10 +247,10 @@ def _build_parser() -> argparse.ArgumentParser:
     store["trend"].add_argument("metric", help="scalar name, "
                                                "counters.<name> or "
                                                "slo.breaches")
-    store["trend"].add_argument("--window", type=int,
+    store["trend"].add_argument("--window", type=_history,
                                 default=ledger_module.DEFAULT_WINDOW,
                                 help="rolling history per point")
-    store["prune"].add_argument("--keep", type=int, required=True)
+    store["prune"].add_argument("--keep", type=_rows, required=True)
     store["export"].add_argument("--out", required=True)
     store["export"].add_argument("--canonical", action="store_true",
                                  help="drop the volatile sub-object")

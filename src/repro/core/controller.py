@@ -42,8 +42,8 @@ from repro.delta.encoder import Delta, apply_delta, encode_delta
 from repro.delta.packer import DeltaLog, DeltaRecord
 from repro.delta.segments import SegmentPool
 from repro.devices.dram import DRAMBuffer
-from repro.devices.hdd import HardDiskDrive, HDDSpec
-from repro.devices.ssd import FlashSSD, SSDSpec
+from repro.devices.hdd import HardDiskDrive
+from repro.devices.ssd import FlashSSD
 from repro.sim.backing import BackingStore
 
 
@@ -137,12 +137,8 @@ class ICASHController(StorageSystem):
         "rebuilt_spills")
 
     def __init__(self, initial_content: np.ndarray,
-                 config: Optional[ICASHConfig] = None,
-                 hdd_spec: Optional[HDDSpec] = None,
-                 ssd_spec: Optional[SSDSpec] = None) -> None:
+                 config: Optional[ICASHConfig] = None) -> None:
         config = config if config is not None else ICASHConfig()
-        hdd_spec = hdd_spec if hdd_spec is not None else HDDSpec()
-        ssd_spec = ssd_spec if ssd_spec is not None else SSDSpec()
         capacity_blocks = initial_content.shape[0]
         super().__init__("icash", capacity_blocks)
         self.config = config
@@ -151,17 +147,16 @@ class ICASHController(StorageSystem):
             # NVRAM log variant: the HDD keeps only the data region and
             # the log appends persist at memory speed.
             from repro.devices.nvram import NVRAM
-            self.hdd = HardDiskDrive(capacity_blocks, hdd_spec)
+            self.hdd = HardDiskDrive(capacity_blocks)
             self.nvram: Optional[NVRAM] = NVRAM(config.log_blocks)
             self.log = DeltaLog(self.nvram, base_lba=0,
                                 size_blocks=config.log_blocks)
         else:
-            self.hdd = HardDiskDrive(capacity_blocks + config.log_blocks,
-                                     hdd_spec)
+            self.hdd = HardDiskDrive(capacity_blocks + config.log_blocks)
             self.nvram = None
             self.log = DeltaLog(self.hdd, base_lba=capacity_blocks,
                                 size_blocks=config.log_blocks)
-        self.ssd = FlashSSD(config.ssd_capacity_blocks, ssd_spec)
+        self.ssd = FlashSSD(config.ssd_capacity_blocks)
         self.dram = DRAMBuffer(
             config.data_ram_bytes + config.delta_ram_bytes, "icash-ram")
         self.segments = SegmentPool(config.delta_ram_bytes)
@@ -439,8 +434,8 @@ class ICASHController(StorageSystem):
         if not signatures:
             signatures = vb.signatures = block_signatures(
                 content, self.config.signature_scheme)
-        heatmap = self.heatmap  # its own signatures skip record's check
-        heatmap._pending.append(signatures)
+        heatmap = self.heatmap  # its own signatures need no range check
+        heatmap.pending.append(signatures)
         heatmap.total_accesses += 1
         return latency, content
 
@@ -554,8 +549,8 @@ class ICASHController(StorageSystem):
         if signatures is None:
             signatures = block_signatures(content,
                                           self.config.signature_scheme)
-        heatmap = self.heatmap  # its own signatures skip record's check
-        heatmap._pending.append(signatures)
+        heatmap = self.heatmap  # its own signatures need no range check
+        heatmap.pending.append(signatures)
         heatmap.total_accesses += 1
         vb = self.cache.get(lba)
         tracer = self.tracer

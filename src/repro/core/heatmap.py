@@ -34,13 +34,17 @@ class Heatmap:
         self.values = values
         self._counts = np.zeros((rows, values), dtype=np.int64)
         self._rows_index = np.arange(rows)
+        #: Accesses registered so far, batched or pending.
         self.total_accesses = 0
-        # Per-access increments are buffered and scattered lazily:
-        # counter increments commute, so any reader that flushes first
-        # observes exactly the state N eager updates would have built,
-        # while the hot path pays a list append instead of a numpy
-        # fancy-index round trip per IO.
-        self._pending: List[Tuple[int, ...]] = []
+        #: The per-access buffer: one tuple of ``rows`` sub-signatures
+        #: per block access, not yet in the counters.  The controller
+        #: registers an access by appending its signatures here and
+        #: adding 1 to :attr:`total_accesses`; every reader scatters the
+        #: buffer into the counters first.  Counter increments commute,
+        #: so a reader sees exactly what eager updates would have built,
+        #: while the hot path pays a list append instead of a numpy
+        #: fancy-index round trip per IO.
+        self.pending: List[Tuple[int, ...]] = []
 
     def _check(self, signatures: Sequence[int]) -> None:
         if len(signatures) != self.rows:
@@ -51,18 +55,12 @@ class Heatmap:
                 raise ValueError(
                     f"sub-signature {sig} outside [0, {self.values})")
 
-    def record(self, signatures: Sequence[int]) -> None:
-        """Register one access of a block with the given sub-signatures."""
-        self._check(signatures)
-        self._pending.append(tuple(signatures))
-        self.total_accesses += 1
-
     def _flush(self) -> None:
-        if not self._pending:
+        if not self.pending:
             return
-        sig = np.asarray(self._pending, dtype=np.intp)
+        sig = np.asarray(self.pending, dtype=np.intp)
         np.add.at(self._counts, (self._rows_index, sig), 1)
-        self._pending.clear()
+        self.pending.clear()
 
     def _check_matrix(self, matrix: np.ndarray) -> np.ndarray:
         sig = np.asarray(matrix)
@@ -78,8 +76,9 @@ class Heatmap:
     def record_batch(self, matrix: np.ndarray) -> None:
         """Register one access per row of an ``(N, rows)`` signature matrix.
 
-        Exactly equivalent to ``N`` :meth:`record` calls in any order —
-        counter increments commute — but one ``np.add.at`` scatter.
+        Exactly equivalent to ``N`` appends to :attr:`pending` in any
+        order — counter increments commute — but one ``np.add.at``
+        scatter.
         """
         sig = self._check_matrix(matrix)
         np.add.at(self._counts, (self._rows_index, sig), 1)
@@ -102,11 +101,6 @@ class Heatmap:
         self._flush()
         return int(self._counts[self._rows_index, list(signatures)].sum())
 
-    def row(self, index: int) -> Tuple[int, ...]:
-        """One row of popularity counters (used by tests and reports)."""
-        self._flush()
-        return tuple(int(v) for v in self._counts[index])
-
     def decay(self, factor: float = 0.5) -> None:
         """Age all counters multiplicatively.
 
@@ -119,11 +113,6 @@ class Heatmap:
             raise ValueError(f"decay factor must be in [0, 1], got {factor}")
         self._flush()  # buffered accesses precede the aging event
         self._counts = (self._counts * factor).astype(np.int64)
-
-    def reset(self) -> None:
-        self._pending.clear()
-        self._counts.fill(0)
-        self.total_accesses = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Heatmap(rows={self.rows}, values={self.values}, "

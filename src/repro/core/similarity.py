@@ -98,10 +98,6 @@ class SignatureIndex:
         cell = self._cells.get((row, value))
         return cell.values() if cell else ()
 
-    def clear(self) -> None:
-        self._cells.clear()
-        self._entries.clear()
-
 
 def popularity_ranking(entries: Sequence[Tuple[object, Sequence[int]]],
                        heatmap: Heatmap,

@@ -32,7 +32,9 @@ class Counted:
 
     Each name in ``COUNTERS`` (a subclass's tuple extends its base's) is
     0 on the class and incremented in place, ``self.name += n``: the
-    first increment makes it the instance's own attribute.
+    first increment makes it the instance's own attribute.  A device and
+    a storage system take the same :meth:`counters` snapshot; neither
+    adds another instance's counters to its own.
     """
 
     COUNTERS: Tuple[str, ...] = ()

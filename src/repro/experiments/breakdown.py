@@ -50,10 +50,6 @@ class PathBreakdown:
     def total(self) -> int:
         return sum(self.shares.values())
 
-    def fraction(self, label: str) -> float:
-        return self.shares.get(label, 0) / self.total if self.total \
-            else 0.0
-
     def render(self, width: int = 36) -> str:
         lines = [self.title, "-" * len(self.title)]
         total = self.total or 1

@@ -41,6 +41,9 @@ from repro.experiments.runner import (RunResult, record_run,
 #: committed suites run in seconds; only a hung worker ever hits this.
 DEFAULT_TIMEOUT_S = 900.0
 
+#: Data-set scale of each VM in a multi-VM run (``RunSpec.n_vms > 0``).
+VM_SCALE = 0.25
+
 
 _pool: Optional[ProcessPoolExecutor] = None
 _pool_workers = 0
@@ -109,8 +112,8 @@ class RunSpec:
     standard configuration with fields replaced — the sweep primitive.
 
     ``n_vms > 0`` wraps the workload family in a
-    :class:`~repro.workloads.multivm.MultiVMWorkload` (``n_requests``
-    then counts per VM).
+    :class:`~repro.workloads.multivm.MultiVMWorkload` of VMs at
+    :data:`VM_SCALE` (``n_requests`` then counts per VM).
     """
 
     workload: str
@@ -120,9 +123,7 @@ class RunSpec:
     seed: int = 2011
     scale: Optional[float] = None
     n_vms: int = 0
-    vm_scale: float = 0.25
     warmup_fraction: float = 0.25
-    preload: bool = True
     flush_at_end: bool = True
     config_overrides: Tuple[Tuple[str, object], ...] = ()
     load: Optional[Tuple] = None
@@ -133,7 +134,7 @@ class RunSpec:
         cls = WORKLOADS[self.workload]
         if self.n_vms > 0:
             return MultiVMWorkload(cls, n_vms=self.n_vms,
-                                   scale=self.vm_scale,
+                                   scale=VM_SCALE,
                                    n_requests_per_vm=self.n_requests,
                                    seed=self.seed)
         kwargs: Dict[str, object] = {"n_requests": self.n_requests,
@@ -190,7 +191,6 @@ def run_spec(spec: RunSpec) -> RunResult:
     system = spec.build_system(workload)
     return run_benchmark(workload, system, engine=spec.engine,
                          warmup_fraction=spec.warmup_fraction,
-                         preload=spec.preload,
                          flush_at_end=spec.flush_at_end,
                          load=spec.build_load())
 
@@ -216,7 +216,6 @@ def _serial_outcome(spec: RunSpec) -> SpecOutcome:
 
 
 def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
-              timeout_s: float = DEFAULT_TIMEOUT_S,
               progress: Optional[Callable[[RunSpec], None]] = None,
               ) -> List[SpecOutcome]:
     """Run every spec; return outcomes in input order.
@@ -229,10 +228,10 @@ def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
     :func:`shutdown_parallel` or process exit.
 
     A crashed (``BrokenExecutor``/``OSError``) or wedged (per-run
-    ``timeout_s``) pool is abandoned and the *missing* runs — and only
-    those — re-execute serially; exceptions a run itself raises (bad
-    spec, failed verification) propagate exactly as they would
-    serially.
+    :data:`DEFAULT_TIMEOUT_S`) pool is abandoned and the *missing* runs
+    — and only those — re-execute serially; exceptions a run itself
+    raises (bad spec, failed verification) propagate exactly as they
+    would serially.
     """
     specs = list(specs)
     outcomes: List[Optional[SpecOutcome]] = [None] * len(specs)
@@ -251,7 +250,7 @@ def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
             if progress is not None:
                 progress(specs[index])
             try:
-                envelope = future.result(timeout=timeout_s)
+                envelope = future.result(timeout=DEFAULT_TIMEOUT_S)
             except (BrokenExecutor, FutureTimeoutError, OSError) as err:
                 print(f"parallel: worker pool failed ({err!r}); "
                       f"falling back to serial execution",

@@ -205,16 +205,6 @@ def _run_wave(specs: Sequence[RunSpec], jobs: int,
     return [outcome.result for outcome in outcomes]
 
 
-def run_rate_point(spec: RunSpec, rate_rps: float,
-                   distribution: str = "poisson",
-                   seed: int = 1234,
-                   ledger=None) -> Tuple[RatePoint, RunResult]:
-    """Measure one open-loop arrival rate against a fresh system."""
-    (result,) = _run_wave(
-        [_rate_spec(spec, rate_rps, distribution, seed)], 1, ledger)
-    return _point_from_result(rate_rps, result), result
-
-
 def _point_from_result(rate_rps: float, result: RunResult) -> RatePoint:
     """Distil one run's queueing summary into a :class:`RatePoint`."""
     queueing = result.queueing

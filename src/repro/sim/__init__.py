@@ -19,16 +19,12 @@ queues, driven by the open-/closed-loop load generators of
 service and saturation behaviour is measurable
 (``run_benchmark(engine="event")``, ``python -m repro sweep
 load.rate``).
-
-The optional host page-cache wrapper lives in :mod:`repro.sim.pagecache`
-(imported directly to avoid a circular dependency on the storage-system
-base class).
 """
 
 from repro.sim.backing import BackingStore
 from repro.sim.engine import (DEFAULT_DEVICE_SLOTS, DeviceStation,
-                              EngineConfig, EventEngine, QueueingSummary,
-                              RequestRecord, StationSummary)
+                              EventEngine, QueueingSummary, RequestRecord,
+                              StationSummary)
 from repro.sim.load import ClosedLoopLoad, OpenLoopLoad, \
     default_closed_loop
 from repro.sim.metrics import Monitor, SLORule
@@ -40,7 +36,6 @@ __all__ = [
     "ClosedLoopLoad",
     "DEFAULT_DEVICE_SLOTS",
     "DeviceStation",
-    "EngineConfig",
     "EventEngine",
     "IORequest",
     "LatencyStats",

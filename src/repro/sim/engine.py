@@ -16,9 +16,10 @@ queues and overlap their service across devices, so latency becomes
   stream order, so contents, counters and service times equal a
   legacy run's; the engine only re-times them.
 * **Stations.**  One :class:`DeviceStation` per device with its service
-  slots (NCQ depth) and a FIFO.  Background work is *deferrable
-  backlog*, run in bounded quanta on slots no foreground request
-  wants: background yields to foreground.
+  slots (NCQ depth, :data:`DEFAULT_DEVICE_SLOTS`) and a FIFO.
+  Background work is *deferrable backlog*, run in quanta of at most
+  :data:`BACKGROUND_QUANTUM_S` on slots no foreground request wants:
+  background yields to foreground.
 * **One loop.**  :meth:`EventEngine.run` handles all four event kinds
   — arrival, phase done, background quantum done, completion — itself;
   heap entries are ``(time, seq, kind, payload)`` with a small-int
@@ -44,7 +45,7 @@ system's knee.  See "Event engine & load generation" in ``docs/ARCHITECTURE.md``
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from heapq import heappop, heappush, heappushpop
 from itertools import count, filterfalse
 from operator import attrgetter, itemgetter
@@ -56,9 +57,10 @@ from repro.sim.request import OpType
 from repro.sim.stats import LatencyStats
 from repro.sim.trace import Recorder, foreground
 
-#: Default service-slot counts (NCQ depth) per device trace name.
-#: Flash exposes channel parallelism, a mechanical disk has one head,
-#: the RAID stripe has one slot per member by default.
+#: Service-slot counts (NCQ depth) per device trace name: the queue
+#: depth the device accepts.  Flash exposes channel parallelism, the
+#: RAID stripe has one slot per member; an unlisted device (the
+#: mechanical disk, one head) gets one slot.
 DEFAULT_DEVICE_SLOTS: Dict[str, int] = {
     "ssd": 8,
     "raid0": 4,
@@ -66,30 +68,9 @@ DEFAULT_DEVICE_SLOTS: Dict[str, int] = {
     "dram": 64,
 }
 
-
-@dataclass
-class EngineConfig:
-    """Tunables of the event engine.
-
-    ``device_slots`` maps a device trace name to its number of parallel
-    service slots (the queue depth the device accepts — NCQ for an
-    AHCI disk, channel parallelism for flash); unlisted devices get
-    ``default_slots``.  ``background_quantum_s`` bounds how long one
-    deferrable background chunk may hold a slot, i.e. the worst-case
-    time a foreground arrival waits behind background work.
-    """
-
-    device_slots: Dict[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_DEVICE_SLOTS))
-    default_slots: int = 1
-    background_quantum_s: float = 2e-3
-
-    def slots_for(self, device: str) -> int:
-        slots = self.device_slots.get(device, self.default_slots)
-        if slots < 1:
-            raise ValueError(
-                f"station {device!r} needs at least one slot, got {slots}")
-        return slots
+#: The longest one deferrable background chunk holds a slot: the
+#: worst-case time a foreground arrival waits behind background work.
+BACKGROUND_QUANTUM_S = 2e-3
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +230,10 @@ class EventEngine:
     property test asserts it); only the timeline is the engine's.
     """
 
-    def __init__(self, system, config: Optional[EngineConfig] = None,
-                 tracer=None,
+    def __init__(self, system, tracer=None,
                  keep_event_log: bool = False,
                  profiler=None) -> None:
         self.system = system
-        self.config = config if config is not None else EngineConfig()
         #: Ring trace (:class:`repro.sim.trace.RingBufferTracer`) and
         #: critical-path profiler (:mod:`repro.sim.profile`), or None:
         #: folds over what the recorder keeps.
@@ -302,7 +281,7 @@ class EventEngine:
     def _station(self, name: str) -> DeviceStation:
         station = self.stations.get(name)
         if station is None:
-            station = DeviceStation(name, self.config.slots_for(name))
+            station = DeviceStation(name, DEFAULT_DEVICE_SLOTS.get(name, 1))
             self.stations[name] = station
         return station
 
@@ -532,8 +511,7 @@ class EventEngine:
         lasts (nobody waits at a station with an idle slot)."""
         free = station.slots - station.active - station.bg_active
         while free > 0 and station.backlog_s > 0.0:
-            chunk = min(self.config.background_quantum_s,
-                        station.backlog_s)
+            chunk = min(BACKGROUND_QUANTUM_S, station.backlog_s)
             station.backlog_s -= chunk
             station.bg_active += 1
             station.busy_s += chunk

@@ -88,10 +88,6 @@ class IORequest:
         """Total bytes transferred by this request."""
         return self.nblocks * BLOCK_SIZE
 
-    def lbas(self) -> range:
-        """The logical block addresses this request touches."""
-        return range(self.lba, self.lba + self.nblocks)
-
 
 def make_read(lba: int, nblocks: int = 1, vm_id: int = 0,
               timestamp: float = 0.0) -> IORequest:

@@ -30,9 +30,8 @@ class LatencyStats:
         self._sum = 0.0
         #: Cached ascending order of ``_samples``; ``None`` when stale.
         self._sorted: Optional[List[float]] = None
-        #: Streaming extrema, maintained on every record so the
-        #: ``min``/``max`` properties never rescan the sample list.
-        self._min = math.inf
+        #: Streaming maximum, maintained on every record so the
+        #: ``max`` property never rescans the sample list.
         self._max = -math.inf
         #: Streaming sum of squares, so ``variance``/``std`` never
         #: rescan the sample list (the ledger sizes its noise
@@ -45,8 +44,6 @@ class LatencyStats:
         self._samples.append(seconds)
         self._sum += seconds
         self._sumsq += seconds * seconds
-        if seconds < self._min:
-            self._min = seconds
         if seconds > self._max:
             self._max = seconds
         if self._sorted is not None:
@@ -68,7 +65,6 @@ class LatencyStats:
             total += seconds
             sumsq += seconds * seconds
         self._sum, self._sumsq = total, sumsq
-        self._min = min(self._min, low)
         self._max = max(self._max, max(samples))
         self._samples.extend(samples)
         self._sorted = None           # one sort on demand, not n inserts
@@ -139,10 +135,6 @@ class LatencyStats:
     @property
     def max(self) -> float:
         return self._max if self._samples else 0.0
-
-    @property
-    def min(self) -> float:
-        return self._min if self._samples else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"LatencyStats(count={self.count}, "

@@ -70,7 +70,7 @@ def wear_pin(name: str) -> Dict[str, object]:
     system = spec.build_system(workload)
     run_benchmark(workload, system, engine=spec.engine,
                   warmup_fraction=spec.warmup_fraction,
-                  preload=spec.preload, flush_at_end=spec.flush_at_end)
+                  flush_at_end=spec.flush_at_end)
     return ssd_wear(next(d for d in system.devices() if d.name == "ssd"))
 
 

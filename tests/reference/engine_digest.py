@@ -115,7 +115,8 @@ def _engine_run(name: str) -> Dict[str, object]:
         "queue_waits": waits.count,
         "queue_waits_sha256": _sha([_hex(s) for s in waits._samples]),
         "queue_wait_moments": [_hex(waits.total), _hex(waits.mean_us),
-                               _hex(waits.std), _hex(waits.min),
+                               _hex(waits.std),
+                               _hex(min(waits._samples, default=0.0)),
                                _hex(waits.max)],
         "summary": {
             "duration_s": _hex(summary.duration_s),

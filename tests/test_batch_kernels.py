@@ -139,6 +139,12 @@ class TestBlockSignaturesMany:
 # ---------------------------------------------------------------------------
 
 
+def _access(heatmap, signatures):
+    """Register one block access the way the controller does."""
+    heatmap.pending.append(signatures)
+    heatmap.total_accesses += 1
+
+
 class TestHeatmapBatch:
     def test_record_and_popularity_match_scalar(self, rng):
         matrix = np.asarray(
@@ -147,7 +153,7 @@ class TestHeatmapBatch:
             dtype=np.int64)
         scalar, batch = Heatmap(), Heatmap()
         for row in matrix:
-            scalar.record(tuple(int(v) for v in row))
+            _access(scalar, tuple(int(v) for v in row))
         batch.record_batch(matrix)
         assert scalar.total_accesses == batch.total_accesses
         pops = batch.popularity_batch(matrix)
@@ -297,25 +303,19 @@ class TestIngestSweepEquivalence:
 class TestHeatmapDeferredScatter:
     def test_readers_observe_buffered_records(self):
         heatmap = Heatmap(rows=2, values=8)
-        heatmap.record((1, 2))
-        heatmap.record((1, 3))
+        _access(heatmap, (1, 2))
+        _access(heatmap, (1, 3))
         # total_accesses is eager; the scatter itself is pending.
         assert heatmap.total_accesses == 2
-        assert heatmap._pending
+        assert heatmap.pending
         assert heatmap.popularity((1, 2)) == 3  # 2 hits row0=1, 1 hit row1=2
-        assert not heatmap._pending
-        heatmap.record((1, 2))
-        assert heatmap.row(0) == (0, 3, 0, 0, 0, 0, 0, 0)
-        heatmap.record((0, 0))
+        assert not heatmap.pending
+        _access(heatmap, (1, 2))
+        assert heatmap.popularity_batch([(1, 0)])[0] == 3
+        _access(heatmap, (0, 0))
         heatmap.decay(0.5)
-        assert heatmap.row(0) == (0, 1, 0, 0, 0, 0, 0, 0)
-
-    def test_reset_discards_pending(self):
-        heatmap = Heatmap(rows=2, values=8)
-        heatmap.record((1, 2))
-        heatmap.reset()
-        assert heatmap.total_accesses == 0
-        assert heatmap.popularity((1, 2)) == 0
+        assert heatmap.popularity_batch([(0, 0), (1, 0)]).tolist() == [0, 1]
+        assert not heatmap.pending
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,10 @@ class TestHostileNumbers:
         (["run", "sysbench", "--requests", "0"], "argument --requests"),
         (["analyze", "sysbench", "--requests", "0"], "argument --requests"),
         (["chaos", "--quick", "--requests", "0"], "argument --requests"),
+        (["sweep", "scan_interval", "500", "--requests", "50", "--jobs",
+          "0"], "argument --jobs"),
+        (["validate", "figure6a", "--requests", "50", "--jobs", "0"],
+         "argument --jobs"),
     ], ids=lambda value: " ".join(value) if isinstance(value, list)
         else None)
     def test_rejected_before_any_run(self, argv, named, tmp_path,
@@ -102,3 +106,29 @@ class TestHostileNumbers:
         out, err = capsys.readouterr()
         assert named in err and "Traceback" not in err
         assert out == "" and not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, named", [
+        (["ledger", "list", "--last", "-1"], "argument --last"),
+        (["ledger", "trend", "transactions_per_s", "--last", "0"],
+         "argument --last"),
+        (["ledger", "trend", "transactions_per_s", "--window", "2"],
+         "argument --window"),
+        (["ledger", "prune", "--keep", "-1"], "argument --keep"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list)
+        else None)
+    def test_rejected_before_the_store_opens(self, argv, named, tmp_path,
+                                             monkeypatch, capsys):
+        """On a store with rows, so that an empty listing cannot pass
+        for a rejection."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_LEDGER", "1")
+        monkeypatch.setenv("REPRO_LEDGER_DIR", "led")
+        assert _exit_code(["run", "sysbench", "--requests", "300"]) == 0
+        store = (tmp_path / "led" / "export.jsonl").read_bytes()
+        capsys.readouterr()
+        assert _exit_code(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("usage:") and named in err
+        assert out == ""
+        assert (tmp_path / "led" / "export.jsonl").read_bytes() == store
+        assert [path.name for path in tmp_path.iterdir()] == ["led"]

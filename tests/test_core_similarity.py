@@ -19,7 +19,7 @@ A, B, C, D = 0, 1, 2, 3
 def table1_heatmap() -> Heatmap:
     heatmap = Heatmap(rows=2, values=4)
     for sigs in ((A, B), (C, D), (A, D), (B, D)):
-        heatmap.record(sigs)
+        heatmap.record_batch([sigs])
     return heatmap
 
 
@@ -71,7 +71,7 @@ def populate(cache: ICashCache, heatmap: Heatmap, blocks) -> dict:
         vb.signatures = block_signatures(content)
         cache.insert(vb)
         cache.attach_data(vb, content)
-        heatmap.record(vb.signatures)
+        heatmap.record_batch([vb.signatures])
         contents[lba] = content
     return contents
 

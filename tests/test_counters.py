@@ -2,8 +2,7 @@
 
 Devices and storage systems both derive from ``Counted``.  A run's
 ``RunResult.counters`` is its system's ``counters()`` snapshot, which
-lists every counter the instance incremented — by zero too — and a
-wrapper's snapshot adds up the systems it wraps.
+lists every counter the instance incremented — by zero too.
 """
 
 import re
@@ -11,17 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.baselines.lru_cache import LRUCacheStorage
 from repro.core.controller import ICASHController
 from repro.devices.base import Counted
 from repro.devices.hdd import HardDiskDrive
 from repro.devices.ssd import FlashSSD
 from repro.experiments.breakdown import READ_SOURCES, WRITE_SOURCES
-from repro.experiments.runner import run_benchmark
-from repro.sim.pagecache import HostCachedSystem
-from repro.workloads import SysBenchWorkload
 
-from conftest import make_dataset
 from test_core_controller import family_dataset, small_config
 
 ADAPTER = Path(__file__).resolve().parents[1] / "perfbench" / "adapter.py"
@@ -100,27 +94,3 @@ class TestDeclaredNames:
         assert len(benchmark) >= 10
         assert breakdown - declared == set()
         assert benchmark - declared == set()
-
-
-class TestWrapperCounters:
-    def test_page_cache_run_counters_sum_its_inner_and_its_own(self):
-        workload = SysBenchWorkload(scale=0.05, n_requests=400)
-        inner = ICASHController(workload.build_dataset(), small_config())
-        system = HostCachedSystem(inner, cache_blocks=16)
-        result = run_benchmark(workload, system)
-        expected = dict(inner.counters())
-        for name in HostCachedSystem.COUNTERS:
-            expected[name] = getattr(system, name)
-        assert result.counters == expected
-        assert result.counters["delta_reconstructions"] > 0
-        assert system.page_hits + system.page_misses > 0
-
-    def test_page_cache_over_lru_reports_both_evictions(self):
-        inner = LRUCacheStorage(make_dataset(64), cache_blocks=4)
-        system = HostCachedSystem(inner, cache_blocks=4)
-        for lba in range(16):
-            system.read(lba)
-        counters = system.counters()
-        assert counters["page_evictions"] == system.page_evictions == 12
-        assert counters["evictions"] == inner.evictions == 12
-        assert counters["page_misses"] == counters["cache_misses"] == 16

@@ -194,8 +194,8 @@ class TestOneObserverConvention:
             ("core/controller.py", "_run_scan")]  # the scan's CPU time
 
     def test_model_code_opens_background_scopes_in_the_helper_only(self):
-        assert self._sites(r"begin_background\(", "baselines", "core",
-                           "sim/pagecache.py") == [
+        assert self._sites(r"begin_background\(", "baselines",
+                           "core") == [
             ("baselines/base.py", "_in_background"),
             ("core/controller.py", "_run_scan")]
 

@@ -1,22 +1,17 @@
-"""Tests for the extension subsystems: the NVRAM log variant, the host
-page-cache wrapper, the sweep utility and the CLI."""
+"""Tests for the extension subsystems: the NVRAM log variant, the sweep
+utility and the CLI."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import PureSSD, RAID0Storage
 from repro.cli import main as cli_main
 from repro.core import ICASHController
 from repro.devices.nvram import NVRAM
 from repro.experiments.parallel import RunSpec
-from repro.experiments.runner import run_benchmark
 from repro.experiments.sweeps import (SweepPoint, render_sweep,
                                       sweep_config)
-from repro.experiments.systems import make_system
-from repro.sim.pagecache import HostCachedSystem
 from repro.sim.request import BLOCK_SIZE
 
-from conftest import make_block, make_dataset
 from test_core_controller import family_dataset, small_config
 
 
@@ -106,86 +101,6 @@ class TestNVRAMLogVariant:
     def test_devices_include_nvram(self):
         names = [d.name for d in self.make().devices()]
         assert "nvram" in names
-
-
-class TestHostPageCache:
-    def make(self, cache_blocks: int = 16) -> HostCachedSystem:
-        return HostCachedSystem(PureSSD(make_dataset(64)), cache_blocks)
-
-    def test_content_roundtrip(self, rng):
-        system = self.make()
-        shadow = {lba: system.inner.backing.get(lba) for lba in range(64)}
-        for _ in range(300):
-            lba = int(rng.integers(0, 64))
-            if rng.random() < 0.5:
-                content = rng.integers(0, 256, BLOCK_SIZE, dtype=np.uint8)
-                system.write(lba, [content])
-                shadow[lba] = content
-            else:
-                _, (out,) = system.read(lba)
-                assert np.array_equal(out, shadow[lba])
-
-    def test_hits_avoid_the_inner_system(self):
-        system = self.make()
-        system.read(3)
-        inner_reads = system.inner.ssd.read_ops
-        latency, _ = system.read(3)
-        assert system.inner.ssd.read_ops == inner_reads
-        assert latency < 2e-6
-        assert system.page_hits > 0
-
-    def test_writes_are_absorbed_until_sync(self):
-        system = self.make()
-        system.write(0, [make_block(1)])
-        assert system.inner.ssd.write_ops == 0
-        system.flush()
-        assert system.inner.ssd.write_ops == 1
-
-    def test_dirty_eviction_writes_back_in_background(self):
-        system = self.make(cache_blocks=1)
-        system.write(0, [make_block(1)])
-        system.write(1, [make_block(2)])  # evicts dirty page 0
-        assert system.page_writebacks == 1
-        assert system.inner.background_time > 0
-        # Block 0's content must not be lost.
-        _, (out,) = system.read(0)
-        assert (out == 1).all()
-
-    def test_miss_runs_fetch_as_one_span(self):
-        system = self.make(cache_blocks=32)
-        system.read(0, 8)
-        assert system.inner.ssd.read_ops == 1  # one 8-block fetch
-
-    def test_wraps_any_system(self, rng):
-        wrapped = HostCachedSystem(RAID0Storage(make_dataset(64)), 8)
-        _, (out,) = wrapped.read(5)
-        assert np.array_equal(out, wrapped.inner.backing.get(5))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            self.make(cache_blocks=0)
-
-    def test_big_cache_narrows_the_gap_and_slows_nothing(self):
-        """A host cache of a quarter of the data set hides part of the
-        gap between pure SSD and I-CASH on SysBench, and makes neither
-        slower."""
-        tps = {}
-        for name in ("fusion-io", "icash"):
-            for fraction in (0.0, 0.25):
-                workload = RunSpec("sysbench",
-                                   n_requests=1500).build_workload()
-                system = make_system(name, workload)
-                if fraction:
-                    system = HostCachedSystem(
-                        system, max(8, int(workload.n_blocks * fraction)))
-                tps[name, fraction] = run_benchmark(
-                    workload, system, warmup_fraction=0.4
-                ).transactions_per_s
-        gap_none = abs(tps["icash", 0.0] - tps["fusion-io", 0.0])
-        gap_big = abs(tps["icash", 0.25] - tps["fusion-io", 0.25])
-        assert gap_big <= gap_none * 1.5
-        for name in ("fusion-io", "icash"):
-            assert tps[name, 0.25] >= tps[name, 0.0] * 0.95
 
 
 def _sweep_spec(n_requests):

@@ -153,8 +153,8 @@ class TestReadsAfterReferenceRetirement:
 class TestMultiVMIntegration:
     def test_five_vm_grid_verifies_and_icash_wins(self):
         results = verified_grid(
-            RunSpec(workload="tpcc", n_vms=3, vm_scale=0.1,
-                    n_requests=600), ("fusion-io", "icash"))
+            RunSpec(workload="tpcc", n_vms=3, n_requests=600),
+            ("fusion-io", "icash"))
         assert results["icash"].verified_reads > 0
         # Cross-VM image similarity makes I-CASH at least competitive.
         assert results["icash"].transactions_per_s \

@@ -290,8 +290,7 @@ class TestEntryPoints:
         from repro.experiments import sweeps
 
         store = _writer(tmp_path)
-        sweeps.run_rate_point(_SMALL_SPEC, 500.0, seed=99,
-                                ledger=store)
+        sweeps.sweep_rates(_SMALL_SPEC, [500.0], seed=99, ledger=store)
         (row,) = store.rows()
         assert row.command == "loadtest"
         assert row.extra == {"role": "probe", "offered_rps": 500.0}

@@ -100,7 +100,7 @@ def _populate(cache, heatmap, blocks):
         vb.signatures = block_signatures(content)
         cache.insert(vb)
         cache.attach_data(vb, content)
-        heatmap.record(vb.signatures)
+        heatmap.record_batch([vb.signatures])
 
 
 def _mixed_population(rng, n_families=4, family_size=6, n_loners=8):

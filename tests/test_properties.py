@@ -154,9 +154,9 @@ def test_heatmap_popularity_decomposes(sig_lists):
     """popularity(sigs) always equals the sum of per-row counters."""
     heatmap = Heatmap()
     for sigs in sig_lists:
-        heatmap.record(sigs)
+        heatmap.record_batch([sigs])
     for sigs in sig_lists:
-        manual = sum(heatmap.row(i)[value]
+        manual = sum(int(heatmap._counts[i, value])
                      for i, value in enumerate(sigs))
         assert heatmap.popularity(sigs) == manual
 

@@ -1,5 +1,5 @@
-"""Second wave of property-based tests: multi-block requests, recovery
-round-trips and the page-cache wrapper."""
+"""Second wave of property-based tests: multi-block requests and
+recovery round-trips."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core import ICASHConfig, ICASHController
 from repro.core.recovery import rebuild_controller, recover
-from repro.sim.pagecache import HostCachedSystem
 from repro.sim.request import BLOCK_SIZE
 
 
@@ -114,29 +113,3 @@ def test_rebuilt_controller_equals_image(seed):
     for lba in range(0, 64, 3):
         _, (out,) = fresh.read(lba)
         assert np.array_equal(out, image.read(lba))
-
-
-@settings(max_examples=12, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.integers(0, 2**31 - 1), st.integers(1, 32),
-       st.lists(st.tuples(st.booleans(), st.integers(0, 31)),
-                max_size=80))
-def test_page_cache_is_transparent(seed, cache_blocks, ops):
-    """A host cache never changes what any system returns."""
-    from repro.baselines import PureSSD
-    gen = np.random.default_rng(seed)
-    dataset = gen.integers(0, 256, (32, BLOCK_SIZE), dtype=np.uint8)
-    cached = HostCachedSystem(PureSSD(dataset.copy()), cache_blocks)
-    shadow = dataset.copy()
-    for is_write, lba in ops:
-        if is_write:
-            content = gen.integers(0, 256, BLOCK_SIZE, dtype=np.uint8)
-            shadow[lba] = content
-            cached.write(lba, [content])
-        else:
-            _, (out,) = cached.read(lba)
-            assert np.array_equal(out, shadow[lba])
-    cached.flush()
-    # After a sync the inner system's truth matches too.
-    for lba in range(32):
-        assert np.array_equal(cached.inner.backing.get(lba), shadow[lba])

@@ -221,6 +221,70 @@ REMOVED = (
     ("experiments.loadtest",
      r"experiments\.loadtest|experiments import [^\n]*\bloadtest\b",
      "repro.experiments.sweeps"),
+    # The paper measures block latencies below the OS cache: no system
+    # wraps another, so a system counts and traces only itself.
+    ("repro.sim.pagecache", r"pagecache|PAGE_HIT_S",
+     "nothing: a read-only DRAM level is the ROADMAP engine item"),
+    ("HostCachedSystem", r"\bHostCachedSystem\b",
+     "nothing: a read-only DRAM level is the ROADMAP engine item"),
+    ("StorageSystem.inner_systems", r"\binner_systems\b",
+     "nothing: no system wraps another"),
+    ("StorageSystem.counters", r"\bdef counters\b",
+     "Counted.counters, the one snapshot", "repro/baselines/"),
+    ("set_tracer into wrapped systems", r"\binner\.set_tracer\b",
+     "StorageSystem.set_tracer, over the system's own devices"),
+    # The engine's tunables are module constants.
+    ("EngineConfig", r"\bEngineConfig\b",
+     "sim.engine.DEFAULT_DEVICE_SLOTS and sim.engine.BACKGROUND_QUANTUM_S"),
+    ("EngineConfig.device_slots", r"\bdevice_slots\b",
+     "sim.engine.DEFAULT_DEVICE_SLOTS"),
+    ("EngineConfig.default_slots", r"\bdefault_slots\b",
+     "DEFAULT_DEVICE_SLOTS.get(name, 1)"),
+    ("EngineConfig.background_quantum_s", r"\bbackground_quantum_s\b",
+     "sim.engine.BACKGROUND_QUANTUM_S"),
+    ("EngineConfig.slots_for", r"\bslots_for\b",
+     "DEFAULT_DEVICE_SLOTS.get(name, 1)"),
+    ("EventEngine(config=)", r"\bconfig\b",
+     "the module constants of sim.engine", "repro/sim/engine.py"),
+    # Every system builds its devices from their standard specs.
+    ("ICASHController(hdd_spec=, ssd_spec=)", r"\b(?:hdd|ssd)_spec\b",
+     "HardDiskDrive's and FlashSSD's default HDDSpec() and SSDSpec()",
+     "repro/core/"),
+    ("LRUCacheStorage(ssd_spec=, hdd_spec=)", r"\b(?:hdd|ssd)_spec\b",
+     "FlashSSD's and HardDiskDrive's default SSDSpec() and HDDSpec()",
+     "repro/baselines/lru_cache.py"),
+    ("DedupCacheStorage(ssd_spec=, hdd_spec=)", r"\b(?:hdd|ssd)_spec\b",
+     "FlashSSD's and HardDiskDrive's default SSDSpec() and HDDSpec()",
+     "repro/baselines/dedup.py"),
+    ("PureSSD(ssd_spec=)", r"\bssd_spec\b",
+     "FlashSSD's default SSDSpec()", "repro/baselines/pure_ssd.py"),
+    ("RAID0Storage(hdd_spec=)", r"\bhdd_spec\b",
+     "RAID0Array's default HDDSpec()", "repro/baselines/raid0.py"),
+    # A RunSpec holds only what some caller sets.
+    ("RunSpec.preload", r"\bpreload\b",
+     "run_benchmark(preload=True), its default",
+     "repro/experiments/parallel.py"),
+    ("RunSpec.vm_scale", r"\bvm_scale\b", "parallel.VM_SCALE"),
+    ("run_specs(timeout_s=)", r"\btimeout_s\b",
+     "parallel.DEFAULT_TIMEOUT_S", "repro/experiments/parallel.py"),
+    ("run_rate_point", r"\brun_rate_point\b",
+     "sweeps.sweep_rates(spec, [rate])"),
+    # Names only the tests called.
+    ("Heatmap.record", r"\bdef record\b",
+     "Heatmap.pending, or Heatmap.record_batch", "repro/core/heatmap.py"),
+    ("Heatmap.row", r"\bdef row\b", "Heatmap.popularity_batch",
+     "repro/core/heatmap.py"),
+    ("Heatmap.reset", r"\bdef reset\b", "a new Heatmap",
+     "repro/core/heatmap.py"),
+    ("Heatmap._pending", r"\b_pending\b", "Heatmap.pending", "repro/core/"),
+    ("IORequest.lbas", r"\bdef lbas\b", "range(request.lba, request.lba + "
+     "request.nblocks)"),
+    ("LatencyStats.min", r"\bdef min\b|\b_min\b",
+     "LatencyStats.percentile(0)", "repro/sim/stats.py"),
+    ("PathBreakdown.fraction", r"\bdef fraction\b",
+     "PathBreakdown.shares and PathBreakdown.total"),
+    ("SignatureIndex.clear", r"\bdef clear\b", "a new SignatureIndex",
+     "repro/core/similarity.py"),
 )
 
 #: The emission protocol model code calls.

