@@ -24,7 +24,7 @@ Quickstart (``tests/test_quickstart.py`` runs it)::
     assert (content == block).all()    # SSD reference + delta, decoded
 
 For the paper's experiments use the CLI: ``python -m repro --help``
-(``figure figure10a``, ``figure figure15``, ``analyze sysbench``,
+(``validate figure10a``, ``validate figure15``, ``analyze sysbench``,
 ``chaos --quick``, ...).
 
 Package map:

@@ -27,6 +27,11 @@ from repro.delta.encoder import encode_delta
 from repro.sim.backing import BackingStore
 from repro.sim.request import BLOCK_SIZE, IORequest
 
+#: Sub-signature positions a block must share with its best anchor
+#: before the delta against it is computed (the controller's default
+#: ``min_signature_match``).
+MIN_MATCH = 4
+
 
 @dataclass
 class DatasetLocality:
@@ -77,8 +82,7 @@ def _signature_index(signatures: List[Tuple[int, ...]]
 
 
 def _best_anchor(block_id: int, signatures: List[Tuple[int, ...]],
-                 index: Dict[Tuple[int, int], List[int]],
-                 min_match: int) -> Optional[int]:
+                 index: Dict[Tuple[int, int], List[int]]) -> Optional[int]:
     tallies: Dict[int, int] = {}
     for row, value in enumerate(signatures[block_id]):
         for candidate in index.get((row, value), ()):
@@ -87,10 +91,10 @@ def _best_anchor(block_id: int, signatures: List[Tuple[int, ...]],
     if not tallies:
         return None
     best = max(tallies, key=tallies.get)
-    return best if tallies[best] >= min_match else None
+    return best if tallies[best] >= MIN_MATCH else None
 
 
-def analyze_dataset(dataset: np.ndarray, min_match: int = 4,
+def analyze_dataset(dataset: np.ndarray,
                     sample: Optional[int] = None,
                     seed: int = 0) -> DatasetLocality:
     """Measure a block population's content locality.
@@ -117,7 +121,7 @@ def analyze_dataset(dataset: np.ndarray, min_match: int = 4,
         probe = range(n_blocks)
     delta_sizes: List[int] = []
     for block_id in probe:
-        anchor = _best_anchor(block_id, signatures, index, min_match)
+        anchor = _best_anchor(block_id, signatures, index)
         if anchor is None:
             delta_sizes.append(BLOCK_SIZE)
             continue

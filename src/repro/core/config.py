@@ -31,11 +31,6 @@ class ICASHConfig:
     max_virtual_blocks: int = 65536
     #: HDD delta-log region size in blocks.
     log_blocks: int = 16384
-    #: Place the delta log on byte-addressable NVRAM (PRAM) instead of
-    #: the HDD — the extension Section 2.1 points at via Sun et al.
-    #: Appends persist in microseconds and the crash-loss window shrinks
-    #: accordingly; the HDD keeps only the data region.
-    log_on_nvram: bool = False
 
     # -- signatures and similarity ------------------------------------------
     signature_scheme: SignatureScheme = SignatureScheme.SAMPLED
@@ -62,12 +57,6 @@ class ICASHConfig:
     #: Batching matters: each flush packs its records into shared delta
     #: blocks, so bigger batches mean fewer, denser log writes.
     flush_dirty_count: int = 512
-    #: How dirty deltas are ordered into packed delta blocks:
-    #: ``"arrival"`` keeps write order, so deltas of one sequential or
-    #: temporal burst share a delta block (§3.1 case 1 — one later HDD
-    #: read then serves the whole burst); ``"lba"`` packs by address,
-    #: favouring spatially clustered re-access.
-    flush_order: str = "arrival"
 
     # -- CPU cost model ----------------------------------------------------------
     #: Time to delta-compress one 4 KB block (s).  The paper overlaps
@@ -79,14 +68,6 @@ class ICASHConfig:
     decompress_s: float = 10e-6
     #: CPU time per candidate comparison in the similarity scan (s).
     scan_compare_s: float = 2e-6
-
-    # -- long-run behaviour ------------------------------------------------------
-    #: Age the Heatmap multiplicatively every this many I/Os (0 = never).
-    #: The paper's bounded runs never need aging; long-lived deployments
-    #: do, or stale content anchors reference selection forever.
-    heatmap_decay_interval: int = 0
-    #: Multiplicative factor applied at each decay.
-    heatmap_decay_factor: float = 0.5
 
     def __post_init__(self) -> None:
         if self.ssd_capacity_blocks < 1:
@@ -106,13 +87,3 @@ class ICASHConfig:
             raise ValueError(
                 "spill threshold below accept threshold would spill every "
                 "freshly associated block")
-        if self.flush_order not in ("arrival", "lba"):
-            raise ValueError(
-                f"flush_order must be 'arrival' or 'lba', "
-                f"got {self.flush_order!r}")
-        if self.heatmap_decay_interval < 0:
-            raise ValueError("heatmap_decay_interval cannot be negative")
-        if not 0.0 <= self.heatmap_decay_factor <= 1.0:
-            raise ValueError(
-                f"heatmap_decay_factor must be in [0, 1], "
-                f"got {self.heatmap_decay_factor}")

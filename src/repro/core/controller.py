@@ -143,19 +143,9 @@ class ICASHController(StorageSystem):
         super().__init__("icash", capacity_blocks)
         self.config = config
         self.backing = BackingStore(initial_content)
-        if config.log_on_nvram:
-            # NVRAM log variant: the HDD keeps only the data region and
-            # the log appends persist at memory speed.
-            from repro.devices.nvram import NVRAM
-            self.hdd = HardDiskDrive(capacity_blocks)
-            self.nvram: Optional[NVRAM] = NVRAM(config.log_blocks)
-            self.log = DeltaLog(self.nvram, base_lba=0,
-                                size_blocks=config.log_blocks)
-        else:
-            self.hdd = HardDiskDrive(capacity_blocks + config.log_blocks)
-            self.nvram = None
-            self.log = DeltaLog(self.hdd, base_lba=capacity_blocks,
-                                size_blocks=config.log_blocks)
+        self.hdd = HardDiskDrive(capacity_blocks + config.log_blocks)
+        self.log = DeltaLog(self.hdd, base_lba=capacity_blocks,
+                            size_blocks=config.log_blocks)
         self.ssd = FlashSSD(config.ssd_capacity_blocks)
         self.dram = DRAMBuffer(
             config.data_ram_bytes + config.delta_ram_bytes, "icash-ram")
@@ -185,7 +175,7 @@ class ICASHController(StorageSystem):
         self._ref_dependents: Dict[int, int] = {}
         # The flush queue — a delta is dirty exactly while its lba is in
         # here — in *arrival order*, the order the deltas pack into delta
-        # blocks under flush_order="arrival".
+        # blocks (§3.1 case 1: one burst shares a delta block).
         self._dirty_delta_lbas: "OrderedDict[int, None]" = OrderedDict()
         self._io_count = 0
         # SSD reads issued so far by the host request being served.
@@ -207,8 +197,6 @@ class ICASHController(StorageSystem):
     # ------------------------------------------------------------------
 
     def devices(self) -> Iterable:
-        if self.nvram is not None:
-            return (self.ssd, self.hdd, self.dram, self.nvram)
         return (self.ssd, self.hdd, self.dram)
 
     def read(self, lba: int, nblocks: int = 1
@@ -712,12 +700,11 @@ class ICASHController(StorageSystem):
         queue = self._dirty_delta_lbas
         if not queue:
             return 0.0
-        order = sorted(queue) if self.config.flush_order == "lba" else queue
         # Every queued delta is cached in RAM (check_invariants' (c)).
         get, delta_map = self.cache.get, self._delta_map
         records = [DeltaRecord(lba, delta_map[lba].ref_lba,
                                get(lba, touch=False).delta)
-                   for lba in order]
+                   for lba in queue]
         queue.clear()
         latency = 0.0
         if background:
@@ -852,9 +839,6 @@ class ICASHController(StorageSystem):
         config = self.config
         if self._io_count % config.scan_interval == 0:
             self._run_scan()
-        if (config.heatmap_decay_interval
-                and self._io_count % config.heatmap_decay_interval == 0):
-            self.heatmap.decay(config.heatmap_decay_factor)
         dirty_pressure = (len(self._dirty_delta_lbas)
                           >= config.flush_dirty_count)
         if self._io_count % config.flush_interval == 0 or dirty_pressure:
@@ -1298,8 +1282,6 @@ class ICASHController(StorageSystem):
             f"{self.ssd.write_amplification:.2f}",
             f"  erases        {self.ssd.total_erases:>7}",
             "log:",
-            f"  medium        "
-            f"{'nvram' if self.nvram is not None else 'hdd'}",
             f"  blocks written{self.log.blocks_written:>7} "
             f"(region {self.config.log_blocks})",
             f"  dirty deltas  {len(self._dirty_delta_lbas):>7} "

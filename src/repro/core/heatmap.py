@@ -101,19 +101,6 @@ class Heatmap:
         self._flush()
         return int(self._counts[self._rows_index, list(signatures)].sum())
 
-    def decay(self, factor: float = 0.5) -> None:
-        """Age all counters multiplicatively.
-
-        The paper's prototype never ages its Heatmap (its runs are
-        bounded); long-running deployments need aging so stale content
-        does not anchor reference selection forever.  Exposed as an
-        extension and exercised by the ablation tests.
-        """
-        if not 0.0 <= factor <= 1.0:
-            raise ValueError(f"decay factor must be in [0, 1], got {factor}")
-        self._flush()  # buffered accesses precede the aging event
-        self._counts = (self._counts * factor).astype(np.int64)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Heatmap(rows={self.rows}, values={self.values}, "
                 f"accesses={self.total_accesses})")

@@ -129,9 +129,6 @@ class DeltaLog:
     """
 
     def __init__(self, hdd, base_lba: int, size_blocks: int) -> None:
-        # ``hdd`` is any block Device; the common case is the HDD region
-        # the paper describes, but an NVRAM log (see devices.nvram) plugs
-        # in unchanged.
         if size_blocks < 1:
             raise ValueError("delta log needs at least one block")
         self.hdd = hdd

@@ -16,7 +16,6 @@ Four device models underpin every storage architecture in the repository:
 from repro.devices.base import Device, DeviceSpec
 from repro.devices.dram import DRAMBuffer
 from repro.devices.hdd import HardDiskDrive, HDDSpec
-from repro.devices.nvram import NVRAM, NVRAMSpec
 from repro.devices.raid import RAID0Array
 from repro.devices.ssd import FlashSSD, SSDSpec
 
@@ -27,8 +26,6 @@ __all__ = [
     "FlashSSD",
     "HDDSpec",
     "HardDiskDrive",
-    "NVRAM",
-    "NVRAMSpec",
     "RAID0Array",
     "SSDSpec",
 ]

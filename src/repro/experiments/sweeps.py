@@ -267,13 +267,12 @@ def sweep_rates(spec: RunSpec, rates: Sequence[float],
             for rate, result in zip(rates, results)]
 
 
-def find_knee(points: Sequence[RatePoint],
-              efficiency: float = KNEE_EFFICIENCY) -> Optional[int]:
+def find_knee(points: Sequence[RatePoint]) -> Optional[int]:
     """Index of the first sweep point past the saturation knee.
 
     The knee is where the system stops keeping up: the first offered
-    rate achieving less than ``efficiency`` times the *first* point's
-    achieved/offered ratio.  The relative baseline matters: a fixed
+    rate achieving less than :data:`KNEE_EFFICIENCY` times the *first*
+    point's achieved/offered ratio.  The relative baseline matters: a fixed
     arrival seed draws one pattern whose total span sits a few percent
     off nominal at every rate, so absolute efficiency is biased by a
     constant factor that the lowest (surely unsaturated) rate
@@ -283,7 +282,7 @@ def find_knee(points: Sequence[RatePoint],
         return None
     baseline = points[0].efficiency
     for i, point in enumerate(points[1:], start=1):
-        if point.efficiency < efficiency * baseline:
+        if point.efficiency < KNEE_EFFICIENCY * baseline:
             return i
     return None
 

@@ -64,7 +64,6 @@ from repro.sim.trace import Recorder, foreground
 DEFAULT_DEVICE_SLOTS: Dict[str, int] = {
     "ssd": 8,
     "raid0": 4,
-    "nvram": 4,
     "dram": 64,
 }
 

@@ -447,12 +447,7 @@ class FaultInjector:
                           f"{image.corrupt_blocks_skipped}")
 
     def _controller(self):
-        """The I-CASH controller behind the system, when there is one."""
-        for attr in ("controller",):
-            candidate = getattr(self.system, attr, None)
-            if candidate is not None and \
-                    hasattr(candidate, "delta_map_snapshot"):
-                return candidate
+        """The system itself when it is an I-CASH controller."""
         if hasattr(self.system, "delta_map_snapshot"):
             return self.system
         return None

@@ -470,6 +470,8 @@ class Monitor:
                        ("read_p99_us", "read_latency_us", "p99"),
                        ("ssd_pages", "ssd_program_total", "delta"),
                        ("log_occ", "delta_log_occupancy", "value"))
+    #: Windows the report prints before eliding the middle ones.
+    _REPORT_MAX_ROWS = 24
 
     def __init__(self, interval_s: float = 0.25,
                  rules: Optional[Sequence[SLORule]] = None,
@@ -753,7 +755,7 @@ class Monitor:
 
     # -- reporting ---------------------------------------------------------
 
-    def render_report(self, max_rows: int = 24) -> str:
+    def render_report(self) -> str:
         """ASCII per-window report: the convergence view of one run."""
         if not self.t_end:
             return "(no sample windows recorded)"
@@ -765,6 +767,7 @@ class Monitor:
             f" {name:>12}" for name, _metric, _stat in self._REPORT_COLUMNS)
         lines = [title, "-" * len(header), header]
         indices = list(range(len(self.t_end)))
+        max_rows = self._REPORT_MAX_ROWS
         if len(indices) > max_rows:
             head = indices[:max_rows // 2]
             tail = indices[-(max_rows - len(head)):]

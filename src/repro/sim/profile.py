@@ -52,7 +52,7 @@ from repro.sim.trace import SPAN, TRACK_BACKGROUND, TRACK_RUN, \
 #: Device heads a span name may start with; ``classify_phase`` splits
 #: ``{device}_{phase}`` names on this set (``hdd_log_read`` ->
 #: ``("hdd", "log_read")``).
-DEVICE_HEADS = ("dram", "ssd", "hdd", "nvram", "raid0")
+DEVICE_HEADS = ("dram", "ssd", "hdd", "raid0")
 
 #: The phase name end-to-end time not covered by any emitted item is
 #: attributed to, paired with the ``host`` pseudo-device.
@@ -64,9 +64,9 @@ def classify_phase(name: str,
     """Map a trace span name to its ``(device, phase)`` attribution pair.
 
     ``device`` pins the device when the caller knows it (the recorder
-    keeps which device model emitted a span, so a
-    re-labelled ``hdd_log_append`` on an NVRAM log still attributes to
-    ``nvram``); without it the name is split on :data:`DEVICE_HEADS`.
+    keeps which device model emitted a span, so a re-labelled span
+    attributes to the device that served it); without it the name is
+    split on :data:`DEVICE_HEADS`.
     CPU phases (``delta_encode``/``delta_decode``) and anything else
     unprefixed attribute to the ``cpu`` pseudo-device.
     """
@@ -234,18 +234,17 @@ class AttributionTable:
         total = self.total_s(row.op)
         return row.total_s / total if total > 0 else 0.0
 
-    def blame(self, op: str,
-              tail_percentile: float = 99.0) -> Optional[Blame]:
+    def blame(self, op: str) -> Optional[Blame]:
         """Which pair dominates the class's latency tail.
 
         Pools the per-request attributions of every request whose
-        latency reaches the class's ``tail_percentile`` and returns the
+        latency reaches the class's p99 and returns the
         pair holding the largest share of that pooled time.
         """
         stats = self.latency(op)
         if not stats.count:
             return None
-        threshold = stats.percentile(tail_percentile)
+        threshold = stats.percentile(99)
         pooled: Dict[Tuple[str, str], float] = {}
         tail_n = 0
         tail_total = 0.0

@@ -65,8 +65,6 @@ EVENT_TYPES = frozenset({
     "ssd_write",
     "hdd_read",
     "hdd_write",
-    "nvram_read",
-    "nvram_write",
     "raid0_read",
     "raid0_write",
     # delta-log operations (device ops re-labelled while the log runs)
@@ -449,7 +447,6 @@ _CHROME_TRACK_NAMES = {TRACK_REQUEST: "requests",
 
 def export_chrome_trace(events: Iterable[TraceEvent],
                         destination: Union[str, TextIO],
-                        process_name: str = "repro",
                         tracer=None) -> int:
     """Write the Chrome ``trace_event`` JSON format.
 
@@ -465,11 +462,10 @@ def export_chrome_trace(events: Iterable[TraceEvent],
     """
     if isinstance(destination, str):
         with open(destination, "w", encoding="utf-8") as handle:
-            return export_chrome_trace(events, handle, process_name,
-                                       tracer=tracer)
+            return export_chrome_trace(events, handle, tracer=tracer)
     records: List[Dict[str, object]] = [
         {"ph": "M", "pid": 0, "tid": 0, "name": "process_name",
-         "args": {"name": process_name}},
+         "args": {"name": "repro"}},
     ]
     header = completeness_header(tracer) if tracer is not None else None
     if header is not None:

@@ -11,8 +11,8 @@ block, ``_service → _positioning_time → seek_time`` per access):
   relocated, the wear-levelling victim picks and the write
   amplification;
 * ``latency`` — a hash of every float a seeded op list gets back from an
-  HDD, a RAID0 array, a tiny SSD that collects and wear-levels, an NVRAM
-  region and a DRAM buffer, plus each device's busy time and counters,
+  HDD, a RAID0 array, a tiny SSD that collects and wear-levels and a
+  DRAM buffer, plus each device's busy time and counters,
   and a hash of the trace spans the same list emits into a recorder.
 
 Floats are recorded with ``float.hex``, so a changed last bit is a
@@ -30,7 +30,6 @@ from typing import Dict, List
 
 from repro.devices.dram import DRAMBuffer
 from repro.devices.hdd import HardDiskDrive
-from repro.devices.nvram import NVRAM
 from repro.devices.raid import RAID0Array
 from repro.devices.ssd import FlashSSD, SSDSpec
 from repro.experiments.parallel import RunSpec
@@ -127,17 +126,6 @@ def _ssd_ops(ssd: FlashSSD, rng: random.Random,
     return out
 
 
-def _nvram_ops(nvram: NVRAM, rng: random.Random,
-               n_ops: int) -> List[float]:
-    out: List[float] = []
-    for _ in range(n_ops):
-        nblocks = rng.choice((1, 2, 7))
-        lba = rng.randrange(nvram.capacity_blocks - nblocks + 1)
-        op = nvram.write if rng.random() < 0.5 else nvram.read
-        out.append(op(lba, nblocks))
-    return out
-
-
 def _dram_ops(dram: DRAMBuffer, rng: random.Random,
               n_ops: int) -> List[float]:
     return [dram.access(rng.choice((1, 100, 4096, 4097, 20_000)))
@@ -153,7 +141,6 @@ LATENCY_CASES: Dict[str, tuple] = {
               lambda d, rng, n: _hdd_ops(d, rng, n, (1, 1, 4, 16, 40)),
               600),
     "ssd": (_tiny_ssd, _ssd_ops, 4000),
-    "nvram": (lambda: NVRAM(256), _nvram_ops, 200),
     "dram": (lambda: DRAMBuffer(1 << 20), _dram_ops, 100),
 }
 

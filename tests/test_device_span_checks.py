@@ -11,7 +11,6 @@ import re
 import pytest
 
 from repro.devices.hdd import HardDiskDrive
-from repro.devices.nvram import NVRAM
 from repro.devices.raid import RAID0Array
 from repro.devices.ssd import FlashSSD, SSDSpec
 
@@ -29,8 +28,6 @@ ENTRY_POINTS = {
                   "write"),
     "ssd.trim": (lambda: FlashSSD(CAPACITY, SSDSpec(pages_per_block=8)),
                  "trim"),
-    "nvram.read": (lambda: NVRAM(CAPACITY), "read"),
-    "nvram.write": (lambda: NVRAM(CAPACITY), "write"),
 }
 
 #: Bad span -> the message it must raise, given the device name.

@@ -1,24 +1,17 @@
-"""Tests for the second wave of extensions: flush-order policy, sibling
-hydration revival and the controller status report."""
+"""Tests for the second wave of extensions: arrival-order delta packing,
+sibling hydration revival and the controller status report."""
 
 import numpy as np
-import pytest
 
-from repro.core import ICASHConfig, ICASHController
+from repro.core import ICASHController
 
 from test_core_controller import family_dataset, small_config
 
 
 class TestFlushOrder:
-    def test_invalid_order_rejected(self):
-        with pytest.raises(ValueError, match="flush_order"):
-            ICASHConfig(flush_order="random")
-
-    @pytest.mark.parametrize("order", ["arrival", "lba"])
-    def test_both_orders_preserve_content(self, order, rng):
+    def test_arrival_order_preserves_content(self, rng):
         dataset = family_dataset()
-        controller = ICASHController(
-            dataset, small_config(flush_order=order))
+        controller = ICASHController(dataset, small_config())
         controller.ingest()
         shadow = dataset.copy()
         for _ in range(400):
@@ -36,8 +29,7 @@ class TestFlushOrder:
         """Deltas written back-to-back land in the same delta block
         under arrival order, even at scattered addresses."""
         dataset = family_dataset()
-        controller = ICASHController(
-            dataset, small_config(flush_order="arrival"))
+        controller = ICASHController(dataset, small_config())
         controller.ingest()
         mapped = list(controller.delta_map_snapshot())[:6]
         scattered = [mapped[i] for i in (5, 0, 3, 1, 4, 2)]
@@ -88,8 +80,3 @@ class TestDescribe:
                        "delta pool", "ssd", "log", "dirty deltas",
                        "write amplification"):
             assert needle in text
-
-    def test_report_shows_nvram_medium(self):
-        controller = ICASHController(
-            family_dataset(), small_config(log_on_nvram=True))
-        assert "nvram" in controller.describe()

@@ -1,10 +1,10 @@
-"""Failure-injection tests: torn log blocks, corrupted replay, and the
-long-run Heatmap-aging knob."""
+"""Failure-injection tests: torn log blocks and corrupted replay, and
+the Heatmap counting every access."""
 
 import numpy as np
 import pytest
 
-from repro.core import ICASHConfig, ICASHController
+from repro.core import ICASHController
 from repro.core.recovery import recover
 from repro.delta.packer import DeltaLog, DeltaRecord
 from repro.delta.encoder import Delta
@@ -88,27 +88,8 @@ class TestRecoveryUnderCorruption:
                 assert np.array_equal(recovered, baseline[lba])
 
 
-class TestHeatmapAging:
-    def test_decay_interval_validated(self):
-        with pytest.raises(ValueError):
-            ICASHConfig(heatmap_decay_interval=-1)
-        with pytest.raises(ValueError):
-            ICASHConfig(heatmap_decay_factor=2.0)
-
-    def test_controller_ages_heatmap(self):
-        dataset = family_dataset()
-        controller = ICASHController(
-            dataset, small_config(heatmap_decay_interval=50,
-                                  heatmap_decay_factor=0.0))
-        for _ in range(3):
-            for lba in range(50):
-                controller.read(lba)
-        # With factor 0, counters zero out at every decay boundary, so
-        # totals stay far below one-per-access.
-        sigs = controller.cache.get(0, touch=False).signatures
-        assert controller.heatmap.popularity(sigs) < 150
-
-    def test_disabled_by_default(self):
+class TestHeatmapCounting:
+    def test_every_read_is_counted(self):
         dataset = family_dataset()
         controller = ICASHController(dataset, small_config())
         for lba in range(100):

@@ -285,6 +285,23 @@ REMOVED = (
      "PathBreakdown.shares and PathBreakdown.total"),
     ("SignatureIndex.clear", r"\bdef clear\b", "a new SignatureIndex",
      "repro/core/similarity.py"),
+    # The element keeps the paper's log medium, packing order and
+    # Heatmap: the delta log is an HDD region, deltas pack in arrival
+    # order and the Heatmap is never aged.
+    ("NVRAM / NVRAMSpec / devices.nvram",
+     r"\bNVRAM(?:Spec)?\b|devices\.nvram",
+     "the HDD log region DeltaLog wraps"),
+    ("log_on_nvram", r"\blog_on_nvram\b",
+     "nothing: the delta log is always an HDD region"),
+    ("flush_order", r"\bflush_order\b",
+     "the flush queue's arrival order (ICASHController._dirty_delta_lbas)"),
+    ("heatmap_decay_interval / heatmap_decay_factor",
+     r"\bheatmap_decay_(?:interval|factor)\b",
+     "nothing: the Heatmap is never aged"),
+    ("Heatmap.decay", r"\bdef decay\b|\.decay\(",
+     "nothing: the Heatmap is never aged"),
+    ("nvram_read / nvram_write", r"\bnvram_(?:read|write)\b",
+     "nothing: no device emits them"),
 )
 
 #: The emission protocol model code calls.

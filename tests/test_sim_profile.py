@@ -48,8 +48,8 @@ class TestClassifyPhase:
         # span; the name's prefix is stripped only when it matches.
         assert classify_phase("hdd_log_append", device="hdd") == \
             ("hdd", "log_append")
-        assert classify_phase("hdd_log_append", device="nvram") == \
-            ("nvram", "hdd_log_append")
+        assert classify_phase("hdd_log_append", device="ssd") == \
+            ("ssd", "hdd_log_append")
 
 
 class TestAttributionTable:
@@ -178,7 +178,7 @@ class TestEngineReconciliation:
             for device, phase, dur in request.items
             if phase == "queue_wait"]
         assert waits, "saturating load produced no queue waits"
-        assert all(device in ("dram", "ssd", "hdd", "nvram", "raid0")
+        assert all(device in ("dram", "ssd", "hdd", "raid0")
                    for device, _p, _d in waits)
         total_wait_us = sum(dur for _d, _p, dur in waits) * 1e6
         summary_wait_us = result.queueing.wait_mean_us \
