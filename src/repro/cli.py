@@ -312,15 +312,25 @@ def _cmd_run(args) -> int:
                            tracer=tracer, monitor=monitor,
                            engine=spec.engine, load=spec.build_load(),
                            profiler=profiler)
-    if observer == "trace":
-        return _report_trace(args, result, tracer, profiler.table)
-    if observer == "critpath":
-        return _report_critpath(args, spec, result, tracer, profiler.table)
+    # Every spelling records one row; a profiled run's row carries the
+    # attribution and noise that repro explain compares.
     ledger = default_ledger(args.no_ledger)
     record_run(ledger, result, observer or "run", spec,
                extra=monitor and {"interval_s": args.interval})
-    if monitor is not None:
-        return _report_monitor(args, workload, monitor, ledger)
+    if observer == "trace":
+        code = _report_trace(args, result, tracer, profiler.table)
+    elif observer == "critpath":
+        code = _report_critpath(args, spec, result, tracer, profiler.table)
+    elif observer == "monitor":
+        code = _report_monitor(args, workload, monitor)
+    else:
+        code = _report_run(args, result, system)
+    if not args.json:
+        _ledger_note(ledger)
+    return code
+
+
+def _report_run(args, result, system) -> int:
     print(f"{args.workload} on {args.system}: "
           f"{result.transactions_per_s:.1f} tx/s, "
           f"read {result.read_mean_us:.1f} us "
@@ -337,7 +347,6 @@ def _cmd_run(args) -> int:
         print(f"\n{system.describe()}\n\n{read_breakdown(system).render()}"
               f"\n\n{write_breakdown(system).render()}\n\nreads served "
               f"without mechanical I/O: {semiconductor_fraction(system):.1%}")
-    _ledger_note(ledger)
     return 0
 
 
@@ -372,7 +381,7 @@ def _report_trace(args, result, tracer, table) -> int:
     return 1
 
 
-def _report_monitor(args, workload, monitor, ledger) -> int:
+def _report_monitor(args, workload, monitor) -> int:
     os.makedirs(args.monitor, exist_ok=True)
     paths = {kind: os.path.join(args.monitor, name) for kind, name in (
         ("csv", "series.csv"), ("jsonl", "series.jsonl"),
@@ -408,8 +417,6 @@ def _report_monitor(args, workload, monitor, ledger) -> int:
         print("warning: windowed series disagree with run-end "
               "statistics", file=sys.stderr)
         return 1
-    if not args.json:
-        _ledger_note(ledger)
     return 0
 
 

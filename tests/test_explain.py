@@ -274,6 +274,26 @@ class TestCLI:
         stacks = _read_flame_diff(path)
         assert f"wrote {len(stacks)} flame-diff line(s)" in err
 
+    def test_recorded_critpath_runs_carry_attribution(
+            self, tmp_path, monkeypatch, capsys):
+        """docs/OBSERVABILITY.md's walkthrough from the command line:
+        a profiled run's ledger row keeps its attribution table, so
+        explain has rows to compare and a flame diff to write."""
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_LEDGER", "1")
+        monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "walk"))
+        for _ in range(2):
+            assert main(["run", "sysbench", "--critpath",
+                         "--requests", "300"]) == 0
+        path = str(tmp_path / "fd.txt")
+        capsys.readouterr()
+        assert main(["explain", "1", "2", "--json",
+                     "--flame-diff", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["attribution"]
+        assert _read_flame_diff(path)
+
     def test_explain_rejects_mixed_inputs(self, store, tmp_path,
                                           capsys):
         from repro.cli import main

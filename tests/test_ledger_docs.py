@@ -56,7 +56,7 @@ class TestFieldTableParity:
         documented = set(re.findall(r"^\| `(\w+)`", section,
                                     re.MULTILINE))
         assert documented == commands
-        assert len(commands) == 7
+        assert len(commands) == 9
 
     def test_filter_keys_all_named(self, doc_text):
         section = doc_text.split("## Subcommands", 1)[1]
