@@ -862,12 +862,14 @@ class TestFuzzedRows:
               (("metrics",), [], ["ledger", "trend", "read_p99_us"]),
               (("metrics",), [], ["explain", "1", "1"]),
               (("metrics", "scalars", "read_p99_us"), "x",
-               ["ledger", "trend", "read_p99_us"]))
+               ["ledger", "trend", "read_p99_us"]),
+              (("metrics", "noise"), [], ["ledger", "trend",
+                                          "read_p99_us"]))
 
     @pytest.mark.parametrize("path, value, argv", PROBED,
                              ids=["null spec", "metrics list: trend",
                                   "metrics list: explain",
-                                  "text scalar"])
+                                  "text scalar", "noise list: trend"])
     def test_probed_rows_name_their_line(self, tmp_path, path, value,
                                          argv):
         store = _writer(tmp_path)
