@@ -48,7 +48,7 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from heapq import heappop, heappush, heappushpop
 from itertools import count, filterfalse
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -217,7 +217,6 @@ def read_verified(system, shadow, request, index: int) -> Tuple[float, int]:
 
 # Event kinds: the third field of a heap entry.
 _ARRIVE, _PHASE_DONE, _BG_DONE, _COMPLETE = range(4)
-_phase_dur = itemgetter(1)
 _READ = OpType.READ
 
 
@@ -387,10 +386,9 @@ class EventEngine:
                     if tracer is not None:
                         tracer.fold(filterfalse(foreground, emitted))
                     phase_idx = -len(phases)
-                    # The built-in ``sum`` (compensated on Python >= 3.12,
-                    # so a hand-written loop would yield other bits).
-                    covered = phases[0][1] if phase_idx == -1 \
-                        else sum(map(_phase_dur, phases))
+                    covered = 0.0
+                    for _device, dur in phases:
+                        covered += dur
                     residual = latency - covered
                     job = [
                         index, is_read, now, latency, 0.0, 0.0, verified,

@@ -3,9 +3,11 @@
 ``cli_digest.json`` pins, per case, what a reader of one command line
 gets: its exit code (a sequence's first nonzero one), a sha256 of its
 stdout, a sha256 of each file it writes (by relative path) and a
-sha256 of each canonical ledger row it records.  Each case runs in-process in an empty working directory with
-recording on into ``ledger/`` and the git provenance and host
-fingerprint pinned, so no row moves with the commit or the machine:
+sha256 of each canonical ledger row it records.  Each case runs
+in-process in an empty working directory with recording on into
+``ledger/`` and the git provenance and host fingerprint pinned
+(:func:`reference.pins.pinned_ledger`), so no row moves with the
+commit or the machine:
 
 * ``trace/*`` — a ring trace to Chrome JSON and to JSON Lines (the
   latter from a ring too small for the run);
@@ -17,17 +19,12 @@ fingerprint pinned, so no row moves with the commit or the machine:
 * ``figure/*`` — one series recorded into the ledger, and two series
   at two jobs.
 
-A case is a sequence of command lines whose stdouts concatenate.  The
-program is deterministic: an intended change to what one of these
-prints or writes rewrites the JSON, in a change of its own that says
-why.  ``PYTHONPATH=src:tests python -m reference.cli_digest`` rewrites
-the JSON from whatever CLI is on the path.
+A case is a sequence of command lines whose stdouts concatenate.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import json
 import os
@@ -36,15 +33,10 @@ from pathlib import Path
 from typing import Dict, List, Sequence
 from unittest import mock
 
+from reference.pins import pinned_ledger, sha, sha_json
 from repro import ledger
 from repro.cli import main
 from repro.experiments import figures
-
-DIGEST_PATH = Path(__file__).with_name("cli_digest.json")
-
-PROVENANCE = ("0123456789abcdef0123456789abcdef01234567", False)
-HOST = {"node": "pinned", "machine": "pinned", "system": "pinned",
-        "python": "pinned"}
 
 #: Case name -> the command lines it runs, in order.
 CASES: Dict[str, Sequence[List[str]]] = {
@@ -99,10 +91,6 @@ CASES: Dict[str, Sequence[List[str]]] = {
 }
 
 
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _written(root: str) -> Dict[str, str]:
     """A sha256 of each file under ``root`` but the ledger's own."""
     found = {}
@@ -111,7 +99,7 @@ def _written(root: str) -> Dict[str, str]:
             path = os.path.join(folder, name)
             relative = os.path.relpath(path, root)
             if relative.split(os.sep)[0] != "ledger":
-                found[relative] = _sha(Path(path).read_bytes())
+                found[relative] = sha(Path(path).read_bytes())
     return found
 
 
@@ -124,7 +112,7 @@ def _ledger_rows(root: str) -> List[str]:
     for line in path.read_text().splitlines():
         doc = json.loads(line)
         del doc["volatile"]
-        rows.append(_sha(json.dumps(doc, sort_keys=True).encode()))
+        rows.append(sha_json(doc))
     return rows
 
 
@@ -137,10 +125,7 @@ def pin(name: str) -> Dict[str, object]:
     with tempfile.TemporaryDirectory() as root, \
             mock.patch.dict(os.environ, {"REPRO_LEDGER": "1",
                                          "REPRO_LEDGER_DIR": "ledger"}), \
-            mock.patch.object(ledger, "git_provenance",
-                              lambda: PROVENANCE), \
-            mock.patch.object(ledger, "host_fingerprint",
-                              lambda: dict(HOST)):
+            pinned_ledger():
         os.chdir(root)
         try:
             for argv in CASES[name]:
@@ -154,20 +139,7 @@ def pin(name: str) -> Dict[str, object]:
             os.chdir(previous)
             figures.clear_cache()
         return {"exit": next((code for code in codes if code), 0),
-                "stdout": _sha(out.getvalue().encode()),
+                "stdout": sha(out.getvalue()),
                 "files": _written(root),
                 "ledger": _ledger_rows(root)}
 
-
-def frozen() -> Dict[str, Dict[str, object]]:
-    return json.loads(DIGEST_PATH.read_text())
-
-
-def regenerate() -> Dict[str, Dict[str, object]]:
-    """Every pin; writing it to ``DIGEST_PATH`` re-freezes them."""
-    return {name: pin(name) for name in CASES}
-
-
-if __name__ == "__main__":
-    DIGEST_PATH.write_text(json.dumps(regenerate(), indent=2,
-                                      sort_keys=True) + "\n")

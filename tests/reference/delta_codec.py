@@ -5,21 +5,22 @@ below the corpus helpers: every delta a frozen dataclass of
 ``(offset, bytes)`` tuples with three hand-installed caches.  The
 production codec now holds a delta as its wire bytes; this one stays so
 the new codec is held to the old one's bytes, not merely to itself.
-``delta_wire_digest.json`` was written at that commit by
-``wire_digest(encode_delta)`` over :func:`wire_corpus`.
+``delta_wire_digest.json`` holds, per case of :func:`wire_corpus`, the
+sha256 of the production codec's wire bytes; it was first written at
+that commit, when both codecs agreed.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Dict, List, Tuple
 
 import numpy as np
 
+from reference.pins import sha
+from repro.delta import encoder
 from repro.sim.request import BLOCK_SIZE
 
 #: Per-run header bytes in both the in-memory size model and wire format.
@@ -211,9 +212,6 @@ def apply_delta(delta: Delta, reference: np.ndarray) -> np.ndarray:
     return target
 
 
-DIGEST_PATH = Path(__file__).with_name("delta_wire_digest.json")
-
-
 def _edited(reference: np.ndarray, rng: np.random.Generator,
             n_edits: int) -> np.ndarray:
     target = reference.copy()
@@ -248,8 +246,10 @@ def wire_corpus(seed: int = 16) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
     return {name: (target, reference) for name, target in corpus.items()}
 
 
-def wire_digest(encode) -> Dict[str, str]:
-    """sha256 of ``encode(target, reference).serialize()`` per case."""
-    return {name: hashlib.sha256(encode(target, reference).serialize())
-            .hexdigest()
-            for name, (target, reference) in wire_corpus().items()}
+CASES = list(wire_corpus())
+
+
+def pin(case: str) -> str:
+    """sha256 of the production codec's wire bytes for ``case``."""
+    target, reference = wire_corpus()[case]
+    return sha(encoder.encode_delta(target, reference).serialize())

@@ -16,26 +16,22 @@ block, ``_service → _positioning_time → seek_time`` per access):
   and a hash of the trace spans the same list emits into a recorder.
 
 Floats are recorded with ``float.hex``, so a changed last bit is a
-changed digest.  ``PYTHONPATH=src:tests python -m reference.devices``
-rewrites the JSON from whatever models are on the path.
+changed digest.  Cases are named ``latency/<device>`` and
+``wear/<run>``; the file groups them under ``latency`` and ``wear``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
-from pathlib import Path
 from typing import Dict, List
 
+from reference.pins import fhex, sha, sha_json
 from repro.devices.dram import DRAMBuffer
 from repro.devices.hdd import HardDiskDrive
 from repro.devices.raid import RAID0Array
 from repro.devices.ssd import FlashSSD, SSDSpec
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import run_benchmark
-
-DIGEST_PATH = Path(__file__).with_name("devices_digest.json")
 
 #: Pin name -> (workload, system); each run is 10 000 requests, seed 2011.
 WEAR_RUNS = {
@@ -45,18 +41,14 @@ WEAR_RUNS = {
 }
 
 
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def ssd_wear(ssd) -> Dict[str, object]:
     """What garbage collection did to ``ssd``, as exact values."""
     return {
         "erases": ssd.total_erases,
-        "erase_counts_sha256": _sha(json.dumps(ssd.erase_counts())),
+        "erase_counts_sha256": sha_json(ssd.erase_counts()),
         "gc_page_moves": ssd.gc_page_moves,
         "wear_level_picks": ssd.wear_level_picks,
-        "write_amplification": float(ssd.write_amplification).hex(),
+        "write_amplification": fhex(ssd.write_amplification),
     }
 
 
@@ -153,12 +145,12 @@ class SpanRecorder:
 
     def device_span(self, device, kind, dur_s, lba=None, nbytes=None,
                     outcome=None) -> None:
-        self.events.append(["span", device, kind, float(dur_s).hex(),
+        self.events.append(["span", device, kind, fhex(dur_s),
                             lba, nbytes, outcome])
 
     def mark(self, name, dur_s, lba=None, nbytes=None,
              outcome=None) -> None:
-        self.events.append(["mark", name, float(dur_s).hex(), lba, nbytes,
+        self.events.append(["mark", name, fhex(dur_s), lba, nbytes,
                             outcome])
 
 
@@ -177,30 +169,21 @@ def latency_pin(name: str, traced: bool = False) -> Dict[str, object]:
     floats = drive(device, random.Random(2011), n_ops)
     pin = {
         "floats": len(floats),
-        "sha256": _sha("\n".join(float(x).hex() for x in floats)),
-        "busy_time": float(device.busy_time).hex(),
+        "sha256": sha("\n".join(map(fhex, floats))),
+        "busy_time": fhex(device.busy_time),
         "counters": dict(sorted(device.counters().items())),
     }
     if traced:
         pin["spans"] = len(recorder.events)
-        pin["spans_sha256"] = _sha(json.dumps(recorder.events))
+        pin["spans_sha256"] = sha_json(recorder.events)
     return pin
 
 
-def frozen() -> Dict[str, Dict[str, object]]:
-    return json.loads(DIGEST_PATH.read_text())
+CASES = [*(f"latency/{name}" for name in LATENCY_CASES),
+         *(f"wear/{name}" for name in WEAR_RUNS)]
 
 
-def regenerate() -> Dict[str, Dict[str, object]]:
-    """Every pin, computed by the devices on the path; writing it to
-    ``DIGEST_PATH`` re-freezes them."""
-    return {
-        "latency": {name: latency_pin(name, traced=True)
-                    for name in LATENCY_CASES},
-        "wear": {name: wear_pin(name) for name in WEAR_RUNS},
-    }
-
-
-if __name__ == "__main__":
-    DIGEST_PATH.write_text(json.dumps(regenerate(), indent=2,
-                                      sort_keys=True) + "\n")
+def pin(case: str) -> Dict[str, object]:
+    kind, _, name = case.partition("/")
+    return latency_pin(name, traced=True) if kind == "latency" \
+        else wear_pin(name)

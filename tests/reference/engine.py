@@ -38,5 +38,7 @@ def _phases_of(emitted) -> List[Tuple[str, float]]:
 
 def residual_of(emitted, latency_s: float) -> float:
     """Service time no station phase covers (the CPU tail)."""
-    covered = sum(dur for _station, dur in _phases_of(emitted))
+    covered = 0.0
+    for _station, dur in _phases_of(emitted):
+        covered += dur
     return max(0.0, latency_s - covered)

@@ -20,17 +20,14 @@ whole :class:`~repro.experiments.runner.RunResult` of the same spec
 through ``run_benchmark``.  Floats are recorded with ``float.hex`` (or
 hashed through ``json``, whose float form round-trips exactly), so a
 changed last bit or a swapped event is a changed digest.
-``PYTHONPATH=src:tests python -m reference.engine_digest`` rewrites the
-JSON from whatever engine is on the path.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from pathlib import Path
 from typing import Dict
 
+from reference.pins import fhex as _hex
+from reference.pins import sha_json as _sha
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import make_system
 from repro.sim.engine import EventEngine
@@ -39,8 +36,6 @@ from repro.sim.load import OpenLoopLoad, default_closed_loop
 from repro.sim.profile import Profiler
 from repro.sim.trace import RingBufferTracer
 from repro.workloads import SysBenchWorkload, TPCCWorkload
-
-DIGEST_PATH = Path(__file__).with_name("engine_digest.json")
 
 #: The warm-up share every case keeps out of the profiler's table,
 #: ``run_benchmark``'s default.
@@ -70,16 +65,6 @@ CASES = {
         lambda: TPCCWorkload(scale=0.1, n_requests=800, seed=2011),
         "dedup", None, None, True),
 }
-
-
-def _sha(value) -> str:
-    return hashlib.sha256(
-        json.dumps(value, sort_keys=True, default=repr).encode()
-    ).hexdigest()
-
-
-def _hex(value: float) -> str:
-    return float(value).hex()
 
 
 def _engine_run(name: str) -> Dict[str, object]:
@@ -165,22 +150,7 @@ def _runner_run(name: str) -> str:
     return _sha(result.to_payload())
 
 
-def case_pin(name: str) -> Dict[str, object]:
+def pin(name: str) -> Dict[str, object]:
     """Case ``name``'s pin, computed by the engine on the path."""
-    pin = _engine_run(name)
-    pin["result_sha256"] = _runner_run(name)
-    return pin
+    return dict(_engine_run(name), result_sha256=_runner_run(name))
 
-
-def frozen() -> Dict[str, Dict[str, object]]:
-    return json.loads(DIGEST_PATH.read_text())
-
-
-def regenerate() -> Dict[str, Dict[str, object]]:
-    """Every pin; writing it to ``DIGEST_PATH`` re-freezes them."""
-    return {name: case_pin(name) for name in CASES}
-
-
-if __name__ == "__main__":
-    DIGEST_PATH.write_text(json.dumps(regenerate(), indent=2,
-                                      sort_keys=True) + "\n")

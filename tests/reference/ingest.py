@@ -17,11 +17,9 @@ mid-sweep, so later clusters stay independent) was written by
 
 from __future__ import annotations
 
-import hashlib
-import json
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from reference.pins import fhex, sha, sha_json
 from repro.core.signatures import block_signatures_batch, signature_tuples
 from repro.core.config import ICASHConfig
 from repro.core.controller import ICASHController
@@ -30,8 +28,6 @@ from repro.delta.encoder import encode_delta
 from repro.delta.packer import DeltaRecord
 from repro.workloads.specsfs import SpecSFSWorkload
 from repro.workloads.sysbench import SysBenchWorkload
-
-DIGEST_PATH = Path(__file__).with_name("ingest_digest.json")
 
 #: Digest name -> (workload class, ``ICASHConfig`` overrides).
 CASES = {
@@ -98,13 +94,6 @@ def scalar_ingest(controller: ICASHController) -> float:
     return total
 
 
-def _sha(parts) -> str:
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part)
-    return digest.hexdigest()
-
-
 def ingest_digest(controller: ICASHController,
                   setup_s: float) -> Dict[str, object]:
     """Everything the sweep decides, as exact strings and hashes."""
@@ -113,17 +102,17 @@ def ingest_digest(controller: ICASHController,
                        for lba, entry in controller._delta_map.items())
     log_blocks = sorted(controller.log._contents.items())
     return {
-        "setup_s": float(setup_s).hex(),
-        "cpu_time": float(controller.cpu_time).hex(),
+        "setup_s": fhex(setup_s),
+        "cpu_time": fhex(controller.cpu_time),
         "counters": dict(sorted(controller.counters().items())),
         "references": len(references),
-        "references_sha256": _sha(
+        "references_sha256": sha(
             part for lba, content in references
             for part in (lba.to_bytes(8, "little"), content.tobytes())),
         "delta_map": len(delta_map),
-        "delta_map_sha256": _sha([json.dumps(delta_map).encode()]),
+        "delta_map_sha256": sha_json(delta_map),
         "log_blocks": len(log_blocks),
-        "log_sha256": _sha(
+        "log_sha256": sha(
             part for slot, block in log_blocks
             for part in (slot.to_bytes(8, "little"), block)),
     }
@@ -136,15 +125,12 @@ def controller_for(case: str) -> ICASHController:
                            ICASHConfig(**overrides))
 
 
-def ingested_digest(case: str,
-                    sweep: Optional[Callable[[ICASHController], float]]
-                    = None) -> Dict[str, object]:
+def pin(case: str,
+        sweep: Optional[Callable[[ICASHController], float]] = None
+        ) -> Dict[str, object]:
     """The digest of ``case`` after ``sweep`` (default: the controller's
     own ``ingest``)."""
     controller = controller_for(case)
     sweep = sweep if sweep is not None else ICASHController.ingest
     return ingest_digest(controller, sweep(controller))
 
-
-def frozen() -> Dict[str, Dict[str, object]]:
-    return json.loads(DIGEST_PATH.read_text())

@@ -20,30 +20,22 @@ window, bounds and value, floats exact) and ``render_report()``:
 
 Prometheus output follows registry insertion order and a counter's
 floats their accumulation order, so a monitor that registers, reads or
-adds in another order moves a pin.  The program is deterministic: an
-intended change to what the monitor exports rewrites the JSON, in a
-change of its own that says why.
-``PYTHONPATH=src:tests python -m reference.monitor_digest`` rewrites the
-JSON from whatever monitor is on the path.
+adds in another order moves a pin.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
-import json
-from pathlib import Path
 from typing import Dict
 from unittest import mock
 
+from reference.pins import sha, sha_json
 from repro.experiments import chaos
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import make_system
 from repro.sim.metrics import (Monitor, export_prometheus,
                                export_series_csv, export_series_jsonl)
 from repro.workloads import SysBenchWorkload, TPCCWorkload
-
-DIGEST_PATH = Path(__file__).with_name("monitor_digest.json")
 
 #: Requests per chaos scenario (the matrix default is 2 000).
 CHAOS_REQUESTS = 400
@@ -65,13 +57,8 @@ RUNS = {
 }
 
 
-def case_names():
-    return list(RUNS) + [f"chaos/{scenario.scenario_id}"
-                         for scenario in chaos.quick_scenarios()]
-
-
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+CASES = list(RUNS) + [f"chaos/{scenario.scenario_id}"
+                      for scenario in chaos.quick_scenarios()]
 
 
 def exports(monitor: Monitor) -> Dict[str, str]:
@@ -80,11 +67,11 @@ def exports(monitor: Monitor) -> Dict[str, str]:
     export_series_csv(monitor, csv)
     export_series_jsonl(monitor, jsonl)
     export_prometheus(monitor, prom)
-    breaches = json.dumps([[b.rule.name, b.window, b.t_start, b.t_end,
-                            b.value] for b in monitor.breaches])
-    return {"csv": _sha(csv.getvalue()), "jsonl": _sha(jsonl.getvalue()),
-            "prom": _sha(prom.getvalue()), "breaches": _sha(breaches),
-            "report": _sha(monitor.render_report())}
+    breaches = [[b.rule.name, b.window, b.t_start, b.t_end, b.value]
+                for b in monitor.breaches]
+    return {"csv": sha(csv.getvalue()), "jsonl": sha(jsonl.getvalue()),
+            "prom": sha(prom.getvalue()), "breaches": sha_json(breaches),
+            "report": sha(monitor.render_report())}
 
 
 def monitored(name: str) -> Monitor:
@@ -113,16 +100,3 @@ def monitored(name: str) -> Monitor:
 def pin(name: str) -> Dict[str, str]:
     return exports(monitored(name))
 
-
-def frozen() -> Dict[str, Dict[str, str]]:
-    return json.loads(DIGEST_PATH.read_text())
-
-
-def regenerate() -> Dict[str, Dict[str, str]]:
-    """Every pin; writing it to ``DIGEST_PATH`` re-freezes them."""
-    return {name: pin(name) for name in case_names()}
-
-
-if __name__ == "__main__":
-    DIGEST_PATH.write_text(json.dumps(regenerate(), indent=2,
-                                      sort_keys=True) + "\n")

@@ -13,26 +13,18 @@ the content model drew, together with the request generator's final
   VM's.
 
 Streams are generated directly, past the host's stream memo, so the
-final state is the one generation leaves.  The content code is
-deterministic: an intended change to what a stream holds rewrites the
-pins, in a change of its own that says why.
-``PYTHONPATH=src:tests python -m reference.stream_digest`` rewrites the
-JSON from whatever model is on the path.
+final state is the one generation leaves.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from pathlib import Path
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Iterator
 
 import numpy as np
 
+from reference import pins
 from repro.workloads import ALL_WORKLOADS, WORKLOADS, MultiVMWorkload
 from repro.workloads.base import SyntheticWorkload
-
-DIGEST_PATH = Path(__file__).with_name("stream_digest.json")
 
 SCALE = 0.25
 SEEDS = (2011, 7)
@@ -40,26 +32,23 @@ REQUESTS = (300, 2000)
 MULTIVM = "multivm/specsfs-3vms"
 
 
-def stream_names():
-    return [f"{cls.name}/{seed}/{n}" for cls in ALL_WORKLOADS
-            for seed in SEEDS for n in REQUESTS] + [MULTIVM]
+CASES = [f"{cls.name}/{seed}/{n}" for cls in ALL_WORKLOADS
+         for seed in SEEDS for n in REQUESTS] + [MULTIVM]
 
 
-def _digest(requests: Iterable, workloads, image=None) -> str:
-    sha = hashlib.sha256()
+def _chunks(requests: Iterable, workloads, image=None) -> Iterator:
+    """What a stream's digest covers, in order."""
     if image is not None:
-        sha.update(np.ascontiguousarray(image).tobytes())
+        yield np.ascontiguousarray(image).tobytes()
     for request in requests:
-        sha.update(f"{request.op.value}:{request.lba}:{request.nblocks};"
-                   .encode())
+        yield f"{request.op.value}:{request.lba}:{request.nblocks};"
         for block in request.payload or ():
-            sha.update(block.tobytes())
+            yield block.tobytes()
     for workload in workloads:
         for lba in sorted(workload.content._anchors):
-            sha.update(f"{lba}:".encode())
-            sha.update(np.asarray(workload.content._anchors[lba],
-                                  dtype="<i8").tobytes())
-    return sha.hexdigest()
+            yield f"{lba}:"
+            yield np.asarray(workload.content._anchors[lba],
+                             dtype="<i8").tobytes()
 
 
 def pin(name: str) -> Dict:
@@ -68,25 +57,13 @@ def pin(name: str) -> Dict:
         multi = MultiVMWorkload(WORKLOADS["specsfs"], n_vms=3, scale=SCALE,
                                 n_requests_per_vm=300, seed=2011)
         image = multi.build_dataset()
-        return {"sha256": _digest(multi._interleave(), multi.vms, image),
+        return {"sha256": pins.sha(_chunks(multi._interleave(), multi.vms,
+                                           image)),
                 "state": [vm._rng.bit_generator.state
                           for vm in multi.vms]}
     family, seed, n_requests = name.split("/")
     workload: SyntheticWorkload = WORKLOADS[family](
         scale=SCALE, n_requests=int(n_requests), seed=int(seed))
-    return {"sha256": _digest(workload._generate(), [workload]),
+    return {"sha256": pins.sha(_chunks(workload._generate(), [workload])),
             "state": workload._rng.bit_generator.state}
 
-
-def frozen() -> Dict[str, Dict]:
-    return json.loads(DIGEST_PATH.read_text())
-
-
-def regenerate() -> Dict[str, Dict]:
-    """Every pin; writing it to ``DIGEST_PATH`` re-freezes them."""
-    return {name: pin(name) for name in stream_names()}
-
-
-if __name__ == "__main__":
-    DIGEST_PATH.write_text(json.dumps(regenerate(), indent=2,
-                                      sort_keys=True) + "\n")

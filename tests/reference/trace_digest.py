@@ -16,26 +16,20 @@ event run also pins ``profiler.table.to_rows()``, the overflow case the
 ring's surviving events and its drop count.  The profiler beside a
 legacy ring leaves the ring as it is, event for event, so the JSONL and
 Chrome pins predate it.
-``PYTHONPATH=src:tests python -m reference.trace_digest`` rewrites the
-JSON from whatever tracer is on the path.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
-import json
-from pathlib import Path
 from typing import Dict
 
+from reference.pins import sha, sha_json
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import make_system
 from repro.sim.profile import Profiler, export_folded
 from repro.sim.trace import (RingBufferTracer, export_chrome_trace,
                              export_jsonl)
 from repro.workloads import SpecSFSWorkload, TPCCWorkload
-
-DIGEST_PATH = Path(__file__).with_name("trace_digest.json")
 
 SYSTEMS = ("icash", "fusion-io", "raid0", "lru", "dedup")
 
@@ -53,14 +47,6 @@ CASES = {
 }
 
 
-def _sha_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _sha(value) -> str:
-    return _sha_text(json.dumps(value, sort_keys=True))
-
-
 def _trace_pin(tracer: RingBufferTracer,
                profiler: Profiler) -> Dict[str, object]:
     """What a reader of the run gets: the three files."""
@@ -71,13 +57,13 @@ def _trace_pin(tracer: RingBufferTracer,
     return {
         "events": len(tracer.events),
         "dropped": tracer.dropped,
-        "jsonl_sha256": _sha_text(jsonl.getvalue()),
-        "chrome_sha256": _sha_text(chrome.getvalue()),
-        "folded_sha256": _sha_text(folded.getvalue()),
+        "jsonl_sha256": sha(jsonl.getvalue()),
+        "chrome_sha256": sha(chrome.getvalue()),
+        "folded_sha256": sha(folded.getvalue()),
     }
 
 
-def case_pin(name: str) -> Dict[str, object]:
+def pin(name: str) -> Dict[str, object]:
     """Case ``name``'s pin, computed by the tracer on the path."""
     make_workload, system_name, capacity = CASES[name]
     workload = make_workload()
@@ -86,7 +72,7 @@ def case_pin(name: str) -> Dict[str, object]:
                   tracer=tracer, profiler=legacy_profiler)
     if capacity is not None:
         return {"legacy": _trace_pin(tracer, legacy_profiler),
-                "events_sha256": _sha([e.to_dict()
+                "events_sha256": sha_json([e.to_dict()
                                        for e in tracer.events])}
     workload = make_workload()
     event_tracer, profiler = RingBufferTracer(None), Profiler()
@@ -94,19 +80,6 @@ def case_pin(name: str) -> Dict[str, object]:
                   engine="event", tracer=event_tracer, profiler=profiler)
     return {"legacy": _trace_pin(tracer, legacy_profiler),
             "event": dict(_trace_pin(event_tracer, profiler),
-                          attribution_sha256=_sha(
+                          attribution_sha256=sha_json(
                               profiler.table.to_rows()))}
 
-
-def frozen() -> Dict[str, Dict[str, object]]:
-    return json.loads(DIGEST_PATH.read_text())
-
-
-def regenerate() -> Dict[str, Dict[str, object]]:
-    """Every pin; writing it to ``DIGEST_PATH`` re-freezes them."""
-    return {name: case_pin(name) for name in CASES}
-
-
-if __name__ == "__main__":
-    DIGEST_PATH.write_text(json.dumps(regenerate(), indent=2,
-                                      sort_keys=True) + "\n")

@@ -30,6 +30,9 @@ from repro.delta.encoder import Delta
 from repro.sim.request import BLOCK_SIZE
 
 from reference import ingest as ingest_reference
+from reference import pins
+
+INGEST_PINS = pins.load("ingest")
 
 
 def _random_batch(rng, n):
@@ -201,16 +204,14 @@ class TestIngestSweepEquivalence:
         """References, delta map, log bytes, ``cpu_time``, ingest
         latency and counters, against ``tests/reference/
         ingest_digest.json``."""
-        assert ingest_reference.ingested_digest(case) \
-            == ingest_reference.frozen()[case]
+        pins.check(ingest_reference.pin(case), INGEST_PINS[case])
 
     @pytest.mark.parametrize("case", sorted(ingest_reference.CASES))
     def test_scalar_oracle_reproduces_frozen_digest(self, case):
         """The block-by-block sweep the planner is held to reproduces
         the same digests."""
-        assert ingest_reference.ingested_digest(
-            case, ingest_reference.scalar_ingest) \
-            == ingest_reference.frozen()[case]
+        pins.check(ingest_reference.pin(
+            case, ingest_reference.scalar_ingest), INGEST_PINS[case])
 
     def test_ties_go_to_the_first_shared_row_then_the_first_promoted(self):
         """The order a per-block tally over ``(row, value)`` cells meets
@@ -233,7 +234,7 @@ class TestIngestSweepEquivalence:
                                                     False]
 
     def test_ssd_fills_mid_sweep(self):
-        frozen = ingest_reference.frozen()["specsfs_ssd_full"]
+        frozen = INGEST_PINS["specsfs_ssd_full"]
         controller = ingest_reference.controller_for("specsfs_ssd_full")
         independents = (controller.capacity_blocks - frozen["references"]
                         - frozen["delta_map"])

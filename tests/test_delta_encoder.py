@@ -1,7 +1,5 @@
 """Unit and property tests for the byte-range delta codec."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +12,7 @@ from repro.sim.request import BLOCK_SIZE
 
 from conftest import make_block
 from reference import delta_codec as reference_codec
+from reference import pins
 
 #: Warnings are errors here: the codec writes python ints into its `<u2`
 #: wire header, and NumPy deprecates, then wraps, an out-of-range one.
@@ -116,8 +115,9 @@ class TestWireFormat:
 
     def test_golden_wire_digest(self):
         """Byte for byte what the tuple-of-runs codec wrote at 39665f9."""
-        golden = json.loads(reference_codec.DIGEST_PATH.read_text())
-        assert reference_codec.wire_digest(encode_delta) == golden
+        golden = pins.load("delta_wire")
+        for case in reference_codec.CASES:
+            pins.check(reference_codec.pin(case), golden[case])
 
     def test_runs_view_matches_reference_codec(self):
         for target, ref in reference_codec.wire_corpus().values():

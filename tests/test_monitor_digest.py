@@ -1,26 +1,20 @@
-"""Monitor exports, held to frozen pins.
-
-``tests/reference/monitor_digest.json`` (written by
-``tests/reference/monitor_digest.py``) pins the CSV, JSONL and
-Prometheus exports, the SLO breaches and the rendered report of four
-monitored runs (both engines, I-CASH and RAID-0) and of the four quick
-chaos scenarios.  The program is deterministic, so the pins are exact:
-an instrument read from other state, registered in another order or
-summed in another order moves a pin.
+"""Monitor exports, held to ``tests/reference/monitor_digest.py``'s
+pins: an instrument read from other state, registered in another order
+or summed in another order moves one.
 """
 
 import pytest
 
 from reference import monitor_digest as reference
+from reference import pins
 
-FROZEN = reference.frozen()
+FROZEN = pins.load("monitor")
 
 
-@pytest.mark.parametrize("name", reference.case_names())
+@pytest.mark.parametrize("name", reference.CASES)
 def test_monitor_exports_match_the_pin(name):
-    assert reference.pin(name) == FROZEN[name]
+    pins.check(reference.pin(name), FROZEN[name])
 
 
 def test_every_pin_has_a_run():
-    assert set(FROZEN) == set(reference.case_names())
     assert len(FROZEN) == 8

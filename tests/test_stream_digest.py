@@ -1,30 +1,20 @@
-"""Request streams, held to frozen pins.
-
-``tests/reference/stream_digest.json`` (written by
-``tests/reference/stream_digest.py``) pins every write payload, every
-anchored update offset and the request generator's final state of each
-workload family at two seeds and two lengths, and of one multi-VM
-stream with its composed image.  Generation is deterministic, so the
-pins are exact: a changed byte of one payload, or one 32-bit draw more
-or fewer, moves a pin.
+"""Request streams, held to ``tests/reference/stream_digest.py``'s exact
+pins: a changed payload byte, or one 32-bit draw more or fewer, moves
+one.
 """
 
 import pytest
 
+from reference import pins
 from reference import stream_digest as reference
 from repro.workloads.content import ContentModel
 
-FROZEN = reference.frozen()
+FROZEN = pins.load("stream")
 
 
-@pytest.mark.parametrize("name", reference.stream_names())
+@pytest.mark.parametrize("name", reference.CASES)
 def test_stream_matches_the_pin(name):
-    assert reference.pin(name) == FROZEN[name]
-
-
-def test_every_pin_has_a_stream():
-    assert set(FROZEN) == set(reference.stream_names())
-    assert len(FROZEN) == 25
+    pins.check(reference.pin(name), FROZEN[name])
 
 
 def test_the_pins_reach_what_they_claim(monkeypatch):
