@@ -10,9 +10,9 @@ package measures those properties directly:
   references, signature-overlap histograms, write-change fractions
   (``repro analyze``).  How a live element splits its blocks into
   references and associates is ``ICASHController.block_kind_counts()``.
-* :mod:`repro.analysis.explain` — differential diagnosis of two runs:
-  noise-aware attribution/scalar diffs, phase-aligned series diffs,
-  queueing deltas and a ranked suspect list (``repro explain``).
+* :mod:`repro.analysis.explain` — differential diagnosis of two ledger
+  rows: noise-aware scalar and attribution diffs and a ranked suspect
+  list (``repro explain``).
 """
 
 from repro.analysis.locality import (DatasetLocality, WriteLocality,

@@ -353,7 +353,7 @@ def _report_run(args, result, system) -> int:
 def _report_trace(args, result, tracer, table) -> int:
     jsonl = args.trace.endswith(".jsonl")
     written = (export_jsonl if jsonl else export_chrome_trace)(
-        tracer.events, args.trace, tracer=tracer)
+        tracer, args.trace)
     kind = "JSONL" if jsonl else "Chrome trace_event; open in " \
         "chrome://tracing or https://ui.perfetto.dev"
     print(f"{args.workload} on {args.system}: wrote {written} events "

@@ -33,7 +33,7 @@ from repro.experiments.sweeps import calibrate_capacity
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import record_run, run_benchmark
 from repro.sim.faults import FAULT_KINDS, FaultPlan
-from repro.sim.metrics import Monitor, SLORule
+from repro.sim.metrics import Monitor, SLORule, default_slo_rules
 
 __all__ = [
     "ChaosScenario",
@@ -104,26 +104,18 @@ def quick_scenarios() -> Sequence[ChaosScenario]:
 
 
 def scenario_rules() -> List[SLORule]:
-    """The chaos rule set: latency SLOs plus log headroom.
+    """The chaos rule set: the stock latency SLOs, which hold with a
+    rebuild included, plus log headroom up to a 0.95 high-water mark.
 
     The stock ``ssd_daily_write_budget`` rule is deliberately absent —
     it judges lifetime burn rate, which the ``ssd_wearout`` injector
     measures directly, and its scaled-rate form flags short dense runs
     spuriously.
     """
-    return [
-        SLORule("read_p99", "read_latency_us", "p99", "max", 30_000.0,
-                unit="us",
-                description="p99 read latency within two mechanical "
-                            "accesses, rebuild included"),
-        SLORule("write_p99", "write_latency_us", "p99", "max", 30_000.0,
-                unit="us",
-                description="p99 write latency within two mechanical "
-                            "accesses, rebuild included"),
-        SLORule("delta_log_high_water", "delta_log_occupancy", "value",
-                "max", 0.95,
-                description="delta log below its chaos high-water mark"),
-    ]
+    return [replace(rule, threshold=0.95)
+            if rule.name == "delta_log_high_water" else rule
+            for rule in default_slo_rules()
+            if rule.name != "ssd_daily_write_budget"]
 
 
 @dataclass

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.parallel import (RunSpec, record_outcomes,
                                         run_specs)
@@ -320,9 +320,8 @@ def render_curve(points: Sequence[RatePoint],
     return "\n".join(lines)
 
 
-def export_curve_csv(points: Sequence[RatePoint],
-                     destination: Union[str, TextIO]) -> int:
-    """Write the sweep as CSV rows; returns the row count.
+def export_curve_csv(points: Sequence[RatePoint], path: str) -> int:
+    """Write the sweep to ``path`` as CSV rows; returns the row count.
 
     Beyond the fixed columns, every station any point saw contributes a
     ``util_<station>`` (busy fraction) and ``depth_<station>`` (mean
@@ -336,8 +335,7 @@ def export_curve_csv(points: Sequence[RatePoint],
     header = ("offered_rps,achieved_rps,n_measured,mean_ms,p99_ms,"
               "wait_mean_ms,bottleneck,bottleneck_util"
               + "".join("," + column for column in extra) + "\n")
-
-    def _write(handle: TextIO) -> int:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(header)
         for p in points:
             cells = [f"{p.offered_rps:.3f}", f"{p.achieved_rps:.3f}",
@@ -349,12 +347,7 @@ def export_curve_csv(points: Sequence[RatePoint],
             cells += [f"{p.station_depth.get(name, 0.0):.6f}"
                       for name in stations]
             handle.write(",".join(cells) + "\n")
-        return len(points)
-
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as handle:
-            return _write(handle)
-    return _write(destination)
+    return len(points)
 
 
 # ---------------------------------------------------------------------------

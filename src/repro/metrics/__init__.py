@@ -10,11 +10,10 @@ counter, read by the Table 6 series of :mod:`repro.experiments.figures`.
 """
 
 from repro.metrics.cpu import cpu_utilization
-from repro.metrics.energy import EnergyReport, EnergySpec, measure_energy
+from repro.metrics.energy import EnergyReport, measure_energy
 
 __all__ = [
     "EnergyReport",
-    "EnergySpec",
     "cpu_utilization",
     "measure_energy",
 ]

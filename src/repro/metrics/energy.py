@@ -27,27 +27,25 @@ from typing import Optional
 from repro.baselines.base import StorageSystem
 
 
-@dataclass(frozen=True)
-class EnergySpec:
-    """Component power/energy parameters."""
+# Component power/energy parameters.
 
-    #: HDD spindle power while the run lasts (W).
-    hdd_spin_w: float = 7.0
-    #: Additional HDD power while actually seeking/transferring (W);
-    #: spin + active together match the paper's 15 W per disk.
-    hdd_active_w: float = 8.0
-    #: SSD energy per 4 KB page read (J) — the paper's cited 9.5 µJ.
-    ssd_read_j: float = 9.5e-6
-    #: SSD energy per 4 KB page program (J) — the paper's cited 76.1 µJ.
-    ssd_write_j: float = 76.1e-6
-    #: SSD energy per block erase (J).
-    ssd_erase_j: float = 2.0e-3
-    #: CPU active power above idle (W).
-    cpu_active_w: float = 65.0
-    #: Spindle power of the host's system disk (W).  Charged to systems
-    #: that bring no HDD of their own — the paper's Fusion-io baseline
-    #: explicitly includes the system disk in its measurement.
-    system_disk_w: float = 7.0
+#: HDD spindle power while the run lasts (W).
+HDD_SPIN_W = 7.0
+#: Additional HDD power while actually seeking/transferring (W);
+#: spin + active together match the paper's 15 W per disk.
+HDD_ACTIVE_W = 8.0
+#: SSD energy per 4 KB page read (J) — the paper's cited 9.5 µJ.
+SSD_READ_J = 9.5e-6
+#: SSD energy per 4 KB page program (J) — the paper's cited 76.1 µJ.
+SSD_WRITE_J = 76.1e-6
+#: SSD energy per block erase (J).
+SSD_ERASE_J = 2.0e-3
+#: CPU active power above idle (W).
+CPU_ACTIVE_W = 65.0
+#: Spindle power of the host's system disk (W).  Charged to systems
+#: that bring no HDD of their own — the paper's Fusion-io baseline
+#: explicitly includes the system disk in its measurement.
+SYSTEM_DISK_W = 7.0
 
 
 @dataclass
@@ -70,8 +68,7 @@ class EnergyReport:
 
 def measure_energy(system: StorageSystem, wall_time_s: float,
                    app_cpu_s: float,
-                   storage_cpu_s: Optional[float] = None,
-                   spec: Optional[EnergySpec] = None) -> EnergyReport:
+                   storage_cpu_s: Optional[float] = None) -> EnergyReport:
     """Activity energy of one completed run on ``system``.
 
     ``wall_time_s`` is the run's total virtual time and ``app_cpu_s`` the
@@ -79,8 +76,6 @@ def measure_energy(system: StorageSystem, wall_time_s: float,
     ``storage_cpu_s`` lets the runner exclude load-phase computation; it
     defaults to the system's cumulative CPU time.
     """
-    if spec is None:
-        spec = EnergySpec()
     if wall_time_s < 0 or app_cpu_s < 0:
         raise ValueError("times cannot be negative")
     if storage_cpu_s is None:
@@ -91,17 +86,16 @@ def measure_energy(system: StorageSystem, wall_time_s: float,
     for device in system.devices():
         name = getattr(device, "name", "")
         if name == "ssd":
-            ssd_j += device.read_blocks * spec.ssd_read_j
-            ssd_j += device.write_blocks * spec.ssd_write_j
-            ssd_j += device.gc_page_moves * (
-                spec.ssd_read_j + spec.ssd_write_j)
-            ssd_j += device.gc_erases * spec.ssd_erase_j
+            ssd_j += device.read_blocks * SSD_READ_J
+            ssd_j += device.write_blocks * SSD_WRITE_J
+            ssd_j += device.gc_page_moves * (SSD_READ_J + SSD_WRITE_J)
+            ssd_j += device.gc_erases * SSD_ERASE_J
         elif name == "hdd":
             has_hdd = True
-            hdd_j += spec.hdd_spin_w * wall_time_s
-            hdd_j += spec.hdd_active_w * device.busy_time
+            hdd_j += HDD_SPIN_W * wall_time_s
+            hdd_j += HDD_ACTIVE_W * device.busy_time
     if not has_hdd:
         # The host still spins its system disk for the whole run.
-        hdd_j += spec.system_disk_w * wall_time_s
-    cpu_j = spec.cpu_active_w * (app_cpu_s + storage_cpu_s)
+        hdd_j += SYSTEM_DISK_W * wall_time_s
+    cpu_j = CPU_ACTIVE_W * (app_cpu_s + storage_cpu_s)
     return EnergyReport(hdd_j=hdd_j, ssd_j=ssd_j, cpu_j=cpu_j)

@@ -54,7 +54,7 @@ from functools import partial
 from itertools import accumulate
 from operator import attrgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, \
-    Sequence, TextIO, Tuple, Union
+    Sequence, Tuple
 
 # ---------------------------------------------------------------------------
 # Instrument catalogue (the doc-parity-checked schema)
@@ -371,24 +371,19 @@ class SLORule:
       uses ``scale=86400``);
     * ``"p50"``/``"p95"``/``"p99"``... — histogram window quantiles.
 
-    ``bound`` is ``"max"`` (breach when value > threshold) or ``"min"``
-    (breach when value < threshold).  ``metric`` may be a bare
-    instrument name; it resolves against labelled series when unique.
+    A window breaches the rule when its value exceeds ``threshold``.
+    ``metric`` may be a bare instrument name; it resolves against
+    labelled series when unique.
     """
 
     name: str
     metric: str
     stat: str
-    bound: str
     threshold: float
     scale: float = 1.0
     unit: str = ""
-    description: str = ""
 
     def __post_init__(self) -> None:
-        if self.bound not in ("max", "min"):
-            raise ValueError(f"bound must be 'max' or 'min', "
-                             f"got {self.bound!r}")
         if self.stat not in ("value", "delta", "rate") \
                 and not self.stat.startswith("p"):
             raise ValueError(f"unknown stat {self.stat!r}")
@@ -405,31 +400,24 @@ class SLOBreach:
     value: float
 
     def render(self) -> str:
-        sign = ">" if self.rule.bound == "max" else "<"
         return (f"[{self.t_start:9.3f}s - {self.t_end:9.3f}s) "
                 f"{self.rule.name}: {self.rule.stat}"
                 f"({self.rule.metric}) = {self.value:.4g}{self.rule.unit} "
-                f"{sign} {self.rule.threshold:.4g}{self.rule.unit}")
+                f"> {self.rule.threshold:.4g}{self.rule.unit}")
 
 
 def default_slo_rules(ssd_capacity_pages: Optional[int] = None
                       ) -> List[SLORule]:
     """The stock rule set the paper's operating envelope implies."""
     # One mechanical access is ~15 ms; a p99 beyond two of them means
-    # the window was dominated by log fetches or GC stalls.
+    # the window was dominated by log fetches or GC stalls.  The delta
+    # log stays below its high-water mark (compaction headroom).
     rules = [
-        SLORule("read_p99", "read_latency_us", "p99", "max", 30_000.0,
-                unit="us",
-                description="p99 read latency within two mechanical "
-                            "accesses"),
-        SLORule("write_p99", "write_latency_us", "p99", "max", 30_000.0,
-                unit="us",
-                description="p99 write latency within two mechanical "
-                            "accesses"),
+        SLORule("read_p99", "read_latency_us", "p99", 30_000.0, unit="us"),
+        SLORule("write_p99", "write_latency_us", "p99", 30_000.0,
+                unit="us"),
         SLORule("delta_log_high_water", "delta_log_occupancy", "value",
-                "max", 0.9,
-                description="delta log below its high-water mark "
-                            "(compaction headroom)"),
+                0.9),
     ]
     # Daily-write budget: the lifetime argument of Table 6.  Default to
     # 20 full-device writes per day — generous for SLC, and any
@@ -437,9 +425,7 @@ def default_slo_rules(ssd_capacity_pages: Optional[int] = None
     budget = 20.0 * ssd_capacity_pages if ssd_capacity_pages else 2e7
     rules.append(
         SLORule("ssd_daily_write_budget", "ssd_program_total", "rate",
-                "max", budget, scale=86400.0, unit=" pages/day",
-                description="SSD program rate within the daily write "
-                            "budget"))
+                budget, scale=86400.0, unit=" pages/day"))
     return rules
 
 
@@ -601,9 +587,7 @@ class Monitor:
             for rule in self._rules:
                 value = self._window_stat(index, rule.metric, rule.stat,
                                           rule.scale)
-                if value is not None and (
-                        value > rule.threshold if rule.bound == "max"
-                        else value < rule.threshold):
+                if value is not None and value > rule.threshold:
                     self.breaches.append(SLOBreach(
                         rule, index, self.t_start[index],
                         self.t_end[index], value))
@@ -799,22 +783,20 @@ class Monitor:
 # ---------------------------------------------------------------------------
 
 
-def export_series_csv(monitor: Monitor,
-                      destination: Union[str, TextIO]) -> int:
-    """Write one CSV row per window (:meth:`Monitor.window_record`),
-    one column per series key, sorted; returns the number of rows."""
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as handle:
-            return export_series_csv(monitor, handle)
+def export_series_csv(monitor: Monitor, path: str) -> int:
+    """Write one CSV row per window (:meth:`Monitor.window_record`) to
+    ``path``, one column per series key, sorted; returns the number of
+    rows."""
     keys = sorted(monitor.kinds)
     header = ["window", "t_start_s", "t_end_s"] + keys
-    destination.write(",".join(_csv_quote(h) for h in header) + "\n")
-    for index in range(len(monitor.t_end)):
-        row = monitor.window_record(index)["series"]
-        cells = [str(index), repr(monitor.t_start[index]),
-                 repr(monitor.t_end[index])]
-        cells.extend(_csv_format(row.get(key)) for key in keys)
-        destination.write(",".join(cells) + "\n")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(_csv_quote(h) for h in header) + "\n")
+        for index in range(len(monitor.t_end)):
+            row = monitor.window_record(index)["series"]
+            cells = [str(index), repr(monitor.t_start[index]),
+                     repr(monitor.t_end[index])]
+            cells.extend(_csv_format(row.get(key)) for key in keys)
+            handle.write(",".join(cells) + "\n")
     return len(monitor.t_end)
 
 
@@ -833,33 +815,28 @@ def _csv_format(value: Optional[float]) -> str:
     return repr(value)
 
 
-def export_series_jsonl(monitor: Monitor,
-                        destination: Union[str, TextIO]) -> int:
-    """One JSON object per window (:meth:`Monitor.window_record`) —
-    greppable and streamable like the trace JSONL."""
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as handle:
-            return export_series_jsonl(monitor, handle)
-    for index in range(len(monitor.t_end)):
-        destination.write(json.dumps(monitor.window_record(index),
-                                     sort_keys=True) + "\n")
+def export_series_jsonl(monitor: Monitor, path: str) -> int:
+    """One JSON object per window (:meth:`Monitor.window_record`),
+    written to ``path`` — greppable and streamable like the trace
+    JSONL."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for index in range(len(monitor.t_end)):
+            handle.write(json.dumps(monitor.window_record(index),
+                                    sort_keys=True) + "\n")
     return len(monitor.t_end)
 
 
-def export_prometheus(monitor: Monitor,
-                      destination: Union[str, TextIO]) -> int:
-    """Write every instrument's current cumulative state in the
-    Prometheus text exposition format (``# HELP`` / ``# TYPE`` /
+def export_prometheus(monitor: Monitor, path: str) -> int:
+    """Write every instrument's current cumulative state to ``path`` in
+    the Prometheus text exposition format (``# HELP`` / ``# TYPE`` /
     samples, histogram buckets in ascending ``le`` order with ``+Inf``
     last); returns the number of sample lines."""
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as handle:
-            return export_prometheus(monitor, handle)
     lines = 0
-    for name, spec, samples in monitor._read():
-        destination.write(f"# HELP {name} {spec.help} (unit: {spec.unit})\n")
-        destination.write(f"# TYPE {name} {spec.kind}\n")
-        for key, value in samples:
-            destination.write(f"{key} {_csv_format(value)}\n")
-        lines += len(samples)
+    with open(path, "w", encoding="utf-8") as handle:
+        for name, spec, samples in monitor._read():
+            handle.write(f"# HELP {name} {spec.help} (unit: {spec.unit})\n")
+            handle.write(f"# TYPE {name} {spec.kind}\n")
+            for key, value in samples:
+                handle.write(f"{key} {_csv_format(value)}\n")
+            lines += len(samples)
     return lines

@@ -48,8 +48,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from operator import itemgetter
-from typing import Deque, Dict, Iterable, List, Optional, TextIO, \
-    Tuple, Union
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 #: Every event type any instrumentation site may emit.  The ring fold
 #: rejects unknown names, and a test asserts ``docs/OBSERVABILITY.md``
@@ -116,27 +115,18 @@ class TraceEvent:
     def is_instant(self) -> bool:
         return self.dur == 0.0
 
+    def optional_fields(self) -> Dict[str, object]:
+        """The fields an event may lack, ``None`` omitted: the tail of
+        its JSONL record and the ``args`` of its Chrome event."""
+        return {key: value for key, value in (
+            ("req", self.req), ("lba", self.lba), ("bytes", self.nbytes),
+            ("outcome", self.outcome)) if value is not None}
+
     def to_dict(self) -> Dict[str, object]:
         """JSONL wire form (times in microseconds, ``None`` omitted)."""
-        out: Dict[str, object] = {
-            "name": self.name,
-            "ts_us": self.ts * 1e6,
-            "dur_us": self.dur * 1e6,
-            "track": self.track,
-        }
-        if self.req is not None:
-            out["req"] = self.req
-        if self.lba is not None:
-            out["lba"] = self.lba
-        if self.nbytes is not None:
-            out["bytes"] = self.nbytes
-        if self.outcome is not None:
-            out["outcome"] = self.outcome
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"TraceEvent({self.name!r}, ts={self.ts * 1e6:.1f}us, "
-                f"dur={self.dur * 1e6:.1f}us, track={self.track!r})")
+        return {"name": self.name, "ts_us": self.ts * 1e6,
+                "dur_us": self.dur * 1e6, "track": self.track,
+                **self.optional_fields()}
 
 
 #: What a :class:`Recorder` keeps of one emission: a flat tuple
@@ -396,7 +386,7 @@ class RingBufferTracer:
 # Exporters
 # ---------------------------------------------------------------------------
 
-def completeness_header(tracer) -> Dict[str, object]:
+def completeness_header(tracer: RingBufferTracer) -> Dict[str, object]:
     """Trace-completeness metadata for an exported trace.
 
     Carries the ring buffer's bookkeeping into the file itself, so an
@@ -410,30 +400,23 @@ def completeness_header(tracer) -> Dict[str, object]:
             "complete": dropped == 0}
 
 
-def export_jsonl(events: Iterable[TraceEvent],
-                 destination: Union[str, TextIO],
-                 tracer=None) -> int:
-    """Write events as JSON Lines; returns the number written.
+def export_jsonl(tracer: RingBufferTracer, path: str) -> int:
+    """Write the tracer's events to ``path`` as JSON Lines; returns the
+    number of events written.
 
-    With ``tracer`` (the :class:`RingBufferTracer` that recorded the
-    events), the first line is a ``{"trace_header": ...}`` object
-    carrying :func:`completeness_header` metadata (the one line without
-    a ``name`` field).
+    The first line is a ``{"trace_header": ...}`` object carrying
+    :func:`completeness_header` metadata (the one line without a
+    ``name`` field).
     """
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as handle:
-            return export_jsonl(events, handle, tracer=tracer)
-    if tracer is not None:
-        destination.write(json.dumps(
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(
             {"trace_header": completeness_header(tracer)},
             sort_keys=True))
-        destination.write("\n")
-    count = 0
-    for event in events:
-        destination.write(json.dumps(event.to_dict(), sort_keys=True))
-        destination.write("\n")
-        count += 1
-    return count
+        handle.write("\n")
+        for event in tracer.events:
+            handle.write(json.dumps(event.to_dict(), sort_keys=True))
+            handle.write("\n")
+    return len(tracer.events)
 
 
 #: Stable thread ids for the Chrome exporter, one per track.
@@ -445,53 +428,38 @@ _CHROME_TRACK_NAMES = {TRACK_REQUEST: "requests",
                        TRACK_DEVICE: "device internal"}
 
 
-def export_chrome_trace(events: Iterable[TraceEvent],
-                        destination: Union[str, TextIO],
-                        tracer=None) -> int:
-    """Write the Chrome ``trace_event`` JSON format.
+def export_chrome_trace(tracer: RingBufferTracer, path: str) -> int:
+    """Write the tracer's events to ``path`` in the Chrome
+    ``trace_event`` JSON format.
 
     The output loads directly in ``chrome://tracing`` and Perfetto
     (https://ui.perfetto.dev): spans become complete (``"X"``) events,
     instants become ``"i"`` events, and each track gets a named thread.
     Returns the number of trace events written (metadata excluded).
 
-    With ``tracer``, :func:`completeness_header` metadata is written
-    both as a top-level ``"metadata"`` key and as a
-    ``trace_completeness`` metadata (``"M"``) record, so the drop count
-    survives viewers that strip unknown top-level keys.
+    :func:`completeness_header` metadata is written both as a top-level
+    ``"metadata"`` key and as a ``trace_completeness`` metadata
+    (``"M"``) record, so the drop count survives viewers that strip
+    unknown top-level keys.
     """
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as handle:
-            return export_chrome_trace(events, handle, tracer=tracer)
+    header = completeness_header(tracer)
     records: List[Dict[str, object]] = [
         {"ph": "M", "pid": 0, "tid": 0, "name": "process_name",
          "args": {"name": "repro"}},
+        {"ph": "M", "pid": 0, "tid": 0, "name": "trace_completeness",
+         "args": header},
     ]
-    header = completeness_header(tracer) if tracer is not None else None
-    if header is not None:
-        records.append({"ph": "M", "pid": 0, "tid": 0,
-                        "name": "trace_completeness", "args": header})
     records.extend({"ph": "M", "pid": 0, "tid": tid,
                     "name": "thread_name",
                     "args": {"name": _CHROME_TRACK_NAMES[track]}}
                    for track, tid in _CHROME_TIDS.items())
-    count = 0
-    for event in events:
-        args: Dict[str, object] = {}
-        if event.req is not None:
-            args["req"] = event.req
-        if event.lba is not None:
-            args["lba"] = event.lba
-        if event.nbytes is not None:
-            args["bytes"] = event.nbytes
-        if event.outcome is not None:
-            args["outcome"] = event.outcome
+    for event in tracer.events:
         record: Dict[str, object] = {
             "name": event.name,
             "pid": 0,
             "tid": _CHROME_TIDS.get(event.track, 0),
             "ts": event.ts * 1e6,
-            "args": args,
+            "args": event.optional_fields(),
         }
         if event.is_instant:
             record["ph"] = "i"
@@ -500,10 +468,7 @@ def export_chrome_trace(events: Iterable[TraceEvent],
             record["ph"] = "X"
             record["dur"] = event.dur * 1e6
         records.append(record)
-        count += 1
-    payload: Dict[str, object] = {"traceEvents": records,
-                                  "displayTimeUnit": "ms"}
-    if header is not None:
-        payload["metadata"] = {"trace_completeness": header}
-    json.dump(payload, destination)
-    return count
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump({"traceEvents": records, "displayTimeUnit": "ms",
+                   "metadata": {"trace_completeness": header}}, handle)
+    return len(tracer.events)

@@ -25,7 +25,8 @@ adds in another order moves a pin.
 
 from __future__ import annotations
 
-import io
+import tempfile
+from pathlib import Path
 from typing import Dict
 from unittest import mock
 
@@ -63,15 +64,19 @@ CASES = list(RUNS) + [f"chaos/{scenario.scenario_id}"
 
 def exports(monitor: Monitor) -> Dict[str, str]:
     """A sha256 of each export of a finished ``monitor``."""
-    csv, jsonl, prom = io.StringIO(), io.StringIO(), io.StringIO()
-    export_series_csv(monitor, csv)
-    export_series_jsonl(monitor, jsonl)
-    export_prometheus(monitor, prom)
-    breaches = [[b.rule.name, b.window, b.t_start, b.t_end, b.value]
-                for b in monitor.breaches]
-    return {"csv": sha(csv.getvalue()), "jsonl": sha(jsonl.getvalue()),
-            "prom": sha(prom.getvalue()), "breaches": sha_json(breaches),
-            "report": sha(monitor.render_report())}
+    with tempfile.TemporaryDirectory() as scratch:
+        csv, jsonl, prom = (Path(scratch, name) for name in (
+            "series.csv", "series.jsonl", "metrics.prom"))
+        export_series_csv(monitor, str(csv))
+        export_series_jsonl(monitor, str(jsonl))
+        export_prometheus(monitor, str(prom))
+        breaches = [[b.rule.name, b.window, b.t_start, b.t_end, b.value]
+                    for b in monitor.breaches]
+        return {"csv": sha(csv.read_bytes()),
+                "jsonl": sha(jsonl.read_bytes()),
+                "prom": sha(prom.read_bytes()),
+                "breaches": sha_json(breaches),
+                "report": sha(monitor.render_report())}
 
 
 def monitored(name: str) -> Monitor:

@@ -20,7 +20,8 @@ Chrome pins predate it.
 
 from __future__ import annotations
 
-import io
+import tempfile
+from pathlib import Path
 from typing import Dict
 
 from reference.pins import sha, sha_json
@@ -50,17 +51,19 @@ CASES = {
 def _trace_pin(tracer: RingBufferTracer,
                profiler: Profiler) -> Dict[str, object]:
     """What a reader of the run gets: the three files."""
-    jsonl, chrome, folded = io.StringIO(), io.StringIO(), io.StringIO()
-    export_jsonl(tracer.events, jsonl, tracer=tracer)
-    export_chrome_trace(tracer.events, chrome, tracer=tracer)
-    export_folded(profiler.table, tracer.events, folded)
-    return {
-        "events": len(tracer.events),
-        "dropped": tracer.dropped,
-        "jsonl_sha256": sha(jsonl.getvalue()),
-        "chrome_sha256": sha(chrome.getvalue()),
-        "folded_sha256": sha(folded.getvalue()),
-    }
+    with tempfile.TemporaryDirectory() as scratch:
+        jsonl, chrome, folded = (Path(scratch, name) for name in (
+            "trace.jsonl", "trace.json", "flame.folded"))
+        export_jsonl(tracer, str(jsonl))
+        export_chrome_trace(tracer, str(chrome))
+        export_folded(profiler.table, tracer.events, str(folded))
+        return {
+            "events": len(tracer.events),
+            "dropped": tracer.dropped,
+            "jsonl_sha256": sha(jsonl.read_bytes()),
+            "chrome_sha256": sha(chrome.read_bytes()),
+            "folded_sha256": sha(folded.read_bytes()),
+        }
 
 
 def pin(name: str) -> Dict[str, object]:

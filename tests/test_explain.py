@@ -26,8 +26,7 @@ import pytest
 from repro import ledger as ledger_module
 from repro.analysis.explain import (explain_ledger_rows,
                                     export_flame_diff,
-                                    flame_diff_stacks,
-                                    significant_scalars)
+                                    flame_diff_stacks)
 from repro.core import ICASHController
 from repro.experiments.runner import run_benchmark
 from repro.experiments.systems import make_icash_config
@@ -241,9 +240,9 @@ class TestRecipe:
 class TestScalars:
     def test_significance_respects_tolerance(self, store):
         report = _explain(store, "1", "2")
-        assert significant_scalars(report.scalar_deltas) == []
+        assert not any(d.significant for d in report.scalar_deltas)
         report = _explain(store, "1", "3")
-        sig = significant_scalars(report.scalar_deltas)
+        sig = [d for d in report.scalar_deltas if d.significant]
         assert any(d.metric == "transactions_per_s" for d in sig)
 
 

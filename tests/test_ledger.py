@@ -502,7 +502,7 @@ class TestTrend:
                            "config_overrides": [["delta_accept_bytes",
                                                  64]]})
         metric = "counters.delta_reconstructions"
-        values = [ledger_module.metric_value(row, metric)
+        values = [ledger_module.flatten_metrics(row.metrics)[metric]
                   for row in store.rows()]
         assert len(set(values[:5])) == 1, "identical reruns drifted"
         assert values[5] != values[0], "config change had no effect"
@@ -530,7 +530,7 @@ class TestTrend:
         assert len(flat) == 3 and len(set(flat)) == 1
         ramp = sparkline(list(range(8)))
         assert ramp[0] == "▁" and ramp[-1] == "█"
-        assert len(sparkline(list(range(100)), width=60)) == 60
+        assert len(sparkline(list(range(100)))) == 60
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,18 @@ class TestSchemaVersionParity:
         assert heading is not None
         assert int(heading.group(1)) == ledger.LEDGER_SCHEMA_VERSION
 
-    def test_schema_map_literal_matches(self, doc_text):
+    def test_schema_map_literal_matches(self, doc_text, tmp_path):
+        from repro.experiments.runner import run_benchmark
+        from repro.experiments.systems import make_system
+        from repro.workloads import SysBenchWorkload
+
         expected = '`{"ledger": %d}`' % ledger.LEDGER_SCHEMA_VERSION
         assert expected in doc_text
-        assert ledger.schema_versions() == {
+        workload = SysBenchWorkload(scale=0.05, n_requests=50, seed=2011)
+        result = run_benchmark(workload, make_system("icash", workload))
+        writer = ledger.LedgerWriter(str(tmp_path))
+        writer.record(result, command="run")
+        assert writer.get("1").provenance["schema"] == {
             "ledger": ledger.LEDGER_SCHEMA_VERSION}
 
 

@@ -5,7 +5,8 @@ import pytest
 from repro.baselines import PureSSD, RAID0Storage
 from repro.devices.ssd import FlashSSD, SSDSpec
 from repro.metrics.cpu import cpu_utilization
-from repro.metrics.energy import EnergyReport, EnergySpec, measure_energy
+from repro.metrics import energy
+from repro.metrics.energy import EnergyReport, measure_energy
 
 from conftest import make_block, make_dataset
 
@@ -15,21 +16,17 @@ class TestEnergyModel:
         system = PureSSD(make_dataset(32))
         system.read(0, 2)
         system.write(1, [make_block()])
-        spec = EnergySpec()
-        report = measure_energy(system, wall_time_s=1.0, app_cpu_s=0.0,
-                                spec=spec)
-        expected_ssd = 2 * spec.ssd_read_j + 1 * spec.ssd_write_j
+        report = measure_energy(system, wall_time_s=1.0, app_cpu_s=0.0)
+        expected_ssd = 2 * energy.SSD_READ_J + 1 * energy.SSD_WRITE_J
         assert report.ssd_j == pytest.approx(expected_ssd)
         # A pure-SSD host still spins its system disk (the paper counts it).
-        assert report.hdd_j == pytest.approx(spec.system_disk_w * 1.0)
+        assert report.hdd_j == pytest.approx(energy.SYSTEM_DISK_W * 1.0)
 
     def test_hdd_energy_has_spin_component(self):
         system = RAID0Storage(make_dataset(32), ndisks=4)
-        spec = EnergySpec()
-        report = measure_energy(system, wall_time_s=10.0, app_cpu_s=0.0,
-                                spec=spec)
+        report = measure_energy(system, wall_time_s=10.0, app_cpu_s=0.0)
         # Four spindles spinning for 10 s even with zero activity.
-        assert report.hdd_j == pytest.approx(4 * spec.hdd_spin_w * 10.0)
+        assert report.hdd_j == pytest.approx(4 * energy.HDD_SPIN_W * 10.0)
 
     def test_active_hdd_costs_more(self):
         idle = RAID0Storage(make_dataset(64), ndisks=4)
@@ -43,17 +40,15 @@ class TestEnergyModel:
     def test_cpu_energy_counts_app_and_storage(self):
         system = PureSSD(make_dataset(16))
         system.cpu_time = 2.0
-        spec = EnergySpec()
-        report = measure_energy(system, 10.0, app_cpu_s=3.0, spec=spec)
-        assert report.cpu_j == pytest.approx(spec.cpu_active_w * 5.0)
+        report = measure_energy(system, 10.0, app_cpu_s=3.0)
+        assert report.cpu_j == pytest.approx(energy.CPU_ACTIVE_W * 5.0)
 
     def test_storage_cpu_override_excludes_load_phase(self):
         system = PureSSD(make_dataset(16))
         system.cpu_time = 2.0  # includes (say) ingest computation
-        spec = EnergySpec()
         report = measure_energy(system, 10.0, app_cpu_s=0.0,
-                                storage_cpu_s=0.5, spec=spec)
-        assert report.cpu_j == pytest.approx(spec.cpu_active_w * 0.5)
+                                storage_cpu_s=0.5)
+        assert report.cpu_j == pytest.approx(energy.CPU_ACTIVE_W * 0.5)
 
     def test_wh_conversion_and_breakdown(self):
         report = EnergyReport(hdd_j=3600.0, ssd_j=7200.0, cpu_j=0.0)
@@ -79,8 +74,8 @@ class TestEnergyModel:
                 return (ssd,)
         holder = _Holder()
         report = measure_energy(holder, 1.0, 0.0)
-        base = ssd.write_blocks * EnergySpec().ssd_write_j \
-            + ssd.read_blocks * EnergySpec().ssd_read_j
+        base = ssd.write_blocks * energy.SSD_WRITE_J \
+            + ssd.read_blocks * energy.SSD_READ_J
         assert report.ssd_j > base  # erases and moves cost extra
 
 

@@ -15,7 +15,6 @@ curve is monotone (within the arrival pattern's tolerance), flattens at
 a measurable knee, and post-knee p99 sits strictly above pre-knee p99.
 """
 
-import io
 
 import pytest
 from hypothesis import given, settings
@@ -269,7 +268,7 @@ class TestLoadGenerators:
 
 
 class TestObservabilityIntegration:
-    def test_queue_span_and_instruments(self):
+    def test_queue_span_and_instruments(self, tmp_path):
         wl = SysBenchWorkload(scale=0.05, n_requests=400)
         system = make_system("icash", wl)
         tracer = RingBufferTracer()
@@ -283,9 +282,9 @@ class TestObservabilityIntegration:
         assert "request_start" in names
         assert len(monitor.t_end) > 0
         assert isinstance(result.slo_breaches, list)
-        handle = io.StringIO()
-        export_prometheus(monitor, handle)
-        text = handle.getvalue()
+        path = tmp_path / "metrics.prom"
+        export_prometheus(monitor, str(path))
+        text = path.read_text()
         for name in ("queue_wait_us", "queue_depth",
                      "device_utilization", "delta_log_corrupt_total",
                      "recovery_replays_total", "recovery_records_total"):
@@ -390,13 +389,13 @@ class TestLoadtestSweep:
             assert point.p99_ms > pre.p99_ms
             assert point.wait_mean_ms >= pre.wait_mean_ms
 
-    def test_render_and_csv(self, sweep):
+    def test_render_and_csv(self, sweep, tmp_path):
         text = sweeps.render_curve(sweep)
         assert "knee" in text
         assert "#" in text
-        handle = io.StringIO()
-        assert sweeps.export_curve_csv(sweep, handle) == len(sweep)
-        lines = handle.getvalue().strip().splitlines()
+        path = tmp_path / "curve.csv"
+        assert sweeps.export_curve_csv(sweep, str(path)) == len(sweep)
+        lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("offered_rps,achieved_rps,")
         assert len(lines) == len(sweep) + 1
 
@@ -518,16 +517,16 @@ class TestCapturePhaseOrderingUnderNCQ:
 class TestCurveCsvStationColumns:
     """Satellite: sweep CSVs carry per-station utilisation and depth."""
 
-    def test_station_columns_present_and_ordered(self):
+    def test_station_columns_present_and_ordered(self, tmp_path):
         point = sweeps.RatePoint(
             offered_rps=100.0, achieved_rps=99.0, n_measured=50,
             mean_ms=0.1, p99_ms=0.3, wait_mean_ms=0.01,
             bottleneck="ssd", bottleneck_util=0.8,
             station_util={"ssd": 0.8, "hdd": 0.2},
             station_depth={"ssd": 2.5, "hdd": 0.1})
-        handle = io.StringIO()
-        assert sweeps.export_curve_csv([point], handle) == 1
-        header, row = handle.getvalue().strip().splitlines()
+        path = tmp_path / "curve.csv"
+        assert sweeps.export_curve_csv([point], str(path)) == 1
+        header, row = path.read_text().strip().splitlines()
         assert header == ("offered_rps,achieved_rps,n_measured,mean_ms,"
                           "p99_ms,wait_mean_ms,bottleneck,"
                           "bottleneck_util,util_hdd,util_ssd,"
@@ -537,7 +536,7 @@ class TestCurveCsvStationColumns:
         assert float(cells[9]) == pytest.approx(0.8)   # util_ssd
         assert float(cells[11]) == pytest.approx(2.5)  # depth_ssd
 
-    def test_points_missing_a_station_default_to_zero(self):
+    def test_points_missing_a_station_default_to_zero(self, tmp_path):
         rich = sweeps.RatePoint(
             offered_rps=1.0, achieved_rps=1.0, n_measured=1,
             mean_ms=0.1, p99_ms=0.1, wait_mean_ms=0.0,
@@ -547,9 +546,9 @@ class TestCurveCsvStationColumns:
             offered_rps=2.0, achieved_rps=2.0, n_measured=1,
             mean_ms=0.1, p99_ms=0.1, wait_mean_ms=0.0,
             bottleneck=None, bottleneck_util=0.0)
-        handle = io.StringIO()
-        sweeps.export_curve_csv([rich, bare], handle)
-        lines = handle.getvalue().strip().splitlines()
+        path = tmp_path / "curve.csv"
+        sweeps.export_curve_csv([rich, bare], str(path))
+        lines = path.read_text().strip().splitlines()
         assert lines[0].endswith("util_ssd,depth_ssd")
         assert lines[2].endswith("0.000000,0.000000")
 

@@ -9,7 +9,6 @@ reproduce the run's means), and the schema/documentation parity check.
 
 from __future__ import annotations
 
-import io
 import json
 import re
 from pathlib import Path
@@ -282,7 +281,7 @@ class TestExactness:
                 pytest.approx(table.total_s(op), rel=1e-9)
             assert ("host", "other") not in \
                 {(row.device, row.phase) for row in rows}
-            assert f"{op} critical path" in table.render(op)
+            assert f"{op} critical path" in table.render()
 
 
 class TestCacheBaselineDestages:
@@ -376,7 +375,7 @@ class TestControllerIntegration:
 
 
 class TestExporters:
-    def make_events(self):
+    def make_tracer(self):
         recorder, tracer = Recorder(keep=True), RingBufferTracer()
         recorder.begin_request("read", 7, 2)
         recorder.instant("cache_lookup", lba=7, outcome="associate")
@@ -388,14 +387,15 @@ class TestExporters:
         recorder.span("hdd_log_append", 2e-3, lba=0, nbytes=8192)
         recorder.end_background()
         fold_taken(recorder, tracer)
-        return list(tracer.events)
+        return tracer
 
     def test_jsonl_round_trip(self, tmp_path):
-        events = self.make_events()
+        tracer = self.make_tracer()
+        events = list(tracer.events)
         path = str(tmp_path / "trace.jsonl")
-        written = export_jsonl(events, path)
+        written = export_jsonl(tracer, path)
         assert written == len(events)
-        loaded = jsonl_lines(path)
+        _header, *loaded = jsonl_lines(path)
         assert len(loaded) == len(events)
         for event, data in zip(events, loaded):
             assert data["name"] == event.name
@@ -410,9 +410,10 @@ class TestExporters:
             assert data.get("outcome") == event.outcome
 
     def test_chrome_round_trip(self, tmp_path):
-        events = self.make_events()
+        tracer = self.make_tracer()
+        events = list(tracer.events)
         path = str(tmp_path / "trace.json")
-        written = export_chrome_trace(events, path)
+        written = export_chrome_trace(tracer, path)
         assert written == len(events)
         loaded = chrome_events(path)
         assert len(loaded) == len(events)
@@ -429,12 +430,10 @@ class TestExporters:
             assert args.get("bytes") == event.nbytes
             assert args.get("outcome") == event.outcome
 
-    def test_chrome_format_shape(self):
-        import json
-
-        buffer = io.StringIO()
-        export_chrome_trace(self.make_events(), buffer)
-        payload = json.loads(buffer.getvalue())
+    def test_chrome_format_shape(self, tmp_path):
+        path = tmp_path / "trace.json"
+        export_chrome_trace(self.make_tracer(), str(path))
+        payload = json.loads(path.read_text())
         records = payload["traceEvents"]
         phases = {r["ph"] for r in records}
         assert phases == {"M", "X", "i"}
@@ -612,7 +611,7 @@ class TestExporterCompleteness:
     def test_jsonl_header_round_trip(self, tmp_path):
         tracer = self.overflowed_tracer()
         path = str(tmp_path / "trace.jsonl")
-        export_jsonl(tracer.events, path, tracer=tracer)
+        export_jsonl(tracer, path)
         first, *events = jsonl_lines(path)
         assert first == {"trace_header": {"recorded": len(tracer.events),
                                           "dropped": tracer.dropped,
@@ -621,16 +620,10 @@ class TestExporterCompleteness:
         assert len(events) == len(tracer.events)
         assert all("name" in event for event in events)
 
-    def test_jsonl_without_tracer_has_no_header(self, tmp_path):
-        tracer = self.overflowed_tracer()
-        path = str(tmp_path / "trace.jsonl")
-        export_jsonl(tracer.events, path)
-        assert all("name" in line for line in jsonl_lines(path))
-
     def test_chrome_metadata_round_trip(self, tmp_path):
         tracer = self.overflowed_tracer()
         path = str(tmp_path / "trace.json")
-        export_chrome_trace(tracer.events, path, tracer=tracer)
+        export_chrome_trace(tracer, path)
         payload = json.loads(Path(path).read_text())
         header = payload["metadata"]["trace_completeness"]
         assert header["dropped"] == tracer.dropped
@@ -649,7 +642,7 @@ class TestExporterCompleteness:
         recorder.span("ssd_read", 10e-6)
         fold_taken(recorder, tracer, 10e-6)
         path = str(tmp_path / "trace.json")
-        export_chrome_trace(tracer.events, path, tracer=tracer)
+        export_chrome_trace(tracer, path)
         payload = json.loads(Path(path).read_text())
         assert payload["metadata"]["trace_completeness"]["complete"] \
             is True
