@@ -6,8 +6,10 @@ that drive the paper's three replacement policies (Section 4.3):
 1. **Virtual block replacement** — no free virtual block: replace the
    first *non-reference* block from the LRU tail.
 2. **Data block replacement** — RAM data budget exhausted: drop the data
-   of the first block from the tail that holds one (a reference block's
-   data copy may also be dropped; the SSD still holds it).
+   of the first block from the tail that holds one.  A reference holds
+   RAM data only while shadowed, and then the data is its own diverged
+   content, never its frozen copy, which the SSD alone holds; dropping
+   it writes it back to the HDD data region first when dirty.
 3. **Delta replacement** — segment pool exhausted: replace the first
    non-reference block from the tail that holds a delta.
 

@@ -115,7 +115,7 @@ class ICASHController(StorageSystem):
     #: the read and write paths by these names.
     COUNTERS = (
         # read path
-        "ram_data_hits", "ram_ref_hits", "ram_delta_hits", "ssd_ref_reads",
+        "ram_data_hits", "ram_delta_hits", "ssd_ref_reads",
         "ssd_ref_direct_reads", "ssd_ref_reads_background",
         "ssd_spill_reads", "shadowed_ref_reads", "hdd_data_reads",
         "log_delta_fetches", "delta_reconstructions", "recon_cache_hits",
@@ -355,12 +355,10 @@ class ICASHController(StorageSystem):
                 for order in orders:
                     if ref_lba in order:
                         order.move_to_end(ref_lba)
-            if ref_vb is not None and ref_vb.data is not None:
-                latency = self.dram.access()
-                self.ram_ref_hits += 1
-            else:
-                latency = self._ssd_read_latency(ref_lba)
-                self.ssd_ref_reads += 1
+            # The frozen copy is on the SSD alone: a reference's RAM data
+            # is its own diverged content (a shadowed reference).
+            latency = self._ssd_read_latency(ref_lba)
+            self.ssd_ref_reads += 1
             delta = vb.delta
             if delta is not None:
                 latency += self.dram.access(vb.delta_segments_bytes)
@@ -571,12 +569,13 @@ class ICASHController(StorageSystem):
         read still occupies the device (background time).
         """
         ref_lba = self._delta_map[vb.lba].ref_lba
-        ref_vb = self.cache.get(ref_lba)
+        self.cache.get(ref_lba)  # a dependant's write keeps it warm
         tracer = self.tracer
-        if ref_vb is None or ref_vb.data is None:
-            # The reference read overlaps request processing (§5.1).
-            self._in_background(self._ssd_read_latency, ref_lba)
-            self.ssd_ref_reads_background += 1
+        # The reference read overlaps request processing (§5.1); the
+        # frozen copy is on the SSD alone, whatever RAM data a shadowed
+        # reference holds.
+        self._in_background(self._ssd_read_latency, ref_lba)
+        self.ssd_ref_reads_background += 1
         delta = encode_delta(content, self._ssd_copies[ref_lba].data)
         cpu = self.config.compress_s
         self.cpu_time += cpu

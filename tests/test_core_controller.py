@@ -250,6 +250,50 @@ class TestRetiredReferenceKeepsItsContent:
         assert np.array_equal(out, frozen)
 
 
+class TestShadowedReferenceServesFromItsSSDCopy:
+    """A shadowed reference's RAM data is its own diverged content; its
+    associates' deltas apply to, and are encoded against, the frozen
+    copy, which only the SSD holds."""
+
+    @staticmethod
+    def _shadowed(rng):
+        dataset = family_dataset()
+        controller = ICASHController(dataset.copy(), small_config())
+        controller.ingest()
+        ref_lba = TestRetiredReferenceKeepsItsContent.\
+            _reference_with_dependents(controller)
+        controller.write(ref_lba, [rng.integers(
+            0, 256, BLOCK_SIZE, dtype=np.uint8)])
+        assert ref_lba in controller.shadowed_reference_lbas
+        assert controller.cache.get(ref_lba, touch=False).data is not None
+        lba = next(lba for lba, (mapped_ref, _slot)
+                   in controller.delta_map_snapshot().items()
+                   if mapped_ref == ref_lba and lba != ref_lba)
+        return dataset, controller, lba
+
+    def test_associate_read_pays_an_ssd_reference_read(self, rng):
+        dataset, controller, lba = self._shadowed(rng)
+        ref_reads = controller.ssd_ref_reads
+        ssd_reads = controller.ssd.read_ops
+        _, (out,) = controller.read(lba)
+        assert np.array_equal(out, dataset[lba])
+        assert controller.ssd_ref_reads == ref_reads + 1
+        assert controller.ssd.read_ops == ssd_reads + 1
+
+    def test_associate_write_pays_a_background_ssd_read(self, rng):
+        dataset, controller, lba = self._shadowed(rng)
+        content = dataset[lba].copy()
+        content[:16] ^= 0xFF
+        background = controller.ssd_ref_reads_background
+        ssd_reads = controller.ssd.read_ops
+        controller.write(lba, [content])
+        assert controller.delta_map_snapshot()[lba][0] is not None
+        assert controller.ssd_ref_reads_background == background + 1
+        assert controller.ssd.read_ops == ssd_reads + 1
+        _, (out,) = controller.read(lba)
+        assert np.array_equal(out, content)
+
+
 class TestFlushAndEviction:
     def test_flush_logs_dirty_deltas(self):
         dataset = family_dataset()
