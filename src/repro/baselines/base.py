@@ -95,16 +95,24 @@ class StorageSystem(Counted, abc.ABC):
     def devices(self) -> Iterable:
         """The device models underlying this system (energy accounting)."""
 
+    def serving_devices(self) -> Iterable:
+        """The devices that serve this system's requests: each traces
+        its own spans and is one station of the event engine.  They are
+        :meth:`devices` unless the system serves through an array of
+        them."""
+        return self.devices()
+
     # -- observability -----------------------------------------------------
 
     def set_tracer(self, tracer) -> None:
-        """Attach a tracer to this system and every device beneath it.
+        """Attach a tracer to this system and every device serving its
+        requests.
 
         Pass None to detach.  Devices shared with nothing else (the
         normal case) simply start emitting spans into ``tracer``.
         """
         self.tracer = tracer
-        for device in self.devices():
+        for device in self.serving_devices():
             device.tracer = tracer
 
     def _in_background(self, op, *args, section=None, outcome=None) -> None:

@@ -34,13 +34,13 @@ class RAID0Storage(StorageSystem):
         # sees four spindles, matching the paper's "4 disks, 15 W each".
         return tuple(self.raid.disks)
 
-    def set_tracer(self, tracer) -> None:
-        # Trace at the array wrapper, not the member disks: one
+    def serving_devices(self) -> Iterable:
+        # The array serves requests, not its member disks: one
         # ``raid0_read``/``raid0_write`` span per request whose duration
         # is the slowest member's (the request's actual service time) —
-        # per-member spans would overlap and double-count parallel work.
-        self.tracer = tracer
-        self.raid.tracer = tracer
+        # per-member spans would overlap and double-count parallel work —
+        # queued at one station with a slot per member.
+        return (self.raid,)
 
     def read(self, lba: int, nblocks: int = 1
              ) -> Tuple[float, List[np.ndarray]]:

@@ -262,7 +262,7 @@ class EventEngine:
         #: scheduled faults at admission boundaries and closes
         #: degraded-mode windows as repair backlog drains.
         self.faults = None
-        for device in system.devices():
+        for device in system.serving_devices():
             self._station(getattr(device, "trace_name",
                                   getattr(device, "name", "device")))
 

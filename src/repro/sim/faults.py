@@ -248,8 +248,9 @@ class FaultInjector:
         self.engine.add_backlog(device, seconds)
 
     def _device(self, *names: str):
-        """First device of the system whose label matches ``names``."""
-        for device in self.system.devices():
+        """First device serving the system whose label matches
+        ``names``: the station its repair backlog queues at."""
+        for device in self.system.serving_devices():
             label = getattr(device, "trace_name",
                             getattr(device, "name", ""))
             if label in names:

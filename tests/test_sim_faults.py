@@ -13,7 +13,7 @@ from repro.sim.faults import (FAULT_KINDS, FaultInjector, FaultPlan,
                               FaultSpec, scrub_references)
 from repro.sim.load import OpenLoopLoad
 from repro.sim.metrics import Monitor
-from repro.workloads import SysBenchWorkload
+from repro.workloads import SysBenchWorkload, TPCCWorkload
 
 
 def run_with_fault(kind, n_requests=600, at_request=300, seed=9,
@@ -126,6 +126,37 @@ class TestInjectors:
                                load=OpenLoopLoad(2000.0, seed=1),
                                fault_plan=plan)
         assert result.faults.outcomes[0].skipped
+
+
+class TestRAID0ServesAsOneArray:
+    """A RAID0 event run queues at its array alone: one station with a
+    slot per member, where a failed member's rebuild competes with the
+    array's foreground I/O."""
+
+    @staticmethod
+    def _run(plan=None):
+        workload = TPCCWorkload(scale=0.1, n_requests=600, seed=2011)
+        return run_benchmark(workload, make_system("raid0", workload),
+                             engine="event",
+                             load=OpenLoopLoad(3000.0, seed=9),
+                             fault_plan=plan)
+
+    def test_one_station_serves_every_request(self):
+        stations = self._run().queueing.stations
+        assert list(stations) == ["raid0"]
+        assert stations["raid0"].slots == 4
+        assert stations["raid0"].served == 600
+
+    def test_member_failure_rebuilds_on_the_array(self):
+        plan = FaultPlan.single("hdd_failure", at_request=300, seed=9,
+                                rebuild_blocks=4096)
+        result = self._run(plan)
+        (outcome,) = result.faults.outcomes
+        assert outcome.station == "raid0"
+        assert outcome.detail.split(",")[0].endswith("/4 failed")
+        assert list(result.queueing.stations) == ["raid0"]
+        assert result.queueing.stations["raid0"].background_s > 0.0
+        assert outcome.t_recovered_s is not None
 
 
 class TestCopyOnCorrupt:
