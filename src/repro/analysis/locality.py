@@ -148,13 +148,12 @@ class WriteLocality:
             return 0.0
         return float(np.mean(self.change_fractions))
 
-    def within_paper_band(self, low: float = 0.05,
-                          high: float = 0.20) -> float:
-        """Fraction of overwrites changing between ``low`` and ``high``
-        of the block — the paper's cited 5–20 % band."""
+    def within_paper_band(self) -> float:
+        """Fraction of overwrites changing between 5 % and 20 % of the
+        block — the paper's cited band."""
         if not self.change_fractions:
             return 0.0
-        return sum(1 for f in self.change_fractions if low <= f <= high) \
+        return sum(1 for f in self.change_fractions if 0.05 <= f <= 0.20) \
             / len(self.change_fractions)
 
     def summary(self) -> str:

@@ -21,13 +21,11 @@ from repro.sim.backing import BackingStore
 class RAID0Storage(StorageSystem):
     """All blocks live on a RAID0 array of mechanical disks."""
 
-    def __init__(self, initial_content: np.ndarray, ndisks: int = 4,
-                 chunk_blocks: int = 16) -> None:
+    def __init__(self, initial_content: np.ndarray) -> None:
         capacity_blocks = initial_content.shape[0]
         super().__init__("raid0", capacity_blocks)
         self.backing = BackingStore(initial_content)
-        self.raid = RAID0Array(capacity_blocks, ndisks=ndisks,
-                               chunk_blocks=chunk_blocks)
+        self.raid = RAID0Array(capacity_blocks)
 
     def devices(self) -> Iterable:
         # Expose member disks (not the array wrapper) so energy accounting

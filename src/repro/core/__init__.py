@@ -5,7 +5,7 @@ Modules, in dependency order:
 * :mod:`repro.core.config` — every tunable the paper names, with the
   paper's defaults.
 * :mod:`repro.core.signatures` — cheap 1-byte sub-signatures (sampled sums,
-  Section 4.2) plus a hash-based alternative for the ablation.
+  Section 4.2).
 * :mod:`repro.core.heatmap` — the S x Vs popularity array that fuses
   temporal and content locality.
 * :mod:`repro.core.virtual_block` — reference / associate / independent
@@ -27,8 +27,7 @@ Modules, in dependency order:
 from repro.core.config import ICASHConfig
 from repro.core.controller import ICASHController
 from repro.core.heatmap import Heatmap
-from repro.core.signatures import (SignatureScheme, block_signatures,
-                                   signature_overlap)
+from repro.core.signatures import block_signatures, signature_overlap
 from repro.core.virtual_block import BlockKind, VirtualBlock
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "Heatmap",
     "ICASHConfig",
     "ICASHController",
-    "SignatureScheme",
     "VirtualBlock",
     "block_signatures",
     "signature_overlap",

@@ -147,8 +147,7 @@ class ICASHController(StorageSystem):
         self.log = DeltaLog(self.hdd, base_lba=capacity_blocks,
                             size_blocks=config.log_blocks)
         self.ssd = FlashSSD(config.ssd_capacity_blocks)
-        self.dram = DRAMBuffer(
-            config.data_ram_bytes + config.delta_ram_bytes, "icash-ram")
+        self.dram = DRAMBuffer("icash-ram")
         self.segments = SegmentPool(config.delta_ram_bytes)
         self.cache = ICashCache(config.max_virtual_blocks,
                                 config.data_ram_bytes, self.segments)
@@ -233,8 +232,7 @@ class ICASHController(StorageSystem):
         # hoisting them out of the per-block loop cannot change what any
         # interleaved scan observes (heatmap recording stays in
         # _write_one, in block order).
-        signatures = (block_signatures_many(blocks,
-                                            self.config.signature_scheme)
+        signatures = (block_signatures_many(blocks)
                       if len(blocks) > 1 else None)
         for offset, content in enumerate(blocks):
             latency += self._write_one(
@@ -275,7 +273,7 @@ class ICASHController(StorageSystem):
         """
         config = self.config
         blocks = self.backing.view_all()
-        sig_matrix = block_signatures_batch(blocks, config.signature_scheme)
+        sig_matrix = block_signatures_batch(blocks)
         self.heatmap.record_batch(sig_matrix)
         plan = plan_ingest(blocks, sig_matrix, config.min_signature_match,
                            config.delta_accept_bytes, len(self._free_slots))
@@ -418,8 +416,7 @@ class ICASHController(StorageSystem):
                     self.ssd_ref_direct_reads += 1
         signatures = vb.signatures
         if not signatures:
-            signatures = vb.signatures = block_signatures(
-                content, self.config.signature_scheme)
+            signatures = vb.signatures = block_signatures(content)
         heatmap = self.heatmap  # its own signatures need no range check
         heatmap.pending.append(signatures)
         heatmap.total_accesses += 1
@@ -533,8 +530,7 @@ class ICASHController(StorageSystem):
     def _write_one(self, lba: int, content: np.ndarray,
                    signatures: Optional[Tuple[int, ...]] = None) -> float:
         if signatures is None:
-            signatures = block_signatures(content,
-                                          self.config.signature_scheme)
+            signatures = block_signatures(content)
         heatmap = self.heatmap  # its own signatures need no range check
         heatmap.pending.append(signatures)
         heatmap.total_accesses += 1
@@ -630,8 +626,7 @@ class ICASHController(StorageSystem):
                 self.cache.drop_data(vb)
                 self._unmap_delta(vb.lba)
                 copy.own = _AHEAD
-                vb.signatures = block_signatures(
-                    content, self.config.signature_scheme)
+                vb.signatures = block_signatures(content)
                 self.scanner.note_reference(vb)
                 self.reference_refreshes += 1
                 return latency

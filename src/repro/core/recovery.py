@@ -112,8 +112,7 @@ def rebuild_controller(crashed: ICASHController) -> ICASHController:
         if copy is None:  # pragma: no cover - same capacity as before
             break
         vb = fresh._install_virtual_block(lba, BlockKind.REFERENCE)
-        vb.signatures = block_signatures(rebuilt[lba],
-                                         crashed.config.signature_scheme)
+        vb.signatures = block_signatures(rebuilt[lba])
         fresh.scanner.note_reference(vb)
     for lba in sorted(crashed.spilled_lbas):
         copy = fresh._acquire_ssd_slot(lba, spilled=True,

@@ -307,15 +307,15 @@ class DeltaLog:
             self.replayed_records_total += len(records)
             yield from records
 
-    def corrupt_block(self, slot: int, nbytes: int = 64) -> None:
-        """Failure injection: tear the first ``nbytes`` of a log block.
+    def corrupt_block(self, slot: int) -> None:
+        """Failure injection: tear the first 64 bytes of a log block.
 
         Models a power cut mid-write; used by the reliability tests.
         """
         if slot not in self._contents:
             raise KeyError(f"log slot {slot} holds no delta block")
         blob = bytearray(self._contents[slot])
-        for i in range(min(nbytes, len(blob))):
+        for i in range(min(64, len(blob))):
             blob[i] ^= 0xFF
         self._contents[slot] = bytes(blob)
         # The cached records no longer match the (torn) bytes; drop them

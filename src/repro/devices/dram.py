@@ -18,7 +18,7 @@ from repro.sim.request import BLOCK_SIZE
 
 
 class DRAMBuffer(Counted):
-    """A RAM pool of ``capacity_bytes`` whose accesses cost copy time."""
+    """A RAM pool whose accesses cost copy time."""
 
     COUNTERS = ("accesses",)
 
@@ -31,11 +31,7 @@ class DRAMBuffer(Counted):
     tracer = None
     trace_name = "dram"
 
-    def __init__(self, capacity_bytes: int, name: str = "dram") -> None:
-        if capacity_bytes <= 0:
-            raise ValueError(
-                f"capacity must be positive, got {capacity_bytes}")
-        self.capacity_bytes = capacity_bytes
+    def __init__(self, name: str = "dram") -> None:
         self.name = name
         self.busy_time = 0.0
 
@@ -52,5 +48,4 @@ class DRAMBuffer(Counted):
         return latency
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"DRAMBuffer(name={self.name!r}, "
-                f"capacity={self.capacity_bytes})")
+        return f"DRAMBuffer(name={self.name!r})"

@@ -10,62 +10,57 @@ poorly on small random transaction workloads (Section 5.1, TPC-C).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.devices.base import Device
-from repro.devices.hdd import HardDiskDrive, HDDSpec
+from repro.devices.hdd import HardDiskDrive
 from repro.sim.request import BLOCK_SIZE
+
+#: Member disks: the paper's "RAID0 with data striping on 4 SATA disks".
+NDISKS = 4
+#: Logical blocks per stripe chunk (64 KB).
+CHUNK_BLOCKS = 16
 
 
 class RAID0Array(Device):
-    """Stripe a logical block space across N identical HDDs.
+    """Stripe a logical block space across :data:`NDISKS` identical HDDs.
 
-    Addressing: chunk ``c`` (of ``chunk_blocks`` logical blocks) lives on
-    disk ``c % ndisks`` at chunk offset ``c // ndisks``.  A request inside
-    one chunk goes straight to its member's access; only a request that
-    crosses chunks is split into per-disk extents.
+    Addressing: chunk ``c`` (of :data:`CHUNK_BLOCKS` logical blocks)
+    lives on disk ``c % NDISKS`` at chunk offset ``c // NDISKS``.  A
+    request inside one chunk goes straight to its member's access; only
+    a request that crosses chunks is split into per-disk extents.
     """
 
     COUNTERS = Device.COUNTERS + ("parallel_requests",)
 
-    def __init__(self, capacity_blocks: int, ndisks: int = 4,
-                 chunk_blocks: int = 16,
-                 hdd_spec: Optional[HDDSpec] = None) -> None:
-        if ndisks < 1:
-            raise ValueError(f"need at least one disk, got {ndisks}")
-        if chunk_blocks < 1:
-            raise ValueError(f"chunk must be >= 1 block, got {chunk_blocks}")
-        super().__init__(capacity_blocks, f"raid0x{ndisks}")
-        # One stable trace-event prefix regardless of stripe width.
+    def __init__(self, capacity_blocks: int) -> None:
+        super().__init__(capacity_blocks, f"raid0x{NDISKS}")
+        # The trace-event prefix names the array, not its width.
         self.trace_name = "raid0"
-        self.ndisks = ndisks
-        self.chunk_blocks = chunk_blocks
-        per_disk = -(-capacity_blocks // ndisks) + chunk_blocks
-        spec = hdd_spec if hdd_spec is not None else HDDSpec()
+        per_disk = -(-capacity_blocks // NDISKS) + CHUNK_BLOCKS
         self.disks: List[HardDiskDrive] = [
-            HardDiskDrive(per_disk, spec) for _ in range(ndisks)]
+            HardDiskDrive(per_disk) for _ in range(NDISKS)]
 
     def _split(self, lba: int, nblocks: int) -> Dict[int, List[tuple]]:
         """Map a logical span to per-disk (physical lba, nblocks) extents."""
         per_disk: Dict[int, List[tuple]] = {}
         end = lba + nblocks
         while lba < end:
-            chunk, offset = divmod(lba, self.chunk_blocks)
-            take = min(end - lba, self.chunk_blocks - offset)
-            per_disk.setdefault(chunk % self.ndisks, []).append(
-                (chunk // self.ndisks * self.chunk_blocks + offset, take))
+            chunk, offset = divmod(lba, CHUNK_BLOCKS)
+            take = min(end - lba, CHUNK_BLOCKS - offset)
+            per_disk.setdefault(chunk % NDISKS, []).append(
+                (chunk // NDISKS * CHUNK_BLOCKS + offset, take))
             lba += take
         return per_disk
 
     def _access(self, lba: int, nblocks: int, write: bool) -> float:
         if nblocks < 1 or not 0 <= lba <= self.capacity_blocks - nblocks:
             self._check_span(lba, nblocks)
-        chunk_blocks = self.chunk_blocks
-        offset = lba % chunk_blocks
-        if offset + nblocks <= chunk_blocks:
-            chunk = lba // chunk_blocks
-            latency = self.disks[chunk % self.ndisks]._access(
-                chunk // self.ndisks * chunk_blocks + offset, nblocks, write)
+        offset = lba % CHUNK_BLOCKS
+        if offset + nblocks <= CHUNK_BLOCKS:
+            chunk = lba // CHUNK_BLOCKS
+            latency = self.disks[chunk % NDISKS]._access(
+                chunk // NDISKS * CHUNK_BLOCKS + offset, nblocks, write)
             used = 1
         else:
             # Members work in parallel, each through its extents in order;

@@ -65,8 +65,7 @@ class FigureResult:
     def render(self) -> str:
         table = comparison_table(
             f"{self.figure}: {self.title}", SYSTEM_NAMES, self.measured,
-            self.paper, unit=self.metric, better=self.better,
-            precision=2)
+            self.paper, self.metric, self.better)
         return table + "\n" + render_shape_check(self.measured, self.paper)
 
 

@@ -5,49 +5,39 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 
+def _cell(value: Optional[float]) -> str:
+    return f"{value:>14.2f}" if value is not None else f"{'-':>14}"
+
+
 def comparison_table(title: str, systems: Sequence[str],
-                     measured: Dict[str, float],
-                     paper: Optional[Dict[str, float]] = None,
-                     unit: str = "", better: str = "higher",
-                     precision: int = 1) -> str:
+                     measured: Dict[str, float], paper: Dict[str, float],
+                     unit: str, better: str) -> str:
     """One figure's table: a row per system, measured next to paper.
 
     ``better`` ("higher" or "lower") is printed as a reading aid, echoing
     the paper's axis annotations like "the lower the better".
     """
-    lines: List[str] = [title, "=" * len(title)]
-    header = f"{'system':<12} {'measured':>14}"
-    if paper:
-        header += f" {'paper':>14}"
-    lines.append(header + f"   ({better} is better)")
-    for system in systems:
-        value = measured.get(system)
-        cell = f"{value:>{14}.{precision}f}" if value is not None \
-            else f"{'-':>14}"
-        row = f"{system:<12} {cell}"
-        if paper:
-            ref = paper.get(system)
-            ref_cell = f"{ref:>{14}.{precision}f}" if ref is not None \
-                else f"{'-':>14}"
-            row += f" {ref_cell}"
-        if unit:
-            row += f"  {unit}"
-        lines.append(row)
+    lines: List[str] = [
+        title, "=" * len(title),
+        f"{'system':<12} {'measured':>14} {'paper':>14}"
+        f"   ({better} is better)"]
+    lines.extend(f"{system:<12} {_cell(measured.get(system))} "
+                 f"{_cell(paper.get(system))}  {unit}"
+                 for system in systems)
     return "\n".join(lines)
 
 
-def normalize(values: Dict[str, float],
-              baseline: str = "fusion-io") -> Dict[str, float]:
-    """Normalise a metric to one system (Figures 15–16 are plotted this
+def normalize(values: Dict[str, float]) -> Dict[str, float]:
+    """Normalise a metric to fusion-io (Figures 15–16 are plotted this
     way)."""
-    base = values.get(baseline)
+    base = values.get("fusion-io")
     if not base:
-        raise ValueError(f"baseline {baseline!r} missing or zero")
+        raise ValueError("baseline 'fusion-io' missing or zero")
     return {name: value / base for name, value in values.items()}
 
 
-def shape_check(measured: Dict[str, float], paper: Dict[str, float],
-                better: str = "higher") -> Dict[str, bool]:
+def shape_check(measured: Dict[str, float],
+                paper: Dict[str, float]) -> Dict[str, bool]:
     """Did the reproduction preserve the paper's qualitative findings?
 
     Checks the relations the paper's narrative rests on rather than

@@ -61,7 +61,7 @@ def make_system(name: str, workload: Workload) -> StorageSystem:
     dataset = workload.build_dataset()
     builders: Dict[str, Callable[[], StorageSystem]] = {
         "fusion-io": lambda: PureSSD(dataset),
-        "raid0": lambda: RAID0Storage(dataset, ndisks=4),
+        "raid0": lambda: RAID0Storage(dataset),
         "dedup": lambda: DedupCacheStorage(
             dataset, cache_blocks=workload.ssd_budget_blocks),
         "lru": lambda: LRUCacheStorage(

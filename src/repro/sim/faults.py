@@ -49,7 +49,14 @@ FAULT_KINDS = (
     "silent_corruption",
 )
 
-_CORRUPTION_TARGETS = ("reference", "spill", "log")
+#: ``ssd_wearout``: fraction of physical flash blocks driven to their
+#: erase-count limit.
+WEAR_FRACTION = 0.2
+#: ``hdd_failure``: RAID-member blocks re-read and re-written during the
+#: rebuild that competes with foreground I/O.
+REBUILD_BLOCKS = 4096
+#: ``silent_corruption``: how many signed reference blocks to corrupt.
+CORRUPT_BLOCKS = 1
 
 
 @dataclass(frozen=True)
@@ -64,21 +71,6 @@ class FaultSpec:
 
     kind: str
     at_request: int
-    #: ``ssd_wearout``: fraction of physical flash blocks driven to
-    #: their erase-count limit.
-    wear_fraction: float = 0.2
-    #: ``hdd_failure``: RAID-member blocks re-read + re-written during
-    #: the rebuild that competes with foreground I/O.
-    rebuild_blocks: int = 4096
-    #: ``silent_corruption``: how many blocks to corrupt.
-    corrupt_blocks: int = 1
-    #: ``silent_corruption``: what to corrupt.  ``reference`` blocks
-    #: carry signatures (detected by a scrub); ``spill`` blocks do not
-    #: (the corruption is *missed* — that is the point); ``log`` tears
-    #: a delta-log slot, detected only at replay time, so it is meant
-    #: for offline recovery experiments, not live runs (a live fetch
-    #: of a torn slot raises).
-    corruption_target: str = "reference"
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -87,16 +79,6 @@ class FaultSpec:
                 f"{', '.join(FAULT_KINDS)} (see docs/RELIABILITY.md)")
         if self.at_request < 0:
             raise ValueError("at_request must be >= 0")
-        if not 0.0 < self.wear_fraction <= 1.0:
-            raise ValueError("wear_fraction must be in (0, 1]")
-        if self.rebuild_blocks <= 0:
-            raise ValueError("rebuild_blocks must be positive")
-        if self.corrupt_blocks <= 0:
-            raise ValueError("corrupt_blocks must be positive")
-        if self.corruption_target not in _CORRUPTION_TARGETS:
-            raise ValueError(
-                f"unknown corruption_target {self.corruption_target!r}; "
-                f"expected one of {', '.join(_CORRUPTION_TARGETS)}")
 
 
 class FaultPlan:
@@ -109,11 +91,11 @@ class FaultPlan:
         self.seed = int(seed)
 
     @classmethod
-    def single(cls, kind: str, at_request: int, seed: int = 1234,
-               **knobs) -> "FaultPlan":
+    def single(cls, kind: str, at_request: int,
+               seed: int = 1234) -> "FaultPlan":
         """One-fault plan — what every chaos scenario uses."""
-        return cls([FaultSpec(kind=kind, at_request=at_request,
-                              **knobs)], seed=seed)
+        return cls([FaultSpec(kind=kind, at_request=at_request)],
+                   seed=seed)
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -226,7 +208,7 @@ class FaultInjector:
                                at_request=spec.at_request,
                                t_injected_s=now)
         handler = getattr(self, f"_inject_{spec.kind}")
-        handler(spec, outcome)
+        handler(outcome)
         self.outcomes.append(outcome)
         if not outcome.skipped and outcome.station is not None:
             self._open.append(outcome)
@@ -259,15 +241,14 @@ class FaultInjector:
 
     # -- injectors ---------------------------------------------------------
 
-    def _inject_ssd_wearout(self, spec: FaultSpec,
-                            outcome: FaultOutcome) -> None:
+    def _inject_ssd_wearout(self, outcome: FaultOutcome) -> None:
         label, ssd = self._device("ssd")
         if ssd is None or not hasattr(ssd, "wear_out"):
             outcome.skipped = True
             outcome.detail = "no flash device with a wear model"
             return
         n_blocks = len(ssd.erase_counts())
-        n_dead = max(1, int(round(spec.wear_fraction * n_blocks)))
+        n_dead = max(1, int(round(WEAR_FRACTION * n_blocks)))
         victims = sorted(int(i) for i in self._rng.choice(
             n_blocks, size=min(n_dead, n_blocks), replace=False))
         worn = ssd.wear_out(victims)
@@ -279,32 +260,28 @@ class FaultInjector:
         outcome.station = label
         outcome.rebuild_blocks = pages
         outcome.detail = (f"{worn} flash blocks at erase limit "
-                          f"({spec.wear_fraction:.0%} of {n_blocks})")
+                          f"({WEAR_FRACTION:.0%} of {n_blocks})")
 
-    def _inject_hdd_failure(self, spec: FaultSpec,
-                            outcome: FaultOutcome) -> None:
+    def _inject_hdd_failure(self, outcome: FaultOutcome) -> None:
         label, hdd = self._device("raid0", "hdd")
         if hdd is None:
             outcome.skipped = True
             outcome.detail = "no rotating device to fail"
             return
-        members = getattr(hdd, "ndisks", 1)
-        failed = int(self._rng.integers(members))
-        hdd_spec = hdd.disks[0].spec if hasattr(hdd, "disks") \
-            else hdd.spec
+        members = getattr(hdd, "disks", (hdd,))
+        failed = int(self._rng.integers(len(members)))
         # Rebuild reads every surviving copy of the failed member's
         # blocks and rewrites them to the replacement: two sequential
         # transfers per block through the same actuator set the
         # foreground load is using.
-        per_block = hdd_spec.transfer_time(1) * 2.0
-        self._inject_backlog(label, spec.rebuild_blocks * per_block)
+        per_block = members[0].spec.transfer_time(1) * 2.0
+        self._inject_backlog(label, REBUILD_BLOCKS * per_block)
         outcome.station = label
-        outcome.rebuild_blocks = spec.rebuild_blocks
-        outcome.detail = (f"member {failed}/{members} failed, "
-                          f"{spec.rebuild_blocks}-block rebuild")
+        outcome.rebuild_blocks = REBUILD_BLOCKS
+        outcome.detail = (f"member {failed}/{len(members)} failed, "
+                          f"{REBUILD_BLOCKS}-block rebuild")
 
-    def _inject_power_loss(self, spec: FaultSpec,
-                           outcome: FaultOutcome) -> None:
+    def _inject_power_loss(self, outcome: FaultOutcome) -> None:
         controller = self._controller()
         if controller is None:
             outcome.skipped = True
@@ -333,28 +310,18 @@ class FaultInjector:
                           f"{image.corrupt_blocks_skipped} torn, "
                           f"{loss_window} unflushed deltas lost")
 
-    def _inject_silent_corruption(self, spec: FaultSpec,
-                                  outcome: FaultOutcome) -> None:
-        controller = self._controller()
-        if controller is None:
-            outcome.skipped = True
-            outcome.detail = "system has no signed reference blocks"
-            return
-        handler = {
-            "reference": self._corrupt_references,
-            "spill": self._corrupt_spill,
-            "log": self._corrupt_log,
-        }[spec.corruption_target]
-        handler(spec, outcome, controller)
-
-    def _corrupt_references(self, spec: FaultSpec,
-                            outcome: FaultOutcome, controller) -> None:
+    def _inject_silent_corruption(self, outcome: FaultOutcome) -> None:
         """Flip bits in signed reference blocks, scrub, restore.
 
         References carry content signatures, so a signature scrub must
         catch the damage; the bytes are restored afterwards so the
         foreground run keeps serving correct data (the experiment
         measures *detection*, not propagation)."""
+        controller = self._controller()
+        if controller is None:
+            outcome.skipped = True
+            outcome.detail = "system has no signed reference blocks"
+            return
         # Prefer references with live deltas — the worst case, since a
         # corrupted reference poisons every dependent block.
         refs_with_deps = sorted({ref for ref, _slot
@@ -368,7 +335,7 @@ class FaultInjector:
             outcome.skipped = True
             outcome.detail = "no reference blocks resident yet"
             return
-        n = min(spec.corrupt_blocks, len(pool))
+        n = min(CORRUPT_BLOCKS, len(pool))
         victims = sorted(int(i) for i in self._rng.choice(
             pool, size=n, replace=False))
         saved = {}
@@ -392,61 +359,6 @@ class FaultInjector:
         outcome.detail = (f"corrupted {n} signed reference(s), scrub "
                           f"flagged {len(mismatched)}")
 
-    def _corrupt_spill(self, spec: FaultSpec,
-                       outcome: FaultOutcome, controller) -> None:
-        """Corrupt unsigned spilled blocks: nothing checks them, so
-        the damage goes undetected — the documented gap."""
-        pool = sorted(controller.spilled_lbas)
-        if not pool:
-            outcome.skipped = True
-            outcome.detail = "no spilled blocks to corrupt"
-            return
-        n = min(spec.corrupt_blocks, len(pool))
-        victims = sorted(int(i) for i in self._rng.choice(
-            pool, size=n, replace=False))
-        saved = {}
-        for lba in victims:
-            content = controller.ssd_block_content(lba)
-            saved[lba] = content[:64].copy()
-            content[:64] ^= 0xFF
-        mismatched = scrub_references(controller)
-        for lba, original in saved.items():
-            controller.ssd_block_content(lba)[:64] = original
-        outcome.station = None
-        outcome.detected = any(lba in mismatched for lba in victims)
-        outcome.detail = (f"corrupted {n} unsigned spilled block(s); "
-                          f"scrub flagged {len(mismatched)}")
-
-    def _corrupt_log(self, spec: FaultSpec,
-                     outcome: FaultOutcome, controller) -> None:
-        """Tear the most recent delta-log slots.  Detected at the next
-        replay (torn slots are skipped and counted); live fetches of a
-        torn slot raise, so this target is for offline recovery
-        experiments."""
-        log = controller.log
-        if log.occupancy == 0.0:
-            outcome.skipped = True
-            outcome.detail = "delta log is empty"
-            return
-        from repro.core.recovery import RecoveredImage
-
-        n = min(spec.corrupt_blocks,
-                int(round(log.occupancy * log.size_blocks)))
-        torn = 0
-        for back in range(1, n + 1):
-            slot = (log._next - back) % log.size_blocks
-            try:
-                log.corrupt_block(slot)
-                torn += 1
-            except KeyError:
-                continue
-        image = RecoveredImage(controller)
-        outcome.station = None
-        outcome.detected = image.corrupt_blocks_skipped >= torn > 0
-        outcome.rebuild_blocks = torn
-        outcome.detail = (f"tore {torn} log slot(s), replay skipped "
-                          f"{image.corrupt_blocks_skipped}")
-
     def _controller(self):
         """The system itself when it is an I-CASH controller."""
         if hasattr(self.system, "delta_map_snapshot"):
@@ -459,10 +371,13 @@ def scrub_references(controller) -> List[int]:
     signatures from its SSD-resident bytes and compare against the
     cached virtual-block signatures.  Returns the mismatched LBAs —
     the detection path for :data:`FAULT_KINDS` ``silent_corruption``.
+
+    Only references carry signatures, so the scrub never reads a
+    spilled block: corruption of a spilled block's SSD copy goes
+    unseen.  That gap is documented in ``docs/RELIABILITY.md``.
     """
     from repro.core.signatures import block_signatures
 
-    scheme = controller.config.signature_scheme
     mismatched: List[int] = []
     for lba in sorted(controller.reference_lbas):
         vblock = controller.cache.get(lba, touch=False)
@@ -471,7 +386,6 @@ def scrub_references(controller) -> List[int]:
         content = controller.ssd_block_content(lba)
         if content is None:
             continue
-        if tuple(block_signatures(content, scheme)) != \
-                tuple(vblock.signatures):
+        if block_signatures(content) != tuple(vblock.signatures):
             mismatched.append(lba)
     return mismatched

@@ -10,7 +10,8 @@ long it then waits and executes.  Two disciplines:
   grows without bound for the duration of the run and response times
   blow up, exactly what ``repro sweep load.rate`` sweeps for.
 * **Closed loop** (:class:`ClosedLoopLoad`) — N clients, each issuing
-  its next request a think time after its previous one completes.
+  its next request a constant think time after its previous one
+  completes.
   With one client and zero think time this degenerates to the legacy
   serial replay — the engine's collapse property test runs exactly
   that configuration.
@@ -72,25 +73,16 @@ class ClosedLoopLoad:
 
     open_loop = False
 
-    def __init__(self, clients: int, think_s: float = 0.0,
-                 distribution: str = "constant",
-                 seed: int = 1234) -> None:
+    def __init__(self, clients: int, think_s: float = 0.0) -> None:
         if clients < 1:
             raise ValueError(f"need at least one client, got {clients}")
         if think_s < 0.0:
             raise ValueError(f"think time must be >= 0, got {think_s}")
-        if distribution not in ("constant", "exponential"):
-            raise ValueError(f"unknown think distribution "
-                             f"{distribution!r}; pick 'constant' or "
-                             f"'exponential'")
         self.clients = clients
         self.think_s = think_s
-        self.distribution = distribution
-        self.seed = seed
-        self._rng: Optional[np.random.Generator] = None
 
     def reset(self) -> None:
-        self._rng = np.random.default_rng(self.seed)
+        """Nothing to rewind: every think is the same constant."""
 
     def initial_think(self) -> float:
         """When a client issues its very first request (t=0: all
@@ -98,16 +90,11 @@ class ClosedLoopLoad:
         return 0.0
 
     def next_think(self) -> float:
-        if self.think_s == 0.0:
-            return 0.0
-        if self.distribution == "exponential":
-            return float(self._rng.exponential(self.think_s))
         return self.think_s
 
     def __repr__(self) -> str:
         return (f"ClosedLoopLoad(clients={self.clients}, "
-                f"think_s={self.think_s!r}, "
-                f"distribution={self.distribution!r}, seed={self.seed})")
+                f"think_s={self.think_s!r})")
 
 
 def default_closed_loop(workload) -> ClosedLoopLoad:

@@ -43,6 +43,14 @@ STREAM_CACHE_CAPACITY = 4
 #: first once the budget is exceeded.
 STREAM_CACHE_MAX_BYTES = 512 * 1024 * 1024
 
+#: Share of the block space in a synthetic workload's scattered hot set
+#: (used when the workload sets no Zipf skew).
+HOT_FRACTION = 0.2
+#: Probability that a fresh start address is drawn from the hot set.
+HOT_ACCESS_PROB = 0.8
+#: Cap on one request's length in blocks.
+MAX_REQUEST_BLOCKS = 32
+
 _stream_cache: "OrderedDict[Tuple, Tuple[List[IORequest], int]]" = \
     OrderedDict()
 _stream_counters = {"hits": 0, "misses": 0, "bytes": 0}
@@ -187,8 +195,10 @@ class SyntheticWorkload(Workload):
 
     Address model: requests either continue a sequential run (probability
     ``seq_run_prob``) or start fresh at a random block — drawn from a
-    scattered *hot set* covering ``hot_fraction`` of the space with
-    probability ``hot_access_prob``, otherwise from the whole space.
+    Zipf popularity ranking when ``zipf_theta`` is set, else from a
+    scattered *hot set* covering :data:`HOT_FRACTION` of the space with
+    probability :data:`HOT_ACCESS_PROB`, otherwise from the whole space.
+    Request lengths are capped at :data:`MAX_REQUEST_BLOCKS`.
 
     Content model: see :class:`~repro.workloads.content.ContentModel`.
     Writes mutate the current shadow content; a ``dup_write_fraction`` of
@@ -207,14 +217,12 @@ class SyntheticWorkload(Workload):
 
     def __init__(self, n_blocks: int, n_requests: int, read_fraction: float,
                  avg_read_blocks: float, avg_write_blocks: float,
-                 hot_fraction: float = 0.2, hot_access_prob: float = 0.8,
                  zipf_theta: Optional[float] = None,
                  seq_run_prob: float = 0.3, n_families: Optional[int] = None,
                  mutation_fraction: float = 0.10,
                  duplicate_fraction: float = 0.05,
                  dup_write_fraction: float = 0.03,
                  rewrite_fraction: float = 0.05,
-                 max_request_blocks: int = 32,
                  vm_id: int = 0, seed: int = 2011,
                  content_seed: Optional[int] = None) -> None:
         if not 0.0 <= read_fraction <= 1.0:
@@ -227,13 +235,10 @@ class SyntheticWorkload(Workload):
         self.read_fraction = read_fraction
         self.avg_read_blocks = max(1.0, avg_read_blocks)
         self.avg_write_blocks = max(1.0, avg_write_blocks)
-        self.hot_fraction = hot_fraction
-        self.hot_access_prob = hot_access_prob
         self.zipf_theta = zipf_theta
         self.seq_run_prob = seq_run_prob
         self.dup_write_fraction = dup_write_fraction
         self.rewrite_fraction = rewrite_fraction
-        self.max_request_blocks = max_request_blocks
         self.vm_id = vm_id
         self.seed = seed
         self.content_seed = content_seed if content_seed is not None \
@@ -252,7 +257,7 @@ class SyntheticWorkload(Workload):
         """Restore pristine generator state (same stream on every pass)."""
         self._rng = np.random.default_rng(self.seed)
         self._shadow = BackingStore(self._initial)
-        hot_count = max(1, int(self._n_blocks * self.hot_fraction))
+        hot_count = max(1, int(self._n_blocks * HOT_FRACTION))
         self._hot_set = self._rng.permutation(self._n_blocks)[:hot_count]
         if self.zipf_theta is not None:
             # Zipf popularity over a permuted ranking: rank r gets
@@ -289,10 +294,9 @@ class SyntheticWorkload(Workload):
         content = self.content
         return (type(self).__qualname__, self._n_blocks, self.n_requests,
                 self.read_fraction, self.avg_read_blocks,
-                self.avg_write_blocks, self.hot_fraction,
-                self.hot_access_prob, self.zipf_theta, self.seq_run_prob,
+                self.avg_write_blocks, self.zipf_theta, self.seq_run_prob,
                 self.dup_write_fraction, self.rewrite_fraction,
-                self.max_request_blocks, self.vm_id, self.seed,
+                self.vm_id, self.seed,
                 self.content_seed,
                 content.n_families, content.mutation_fraction,
                 content.duplicate_fraction)
@@ -328,7 +332,7 @@ class SyntheticWorkload(Workload):
         # distributions while matching the Table 4 mean.
         p = min(1.0, 1.0 / mean_blocks)
         length = int(self._rng.geometric(p))
-        return max(1, min(length, self.max_request_blocks))
+        return max(1, min(length, MAX_REQUEST_BLOCKS))
 
     def _pick_start(self, length: int) -> int:
         if self._run_next is not None \
@@ -339,7 +343,7 @@ class SyntheticWorkload(Workload):
         if self.zipf_theta is not None:
             rank = int(np.searchsorted(self._zipf_cdf, self._rng.random()))
             start = int(self._zipf_perm[min(rank, self._n_blocks - 1)])
-        elif self._rng.random() < self.hot_access_prob:
+        elif self._rng.random() < HOT_ACCESS_PROB:
             start = int(self._hot_set[
                 self._rng.integers(0, len(self._hot_set))])
         else:

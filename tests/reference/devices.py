@@ -129,11 +129,11 @@ LATENCY_CASES: Dict[str, tuple] = {
     "hdd": (lambda: HardDiskDrive(50_000),
             lambda d, rng, n: _hdd_ops(d, rng, n, (1, 1, 1, 2, 8, 64)),
             600),
-    "raid0": (lambda: RAID0Array(8192, ndisks=4, chunk_blocks=16),
+    "raid0": (lambda: RAID0Array(8192),
               lambda d, rng, n: _hdd_ops(d, rng, n, (1, 1, 4, 16, 40)),
               600),
     "ssd": (_tiny_ssd, _ssd_ops, 4000),
-    "dram": (lambda: DRAMBuffer(1 << 20), _dram_ops, 100),
+    "dram": (lambda: DRAMBuffer(), _dram_ops, 100),
 }
 
 

@@ -45,8 +45,7 @@ def scalar_ingest(controller: ICASHController) -> float:
     # (row, value) -> references carrying it, in promotion order.
     cells: Dict[Tuple[int, int], List[int]] = {}
     pending: List[DeltaRecord] = []
-    sig_matrix = block_signatures_batch(
-        self.backing.view_all(), config.signature_scheme)
+    sig_matrix = block_signatures_batch(self.backing.view_all())
     all_signatures = signature_tuples(sig_matrix)
     self.heatmap.record_batch(sig_matrix)
     total = 0.0

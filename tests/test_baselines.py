@@ -57,7 +57,7 @@ class TestRAID0Storage:
         assert system.ssd_write_ops == 0
 
     def test_exposes_member_spindles(self):
-        system = RAID0Storage(make_dataset(16), ndisks=4)
+        system = RAID0Storage(make_dataset(16))
         assert len(list(system.devices())) == 4
 
 

@@ -22,8 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.heatmap import Heatmap
-from repro.core.signatures import (SignatureScheme, _hash_signatures,
-                                   _sampled_signatures, block_signatures,
+from repro.core.signatures import (_sampled_signatures, block_signatures,
                                    block_signatures_batch,
                                    block_signatures_many, signature_tuples)
 from repro.delta.encoder import Delta
@@ -46,15 +45,14 @@ def _random_batch(rng, n):
 
 class TestSignatureBatchEquivalence:
     @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 24),
-           scheme=st.sampled_from(list(SignatureScheme)))
-    def test_matches_scalar_on_random_batches(self, seed, n, scheme):
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 24))
+    def test_matches_scalar_on_random_batches(self, seed, n):
         rng = np.random.default_rng(seed)
         batch = _random_batch(rng, n)
-        matrix = block_signatures_batch(batch, scheme)
+        matrix = block_signatures_batch(batch)
         assert matrix.shape == (n, 8) and matrix.dtype == np.uint8
         assert signature_tuples(matrix) \
-            == [block_signatures(batch[i], scheme) for i in range(n)]
+            == [block_signatures(batch[i]) for i in range(n)]
 
     def test_non_contiguous_view_input(self, rng):
         doubled = _random_batch(rng, 12)
@@ -79,56 +77,45 @@ class TestSignatureBatchEquivalence:
                 np.zeros((2, BLOCK_SIZE), dtype=np.uint16))
 
 
-def _reference(scheme):
-    return (_sampled_signatures if scheme is SignatureScheme.SAMPLED
-            else _hash_signatures)
-
-
 class TestBlockSignaturesMany:
     def test_matches_scalar_list(self, rng):
         blocks = list(_random_batch(rng, 10))
-        for scheme in SignatureScheme:
-            expected = [_reference(scheme)(b) for b in blocks]
-            assert block_signatures_many(blocks, scheme) == expected
-            assert [block_signatures(b, scheme) for b in blocks] \
-                == expected
+        expected = [_sampled_signatures(b) for b in blocks]
+        assert block_signatures_many(blocks) == expected
+        assert [block_signatures(b) for b in blocks] == expected
 
-    @pytest.mark.parametrize("scheme", list(SignatureScheme))
-    def test_non_contiguous_views(self, rng, scheme):
+    def test_non_contiguous_views(self, rng):
         wide = _random_batch(rng, 6).reshape(3, 2 * BLOCK_SIZE)
         views = list(wide[:, ::2])  # every other byte: stride-2 blocks
         assert not any(view.flags.c_contiguous for view in views)
-        expected = [_reference(scheme)(np.ascontiguousarray(view))
+        expected = [_sampled_signatures(np.ascontiguousarray(view))
                     for view in views]
-        assert block_signatures_many(views, scheme) == expected
-        assert [block_signatures(v, scheme) for v in views] == expected
+        assert block_signatures_many(views) == expected
+        assert [block_signatures(v) for v in views] == expected
 
-    @pytest.mark.parametrize("scheme", list(SignatureScheme))
-    def test_non_uint8_layouts(self, rng, scheme):
+    def test_non_uint8_layouts(self, rng):
         """Signatures are a function of a block's bytes: a signed-byte
         view and an (8, 512) sub-block matrix of the same bytes agree
         with the flat block."""
         block = _random_batch(rng, 1)[0]
         signed = block.view(np.int8)
         matrix = block.reshape(8, BLOCK_SIZE // 8)
-        expected = _reference(scheme)(block)
-        assert _reference(scheme)(signed) == expected
+        expected = _sampled_signatures(block)
+        assert _sampled_signatures(signed) == expected
         for layout in (signed, matrix):
-            assert block_signatures(layout, scheme) == expected
-        assert block_signatures_many([signed, matrix, block], scheme) \
+            assert block_signatures(layout) == expected
+        assert block_signatures_many([signed, matrix, block]) \
             == [expected] * 3
 
     def test_empty_batch(self):
-        for scheme in SignatureScheme:
-            assert block_signatures_many([], scheme) == []
+        assert block_signatures_many([]) == []
 
-    @pytest.mark.parametrize("scheme", list(SignatureScheme))
-    def test_request_repeating_one_block(self, rng, scheme):
+    def test_request_repeating_one_block(self, rng):
         block = _random_batch(rng, 1)[0]
         frozen = block.copy()
         frozen.flags.writeable = False
-        result = block_signatures_many([block, frozen, block], scheme)
-        assert result == [_reference(scheme)(block)] * 3
+        result = block_signatures_many([block, frozen, block])
+        assert result == [_sampled_signatures(block)] * 3
 
     def test_rejects_a_block_of_the_wrong_size(self):
         with pytest.raises(ValueError):
@@ -248,12 +235,11 @@ class TestIngestSweepEquivalence:
            content_seed=st.integers(0, 2**16),
            min_match=st.integers(0, 8),
            ssd=st.sampled_from(["none", "partial", "ample"]),
-           scheme=st.sampled_from(list(SignatureScheme)),
            pool_segments=st.one_of(st.none(), st.integers(1, 64)),
            spare_virtual=st.one_of(st.none(), st.integers(1, 48)))
     def test_planner_matches_scalar_sweep(self, n_blocks, families,
                                           duplicates, content_seed,
-                                          min_match, ssd, scheme,
+                                          min_match, ssd,
                                           pool_segments, spare_virtual):
         """Every decision and side effect of the planned sweep equals
         the block-by-block oracle's: identity deltas and ties
@@ -283,8 +269,7 @@ class TestIngestSweepEquivalence:
             overrides["max_virtual_blocks"] = max(
                 8, max(1, slots) + spare_virtual)
         config = ICASHConfig(ssd_capacity_blocks=max(1, slots),
-                             min_signature_match=min_match,
-                             signature_scheme=scheme, **overrides)
+                             min_signature_match=min_match, **overrides)
         oracle, planned = (ICASHController(data, config) for _ in range(2))
         if not slots:
             for controller in (oracle, planned):

@@ -5,10 +5,7 @@ import pytest
 
 from repro.core.signatures import (SAMPLE_OFFSETS, SIGNATURE_VALUES,
                                    SUB_BLOCK_BYTES, SUB_BLOCKS,
-                                   SignatureScheme, block_signatures,
-                                   signature_overlap)
-from repro.experiments.parallel import RunSpec
-from repro.experiments.runner import run_benchmark
+                                   block_signatures, signature_overlap)
 from repro.sim.request import BLOCK_SIZE
 
 from conftest import make_block
@@ -52,36 +49,6 @@ class TestSampledScheme:
     def test_wrong_block_size_rejected(self):
         with pytest.raises(ValueError):
             block_signatures(np.zeros(100, dtype=np.uint8))
-
-
-class TestHashScheme:
-    def test_hash_scheme_detects_identity_only(self, random_block):
-        sigs = block_signatures(random_block, SignatureScheme.HASH)
-        assert len(sigs) == SUB_BLOCKS
-        # One changed unsampled byte flips the hash signature — exactly
-        # why the paper rejects hashing for similarity detection.
-        mutated = random_block.copy()
-        mutated[5] ^= 0xFF
-        assert block_signatures(mutated, SignatureScheme.HASH)[0] != sigs[0]
-
-    def test_hash_scheme_deterministic(self, random_block):
-        assert block_signatures(random_block, SignatureScheme.HASH) == \
-            block_signatures(random_block.copy(), SignatureScheme.HASH)
-
-    def test_sampling_finds_more_associates_than_hashing(self):
-        """Section 4.2's argument end to end: on SysBench the sampled
-        scheme associates far more blocks than hashing (8 062 vs 118 at
-        seed 2011)."""
-        associates = {}
-        for scheme in SignatureScheme:
-            spec = RunSpec("sysbench", n_requests=1500, config_overrides=(
-                ("signature_scheme", scheme),))
-            workload = spec.build_workload()
-            controller = spec.build_system(workload)
-            run_benchmark(workload, controller, warmup_fraction=0.4)
-            associates[scheme] = controller.block_kind_counts()["associate"]
-        assert associates[SignatureScheme.SAMPLED] \
-            > associates[SignatureScheme.HASH]
 
 
 class TestOverlap:

@@ -206,7 +206,7 @@ class TestReporting:
 
     def test_comparison_table_renders_rows(self):
         text = comparison_table("T", ["fusion-io", "raid0", "icash"],
-                                self.MEASURED, self.PAPER, unit="tx/s")
+                                self.MEASURED, self.PAPER, "tx/s", "higher")
         assert "fusion-io" in text
         assert "tx/s" in text
         assert "paper" in text

@@ -576,8 +576,7 @@ def _drive_loadtest(jobs, store):
 def _drive_compare(jobs, store):
     from repro.experiments import sweeps
 
-    sweeps.compare_at_knee(_SMALL_SPEC, ("fusion-io", "icash"),
-                             jobs=jobs, ledger=store)
+    sweeps.compare_at_knee(_SMALL_SPEC, jobs=jobs, ledger=store)
 
 
 class TestDeterminism:
@@ -604,7 +603,7 @@ class TestDeterminism:
             assert "volatile" not in json.loads(line)
 
     @pytest.mark.parametrize("drive, n_rows", [
-        (_drive_sweep, 2), (_drive_loadtest, 3), (_drive_compare, 6)],
+        (_drive_sweep, 2), (_drive_loadtest, 3), (_drive_compare, 15)],
         ids=["sweep", "loadtest", "compare"])
     def test_every_driver_records_the_same_rows_at_any_jobs(
             self, tmp_path, drive, n_rows):

@@ -23,14 +23,14 @@ class TestEnergyModel:
         assert report.hdd_j == pytest.approx(energy.SYSTEM_DISK_W * 1.0)
 
     def test_hdd_energy_has_spin_component(self):
-        system = RAID0Storage(make_dataset(32), ndisks=4)
+        system = RAID0Storage(make_dataset(32))
         report = measure_energy(system, wall_time_s=10.0, app_cpu_s=0.0)
         # Four spindles spinning for 10 s even with zero activity.
         assert report.hdd_j == pytest.approx(4 * energy.HDD_SPIN_W * 10.0)
 
     def test_active_hdd_costs_more(self):
-        idle = RAID0Storage(make_dataset(64), ndisks=4)
-        busy = RAID0Storage(make_dataset(64), ndisks=4)
+        idle = RAID0Storage(make_dataset(64))
+        busy = RAID0Storage(make_dataset(64))
         for lba in range(0, 60, 7):
             busy.read(lba)
         idle_j = measure_energy(idle, 5.0, 0.0).hdd_j

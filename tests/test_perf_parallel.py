@@ -23,8 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.cache import ICashCache
 from repro.core.heatmap import Heatmap
-from repro.core.signatures import (SignatureScheme, _hash_signatures,
-                                   _sampled_signatures, block_signatures)
+from repro.core.signatures import _sampled_signatures, block_signatures
 from repro.core.similarity import SimilarityScanner
 from repro.core.virtual_block import BlockKind, VirtualBlock
 from repro.delta.encoder import apply_delta, encode_delta
@@ -46,12 +45,6 @@ class TestSignatureCache:
             block = rng.integers(0, 256, BLOCK_SIZE, dtype=np.uint8)
             assert block_signatures(block) \
                 == tuple(_sampled_signatures(block))
-
-    def test_hash_matches_direct_implementation(self, rng):
-        for _ in range(10):
-            block = rng.integers(0, 256, BLOCK_SIZE, dtype=np.uint8)
-            assert block_signatures(block, SignatureScheme.HASH) \
-                == tuple(_hash_signatures(block))
 
     def test_mutated_block_gets_fresh_signatures(self, rng):
         """Signatures follow the content: a changed sampled byte

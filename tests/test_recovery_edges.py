@@ -152,10 +152,8 @@ class TestDoubleFault:
         system.ingest()
         engine = EventEngine(system, keep_event_log=True)
         plan = FaultPlan(
-            [FaultSpec("ssd_wearout", at_request=100,
-                       wear_fraction=1.0),
-             FaultSpec("hdd_failure", at_request=105,
-                       rebuild_blocks=4096)], seed=5)
+            [FaultSpec("ssd_wearout", at_request=100),
+             FaultSpec("hdd_failure", at_request=101)], seed=5)
         injector = FaultInjector(plan, system, engine)
         engine.attach_faults(injector)
         engine.run(workload, OpenLoopLoad(2000.0, seed=3))
@@ -179,8 +177,7 @@ class TestDoubleFault:
             system.ingest()
             engine = EventEngine(system, keep_event_log=True)
             plan = FaultPlan(
-                [FaultSpec("ssd_wearout", at_request=80,
-                           wear_fraction=1.0),
+                [FaultSpec("ssd_wearout", at_request=80),
                  FaultSpec("hdd_failure", at_request=85)], seed=21)
             injector = FaultInjector(plan, system, engine)
             engine.attach_faults(injector)

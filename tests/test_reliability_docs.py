@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import chaos
-from repro.sim.faults import FAULT_KINDS, _CORRUPTION_TARGETS
+from repro.sim import faults
+from repro.sim.faults import FAULT_KINDS
 from repro.sim.metrics import INSTRUMENT_CATALOGUE
 
 DOC = Path(__file__).resolve().parents[1] / "docs" / "RELIABILITY.md"
@@ -33,11 +34,19 @@ class TestFaultCatalogueParity:
         assert sections == set(FAULT_KINDS)
 
     def test_corruption_targets_documented(self, doc_text):
+        """Signed references are the one target; the spill gap is
+        stated as a property of the scrub, with its test."""
         section = doc_text.split("### `silent_corruption`", 1)[1]
         section = section.split("\n## ", 1)[0]
-        for target in _CORRUPTION_TARGETS:
-            assert f"`{target}`" in section, \
-                f"corruption target {target!r} undocumented"
+        assert "`reference`" in section
+        assert "Known gap" in section and "spilled" in section
+        assert "test_spill_corruption_is_missed" in section
+
+    @pytest.mark.parametrize("name", ("WEAR_FRACTION", "REBUILD_BLOCKS",
+                                      "CORRUPT_BLOCKS"))
+    def test_fault_sizes_documented(self, doc_text, name):
+        value = getattr(faults, name)
+        assert f"`{name}` ({value})" in doc_text
 
 
 class TestScenarioMatrixParity:

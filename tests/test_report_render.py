@@ -25,27 +25,27 @@ class TestComparisonTable:
     def test_measured_and_paper_columns(self):
         rendered = comparison_table(
             "Figure 6: SysBench throughput",
-            ["icash", "fusion-io", "raid0"], MEASURED, paper=PAPER,
-            unit="tx/s")
+            ["icash", "fusion-io", "raid0"], MEASURED, PAPER, "tx/s",
+            "higher")
         assert rendered == golden("""
             Figure 6: SysBench throughput
             =============================
             system             measured          paper   (higher is better)
-            icash                 420.0          400.0  tx/s
-            fusion-io             300.0          310.0  tx/s
-            raid0                  80.0           90.0  tx/s
+            icash                420.00         400.00  tx/s
+            fusion-io            300.00         310.00  tx/s
+            raid0                 80.00          90.00  tx/s
         """)
 
-    def test_measured_only_with_missing_system(self):
+    def test_missing_system_prints_a_dash(self):
         rendered = comparison_table(
-            "Latency", ["icash", "lru"], {"icash": 1.25},
-            unit="ms", better="lower", precision=2)
+            "Table 6", ["icash", "raid0"], {"icash": 1.25},
+            {"icash": 2.0}, "writes", "lower")
         assert rendered == golden("""
-            Latency
+            Table 6
             =======
-            system             measured   (lower is better)
-            icash                  1.25  ms
-            lru                       -  ms
+            system             measured          paper   (lower is better)
+            icash                  1.25           2.00  writes
+            raid0                     -              -  writes
         """)
 
 
@@ -70,6 +70,6 @@ class TestShapeCheck:
 
 class TestHelpers:
     def test_normalize(self):
-        normalized = normalize(MEASURED, baseline="fusion-io")
+        normalized = normalize(MEASURED)
         assert normalized["fusion-io"] == 1.0
         assert normalized["icash"] == 1.4

@@ -239,7 +239,7 @@ class TestTable4Profiles:
             assert measured.avg_read_bytes == pytest.approx(
                 paper.avg_read_bytes, rel=0.5)
         if measured.n_writes > 100:
-            # Write sizes are clamped at max_request_blocks, so very
+            # Write sizes are clamped at MAX_REQUEST_BLOCKS, so very
             # large paper means (Hadoop's 99 KB) shrink; allow headroom.
             assert measured.avg_write_bytes == pytest.approx(
                 paper.avg_write_bytes, rel=0.6)
