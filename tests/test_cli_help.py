@@ -82,6 +82,12 @@ class TestHostileNumbers:
 
     @pytest.mark.parametrize("argv, named", [
         (["sweep", "scan_interval", "0"], "scan_interval"),
+        (["sweep", "flush_interval", "abc"], "flush_interval"),
+        (["sweep", "flush_interval", "0"], "flush_interval"),
+        (["sweep", "flush_interval", "2.5"], "flush_interval"),
+        (["sweep", "flush_dirty_count", "-1"], "flush_dirty_count"),
+        (["sweep", "compress_s", "nan"], "compress_s"),
+        (["sweep", "signature_scheme", "sampled"], "signature_scheme"),
         (["sweep", "load.rate", "--points", "0"], "argument --points"),
         (["sweep", "load.rate", "--span", "2", "1"], "argument --span"),
         (["sweep", "load.rate", "-5"], "argument values"),

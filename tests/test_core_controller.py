@@ -5,6 +5,8 @@ byte-identical, no matter which internal representation (RAM data block,
 reference + delta, SSD spill, HDD region, delta log) currently holds it.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,51 @@ def small_config(**overrides) -> ICASHConfig:
     )
     defaults.update(overrides)
     return ICASHConfig(**defaults)
+
+
+class TestConfigValidation:
+    """Every field is checked for type and range when the configuration
+    is built, so a bad sweep value fails before any run."""
+
+    FIELDS = [spec.name for spec in dataclasses.fields(ICASHConfig)]
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_every_field_rejects_a_string_and_a_bool(self, name):
+        for value in ("abc", True):
+            with pytest.raises(TypeError, match=name):
+                dataclasses.replace(ICASHConfig(), **{name: value})
+
+    #: A value just outside each field's range.
+    OUT_OF_RANGE = {
+        "ssd_capacity_blocks": 0, "data_ram_bytes": BLOCK_SIZE - 1,
+        "delta_ram_bytes": 63, "max_virtual_blocks": 7, "log_blocks": 0,
+        "scan_interval": 0, "scan_window": 0, "min_signature_match": -1,
+        "delta_accept_bytes": -1, "delta_spill_bytes": -1,
+        "flush_interval": 0, "flush_dirty_count": 0, "compress_s": -1e-9,
+        "compress_exposed_fraction": 1.5, "decompress_s": -1.0,
+        "scan_compare_s": float("inf"),
+    }
+
+    def test_every_field_has_a_range_case(self):
+        assert sorted(self.OUT_OF_RANGE) == sorted(self.FIELDS)
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_every_field_rejects_a_value_out_of_range(self, name):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(ICASHConfig(),
+                                **{name: self.OUT_OF_RANGE[name]})
+
+    @pytest.mark.parametrize("name", [
+        name for name in FIELDS
+        if isinstance(getattr(ICASHConfig(), name), int)])
+    def test_integer_fields_reject_a_fraction(self, name):
+        with pytest.raises(TypeError, match=name):
+            dataclasses.replace(ICASHConfig(), **{name: 2.5})
+
+    def test_signature_match_is_at_most_one_per_sub_block(self):
+        assert ICASHConfig(min_signature_match=8).min_signature_match == 8
+        with pytest.raises(ValueError, match="min_signature_match"):
+            ICASHConfig(min_signature_match=9)
 
 
 @pytest.fixture
