@@ -98,6 +98,9 @@ class FlashSSD(Device):
         self._owner = [-1] * (n_physical * ppb)
         self._valid = [0] * n_physical
         self._erases = [0] * n_physical
+        # Pages programmed since the last erase, recorded when a block
+        # stops being the active one (the active block's is ``_wp``).
+        self._programmed = [0] * n_physical
         self._free: Deque[int] = deque(range(1, n_physical))
         self._is_free = [False] + [True] * (n_physical - 1)
         self._active = self._wp = 0
@@ -198,22 +201,25 @@ class FlashSSD(Device):
     # -- garbage collection -------------------------------------------------
 
     def _advance_active_block(self) -> float:
-        """Open a fresh active block, collecting first while free blocks
-        are at the low-water mark; returns the stall.  GC runs
-        *iteratively* here — never from inside a relocation — so it never
-        erases a victim another collection is still walking."""
+        """Collect while free blocks are at the low-water mark, then open
+        a fresh active block unless the relocations already opened one
+        with room; returns the stall.  GC runs *iteratively* here — never
+        from inside a relocation — so it never erases a victim another
+        collection is still walking."""
         gc_latency = 0.0
         while len(self._free) <= self._gc_low_water:
             gained = self._garbage_collect()
             gc_latency += gained
             if gained == 0.0:  # pragma: no cover - defensive
                 break
-        self._open_free_block()
+        if self._wp == self._ppb:
+            self._open_free_block()
         return gc_latency
 
     def _open_free_block(self) -> None:
         if not self._free:  # pragma: no cover - needs 0 OP space
             raise RuntimeError("SSD out of free blocks despite GC")
+        self._programmed[self._active] = self._wp
         self._active = block = self._free.popleft()
         self._is_free[block] = False
         self._wp = 0
@@ -266,6 +272,7 @@ class FlashSSD(Device):
         if relocated:  # a snapshot lists only counters that moved
             self.gc_page_moves += len(relocated)
         self._erases[victim] += 1
+        self._programmed[victim] = 0
         latency += spec.erase_s
         self._free.append(victim)
         self._is_free[victim] = True
@@ -286,7 +293,10 @@ class FlashSSD(Device):
         (c) the free deque holds exactly the ``_is_free`` blocks, and no
             free block holds a valid page;
         (d) free, active and in-use blocks partition the physical blocks;
-        (e) no page past the active block's write pointer has an owner.
+        (e) no page past the active block's write pointer has an owner;
+        (f) every page of a block that is neither free nor active has
+            been programmed since its erase (and so is valid or stale),
+            and no free block has a programmed page.
         """
         ppb, l2p, owner, valid = self._ppb, self._l2p, self._owner, \
             self._valid
@@ -315,6 +325,10 @@ class FlashSSD(Device):
                                        (active + 1) * ppb].count(-1)
               == ppb - wp,
               "(e) a page past the write pointer has an owner")
+        check(all(self._programmed[b] == (0 if is_free[b] else ppb)
+                  for b in range(len(valid)) if b != active),
+              "(f) a closed block has a page never programmed, or a "
+              "free block a programmed one")
 
     # -- wear reporting -----------------------------------------------------
 
