@@ -505,7 +505,7 @@ def _sweep_rates(args) -> int:
         print(f"comparing architectures at their saturation knees "
               f"({args.workload}, {requests} requests/run)...")
         print(sweeps.render_comparison(sweeps.compare_at_knee(
-            spec, progress=True, jobs=args.jobs, ledger=ledger,
+            spec, jobs=args.jobs, ledger=ledger,
             **arrivals)))
         _ledger_note(ledger)
         return 0
