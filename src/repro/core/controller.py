@@ -33,9 +33,8 @@ from repro.baselines.base import StorageSystem
 from repro.core.cache import ICashCache
 from repro.core.config import ICASHConfig
 from repro.core.heatmap import Heatmap
-from repro.core.ingest import plan_ingest
-from repro.core.signatures import (block_signatures, block_signatures_batch,
-                                   block_signatures_many)
+from repro.core.ingest import memoised_plan
+from repro.core.signatures import block_signatures, block_signatures_many
 from repro.core.similarity import SimilarityScanner
 from repro.core.virtual_block import BlockKind, VirtualBlock
 from repro.delta.encoder import Delta, apply_delta, encode_delta
@@ -262,27 +261,26 @@ class ICASHController(StorageSystem):
         measured benchmark window.  Runs once, on a fresh controller.
 
         Every decision is made up front by :func:`plan_ingest` from one
-        vectorised signature pass.  The replay leaves what a
+        vectorised signature pass, memoised per image
+        (:func:`memoised_plan`).  The replay leaves what a
         block-by-block sweep leaves, side effects in the same order
         (``tests/reference/ingest.py``), without a Python round per
-        block: only the sequential HDD read runs per block, with each
-        promotion between two reads; the delta map and the dependants
-        counts are written in one loop, ``cpu_time`` is charged in
-        another, and :meth:`ICashCache.fill_delta_buffer` warms the
-        delta buffer.
+        block: one :meth:`HardDiskDrive.sweep` per run of blocks between
+        two promotions; the delta map and the dependants counts are
+        written in one loop, ``cpu_time`` is charged in another, and
+        :meth:`ICashCache.fill_delta_buffer` warms the delta buffer.
         """
         config = self.config
         blocks = self.backing.view_all()
-        sig_matrix = block_signatures_batch(blocks)
+        sig_matrix, plan = memoised_plan(
+            blocks, config.min_signature_match, config.delta_accept_bytes,
+            len(self._free_slots))
         self.heatmap.record_batch(sig_matrix)
-        plan = plan_ingest(blocks, sig_matrix, config.min_signature_match,
-                           config.delta_accept_bytes, len(self._free_slots))
         total = 0.0
-        hdd_read = self.hdd.read
+        sweep = self.hdd.sweep  # the sequential sweep
         swept = 0
         for lba in plan.promoted:
-            for block in range(swept, lba + 1):
-                total += hdd_read(block, 1)  # sequential sweep
+            total = sweep(swept, lba + 1, total)
             swept = lba + 1
             self._acquire_ssd_slot(lba)
             total += self._ssd_write(lba, blocks[lba])
@@ -290,8 +288,7 @@ class ICASHController(StorageSystem):
             vb.signatures = tuple(sig_matrix[lba].tolist())
             self.scanner.note_reference(vb)
             self.ingest_references += 1
-        for block in range(swept, self.capacity_blocks):
-            total += hdd_read(block, 1)
+        total = sweep(swept, self.capacity_blocks, total)
         cpu, compare_s, compress_s = \
             self.cpu_time, config.scan_compare_s, config.compress_s
         for candidates, delta in zip(plan.candidates, plan.deltas):

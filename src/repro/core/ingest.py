@@ -25,15 +25,20 @@ with no reference sharing at least ``min_match`` rows, or whose delta
 exceeds ``accept_bytes``.  Only blocks after a promotion can see it, so
 each block's entries are final once the walk passes it and the plan is
 exact by construction.
+
+The plan is a pure function of a frozen image and three settings, so
+:func:`memoised_plan` keeps the last one for every later controller
+built over the same image with the same settings to replay.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+import weakref
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.core.signatures import SIGNATURE_VALUES
+from repro.core.signatures import SIGNATURE_VALUES, block_signatures_batch
 from repro.delta.encoder import Delta, encode_deltas
 
 #: Most rows per :func:`encode_deltas` call, and the planner's window.
@@ -44,19 +49,20 @@ ENCODE_BATCH = 64
 
 
 class IngestPlan(NamedTuple):
-    """Per-block outcome of the sweep, indexed by lba."""
+    """Per-block outcome of the sweep, indexed by lba: tuples, as every
+    controller over one image shares one plan."""
 
     #: Promoted references sharing at least one row at the block's turn.
-    candidates: List[int]
+    candidates: Tuple[int, ...]
     #: The best of them (meaningful where ``deltas`` has an entry).
-    references: List[int]
+    references: Tuple[int, ...]
     #: The block encoded against that reference, or None when no
     #: reference shared ``min_match`` rows and nothing was encoded.
-    deltas: List[Optional[Delta]]
+    deltas: Tuple[Optional[Delta], ...]
     #: Blocks promoted to references, ascending.
-    promoted: List[int]
+    promoted: Tuple[int, ...]
     #: Blocks whose delta is accepted and logged, ascending.
-    logged: List[int]
+    logged: Tuple[int, ...]
 
 
 def plan_ingest(blocks: np.ndarray, signatures: np.ndarray,
@@ -155,5 +161,37 @@ def plan_ingest(blocks: np.ndarray, signatures: np.ndarray,
     # reference is final.
     encode(stale_in(cursor, n))
     logged = ((score >= qualifies) & (sizes <= accept_bytes)).nonzero()[0]
-    return IngestPlan(candidates.tolist(), best.tolist(), deltas, promoted,
-                      logged.tolist())
+    return IngestPlan(tuple(candidates.tolist()), tuple(best.tolist()),
+                      tuple(deltas), tuple(promoted), tuple(logged.tolist()))
+
+
+#: The one memoised plan: a weak reference to the image's root array,
+#: then the key, the signature matrix and the plan.  Empty until a
+#: frozen image is planned, and again once that image dies.
+_memo: list = []
+
+
+def memoised_plan(blocks: np.ndarray, min_match: int, accept_bytes: int,
+                  free_slots: int) -> Tuple[np.ndarray, IngestPlan]:
+    """The sub-signatures of ``blocks`` and their :func:`plan_ingest`,
+    read-only and shared by every later call with the same settings on
+    the same frozen image: its root array, held weakly and compared by
+    identity (each ``build_dataset()`` is a new view), and the view's
+    data pointer, shape and strides.  A writeable root is never kept."""
+    root = blocks
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    key = (blocks.__array_interface__["data"][0], blocks.shape,
+           blocks.strides, min_match, accept_bytes, free_slots)
+    frozen = not root.flags.writeable
+    if frozen and _memo and _memo[0]() is root and _memo[1] == key:
+        return _memo[2], _memo[3]
+    signatures = block_signatures_batch(blocks)
+    plan = plan_ingest(blocks, signatures, min_match, accept_bytes,
+                       free_slots)
+    if frozen:
+        signatures.flags.writeable = False
+        # A replaced entry's weakref dies with it and never calls back.
+        _memo[:] = (weakref.ref(root, lambda _ref: _memo.clear()), key,
+                    signatures, plan)
+    return signatures, plan

@@ -215,8 +215,8 @@ class TestIngestSweepEquivalence:
         blocks = np.zeros((4, BLOCK_SIZE), dtype=np.uint8)
         plan = plan_ingest(blocks, signatures, min_match=3,
                            accept_bytes=2048, free_slots=4)
-        assert plan.candidates == [0, 1, 2, 2]
-        assert plan.references[2:] == [0, 1]
+        assert plan.candidates == (0, 1, 2, 2)
+        assert plan.references[2:] == (0, 1)
         assert [d is None for d in plan.deltas] == [True, True, False,
                                                     False]
 

@@ -4,6 +4,9 @@ The property the whole paper rests on: sequential access is orders of
 magnitude cheaper than random access.
 """
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.devices.hdd import HardDiskDrive, HDDSpec
@@ -27,7 +30,7 @@ class TestSpec:
         capacity = 100_000
 
         def seek(distance):
-            hdd = HardDiskDrive(capacity, spec)
+            hdd = HardDiskDrive(capacity)
             hdd.read(0, 1)                      # the head now sits at 1
             return (hdd.read(1 + distance, 1) - spec.avg_rotation_s
                     - spec.transfer_time(1))
@@ -37,6 +40,27 @@ class TestSpec:
         assert seeks[0] > spec.min_seek_s
         assert all(a < b for a, b in zip(seeks, seeks[1:]))
         assert seeks[-1] == pytest.approx(spec.max_seek_s, rel=1e-4)
+
+    def test_mean_seek_of_uniform_reads_matches_the_curve(self):
+        """For independent uniform addresses on [0, 1], E√|X−Y| = 8/15,
+        so the seek part of a long uniform stream of reads on a large
+        disk averages ``min_seek_s + (max_seek_s − min_seek_s) × 8/15``
+        (7.793 ms).  The tolerance is four standard errors of the
+        sample's mean; a distance normalised by twice the capacity
+        reads 5.7 ms."""
+        spec = HDDSpec()
+        capacity = 1_000_000
+        hdd = HardDiskDrive(capacity)
+        positioned = spec.avg_rotation_s + spec.transfer_time(1)
+        seeks = np.array([
+            hdd.read(lba, 1) - positioned for lba in
+            np.random.default_rng(2011).integers(
+                0, capacity, size=200_000).tolist()])
+        assert hdd.sequential_accesses == 0
+        expected = spec.min_seek_s + (spec.max_seek_s - spec.min_seek_s) \
+            * 8 / 15
+        standard_error = seeks.std(ddof=1) / np.sqrt(seeks.size)
+        assert abs(seeks.mean() - expected) < 4 * standard_error
 
     def test_transfer_time_scales_with_size(self):
         spec = HDDSpec(transfer_bytes_per_s=100e6)
@@ -109,3 +133,51 @@ class TestAccounting:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             HardDiskDrive(0)
+
+
+class TestSweep:
+    """``sweep`` leaves what one-block reads of the same blocks leave:
+    the returned total and the busy time to the bit, the counters in the
+    same order, the head, and one span per block when traced."""
+
+    @staticmethod
+    def _state(hdd):
+        return (list(hdd.counters().items()), hdd.busy_time.hex(),
+                hdd._head)
+
+    @pytest.mark.parametrize("head, lba, end", [
+        (0, 0, 1), (0, 0, 500), (40, 40, 41), (3, 40, 300),
+        (90_000, 17, 4_000), (5, 5, 5), (0, 99_000, 100_000)])
+    def test_equals_one_block_reads(self, head, lba, end):
+        bulk, single = HardDiskDrive(100_000), HardDiskDrive(100_000)
+        for hdd in (bulk, single):
+            if head:
+                hdd.write(head - 1, 1)
+        total = single.busy_time
+        for block in range(lba, end):
+            total += single.read(block, 1)
+        assert bulk.sweep(lba, end, bulk.busy_time).hex() == total.hex()
+        assert self._state(bulk) == self._state(single)
+
+    def test_one_span_per_block_when_traced(self):
+        spans = ([], [])
+        for sweep, emitted in zip((True, False), spans):
+            hdd = HardDiskDrive(100_000)
+            hdd.tracer = SimpleNamespace(
+                device_span=lambda *args, emitted=emitted, **fields:
+                emitted.append((args, fields)))
+            hdd.read(7, 1)
+            if sweep:
+                hdd.sweep(10, 20, 0.0)
+            else:
+                for block in range(10, 20):
+                    hdd.read(block, 1)
+        assert len(spans[0]) == 11
+        assert spans[0] == spans[1]
+
+    def test_span_outside_the_disk_is_refused(self, hdd):
+        with pytest.raises(ValueError):
+            hdd.sweep(99_990, 100_001, 0.0)
+        with pytest.raises(ValueError):
+            hdd.sweep(-1, 3, 0.0)
+        assert hdd.read_ops == 0

@@ -197,18 +197,22 @@ class TestHostCostBudget:
     #:   helper frames and bumped string-keyed counters; 60.5 while it also
     #:   kept a latency sample nobody read; 90.9 before the capture tracer
     #:   folded phases at emission);
-    #: * sysbench / icash — 50.0, of which 11.2 in the engine files and 5.1
-    #:   in the codec (83.6, and 6.1 in the codec, while ingest replayed its
-    #:   plan block by block and a read hit walked four helper frames; 84.6
+    #: * sysbench / icash — 47.8, of which 11.2 in the engine files and 5.0
+    #:   in the codec (50.0 and 5.1 while every run planned its ingest
+    #:   afresh and swept the image block by block; 83.6, and 6.1 in the
+    #:   codec, while ingest replayed its plan block by block and a read
+    #:   hit walked four helper frames; 84.6
     #:   and 12.2 with that second latency record; 87.3 and 14.9 with that
     #:   closing call; 121.2 and 47.9 with those engine frames; 121.6 while signatures were memoised behind a content-keyed
     #:   LRU; 127.7 while the controller bumped string-keyed counters; 144.0
     #:   with those device frames; 145.1 while a virtual block kept its own
     #:   copy of its reference and dirtiness; 147.7 and 7.6 while ingest
     #:   tallied and encoded block by block);
-    #: * specsfs / icash — 196.5, of which 34.9 in the engine files and 22.6
-    #:   in the codec (196.2 and 34.7 while an associate of a shadowed
-    #:   reference skipped the SSD reads of its reference's frozen copy;
+    #: * specsfs / icash — 190.4, of which 34.9 in the engine files and 22.5
+    #:   in the codec (196.6 and 22.6 while every run planned its ingest
+    #:   afresh and swept block by block; 196.2 and 34.7 while an associate
+    #:   of a shadowed reference skipped the SSD reads of its reference's
+    #:   frozen copy;
     #:   275.0 and 25.2 with that replay and those frames;
     #:   276.0 and 35.7 with that second record; 281.0 and 40.8 with that
     #:   closing call; 316.6 and 75.4 with those engine frames;
@@ -242,8 +246,10 @@ class TestHostCostBudget:
     #: The last column is memory: the tracemalloc peak of what one more
     #: warm ``run_spec`` allocates, as a multiple of the data set's
     #: size — 15 % above the measured 0.048 on raid0, 10 % above the
-    #: measured 0.556 / 0.860 on icash (0.066 / 0.592 / 1.122, budgets
-    #: 0.085 / 0.65 / 1.23, while every warm run drew its family table
+    #: measured 0.466 / 0.766 on icash (0.544 / 0.849, budgets 0.61 /
+    #: 0.95, while every run planned its ingest afresh; 0.556 / 0.860
+    #: before that; 0.066 / 0.592 / 1.122, budgets 0.085 / 0.65 / 1.23,
+    #: while every warm run drew its family table
     #: and every SSD copy copied bytes that were already frozen; 0.62 /
     #: 2.17, budgets 0.72 / 2.5, while every signature lookup copied its
     #: block into an LRU key).  The data set itself is built once and
@@ -257,11 +263,11 @@ class TestHostCostBudget:
     BUDGETS = (
         (RunSpec(workload="tpcc", system="raid0", engine="event",
                  n_requests=2000, scale=0.5), None, 19.7, 3.3, 0.0, 0.056),
-        (SYSBENCH, None, 55.0, 12.3, 5.6, 0.61),
+        (SYSBENCH, None, 52.5, 12.3, 5.5, 0.51),
         (RunSpec(workload="specsfs", system="icash", engine="event",
                  n_requests=1500, scale=0.25,
                  config_overrides=(("ssd_capacity_blocks", 2048),)),
-         None, 215.8, 38.2, 24.9, 0.95),
+         None, 209.4, 38.2, 24.7, 0.84),
         (SYSBENCH, "tracer", 65.6, 22.9, 5.6, None),
         (SYSBENCH, "profiler", 66.6, 16.3, 5.6, None),
         (SYSBENCH, "monitor", 56.6, 12.4, 5.6, None),

@@ -358,6 +358,9 @@ REMOVED = (
      r"\bchunk_blocks\b", "raid.CHUNK_BLOCKS"),
     ("RAID0Array(hdd_spec=)", r"\bhdd_spec\b",
      "HardDiskDrive's default HDDSpec()", "repro/devices/raid.py"),
+    ("HardDiskDrive(spec=)", r"def __init__\(self[^)]*\bspec\b",
+     "HDDSpec(), which every HardDiskDrive is built from",
+     "repro/devices/hdd.py"),
     ("SyntheticWorkload(hot_fraction=)", r"\bhot_fraction\b",
      "workloads.base.HOT_FRACTION"),
     ("SyntheticWorkload(hot_access_prob=)", r"\bhot_access_prob\b",

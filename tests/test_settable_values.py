@@ -14,7 +14,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: The count at the last change that removed settable values.
-CEILING = 308
+CEILING = 307
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
